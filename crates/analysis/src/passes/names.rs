@@ -1,9 +1,8 @@
 //! CSP001–CSP003: name resolution — undefined processes, call arity,
 //! unbound variables — with spans at the offending syntax node.
 //!
-//! Reimplements the checks of `csp_lang::validate` (which that crate
-//! keeps for compatibility) on the spanned walk, so each finding points
-//! at the call or the first use of the variable rather than at the whole
+//! The checks run on the spanned walk, so each finding points at the
+//! call or the first use of the variable rather than at the whole
 //! definition.
 
 use std::collections::BTreeSet;

@@ -4,6 +4,7 @@
 
 use csp_analysis::{Diagnostic, LintCode, Linter, Severity};
 use csp_assert::{parse_assertion, ChannelInfo};
+use csp_lang::examples::{self, multiplier_src, pipeline_src};
 use csp_lang::parse_definitions_spanned;
 use csp_trace::ChannelSet;
 
@@ -79,7 +80,16 @@ fn csp003_unbound_variable() {
     let d = expect_code(&diags, LintCode::UnboundVariable, 1, 5);
     assert!(d.message.contains("`x`"));
     assert_eq!(diags.len(), 1);
+    // The multiplier's weight vector is unbound unless the host binds it.
+    let diags = lint(MULT_ROW, &[]);
+    assert!(
+        diags.iter().any(|d| d.code == LintCode::UnboundVariable),
+        "{diags:?}"
+    );
 }
+
+const MULT_ROW: &str =
+    "mult[i:1..3] = row[i]?x:NAT -> col[i-1]?y:NAT -> col[i]!(v[i]*x+y) -> mult[i]";
 
 #[test]
 fn csp003_negative_bound_and_host_vars() {
@@ -87,6 +97,7 @@ fn csp003_negative_bound_and_host_vars() {
     expect_clean(&lint("p = c?x:NAT -> d!x -> p", &[]));
     // Bound by the host environment (the multiplier's constant vector).
     expect_clean(&lint("p = c!v -> p", &["v"]));
+    expect_clean(&lint(MULT_ROW, &["v"]));
 }
 
 // -------------------------------------------------------------- CSP004 --
@@ -106,6 +117,10 @@ fn csp004_unguarded_recursion_through_call_graph() {
         1,
     );
     assert_eq!(diags.len(), 2);
+    // A direct self-call, and one through a choice arm.
+    for src in ["p = p", "p = c!0 -> p | p"] {
+        expect_code(&lint(src, &[]), LintCode::UnguardedRecursion, 1, 1);
+    }
 }
 
 #[test]
@@ -334,9 +349,24 @@ fn paper_networks_lint_clean() {
     let src = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../paper.csp"))
         .expect("paper.csp readable");
     let (defs, spans) = parse_definitions_spanned(&src).unwrap();
-    let env = csp_lang::examples::multiplier_env(&[2, 3, 5]);
+    let env = examples::multiplier_env(&[2, 3, 5]);
     let diags = Linter::new(&defs).with_spans(&spans).with_env(&env).run();
     expect_clean(&diags);
+
+    // The built-in fixtures and the generated networks, with the
+    // multiplier's weight vector `v` as a host variable.
+    let mut fixtures: Vec<(String, &[&str])> = vec![
+        (examples::PIPELINE_SRC.to_string(), &[]),
+        (examples::PROTOCOL_SRC.to_string(), &[]),
+        (examples::MULTIPLIER_SRC.to_string(), &["v"]),
+        (examples::BUFFER2_SRC.to_string(), &[]),
+    ];
+    fixtures.extend((1..=5).map(|n| (multiplier_src(n), &["v"][..])));
+    fixtures.extend((1..=4).map(|n| (pipeline_src(n), &[][..])));
+    for (src, host_vars) in &fixtures {
+        let diags = lint(src, host_vars);
+        assert!(diags.is_empty(), "{src}\nunexpected diagnostics: {diags:?}");
+    }
 }
 
 #[test]

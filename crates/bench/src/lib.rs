@@ -10,8 +10,9 @@
 //!   paper's two network figures from the parsed definitions;
 //! * `cargo run -p csp-bench --bin experiments` — **E1–E7**: runs every
 //!   experiment and prints paper-claim vs. measured-result rows;
-//! * `cargo bench -p csp-bench` — the Criterion performance
-//!   characterisation (**P1–P4** plus per-artifact regeneration benches).
+//! * `cargo run --release -p csp-bench --bin bench-json` — the one
+//!   benchmark harness: **P1–P4** and **E1–E7** rows as gateable JSON
+//!   (see the binary's docs for `--compare` and `--serve`).
 
 #![forbid(unsafe_code)]
 

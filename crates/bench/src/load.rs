@@ -24,6 +24,7 @@
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::report::{BenchRecord, SpanAttr};
+use csp_core::obs::json_string;
 use csp_serve::Client;
 
 /// The paper's module (lint traffic in the mixed phase).
@@ -56,24 +57,6 @@ const MIXED_REQUESTS_PER_CLIENT: usize = 100;
 /// (best-of-N resists one bad scheduling window on a shared CI box).
 const MIXED_ROUNDS: usize = 5;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// One request shape in the mixed phase.
 struct Shot {
     path: &'static str,
@@ -83,9 +66,9 @@ struct Shot {
 fn check_body(source: &str, process: &str, assertion: &str, extra: &str) -> String {
     format!(
         "{{\"source\":{},\"process\":{},\"assertion\":{},\"depth\":3{extra}}}",
-        json_escape(source),
-        json_escape(process),
-        json_escape(assertion),
+        json_string(source),
+        json_string(process),
+        json_string(assertion),
     )
 }
 
@@ -97,7 +80,7 @@ fn mixed_palette() -> Vec<Shot> {
             path: "/v1/lint",
             body: format!(
                 "{{\"source\":{},\"module\":\"paper\"}}",
-                json_escape(PAPER_CSP)
+                json_string(PAPER_CSP)
             ),
         },
         Shot {
@@ -127,14 +110,14 @@ fn mixed_palette() -> Vec<Shot> {
             body: format!(
                 "{{\"source\":{},\"specs\":[{{\"process\":\"copier\",\
                  \"assertion\":\"wire <= input\"}}],\"nat_bound\":1}}",
-                json_escape(PIPELINE_CSP)
+                json_string(PIPELINE_CSP)
             ),
         },
         Shot {
             path: "/v1/lint",
             body: format!(
                 "{{\"source\":{},\"module\":\"buffer\"}}",
-                json_escape(BUFFER_CSP)
+                json_string(BUFFER_CSP)
             ),
         },
     ]

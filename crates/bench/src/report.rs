@@ -9,11 +9,12 @@
 //!
 //! The JSON schema is deliberately flat (one object per bench with
 //! `name`, `wall_ms`, `traces`, `peak_set`, plus one small object per
-//! attributed span) so this module can parse it back with a small
-//! scanner instead of a serde dependency — the build environment is
-//! offline.
+//! attributed span), written by hand and read back with the workspace's
+//! one JSON codec, [`csp_core::obs::parse_json`].
 
 use std::fmt::Write as _;
+
+use csp_core::obs::{json_string, parse_json, JsonValue};
 
 /// Per-span time attribution for one bench: where the workload's wall
 /// time went, by span name. Recorded only when the bench ran with a
@@ -69,11 +70,14 @@ impl Report {
         for (i, b) in self.benches.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"traces\": {}, \"peak_set\": {}",
-                b.name, b.wall_ms, b.traces, b.peak_set
+                "    {{\"name\": {}, \"wall_ms\": {:.3}, \"traces\": {}, \"peak_set\": {}",
+                json_string(&b.name),
+                b.wall_ms,
+                b.traces,
+                b.peak_set
             );
             if !b.engine.is_empty() {
-                let _ = write!(out, ", \"engine\": \"{}\"", b.engine);
+                let _ = write!(out, ", \"engine\": {}", json_string(&b.engine));
             }
             if b.spans.is_empty() {
                 out.push('}');
@@ -82,8 +86,10 @@ impl Report {
                 for (j, s) in b.spans.iter().enumerate() {
                     let _ = write!(
                         out,
-                        "      {{\"span\": \"{}\", \"total_ns\": {}, \"count\": {}}}",
-                        s.span, s.total_ns, s.count
+                        "      {{\"span\": {}, \"total_ns\": {}, \"count\": {}}}",
+                        json_string(&s.span),
+                        s.total_ns,
+                        s.count
                     );
                     out.push_str(if j + 1 < b.spans.len() { ",\n" } else { "\n" });
                 }
@@ -101,47 +107,23 @@ impl Report {
 
     /// Parses a report previously written by [`Report::to_json`].
     ///
-    /// The scanner accepts exactly the flat schema this module writes;
-    /// it is not a general JSON parser.
-    ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed record.
+    /// Returns a description of malformed JSON, a missing `samples`
+    /// member, or the first record without a required member.
     pub fn from_json(src: &str) -> Result<Report, String> {
-        let samples = scan_u64(src, "\"samples\"")
+        let doc = parse_json(src).map_err(|e| e.to_string())?;
+        let samples = doc
+            .get("samples")
+            .and_then(JsonValue::as_u64)
             .ok_or_else(|| "missing \"samples\" field".to_string())? as usize;
-        let mut benches: Vec<BenchRecord> = Vec::new();
-        for obj in src.split('{').skip(1) {
-            if obj.contains("\"wall_ms\"") {
-                let name = scan_string(obj, "\"name\"")
-                    .ok_or_else(|| format!("bench record without name: {obj:.60}"))?;
-                let wall_ms = scan_f64(obj, "\"wall_ms\"")
-                    .ok_or_else(|| format!("bench `{name}` without wall_ms"))?;
-                let traces = scan_u64(obj, "\"traces\"").unwrap_or(0);
-                let peak_set = scan_u64(obj, "\"peak_set\"").unwrap_or(0);
-                benches.push(BenchRecord {
-                    name,
-                    wall_ms,
-                    traces,
-                    peak_set,
-                    engine: scan_string(obj, "\"engine\"").unwrap_or_default(),
-                    spans: Vec::new(),
-                });
-            } else if obj.contains("\"total_ns\"") {
-                // A span-attribution object: belongs to the preceding
-                // bench record.
-                let bench = benches
-                    .last_mut()
-                    .ok_or_else(|| format!("span attribution before any bench: {obj:.60}"))?;
-                let span = scan_string(obj, "\"span\"")
-                    .ok_or_else(|| format!("span attribution without span name: {obj:.60}"))?;
-                bench.spans.push(SpanAttr {
-                    span,
-                    total_ns: scan_u64(obj, "\"total_ns\"").unwrap_or(0),
-                    count: scan_u64(obj, "\"count\"").unwrap_or(0),
-                });
-            }
-        }
+        let benches = doc
+            .get("benches")
+            .and_then(JsonValue::as_array)
+            .unwrap_or_default()
+            .iter()
+            .map(bench_from_json)
+            .collect::<Result<Vec<_>, _>>()?;
         if benches.is_empty() {
             return Err("no bench records found".to_string());
         }
@@ -149,28 +131,50 @@ impl Report {
     }
 }
 
-fn scan_after<'a>(src: &'a str, key: &str) -> Option<&'a str> {
-    let at = src.find(key)? + key.len();
-    let rest = src[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    Some(rest)
+fn bench_from_json(v: &JsonValue) -> Result<BenchRecord, String> {
+    let name = v
+        .get("name")
+        .and_then(JsonValue::as_str)
+        .ok_or("bench record without name")?
+        .to_string();
+    let wall_ms = v
+        .get("wall_ms")
+        .and_then(JsonValue::as_f64)
+        .ok_or_else(|| format!("bench `{name}` without wall_ms"))?;
+    let spans = v
+        .get("spans")
+        .and_then(JsonValue::as_array)
+        .unwrap_or_default()
+        .iter()
+        .map(|s| {
+            let span = s
+                .get("span")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| format!("bench `{name}`: span attribution without span name"))?;
+            Ok(SpanAttr {
+                span: span.to_string(),
+                total_ns: u64_member(s, "total_ns"),
+                count: u64_member(s, "count"),
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(BenchRecord {
+        name,
+        wall_ms,
+        traces: u64_member(v, "traces"),
+        peak_set: u64_member(v, "peak_set"),
+        engine: v
+            .get("engine")
+            .and_then(JsonValue::as_str)
+            .unwrap_or_default()
+            .to_string(),
+        spans,
+    })
 }
 
-fn scan_string(src: &str, key: &str) -> Option<String> {
-    let rest = scan_after(src, key)?.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn scan_f64(src: &str, key: &str) -> Option<f64> {
-    let rest = scan_after(src, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn scan_u64(src: &str, key: &str) -> Option<u64> {
-    scan_f64(src, key).map(|f| f as u64)
+/// An optional count member; absent reads as 0.
+fn u64_member(v: &JsonValue, key: &str) -> u64 {
+    v.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
 }
 
 /// Verdict of comparing one bench against the baseline.
@@ -336,8 +340,8 @@ pub struct HistoryRow {
     /// Per-bench medians, in execution order.
     pub benches: Vec<(String, f64)>,
     /// Per-bench verification engine, for the benches that recorded one
-    /// (see [`BenchRecord::engine`]). Rows written before the engine
-    /// split parse back with this empty.
+    /// (see [`BenchRecord::engine`]). When empty, the JSONL line has no
+    /// `engines` map, like the rows written before the engine split.
     pub engines: Vec<(String, String)>,
 }
 
@@ -374,7 +378,7 @@ impl HistoryRow {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{name}\": {ms:.3}");
+            let _ = write!(out, "{}: {ms:.3}", json_string(name));
         }
         out.push('}');
         if !self.engines.is_empty() {
@@ -383,87 +387,13 @@ impl HistoryRow {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{name}\": \"{engine}\"");
+                let _ = write!(out, "{}: {}", json_string(name), json_string(engine));
             }
             out.push('}');
         }
         out.push('}');
         out
     }
-}
-
-/// Parses a `BENCH_history.jsonl` file (one [`HistoryRow`] per line;
-/// blank lines skipped).
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line.
-pub fn parse_history(src: &str) -> Result<Vec<HistoryRow>, String> {
-    let mut rows = Vec::new();
-    for (i, line) in src.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |what: &str| format!("history line {}: {what}", i + 1);
-        let benches_at = line
-            .find("\"benches\"")
-            .ok_or_else(|| err("missing benches map"))?;
-        let map = scan_after(&line[benches_at..], "\"benches\"")
-            .and_then(|rest| rest.strip_prefix('{'))
-            .ok_or_else(|| err("benches is not an object"))?;
-        let map = &map[..map
-            .find('}')
-            .ok_or_else(|| err("unterminated benches map"))?];
-        let mut benches = Vec::new();
-        for pair in map.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (name, ms) = pair
-                .split_once(':')
-                .ok_or_else(|| err("bench entry without `:`"))?;
-            let name = name.trim().trim_matches('"').to_string();
-            let ms: f64 = ms
-                .trim()
-                .parse()
-                .map_err(|_| err("bench entry with non-numeric median"))?;
-            benches.push((name, ms));
-        }
-        // The engines map is optional — rows written before the engine
-        // split simply do not have one.
-        let mut engines = Vec::new();
-        if let Some(at) = line.find("\"engines\"") {
-            let map = scan_after(&line[at..], "\"engines\"")
-                .and_then(|rest| rest.strip_prefix('{'))
-                .ok_or_else(|| err("engines is not an object"))?;
-            let map = &map[..map
-                .find('}')
-                .ok_or_else(|| err("unterminated engines map"))?];
-            for pair in map.split(',') {
-                let pair = pair.trim();
-                if pair.is_empty() {
-                    continue;
-                }
-                let (name, engine) = pair
-                    .split_once(':')
-                    .ok_or_else(|| err("engine entry without `:`"))?;
-                engines.push((
-                    name.trim().trim_matches('"').to_string(),
-                    engine.trim().trim_matches('"').to_string(),
-                ));
-            }
-        }
-        rows.push(HistoryRow {
-            unix_ms: scan_u64(line, "\"unix_ms\"").unwrap_or(0),
-            samples: scan_u64(line, "\"samples\"").unwrap_or(0) as usize,
-            total_wall_ms: scan_f64(line, "\"total_wall_ms\"").unwrap_or(0.0),
-            benches,
-            engines,
-        });
-    }
-    Ok(rows)
 }
 
 #[cfg(test)]
@@ -652,37 +582,77 @@ mod tests {
         assert!(!legacy.contains("\"engine\""));
         assert_eq!(Report::from_json(&legacy).unwrap().benches[0].engine, "");
         // The history row carries the engines map for the recorded rows
-        // only, and a legacy history line parses back with none.
+        // only.
         let row = HistoryRow::from_report(&r, 7);
         assert_eq!(
             row.engines,
             vec![("lts/pipeline_d8".to_string(), "compiled".to_string())]
         );
-        let rows = parse_history(&format!("{}\n", row.to_jsonl_line())).expect("parses");
-        assert_eq!(rows[0], row);
-        let legacy_line = "{\"schema\": \"csp-bench-history/v1\", \"unix_ms\": 1, \
-             \"samples\": 3, \"total_wall_ms\": 1.000, \"benches\": {\"a\": 1.000}}";
-        let rows = parse_history(legacy_line).expect("parses");
-        assert!(rows[0].engines.is_empty());
+    }
+
+    /// The committed baseline is exactly what [`Report::to_json`] writes,
+    /// so reading it and writing it again changes no byte.
+    #[test]
+    fn committed_baseline_round_trips_byte_for_byte() {
+        let committed = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_baseline.json"
+        ));
+        let parsed = Report::from_json(committed).expect("baseline parses");
+        assert_eq!(parsed.to_json(), committed);
     }
 
     #[test]
-    fn history_rows_round_trip_through_jsonl() {
-        let r = report(&[("a", 10.5), ("b", 2.25)]);
+    fn names_with_json_punctuation_round_trip() {
+        let name = "odd/{a, b}/\"quoted\" \\ path";
+        let mut r = with_spans(report(&[(name, 2.5)]), &[("span, {x}", 9, 1)]);
+        r.benches[0].engine = "comp\"iled".to_string();
+        let parsed = Report::from_json(&r.to_json()).expect("parses");
+        assert_eq!(parsed, r);
+    }
+
+    /// `csp bench report` reads history lines with `parse_json`; every
+    /// member it reads must come back from [`HistoryRow::to_jsonl_line`].
+    #[test]
+    fn history_rows_render_the_members_bench_report_reads() {
+        let mut r = report(&[("a", 10.5), ("b/{\"x\", y}", 2.25)]);
+        r.benches[1].engine = "compiled".to_string();
         let row = HistoryRow::from_report(&r, 1_700_000_000_000);
         assert!((row.total_wall_ms - 12.75).abs() < 1e-9);
-        let mut file = String::new();
-        file.push_str(&row.to_jsonl_line());
-        file.push('\n');
-        file.push_str(&HistoryRow::from_report(&r, 1_700_000_600_000).to_jsonl_line());
-        file.push('\n');
-        let rows = parse_history(&file).expect("parses");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], row);
-        assert_eq!(rows[1].unix_ms, 1_700_000_600_000);
+        let line = row.to_jsonl_line();
+        assert!(!line.contains('\n'));
+        let v = parse_json(&line).expect("history line parses");
         assert_eq!(
-            rows[1].benches,
-            vec![("a".to_string(), 10.5), ("b".to_string(), 2.25)]
+            v.get("schema").and_then(JsonValue::as_str),
+            Some("csp-bench-history/v1")
         );
+        assert_eq!(
+            v.get("unix_ms").and_then(JsonValue::as_u64),
+            Some(1_700_000_000_000)
+        );
+        assert_eq!(v.get("samples").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(
+            v.get("total_wall_ms").and_then(JsonValue::as_f64),
+            Some(12.75)
+        );
+        let benches: Vec<(&str, f64)> = v
+            .get("benches")
+            .and_then(JsonValue::entries)
+            .expect("benches map")
+            .iter()
+            .map(|(name, ms)| (name.as_str(), ms.as_f64().expect("median")))
+            .collect();
+        assert_eq!(benches, vec![("a", 10.5), ("b/{\"x\", y}", 2.25)]);
+        let engines: Vec<(&str, &str)> = v
+            .get("engines")
+            .and_then(JsonValue::entries)
+            .expect("engines map")
+            .iter()
+            .map(|(name, e)| (name.as_str(), e.as_str().expect("engine")))
+            .collect();
+        assert_eq!(engines, vec![("b/{\"x\", y}", "compiled")]);
+        // Without engine tags the line has no engines map at all.
+        let plain = HistoryRow::from_report(&report(&[("a", 1.0)]), 1).to_jsonl_line();
+        assert!(parse_json(&plain).unwrap().get("engines").is_none());
     }
 }

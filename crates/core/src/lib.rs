@@ -91,8 +91,8 @@ pub use csp_assert::{
 };
 pub use csp_lang::{
     channel_alphabet, parse_definitions, parse_definitions_spanned, parse_expr, parse_module,
-    parse_process, validate, ChanRef, Definition, Definitions, Env, EvalError, Expr, MsgSet,
-    ParseError, ParsedModule, Process, SetExpr, SourceMap, Span, ValidationIssue,
+    parse_process, ChanRef, Definition, Definitions, Env, EvalError, Expr, MsgSet, ParseError,
+    ParsedModule, Process, SetExpr, SourceMap, Span,
 };
 pub use csp_obs::{Collector, FieldValue, Metered, MetricsSnapshot, SpanRecord};
 pub use csp_proof::{

@@ -152,14 +152,14 @@ pub fn pipeline_src(n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::validate;
 
+    /// Parsing only: that the fixtures lint clean is checked by
+    /// `paper_networks_lint_clean` in `csp-analysis`.
     #[test]
-    fn all_fixtures_parse_and_validate() {
-        assert!(validate(&pipeline(), &[]).is_empty());
-        assert!(validate(&protocol(), &[]).is_empty());
-        assert!(validate(&multiplier(), &["v"]).is_empty());
-        assert!(validate(&buffer2(), &[]).is_empty());
+    fn all_fixtures_parse() {
+        for defs in [pipeline(), protocol(), multiplier(), buffer2()] {
+            assert!(!defs.is_empty());
+        }
     }
 
     #[test]
@@ -183,7 +183,7 @@ mod tests {
             let src = multiplier_src(n);
             let defs =
                 parse_definitions(&src).unwrap_or_else(|e| panic!("width {n} failed: {e}\n{src}"));
-            assert!(validate(&defs, &["v"]).is_empty(), "width {n}");
+            assert!(defs.get("multiplier").is_some(), "width {n}");
         }
     }
 
@@ -193,7 +193,6 @@ mod tests {
             let src = pipeline_src(n);
             let defs =
                 parse_definitions(&src).unwrap_or_else(|e| panic!("stages {n} failed: {e}\n{src}"));
-            assert!(validate(&defs, &[]).is_empty(), "stages {n}");
             assert!(defs.get("chain").is_some());
         }
     }

@@ -50,7 +50,6 @@ mod process;
 mod setexpr;
 mod span;
 mod subst;
-mod validate;
 
 pub mod examples;
 
@@ -69,4 +68,3 @@ pub use span::{DefSpans, SourceMap, Span, SpanTree};
 pub use subst::{
     close_process, process_has_free, subst_expr, subst_expr_with, subst_process, subst_process_with,
 };
-pub use validate::{is_well_formed, validate, ValidationIssue};

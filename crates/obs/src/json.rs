@@ -354,5 +354,21 @@ mod tests {
         let s = "tab\t \"quoted\" — déjà\u{1}\n";
         let v = parse_json(&json_string(s)).unwrap();
         assert_eq!(v.as_str(), Some(s));
+        // A long input with multibyte characters right next to escapes.
+        let long: String = (0..2_000)
+            .map(|i| ["é\"", "\\€", "a\n😀", "\u{7}ß", "plain"][i % 5])
+            .collect();
+        let v = parse_json(&json_string(&long)).unwrap();
+        assert_eq!(v.as_str(), Some(long.as_str()));
+        let v = parse_json(r#""éé\/x😀\\""#).unwrap();
+        assert_eq!(v.as_str(), Some("éé/x😀\\"));
+        for (bad, message) in [
+            ("\"déjà", "unterminated string"),
+            ("\"a\\qb\"", "bad escape"),
+            ("\"a\\u00zzb\"", "bad \\u escape"),
+        ] {
+            let e = parse_json(bad).unwrap_err();
+            assert!(e.message.contains(message), "{bad}: {e}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! and *genuine deadlock* (some component still has program text but no
 //! event can be agreed).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use csp_lang::{Definitions, Env, EvalError, Process};
 use csp_semantics::{CompiledLts, CompiledStep, Config, Lts, StateSet, Step, Universe};
@@ -73,14 +73,11 @@ pub fn find_deadlocks(
     let mut seen: BTreeSet<Config> = BTreeSet::new();
     let mut dead_seen: BTreeSet<String> = BTreeSet::new();
     // Breadth-first so witnesses are shortest-first.
-    let mut frontier = vec![(
-        Config::new(process.clone(), env.clone()),
-        Trace::empty(),
-        0usize,
-    )];
-    seen.insert(frontier[0].0.clone());
+    let start = Config::new(process.clone(), env.clone());
+    seen.insert(start.clone());
+    let mut frontier = VecDeque::from([(start, Trace::empty(), 0usize)]);
 
-    while let Some((config, trace, internal_used)) = pop_front(&mut frontier) {
+    while let Some((config, trace, internal_used)) = frontier.pop_front() {
         report.states_explored += 1;
         let steps = lts.steps(&config)?;
         if steps.is_empty() {
@@ -98,12 +95,12 @@ pub fn find_deadlocks(
             match step {
                 Step::Visible(e, next) => {
                     if trace.len() < depth && seen.insert(next.clone()) {
-                        frontier.push((next, trace.snoc(e), internal_used));
+                        frontier.push_back((next, trace.snoc(e), internal_used));
                     }
                 }
                 Step::Internal(next) => {
                     if internal_used < depth * 3 && seen.insert(next.clone()) {
-                        frontier.push((next, trace.clone(), internal_used + 1));
+                        frontier.push_back((next, trace.clone(), internal_used + 1));
                     }
                 }
             }
@@ -137,10 +134,10 @@ pub fn find_deadlocks_compiled(
     let mut seen = StateSet::new();
     let mut dead_seen: BTreeSet<String> = BTreeSet::new();
     let start = lts.intern(Config::new(process.clone(), env.clone()));
-    let mut frontier = vec![(start, Trace::empty(), 0usize)];
+    let mut frontier = VecDeque::from([(start, Trace::empty(), 0usize)]);
     seen.insert(start);
 
-    while let Some((id, trace, internal_used)) = pop_front(&mut frontier) {
+    while let Some((id, trace, internal_used)) = frontier.pop_front() {
         report.states_explored += 1;
         let n = lts.steps_of(id)?.len();
         if n == 0 {
@@ -158,12 +155,12 @@ pub fn find_deadlocks_compiled(
             match lts.steps_of(id)?[k].clone() {
                 CompiledStep::Visible(e, next) => {
                     if trace.len() < depth && seen.insert(next) {
-                        frontier.push((next, trace.snoc(e), internal_used));
+                        frontier.push_back((next, trace.snoc(e), internal_used));
                     }
                 }
                 CompiledStep::Internal(next) => {
                     if internal_used < depth * 3 && seen.insert(next) {
-                        frontier.push((next, trace.clone(), internal_used + 1));
+                        frontier.push_back((next, trace.clone(), internal_used + 1));
                     }
                 }
             }
@@ -171,14 +168,6 @@ pub fn find_deadlocks_compiled(
     }
     report.complete = true;
     Ok(report)
-}
-
-fn pop_front<T>(v: &mut Vec<T>) -> Option<T> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.remove(0))
-    }
 }
 
 /// True when the term is `STOP` up to network structure.

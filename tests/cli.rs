@@ -29,22 +29,17 @@ recopier = wire?y:NAT -> output!y -> recopier
 pipeline = chan wire; (copier || recopier)
 ";
 
+/// The deprecated `validate` alias of `lint` is gone: it is now an
+/// unknown subcommand like any other.
 #[test]
-fn validate_is_a_deprecated_lint_alias() {
+fn validate_is_an_unknown_subcommand() {
     let f = write_fixture("pipeline.csp", PIPELINE);
     let (stdout, stderr, code) = csp(&["validate", f.to_str().unwrap()]);
-    assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("ok (3 definition(s))"), "{stdout}");
-    assert!(stderr.contains("deprecated"), "{stderr}");
-    assert!(stderr.contains("use `csp lint`"), "{stderr}");
-}
-
-#[test]
-fn validate_reports_issues_with_exit_1() {
-    let f = write_fixture("broken.csp", "p = c!0 -> ghost\n");
-    let (stdout, _, code) = csp(&["validate", f.to_str().unwrap()]);
-    assert_eq!(code, Some(1));
-    assert!(stdout.contains("ghost"));
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("unknown subcommand `validate`"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!stderr.contains("csp validate"), "{stderr}");
 }
 
 #[test]
@@ -221,6 +216,7 @@ fn lint_errors_exit_one_with_spans() {
     let (stdout, _, code) = csp(&["lint", f.to_str().unwrap()]);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("[CSP001] at 1:12"), "{stdout}");
+    assert!(stdout.contains("ghost"), "{stdout}");
 }
 
 #[test]
@@ -245,9 +241,10 @@ fn lint_json_reports_codes_per_file_in_envelope() {
     assert!(lines[0].contains("\"code\":\"CSP001\""), "{stdout}");
     assert!(lines[0].contains("\"severity\":\"error\""), "{stdout}");
     assert!(lines[0].contains("\"line\":1"), "{stdout}");
+    assert!(lines[0].contains("\"column\":12"), "{stdout}");
 }
 
-/// The acceptance criterion for the error-recovering front-end: a syntax
+/// The acceptance condition for the error-recovering front-end: a syntax
 /// error in the first definition must not silence span-exact diagnostics
 /// from the definitions after it.
 #[test]
@@ -303,25 +300,6 @@ fn lint_checks_assertion_scope() {
     ]);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("[CSP009]"), "{stdout}");
-}
-
-#[test]
-fn validate_json_matches_lint_contract() {
-    let f = write_fixture("validate_json.csp", "p = c!0 -> ghost\n");
-    let (stdout, _, code) = csp(&["validate", "--json", f.to_str().unwrap()]);
-    assert_eq!(code, Some(1), "{stdout}");
-    // Same envelope as lint, but the command field records the alias.
-    assert!(
-        stdout.starts_with("{\"schema\":\"csp/v1\",\"command\":\"validate\",\"data\":"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"code\":\"CSP001\""), "{stdout}");
-    assert!(stdout.contains("\"column\":12"), "{stdout}");
-
-    let clean = write_fixture("validate_json_clean.csp", PIPELINE);
-    let (stdout, _, code) = csp(&["validate", "--json", clean.to_str().unwrap()]);
-    assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("\"diagnostics\":[]"), "{stdout}");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! headers), and the `/metrics` cache counters partition the request
 //! count exactly.
 
+use csp::obs::json_string;
 use csp::serve::http::Response;
 use csp::serve::{Client, CspServer, ServeConfig, ServeState};
 use proptest::prelude::*;
@@ -12,12 +13,6 @@ use proptest::prelude::*;
 const PIPELINE: &str = "copier = input?x:NAT -> wire!x -> copier\n\
                         recopier = wire?y:NAT -> output!y -> recopier\n\
                         pipeline = chan wire; (copier || recopier)\n";
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
 
 fn header<'a>(resp: &'a Response, name: &str) -> Option<&'a str> {
     resp.extra
@@ -67,26 +62,26 @@ fn edited_source(edits: &[u8]) -> String {
 }
 
 fn body_for(endpoint: usize, source: &str) -> (&'static str, String) {
-    let src = json_escape(source);
+    let src = json_string(source);
     match endpoint {
-        0 => ("/v1/lint", format!("{{\"source\":\"{src}\"}}")),
+        0 => ("/v1/lint", format!("{{\"source\":{src}}}")),
         1 => (
             "/v1/check",
             format!(
-                "{{\"source\":\"{src}\",\"process\":\"pipeline\",\
+                "{{\"source\":{src},\"process\":\"pipeline\",\
                  \"assertion\":\"output <= input\",\"depth\":3,\"nat_bound\":1}}"
             ),
         ),
         2 => (
             "/v1/prove",
             format!(
-                "{{\"source\":\"{src}\",\"specs\":[{{\"process\":\"copier\",\
+                "{{\"source\":{src},\"specs\":[{{\"process\":\"copier\",\
                  \"assertion\":\"wire <= input\"}}],\"nat_bound\":1}}"
             ),
         ),
         _ => (
             "/v1/profile",
-            format!("{{\"source\":\"{src}\",\"depth\":3,\"nat_bound\":1}}"),
+            format!("{{\"source\":{src},\"depth\":3,\"nat_bound\":1}}"),
         ),
     }
 }
@@ -149,9 +144,9 @@ fn metrics_cache_counters_partition_the_request_count() {
     assert_eq!(state.post(lint_path, "{not json").status, 400);
     // /v1/run never consults the cache: always bypass.
     let run_body = format!(
-        "{{\"source\":\"{}\",\"process\":\"pipeline\",\"steps\":8,\
+        "{{\"source\":{},\"process\":\"pipeline\",\"steps\":8,\
          \"seed\":1,\"nat_bound\":1}}",
-        json_escape(PIPELINE)
+        json_string(PIPELINE)
     );
     assert_eq!(state.post("/v1/run", &run_body).status, 200);
     // Endpoints outside the service surface stay out of the ledger.
@@ -231,10 +226,10 @@ fn socket_round_trip_reports_prometheus_counters() {
 #[test]
 fn engine_is_keyed_counted_and_reported() {
     let state = ServeState::new(16, 2);
-    let src = json_escape(PIPELINE);
+    let src = json_string(PIPELINE);
     let check_with = |engine: &str| {
         format!(
-            "{{\"source\":\"{src}\",\"process\":\"pipeline\",\
+            "{{\"source\":{src},\"process\":\"pipeline\",\
              \"assertion\":\"output <= input\",\"depth\":3,\"nat_bound\":1,\
              \"engine\":\"{engine}\"}}"
         )
@@ -274,7 +269,7 @@ fn engine_is_keyed_counted_and_reported() {
 
     // Prove envelopes carry the member too.
     let prove_body = format!(
-        "{{\"source\":\"{src}\",\"nat_bound\":1,\"engine\":\"enumerative\",\
+        "{{\"source\":{src},\"nat_bound\":1,\"engine\":\"enumerative\",\
          \"specs\":[{{\"process\":\"copier\",\"assertion\":\"wire <= input\"}}]}}"
     );
     let prove = state.post("/v1/prove", &prove_body);
@@ -314,9 +309,9 @@ fn run_endpoint_reports_monitor_and_supervision() {
     let state = ServeState::new(16, 2);
     let body = |monitor: &str| {
         format!(
-            "{{\"source\":\"{}\",\"process\":\"pipeline\",\"steps\":12,\
+            "{{\"source\":{},\"process\":\"pipeline\",\"steps\":12,\
              \"seed\":7,\"nat_bound\":1,\"monitor\":{monitor}}}",
-            json_escape(PIPELINE)
+            json_string(PIPELINE)
         )
     };
 
