@@ -12,6 +12,25 @@
 //! still product automata over *reachable* states only, never
 //! materialised trace sets), and every later visit is a table lookup.
 //!
+//! Networks are compiled component by component. A network state is held
+//! as a *skeleton* id plus a vector of *component* ids. The skeleton is
+//! the `chan`/`||` spine of the term in one environment, with its pinned
+//! alphabets, synchronisation sets and hidden sets resolved once. A
+//! component is a closed subterm below the spine; its row comes from
+//! [`Lts::steps`] once per arena. A network row runs the `||` and `chan`
+//! rules of [`Lts::steps`] over the component rows, and each successor is
+//! the same skeleton with the moved components' ids replaced, interned
+//! by hashing the id vector: no term is built or compared. A state no
+//! skeleton represents (the unfolded `Call` start state, a root `||`
+//! whose alphabets are not pinned in resolved form, a root `chan` over a
+//! leaf, a leaf with free variables) is stepped as a whole term, and so is
+//! the one successor in which a component grows a spine of its own (an
+//! inner `||` pinning on its first move). Two rules keep this invisible:
+//! a network row has the same steps, in the same order, as
+//! [`Lts::steps`] on the whole term; and decomposition is a function of
+//! the configuration, so every path into the arena gives a configuration
+//! the same [`StateId`].
+//!
 //! On top of the compiled successor rows, reachability-style checks
 //! (deadlock search, trace refinement) run over [`StateSet`] bitset rows
 //! instead of ordered configuration sets.
@@ -21,14 +40,20 @@
 //! validated against it the same way the interned trace engine is
 //! validated against `NaiveTraceSet` — identical budgets, identical
 //! exploration order, byte-identical trace sets (see the tests here and
-//! the property harness in `csp-verify`). [`Engine`] is the selector the
-//! higher layers thread through their option bundles.
+//! the property harness in `tests/properties.rs`). The skeleton walk is
+//! code of its own, so that check is independent. [`Engine`] is the
+//! selector the higher layers thread through their option bundles.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 
-use csp_lang::{Definitions, Env, EvalError, Process};
-use csp_trace::{Event, Trace, TraceSet};
+use csp_lang::{
+    free_vars_process, process_has_free, ChanRef, Definitions, Env, EvalError, Expr, Process,
+};
+use csp_trace::{ChannelSet, Event, FxHashMap, FxHashSet, Trace, TraceSet};
 
+use crate::denote::resolve_chanrefs;
+use crate::lts::channelset_to_refs;
 use crate::{Config, Lts, Step, Universe};
 
 /// Which verification backend answers a query.
@@ -226,13 +251,125 @@ impl FromIterator<StateId> for StateSet {
 /// The compiled transition-system view of a definition list: an arena of
 /// interned configurations with memoised successor rows, grown on the
 /// fly as checks reach new states.
+///
+/// A network state is held as a skeleton id plus the ids of the
+/// components filling its leaves (see the module docs); any other state
+/// is held, and stepped, as a whole term.
 #[derive(Debug)]
 pub struct CompiledLts<'a> {
     lts: Lts<'a>,
-    states: Vec<Config>,
-    index: BTreeMap<Config, u32>,
-    rows: Vec<Option<Vec<CompiledStep>>>,
+    states: Vec<State>,
+    /// Network states by `[skeleton, component…]`.
+    nets: FxHashMap<Arc<[u32]>, u32>,
+    /// Every other state by its configuration.
+    wholes: BTreeMap<Config, u32>,
+    skeletons: Vec<Skeleton>,
+    /// Skeletons by their spine (leaves replaced by `STOP`) and
+    /// environment.
+    skeleton_ids: BTreeMap<Config, u32>,
+    envs: Vec<Env>,
+    env_ids: BTreeMap<Env, u32>,
+    components: Vec<Component>,
+    /// Components by environment and term. Terms come from user input,
+    /// so this map keeps the default, collision-resistant hasher.
+    component_ids: HashMap<(u32, Arc<Process>), u32>,
     transitions: usize,
+    component_rows: usize,
+    fallback_rows: usize,
+}
+
+/// One interned state.
+#[derive(Debug)]
+struct State {
+    /// `[skeleton, component…]` for a network state; `None` for a state
+    /// stepped as a whole term.
+    net: Option<Arc<[u32]>>,
+    /// The configuration, built on first use for network states.
+    term: OnceLock<Config>,
+    row: Option<Vec<CompiledStep>>,
+}
+
+/// The `chan`/`||` spine of a network term in one environment, with its
+/// alphabets, synchronisation sets and hidden sets resolved once. Nodes
+/// are stored children first, so the root is the last node; leaves are
+/// numbered left to right.
+#[derive(Debug)]
+struct Skeleton {
+    env: u32,
+    nodes: Vec<Node>,
+}
+
+impl Skeleton {
+    /// Rebuilds the term of a node around the given leaves.
+    fn build(&self, node: usize, leaf: &dyn Fn(usize) -> Arc<Process>) -> Arc<Process> {
+        match &self.nodes[node] {
+            Node::Leaf(slot) => leaf(*slot),
+            Node::Par {
+                left,
+                right,
+                left_alpha,
+                right_alpha,
+                ..
+            } => Arc::new(Process::Parallel {
+                left: self.build(*left, leaf),
+                right: self.build(*right, leaf),
+                left_alpha: Some(left_alpha.clone()),
+                right_alpha: Some(right_alpha.clone()),
+            }),
+            Node::Hide { channels, body, .. } => Arc::new(Process::Hide {
+                channels: channels.clone(),
+                body: self.build(*body, leaf),
+            }),
+        }
+    }
+}
+
+#[derive(Debug)]
+enum Node {
+    /// The component in this leaf slot.
+    Leaf(usize),
+    Par {
+        left: usize,
+        right: usize,
+        /// The pinned alphabets, kept to rebuild the term.
+        left_alpha: Vec<ChanRef>,
+        right_alpha: Vec<ChanRef>,
+        sync: ChannelSet,
+    },
+    Hide {
+        channels: Vec<ChanRef>,
+        hidden: ChannelSet,
+        body: usize,
+    },
+}
+
+/// A closed sequential term below a spine, stepped in its skeleton's
+/// environment.
+#[derive(Debug)]
+struct Component {
+    term: Arc<Process>,
+    env: u32,
+    /// `(event, successor)` per step, in [`Lts::steps`] order; `None`
+    /// marks a concealed step.
+    row: Option<Vec<(Option<Event>, Next)>>,
+}
+
+/// Where a component step leads.
+#[derive(Debug, Clone)]
+enum Next {
+    Comp(u32),
+    /// A successor no component can hold: it grew a spine of its own, or
+    /// has free variables. The network successor is built as a term.
+    Term(Arc<Process>),
+}
+
+/// One step of a skeleton node: the event (`None` when concealed) and
+/// the component steps taking part, as `(leaf slot, row index)` pairs in
+/// slot order.
+#[derive(Debug, Clone)]
+struct Move {
+    event: Option<Event>,
+    parts: Vec<(usize, usize)>,
 }
 
 impl<'a> CompiledLts<'a> {
@@ -241,9 +378,17 @@ impl<'a> CompiledLts<'a> {
         CompiledLts {
             lts: Lts::new(defs, universe),
             states: Vec::new(),
-            index: BTreeMap::new(),
-            rows: Vec::new(),
+            nets: FxHashMap::default(),
+            wholes: BTreeMap::new(),
+            skeletons: Vec::new(),
+            skeleton_ids: BTreeMap::new(),
+            envs: Vec::new(),
+            env_ids: BTreeMap::new(),
+            components: Vec::new(),
+            component_ids: HashMap::new(),
             transitions: 0,
+            component_rows: 0,
+            fallback_rows: 0,
         }
     }
 
@@ -251,13 +396,38 @@ impl<'a> CompiledLts<'a> {
     /// lifetime of the arena; the same configuration always gets the
     /// same id).
     pub fn intern(&mut self, config: Config) -> StateId {
-        if let Some(&i) = self.index.get(&config) {
+        if let Some(key) = self.decompose(&config) {
+            let id = self.intern_net(&key);
+            // Already built: spare `state` the rebuild.
+            let _ = self.states[id.index()].term.set(config);
+            return id;
+        }
+        if let Some(&i) = self.wholes.get(&config) {
             return StateId(i);
         }
+        let id = self.push(None);
+        let _ = self.states[id.index()].term.set(config.clone());
+        self.wholes.insert(config, id.0);
+        id
+    }
+
+    fn intern_net(&mut self, key: &[u32]) -> StateId {
+        if let Some(&i) = self.nets.get(key) {
+            return StateId(i);
+        }
+        let key: Arc<[u32]> = Arc::from(key);
+        let id = self.push(Some(Arc::clone(&key)));
+        self.nets.insert(key, id.0);
+        id
+    }
+
+    fn push(&mut self, net: Option<Arc<[u32]>>) -> StateId {
         let i = u32::try_from(self.states.len()).expect("state arena exceeds u32");
-        self.states.push(config.clone());
-        self.index.insert(config, i);
-        self.rows.push(None);
+        self.states.push(State {
+            net,
+            term: OnceLock::new(),
+            row: None,
+        });
         StateId(i)
     }
 
@@ -267,9 +437,19 @@ impl<'a> CompiledLts<'a> {
         self.intern(config)
     }
 
-    /// The configuration behind an id.
+    /// The configuration behind an id (built on first use for network
+    /// states).
     pub fn state(&self, id: StateId) -> &Config {
-        &self.states[id.index()]
+        let state = &self.states[id.index()];
+        state.term.get_or_init(|| {
+            let key = state
+                .net
+                .as_deref()
+                .expect("whole-term states keep their term");
+            self.assemble(key[0], &|slot| {
+                Arc::clone(&self.components[key[1 + slot] as usize].term)
+            })
+        })
     }
 
     /// Distinct configurations interned so far.
@@ -282,6 +462,18 @@ impl<'a> CompiledLts<'a> {
         self.transitions
     }
 
+    /// Component rows compiled so far: each distinct component of a
+    /// network is stepped once, however many network states hold it.
+    pub fn num_component_rows(&self) -> usize {
+        self.component_rows
+    }
+
+    /// State rows compiled by stepping the whole term, for states no
+    /// skeleton represents.
+    pub fn num_fallback_rows(&self) -> usize {
+        self.fallback_rows
+    }
+
     /// The successor row of a state, compiling it on first access. The
     /// steps keep the exact order [`Lts::steps`] produces them in, so
     /// walks over the compiled graph reproduce the enumerative engine's
@@ -292,20 +484,246 @@ impl<'a> CompiledLts<'a> {
     ///
     /// Propagates evaluation failures from the transition relation.
     pub fn steps_of(&mut self, id: StateId) -> Result<&[CompiledStep], EvalError> {
-        if self.rows[id.index()].is_none() {
-            let config = self.states[id.index()].clone();
-            let steps = self.lts.steps(&config)?;
-            let row: Vec<CompiledStep> = steps
-                .into_iter()
-                .map(|s| match s {
-                    Step::Visible(e, c) => CompiledStep::Visible(e, self.intern(c)),
-                    Step::Internal(c) => CompiledStep::Internal(self.intern(c)),
-                })
-                .collect();
+        if self.states[id.index()].row.is_none() {
+            let row = match self.states[id.index()].net.clone() {
+                Some(key) => self.net_row(&key)?,
+                None => self.whole_row(id)?,
+            };
             self.transitions += row.len();
-            self.rows[id.index()] = Some(row);
+            self.states[id.index()].row = Some(row);
         }
-        Ok(self.rows[id.index()].as_deref().expect("row just compiled"))
+        Ok(self.states[id.index()]
+            .row
+            .as_deref()
+            .expect("row just compiled"))
+    }
+
+    /// The row of a state no skeleton represents: [`Lts::steps`] on the
+    /// whole term.
+    fn whole_row(&mut self, id: StateId) -> Result<Vec<CompiledStep>, EvalError> {
+        let steps = self.lts.steps(self.state(id))?;
+        self.fallback_rows += 1;
+        Ok(steps
+            .into_iter()
+            .map(|s| match s {
+                Step::Visible(e, c) => CompiledStep::Visible(e, self.intern(c)),
+                Step::Internal(c) => CompiledStep::Internal(self.intern(c)),
+            })
+            .collect())
+    }
+
+    /// The row of a network state, from the rows of its components by
+    /// the `||` and `chan` rules of [`Lts::steps`]. Component rows are
+    /// compiled left to right, so the first failure is the one the whole
+    /// term would report.
+    fn net_row(&mut self, key: &[u32]) -> Result<Vec<CompiledStep>, EvalError> {
+        for &c in &key[1..] {
+            self.component_row(c)?;
+        }
+        let skel = &self.skeletons[key[0] as usize];
+        let moves = self.moves(skel, skel.nodes.len() - 1, &key[1..]);
+        let mut next = key.to_vec();
+        let mut row = Vec::with_capacity(moves.len());
+        for m in moves {
+            next.copy_from_slice(key);
+            let mut grown = false;
+            for &(slot, k) in &m.parts {
+                match self.component_step(key[1 + slot], k) {
+                    Next::Comp(c) => next[1 + slot] = *c,
+                    Next::Term(_) => grown = true,
+                }
+            }
+            let target = if grown {
+                let config = self.grown_successor(key, &m.parts);
+                self.intern(config)
+            } else {
+                self.intern_net(&next)
+            };
+            row.push(match m.event {
+                Some(e) => CompiledStep::Visible(e, target),
+                None => CompiledStep::Internal(target),
+            });
+        }
+        Ok(row)
+    }
+
+    fn component_step(&self, c: u32, k: usize) -> &Next {
+        &self.components[c as usize]
+            .row
+            .as_ref()
+            .expect("component compiled")[k]
+            .1
+    }
+
+    /// The successor of a network state when a moved component's
+    /// successor is no component: the configuration [`Lts::steps`] builds.
+    fn grown_successor(&self, key: &[u32], parts: &[(usize, usize)]) -> Config {
+        let term = |c: u32| Arc::clone(&self.components[c as usize].term);
+        self.assemble(
+            key[0],
+            &|slot| match parts.iter().find(|&&(s, _)| s == slot) {
+                Some(&(_, k)) => match self.component_step(key[1 + slot], k) {
+                    Next::Comp(c) => term(*c),
+                    Next::Term(t) => Arc::clone(t),
+                },
+                None => term(key[1 + slot]),
+            },
+        )
+    }
+
+    /// A skeleton's configuration around the given leaves, in the
+    /// skeleton's environment.
+    fn assemble(&self, skel: u32, leaf: &dyn Fn(usize) -> Arc<Process>) -> Config {
+        let skel = &self.skeletons[skel as usize];
+        let term = skel.build(skel.nodes.len() - 1, leaf);
+        Config::from_arc(term, self.envs[skel.env as usize].clone())
+    }
+
+    /// Compiles a component's row on first use: [`Lts::steps`] on the
+    /// component, each successor closed as the `||` rule closes a moved
+    /// operand.
+    fn component_row(&mut self, c: u32) -> Result<(), EvalError> {
+        let comp = &self.components[c as usize];
+        if comp.row.is_some() {
+            return Ok(());
+        }
+        let env = comp.env;
+        let steps = self.lts.steps_at(&comp.term, &self.envs[env as usize])?;
+        let row = steps
+            .into_iter()
+            .map(|s| {
+                let (event, next) = match s {
+                    Step::Visible(e, next) => (Some(e), next),
+                    Step::Internal(next) => (None, next),
+                };
+                let term = next.closed();
+                match self.component(env, &term) {
+                    Some(c) => (event, Next::Comp(c)),
+                    None => (event, Next::Term(term)),
+                }
+            })
+            .collect();
+        self.components[c as usize].row = Some(row);
+        self.component_rows += 1;
+        Ok(())
+    }
+
+    /// Interns a component, or `None` when the term cannot be one: it
+    /// reads as a spine node, or has free variables.
+    fn component(&mut self, env: u32, term: &Arc<Process>) -> Option<u32> {
+        let key = (env, Arc::clone(term));
+        if let Some(&c) = self.component_ids.get(&key) {
+            return Some(c);
+        }
+        if grows_spine(term, &self.envs[env as usize]) || !is_closed(term) {
+            return None;
+        }
+        let c = u32::try_from(self.components.len()).expect("component arena exceeds u32");
+        self.components.push(Component {
+            term: Arc::clone(term),
+            env,
+            row: None,
+        });
+        self.component_ids.insert(key, c);
+        Some(c)
+    }
+
+    /// The steps of one skeleton node, by the rules of [`Lts::steps`]:
+    /// a `chan` node conceals its hidden events; a `||` node moves its
+    /// left operand alone or jointly with the right on a shared channel
+    /// (in left-row order), then its right operand alone. A concealed
+    /// operand step is a concealed step of the node.
+    fn moves(&self, skel: &Skeleton, node: usize, comps: &[u32]) -> Vec<Move> {
+        match &skel.nodes[node] {
+            Node::Leaf(slot) => self.components[comps[*slot] as usize]
+                .row
+                .as_ref()
+                .expect("component compiled")
+                .iter()
+                .enumerate()
+                .map(|(k, (event, _))| Move {
+                    event: *event,
+                    parts: vec![(*slot, k)],
+                })
+                .collect(),
+            Node::Hide { hidden, body, .. } => {
+                let mut moves = self.moves(skel, *body, comps);
+                for m in &mut moves {
+                    if m.event.is_some_and(|e| hidden.contains(e.channel())) {
+                        m.event = None;
+                    }
+                }
+                moves
+            }
+            Node::Par {
+                left, right, sync, ..
+            } => {
+                let shared = |m: &Move| m.event.is_some_and(|e| sync.contains(e.channel()));
+                let ls = self.moves(skel, *left, comps);
+                let rs = self.moves(skel, *right, comps);
+                let mut out = Vec::with_capacity(ls.len() + rs.len());
+                for l in ls {
+                    if !shared(&l) {
+                        out.push(l);
+                        continue;
+                    }
+                    for r in rs.iter().filter(|r| r.event == l.event) {
+                        let mut parts = l.parts.clone();
+                        parts.extend_from_slice(&r.parts);
+                        out.push(Move {
+                            event: l.event,
+                            parts,
+                        });
+                    }
+                }
+                out.extend(rs.into_iter().filter(|r| !shared(r)));
+                out
+            }
+        }
+    }
+
+    /// Splits a configuration into `[skeleton, component…]`, or `None`
+    /// when no skeleton represents it. A function of the configuration
+    /// alone, so every path into the arena gives a configuration the same
+    /// id.
+    fn decompose(&mut self, config: &Config) -> Option<Vec<u32>> {
+        let mut nodes = Vec::new();
+        let mut leaves = Vec::new();
+        let shape = spine(
+            config.process_arc(),
+            config.env(),
+            false,
+            &mut nodes,
+            &mut leaves,
+        )?;
+        let env = match self.env_ids.get(config.env()) {
+            Some(&e) => e,
+            None => {
+                let e = u32::try_from(self.envs.len()).expect("env arena exceeds u32");
+                self.envs.push(config.env().clone());
+                self.env_ids.insert(config.env().clone(), e);
+                e
+            }
+        };
+        let shape = Config::new(shape, config.env().clone());
+        let skel = match self.skeleton_ids.get(&shape) {
+            Some(&s) => s,
+            None => {
+                let s = u32::try_from(self.skeletons.len()).expect("skeleton arena exceeds u32");
+                self.skeletons.push(Skeleton { env, nodes });
+                self.skeleton_ids.insert(shape, s);
+                s
+            }
+        };
+        let mut key = vec![skel];
+        for leaf in &leaves {
+            key.push(self.component(env, leaf).expect("leaves are components"));
+        }
+        Some(key)
+    }
+
+    fn row(&self, id: StateId) -> &[CompiledStep] {
+        self.states[id.index()].row.as_deref().expect("compiled")
     }
 
     /// The set of visible traces of length at most `depth`, exploring at
@@ -324,7 +742,7 @@ impl<'a> CompiledLts<'a> {
         internal_budget: usize,
     ) -> Result<TraceSet, EvalError> {
         let mut out = TraceSet::stop();
-        let mut seen: BTreeSet<(Trace, u32)> = BTreeSet::new();
+        let mut seen: FxHashSet<(Trace, u32)> = FxHashSet::default();
         self.walk(
             start,
             depth,
@@ -353,7 +771,7 @@ impl<'a> CompiledLts<'a> {
         internal_budget: usize,
         prefix: &Trace,
         out: &mut TraceSet,
-        seen: &mut BTreeSet<(Trace, u32)>,
+        seen: &mut FxHashSet<(Trace, u32)>,
     ) -> Result<(), EvalError> {
         if !seen.insert((prefix.clone(), id.0)) {
             return Ok(());
@@ -361,7 +779,7 @@ impl<'a> CompiledLts<'a> {
         out.insert_closed(prefix.clone());
         let n = self.steps_of(id)?.len();
         for k in 0..n {
-            let step = self.rows[id.index()].as_ref().expect("compiled")[k].clone();
+            let step = self.row(id)[k].clone();
             match step {
                 CompiledStep::Visible(e, next) => {
                     if depth > 0 {
@@ -394,9 +812,7 @@ impl<'a> CompiledLts<'a> {
             for id in frontier {
                 let n = self.steps_of(id)?.len();
                 for k in 0..n {
-                    if let CompiledStep::Internal(t) =
-                        self.rows[id.index()].as_ref().expect("compiled")[k]
-                    {
+                    if let CompiledStep::Internal(t) = self.row(id)[k] {
                         if closed.insert(t) {
                             next.push(t);
                         }
@@ -453,7 +869,7 @@ impl<'a> CompiledLts<'a> {
         }
         let n = self.steps_of(id)?.len();
         for k in 0..n {
-            let step = self.rows[id.index()].as_ref().expect("compiled")[k].clone();
+            let step = self.row(id)[k].clone();
             match step {
                 CompiledStep::Visible(e, next) => {
                     if depth == 0 {
@@ -463,9 +879,7 @@ impl<'a> CompiledLts<'a> {
                     for s in spec.iter().collect::<Vec<_>>() {
                         let m = self.steps_of(s)?.len();
                         for j in 0..m {
-                            if let CompiledStep::Visible(e2, t) =
-                                self.rows[s.index()].as_ref().expect("compiled")[j]
-                            {
+                            if let CompiledStep::Visible(e2, t) = self.row(s)[j] {
                                 if e2 == e {
                                     after.insert(t);
                                 }
@@ -496,6 +910,114 @@ impl<'a> CompiledLts<'a> {
         }
         Ok(Ok(()))
     }
+}
+
+/// Reads the spine of a network term in `env`: pushes its nodes children
+/// first and its leaves left to right, and returns the spine with every
+/// leaf replaced by `STOP`. `None` when the term is no spine node, or when
+/// one step of [`Lts::steps`] would rebuild it differently: a `||` whose
+/// alphabets are not pinned in resolved form, a `chan` directly over a
+/// leaf (its successors keep the leaf's environment), a `chan` below a
+/// `||` with variables in its channels (the `||` rule closes them), or a
+/// leaf with free variables. Below a `||`, a subterm that is no spine node
+/// is a leaf. On `None`, `nodes` and `leaves` may hold partial output.
+fn spine(
+    p: &Arc<Process>,
+    env: &Env,
+    under_par: bool,
+    nodes: &mut Vec<Node>,
+    leaves: &mut Vec<Arc<Process>>,
+) -> Option<Process> {
+    match &**p {
+        Process::Parallel {
+            left,
+            right,
+            left_alpha: Some(la),
+            right_alpha: Some(ra),
+        } => {
+            let x = pinned(la, env)?;
+            let y = pinned(ra, env)?;
+            let (l, left_shape) = operand(left, env, nodes, leaves)?;
+            let (r, right_shape) = operand(right, env, nodes, leaves)?;
+            nodes.push(Node::Par {
+                left: l,
+                right: r,
+                left_alpha: la.clone(),
+                right_alpha: ra.clone(),
+                sync: x.intersection(&y),
+            });
+            Some(Process::Parallel {
+                left: Arc::new(left_shape),
+                right: Arc::new(right_shape),
+                left_alpha: Some(la.clone()),
+                right_alpha: Some(ra.clone()),
+            })
+        }
+        Process::Hide { channels, body } => {
+            let closed = channels
+                .iter()
+                .all(|c| c.indices().iter().all(Expr::is_closed));
+            if under_par && !closed {
+                return None;
+            }
+            let hidden = resolve_chanrefs(channels, env).ok()?;
+            let shape = spine(body, env, under_par, nodes, leaves)?;
+            let body = nodes.len() - 1;
+            nodes.push(Node::Hide {
+                channels: channels.clone(),
+                hidden,
+                body,
+            });
+            Some(Process::Hide {
+                channels: channels.clone(),
+                body: Arc::new(shape),
+            })
+        }
+        _ => None,
+    }
+}
+
+/// One `||` operand: a spine node if it reads as one, else a leaf.
+/// `None` only for a leaf with free variables.
+fn operand(
+    p: &Arc<Process>,
+    env: &Env,
+    nodes: &mut Vec<Node>,
+    leaves: &mut Vec<Arc<Process>>,
+) -> Option<(usize, Process)> {
+    let (n, l) = (nodes.len(), leaves.len());
+    if let Some(shape) = spine(p, env, true, nodes, leaves) {
+        return Some((nodes.len() - 1, shape));
+    }
+    nodes.truncate(n);
+    leaves.truncate(l);
+    if !is_closed(p) {
+        return None;
+    }
+    nodes.push(Node::Leaf(l));
+    leaves.push(Arc::clone(p));
+    Some((n, Process::Stop))
+}
+
+/// True when no variable occurs free in `p`, so closing it with any
+/// environment is the identity. Array names such as `v` in `v[1]` are
+/// host constants, not variables.
+fn is_closed(p: &Process) -> bool {
+    free_vars_process(p).iter().all(|x| !process_has_free(p, x))
+}
+
+/// True when a term reads as a spine node below a `||`: a component
+/// stepping into such a term has grown a spine of its own.
+fn grows_spine(p: &Arc<Process>, env: &Env) -> bool {
+    matches!(**p, Process::Parallel { .. } | Process::Hide { .. })
+        && spine(p, env, true, &mut Vec::new(), &mut Vec::new()).is_some()
+}
+
+/// The channel set of an alphabet already pinned in resolved form, as
+/// the `||` rule leaves it after its first step.
+fn pinned(refs: &[ChanRef], env: &Env) -> Option<ChannelSet> {
+    let set = resolve_chanrefs(refs, env).ok()?;
+    (channelset_to_refs(&set) == refs).then_some(set)
 }
 
 #[cfg(test)]
@@ -677,5 +1199,140 @@ mod tests {
 
     fn env_new() -> Env {
         Env::new()
+    }
+
+    /// Every state whose row has been compiled interns back to its own id
+    /// from its term, and its row is [`Lts::steps`] on that term mapped
+    /// through `intern` — without interning anything new.
+    fn assert_rows_are_whole_term_rows(c: &mut CompiledLts<'_>, lts: &Lts<'_>) {
+        let n = c.num_states();
+        for i in 0..n {
+            let id = StateId(i as u32);
+            let config = c.state(id).clone();
+            assert_eq!(
+                c.intern(config.clone()),
+                id,
+                "state {i}: {}",
+                config.process()
+            );
+            let Some(row) = c.states[i].row.clone() else {
+                continue;
+            };
+            let want: Vec<CompiledStep> = lts
+                .steps(&config)
+                .unwrap()
+                .into_iter()
+                .map(|s| match s {
+                    Step::Visible(e, next) => CompiledStep::Visible(e, c.intern(next)),
+                    Step::Internal(next) => CompiledStep::Internal(c.intern(next)),
+                })
+                .collect();
+            assert_eq!(row, want, "row of state {i}: {}", config.process());
+        }
+        assert_eq!(
+            c.num_states(),
+            n,
+            "a whole-term successor was not in the arena"
+        );
+    }
+
+    #[test]
+    fn network_rows_are_whole_term_rows() {
+        let mult = parse_definitions(&examples::multiplier_src(3)).unwrap();
+        let chain = parse_definitions(&examples::pipeline_src(4)).unwrap();
+        let protocol_uni = Universe::new(0).with_named("M", [Value::nat(0), Value::nat(1)]);
+        let cases = [
+            (
+                examples::pipeline(),
+                Universe::new(1),
+                "pipeline",
+                Env::new(),
+                6,
+            ),
+            (
+                examples::protocol(),
+                protocol_uni,
+                "protocol",
+                Env::new(),
+                5,
+            ),
+            (chain, Universe::new(1), "chain", Env::new(), 5),
+            (
+                mult,
+                Universe::new(6),
+                "multiplier",
+                examples::multiplier_env(&[1, 2, 3]),
+                3,
+            ),
+        ];
+        for (defs, uni, name, env, depth) in &cases {
+            let lts = Lts::new(defs, uni);
+            let mut c = CompiledLts::new(defs, uni);
+            let start = c.start(name, env);
+            let compiled = c.traces_budgeted(start, *depth, depth * 3).unwrap();
+            let enumerated = lts
+                .traces_budgeted(&lts.initial(name, env), *depth, depth * 3)
+                .unwrap();
+            assert_eq!(compiled, enumerated, "{name}");
+            // Only the unfolded start state is stepped as a whole term.
+            assert_eq!(c.num_fallback_rows(), 1, "{name}");
+            assert!(c.num_component_rows() > 0, "{name}");
+            assert_rows_are_whole_term_rows(&mut c, &lts);
+        }
+    }
+
+    #[test]
+    fn concealed_array_networks_rows_are_whole_term_rows() {
+        // `chan` with a subscripted channel inside each `||` operand: the
+        // operands are closed on their first move, then walk as skeleton
+        // nodes below the outer `||`.
+        let defs = parse_definitions(
+            "cell[i:1..2] = in[i]?x:NAT -> link[i]!x -> cell[i]
+             sink[i:1..2] = link[i]?y:NAT -> out[i]!y -> sink[i]
+             buf[i:1..2] = chan link[i]; (cell[i] || sink[i])
+             pair = buf[1] || buf[2]",
+        )
+        .unwrap();
+        let uni = Universe::new(1);
+        let lts = Lts::new(&defs, &uni);
+        let mut c = CompiledLts::new(&defs, &uni);
+        let start = c.start("pair", &Env::new());
+        let compiled = c.traces_budgeted(start, 4, 12).unwrap();
+        let enumerated = lts
+            .traces_budgeted(&lts.initial("pair", &Env::new()), 4, 12)
+            .unwrap();
+        assert_eq!(compiled, enumerated);
+        assert!(c.num_fallback_rows() < c.num_states() / 2);
+        assert_rows_are_whole_term_rows(&mut c, &lts);
+    }
+
+    #[test]
+    fn hidden_operand_steps_are_network_steps() {
+        // `chan` inside a `||` operand: its concealed a.1 must still
+        // move the network, on the skeleton walk as on the whole term.
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let want = lts
+            .traces(
+                &Config::new(
+                    csp_lang::parse_process("b!2 -> STOP || c!3 -> STOP").unwrap(),
+                    Env::new(),
+                ),
+                3,
+            )
+            .unwrap();
+        assert_eq!(want.len(), 5);
+        for src in [
+            "(chan a; a!1 -> b!2 -> STOP) || (c!3 -> STOP)",
+            "(c!3 -> STOP) || (chan a; a!1 -> b!2 -> STOP)",
+            "chan d; ((chan a; a!1 -> b!2 -> STOP) || (c!3 -> STOP))",
+        ] {
+            let p = csp_lang::parse_process(src).unwrap();
+            let mut c = CompiledLts::new(&defs, &uni);
+            let start = c.intern(Config::new(p, Env::new()));
+            assert_eq!(c.traces(start, 3).unwrap(), want, "{src}");
+            assert_rows_are_whole_term_rows(&mut c, &lts);
+        }
     }
 }

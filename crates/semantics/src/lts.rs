@@ -41,8 +41,23 @@ impl Config {
 
     /// A configuration sharing an existing term — successor construction
     /// in the transition relation reuses unchanged subterms this way.
-    fn from_arc(process: Arc<Process>, env: Env) -> Self {
+    pub(crate) fn from_arc(process: Arc<Process>, env: Env) -> Self {
         Config { process, env }
+    }
+
+    /// The shared process term.
+    pub(crate) fn process_arc(&self) -> &Arc<Process> {
+        &self.process
+    }
+
+    /// The term closed with this configuration's own environment: what a
+    /// `||` operand becomes after it moves. Operand environments can
+    /// diverge (each side binds its own input variables), so a moved
+    /// operand is closed before the network is rebuilt around it. Host
+    /// constants (array cells like `v[1]`) are not variables and survive
+    /// in the shared outer environment.
+    pub(crate) fn closed(&self) -> Arc<Process> {
+        close_arc(&self.process, &self.env)
     }
 
     /// The process term.
@@ -133,7 +148,13 @@ impl<'a> Lts<'a> {
     ///
     /// Fails on undefined names, unbound variables, or unresolvable sets.
     pub fn steps(&self, config: &Config) -> Result<Vec<Step>, EvalError> {
-        self.steps_inner(&config.process, &config.env, self.fuel0)
+        self.steps_at(&config.process, &config.env)
+    }
+
+    /// [`steps`](Self::steps) of a term in an environment, without
+    /// packing them into a configuration first.
+    pub(crate) fn steps_at(&self, p: &Process, env: &Env) -> Result<Vec<Step>, EvalError> {
+        self.steps_inner(p, env, self.fuel0)
     }
 
     fn steps_inner(&self, p: &Process, env: &Env, fuel: usize) -> Result<Vec<Step>, EvalError> {
@@ -202,61 +223,42 @@ impl<'a> Lts<'a> {
                 let mut out = Vec::new();
                 let x_refs = channelset_to_refs(&x);
                 let y_refs = channelset_to_refs(&y);
-                // Operand environments can diverge (each side binds its own
-                // input variables), so successors are closed with their own
-                // environment before recombination. Host constants (array
-                // cells like `v[1]`) are not variables and survive in the
-                // shared outer environment. Closing is the identity on the
-                // (typical) already-closed operand, in which case the term
-                // is shared rather than copied.
-                let close_arc = |p: &Arc<Process>, e: &Env| -> Arc<Process> {
-                    if e.iter().any(|(v, _)| csp_lang::process_has_free(p, v)) {
-                        Arc::new(
-                            csp_lang::close_process(p, e)
-                                .expect("closing with constants cannot fail"),
-                        )
-                    } else {
-                        Arc::clone(p)
-                    }
-                };
                 // The side that did not move is the same for every
-                // interleaved step: close it once and share it.
+                // interleaved step: close it once and share it. Closing
+                // is the identity on the (typical) already-closed operand,
+                // in which case the term is shared rather than copied.
                 let left_stat = close_arc(left, env);
                 let right_stat = close_arc(right, env);
-                let rebuild = |l: Arc<Process>, r: Arc<Process>| Process::Parallel {
-                    left: l,
-                    right: r,
-                    left_alpha: Some(x_refs.clone()),
-                    right_alpha: Some(y_refs.clone()),
+                let next = |l: Arc<Process>, r: Arc<Process>| {
+                    Config::new(
+                        Process::Parallel {
+                            left: l,
+                            right: r,
+                            left_alpha: Some(x_refs.clone()),
+                            right_alpha: Some(y_refs.clone()),
+                        },
+                        env.clone(),
+                    )
                 };
+                // An operand's concealed step is a concealed step of the
+                // network, at its place in the operand's row.
                 for step in &ls {
-                    if let Step::Visible(e, lc) = step {
-                        if !sync.contains(e.channel()) {
+                    match step {
+                        Step::Internal(lc) => {
+                            out.push(Step::Internal(next(lc.closed(), Arc::clone(&right_stat))));
+                        }
+                        Step::Visible(e, lc) if !sync.contains(e.channel()) => {
                             out.push(Step::Visible(
                                 *e,
-                                Config::new(
-                                    rebuild(
-                                        close_arc(&lc.process, &lc.env),
-                                        Arc::clone(&right_stat),
-                                    ),
-                                    env.clone(),
-                                ),
+                                next(lc.closed(), Arc::clone(&right_stat)),
                             ));
-                        } else {
+                        }
+                        Step::Visible(e, lc) => {
                             // Joint step: the right must offer the same event.
                             for rstep in &rs {
                                 if let Step::Visible(e2, rc) = rstep {
                                     if e2 == e {
-                                        out.push(Step::Visible(
-                                            *e,
-                                            Config::new(
-                                                rebuild(
-                                                    close_arc(&lc.process, &lc.env),
-                                                    close_arc(&rc.process, &rc.env),
-                                                ),
-                                                env.clone(),
-                                            ),
-                                        ));
+                                        out.push(Step::Visible(*e, next(lc.closed(), rc.closed())));
                                     }
                                 }
                             }
@@ -264,19 +266,14 @@ impl<'a> Lts<'a> {
                     }
                 }
                 for rstep in &rs {
-                    if let Step::Visible(e, rc) = rstep {
-                        if !sync.contains(e.channel()) {
-                            out.push(Step::Visible(
-                                *e,
-                                Config::new(
-                                    rebuild(
-                                        Arc::clone(&left_stat),
-                                        close_arc(&rc.process, &rc.env),
-                                    ),
-                                    env.clone(),
-                                ),
-                            ));
+                    match rstep {
+                        Step::Internal(rc) => {
+                            out.push(Step::Internal(next(Arc::clone(&left_stat), rc.closed())));
                         }
+                        Step::Visible(e, rc) if !sync.contains(e.channel()) => {
+                            out.push(Step::Visible(*e, next(Arc::clone(&left_stat), rc.closed())));
+                        }
+                        Step::Visible(..) => {}
                     }
                 }
                 Ok(out)
@@ -393,9 +390,19 @@ impl<'a> Lts<'a> {
     }
 }
 
+/// Closes a term with the bindings of `env` that occur free in it; the
+/// identity (sharing the term) when none does.
+fn close_arc(p: &Arc<Process>, env: &Env) -> Arc<Process> {
+    if env.iter().any(|(v, _)| csp_lang::process_has_free(p, v)) {
+        Arc::new(csp_lang::close_process(p, env).expect("closing with constants cannot fail"))
+    } else {
+        Arc::clone(p)
+    }
+}
+
 /// Renders a concrete channel set back into constant channel references —
 /// used to pin a parallel node's alphabets after first resolution.
-fn channelset_to_refs(cs: &ChannelSet) -> Vec<ChanRef> {
+pub(crate) fn channelset_to_refs(cs: &ChannelSet) -> Vec<ChanRef> {
     cs.iter()
         .map(|c| {
             ChanRef::with_indices(
@@ -567,6 +574,28 @@ mod tests {
             Env::new(),
         );
         assert!(lts.steps(&c).unwrap().is_empty());
+    }
+
+    #[test]
+    fn operand_hidden_steps_are_network_hidden_steps() {
+        // The left operand conceals a.1, which it must take before it can
+        // offer b.2: the network takes it as a hidden step of its own.
+        // The mirror image must agree, and so must the denotation (§3).
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let sem = Semantics::new(&defs, &uni);
+        let want = TraceSet::closure_of([tr(&[("b", 2), ("c", 3)]), tr(&[("c", 3), ("b", 2)])]);
+        for src in [
+            "(chan a; a!1 -> b!2 -> STOP) || (c!3 -> STOP)",
+            "(c!3 -> STOP) || (chan a; a!1 -> b!2 -> STOP)",
+        ] {
+            let p = csp_lang::parse_process(src).unwrap();
+            let op = lts.traces(&Config::new(p.clone(), Env::new()), 3).unwrap();
+            assert_eq!(op, want, "operational traces of {src}");
+            let den = sem.denote(&p, &Env::new(), 3).unwrap();
+            assert_eq!(den, want, "denotation of {src}");
+        }
     }
 
     #[test]

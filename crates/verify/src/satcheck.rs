@@ -109,8 +109,10 @@ impl<'a> SatChecker<'a> {
     }
 
     /// Attaches an observation stream: each check records a `satcheck`
-    /// span (with exploration and moment counts) and per-phase child
-    /// spans. Disabled by default.
+    /// span (with exploration and moment counts; for the compiled engine
+    /// also the arena's states, transitions, component rows and
+    /// whole-term fallback rows) and per-phase child spans. Disabled by
+    /// default.
     #[must_use]
     pub fn with_collector(mut self, collector: Collector) -> Self {
         self.collector = collector;
@@ -141,9 +143,31 @@ impl<'a> SatChecker<'a> {
             Engine::Compiled => {
                 let mut compiled = CompiledLts::new(self.defs, self.universe);
                 let s = compiled.intern(start);
-                compiled
+                let traces = compiled
                     .traces_budgeted(s, depth, budget)
-                    .map_err(AssertError::Eval)?
+                    .map_err(AssertError::Eval)?;
+                for (field, counter, n) in [
+                    ("states", "satcheck.states", compiled.num_states()),
+                    (
+                        "transitions",
+                        "satcheck.transitions",
+                        compiled.num_transitions(),
+                    ),
+                    (
+                        "component_rows",
+                        "satcheck.component_rows",
+                        compiled.num_component_rows(),
+                    ),
+                    (
+                        "fallback_rows",
+                        "satcheck.fallback_rows",
+                        compiled.num_fallback_rows(),
+                    ),
+                ] {
+                    root.record(field, n);
+                    self.collector.add(counter, n as u64);
+                }
+                traces
             }
             _ => Lts::new(self.defs, self.universe)
                 .traces_budgeted(&start, depth, budget)

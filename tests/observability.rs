@@ -5,7 +5,7 @@
 
 use csp::obs::{folded_stacks, parse_jsonl};
 use csp::prelude::*;
-use csp::{fixpoint, fixpoint_with, Definition, Definitions, Env, Process, SetExpr};
+use csp::{fixpoint, fixpoint_with, Definition, Definitions, Env, FieldValue, Process, SetExpr};
 use proptest::prelude::*;
 
 const PIPELINE: &str = "copier = input?x:NAT -> wire!x -> copier
@@ -76,6 +76,45 @@ fn session_fixpoint_matches_unobserved_workbench() {
     assert_eq!(quiet.iterates, observed.iterates);
     assert_eq!(quiet.converged_at, observed.converged_at);
     assert_eq!(quiet.metrics.counters, observed.metrics.counters);
+}
+
+/// Observation must not perturb a compiled `sat` check either, and the
+/// arena counters it records are those of the arena the check walked.
+#[test]
+fn compiled_sat_check_is_identical_under_observation() {
+    let wb = pipeline_workbench();
+    let opts = SatOptions::from(6).with_engine(Engine::Compiled);
+    let quiet = wb
+        .check_sat("pipeline", "output <= input", opts.clone())
+        .expect("quiet check");
+    let session = wb.session();
+    let observed = session
+        .check_sat("pipeline", "output <= input", opts.clone())
+        .expect("observed check");
+    assert_eq!(format!("{quiet:?}"), format!("{observed:?}"));
+
+    let mut arena = csp::CompiledLts::new(wb.definitions(), wb.universe());
+    let start = arena.start("pipeline", wb.env());
+    arena
+        .traces_budgeted(start, opts.depth, opts.depth * opts.internal_budget_factor)
+        .expect("walk");
+    let metrics = session.metrics();
+    let root = session
+        .events()
+        .into_iter()
+        .find(|r| r.name == "satcheck")
+        .expect("satcheck span");
+    for (field, n) in [
+        ("states", arena.num_states()),
+        ("transitions", arena.num_transitions()),
+        ("component_rows", arena.num_component_rows()),
+        ("fallback_rows", arena.num_fallback_rows()),
+    ] {
+        let counter = format!("satcheck.{field}");
+        assert_eq!(metrics.counter(&counter), n as u64, "{counter}");
+        let recorded = root.fields.iter().find(|(k, _)| k == field).map(|(_, v)| v);
+        assert_eq!(recorded, Some(&FieldValue::from(n)), "span field {field}");
+    }
 }
 
 // --------------------------------------------------- JSONL sink --

@@ -271,6 +271,29 @@ proptest! {
         }
     }
 
+    /// The same agreement on networks with hiding, inside operands and
+    /// around compositions. Both models get enough room for every
+    /// concealed step of these finite networks (an operational budget of
+    /// 16 hidden steps, a hidden-event multiplier of 17), so neither cuts
+    /// a trace the other keeps.
+    #[test]
+    fn operational_equals_denotational_on_networks(p in arb_network()) {
+        let defs = Definitions::new();
+        let uni = Universe::new(1);
+        let sem = Semantics::new(&defs, &uni).with_hide_multiplier(17);
+        let lts = Lts::new(&defs, &uni);
+        let env = Env::new();
+        for depth in 0..=2 {
+            let den = sem.denote(&p, &env, depth).expect("denote");
+            let op = lts
+                .traces_budgeted(&Config::new(p.clone(), env.clone()), depth, 16)
+                .expect("lts traces");
+            prop_assert!(compare(&den, &op).is_none(),
+                "disagreement at depth {} for {}:\n{}",
+                depth, p, compare(&den, &op).unwrap());
+        }
+    }
+
     /// Every denotation is prefix-closed and contains the empty trace
     /// (the §3.1 well-formedness of the semantic domain).
     #[test]
@@ -300,28 +323,84 @@ proptest! {
 
 // ------------------------------------------------- engine equivalence --
 
-/// Closed random networks: two sequential terms in parallel, optionally
-/// concealing one channel — the shapes on which the compiled and
-/// enumerative engines take genuinely different code paths (product
-/// construction and τ-steps).
+/// Closed random networks: a `||` tree over 2–4 sequential operands.
+/// An operand may be concealed (`chan` inside a `||` operand), every
+/// composition may be concealed, and a composition may declare explicit
+/// alphabets `P ||{X | Y} Q`: each the operand's own channels plus random
+/// others, listed in random order, so some are already in the sorted form
+/// the `||` rule pins and some are not. These are the shapes on which the
+/// engines take different code paths: the compiled engine's skeleton
+/// walk and its whole-term fallback, and the enumerative engine's term
+/// rewriting (product construction and τ-steps).
 fn arb_network() -> impl Strategy<Value = Process> {
+    let operand = (arb_process(), arb_concealed()).prop_map(|(p, c)| conceal(p, c));
+    // Per composition: where to split its operands, what it conceals,
+    // and the explicit alphabets of its two sides.
+    let node = (0usize..4, arb_concealed(), 0u8..12, 0u8..12);
     (
-        arb_process(),
-        arb_process(),
-        prop_oneof![
-            Just(None),
-            Just(Some("a")),
-            Just(Some("b")),
-            Just(Some("c"))
-        ],
+        prop::collection::vec(operand, 2..=4),
+        prop::collection::vec(node, 3),
     )
-        .prop_map(|(p, q, hide)| {
-            let net = p.par(q);
-            match hide {
-                Some(c) => net.hide(vec![csp::ChanRef::simple(c)]),
-                None => net,
-            }
-        })
+        .prop_map(|(operands, nodes)| compose(&operands, &mut nodes.into_iter()))
+}
+
+fn arb_concealed() -> impl Strategy<Value = Option<&'static str>> {
+    prop_oneof![
+        Just(None),
+        Just(Some("a")),
+        Just(Some("b")),
+        Just(Some("c"))
+    ]
+}
+
+fn conceal(p: Process, channel: Option<&str>) -> Process {
+    match channel {
+        Some(c) => p.hide(vec![csp::ChanRef::simple(c)]),
+        None => p,
+    }
+}
+
+type NetNode = (usize, Option<&'static str>, u8, u8);
+
+/// Composes the operands into a `||` tree, drawing one node per
+/// composition.
+fn compose(operands: &[Process], nodes: &mut impl Iterator<Item = NetNode>) -> Process {
+    if let [p] = operands {
+        return p.clone();
+    }
+    let (split, concealed, x, y) = nodes.next().expect("one node per composition");
+    let k = 1 + split % (operands.len() - 1);
+    let left = compose(&operands[..k], nodes);
+    let right = compose(&operands[k..], nodes);
+    let net = Process::Parallel {
+        left_alpha: explicit_alphabet(&left, x),
+        right_alpha: explicit_alphabet(&right, y),
+        left: std::sync::Arc::new(left),
+        right: std::sync::Arc::new(right),
+    };
+    conceal(net, concealed)
+}
+
+/// Half the picks infer the alphabet; the rest list the operand's own
+/// channels plus `a` and/or `c`, sorted or reversed.
+fn explicit_alphabet(p: &Process, pick: u8) -> Option<Vec<csp::ChanRef>> {
+    let pick = pick.checked_sub(6)?;
+    let mut channels = csp::channel_alphabet(p, &Definitions::new(), &Env::new())
+        .expect("closed operand")
+        .iter()
+        .map(|c| c.base().to_string())
+        .collect::<std::collections::BTreeSet<_>>();
+    if pick & 1 != 0 {
+        channels.insert("a".into());
+    }
+    if pick & 2 != 0 {
+        channels.insert("c".into());
+    }
+    let mut refs: Vec<csp::ChanRef> = channels.iter().map(|c| csp::ChanRef::simple(c)).collect();
+    if pick & 4 != 0 {
+        refs.reverse();
+    }
+    Some(refs)
 }
 
 proptest! {
@@ -427,5 +506,53 @@ proptest! {
             csp::find_deadlocks_compiled(&defs, &uni, &p, &Env::new(), 3).expect("compiled");
         prop_assert_eq!(enum_rep.deadlock_free(), comp_rep.deadlock_free());
         prop_assert_eq!(format!("{enum_rep:?}"), format!("{comp_rep:?}"));
+    }
+}
+
+proptest! {
+    // Rows differ from the whole-term rows only on rare shapes (a joint
+    // step with several partners, a τ beside a shared event), so this
+    // property runs more cases than its neighbours; each takes well
+    // under a millisecond.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Every state of a walked arena interns back to its own id from its
+    /// term, and its compiled row is `Lts::steps` on that term mapped
+    /// through `intern`: the skeleton walk builds the rows the whole-term
+    /// rules build, in the same order, and never splits one configuration
+    /// into two states.
+    #[test]
+    fn compiled_rows_are_whole_term_rows(p in arb_network()) {
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let mut arena = csp::CompiledLts::new(&defs, &uni);
+        let start = arena.intern(Config::new(p, Env::new()));
+        let mut seen = csp::StateSet::from_iter([start]);
+        let mut frontier = vec![start];
+        while let Some(id) = frontier.pop() {
+            let row = arena.steps_of(id).expect("compiled row").to_vec();
+            let config = arena.state(id).clone();
+            prop_assert_eq!(arena.intern(config.clone()), id);
+            let want: Vec<csp::CompiledStep> = lts
+                .steps(&config)
+                .expect("whole-term row")
+                .into_iter()
+                .map(|s| match s {
+                    csp::Step::Visible(e, c) => csp::CompiledStep::Visible(e, arena.intern(c)),
+                    csp::Step::Internal(c) => csp::CompiledStep::Internal(arena.intern(c)),
+                })
+                .collect();
+            prop_assert_eq!(&row, &want, "row of {}", config.process());
+            for step in row {
+                let next = match step {
+                    csp::CompiledStep::Visible(_, n) | csp::CompiledStep::Internal(n) => n,
+                };
+                if seen.insert(next) {
+                    frontier.push(next);
+                }
+            }
+        }
+        prop_assert_eq!(seen.len(), arena.num_states());
     }
 }
