@@ -223,41 +223,48 @@ fn bounded_valid(
         }
     };
 
+    // One history and one valuation follow the odometers: each bump
+    // replaces only the channels (variables) whose choice moved. Every
+    // choice starts at 0, the empty sequence and the first value.
     let mut checked = 0usize;
     let mut hist_choice = vec![0usize; channels.len()];
+    let mut var_choice = vec![0usize; vars.len()];
+    let mut history = History::empty();
+    let mut env = Env::new();
+    let bind = |env: &mut Env, choice: &[usize]| {
+        for (v, &k) in vars.iter().zip(choice) {
+            env.bind_mut(v, alphabet[k].clone());
+        }
+    };
+    bind(&mut env, &var_choice);
     loop {
-        // Build the history for this choice vector.
-        let mut history = History::empty();
-        for (ci, c) in channels.iter().enumerate() {
-            history.set(c.clone(), seqs[hist_choice[ci]].clone());
-        }
-
-        // Enumerate variable valuations.
-        let mut var_choice = vec![0usize; vars.len()];
-        loop {
-            let mut env = Env::new();
-            for (vi, v) in vars.iter().enumerate() {
-                env.bind_mut(v, alphabet[var_choice[vi]].clone());
+        let ctx = EvalCtx::new(&env, &history, funcs, universe);
+        match ctx.assertion(a) {
+            Ok(true) => {}
+            Ok(false) => {
+                return Decision::Refuted { history, env };
             }
-            let ctx = EvalCtx::new(&env, &history, funcs, universe);
-            match ctx.assertion(a) {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Decision::Refuted { history, env };
-                }
-                Err(e) => {
-                    return Decision::Unknown {
-                        reason: format!("evaluation failed: {e}"),
-                    }
+            Err(e) => {
+                return Decision::Unknown {
+                    reason: format!("evaluation failed: {e}"),
                 }
             }
-            checked += 1;
-            if !bump(&mut var_choice, alphabet.len()) {
-                break;
-            }
         }
-        if !bump(&mut hist_choice, seqs.len()) {
-            break;
+        checked += 1;
+        if let Some(moved) = bump(&mut var_choice, alphabet.len()) {
+            bind(&mut env, &var_choice[..moved]);
+            continue;
+        }
+        // The valuations wrapped round to all-first: start them over on
+        // the next history.
+        bind(&mut env, &var_choice);
+        match bump(&mut hist_choice, seqs.len()) {
+            Some(moved) => {
+                for (c, &k) in channels.iter().zip(&hist_choice[..moved]) {
+                    history.set(c.clone(), seqs[k].clone());
+                }
+            }
+            None => break,
         }
     }
     Decision::ValidBounded { cases: checked }
@@ -281,17 +288,18 @@ fn all_seqs(alphabet: &[Value], max_len: usize) -> Vec<Seq<Value>> {
     out
 }
 
-/// Odometer increment; returns false on wrap-around (i.e. done). An empty
-/// choice vector runs exactly once.
-fn bump(choice: &mut [usize], base: usize) -> bool {
-    for slot in choice.iter_mut() {
+/// Odometer increment: `Some(k)` when slots `0..k` moved and the rest
+/// kept their choice, `None` on wrap-around (every slot back to 0, i.e.
+/// done). An empty choice vector runs exactly once.
+fn bump(choice: &mut [usize], base: usize) -> Option<usize> {
+    for (k, slot) in choice.iter_mut().enumerate() {
         *slot += 1;
         if *slot < base {
-            return true;
+            return Some(k + 1);
         }
         *slot = 0;
     }
-    false
+    None
 }
 
 /// The free value variables of an assertion (quantifier-bound ones

@@ -5,9 +5,10 @@
 //! values ascribed to them by `ch(s)`", and assertions are then evaluated
 //! "according to the normal semantics of the predicate calculus".
 
+use std::borrow::Cow;
 use std::fmt;
 
-use csp_lang::{BinOp, Env, EvalError, SetExpr, UnOp};
+use csp_lang::{eval_bin, eval_un, ChanRef, Env, EvalError, Expr, SetExpr};
 use csp_semantics::Universe;
 use csp_trace::{History, Seq, Value};
 
@@ -78,19 +79,18 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    /// Evaluates a sequence term to a concrete message sequence.
+    /// Evaluates a sequence term to a concrete message sequence. A
+    /// channel's history is borrowed from `ch(s)`; only sequences the
+    /// term builds (literals, `^`, `++`, function results) are owned.
     ///
     /// # Errors
     ///
     /// Fails on unbound variables in channel subscripts or element
     /// expressions, or unknown sequence functions.
-    pub fn sterm(&self, s: &STerm) -> Result<Seq<Value>, AssertError> {
+    pub fn sterm(&self, s: &STerm) -> Result<Cow<'a, Seq<Value>>, AssertError> {
         match s {
-            STerm::Hist(c) => {
-                let chan = c.resolve(self.env)?;
-                Ok(self.history.on(&chan))
-            }
-            STerm::Empty => Ok(Seq::empty()),
+            STerm::Hist(c) => self.hist(c),
+            STerm::Empty => Ok(Cow::Owned(Seq::empty())),
             STerm::Lit(ts) => {
                 let mut out = Vec::with_capacity(ts.len());
                 for t in ts {
@@ -103,7 +103,7 @@ impl<'a> EvalCtx<'a> {
                         }
                     }
                 }
-                Ok(Seq::from_vec(out))
+                Ok(Cow::Owned(Seq::from_vec(out)))
             }
             STerm::Cons(x, rest) => {
                 let v = self
@@ -111,17 +111,40 @@ impl<'a> EvalCtx<'a> {
                     .ok_or(AssertError::Eval(EvalError::TypeMismatch {
                         context: "cons head".to_string(),
                     }))?;
-                Ok(self.sterm(rest)?.cons(v))
+                Ok(Cow::Owned(self.sterm(rest)?.cons(v)))
             }
-            STerm::Concat(a, b) => Ok(self.sterm(a)?.concat(&self.sterm(b)?)),
+            STerm::Concat(a, b) => Ok(Cow::Owned(self.sterm(a)?.concat(&*self.sterm(b)?))),
             STerm::App(name, arg) => {
                 let f = self
                     .funcs
                     .get(name)
                     .ok_or_else(|| AssertError::UnknownFunction(name.clone()))?;
-                Ok(f(&self.sterm(arg)?))
+                Ok(Cow::Owned(f(&*self.sterm(arg)?)))
             }
         }
+    }
+
+    /// `ch(s)(c)`, borrowed from the history. The subscripts are
+    /// evaluated and looked up in place, with the errors of
+    /// [`ChanRef::resolve`], so no [`Channel`](csp_trace::Channel) is
+    /// built.
+    fn hist(&self, c: &ChanRef) -> Result<Cow<'a, Seq<Value>>, AssertError> {
+        let subscript = |e: &Expr| -> Result<i64, AssertError> {
+            e.eval(self.env)?.as_int().ok_or_else(|| {
+                AssertError::Eval(EvalError::BadSubscript {
+                    name: c.base().to_string(),
+                })
+            })
+        };
+        let seq = match c.indices() {
+            [] => self.history.lookup(c.base(), &[]),
+            [i] => self.history.lookup(c.base(), &[subscript(i)?]),
+            many => {
+                let indices = many.iter().map(subscript).collect::<Result<Vec<_>, _>>()?;
+                self.history.lookup(c.base(), &indices)
+            }
+        };
+        Ok(seq.map_or(Cow::Owned(Seq::empty()), Cow::Borrowed))
     }
 
     /// Evaluates a value term. `Ok(None)` means *undefined* — currently
@@ -145,26 +168,13 @@ impl<'a> EvalCtx<'a> {
                 };
                 Ok(seq.at(idx).cloned())
             }
-            Term::Bin(op, a, b) => {
-                let (va, vb) = match (self.term(a)?, self.term(b)?) {
-                    (Some(va), Some(vb)) => (va, vb),
-                    _ => return Ok(None),
-                };
-                // Reuse the expression evaluator's operator semantics by
-                // building a tiny constant expression.
-                let e = csp_lang::Expr::Bin(
-                    *op,
-                    Box::new(csp_lang::Expr::Const(va)),
-                    Box::new(csp_lang::Expr::Const(vb)),
-                );
-                Ok(Some(e.eval(self.env)?))
-            }
+            Term::Bin(op, a, b) => match (self.term(a)?, self.term(b)?) {
+                (Some(va), Some(vb)) => Ok(Some(eval_bin(*op, va, vb)?)),
+                _ => Ok(None),
+            },
             Term::Un(op, a) => match self.term(a)? {
+                Some(v) => Ok(Some(eval_un(*op, v)?)),
                 None => Ok(None),
-                Some(v) => {
-                    let e = csp_lang::Expr::Un(*op, Box::new(csp_lang::Expr::Const(v)));
-                    Ok(Some(e.eval(self.env)?))
-                }
             },
         }
     }
@@ -184,7 +194,7 @@ impl<'a> EvalCtx<'a> {
         match a {
             Assertion::True => Ok(true),
             Assertion::False => Ok(false),
-            Assertion::Prefix(s, t) => Ok(self.sterm(s)?.is_prefix_of(&self.sterm(t)?)),
+            Assertion::Prefix(s, t) => Ok(self.sterm(s)?.is_prefix_of(&*self.sterm(t)?)),
             Assertion::SeqEq(s, t) => Ok(self.sterm(s)? == self.sterm(t)?),
             Assertion::Cmp(op, x, y) => {
                 let (vx, vy) = match (self.term(x)?, self.term(y)?) {
@@ -217,27 +227,29 @@ impl<'a> EvalCtx<'a> {
             Assertion::And(x, y) => Ok(self.assertion(x)? && self.assertion(y)?),
             Assertion::Or(x, y) => Ok(self.assertion(x)? || self.assertion(y)?),
             Assertion::Implies(x, y) => Ok(!self.assertion(x)? || self.assertion(y)?),
-            Assertion::ForallIn(x, m, body) => {
-                for v in self.quantifier_range(m)? {
-                    let env = self.env.bind(x, v);
-                    let ctx = EvalCtx { env: &env, ..*self };
-                    if !ctx.assertion(body)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Assertion::ExistsIn(x, m, body) => {
-                for v in self.quantifier_range(m)? {
-                    let env = self.env.bind(x, v);
-                    let ctx = EvalCtx { env: &env, ..*self };
-                    if ctx.assertion(body)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
+            Assertion::ForallIn(x, m, body) => Ok(!self.some_value_gives(x, m, body, false)?),
+            Assertion::ExistsIn(x, m, body) => self.some_value_gives(x, m, body, true),
+        }
+    }
+
+    /// True if `body` evaluates to `want` with `x` bound to some value of
+    /// `m`, tried in order; stops at the first such value. The
+    /// environment is cloned once and `x` rebound in place per value.
+    fn some_value_gives(
+        &self,
+        x: &str,
+        m: &SetExpr,
+        body: &Assertion,
+        want: bool,
+    ) -> Result<bool, AssertError> {
+        let mut env = self.env.clone();
+        for v in self.quantifier_range(m)? {
+            env.bind_mut(x, v);
+            if (EvalCtx { env: &env, ..*self }).assertion(body)? == want {
+                return Ok(true);
             }
         }
+        Ok(false)
     }
 
     fn quantifier_range(&self, m: &SetExpr) -> Result<Vec<Value>, AssertError> {
@@ -252,15 +264,9 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-/// Suppress unused-import warnings for operator re-exports used only in
-/// doc positions.
-#[allow(dead_code)]
-fn _ops(_: BinOp, _: UnOp) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_lang::Expr;
     use csp_trace::Trace;
 
     fn ctx_fixture(trace: &[(&'static str, u32)]) -> (Env, History, FuncTable, Universe) {

@@ -106,23 +106,21 @@ impl fmt::Debug for FuncTable {
 /// assert_eq!(protocol_cancel(&s).to_string(), "<y>");
 /// ```
 pub fn protocol_cancel(s: &Seq<Value>) -> Seq<Value> {
-    let ack = Value::sym("ACK");
-    let nack = Value::sym("NACK");
     let mut out = Vec::new();
     let mut it = s.iter().peekable();
     while let Some(x) = it.next() {
-        if *x == ack || *x == nack {
+        if matches!(x.as_sym(), Some("ACK" | "NACK")) {
             // A bare signal (no preceding message at this position):
             // cancelled. For ACK this is the paper's "cancel all
             // occurrences"; a bare NACK cannot arise from the protocol.
             continue;
         }
-        match it.peek() {
-            Some(&next) if *next == nack => {
+        match it.peek().and_then(|next| next.as_sym()) {
+            Some("NACK") => {
                 // Consecutive pair <x, NACK>: both cancelled.
                 it.next();
             }
-            Some(&next) if *next == ack => {
+            Some("ACK") => {
                 // f(x^ACK^s) = x^f(s): the message was delivered.
                 out.push(x.clone());
                 it.next();

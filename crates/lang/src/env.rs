@@ -50,9 +50,15 @@ impl Env {
         Env { bindings }
     }
 
-    /// In-place binding, for builders and loops.
+    /// In-place binding, for builders and loops. Rebinding a bound
+    /// variable reuses its entry.
     pub fn bind_mut(&mut self, x: &str, v: Value) {
-        self.bindings.insert(x.to_string(), v);
+        match self.bindings.get_mut(x) {
+            Some(slot) => *slot = v,
+            None => {
+                self.bindings.insert(x.to_string(), v);
+            }
+        }
     }
 
     /// The value of variable `x`, if bound.

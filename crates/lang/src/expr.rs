@@ -7,7 +7,8 @@
 //! boolean operators are included because the assertion language of §2
 //! builds its atomic formulae from the same expression grammar.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 use csp_trace::Value;
 
@@ -167,10 +168,15 @@ impl Expr {
                     .eval(env)?
                     .as_int()
                     .ok_or_else(|| EvalError::BadSubscript { name: name.clone() })?;
-                let key = format!("{name}[{i}]");
+                let mut cell = CellKey::new();
+                let key = if write!(cell, "{name}[{i}]").is_ok() {
+                    Cow::Borrowed(cell.as_str())
+                } else {
+                    Cow::Owned(format!("{name}[{i}]"))
+                };
                 env.lookup(&key)
                     .cloned()
-                    .ok_or(EvalError::UnboundVariable(key))
+                    .ok_or_else(|| EvalError::UnboundVariable(key.into_owned()))
             }
         }
     }
@@ -185,6 +191,39 @@ impl Expr {
             Expr::Un(_, a) => a.is_closed(),
             Expr::Tuple(es) => es.iter().all(Expr::is_closed),
         }
+    }
+}
+
+/// The environment key `name[i]` of an array cell, formatted on the stack
+/// so reading a cell does not allocate; a key longer than the buffer
+/// fails to format and is built on the heap instead.
+struct CellKey {
+    bytes: [u8; 64],
+    len: usize,
+}
+
+impl CellKey {
+    fn new() -> Self {
+        CellKey {
+            bytes: [0; 64],
+            len: 0,
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("only whole `str`s are written")
+    }
+}
+
+impl fmt::Write for CellKey {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.bytes
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -206,7 +245,22 @@ fn bool2(context: &str, a: Value, b: Value) -> Result<(bool, bool), EvalError> {
     }
 }
 
-fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
+/// Applies a binary operator to two values — the semantics of
+/// [`Expr::Bin`], callable without building an expression.
+///
+/// # Errors
+///
+/// As for [`Expr::eval`]: ill-typed operands and zero divisors.
+///
+/// # Examples
+///
+/// ```
+/// use csp_lang::{eval_bin, BinOp};
+/// use csp_trace::Value;
+///
+/// assert_eq!(eval_bin(BinOp::Mul, Value::Int(3), Value::Int(4)), Ok(Value::Int(12)));
+/// ```
+pub fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
     Ok(match op {
         BinOp::Add => {
             let (x, y) = int2("+", a, b)?;
@@ -263,7 +317,12 @@ fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
     })
 }
 
-fn eval_un(op: UnOp, a: Value) -> Result<Value, EvalError> {
+/// Applies a unary operator to a value — the semantics of [`Expr::Un`].
+///
+/// # Errors
+///
+/// [`EvalError::TypeMismatch`] for an ill-typed operand.
+pub fn eval_un(op: UnOp, a: Value) -> Result<Value, EvalError> {
     match op {
         UnOp::Neg => a
             .as_int()
@@ -378,6 +437,29 @@ mod tests {
         // Unbound cell errors:
         let env2 = Env::new().bind("i", Value::Int(2));
         assert!(matches!(e.eval(&env2), Err(EvalError::UnboundVariable(_))));
+    }
+
+    #[test]
+    fn unbound_array_cell_names_its_key() {
+        let env = Env::new()
+            .bind("v[1]", Value::Int(2))
+            .bind("v[4]", Value::Int(5));
+        let cell = |i: i64| Expr::ArrayRef("v".into(), Box::new(Expr::int(i)));
+        assert_eq!(cell(4).eval(&env), Ok(Value::Int(5)));
+        assert_eq!(
+            cell(9).eval(&env),
+            Err(EvalError::UnboundVariable("v[9]".into()))
+        );
+        // A key too long for the stack buffer takes the heap path and
+        // reports the same error.
+        let long = "w".repeat(80);
+        let e = Expr::ArrayRef(long.clone(), Box::new(Expr::int(-3)));
+        assert_eq!(
+            e.eval(&env),
+            Err(EvalError::UnboundVariable(format!("{long}[-3]")))
+        );
+        let env = env.bind(&format!("{long}[-3]"), Value::Int(7));
+        assert_eq!(e.eval(&env), Ok(Value::Int(7)));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use csp_assert::{Assertion, EvalCtx, FuncTable};
 use csp_lang::{Definitions, Env, EvalError, Process};
 use csp_semantics::{CompiledLts, CompiledStep, Config, Engine, Lts, StateId, Step, Universe};
-use csp_trace::Trace;
+use csp_trace::{History, Trace};
 
 /// The verdict of a conformance check.
 #[derive(Debug, Clone)]
@@ -88,14 +88,19 @@ pub fn check_conformance_with_engine(
         _ => replay_enumerative(process, env, defs, universe, visible, internal_budget)?,
     };
 
-    // Invariants at every prefix (including the complete trace and <>).
+    // Invariants at every prefix (including the complete trace and <>),
+    // on one `ch(s)` that grows by the next event per prefix.
     let funcs = FuncTable::with_builtins();
     let mut inv_results = Vec::with_capacity(invariants.len());
     for inv in invariants {
         let mut first_violation = None;
-        for (i, prefix) in visible.prefixes().into_iter().enumerate() {
-            let h = prefix.history();
-            let ctx = EvalCtx::new(env, &h, &funcs, universe);
+        let mut history = History::empty();
+        for i in 0..=visible.len() {
+            if i > 0 {
+                let e = visible.events()[i - 1];
+                history.push(e.channel().clone(), e.value().clone());
+            }
+            let ctx = EvalCtx::new(env, &history, &funcs, universe);
             let ok = ctx.assertion(inv).map_err(|e| match e {
                 csp_assert::AssertError::Eval(e) => e,
                 csp_assert::AssertError::UnknownFunction(n) => {

@@ -16,7 +16,7 @@
 use csp_assert::{Assertion, EvalCtx, FuncTable};
 use csp_lang::{Definitions, Env, Process};
 use csp_semantics::{CompiledLts, Config, StateId, Universe};
-use csp_trace::{Event, Trace};
+use csp_trace::{Event, History};
 
 use crate::conformance::collect_after_compiled;
 
@@ -168,7 +168,9 @@ pub struct Monitor<'a> {
     funcs: FuncTable,
     assertions: Vec<Assertion>,
     budget: usize,
-    visible: Vec<Event>,
+    /// How many visible events have been accepted, and their `ch(s)`.
+    visible: usize,
+    history: History,
     violation: Option<MonitorViolation>,
     error: Option<String>,
     events_checked: usize,
@@ -194,7 +196,8 @@ impl<'a> Monitor<'a> {
             funcs: FuncTable::with_builtins(),
             assertions: spec.assertions,
             budget: spec.internal_budget,
-            visible: Vec::new(),
+            visible: 0,
+            history: History::empty(),
             violation: None,
             error: None,
             events_checked: 0,
@@ -215,7 +218,7 @@ impl<'a> Monitor<'a> {
         if self.is_latched() {
             return false;
         }
-        let visible_index = self.visible.len();
+        let visible_index = self.visible;
         self.events_checked += 1;
 
         // One frontier step: up to `budget` concealed moves, then the
@@ -244,14 +247,14 @@ impl<'a> Monitor<'a> {
             return false;
         }
         self.frontier = next;
-        self.visible.push(event);
+        self.visible += 1;
+        self.history
+            .push(event.channel().clone(), event.value().clone());
 
         // `P sat R` quantifies over every trace prefix: check the newly
         // extended prefix against each monitored assertion.
         if !self.assertions.is_empty() {
-            let prefix = Trace::from_events(self.visible.iter().copied());
-            let h = prefix.history();
-            let ctx = EvalCtx::new(&self.env, &h, &self.funcs, self.universe);
+            let ctx = EvalCtx::new(&self.env, &self.history, &self.funcs, self.universe);
             for a in &self.assertions {
                 match ctx.assertion(a) {
                     Ok(true) => {}

@@ -278,6 +278,17 @@ pub struct CompiledLts<'a> {
     fallback_rows: usize,
 }
 
+/// The bookkeeping of one trace walk.
+#[derive(Default)]
+struct TraceWalk {
+    /// `(trace, state)` pairs already visited: a revisit adds nothing.
+    seen: FxHashSet<(Trace, u32)>,
+    /// The distinct traces reached so far, and the same traces in
+    /// first-visit order.
+    traces: FxHashSet<Trace>,
+    listed: Vec<Trace>,
+}
+
 /// One interned state.
 #[derive(Debug)]
 struct State {
@@ -729,8 +740,9 @@ impl<'a> CompiledLts<'a> {
     /// The set of visible traces of length at most `depth`, exploring at
     /// most `internal_budget` concealed communications along any path —
     /// the compiled counterpart of [`Lts::traces_budgeted`], guaranteed
-    /// to produce the identical trace set (same dedup, same order, same
-    /// budget cuts; only the per-visit cost differs).
+    /// to produce the identical trace set (same dedup, same budget cuts;
+    /// only the per-visit cost differs). It is
+    /// [`trace_list`](Self::trace_list) collected into a set.
     ///
     /// # Errors
     ///
@@ -741,17 +753,32 @@ impl<'a> CompiledLts<'a> {
         depth: usize,
         internal_budget: usize,
     ) -> Result<TraceSet, EvalError> {
-        let mut out = TraceSet::stop();
-        let mut seen: FxHashSet<(Trace, u32)> = FxHashSet::default();
-        self.walk(
+        Ok(TraceSet::closure_of(self.trace_list(
             start,
             depth,
             internal_budget,
-            &Trace::empty(),
-            &mut out,
-            &mut seen,
-        )?;
-        Ok(out)
+        )?))
+    }
+
+    /// The members of [`traces_budgeted`](Self::traces_budgeted), each
+    /// listed once, in the order the walk first reaches them. The walk
+    /// reaches a trace only from a visit of its parent, so every trace
+    /// comes after its parent: consecutive entries mostly differ by one
+    /// event at the back, which lets a caller follow the list with one
+    /// incrementally updated `ch(s)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation failures from the transition relation.
+    pub fn trace_list(
+        &mut self,
+        start: StateId,
+        depth: usize,
+        internal_budget: usize,
+    ) -> Result<Vec<Trace>, EvalError> {
+        let mut walk = TraceWalk::default();
+        self.walk(start, depth, internal_budget, &Trace::empty(), &mut walk)?;
+        Ok(walk.listed)
     }
 
     /// [`traces_budgeted`](Self::traces_budgeted) with the default
@@ -770,25 +797,26 @@ impl<'a> CompiledLts<'a> {
         depth: usize,
         internal_budget: usize,
         prefix: &Trace,
-        out: &mut TraceSet,
-        seen: &mut FxHashSet<(Trace, u32)>,
+        out: &mut TraceWalk,
     ) -> Result<(), EvalError> {
-        if !seen.insert((prefix.clone(), id.0)) {
+        if !out.seen.insert((prefix.clone(), id.0)) {
             return Ok(());
         }
-        out.insert_closed(prefix.clone());
+        if out.traces.insert(prefix.clone()) {
+            out.listed.push(prefix.clone());
+        }
         let n = self.steps_of(id)?.len();
         for k in 0..n {
             let step = self.row(id)[k].clone();
             match step {
                 CompiledStep::Visible(e, next) => {
                     if depth > 0 {
-                        self.walk(next, depth - 1, internal_budget, &prefix.snoc(e), out, seen)?;
+                        self.walk(next, depth - 1, internal_budget, &prefix.snoc(e), out)?;
                     }
                 }
                 CompiledStep::Internal(next) => {
                     if internal_budget > 0 {
-                        self.walk(next, depth, internal_budget - 1, prefix, out, seen)?;
+                        self.walk(next, depth, internal_budget - 1, prefix, out)?;
                     }
                 }
             }

@@ -9,7 +9,11 @@
 //!
 //! * **no global thread pool** — each parallel operation runs on fresh
 //!   scoped threads (`std::thread::scope`); for the coarse, millisecond-
-//!   scale tasks this workspace fans out, spawn cost is noise;
+//!   scale tasks this workspace fans out (fixpoint keys, proof scripts,
+//!   rule validation, fault sweeps), spawn cost is noise. Per-request
+//!   paths do not fan out: a `sat` check judges its traces on the
+//!   calling thread, because spawning on every `csp serve` check made
+//!   concurrent requests pay for each other's thread start-up;
 //! * **eager adaptors** — `map` runs its closure in parallel immediately
 //!   and materialises the results (order-preserving), rather than
 //!   building a lazy pipeline. Composed `map`s therefore each pay one

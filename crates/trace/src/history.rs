@@ -9,6 +9,8 @@
 //! history: the free channel names of an assertion denote exactly these
 //! per-channel message sequences.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -62,10 +64,41 @@ impl History {
         self.sequences.get(c)
     }
 
+    /// [`get`](Self::get) for the channel with base name `base` and
+    /// subscripts `indices`, without building a [`Channel`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use csp_trace::{Channel, History, Value};
+    ///
+    /// let mut h = History::empty();
+    /// h.push(Channel::indexed("row", 2), Value::nat(7));
+    /// assert_eq!(h.lookup("row", &[2]).unwrap().to_string(), "<7>");
+    /// assert!(h.lookup("row", &[1]).is_none());
+    /// ```
+    pub fn lookup(&self, base: &str, indices: &[i64]) -> Option<&Seq<Value>> {
+        self.sequences.get(&(base, indices) as &dyn ChannelKey)
+    }
+
     /// Appends one message to the history of `c` — how `ch` evolves as a
     /// trace is extended at the back.
     pub fn push(&mut self, c: Channel, v: Value) {
         self.sequences.entry(c).or_default().extend([v]);
+    }
+
+    /// Removes the last message of `c`'s history and returns it — undoes
+    /// [`push`](Self::push), so a history can follow a trace that loses
+    /// events at the back. A channel whose history empties is dropped,
+    /// exactly as if it had never been pushed, so the result equals
+    /// [`of_trace`](Self::of_trace) of the shortened trace.
+    pub fn pop(&mut self, c: &Channel) -> Option<Value> {
+        let seq = self.sequences.get_mut(c)?;
+        let v = seq.pop();
+        if seq.is_empty() {
+            self.sequences.remove(c);
+        }
+        v
     }
 
     /// Replaces the history of channel `c` wholesale. Used by the
@@ -114,6 +147,50 @@ impl History {
     /// `ch(s)` because every communication lands on exactly one channel.
     pub fn total_messages(&self) -> usize {
         self.sequences.values().map(Seq::len).sum()
+    }
+}
+
+/// A channel name as its parts, ordered as [`Channel`] orders (base name,
+/// then subscripts), so the history's map can be probed by borrowed parts.
+trait ChannelKey {
+    fn parts(&self) -> (&str, &[i64]);
+}
+
+impl ChannelKey for Channel {
+    fn parts(&self) -> (&str, &[i64]) {
+        (self.base(), self.indices())
+    }
+}
+
+impl ChannelKey for (&str, &[i64]) {
+    fn parts(&self) -> (&str, &[i64]) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn ChannelKey + 'a> for Channel {
+    fn borrow(&self) -> &(dyn ChannelKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn ChannelKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn ChannelKey + '_ {}
+
+impl PartialOrd for dyn ChannelKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn ChannelKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.parts().cmp(&other.parts())
     }
 }
 
@@ -219,6 +296,50 @@ mod tests {
             h.push(e.channel().clone(), e.value().clone());
         }
         assert_eq!(h, t.history());
+    }
+
+    #[test]
+    fn pop_undoes_push_and_drops_emptied_channels() {
+        let t = Trace::from_events([
+            crate::Event::new(Channel::simple("a"), nat(1)),
+            crate::Event::new(Channel::indexed("b", 2), nat(2)),
+            crate::Event::new(Channel::simple("a"), nat(3)),
+        ]);
+        let mut h = t.history();
+        for n in (0..t.len()).rev() {
+            let e = t.events()[n];
+            assert_eq!(h.pop(e.channel()), Some(e.value().clone()));
+            let shorter = t.take(n);
+            assert_eq!(h, shorter.history(), "after popping back to {shorter}");
+            assert_eq!(h.to_string(), shorter.history().to_string());
+        }
+        assert!(h.is_empty());
+        assert_eq!(h.pop(&Channel::simple("a")), None);
+    }
+
+    #[test]
+    fn lookup_by_parts_agrees_with_get() {
+        let t = Trace::from_events([
+            crate::Event::new(Channel::simple("row"), nat(0)),
+            crate::Event::new(Channel::indexed("row", 1), nat(1)),
+            crate::Event::new(Channel::with_indices("row", vec![1, 0]), nat(2)),
+            crate::Event::new(Channel::indexed("rows", 1), nat(3)),
+            crate::Event::new(Channel::indexed("col", -1), nat(4)),
+        ]);
+        let h = t.history();
+        let probes = [
+            Channel::simple("row"),
+            Channel::indexed("row", 1),
+            Channel::with_indices("row", vec![1, 0]),
+            Channel::indexed("rows", 1),
+            Channel::indexed("col", -1),
+            Channel::indexed("row", 0),
+            Channel::simple("col"),
+            Channel::simple("ro"),
+        ];
+        for c in &probes {
+            assert_eq!(h.lookup(c.base(), c.indices()), h.get(c), "{c}");
+        }
     }
 
     #[test]

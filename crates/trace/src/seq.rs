@@ -87,6 +87,12 @@ impl<T> Seq<T> {
     pub fn into_vec(self) -> Vec<T> {
         self.items
     }
+
+    /// Removes and returns the last element — how a channel history
+    /// shrinks when its trace loses its last event.
+    pub(crate) fn pop(&mut self) -> Option<T> {
+        self.items.pop()
+    }
 }
 
 impl<T: Clone> Seq<T> {

@@ -79,9 +79,8 @@ impl TraceSet {
     pub fn insert_closed(&mut self, t: Trace) {
         // Walk prefixes longest-first; stop as soon as one is present,
         // since the set is already closed below it.
-        let mut prefixes = t.prefixes();
-        while let Some(p) = prefixes.pop() {
-            if !self.traces.insert(p) {
+        for n in (0..=t.len()).rev() {
+            if !self.traces.insert(t.take(n)) {
                 break;
             }
         }
@@ -117,7 +116,7 @@ impl TraceSet {
 
     /// Iterates over the traces in unspecified (hash) order, without the
     /// O(n log n) sort of [`iter`](Self::iter).
-    pub fn iter_unordered(&self) -> impl Iterator<Item = &Trace> {
+    pub fn iter_unordered(&self) -> impl ExactSizeIterator<Item = &Trace> {
         self.traces.iter()
     }
 

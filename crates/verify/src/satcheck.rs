@@ -5,17 +5,17 @@
 //! `∀s ∈ ⟦P⟧. (ρ + ch(s))⟦R⟧`. Because `⟦P⟧` is prefix-closed, checking
 //! every member trace up to a depth checks every intermediate moment up
 //! to that depth. The checker explores traces through the operational
-//! semantics (which composes networks on the fly) and reports the first
+//! semantics (which composes networks on the fly), judges each on a
+//! channel history that moves from trace to trace, and reports the least
 //! counterexample trace, making it the refutation-complete companion to
 //! the symbolic proof system: everything `csp-proof` proves is also
 //! model-checked in this crate's tests.
 
 use csp_assert::{AssertError, Assertion, EvalCtx, FuncTable};
 use csp_lang::{Definitions, Env, Process};
-use csp_obs::Collector;
+use csp_obs::{Collector, Span};
 use csp_semantics::{CompiledLts, Config, Engine, Lts, Universe};
-use csp_trace::Trace;
-use rayon::prelude::*;
+use csp_trace::{History, Trace};
 
 /// The verdict of a bounded satisfaction check.
 #[derive(Debug, Clone)]
@@ -121,6 +121,12 @@ impl<'a> SatChecker<'a> {
 
     /// Checks `process sat assertion` over all traces up to `depth`.
     ///
+    /// Every distinct trace is judged once, on the calling thread, and the
+    /// answer is the one a scan of the traces in sorted order would give:
+    /// the counterexample is the least refuting trace, and an evaluation
+    /// error is returned only when its trace comes before every refuting
+    /// one.
+    ///
     /// # Errors
     ///
     /// Returns an [`AssertError`] if the assertion itself cannot be
@@ -139,12 +145,15 @@ impl<'a> SatChecker<'a> {
         let start = Config::new(process.clone(), self.env.clone());
         let explore_span = root.child("satcheck.explore");
         let budget = depth * self.internal_budget_factor;
-        let traces = match engine {
+        // The compiled walk lists each trace after its parent, so the
+        // history mostly moves by one event; the enumerative set comes in
+        // hash order, and the verdict does not depend on the order.
+        let result = match engine {
             Engine::Compiled => {
                 let mut compiled = CompiledLts::new(self.defs, self.universe);
                 let s = compiled.intern(start);
                 let traces = compiled
-                    .traces_budgeted(s, depth, budget)
+                    .trace_list(s, depth, budget)
                     .map_err(AssertError::Eval)?;
                 for (field, counter, n) in [
                     ("states", "satcheck.states", compiled.num_states()),
@@ -167,46 +176,81 @@ impl<'a> SatChecker<'a> {
                     root.record(field, n);
                     self.collector.add(counter, n as u64);
                 }
-                traces
+                // Freeing the arena is exploration's cost, not judging's.
+                drop(compiled);
+                explore_span.end();
+                self.judge(&mut root, traces.iter(), assertion, depth, engine)
             }
-            _ => Lts::new(self.defs, self.universe)
-                .traces_budgeted(&start, depth, budget)
-                .map_err(AssertError::Eval)?,
-        };
-        explore_span.end();
-        // Each moment is checked independently; fan out, then scan the
-        // verdicts in trace order so the reported counterexample is the
-        // same one the sequential loop would have found.
-        let traces: Vec<Trace> = traces.iter().cloned().collect();
-        root.record("moments", traces.len());
-        self.collector.add("satcheck.moments", traces.len() as u64);
-        let verdict_span = root.child("satcheck.verdicts");
-        let verdicts: Vec<Result<bool, AssertError>> = traces
-            .par_iter()
-            .map(|trace| {
-                let history = trace.history();
-                let ctx = EvalCtx::new(&self.env, &history, &self.funcs, self.universe);
-                ctx.assertion(assertion)
-            })
-            .collect();
-        verdict_span.end();
-        let mut checked = 0usize;
-        for (trace, verdict) in traces.iter().zip(verdicts) {
-            if !verdict? {
-                root.record("counterexample", true);
-                return Ok(SatResult::Counterexample {
-                    trace: trace.clone(),
-                    engine,
-                });
+            _ => {
+                let traces = Lts::new(self.defs, self.universe)
+                    .traces_budgeted(&start, depth, budget)
+                    .map_err(AssertError::Eval)?;
+                explore_span.end();
+                self.judge(&mut root, traces.iter_unordered(), assertion, depth, engine)
             }
-            checked += 1;
+        }?;
+        root.record("counterexample", !result.holds());
+        Ok(result)
+    }
+
+    /// Evaluates the assertion at every trace of `traces` (distinct, in
+    /// any order) on one `ch(s)` that moves from trace to trace: back to
+    /// the common prefix with the previous trace, then forward along the
+    /// new one. The answer is decided by the least trace, in [`Trace`]
+    /// order, on which the assertion is false (a counterexample) or fails
+    /// to evaluate (the error); traces above the least such trace found
+    /// so far cannot change it and are skipped.
+    fn judge<'t>(
+        &self,
+        root: &mut Span,
+        traces: impl ExactSizeIterator<Item = &'t Trace>,
+        assertion: &Assertion,
+        depth: usize,
+        engine: Engine,
+    ) -> Result<SatResult, AssertError> {
+        let moments = traces.len();
+        root.record("moments", moments);
+        self.collector.add("satcheck.moments", moments as u64);
+        let _verdicts = root.child("satcheck.verdicts");
+        let mut history = History::empty();
+        let empty = Trace::empty();
+        let mut at = &empty;
+        let mut least: Option<(&Trace, Result<(), AssertError>)> = None;
+        for trace in traces {
+            if least.as_ref().is_some_and(|(failing, _)| trace > *failing) {
+                continue;
+            }
+            let common = at
+                .iter()
+                .zip(trace.iter())
+                .take_while(|(a, b)| a == b)
+                .count();
+            for e in at.events()[common..].iter().rev() {
+                history.pop(e.channel());
+            }
+            for e in &trace.events()[common..] {
+                history.push(e.channel().clone(), e.value().clone());
+            }
+            at = trace;
+            let ctx = EvalCtx::new(&self.env, &history, &self.funcs, self.universe);
+            match ctx.assertion(assertion) {
+                Ok(true) => {}
+                Ok(false) => least = Some((trace, Ok(()))),
+                Err(e) => least = Some((trace, Err(e))),
+            }
         }
-        root.record("counterexample", false);
-        Ok(SatResult::Holds {
-            traces_checked: checked,
-            depth,
-            engine,
-        })
+        match least {
+            None => Ok(SatResult::Holds {
+                traces_checked: moments,
+                depth,
+                engine,
+            }),
+            Some((trace, Ok(()))) => Ok(SatResult::Counterexample {
+                trace: trace.clone(),
+                engine,
+            }),
+            Some((_, Err(e))) => Err(e),
+        }
     }
 
     /// Convenience: checks a named process.
@@ -380,6 +424,37 @@ mod tests {
                     _ => unreachable!(),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn least_failing_trace_decides_between_refutation_and_error() {
+        // The compiled walk reaches `<c.0>` before `<a.0>`, but `<a.0>`
+        // comes first in trace order, so it decides the answer either way.
+        let defs = Definitions::new();
+        let uni = Universe::new(1);
+        let p = csp_lang::parse_process("c!0 -> STOP | a!0 -> STOP").unwrap();
+        let info = ChannelInfo::new().with_channels(["a", "b", "c"]);
+        // `<a.0>` refutes; `<c.0>` compares the symbol `ACK` with `<=`.
+        let refutes_at_a =
+            parse_assertion("#a == 0 and (#c == 0 or (ACK ^ b)[#c] <= 1)", &info).unwrap();
+        // The roles swapped: `<a.0>` fails to evaluate, `<c.0>` refutes.
+        let fails_at_a =
+            parse_assertion("#c == 0 and (#a == 0 or (ACK ^ b)[#a] <= 1)", &info).unwrap();
+        let a0 = Trace::parse_like([("a", Value::nat(0))]);
+        for engine in [Engine::Enumerative, Engine::Compiled] {
+            let checker = SatChecker::new(&defs, &uni).with_engine(engine);
+            match checker.check(&p, &refutes_at_a, 1) {
+                Ok(SatResult::Counterexample { trace, .. }) => assert_eq!(trace, a0),
+                other => panic!("{engine:?}: {other:?}"),
+            }
+            assert!(
+                matches!(
+                    checker.check(&p, &fails_at_a, 1),
+                    Err(AssertError::Eval(csp_lang::EvalError::TypeMismatch { .. }))
+                ),
+                "{engine:?}"
+            );
         }
     }
 

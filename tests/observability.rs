@@ -117,6 +117,54 @@ fn compiled_sat_check_is_identical_under_observation() {
     }
 }
 
+/// A `sat` check explores, then judges: it records a `satcheck.explore`
+/// span that closes before its `satcheck.verdicts` span opens, both
+/// under the `satcheck` root, and counts every distinct trace in
+/// `satcheck.moments` — on either engine, holding or refuted — and
+/// observing it does not change its result.
+#[test]
+fn sat_check_records_both_phases_and_is_identical_under_observation() {
+    let wb = pipeline_workbench();
+    let depth = 5;
+    for engine in [Engine::Enumerative, Engine::Compiled] {
+        for (assertion, holds) in [("output <= input", true), ("input <= output", false)] {
+            let opts = SatOptions::from(depth).with_engine(engine);
+            let quiet = wb
+                .check_sat("pipeline", assertion, opts.clone())
+                .expect("quiet check");
+            let session = wb.session();
+            let observed = session
+                .check_sat("pipeline", assertion, opts.clone())
+                .expect("observed check");
+            assert_eq!(format!("{quiet:?}"), format!("{observed:?}"));
+            assert_eq!(observed.holds(), holds, "{assertion}");
+
+            let records = session.events();
+            let span = |name: &str| {
+                records
+                    .iter()
+                    .find(|r| r.name == name)
+                    .unwrap_or_else(|| panic!("{name} span on {engine:?}"))
+            };
+            let root = span("satcheck");
+            let explore = span("satcheck.explore");
+            let verdicts = span("satcheck.verdicts");
+            assert_eq!(explore.parent, Some(root.id));
+            assert_eq!(verdicts.parent, Some(root.id));
+            assert!(explore.end_ns <= verdicts.start_ns, "phases overlap");
+
+            let mut arena = csp::CompiledLts::new(wb.definitions(), wb.universe());
+            let start = arena.start("pipeline", wb.env());
+            let traces = arena
+                .traces_budgeted(start, depth, depth * opts.internal_budget_factor)
+                .expect("walk")
+                .len();
+            assert_eq!(session.metrics().counter("satcheck.moments"), traces as u64);
+            assert_eq!(root.field("moments"), Some(&FieldValue::from(traces)));
+        }
+    }
+}
+
 // --------------------------------------------------- JSONL sink --
 
 /// `write_jsonl` → `parse_jsonl` is the identity on a real event log

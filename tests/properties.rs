@@ -407,7 +407,8 @@ proptest! {
     /// The compiled arena reproduces the enumerative engine's trace set
     /// exactly, and both agree with the `NaiveTraceSet` reference
     /// closure — the cross-validation triangle the engine selector
-    /// relies on.
+    /// relies on. The compiled walk's list holds each member once, every
+    /// trace after its parent.
     #[test]
     fn compiled_and_enumerative_traces_agree(p in arb_network()) {
         let defs = Definitions::new();
@@ -427,6 +428,17 @@ proptest! {
         let naive_c = csp::NaiveTraceSet::closure_of(compiled.iter().cloned());
         let naive_e = csp::NaiveTraceSet::closure_of(enumerative.iter().cloned());
         prop_assert_eq!(naive_c, naive_e);
+
+        let list = arena.trace_list(s, depth, budget).expect("compiled list");
+        prop_assert_eq!(list.len(), compiled.len());
+        let mut listed = std::collections::HashSet::new();
+        for t in &list {
+            prop_assert!(compiled.contains(t), "{} is not a trace", t);
+            if !t.is_empty() {
+                prop_assert!(listed.contains(&t.take(t.len() - 1)), "{} before its parent", t);
+            }
+            prop_assert!(listed.insert(t.clone()), "{} listed twice", t);
+        }
     }
 
     /// `sat` verdicts agree between engines on random networks and
@@ -458,6 +470,51 @@ proptest! {
                 csp::SatResult::Counterexample { trace: b, .. },
             ) => prop_assert_eq!(a, b),
             _ => unreachable!("holds() equality already checked"),
+        }
+    }
+
+    /// `SatChecker::check` — one moving history, no sort, the least
+    /// failing trace — gives exactly the answer of the sorted scan in
+    /// [`sorted_scan`]: the same verdict, moments checked, counterexample
+    /// and evaluation error, on networks and on sequential terms, at every
+    /// depth up to 3, on both engines.
+    #[test]
+    fn sat_check_matches_the_sorted_scan(net in arb_network(), seq in arb_process()) {
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let info = csp::ChannelInfo::new()
+            .with_channels(["a", "b", "c"])
+            .with_funcs(["f", "ghost"]);
+        let assertions: Vec<csp::Assertion> = SAT_ASSERTIONS
+            .iter()
+            .map(|a| csp::parse_assertion(a, &info).expect(a))
+            .collect();
+        for p in [&net, &seq] {
+            for depth in 0..=3 {
+                let start = Config::new(p.clone(), Env::new());
+                let budget = depth * 3;
+                let enumerative = Lts::new(&defs, &uni)
+                    .traces_budgeted(&start, depth, budget)
+                    .expect("enumerative");
+                let mut arena = csp::CompiledLts::new(&defs, &uni);
+                let s = arena.intern(start);
+                let compiled = arena.traces_budgeted(s, depth, budget).expect("compiled");
+                for a in &assertions {
+                    for (engine, traces) in [
+                        (csp::Engine::Enumerative, &enumerative),
+                        (csp::Engine::Compiled, &compiled),
+                    ] {
+                        let got = csp::SatChecker::new(&defs, &uni)
+                            .with_engine(engine)
+                            .check(p, a, depth);
+                        prop_assert_eq!(
+                            sat_answer(got),
+                            sorted_scan(traces, a, &uni),
+                            "{} sat {} at depth {} on {:?}", p, a, depth, engine
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -507,6 +564,54 @@ proptest! {
         prop_assert_eq!(enum_rep.deadlock_free(), comp_rep.deadlock_free());
         prop_assert_eq!(format!("{enum_rep:?}"), format!("{comp_rep:?}"));
     }
+}
+
+/// The assertions [`sat_check_matches_the_sorted_scan`] judges. Some hold
+/// on every term and some refute. Three fail to evaluate: `1 / #b` on the
+/// traces with an `a` and no `b`; `ACK <= 1` on the traces without an `a`
+/// and with one `c`, where the same assertion refutes every trace with an
+/// `a` (so an error and a refutation can come in either order); and the
+/// unregistered `ghost` everywhere.
+const SAT_ASSERTIONS: [&str; 9] = [
+    "forall i:NAT. 1 <= i and i <= #a => a[i] <= 1",
+    "#a + #b + #c <= 3",
+    "b <= a",
+    "#a + #b + #c <= 1",
+    "exists x:{0..1}. #c == x",
+    "#a == 0 or 1 / #b >= 0",
+    "#a == 0 and (#c == 0 or (ACK ^ b)[#c] <= 1)",
+    "f(a) <= c",
+    "ghost(a) == a",
+];
+
+/// A `sat` answer as comparable data: the moments checked, the
+/// counterexample, or the evaluation error.
+type SatAnswer = Result<Result<usize, Trace>, String>;
+
+fn sat_answer(res: Result<csp::SatResult, csp::AssertError>) -> SatAnswer {
+    match res {
+        Ok(csp::SatResult::Holds { traces_checked, .. }) => Ok(Ok(traces_checked)),
+        Ok(csp::SatResult::Counterexample { trace, .. }) => Ok(Err(trace)),
+        Err(e) => Err(format!("{e:?}")),
+    }
+}
+
+/// The reference `sat` check: every trace of the set in sorted order,
+/// each on its own freshly built `ch(s)`, stopping at the first that is
+/// false or fails to evaluate.
+fn sorted_scan(traces: &TraceSet, assertion: &csp::Assertion, uni: &Universe) -> SatAnswer {
+    let env = Env::new();
+    let funcs = csp::FuncTable::with_builtins();
+    let mut checked = 0;
+    for t in traces.iter() {
+        let h = t.history();
+        match csp::EvalCtx::new(&env, &h, &funcs, uni).assertion(assertion) {
+            Ok(true) => checked += 1,
+            Ok(false) => return Ok(Err(t.clone())),
+            Err(e) => return Err(format!("{e:?}")),
+        }
+    }
+    Ok(Ok(checked))
 }
 
 proptest! {
