@@ -19,8 +19,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use csp_lang::{
-    channel_alphabet, parse_module, Definitions, Env, ParseError, ParsedModule, Process, SourceMap,
-    Span,
+    called_names, channel_alphabet, parse_module, Definitions, Env, ParseError, ParsedModule,
+    Process, SourceMap, Span,
 };
 use csp_trace::ChannelSet;
 
@@ -205,8 +205,7 @@ impl AnalysisDb {
             relinted += 1;
             let diagnostics = linter.run_def(def);
             let alphabet = channel_alphabet(def.body(), &self.module.defs, &self.env).ok();
-            let mut calls = BTreeSet::new();
-            called_names(def.body(), &mut calls);
+            let calls = called_names(def.body());
             self.entries.insert(
                 def.name().to_string(),
                 DefEntry {
@@ -313,26 +312,6 @@ fn prefix_depth(p: &Process) -> usize {
         Process::Choice(a, b) => prefix_depth(a).max(prefix_depth(b)),
         Process::Parallel { left, right, .. } => prefix_depth(left).max(prefix_depth(right)),
         Process::Hide { body, .. } => prefix_depth(body),
-    }
-}
-
-/// Direct callees of a body.
-fn called_names(p: &Process, out: &mut BTreeSet<String>) {
-    match p {
-        Process::Stop | Process::Error(_) => {}
-        Process::Call { name, .. } => {
-            out.insert(name.clone());
-        }
-        Process::Output { then, .. } | Process::Input { then, .. } => called_names(then, out),
-        Process::Choice(a, b) => {
-            called_names(a, out);
-            called_names(b, out);
-        }
-        Process::Parallel { left, right, .. } => {
-            called_names(left, out);
-            called_names(right, out);
-        }
-        Process::Hide { body, .. } => called_names(body, out),
     }
 }
 

@@ -54,6 +54,16 @@ struct Metrics {
     engine: &'static str,
 }
 
+/// `paper.csp` as `csp profile --bind v=2,3,5 --set M=0,1` loads it,
+/// over the CLI's default universe `NAT ↾ {0,1,2}`.
+fn paper_workbench() -> Workbench {
+    let uni = Universe::new(2).with_named("M", [Value::Int(0), Value::Int(1)]);
+    let mut wb = Workbench::new().with_universe(uni);
+    wb.define_source(PAPER_CSP).expect("paper.csp parses");
+    wb.bind_vector("v", &[2, 3, 5]);
+    wb
+}
+
 fn peak_of_run(run: &csp_core::FixpointRun) -> u64 {
     run.iterates
         .iter()
@@ -284,6 +294,24 @@ fn workloads() -> Vec<Workload> {
             }
         }),
     ));
+
+    // The fixpoint phase of CI's `csp profile paper.csp --bind v=2,3,5
+    // --set M=0,1 --depth 2`, the slowest user path.
+    v.push(("profile/paper_d2", {
+        let wb = paper_workbench();
+        Box::new(move |c| {
+            let run = wb
+                .session_with(c.clone())
+                .fixpoint(2, 32)
+                .expect("fixpoint");
+            assert!(run.converged_at.is_some());
+            Metrics {
+                traces: run.iterates.len() as u64,
+                peak_set: peak_of_run(&run),
+                engine: "",
+            }
+        })
+    }));
 
     // E6 — empirical soundness of the ten §2.1 rules.
     v.push((

@@ -153,6 +153,43 @@ fn collect_process(p: &Process, out: &mut BTreeSet<String>) {
     }
 }
 
+/// The process names a body calls directly — its `Call` nodes, without
+/// unfolding them — in sorted order.
+///
+/// # Examples
+///
+/// ```
+/// use csp_lang::{called_names, parse_process};
+///
+/// let p = parse_process("wire?y:{ACK} -> sender | wire?y:{NACK} -> q[x]").unwrap();
+/// let called: Vec<String> = called_names(&p).into_iter().collect();
+/// assert_eq!(called, ["q", "sender"]);
+/// ```
+pub fn called_names(p: &Process) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    collect_calls(p, &mut out);
+    out
+}
+
+fn collect_calls(p: &Process, out: &mut BTreeSet<String>) {
+    match p {
+        Process::Stop | Process::Error(_) => {}
+        Process::Call { name, .. } => {
+            out.insert(name.clone());
+        }
+        Process::Output { then, .. } | Process::Input { then, .. } => collect_calls(then, out),
+        Process::Choice(a, b) => {
+            collect_calls(a, out);
+            collect_calls(b, out);
+        }
+        Process::Parallel { left, right, .. } => {
+            collect_calls(left, out);
+            collect_calls(right, out);
+        }
+        Process::Hide { body, .. } => collect_calls(body, out),
+    }
+}
+
 /// The set of concrete channels a (closed) process expression can ever
 /// communicate on — the alphabet `X` of §1.2(7) — obtained by walking the
 /// text, resolving channel subscripts in `env`, and unfolding

@@ -57,7 +57,9 @@ pub use defs::{Definition, Definitions};
 pub use env::Env;
 pub use error::{EvalError, LangError, ParseError};
 pub use expr::{eval_bin, eval_un, BinOp, Expr, UnOp};
-pub use free::{channel_alphabet, free_vars_expr, free_vars_process, output_channels};
+pub use free::{
+    called_names, channel_alphabet, free_vars_expr, free_vars_process, output_channels,
+};
 pub use parser::{
     parse_definitions, parse_definitions_spanned, parse_expr, parse_module, parse_process,
     parse_process_spanned, parse_set_expr, ParsedModule,

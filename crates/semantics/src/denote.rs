@@ -9,9 +9,13 @@
 //! * `⟦P|Q⟧ = ⟦P⟧ ∪ ⟦Q⟧`,
 //! * `⟦P‖Q⟧ = ⟦P⟧ ‖_{X,Y} ⟦Q⟧`,
 //! * `⟦chan L; P⟧ = ⟦P⟧ \ L`,
-//! * recursion: the least fixed point (computed here by depth-bounded
-//!   unfolding, and in [`crate::fixpoint`] by the paper's explicit iterate
-//!   sequence `a₀ ⊆ a₁ ⊆ …`; the two agree — see the crate tests).
+//! * a process name denotes what the environment ρ ascribes to it.
+//!
+//! The equations are written out once. What varies is ρ, the one thing
+//! the walk is parameterised by: [`Semantics::denote`] unfolds each name
+//! into its definition (depth-bounded unfolding), and [`crate::fixpoint`]
+//! reads it from the iterate `aᵢ` of §3.3's sequence `a₀ ⊆ a₁ ⊆ …`. The
+//! two readings of recursion agree — see the crate tests.
 //!
 //! [`Semantics::denote`] returns **exactly** the traces of length ≤
 //! `depth` of the full denotation, under two finiteness provisos
@@ -22,10 +26,10 @@
 //! the requested depth; raise the multiplier for networks with long
 //! internal chatter per visible event).
 
-use csp_lang::{channel_alphabet, ChanRef, Definitions, Env, EvalError, Process};
-use csp_trace::{ChannelSet, Event, TraceSet};
+use csp_lang::{channel_alphabet, ChanRef, Definitions, Env, EvalError, Expr, Process};
+use csp_trace::{ChannelSet, Event, TraceSet, Value};
 
-use crate::Universe;
+use crate::{ProcKey, Universe};
 
 /// Evaluator mapping process expressions to bounded trace sets.
 ///
@@ -87,7 +91,7 @@ impl<'a> Semantics<'a> {
     /// Fails on undefined process names, unbound variables, unresolvable
     /// named sets, or ill-typed expressions.
     pub fn denote(&self, p: &Process, env: &Env, depth: usize) -> Result<TraceSet, EvalError> {
-        self.eval(p, env, depth, self.fuel0)
+        self.eval(p, env, depth, &mut Rho::Unfold { fuel: self.fuel0 })
     }
 
     /// The traces of the named process, `⟦name⟧`, to the given depth.
@@ -102,15 +106,29 @@ impl<'a> Semantics<'a> {
         self.denote(&Process::call(name), env, depth)
     }
 
+    /// The traces of `p` to `depth` under §3.3's `ρ[aᵢ/p]`: each process
+    /// instance a `Call` names at a remaining depth `d` is read as
+    /// `read(instance, d)`, which returns `aᵢ[instance] ↾ d`.
+    pub(crate) fn approximate(
+        &self,
+        p: &Process,
+        env: &Env,
+        depth: usize,
+        read: &mut dyn FnMut(ProcKey, usize) -> TraceSet,
+    ) -> Result<TraceSet, EvalError> {
+        self.eval(p, env, depth, &mut Rho::Approx(read))
+    }
+
+    /// The depth the body of a `chan L; …` is read to when the hiding
+    /// is wanted to `depth`: `depth × hide_multiplier`, saturating.
+    pub(crate) fn hide_depth(&self, depth: usize) -> usize {
+        depth.saturating_mul(self.hide_multiplier)
+    }
+
     /// Resolves the alphabets `X`, `Y` of a parallel composition:
     /// explicit channel lists are evaluated; absent ones are inferred
     /// from the operand's text per the paper's convention.
-    ///
-    /// # Errors
-    ///
-    /// Fails if alphabet channel subscripts cannot be evaluated or a
-    /// referenced process is undefined.
-    pub fn parallel_alphabets(
+    fn parallel_alphabets(
         &self,
         left: &Process,
         right: &Process,
@@ -129,37 +147,37 @@ impl<'a> Semantics<'a> {
         Ok((x, y))
     }
 
+    /// The §3.2 equations, one arm per construct, with process names read
+    /// through `rho`. Left operands are evaluated before right ones.
     fn eval(
         &self,
         p: &Process,
         env: &Env,
         depth: usize,
-        fuel: usize,
+        rho: &mut Rho<'_>,
     ) -> Result<TraceSet, EvalError> {
         match p {
             // Error holes denote STOP: the empty trace only (§2.2's
             // weakest process), so partial modules still have semantics.
             Process::Stop | Process::Error(_) => Ok(TraceSet::stop()),
-            Process::Call { name, args } => {
-                if fuel == 0 || depth == 0 {
-                    // a₀-style truncation: deeper unfolding cannot
-                    // contribute traces within the remaining depth.
-                    return Ok(TraceSet::stop());
+            Process::Call { name, args } => match rho {
+                // a₀-style truncation: deeper unfolding cannot
+                // contribute traces within the remaining depth.
+                Rho::Unfold { fuel } if *fuel == 0 || depth == 0 => Ok(TraceSet::stop()),
+                Rho::Unfold { fuel } => {
+                    let (body, scope) =
+                        self.defs.resolve_call(name, &eval_args(args, env)?, env)?;
+                    self.eval(body, &scope, depth, &mut Rho::Unfold { fuel: *fuel - 1 })
                 }
-                let vals = args
-                    .iter()
-                    .map(|e| e.eval(env))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let (body, scope) = self.defs.resolve_call(name, &vals, env)?;
-                self.eval(body, &scope, depth, fuel - 1)
-            }
+                Rho::Approx(read) => Ok(read((name.clone(), eval_args(args, env)?), depth)),
+            },
             Process::Output { chan, msg, then } => {
                 if depth == 0 {
                     return Ok(TraceSet::stop());
                 }
                 let c = chan.resolve(env)?;
                 let v = msg.eval(env)?;
-                let inner = self.eval(then, env, depth - 1, self.fuel0)?;
+                let inner = self.eval(then, env, depth - 1, &mut rho.past_event(self.fuel0))?;
                 Ok(inner.prefixed(Event::new(c, v)))
             }
             Process::Input {
@@ -176,14 +194,15 @@ impl<'a> Semantics<'a> {
                 let mut out = TraceSet::stop();
                 for v in self.universe.enumerate(&m)? {
                     let scope = env.bind(var, v.clone());
-                    let inner = self.eval(then, &scope, depth - 1, self.fuel0)?;
+                    let inner =
+                        self.eval(then, &scope, depth - 1, &mut rho.past_event(self.fuel0))?;
                     out = out.union(&inner.prefixed(Event::new(c.clone(), v)));
                 }
                 Ok(out)
             }
             Process::Choice(a, b) => {
-                let ta = self.eval(a, env, depth, fuel)?;
-                let tb = self.eval(b, env, depth, fuel)?;
+                let ta = self.eval(a, env, depth, rho)?;
+                let tb = self.eval(b, env, depth, rho)?;
                 Ok(ta.union(&tb))
             }
             Process::Parallel {
@@ -199,18 +218,41 @@ impl<'a> Semantics<'a> {
                     right_alpha.as_deref(),
                     env,
                 )?;
-                let tl = self.eval(left, env, depth, fuel)?;
-                let tr = self.eval(right, env, depth, fuel)?;
-                Ok(tl.parallel(&x, &tr, &y).up_to_depth(depth))
+                let tl = self.eval(left, env, depth, rho)?;
+                let tr = self.eval(right, env, depth, rho)?;
+                Ok(tl.parallel(&x, &tr, &y, depth))
             }
             Process::Hide { channels, body } => {
                 let hidden = resolve_chanrefs(channels, env)?;
-                let body_depth = depth.saturating_mul(self.hide_multiplier).max(depth);
-                let tb = self.eval(body, env, body_depth, fuel)?;
+                let tb = self.eval(body, env, self.hide_depth(depth), rho)?;
                 Ok(tb.hide(&hidden).up_to_depth(depth))
             }
         }
     }
+}
+
+/// ρ of §3.2: what a process name denotes while the equations are read.
+enum Rho<'r> {
+    /// Unfold the name's definition. `fuel` counts the unfoldings left
+    /// before a chain of names with no communication between them is cut
+    /// to `STOP`; every communication restores it.
+    Unfold { fuel: usize },
+    /// §3.3's `ρ[aᵢ/p]`: read the instance from the iterate `aᵢ`.
+    Approx(&'r mut dyn FnMut(ProcKey, usize) -> TraceSet),
+}
+
+impl Rho<'_> {
+    /// ρ below a communication: unfolding gets `fuel0` back.
+    fn past_event(&mut self, fuel0: usize) -> Rho<'_> {
+        match self {
+            Rho::Unfold { .. } => Rho::Unfold { fuel: fuel0 },
+            Rho::Approx(read) => Rho::Approx(&mut **read),
+        }
+    }
+}
+
+fn eval_args(args: &[Expr], env: &Env) -> Result<Vec<Value>, EvalError> {
+    args.iter().map(|e| e.eval(env)).collect()
 }
 
 pub(crate) fn resolve_chanrefs(cs: &[ChanRef], env: &Env) -> Result<ChannelSet, EvalError> {

@@ -10,17 +10,18 @@
 //! is finite), reports the iteration at which it converges, and exposes
 //! each iterate for inspection — experiment **E5** of `DESIGN.md` prints
 //! the growing iterate sizes, and the crate tests confirm the limit equals
-//! the unfolding semantics of [`Semantics`].
+//! the unfolding semantics of [`Semantics`]. Each body is read by the
+//! same §3.2 walk as [`Semantics::denote`], with names read from `a_i`
+//! instead of unfolded; the instances are evaluated in order on the
+//! calling thread.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use csp_lang::{Definitions, Env, EvalError, Process};
+use csp_lang::{called_names, Definitions, Env, EvalError, Process};
 use csp_obs::{Collector, Metered, MetricsSnapshot};
-use csp_trace::{Event, FxHashMap, TraceSet, Value};
-use rayon::prelude::*;
+use csp_trace::{FxHashMap, TraceSet, Value};
 
 use crate::{Semantics, Universe};
 
@@ -130,12 +131,12 @@ pub fn fixpoint_with(
     collector: &Collector,
 ) -> Result<FixpointRun, EvalError> {
     let keys = instance_keys(defs, universe, env)?;
+    let sem = Semantics::new(defs, universe);
 
     // Hidden communications do not count toward visible trace length, so
-    // iterates must be carried at an amplified working depth: each level
-    // of `chan L; …` nesting may need up to 3× more raw events (matching
-    // the Semantics default hide multiplier). The reported iterates are
-    // truncated back to the requested depth.
+    // iterates are carried at the depth the evaluator reads the body of
+    // the deepest `chan L; …` nesting to (`hide_depth` once per level).
+    // The reported iterates are truncated back to the requested depth.
     let nesting = keys
         .iter()
         .map(|k| {
@@ -144,7 +145,7 @@ pub fn fixpoint_with(
         })
         .max()
         .unwrap_or(0);
-    let work_depth = depth * 3usize.saturating_pow(nesting as u32);
+    let work_depth = (0..nesting).fold(depth, |d, _| sem.hide_depth(d));
 
     // a₀ = STOP for every instance.
     let mut current: Approximation = keys
@@ -160,26 +161,15 @@ pub fn fixpoint_with(
     let mut iterates = vec![truncate(&current)];
     let mut converged_at = None;
 
-    let sem = Semantics::new(defs, universe);
-
     // The direct call-dependencies of each definition: a Call node inside
     // `F_p` reads the *current* approximation of the called name, so
     // `a_{i+1}[p] = F_p(a_i)` can only differ from `a_i[p]` if one of
     // those names changed in the step producing `a_i`. Tracking the
     // changed names lets converged regions of a network drop out of the
     // joint iteration early instead of being re-evaluated to the end.
-    let deps: FxHashMap<String, BTreeSet<String>> = keys
+    let deps: FxHashMap<&str, BTreeSet<String>> = defs
         .iter()
-        .map(|k| k.0.clone())
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .map(|name| {
-            let mut called = BTreeSet::new();
-            if let Some(def) = defs.get(&name) {
-                called_names(def.body(), &mut called);
-            }
-            (name, called)
-        })
+        .map(|def| (def.name(), called_names(def.body())))
         .collect();
 
     // `None` marks the first iteration, where every instance is dirty.
@@ -201,50 +191,58 @@ pub fn fixpoint_with(
         let mut iter_span = root.child("fixpoint.iter");
         iter_span.record("iter", i);
         let iter_start = collector.is_enabled().then(Instant::now);
-        // One shared memo of Call-site truncations per iteration: every
-        // instance evaluated this round reads the same `a_i`, so a
-        // (callee, depth) truncation computed once serves all of them.
-        let memo = CallMemo::new();
-        let skipped = AtomicU64::new(0);
-        let results: Vec<Result<(ProcKey, TraceSet), EvalError>> = keys
-            .par_iter()
-            .map(|key| {
-                if let Some(changed) = &changed_names {
-                    let stale = deps.get(&key.0).is_some_and(|d| !d.is_disjoint(changed));
-                    if !stale {
-                        // Early exit: no dependency changed last step, so
-                        // re-evaluation would reproduce the current value.
-                        skipped.fetch_add(1, Relaxed);
-                        let t = current.get(key).cloned().unwrap_or_else(TraceSet::stop);
-                        return Ok((key.clone(), t));
-                    }
-                }
+        // One memo of Call-site truncations per iteration: every instance
+        // evaluated this round reads the same `a_i`, so a (callee, depth)
+        // truncation computed once serves all of them.
+        let mut memo: FxHashMap<(ProcKey, usize), TraceSet> = FxHashMap::default();
+        let (mut hits, mut misses, mut skipped) = (0u64, 0u64, 0u64);
+        let mut read = |callee: ProcKey, d: usize| match memo.entry((callee, d)) {
+            Entry::Occupied(e) => {
+                hits += 1;
+                e.get().clone()
+            }
+            Entry::Vacant(e) => {
+                misses += 1;
+                // Instances outside the enumerated family (or whose
+                // subscript the universe did not cover) default to
+                // a₀ = STOP.
+                let t = current
+                    .get(&e.key().0)
+                    .map_or_else(TraceSet::stop, |t| t.up_to_depth(d));
+                e.insert(t).clone()
+            }
+        };
+        let mut next = Approximation::new();
+        let mut newly_changed = BTreeSet::new();
+        for key in &keys {
+            let stale = changed_names.as_ref().is_none_or(|changed| {
+                deps.get(key.0.as_str())
+                    .is_some_and(|d| !d.is_disjoint(changed))
+            });
+            let t = if stale {
                 let mut key_span = iter_span.child("fixpoint.key");
                 key_span.record("name", key.0.as_str());
                 let (body, scope) = defs.resolve_call(&key.0, &key.1, env)?;
-                let t = eval_approx(&sem, body, &scope, work_depth, &current, &memo)?;
-                let t = t.up_to_depth(work_depth);
+                let t = sem.approximate(body, &scope, work_depth, &mut read)?;
                 key_span.record("traces", t.len());
-                Ok((key.clone(), t))
-            })
-            .collect();
-
-        let mut next = Approximation::new();
-        let mut newly_changed = BTreeSet::new();
-        for r in results {
-            let (k, t) = r?;
-            if current.get(&k) != Some(&t) {
-                newly_changed.insert(k.0.clone());
+                t
+            } else {
+                // Early exit: no dependency changed last step, so
+                // re-evaluation would reproduce the current value.
+                skipped += 1;
+                current[key].clone()
+            };
+            if t != current[key] {
+                newly_changed.insert(key.0.clone());
             }
-            next.insert(k, t);
+            next.insert(key.clone(), t);
         }
-        let (hits, misses) = memo.counts();
         total_memo_hits += hits;
         total_memo_misses += misses;
         total_changed += newly_changed.len() as u64;
-        total_skipped += skipped.load(Relaxed);
+        total_skipped += skipped;
         iter_span.record("changed", newly_changed.len());
-        iter_span.record("skipped", skipped.load(Relaxed));
+        iter_span.record("skipped", skipped);
         iter_span.record("memo_hits", hits);
         iter_span.record("memo_misses", misses);
         if let Some(t0) = iter_start {
@@ -288,26 +286,6 @@ pub fn fixpoint_with(
         converged_at,
         metrics,
     })
-}
-
-/// Collects the process names a body calls directly (its Call nodes).
-fn called_names(p: &Process, out: &mut BTreeSet<String>) {
-    match p {
-        Process::Stop | Process::Error(_) => {}
-        Process::Call { name, .. } => {
-            out.insert(name.clone());
-        }
-        Process::Output { then, .. } | Process::Input { then, .. } => called_names(then, out),
-        Process::Choice(a, b) => {
-            called_names(a, out);
-            called_names(b, out);
-        }
-        Process::Parallel { left, right, .. } => {
-            called_names(left, out);
-            called_names(right, out);
-        }
-        Process::Hide { body, .. } => called_names(body, out),
-    }
 }
 
 /// Maximum nesting depth of `chan L; …` reachable from `p`, following
@@ -359,131 +337,10 @@ fn instance_keys(
     Ok(keys)
 }
 
-/// Memo of Call-site truncations, shared across the instances of one
-/// iteration: `(callee key, depth) → a_i[callee] ↾ depth`, plus relaxed
-/// hit/miss tallies for the iteration's instrumentation.
-struct CallMemo {
-    map: Mutex<FxHashMap<(ProcKey, usize), TraceSet>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CallMemo {
-    fn new() -> Self {
-        CallMemo {
-            map: Mutex::new(FxHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn counts(&self) -> (u64, u64) {
-        (self.hits.load(Relaxed), self.misses.load(Relaxed))
-    }
-}
-
-/// Evaluates a body with process names interpreted by the current
-/// approximation (the environment `ρ[a_i/p]` of §3.3) instead of by
-/// unfolding.
-fn eval_approx(
-    sem: &Semantics<'_>,
-    p: &Process,
-    env: &Env,
-    depth: usize,
-    approx: &Approximation,
-    memo: &CallMemo,
-) -> Result<TraceSet, EvalError> {
-    match p {
-        Process::Stop | Process::Error(_) => Ok(TraceSet::stop()),
-        Process::Call { name, args } => {
-            let vals = args
-                .iter()
-                .map(|e| e.eval(env))
-                .collect::<Result<Vec<_>, _>>()?;
-            let key = (name.clone(), vals);
-            let memo_key = (key, depth);
-            if let Some(t) = memo.map.lock().expect("call memo").get(&memo_key) {
-                memo.hits.fetch_add(1, Relaxed);
-                return Ok(t.clone());
-            }
-            memo.misses.fetch_add(1, Relaxed);
-            // Instances outside the enumerated family (or whose subscript
-            // the universe did not cover) default to a₀ = STOP.
-            let t = approx
-                .get(&memo_key.0)
-                .cloned()
-                .unwrap_or_else(TraceSet::stop)
-                .up_to_depth(depth);
-            memo.map
-                .lock()
-                .expect("call memo")
-                .insert(memo_key, t.clone());
-            Ok(t)
-        }
-        Process::Output { chan, msg, then } => {
-            if depth == 0 {
-                return Ok(TraceSet::stop());
-            }
-            let c = chan.resolve(env)?;
-            let v = msg.eval(env)?;
-            let inner = eval_approx(sem, then, env, depth - 1, approx, memo)?;
-            Ok(inner.prefixed(Event::new(c, v)))
-        }
-        Process::Input {
-            chan,
-            var,
-            set,
-            then,
-        } => {
-            if depth == 0 {
-                return Ok(TraceSet::stop());
-            }
-            let c = chan.resolve(env)?;
-            let m = set.eval(env)?;
-            let mut out = TraceSet::stop();
-            for v in sem.universe().enumerate(&m)? {
-                let scope = env.bind(var, v.clone());
-                let inner = eval_approx(sem, then, &scope, depth - 1, approx, memo)?;
-                out = out.union(&inner.prefixed(Event::new(c.clone(), v)));
-            }
-            Ok(out)
-        }
-        Process::Choice(a, b) => Ok(eval_approx(sem, a, env, depth, approx, memo)?
-            .union(&eval_approx(sem, b, env, depth, approx, memo)?)),
-        Process::Parallel {
-            left,
-            right,
-            left_alpha,
-            right_alpha,
-        } => {
-            let (x, y) = sem.parallel_alphabets(
-                left,
-                right,
-                left_alpha.as_deref(),
-                right_alpha.as_deref(),
-                env,
-            )?;
-            let tl = eval_approx(sem, left, env, depth, approx, memo)?;
-            let tr = eval_approx(sem, right, env, depth, approx, memo)?;
-            Ok(tl.parallel(&x, &tr, &y).up_to_depth(depth))
-        }
-        Process::Hide { channels, body } => {
-            let hidden: csp_trace::ChannelSet = channels
-                .iter()
-                .map(|c| c.resolve(env))
-                .collect::<Result<_, _>>()?;
-            // Iterate bodies at triple depth, mirroring Semantics' default
-            // hide handling.
-            let tb = eval_approx(sem, body, env, depth * 3, approx, memo)?;
-            Ok(tb.hide(&hidden).up_to_depth(depth))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_lang::{examples, parse_definitions};
+    use csp_lang::{examples, parse_definitions, Expr};
 
     fn key(name: &str) -> ProcKey {
         (name.to_string(), Vec::new())
@@ -503,18 +360,44 @@ mod tests {
         assert_eq!(limit.depth(), 4);
     }
 
+    /// Iteration to convergence and depth-bounded unfolding read names
+    /// differently; both must give every instance the same traces.
+    fn assert_limit_agrees(defs: &Definitions, uni: &Universe, env: &Env, depth: usize) {
+        let run = fixpoint(defs, uni, env, depth, 16).unwrap();
+        assert!(run.converged_at.is_some());
+        let sem = Semantics::new(defs, uni);
+        for ((name, sub), via_fix) in run.limit() {
+            let call = match sub.as_slice() {
+                [] => Process::call(name),
+                [v] => Process::call1(name, Expr::Const(v.clone())),
+                _ => unreachable!("arrays take one subscript"),
+            };
+            let via_unfold = sem.denote(&call, env, depth).unwrap();
+            assert_eq!(via_fix, &via_unfold, "disagreement on {name}{sub:?}");
+        }
+    }
+
     #[test]
     fn limit_agrees_with_unfolding_semantics() {
+        assert_limit_agrees(&examples::pipeline(), &Universe::new(1), &Env::new(), 4);
+        // Inputs from the named set M.
+        let uni = Universe::new(0).with_named("M", [Value::nat(0), Value::nat(1)]);
+        assert_limit_agrees(&examples::protocol(), &uni, &Env::new(), 3);
+        // Array instances, and a `chan` over an array of channels.
+        let defs = parse_definitions(&examples::multiplier_src(2)).unwrap();
+        let env = examples::multiplier_env(&[2, 3]);
+        assert_limit_agrees(&defs, &Universe::new(5), &env, 2);
+    }
+
+    #[test]
+    fn a_huge_depth_saturates_the_work_depth() {
+        // The pipeline nests one `chan`, so its work depth is 3 × depth,
+        // which overflows here; with no iterations the run is a₀ alone.
         let defs = examples::pipeline();
-        let uni = Universe::new(1);
-        let env = Env::new();
-        let run = fixpoint(&defs, &uni, &env, 4, 16).unwrap();
-        let sem = Semantics::new(&defs, &uni);
-        for name in ["copier", "recopier", "pipeline"] {
-            let via_fix = run.limit().get(&key(name)).unwrap();
-            let via_unfold = sem.denote_name(name, &env, 4).unwrap();
-            assert_eq!(via_fix, &via_unfold, "disagreement on {name}");
-        }
+        let run = fixpoint(&defs, &Universe::new(1), &Env::new(), usize::MAX / 2, 0).unwrap();
+        assert_eq!(run.iterates.len(), 1);
+        assert_eq!(run.converged_at, None);
+        assert!(run.limit().values().all(|t| *t == TraceSet::stop()));
     }
 
     #[test]

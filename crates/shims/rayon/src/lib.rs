@@ -9,17 +9,18 @@
 //!
 //! * **no global thread pool** — each parallel operation runs on fresh
 //!   scoped threads (`std::thread::scope`); for the coarse, millisecond-
-//!   scale tasks this workspace fans out (fixpoint keys, proof scripts,
+//!   scale tasks this workspace fans out (cross-validated proof scripts,
 //!   rule validation, fault sweeps), spawn cost is noise. Per-request
-//!   paths do not fan out: a `sat` check judges its traces on the
-//!   calling thread, because spawning on every `csp serve` check made
-//!   concurrent requests pay for each other's thread start-up;
+//!   paths do not fan out: a `sat` check judges its traces and the §3.3
+//!   fixpoint iterates its instances on the calling thread, because
+//!   spawning on every `csp serve` request made concurrent requests pay
+//!   for each other's thread start-up;
 //! * **eager adaptors** — `map` runs its closure in parallel immediately
 //!   and materialises the results (order-preserving), rather than
 //!   building a lazy pipeline. Composed `map`s therefore each pay one
 //!   fan-out; call sites here use a single `map` per pipeline;
 //! * work is distributed dynamically (an atomic index over item slots),
-//!   so unevenly sized tasks — fixpoint keys, proof scripts — balance
+//!   so unevenly sized tasks — proof scripts, rule validators — balance
 //!   across workers;
 //! * `RAYON_NUM_THREADS` is honoured (`1` disables threading entirely,
 //!   useful when bisecting nondeterminism).

@@ -110,7 +110,8 @@ impl NaiveTraceSet {
 
     /// Alphabetised parallel composition by synchronised merge over the
     /// ordered child index — algorithmically the same exploration as
-    /// [`TraceSet::parallel`], on the ordered-set substrate.
+    /// [`TraceSet::parallel`], on the ordered-set substrate, without its
+    /// length bound.
     pub fn parallel(&self, x: &ChannelSet, other: &NaiveTraceSet, y: &ChannelSet) -> NaiveTraceSet {
         let sync = x.intersection(y);
         let kids_p = self.children_index();
@@ -246,7 +247,8 @@ mod tests {
             &NaiveTraceSet::closure_of([q.clone()]),
             &y,
         );
-        let prod = TraceSet::closure_of([p]).parallel(&x, &TraceSet::closure_of([q]), &y);
+        let prod =
+            TraceSet::closure_of([p]).parallel(&x, &TraceSet::closure_of([q]), &y, usize::MAX);
         assert!(naive.agrees_with(&prod));
         assert!(naive.contains(&tr(&[("in", 1), ("w", 1), ("out", 1)])));
     }

@@ -2,9 +2,10 @@
 //!
 //! The trace-set operators (`union`, `parallel`, `hide`) and the event
 //! interner are pure data-structure code called from deep inside the
-//! fixpoint engine, often across rayon worker threads. Threading a
-//! collector handle through every call would put an observability
-//! parameter on arithmetic; instead this module keeps process-global
+//! denotational model, on whichever thread builds the sets (`csp serve`
+//! workers, the soundness validators' fan-out). Threading a collector
+//! handle through every call would put an observability parameter on
+//! arithmetic; instead this module keeps process-global
 //! relaxed atomics that the operators bump unconditionally (one relaxed
 //! `fetch_add` per operation — cheaper than the branch a collector check
 //! would cost) and that sessions snapshot before and after a run to
@@ -114,7 +115,7 @@ mod tests {
         let u = p.union(&q);
         let x: ChannelSet = ["stats_a"].into_iter().collect();
         let y: ChannelSet = ["stats_b"].into_iter().collect();
-        let par = p.parallel(&x, &q, &y);
+        let par = p.parallel(&x, &q, &y, usize::MAX);
         let h = par.hide(&x);
         let d = OpStats::snapshot().delta(&before);
         // Other tests may run concurrently, so the deltas are lower

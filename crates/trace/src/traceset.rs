@@ -200,9 +200,15 @@ impl TraceSet {
 
     /// Alphabetised parallel composition `P ‖_{X,Y} Q` (§3.1), computed by
     /// synchronised merge: the result contains every trace `s` over `X ∪ Y`
-    /// such that `s` projected on `X` is in `P` and `s` projected on `Y`
-    /// is in `Q`. Events on channels of `X ∩ Y` require simultaneous
-    /// participation of both operands; all other events interleave.
+    /// of length at most `depth` such that `s` projected on `X` is in `P`
+    /// and `s` projected on `Y` is in `Q`. Events on channels of `X ∩ Y`
+    /// require simultaneous participation of both operands; all other
+    /// events interleave. Pass `usize::MAX` for the whole product.
+    ///
+    /// Cutting at `depth` gives exactly the whole product's traces up to
+    /// `depth`: the product of prefix closures is prefix-closed, and the
+    /// merge reaches every trace through its prefixes, which are no
+    /// longer than it.
     ///
     /// # Examples
     ///
@@ -217,10 +223,17 @@ impl TraceSet {
     /// let q = TraceSet::stop().prefixed(b);
     /// let x: ChannelSet = ["a"].into_iter().collect();
     /// let y: ChannelSet = ["b"].into_iter().collect();
-    /// let par = p.parallel(&x, &q, &y);
+    /// let par = p.parallel(&x, &q, &y, usize::MAX);
     /// assert_eq!(par.len(), 5); // <>, <a.1>, <b.2>, and both 2-event orders
+    /// assert_eq!(p.parallel(&x, &q, &y, 1).len(), 3);
     /// ```
-    pub fn parallel(&self, x: &ChannelSet, other: &TraceSet, y: &ChannelSet) -> TraceSet {
+    pub fn parallel(
+        &self,
+        x: &ChannelSet,
+        other: &TraceSet,
+        y: &ChannelSet,
+        depth: usize,
+    ) -> TraceSet {
         let sync = x.intersection(y);
         // Explore the synchronised product of the two prefix trees on the
         // fly: a state is a composite trace s, whose component positions are
@@ -233,6 +246,9 @@ impl TraceSet {
         let mut queue = vec![(Trace::empty(), Trace::empty(), Trace::empty())];
         out.insert(Trace::empty());
         while let Some((s, pp, qq)) = queue.pop() {
+            if s.len() >= depth {
+                continue;
+            }
             let empty = Vec::new();
             let p_next = kids_p.get(&pp).unwrap_or(&empty);
             let q_next = kids_q.get(&qq).unwrap_or(&empty);
@@ -503,7 +519,7 @@ mod tests {
         let q = TraceSet::closure_of([tr(&[("w", 1), ("out", 1)])]);
         let x: ChannelSet = ["in", "w"].into_iter().collect();
         let y: ChannelSet = ["w", "out"].into_iter().collect();
-        let par = p.parallel(&x, &q, &y);
+        let par = p.parallel(&x, &q, &y, usize::MAX);
         // Maximal behaviour: in.1 then joint w.1 then out.1.
         assert!(par.contains(&tr(&[("in", 1), ("w", 1), ("out", 1)])));
         // w cannot happen before in (P must participate and P does in first).
@@ -518,7 +534,7 @@ mod tests {
         let p = TraceSet::closure_of([tr(&[("w", 1)])]);
         let q = TraceSet::closure_of([tr(&[("w", 2)])]);
         let x: ChannelSet = ["w"].into_iter().collect();
-        let par = p.parallel(&x, &q, &x);
+        let par = p.parallel(&x, &q, &x, usize::MAX);
         // Only the empty trace: the two ends disagree on the message.
         assert_eq!(par.len(), 1);
     }
@@ -529,7 +545,7 @@ mod tests {
         let q = TraceSet::closure_of([tr(&[("b", 2)])]);
         let x: ChannelSet = ["a"].into_iter().collect();
         let y: ChannelSet = ["b"].into_iter().collect();
-        let par = p.parallel(&x, &q, &y);
+        let par = p.parallel(&x, &q, &y, usize::MAX);
         // <>, <a.1>, <b.2>, <a.1 b.2>, <b.2 a.1>
         assert_eq!(par.len(), 5);
     }
@@ -541,7 +557,7 @@ mod tests {
         let q = TraceSet::closure_of([tr(&[("w", 1), ("out", 1)])]);
         let x: ChannelSet = ["in", "w"].into_iter().collect();
         let y: ChannelSet = ["w", "out"].into_iter().collect();
-        let par = p.parallel(&x, &q, &y);
+        let par = p.parallel(&x, &q, &y, usize::MAX);
         for s in par.iter() {
             assert!(p.contains(&s.project(&x)), "s↾X ∉ P for {s}");
             assert!(q.contains(&s.project(&y)), "s↾Y ∉ Q for {s}");
@@ -621,8 +637,10 @@ mod tests {
         let q_pad = q.pad(&events_on(&p, &x_minus_y), depth);
         let by_definition = p_pad.intersection(&q_pad);
 
-        let by_implementation = p.parallel(&x, &q, &y).up_to_depth(depth);
+        let by_implementation = p.parallel(&x, &q, &y, depth);
         assert_eq!(by_definition, by_implementation);
+        let truncated = p.parallel(&x, &q, &y, usize::MAX).up_to_depth(depth);
+        assert_eq!(truncated, by_implementation);
     }
 
     #[test]

@@ -33,6 +33,11 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
         .prop_map(|word| Trace::from_events(word.into_iter().map(|(c, v)| event(c, v))))
 }
 
+/// The reference set's traces of length at most `depth`.
+fn up_to(naive: &NaiveTraceSet, depth: usize) -> NaiveTraceSet {
+    NaiveTraceSet::closure_of(naive.iter().filter(|t| t.len() <= depth).cloned())
+}
+
 /// A strategy for a *pair* of equal sets in both representations,
 /// built by prefix-closing the same random generator traces.
 fn set_pair_strategy() -> impl Strategy<Value = (TraceSet, NaiveTraceSet)> {
@@ -100,24 +105,36 @@ proptest! {
     }
 
     #[test]
-    fn parallel_agrees(p in set_pair_strategy(), q in set_pair_strategy()) {
+    fn parallel_agrees(
+        p in set_pair_strategy(),
+        q in set_pair_strategy(),
+        bound in 0usize..8,
+    ) {
         let ((fa, na), (fb, nb)) = (p, q);
         // Overlapping alphabets: the processes synchronise on `b`.
         let x = channel_set(&["a", "b"]);
         let y = channel_set(&["b", "c"]);
-        let fast = fa.parallel(&x, &fb, &y);
+        let fast = fa.parallel(&x, &fb, &y, usize::MAX);
         let naive = na.parallel(&x, &nb, &y);
         prop_assert!(naive.agrees_with(&fast));
+        let cut = fa.parallel(&x, &fb, &y, bound);
+        prop_assert!(up_to(&naive, bound).agrees_with(&cut));
     }
 
     #[test]
-    fn parallel_disjoint_alphabets_agree(p in set_pair_strategy(), q in set_pair_strategy()) {
+    fn parallel_disjoint_alphabets_agree(
+        p in set_pair_strategy(),
+        q in set_pair_strategy(),
+        bound in 0usize..8,
+    ) {
         let ((fa, na), (fb, nb)) = (p, q);
         // Disjoint alphabets: free interleaving, the combinatorial
         // worst case for the merge.
         let x = channel_set(&["a"]);
         let y = channel_set(&["c"]);
-        prop_assert!(na.parallel(&x, &nb, &y).agrees_with(&fa.parallel(&x, &fb, &y)));
+        let naive = na.parallel(&x, &nb, &y);
+        prop_assert!(naive.agrees_with(&fa.parallel(&x, &fb, &y, usize::MAX)));
+        prop_assert!(up_to(&naive, bound).agrees_with(&fa.parallel(&x, &fb, &y, bound)));
     }
 
     #[test]
@@ -162,7 +179,7 @@ fn composed_pipeline_agrees() {
     let hidden = channel_set(&["b"]);
     let fast = fast_a
         .union(&fast_b)
-        .parallel(&x, &fast_b, &y)
+        .parallel(&x, &fast_b, &y, usize::MAX)
         .hide(&hidden);
     let naive = naive_a
         .union(&naive_b)

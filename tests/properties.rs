@@ -158,7 +158,7 @@ proptest! {
         // Restrict operands to their own alphabets first.
         let pa = TraceSet::closure_of(a.iter().map(|t| t.project(&x)));
         let pb = TraceSet::closure_of(b.iter().map(|t| t.project(&y)));
-        let par = pa.parallel(&x, &pb, &y);
+        let par = pa.parallel(&x, &pb, &y, usize::MAX);
         prop_assert!(par.is_prefix_closed());
         for s in par.iter() {
             prop_assert!(s.is_over(&x.union(&y)));
@@ -200,8 +200,10 @@ proptest! {
         let pa = TraceSet::closure_of(a.iter().map(|t| t.project(&x)));
         let pb = TraceSet::closure_of(b.iter().map(|t| t.project(&x)));
         let pq = TraceSet::closure_of(q.iter().map(|t| t.project(&y)));
-        let lhs = pa.union(&pb).parallel(&x, &pq, &y);
-        let rhs = pa.parallel(&x, &pq, &y).union(&pb.parallel(&x, &pq, &y));
+        let lhs = pa.union(&pb).parallel(&x, &pq, &y, usize::MAX);
+        let rhs = pa
+            .parallel(&x, &pq, &y, usize::MAX)
+            .union(&pb.parallel(&x, &pq, &y, usize::MAX));
         prop_assert_eq!(lhs, rhs);
     }
 
@@ -230,8 +232,13 @@ proptest! {
         let by_def = pa
             .pad(&events_on(&pb, &y.difference(&x)), depth)
             .intersection(&pb.pad(&events_on(&pa, &x.difference(&y)), depth));
-        let by_impl = pa.parallel(&x, &pb, &y).up_to_depth(depth);
-        prop_assert_eq!(by_def, by_impl);
+        let by_impl = pa.parallel(&x, &pb, &y, usize::MAX).up_to_depth(depth);
+        prop_assert_eq!(&by_def, &by_impl);
+        // The product cut at d holds exactly the definition's traces up
+        // to d.
+        for d in 0..=depth {
+            prop_assert_eq!(pa.parallel(&x, &pb, &y, d), by_def.up_to_depth(d));
+        }
     }
 }
 
@@ -283,7 +290,7 @@ proptest! {
         let sem = Semantics::new(&defs, &uni).with_hide_multiplier(17);
         let lts = Lts::new(&defs, &uni);
         let env = Env::new();
-        for depth in 0..=2 {
+        for depth in 0..=4 {
             let den = sem.denote(&p, &env, depth).expect("denote");
             let op = lts
                 .traces_budgeted(&Config::new(p.clone(), env.clone()), depth, 16)
