@@ -100,26 +100,24 @@ pub use csp_proof::{
     Judgement, Obligation, Proof, ProofError, SynthError,
 };
 pub use csp_runtime::{
-    check_conformance, check_conformance_with_engine, chrome_causal_trace, flatten, msc,
-    CausalError, CausalEvent, CausalEventKind, CausalLog, Component, ComponentFailure,
-    ComponentSel, ConformanceReport, Executor, FailureReason, Fault, FaultError, FaultPlan,
-    Monitor, MonitorReport, MonitorSpec, MonitorVerdict, MonitorViolation, Network, RestartPolicy,
-    RunError, RunOptions, RunOutcome, RunResult, Scheduler, Supervision, VectorClock,
-    ViolationKind,
+    check_conformance, chrome_causal_trace, flatten, msc, CausalError, CausalEvent,
+    CausalEventKind, CausalLog, Component, ComponentFailure, ComponentSel, ConformanceReport,
+    Executor, FailureReason, Fault, FaultError, FaultPlan, Monitor, MonitorReport, MonitorSpec,
+    MonitorVerdict, MonitorViolation, Network, RestartPolicy, RunError, RunOptions, RunOutcome,
+    RunResult, Scheduler, Supervision, VectorClock, ViolationKind,
 };
 pub use csp_semantics::{
-    compare, fixpoint, fixpoint_with, refines, CompiledLts, CompiledStep, Config, Discrepancy,
-    FixpointRun, Lts, Semantics, StateId, StateSet, Step, Universe,
+    compare, fixpoint, fixpoint_with, CompiledLts, CompiledStep, Config, Discrepancy, FixpointRun,
+    Lts, Semantics, StateId, StateSet, Step, Universe,
 };
 pub use csp_trace::{
     timeline, Channel, ChannelSet, Event, History, NaiveTraceSet, OpStats, Seq, Trace, TraceSet,
     Value,
 };
 pub use csp_verify::{
-    cross_validate_scripts, fault_conformance, find_deadlocks, find_deadlocks_compiled,
-    stop_choice_identity, validate_all_rules, CrossValidation, Deadlock, DeadlockReport,
-    DegradedRun, FaultConfError, FaultConformance, FaultSweep, InstanceGen, RuleReport, SatChecker,
-    SatResult,
+    cross_validate_scripts, fault_conformance, find_deadlocks, stop_choice_identity,
+    validate_all_rules, CrossValidation, Deadlock, DeadlockReport, DegradedRun, FaultConfError,
+    FaultConformance, FaultSweep, InstanceGen, RuleReport, SatChecker, SatResult,
 };
 
 /// Convenient glob-import surface: `use csp_core::prelude::*;`.

@@ -7,9 +7,10 @@
 //! [`SatOptions`], an invariant-source slice into
 //! [`ConformanceOptions`].
 //!
-//! Both bundles carry an [`Engine`] selector choosing the verification
-//! backend — the enumerative trace-set oracle, the compiled LTS, or
-//! (the default) a per-query automatic choice.
+//! [`SatOptions`] carries an [`Engine`] selector choosing the backend of
+//! the `sat` check — the enumerative trace walk, the compiled LTS, or
+//! (the default) a per-query automatic choice. Deadlock search,
+//! refinement and conformance have one backend each, the compiled LTS.
 
 pub use csp_semantics::Engine;
 
@@ -33,7 +34,9 @@ pub struct SatOptions {
     pub depth: usize,
     /// Hidden-communication budget as a multiple of the depth.
     pub internal_budget_factor: usize,
-    /// Which verification backend answers the query.
+    /// Which backend answers a `sat` check
+    /// ([`Workbench::check_sat`](crate::Workbench::check_sat)); refinement
+    /// ignores it.
     pub engine: Engine,
 }
 
@@ -67,7 +70,7 @@ impl SatOptions {
         self
     }
 
-    /// Selects the verification backend ([`Engine::Auto`] by default).
+    /// Selects the `sat` backend ([`Engine::Auto`] by default).
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
@@ -108,21 +111,12 @@ pub struct ConformanceOptions {
     /// Semantic replay depth; defaults to the recorded run's full length
     /// (minimum 8) when unset.
     pub replay_depth: Option<usize>,
-    /// Which verification backend replays the trace.
-    pub engine: Engine,
 }
 
 impl ConformanceOptions {
     /// No invariants, default replay depth.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the verification backend ([`Engine::Auto`] by default).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Adds one invariant (assertion syntax).
@@ -209,13 +203,6 @@ mod tests {
         assert_eq!(
             SatOptions::new().with_engine(Engine::Compiled).engine,
             Engine::Compiled
-        );
-        assert_eq!(ConformanceOptions::new().engine, Engine::Auto);
-        assert_eq!(
-            ConformanceOptions::new()
-                .with_engine(Engine::Enumerative)
-                .engine,
-            Engine::Enumerative
         );
     }
 

@@ -166,8 +166,7 @@ impl<'wb> Session<'wb> {
         self.wb.refines(implementation, specification, opts)
     }
 
-    /// Bounded deadlock search (see [`Workbench::deadlocks`]); the
-    /// engine in the options bundle selects the backend.
+    /// Bounded deadlock search (see [`Workbench::deadlocks`]).
     ///
     /// # Errors
     ///
@@ -175,9 +174,9 @@ impl<'wb> Session<'wb> {
     pub fn deadlocks(
         &self,
         name: &str,
-        opts: impl Into<SatOptions>,
+        depth: usize,
     ) -> Result<csp_verify::DeadlockReport, WorkbenchError> {
-        self.wb.deadlocks(name, opts)
+        self.wb.deadlocks(name, depth)
     }
 
     /// Runs the paper's fixpoint construction, recording per-iteration

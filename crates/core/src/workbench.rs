@@ -10,15 +10,13 @@ use csp_lang::{
 };
 use csp_obs::Collector;
 use csp_proof::{check_with, CheckReport, Context, Judgement, Proof, ProofError};
-use csp_runtime::{
-    check_conformance_with_engine, ConformanceReport, Executor, RunOptions, RunResult,
-};
-use csp_semantics::{fixpoint_with, CompiledLts, Engine, FixpointRun, Lts, Semantics, Universe};
+use csp_runtime::{check_conformance, ConformanceReport, Executor, RunOptions, RunResult};
+use csp_semantics::{fixpoint_with, CompiledLts, FixpointRun, Lts, Semantics, Universe};
 use csp_trace::{Channel, ChannelSet};
 use csp_trace::{TraceSet, Value};
 use csp_verify::{
-    fault_conformance, find_deadlocks, find_deadlocks_compiled, DeadlockReport, FaultConformance,
-    FaultSweep, SatChecker, SatResult,
+    fault_conformance, find_deadlocks, DeadlockReport, FaultConformance, FaultSweep, SatChecker,
+    SatResult,
 };
 
 use crate::options::{ConformanceOptions, SatOptions};
@@ -469,7 +467,7 @@ impl Workbench {
             .iter()
             .map(|s| self.assertion(s))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(check_conformance_with_engine(
+        Ok(check_conformance(
             &Process::call(name),
             &self.env,
             &self.defs,
@@ -477,7 +475,6 @@ impl Workbench {
             &result.visible,
             &invariants,
             opts.replay_depth.unwrap_or(result.full.len().max(8)),
-            opts.engine,
         )?)
     }
 
@@ -550,41 +547,30 @@ impl Workbench {
     }
 
     /// Bounded deadlock search over the operational semantics — the
-    /// analysis §4 says the trace model cannot express. Accepts a bare
-    /// depth or a [`SatOptions`] bundle (whose `engine` selects the
-    /// backend; both produce the same report).
+    /// analysis §4 says the trace model cannot express — up to `depth`
+    /// visible events.
     ///
     /// # Errors
     ///
     /// Fails on undefined names or evaluation errors.
-    pub fn deadlocks(
-        &self,
-        name: &str,
-        opts: impl Into<SatOptions>,
-    ) -> Result<DeadlockReport, WorkbenchError> {
-        let opts = opts.into();
-        let process = Process::call(name);
-        let report = match opts.engine.resolve(&self.defs, &process) {
-            Engine::Compiled => find_deadlocks_compiled(
-                &self.defs,
-                &self.universe,
-                &process,
-                &self.env,
-                opts.depth,
-            )?,
-            _ => find_deadlocks(&self.defs, &self.universe, &process, &self.env, opts.depth)?,
-        };
-        Ok(report)
+    pub fn deadlocks(&self, name: &str, depth: usize) -> Result<DeadlockReport, WorkbenchError> {
+        Ok(find_deadlocks(
+            &self.defs,
+            &self.universe,
+            &Process::call(name),
+            &self.env,
+            depth,
+        )?)
     }
 
     /// Bounded trace refinement: every behaviour of `implementation` is
     /// a behaviour of `specification`, up to the exploration depth
-    /// (a bare depth or a [`SatOptions`] bundle). Returns the first
-    /// counterexample trace on failure.
+    /// (a bare depth or a [`SatOptions`] bundle, whose `engine` does not
+    /// apply). Returns the first counterexample trace on failure.
     ///
-    /// With the compiled engine the check runs as a subset construction
-    /// over the interned transition graph — nothing is materialised; the
-    /// enumerative engine compares the explicit trace sets.
+    /// The check runs as a subset construction over the interned
+    /// transition graph of a [`CompiledLts`]; no trace set is
+    /// materialised.
     ///
     /// # Errors
     ///
@@ -596,34 +582,10 @@ impl Workbench {
         opts: impl Into<SatOptions>,
     ) -> Result<Result<(), csp_trace::Trace>, WorkbenchError> {
         let opts = opts.into();
-        let depth = opts.depth;
-        let impl_p = Process::call(implementation);
-        let spec_p = Process::call(specification);
-        // Either side being a network is enough to prefer the compiled
-        // walk: the product construction pays off on whichever side has
-        // confluent interleavings.
-        let engine = match opts.engine {
-            Engine::Auto => {
-                if opts.engine.resolve(&self.defs, &impl_p) == Engine::Compiled
-                    || opts.engine.resolve(&self.defs, &spec_p) == Engine::Compiled
-                {
-                    Engine::Compiled
-                } else {
-                    Engine::Enumerative
-                }
-            }
-            e => e,
-        };
-        if engine == Engine::Compiled {
-            let mut lts = CompiledLts::new(&self.defs, &self.universe);
-            let i = lts.start(implementation, &self.env);
-            let s = lts.start(specification, &self.env);
-            return Ok(lts.refines(i, s, depth, depth * opts.internal_budget_factor)?);
-        }
-        let lts = csp_semantics::Lts::new(&self.defs, &self.universe);
-        let impl_ts = lts.traces(&lts.initial(implementation, &self.env), depth)?;
-        let spec_ts = lts.traces(&lts.initial(specification, &self.env), depth)?;
-        Ok(csp_semantics::refines(&impl_ts, &spec_ts))
+        let mut lts = CompiledLts::new(&self.defs, &self.universe);
+        let i = lts.start(implementation, &self.env);
+        let s = lts.start(specification, &self.env);
+        Ok(lts.refines(i, s, opts.depth, opts.depth * opts.internal_budget_factor)?)
     }
 
     /// Runs the paper's fixpoint construction (§3.3) over all current
@@ -685,6 +647,7 @@ fn collect_chanrefs(p: &Process, f: &mut impl FnMut(&ChanRef)) {
 mod tests {
     use super::*;
     use csp_runtime::Scheduler;
+    use csp_semantics::Engine;
 
     fn pipeline_wb() -> Workbench {
         let mut wb = Workbench::new().with_universe(Universe::new(1));
@@ -934,36 +897,6 @@ mod tests {
         assert_eq!(v.engine(), Engine::Compiled);
         let v = wb.check_sat("copier", "wire <= input", 3).unwrap();
         assert_eq!(v.engine(), Engine::Enumerative);
-        // Deadlock search: identical reports from both backends.
-        let a = wb
-            .deadlocks(
-                "pipeline",
-                SatOptions::from(3).with_engine(Engine::Enumerative),
-            )
-            .unwrap();
-        let b = wb
-            .deadlocks(
-                "pipeline",
-                SatOptions::from(3).with_engine(Engine::Compiled),
-            )
-            .unwrap();
-        assert_eq!(a.states_explored, b.states_explored);
-        assert_eq!(a.deadlocks.len(), b.deadlocks.len());
-    }
-
-    #[test]
-    fn compiled_refinement_through_workbench() {
-        let mut wb = Workbench::new().with_universe(Universe::new(1));
-        wb.define_source(
-            "spec = a?x:NAT -> spec | b!0 -> spec
-             impl = a?x:NAT -> impl
-             bad = c!9 -> bad",
-        )
-        .unwrap();
-        let opts = SatOptions::from(3).with_engine(Engine::Compiled);
-        assert!(wb.refines("impl", "spec", opts.clone()).unwrap().is_ok());
-        let cex = wb.refines("bad", "spec", opts).unwrap().unwrap_err();
-        assert_eq!(cex.len(), 1);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 
 use csp_assert::{Assertion, EvalCtx, FuncTable};
 use csp_lang::{Definitions, Env, EvalError, Process};
-use csp_semantics::{CompiledLts, CompiledStep, Config, Engine, Lts, StateId, Step, Universe};
+use csp_semantics::Universe;
 use csp_trace::{History, Trace};
+
+use crate::monitor::{Monitor, MonitorSpec};
 
 /// The verdict of a conformance check.
 #[derive(Debug, Clone)]
@@ -33,9 +35,11 @@ impl ConformanceReport {
 /// Replays a recorded *visible* trace against the operational semantics
 /// of `process` and checks the given invariants at every prefix.
 ///
-/// The replay tracks the set of configurations the network could be in
-/// (hidden communications may interleave anywhere, so each visible event
-/// is matched after up to `internal_budget` concealed steps).
+/// The replay is a membership-only [`Monitor`] fed the finished trace,
+/// so a finished run and a live run are judged by the same frontier
+/// step: each visible event is matched after up to `internal_budget`
+/// concealed steps, because hidden communications may interleave
+/// anywhere.
 ///
 /// # Errors
 ///
@@ -49,47 +53,20 @@ pub fn check_conformance(
     invariants: &[Assertion],
     internal_budget: usize,
 ) -> Result<ConformanceReport, EvalError> {
-    check_conformance_with_engine(
-        process,
-        env,
-        defs,
-        universe,
-        visible,
-        invariants,
-        internal_budget,
-        Engine::Auto,
-    )
-}
-
-/// [`check_conformance`] with an explicit backend choice. The engines
-/// track identical frontiers (the compiled one holds interned state ids
-/// instead of configurations), so the reports are the same; the compiled
-/// replay pays the stepping cost once per distinct network state rather
-/// than once per frontier occurrence.
-///
-/// # Errors
-///
-/// Propagates evaluation failures from the semantics or the assertions.
-#[allow(clippy::too_many_arguments)]
-pub fn check_conformance_with_engine(
-    process: &Process,
-    env: &Env,
-    defs: &Definitions,
-    universe: &Universe,
-    visible: &Trace,
-    invariants: &[Assertion],
-    internal_budget: usize,
-    engine: Engine,
-) -> Result<ConformanceReport, EvalError> {
-    let diverged_at = match engine.resolve(defs, process) {
-        Engine::Compiled => {
-            replay_compiled(process, env, defs, universe, visible, internal_budget)?
+    let spec = MonitorSpec::new().with_internal_budget(internal_budget);
+    let mut monitor = Monitor::new(process, env, defs, universe, spec);
+    let mut diverged_at = None;
+    for (i, event) in visible.iter().enumerate() {
+        if !monitor.advance(event)? {
+            diverged_at = Some(i);
+            break;
         }
-        _ => replay_enumerative(process, env, defs, universe, visible, internal_budget)?,
-    };
+    }
 
     // Invariants at every prefix (including the complete trace and <>),
-    // on one `ch(s)` that grows by the next event per prefix.
+    // on one `ch(s)` that grows by the next event per prefix. Each
+    // invariant reports its first violation whether or not the trace was
+    // admitted, which a latching monitor cannot.
     let funcs = FuncTable::with_builtins();
     let mut inv_results = Vec::with_capacity(invariants.len());
     for inv in invariants {
@@ -120,114 +97,6 @@ pub fn check_conformance_with_engine(
         diverged_at,
         invariants: inv_results,
     })
-}
-
-/// The enumerative replay: tracks a frontier of configurations.
-fn replay_enumerative(
-    process: &Process,
-    env: &Env,
-    defs: &Definitions,
-    universe: &Universe,
-    visible: &Trace,
-    internal_budget: usize,
-) -> Result<Option<usize>, EvalError> {
-    let lts = Lts::new(defs, universe);
-    let mut frontier = vec![Config::new(process.clone(), env.clone())];
-    for (i, event) in visible.iter().enumerate() {
-        let mut next = Vec::new();
-        for cfg in &frontier {
-            collect_after(&lts, cfg, event, internal_budget, &mut next)?;
-        }
-        next.sort();
-        next.dedup();
-        if next.is_empty() {
-            return Ok(Some(i));
-        }
-        frontier = next;
-    }
-    Ok(None)
-}
-
-/// The compiled replay: the same frontier tracking over interned state
-/// ids, with successor rows memoised across the whole replay.
-fn replay_compiled(
-    process: &Process,
-    env: &Env,
-    defs: &Definitions,
-    universe: &Universe,
-    visible: &Trace,
-    internal_budget: usize,
-) -> Result<Option<usize>, EvalError> {
-    let mut lts = CompiledLts::new(defs, universe);
-    let start = lts.intern(Config::new(process.clone(), env.clone()));
-    let mut frontier = vec![start];
-    for (i, event) in visible.iter().enumerate() {
-        let mut next = Vec::new();
-        for &id in &frontier {
-            collect_after_compiled(&mut lts, id, event, internal_budget, &mut next)?;
-        }
-        next.sort();
-        next.dedup();
-        if next.is_empty() {
-            return Ok(Some(i));
-        }
-        frontier = next;
-    }
-    Ok(None)
-}
-
-/// Collects every configuration reachable from `cfg` by at most `budget`
-/// internal steps followed by the visible `event`.
-fn collect_after(
-    lts: &Lts<'_>,
-    cfg: &Config,
-    event: &csp_trace::Event,
-    budget: usize,
-    out: &mut Vec<Config>,
-) -> Result<(), EvalError> {
-    for step in lts.steps(cfg)? {
-        match step {
-            Step::Visible(e, next) => {
-                if &e == event {
-                    out.push(next);
-                }
-            }
-            Step::Internal(next) => {
-                if budget > 0 {
-                    collect_after(lts, &next, event, budget - 1, out)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`collect_after`] over compiled rows. Also the stepping primitive of
-/// the online [`crate::Monitor`], which tracks the same frontier one
-/// event at a time while the run executes.
-pub(crate) fn collect_after_compiled(
-    lts: &mut CompiledLts<'_>,
-    id: StateId,
-    event: &csp_trace::Event,
-    budget: usize,
-    out: &mut Vec<StateId>,
-) -> Result<(), EvalError> {
-    let n = lts.steps_of(id)?.len();
-    for k in 0..n {
-        match lts.steps_of(id)?[k].clone() {
-            CompiledStep::Visible(e, next) => {
-                if &e == event {
-                    out.push(next);
-                }
-            }
-            CompiledStep::Internal(next) => {
-                if budget > 0 {
-                    collect_after_compiled(lts, next, event, budget - 1, out)?;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -323,47 +192,6 @@ mod tests {
         .unwrap();
         assert!(!report.trace_admitted);
         assert_eq!(report.diverged_at, Some(0));
-    }
-
-    #[test]
-    fn engines_agree_on_replay() {
-        let defs = examples::pipeline();
-        let uni = Universe::new(1);
-        let exec = Executor::new(&defs, &uni);
-        let res = exec
-            .run_name(
-                "pipeline",
-                &Env::new(),
-                RunOptions {
-                    max_steps: 24,
-                    scheduler: Scheduler::seeded(5),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        let bogus = Trace::parse_like([("output", Value::nat(1))]);
-        for trace in [&res.visible, &bogus] {
-            let mut reports = Vec::new();
-            for engine in [Engine::Enumerative, Engine::Compiled, Engine::Auto] {
-                reports.push(
-                    check_conformance_with_engine(
-                        &Process::call("pipeline"),
-                        &Env::new(),
-                        &defs,
-                        &uni,
-                        trace,
-                        &[],
-                        8,
-                        engine,
-                    )
-                    .unwrap(),
-                );
-            }
-            for r in &reports[1..] {
-                assert_eq!(r.trace_admitted, reports[0].trace_admitted);
-                assert_eq!(r.diverged_at, reports[0].diverged_at);
-            }
-        }
     }
 
     #[test]

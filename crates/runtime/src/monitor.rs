@@ -1,12 +1,12 @@
 //! The online run monitor: runtime verification of an executing network
 //! against its own semantics and `sat`-style assertions.
 //!
-//! Where [`crate::check_conformance`] replays a *finished* trace, the
-//! monitor is fed each visible event as the coordinator commits it. It
-//! tracks the same frontier the compiled conformance replay would — a
-//! set of [`StateId`]s in a [`CompiledLts`], advanced by one visible
-//! event (plus up to a budget of concealed steps) per observation — so
-//! trace-membership is decided incrementally, and every observed prefix
+//! The monitor is fed each visible event as the coordinator commits it.
+//! It tracks a frontier — a set of [`StateId`]s in a [`CompiledLts`],
+//! advanced by one visible event (plus up to a budget of concealed
+//! steps) per observation — so trace-membership is decided
+//! incrementally. [`crate::check_conformance`] replays a *finished*
+//! trace through the same frontier step. Every observed prefix
 //! is checked against the monitored assertions the way `P sat R`
 //! quantifies over prefixes (§2.2). The first event the semantics cannot
 //! match, or the first prefix falsifying an assertion, latches a
@@ -14,11 +14,9 @@
 //! the observed system) but the verdict is final.
 
 use csp_assert::{Assertion, EvalCtx, FuncTable};
-use csp_lang::{Definitions, Env, Process};
-use csp_semantics::{CompiledLts, Config, StateId, Universe};
+use csp_lang::{Definitions, Env, EvalError, Process};
+use csp_semantics::{CompiledLts, CompiledStep, Config, StateId, Universe};
 use csp_trace::{Event, History};
-
-use crate::conformance::collect_after_compiled;
 
 /// What an online monitor should check, carried in
 /// [`crate::RunOptions::monitor`].
@@ -220,33 +218,23 @@ impl<'a> Monitor<'a> {
         }
         let visible_index = self.visible;
         self.events_checked += 1;
-
-        // One frontier step: up to `budget` concealed moves, then the
-        // observed event. Empty next-frontier = the spec admits no such
-        // continuation.
-        let mut next = Vec::new();
-        for i in 0..self.frontier.len() {
-            let id = self.frontier[i];
-            if let Err(e) =
-                collect_after_compiled(&mut self.lts, id, &event, self.budget, &mut next)
-            {
+        match self.advance(&event) {
+            Ok(true) => {}
+            Ok(false) => {
+                self.violation = Some(MonitorViolation {
+                    step,
+                    visible_index,
+                    event,
+                    kind: ViolationKind::NotInTraces,
+                    causal_history: Vec::new(),
+                });
+                return false;
+            }
+            Err(e) => {
                 self.error = Some(e.to_string());
                 return false;
             }
         }
-        next.sort();
-        next.dedup();
-        if next.is_empty() {
-            self.violation = Some(MonitorViolation {
-                step,
-                visible_index,
-                event,
-                kind: ViolationKind::NotInTraces,
-                causal_history: Vec::new(),
-            });
-            return false;
-        }
-        self.frontier = next;
         self.visible += 1;
         self.history
             .push(event.channel().clone(), event.value().clone());
@@ -283,6 +271,23 @@ impl<'a> Monitor<'a> {
         true
     }
 
+    /// One frontier step: up to the budget of concealed moves, then
+    /// `event`. Returns `false`, leaving the frontier as it was, when the
+    /// spec admits no such continuation.
+    pub(crate) fn advance(&mut self, event: &Event) -> Result<bool, EvalError> {
+        let mut next = Vec::new();
+        for &id in &self.frontier {
+            collect_after_compiled(&mut self.lts, id, event, self.budget, &mut next)?;
+        }
+        next.sort();
+        next.dedup();
+        if next.is_empty() {
+            return Ok(false);
+        }
+        self.frontier = next;
+        Ok(true)
+    }
+
     /// The verdict over everything observed so far.
     pub fn report(&self) -> MonitorReport {
         let verdict = if self.error.is_some() {
@@ -312,6 +317,33 @@ impl<'a> Monitor<'a> {
     pub fn violation_step(&self) -> Option<usize> {
         self.violation.as_ref().map(|v| v.step)
     }
+}
+
+/// Collects every state reachable from `id` by at most `budget`
+/// internal steps followed by the visible `event`.
+fn collect_after_compiled(
+    lts: &mut CompiledLts<'_>,
+    id: StateId,
+    event: &Event,
+    budget: usize,
+    out: &mut Vec<StateId>,
+) -> Result<(), EvalError> {
+    let n = lts.steps_of(id)?.len();
+    for k in 0..n {
+        match lts.steps_of(id)?[k].clone() {
+            CompiledStep::Visible(e, next) => {
+                if &e == event {
+                    out.push(next);
+                }
+            }
+            CompiledStep::Internal(next) => {
+                if budget > 0 {
+                    collect_after_compiled(lts, next, event, budget - 1, out)?;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -382,6 +414,44 @@ mod tests {
         match r.violation.unwrap().kind {
             ViolationKind::AssertionFailed(text) => assert!(text.contains("#input")),
             other => panic!("expected AssertionFailed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_frontier_keeps_every_state_an_event_can_reach() {
+        // After `a.0` the spec is in one of two states, and only the
+        // next event tells them apart.
+        let defs =
+            csp_lang::parse_definitions("p = a!0 -> b!0 -> STOP | a!0 -> c!0 -> STOP").unwrap();
+        let uni = Universe::new(1);
+        let event = |c: &str| Event::new(Channel::simple(c), Value::nat(0));
+        for last in ["b", "c"] {
+            let trace = csp_trace::Trace::from_events(vec![event("a"), event(last)]);
+            let report = crate::check_conformance(
+                &Process::call("p"),
+                &Env::new(),
+                &defs,
+                &uni,
+                &trace,
+                &[],
+                0,
+            )
+            .unwrap();
+            assert!(report.trace_admitted, "<a.0, {last}.0>: {report:?}");
+
+            let mut m = Monitor::new(
+                &Process::call("p"),
+                &Env::new(),
+                &defs,
+                &uni,
+                MonitorSpec::new(),
+            );
+            assert!(m.observe(event("a"), 0));
+            assert!(
+                m.observe(event(last), 1),
+                "<a.0, {last}.0>: {:?}",
+                m.report()
+            );
         }
     }
 }

@@ -41,8 +41,9 @@
 //! validated against `NaiveTraceSet` — identical budgets, identical
 //! exploration order, byte-identical trace sets (see the tests here and
 //! the property harness in `tests/properties.rs`). The skeleton walk is
-//! code of its own, so that check is independent. [`Engine`] is the
-//! selector the higher layers thread through their option bundles.
+//! code of its own, so that check is independent. [`Engine`] selects
+//! between the trace walk and this arena for the `sat` check; deadlock
+//! search, refinement and conformance run on the arena alone.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -56,7 +57,7 @@ use crate::denote::resolve_chanrefs;
 use crate::lts::channelset_to_refs;
 use crate::{Config, Lts, Step, Universe};
 
-/// Which verification backend answers a query.
+/// Which backend answers a `sat` check.
 ///
 /// The selector is `#[non_exhaustive]`: future backends (e.g. a failures
 /// model) can be added without breaking callers. Parse/display round-trip

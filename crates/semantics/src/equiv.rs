@@ -1,5 +1,4 @@
-//! Trace-set comparison: equality and refinement with discrepancy
-//! reports.
+//! Trace-set comparison: equality with discrepancy reports.
 //!
 //! Used for the paper's §4 identity `STOP | P = P`, for the
 //! operational/denotational agreement theorem, and by the model checker's
@@ -79,17 +78,6 @@ pub fn compare(left: &TraceSet, right: &TraceSet) -> Option<Discrepancy> {
     }
 }
 
-/// Trace refinement: every behaviour of `impl_set` is a behaviour of
-/// `spec_set`. Returns the first witness to the contrary, if any.
-pub fn refines(impl_set: &TraceSet, spec_set: &TraceSet) -> Result<(), Trace> {
-    for t in impl_set.iter() {
-        if !spec_set.contains(t) {
-            return Err(t.clone());
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,16 +104,5 @@ mod tests {
         let shown = d.to_string();
         assert!(shown.contains("only in left"));
         assert!(shown.contains("only in right"));
-    }
-
-    #[test]
-    fn refinement_finds_witness() {
-        let spec = TraceSet::closure_of([tr(&[("a", 1), ("b", 2)])]);
-        let good = TraceSet::closure_of([tr(&[("a", 1)])]);
-        let bad = TraceSet::closure_of([tr(&[("c", 3)])]);
-        assert!(refines(&good, &spec).is_ok());
-        assert_eq!(refines(&bad, &spec), Err(tr(&[("c", 3)])));
-        // Refinement is reflexive.
-        assert!(refines(&spec, &spec).is_ok());
     }
 }

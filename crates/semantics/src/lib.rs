@@ -13,14 +13,14 @@
 //!   traces provably (by test) agree with the denotational model, and it
 //!   composes networks on the fly, which is what the larger experiments
 //!   use.
-//! * [`compare`]/[`refines`] — trace-set equality and refinement with
-//!   counterexample reporting (e.g. the §4 identity `STOP | P = P`).
+//! * [`compare`] — trace-set equality with discrepancy reporting (e.g.
+//!   the §4 identity `STOP | P = P`).
 //! * [`CompiledLts`] — the compiled backend: the same transition relation
 //!   with configurations interned into a [`StateId`] arena and successor
 //!   rows memoised, so reachability-style checks (deadlock, refinement)
 //!   run over [`StateSet`] bitsets instead of re-stepping terms.
-//!   [`Engine`] selects between the backends and is re-exported by
-//!   `csp-core` as the option-level selector.
+//!   [`Engine`] selects the backend of the `sat` check and is
+//!   re-exported by `csp-core` as the option-level selector.
 //!
 //! ```
 //! use csp_lang::{examples, Env};
@@ -49,7 +49,7 @@ pub mod fixpoint;
 
 pub use compiled::{CompiledLts, CompiledStep, Engine, StateId, StateSet};
 pub use denote::Semantics;
-pub use equiv::{compare, refines, Discrepancy};
+pub use equiv::{compare, Discrepancy};
 pub use fixpoint::{fixpoint, fixpoint_with, Approximation, FixpointRun, ProcKey};
 pub use lts::{Config, Lts, Step};
 pub use universe::Universe;

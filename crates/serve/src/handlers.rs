@@ -231,7 +231,7 @@ fn lint(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
         "{{\"module\":{},\"definitions\":{},\"errors\":{},\"diagnostics\":{}}}",
         json_string(&p.module),
         stats.definitions,
-        parse_errors_json(db.parse_errors()),
+        render_parse_errors(db.parse_errors()),
         render_json(&db.diagnostics()),
     );
     state.put_lint_db(db_key, db);
@@ -382,7 +382,46 @@ fn run(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
         }
     };
     state.pool().checkin(pooled);
-    let failures: Vec<String> = result
+    let data = format!(
+        "{{\"process\":{},\"steps\":{},\"outcome\":{},\"clean\":{},\
+         \"visible\":{},\"failures\":{},\"supervision\":{},\"monitor\":{}}}",
+        json_string(process),
+        result.steps,
+        json_string(&result.outcome.to_string()),
+        result.outcome.is_clean(),
+        json_string(&result.visible.to_string()),
+        render_failures(&result),
+        render_supervision(&result),
+        render_monitor(&result),
+    );
+    Ok(envelope("serve.run", &data))
+}
+
+/// Recovered parse errors as a JSON array, span fields flattened exactly
+/// like [`csp_core::Diagnostic::to_json`] renders lint spans.
+pub fn render_parse_errors(errors: &[ParseError]) -> String {
+    let items: Vec<String> = errors
+        .iter()
+        .map(|e| {
+            let sp = e.span();
+            format!(
+                "{{\"message\":{},\"line\":{},\"column\":{},\"offset\":{},\"len\":{}}}",
+                json_string(e.message()),
+                sp.line,
+                sp.column,
+                sp.offset,
+                sp.len
+            )
+        })
+        .collect();
+    format!("[{}]", items.join(","))
+}
+
+/// The component failures of a finished run as a JSON array, one
+/// object per death: its label, reason, step and whether a restart
+/// recovered it.
+pub fn render_failures(result: &csp_core::RunResult) -> String {
+    let items: Vec<String> = result
         .failures
         .iter()
         .map(|f| {
@@ -395,19 +434,7 @@ fn run(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
             )
         })
         .collect();
-    let data = format!(
-        "{{\"process\":{},\"steps\":{},\"outcome\":{},\"clean\":{},\
-         \"visible\":{},\"failures\":[{}],\"supervision\":{},\"monitor\":{}}}",
-        json_string(process),
-        result.steps,
-        json_string(&result.outcome.to_string()),
-        result.outcome.is_clean(),
-        json_string(&result.visible.to_string()),
-        failures.join(","),
-        render_supervision(&result),
-        render_monitor(&result),
-    );
-    Ok(envelope("serve.run", &data))
+    format!("[{}]", items.join(","))
 }
 
 /// The machine-readable supervision summary of a finished run: how many
@@ -533,26 +560,6 @@ fn profile(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
         fix.iterates.len(),
     );
     Ok(envelope("serve.profile", &data))
-}
-
-/// Recovered parse errors as JSON, span fields flattened exactly like
-/// the CLI's lint output.
-fn parse_errors_json(errors: &[ParseError]) -> String {
-    let items: Vec<String> = errors
-        .iter()
-        .map(|e| {
-            let sp = e.span();
-            format!(
-                "{{\"message\":{},\"line\":{},\"column\":{},\"offset\":{},\"len\":{}}}",
-                json_string(e.message()),
-                sp.line,
-                sp.column,
-                sp.offset,
-                sp.len
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
 }
 
 /// One request's decoded parameters — the same knobs the CLI exposes as

@@ -52,7 +52,7 @@ mod handlers;
 pub mod http;
 
 pub use client::{Client, ClientResponse};
-pub use handlers::{render_monitor, render_supervision};
+pub use handlers::{render_failures, render_monitor, render_parse_errors, render_supervision};
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -18,7 +18,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use csp_lang::{Definitions, Env, EvalError, Process};
-use csp_semantics::{CompiledLts, CompiledStep, Config, Lts, StateSet, Step, Universe};
+use csp_semantics::{CompiledLts, CompiledStep, Config, StateSet, Universe};
 use csp_trace::Trace;
 
 /// A reachable dead configuration.
@@ -58,71 +58,14 @@ impl DeadlockReport {
 /// visible events (with an internal-step budget of `3 × depth` along any
 /// path, matching the semantics' hide handling).
 ///
+/// The search is breadth-first over a [`CompiledLts`] arena, so
+/// witnesses come shortest first; the seen set is a [`StateSet`] bitset
+/// and every re-visit is a row lookup instead of a re-step.
+///
 /// # Errors
 ///
 /// Propagates evaluation failures from the transition relation.
 pub fn find_deadlocks(
-    defs: &Definitions,
-    universe: &Universe,
-    process: &Process,
-    env: &Env,
-    depth: usize,
-) -> Result<DeadlockReport, EvalError> {
-    let lts = Lts::new(defs, universe);
-    let mut report = DeadlockReport::default();
-    let mut seen: BTreeSet<Config> = BTreeSet::new();
-    let mut dead_seen: BTreeSet<String> = BTreeSet::new();
-    // Breadth-first so witnesses are shortest-first.
-    let start = Config::new(process.clone(), env.clone());
-    seen.insert(start.clone());
-    let mut frontier = VecDeque::from([(start, Trace::empty(), 0usize)]);
-
-    while let Some((config, trace, internal_used)) = frontier.pop_front() {
-        report.states_explored += 1;
-        let steps = lts.steps(&config)?;
-        if steps.is_empty() {
-            let state = config.process().to_string();
-            if dead_seen.insert(state.clone()) {
-                report.deadlocks.push(Deadlock {
-                    trace: trace.clone(),
-                    terminated: all_stop(config.process()),
-                    state,
-                });
-            }
-            continue;
-        }
-        for step in steps {
-            match step {
-                Step::Visible(e, next) => {
-                    if trace.len() < depth && seen.insert(next.clone()) {
-                        frontier.push_back((next, trace.snoc(e), internal_used));
-                    }
-                }
-                Step::Internal(next) => {
-                    if internal_used < depth * 3 && seen.insert(next.clone()) {
-                        frontier.push_back((next, trace.clone(), internal_used + 1));
-                    }
-                }
-            }
-        }
-    }
-    // Completeness: we only cut exploration at the depth bound; within
-    // the bound every configuration was expanded.
-    report.complete = true;
-    Ok(report)
-}
-
-/// The compiled-backend mirror of [`find_deadlocks`]: the identical
-/// breadth-first search run over a [`CompiledLts`] arena, with the seen
-/// set a [`StateSet`] bitset instead of an ordered configuration set and
-/// every re-visit a row lookup instead of a re-step. Produces the same
-/// report (same witnesses, same order, same `states_explored`) — the
-/// equivalence is asserted by the property harness in `tests/`.
-///
-/// # Errors
-///
-/// Propagates evaluation failures from the transition relation.
-pub fn find_deadlocks_compiled(
     defs: &Definitions,
     universe: &Universe,
     process: &Process,
@@ -166,6 +109,8 @@ pub fn find_deadlocks_compiled(
             }
         }
     }
+    // Completeness: we only cut exploration at the depth bound; within
+    // the bound every configuration was expanded.
     report.complete = true;
     Ok(report)
 }
@@ -250,40 +195,6 @@ mod tests {
         let hidden = parse_process("chan a; lp").unwrap();
         let report = find_deadlocks(&defs, &uni, &hidden, &Env::new(), 2).unwrap();
         assert!(report.deadlocks.is_empty());
-    }
-
-    #[test]
-    fn compiled_search_matches_enumerative_reports() {
-        let fixtures: Vec<(Definitions, &str)> = vec![
-            (examples::pipeline(), "pipeline"),
-            (
-                parse_definitions(
-                    "left = w!1 -> w!2 -> STOP
-                     right = w?x:{1} -> w?y:{9} -> STOP
-                     net = left || right",
-                )
-                .unwrap(),
-                "net",
-            ),
-            (
-                parse_definitions("once = a!1 -> b!2 -> STOP").unwrap(),
-                "once",
-            ),
-        ];
-        for (defs, name) in &fixtures {
-            let uni = Universe::new(9);
-            let p = Process::call(name);
-            let a = find_deadlocks(defs, &uni, &p, &Env::new(), 4).unwrap();
-            let b = find_deadlocks_compiled(defs, &uni, &p, &Env::new(), 4).unwrap();
-            assert_eq!(a.states_explored, b.states_explored, "{name}");
-            assert_eq!(a.complete, b.complete);
-            assert_eq!(a.deadlocks.len(), b.deadlocks.len(), "{name}");
-            for (x, y) in a.deadlocks.iter().zip(&b.deadlocks) {
-                assert_eq!(x.trace, y.trace, "{name}");
-                assert_eq!(x.state, y.state, "{name}");
-                assert_eq!(x.terminated, y.terminated, "{name}");
-            }
-        }
     }
 
     #[test]

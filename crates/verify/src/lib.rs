@@ -39,7 +39,7 @@ mod satcheck;
 mod soundness;
 
 pub use crossval::{cross_validate_scripts, stop_choice_identity, CrossValidation};
-pub use deadlock::{find_deadlocks, find_deadlocks_compiled, Deadlock, DeadlockReport};
+pub use deadlock::{find_deadlocks, Deadlock, DeadlockReport};
 pub use faultconf::{fault_conformance, DegradedRun, FaultConfError, FaultConformance, FaultSweep};
 pub use gen::InstanceGen;
 pub use satcheck::{SatChecker, SatResult};

@@ -19,14 +19,16 @@
 //! csp lsp
 //! ```
 //!
-//! Verification commands (`check`, `prove`, `deadlock`) accept
-//! `--engine enumerative|compiled|auto` to pick the backend: the
-//! enumerative engine re-derives traces from the operational semantics
-//! on every visit, while the compiled engine interns reachable states
-//! into an explicit LTS and answers by bitset reachability. `auto` (the
-//! default) selects compiled for networks (`||` / `chan … ;` hiding) and
-//! enumerative for sequential processes. Verdicts agree; the resolved
-//! engine is reported in `--json` envelopes as `"engine"`.
+//! `check`, `prove` and `profile` accept
+//! `--engine enumerative|compiled|auto` to pick the backend of the `sat`
+//! check: the enumerative engine re-derives traces from the operational
+//! semantics on every visit, while the compiled engine interns reachable
+//! states into an explicit LTS. `auto` (the default) selects compiled for
+//! networks (`||` / `chan … ;` hiding) and enumerative for sequential
+//! processes. Verdicts agree; the resolved engine is reported in `--json`
+//! envelopes as `"engine"`. Every command parses the flag; `deadlock`
+//! ignores it, because deadlock search has one backend, the compiled
+//! LTS.
 //!
 //! Common options: `--nat-bound K` (finite carrier for NAT, default 2),
 //! `--set M=v1,v2,…` (interpret a named abstract set), `--bind v=1,2,3`
@@ -81,7 +83,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-use csp::obs::{parse_json, JsonValue, MetricsSnapshot};
+use csp::obs::{json_string, parse_json, JsonValue, MetricsSnapshot};
 use csp::prelude::*;
 use csp::{
     max_severity, render_json, render_report, timeline, Diagnostic, ParseError, Session, Severity,
@@ -148,7 +150,6 @@ const USAGE: &str = "usage:
                 [--watch[=MS]] [--monitor[=ASSERT]] [--msc-out F]
                 [--causal-out F] [--json]
   csp deadlock  <file.csp> --process NAME [--depth N]
-                [--engine enumerative|compiled|auto]
   csp profile   <file.csp> [--depth N] [--folded-out PATH]
                 [--process NAME --assert EXPR] [--diff OLD.json]
   csp bench     report [--history PATH] [--engine E]
@@ -160,10 +161,10 @@ options:
                        envelope {\"schema\":\"csp/v1\",\"command\":…,\"data\":…}
                        (lint/check/prove/run/profile)
   --deny warnings      treat lint warnings as errors (exit 1)
-  --engine E           verification backend for check/prove/deadlock:
+  --engine E           `sat` backend for check/prove/profile:
                        enumerative (trace re-derivation), compiled
-                       (interned-state LTS + bitset reachability), or
-                       auto (compiled for networks; the default)
+                       (interned-state LTS), or auto (compiled for
+                       networks; the default)
   --trace-out PATH     write the recorded span stream as JSONL
                        (lint/check/prove/run/profile)
   --chrome-out PATH    write the span tree as Chrome trace-event JSON
@@ -494,7 +495,10 @@ fn need_process(opts: &Opts) -> Result<&str, String> {
 
 /// Wraps a rendered JSON value in the `csp/v1` envelope.
 fn envelope(command: &str, data: &str) -> String {
-    format!("{{\"schema\":\"csp/v1\",\"command\":{command:?},\"data\":{data}}}")
+    format!(
+        "{{\"schema\":\"csp/v1\",\"command\":{},\"data\":{data}}}",
+        json_string(command)
+    )
 }
 
 /// The shared `--trace-out`/`--metrics` epilogue: writes the session's
@@ -603,10 +607,12 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
                 } => {
                     if opts.json {
                         let mut data = format!(
-                            "{{\"process\":{name:?},\"assertion\":{assertion:?},\
+                            "{{\"process\":{},\"assertion\":{},\
                              \"holds\":true,\"traces_checked\":{traces_checked},\
-                             \"depth\":{depth},\"engine\":{:?}",
-                            engine.as_str()
+                             \"depth\":{depth},\"engine\":{}",
+                            json_string(name),
+                            json_string(assertion),
+                            json_string(engine.as_str())
                         );
                         append_metrics(&mut data, &session, &opts);
                         data.push('}');
@@ -622,10 +628,12 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
                 SatResult::Counterexample { trace, engine } => {
                     if opts.json {
                         let mut data = format!(
-                            "{{\"process\":{name:?},\"assertion\":{assertion:?},\
-                             \"holds\":false,\"counterexample\":{:?},\"engine\":{:?}",
-                            trace.to_string(),
-                            engine.as_str()
+                            "{{\"process\":{},\"assertion\":{},\
+                             \"holds\":false,\"counterexample\":{},\"engine\":{}",
+                            json_string(name),
+                            json_string(assertion),
+                            json_string(&trace.to_string()),
+                            json_string(engine.as_str())
                         );
                         append_metrics(&mut data, &session, &opts);
                         data.push('}');
@@ -659,19 +667,25 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
             let resolved = opts
                 .engine
                 .resolve(wb.definitions(), &Process::call(specs[0].0));
+            let spec_json: Vec<String> = specs
+                .iter()
+                .map(|(n, a)| {
+                    format!(
+                        "{{\"name\":{},\"assertion\":{}}}",
+                        json_string(n),
+                        json_string(a)
+                    )
+                })
+                .collect();
             let clean = match session.prove_auto(&specs) {
                 Ok(report) => {
                     let title = format!("proof: {} sat {}", specs[0].0, specs[0].1);
                     if opts.json {
-                        let spec_json: Vec<String> = specs
-                            .iter()
-                            .map(|(n, a)| format!("{{\"name\":{n:?},\"assertion\":{a:?}}}"))
-                            .collect();
                         let mut data = format!(
-                            "{{\"specs\":[{}],\"proved\":true,\"engine\":{:?},\"report\":{}",
+                            "{{\"specs\":[{}],\"proved\":true,\"engine\":{},\"report\":{}",
                             spec_json.join(","),
-                            resolved.as_str(),
-                            csp::obs::json_string(&render_report(&title, &report))
+                            json_string(resolved.as_str()),
+                            json_string(&render_report(&title, &report))
                         );
                         append_metrics(&mut data, &session, &opts);
                         data.push('}');
@@ -683,15 +697,11 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
                 }
                 Err(e) => {
                     if opts.json {
-                        let spec_json: Vec<String> = specs
-                            .iter()
-                            .map(|(n, a)| format!("{{\"name\":{n:?},\"assertion\":{a:?}}}"))
-                            .collect();
                         let mut data = format!(
-                            "{{\"specs\":[{}],\"proved\":false,\"engine\":{:?},\"error\":{}",
+                            "{{\"specs\":[{}],\"proved\":false,\"engine\":{},\"error\":{}",
                             spec_json.join(","),
-                            resolved.as_str(),
-                            csp::obs::json_string(&e.to_string())
+                            json_string(resolved.as_str()),
+                            json_string(&e.to_string())
                         );
                         append_metrics(&mut data, &session, &opts);
                         data.push('}');
@@ -770,28 +780,15 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
                 .as_ref()
                 .is_none_or(MonitorReport::is_conforming);
             if opts.json {
-                let failures: Vec<String> = res
-                    .failures
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "{{\"label\":{},\"reason\":{},\"at_step\":{},\"recovered\":{}}}",
-                            csp::obs::json_string(&f.label),
-                            csp::obs::json_string(&f.reason.to_string()),
-                            f.at_step,
-                            f.recovered,
-                        )
-                    })
-                    .collect();
                 let mut data = format!(
                     "{{\"process\":{},\"steps\":{},\"outcome\":{},\"clean\":{},\
-                     \"visible\":{},\"failures\":[{}],\"supervision\":{},\"monitor\":{}",
-                    csp::obs::json_string(name),
+                     \"visible\":{},\"failures\":{},\"supervision\":{},\"monitor\":{}",
+                    json_string(name),
                     res.steps,
-                    csp::obs::json_string(&res.outcome.to_string()),
+                    json_string(&res.outcome.to_string()),
                     res.outcome.is_clean(),
-                    csp::obs::json_string(&res.visible.to_string()),
-                    failures.join(","),
+                    json_string(&res.visible.to_string()),
+                    csp::serve::render_failures(&res),
                     csp::serve::render_supervision(&res),
                     csp::serve::render_monitor(&res),
                 );
@@ -830,9 +827,7 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
         }
         "deadlock" => {
             let name = need_process(&opts)?;
-            let report = wb
-                .deadlocks(name, SatOptions::from(opts.depth).with_engine(opts.engine))
-                .map_err(|e| e.to_string())?;
+            let report = wb.deadlocks(name, opts.depth).map_err(|e| e.to_string())?;
             println!(
                 "explored {} state(s) to depth {}",
                 report.states_explored, opts.depth
@@ -1000,8 +995,9 @@ fn run_lint(opts: &Opts) -> Result<bool, String> {
         }
         if opts.json {
             json_files.push(format!(
-                "{{\"file\":{file:?},\"errors\":{},\"diagnostics\":{}}}",
-                render_parse_errors_json(&errors),
+                "{{\"file\":{},\"errors\":{},\"diagnostics\":{}}}",
+                json_string(file),
+                csp::serve::render_parse_errors(&errors),
                 render_json(&diags)
             ));
         } else {
@@ -1048,26 +1044,6 @@ fn run_lint(opts: &Opts) -> Result<bool, String> {
         Some(Severity::Warning) => !opts.deny_warnings,
         None => true,
     })
-}
-
-/// Renders recovered parse errors as a JSON array, span fields flattened
-/// exactly like [`Diagnostic::to_json`] renders lint spans.
-fn render_parse_errors_json(errors: &[ParseError]) -> String {
-    let items: Vec<String> = errors
-        .iter()
-        .map(|e| {
-            let sp = e.span();
-            format!(
-                "{{\"message\":{},\"line\":{},\"column\":{},\"offset\":{},\"len\":{}}}",
-                csp::obs::json_string(e.message()),
-                sp.line,
-                sp.column,
-                sp.offset,
-                sp.len
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
 }
 
 /// One timed phase of `csp profile`.
@@ -1205,21 +1181,23 @@ fn report_profile(
             .iter()
             .map(|p| {
                 let mut o = format!(
-                    "{{\"name\":{:?},\"ms\":{:.3},\"alloc_bytes\":{}",
-                    p.name, p.ms, p.alloc_bytes
+                    "{{\"name\":{},\"ms\":{:.3},\"alloc_bytes\":{}",
+                    json_string(p.name),
+                    p.ms,
+                    p.alloc_bytes
                 );
                 if let Some(e) = &p.error {
-                    o.push_str(&format!(",\"error\":{e:?}"));
+                    o.push_str(&format!(",\"error\":{}", json_string(e)));
                 }
                 o.push('}');
                 o
             })
             .collect();
         let mut data = format!(
-            "{{\"file\":{:?},\"phases\":[{}],\"folded_out\":{:?}",
-            opts.file,
+            "{{\"file\":{},\"phases\":[{}],\"folded_out\":{}",
+            json_string(&opts.file),
             phases_json.join(","),
-            folded_path
+            json_string(&folded_path)
         );
         if let Some(m) = &metrics {
             data.push_str(",\"metrics\":");
@@ -1228,10 +1206,10 @@ fn report_profile(
         if let Some((base_path, delta)) = &diff {
             data.push_str(&format!(
                 ",\"diff\":{{\"baseline\":{},\"noise_ms\":{:.3},\"noise\":{},\"table\":{}}}",
-                csp::obs::json_string(base_path),
+                json_string(base_path),
                 opts.noise_ms,
                 delta.is_noise(noise_ns),
-                csp::obs::json_string(&delta.render_table(noise_ns)),
+                json_string(&delta.render_table(noise_ns)),
             ));
         }
         data.push('}');

@@ -130,7 +130,7 @@ fn deadlock_finds_jams() {
         "jam.csp",
         "left = w!1 -> STOP\nright = w?x:{2} -> STOP\nnet = left || right\n",
     );
-    let (stdout, _, code) = csp(&[
+    let args = [
         "deadlock",
         f.to_str().unwrap(),
         "--process",
@@ -139,9 +139,16 @@ fn deadlock_finds_jams() {
         "3",
         "--nat-bound",
         "3",
-    ]);
+    ];
+    let (stdout, _, code) = csp(&args);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("DEADLOCK"));
+    // Deadlock search has one backend: `--engine` parses and changes
+    // nothing.
+    for engine in ["enumerative", "compiled"] {
+        let (out, _, exit) = csp(&[&args[..], &["--engine", engine]].concat());
+        assert_eq!((out, exit), (stdout.clone(), code), "--engine {engine}");
+    }
 }
 
 #[test]
@@ -1001,6 +1008,72 @@ fn profile_json_envelope_reports_phases() {
     assert!(stdout.contains("\"alloc_bytes\":"), "{stdout}");
     assert!(stdout.contains("\"metrics\":{\"counters\""), "{stdout}");
     assert!(folded.exists());
+}
+
+/// Every `--json` envelope is JSON, also when user text holds a
+/// character Rust's `{:?}` escapes its own way (`\u{85}`, `\u{1}`): an
+/// assertion with U+0085, which the assertion lexer reads as
+/// whitespace, and a parse error quoting U+0001.
+#[test]
+fn json_envelopes_escape_user_text() {
+    let f = write_fixture("json_escapes.csp", PIPELINE);
+    let bad = write_fixture("json_escapes_bad.csp", "p = a!0 -> STOP\n\u{1}\n");
+    let folded = std::env::temp_dir()
+        .join("hoare-csp-cli-tests")
+        .join("json_escapes.folded");
+    let (f, bad, folded) = (
+        f.to_str().unwrap(),
+        bad.to_str().unwrap(),
+        folded.to_str().unwrap(),
+    );
+    let assertion = "output\u{85}<= input";
+    let spec = "copier=wire\u{85}<= input";
+    let runs: [&[&str]; 3] = [
+        &[
+            "check",
+            f,
+            "--process",
+            "pipeline",
+            "--assert",
+            assertion,
+            "--depth",
+            "2",
+            "--nat-bound",
+            "1",
+            "--json",
+        ],
+        &["prove", f, "--spec", spec, "--nat-bound", "1", "--json"],
+        &["profile", bad, "--folded-out", folded, "--json"],
+    ];
+    let mut data = Vec::new();
+    for args in runs {
+        let (stdout, _, _) = csp(args);
+        let v = csp::obs::parse_json(stdout.trim())
+            .unwrap_or_else(|e| panic!("{}: {e:?} in {stdout}", args[0]));
+        data.push(v.get("data").cloned().expect("envelope data"));
+    }
+    let text = |v: &csp::obs::JsonValue| v.as_str().map(str::to_string);
+    assert_eq!(
+        data[0].get("assertion").and_then(text),
+        Some(assertion.into())
+    );
+    let spec_assertion = data[1]
+        .get("specs")
+        .and_then(|s| s.as_array()?[0].get("assertion"));
+    assert_eq!(
+        spec_assertion.and_then(text),
+        Some("wire\u{85}<= input".into())
+    );
+    let parse_error = data[2]
+        .get("phases")
+        .and_then(|p| p.as_array()?[0].get("error"));
+    assert!(
+        parse_error
+            .and_then(text)
+            .is_some_and(|e| e.contains('\u{1}')),
+        "{:?}",
+        data[2]
+    );
 }
 
 #[test]

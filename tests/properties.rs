@@ -558,18 +558,59 @@ proptest! {
         }
     }
 
-    /// The deadlock searches produce the same report — same witnesses in
-    /// the same order, same exploration count — on either backend.
+    /// Every deadlock witness is a trace of the process: the search's
+    /// budget (3 visible events, 3 × 3 concealed steps along a path) is
+    /// the trace walk's.
     #[test]
-    fn deadlock_reports_agree_across_engines(p in arb_network()) {
+    fn deadlock_witnesses_are_traces(p in arb_network()) {
         let defs = Definitions::new();
         let uni = Universe::small();
-        let enum_rep =
-            csp::find_deadlocks(&defs, &uni, &p, &Env::new(), 3).expect("enumerative");
-        let comp_rep =
-            csp::find_deadlocks_compiled(&defs, &uni, &p, &Env::new(), 3).expect("compiled");
-        prop_assert_eq!(enum_rep.deadlock_free(), comp_rep.deadlock_free());
-        prop_assert_eq!(format!("{enum_rep:?}"), format!("{comp_rep:?}"));
+        let start = Config::new(p.clone(), Env::new());
+        let traces = Lts::new(&defs, &uni)
+            .traces_budgeted(&start, 3, 9)
+            .expect("trace walk");
+        let report = csp::find_deadlocks(&defs, &uni, &p, &Env::new(), 3).expect("deadlocks");
+        for d in &report.deadlocks {
+            prop_assert!(traces.contains(&d.trace), "witness {} is not a trace", d.trace);
+        }
+    }
+
+    /// The conformance replay admits every walked trace, admits a
+    /// one-event extension only when it is a trace, and rejects one at
+    /// the extending event. A trace walked with 3 concealed steps needs
+    /// at most 3 before each event; an extension admitted with 3 before
+    /// each of at most 3 events needs at most 9 in all.
+    #[test]
+    fn conformance_admits_exactly_the_walked_traces(p in arb_network()) {
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let start = Config::new(p.clone(), Env::new());
+        let walked = lts.traces_budgeted(&start, 3, 3).expect("trace walk");
+        let wide = lts.traces_budgeted(&start, 3, 9).expect("wide trace walk");
+        let replay = |t: &Trace| {
+            csp::check_conformance(&p, &Env::new(), &defs, &uni, t, &[], 3).expect("replay")
+        };
+        let events: Vec<Event> = ["a", "b", "c"]
+            .iter()
+            .flat_map(|c| (0..=2).map(move |n| Event::new(Channel::simple(c), Value::nat(n))))
+            .collect();
+        for t in walked.iter() {
+            let report = replay(t);
+            prop_assert!(report.trace_admitted, "walked trace {} rejected: {:?}", t, report);
+            if t.len() == 3 {
+                continue;
+            }
+            for e in &events {
+                let extended = t.snoc(*e);
+                let report = replay(&extended);
+                if report.trace_admitted {
+                    prop_assert!(wide.contains(&extended), "{} admitted, not a trace", extended);
+                } else {
+                    prop_assert_eq!(report.diverged_at, Some(t.len()), "{}", extended);
+                }
+            }
+        }
     }
 }
 

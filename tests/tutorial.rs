@@ -198,8 +198,9 @@ fn section_14_verification_service_claims() {
 fn section_15_engine_selection_claims() {
     // §15's claims: both engines answer the pipeline check identically
     // (the quoted "17 traces"), `SatResult::engine()` reports the
-    // resolved backend, and the `Auto` default resolves compiled for
-    // the hidden network but enumerative for the sequential copier.
+    // resolved backend, the `Auto` default resolves compiled for the
+    // hidden network but enumerative for the sequential copier, and
+    // deadlock search takes no engine at all.
     let mut wb = Workbench::new().with_universe(Universe::new(1));
     wb.define_source(csp::examples::PIPELINE_SRC).unwrap();
 
@@ -234,6 +235,8 @@ fn section_15_engine_selection_claims() {
     assert_eq!(auto_net.engine(), Engine::Compiled);
     let auto_seq = wb.check_sat("copier", "wire <= input", 3).unwrap();
     assert_eq!(auto_seq.engine(), Engine::Enumerative);
+
+    assert!(wb.deadlocks("pipeline", 3).unwrap().deadlock_free());
 }
 
 #[test]
