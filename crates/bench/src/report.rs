@@ -394,6 +394,46 @@ impl HistoryRow {
         out.push('}');
         out
     }
+
+    /// Parses one line written by [`HistoryRow::to_jsonl_line`]. A
+    /// missing `unix_ms` or `samples` reads as 0, and a missing
+    /// `engines` map as no engines, like the rows written before the
+    /// engine split.
+    ///
+    /// # Errors
+    ///
+    /// Describes malformed JSON, a line of another schema, or a line
+    /// without a `benches` map.
+    pub fn from_jsonl_line(line: &str) -> Result<HistoryRow, String> {
+        let v = parse_json(line).map_err(|e| e.message)?;
+        if v.get("schema").and_then(JsonValue::as_str) != Some("csp-bench-history/v1") {
+            return Err("not a csp-bench-history/v1 row".to_string());
+        }
+        let benches = v
+            .get("benches")
+            .and_then(JsonValue::entries)
+            .ok_or("missing benches map")?
+            .iter()
+            .filter_map(|(name, ms)| ms.as_f64().map(|ms| (name.clone(), ms)))
+            .collect();
+        let engines = v
+            .get("engines")
+            .and_then(JsonValue::entries)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|(name, e)| e.as_str().map(|e| (name.clone(), e.to_string())))
+            .collect();
+        Ok(HistoryRow {
+            unix_ms: u64_member(&v, "unix_ms"),
+            samples: u64_member(&v, "samples") as usize,
+            total_wall_ms: v
+                .get("total_wall_ms")
+                .and_then(JsonValue::as_f64)
+                .unwrap_or(0.0),
+            benches,
+            engines,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -611,8 +651,9 @@ mod tests {
         assert_eq!(parsed, r);
     }
 
-    /// `csp bench report` reads history lines with `parse_json`; every
-    /// member it reads must come back from [`HistoryRow::to_jsonl_line`].
+    /// `csp bench report` reads history lines through
+    /// [`HistoryRow::from_jsonl_line`]: what [`HistoryRow::to_jsonl_line`]
+    /// writes comes back as the same row, with and without engine tags.
     #[test]
     fn history_rows_render_the_members_bench_report_reads() {
         let mut r = report(&[("a", 10.5), ("b/{\"x\", y}", 2.25)]);
@@ -621,38 +662,19 @@ mod tests {
         assert!((row.total_wall_ms - 12.75).abs() < 1e-9);
         let line = row.to_jsonl_line();
         assert!(!line.contains('\n'));
-        let v = parse_json(&line).expect("history line parses");
-        assert_eq!(
-            v.get("schema").and_then(JsonValue::as_str),
-            Some("csp-bench-history/v1")
-        );
-        assert_eq!(
-            v.get("unix_ms").and_then(JsonValue::as_u64),
-            Some(1_700_000_000_000)
-        );
-        assert_eq!(v.get("samples").and_then(JsonValue::as_u64), Some(3));
-        assert_eq!(
-            v.get("total_wall_ms").and_then(JsonValue::as_f64),
-            Some(12.75)
-        );
-        let benches: Vec<(&str, f64)> = v
-            .get("benches")
-            .and_then(JsonValue::entries)
-            .expect("benches map")
-            .iter()
-            .map(|(name, ms)| (name.as_str(), ms.as_f64().expect("median")))
-            .collect();
-        assert_eq!(benches, vec![("a", 10.5), ("b/{\"x\", y}", 2.25)]);
-        let engines: Vec<(&str, &str)> = v
-            .get("engines")
-            .and_then(JsonValue::entries)
-            .expect("engines map")
-            .iter()
-            .map(|(name, e)| (name.as_str(), e.as_str().expect("engine")))
-            .collect();
-        assert_eq!(engines, vec![("b/{\"x\", y}", "compiled")]);
+        assert_eq!(HistoryRow::from_jsonl_line(&line), Ok(row));
         // Without engine tags the line has no engines map at all.
-        let plain = HistoryRow::from_report(&report(&[("a", 1.0)]), 1).to_jsonl_line();
-        assert!(parse_json(&plain).unwrap().get("engines").is_none());
+        let plain = HistoryRow::from_report(&report(&[("a", 1.0)]), 1);
+        let plain_line = plain.to_jsonl_line();
+        assert!(parse_json(&plain_line).unwrap().get("engines").is_none());
+        assert_eq!(HistoryRow::from_jsonl_line(&plain_line), Ok(plain));
+        // A row without a timestamp or a sample count reads both as 0.
+        let bare = HistoryRow::from_jsonl_line(
+            "{\"schema\": \"csp-bench-history/v1\", \"total_wall_ms\": 2.000, \
+             \"benches\": {\"a\": 2.000}}",
+        )
+        .expect("bare row parses");
+        assert_eq!((bare.unix_ms, bare.samples), (0, 0));
+        assert!(HistoryRow::from_jsonl_line("{\"schema\": \"csp-bench-json/v1\"}").is_err());
     }
 }

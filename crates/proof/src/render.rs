@@ -1,6 +1,8 @@
 //! Rendering checked proofs as numbered tables, in the style of the
 //! paper's Table 1.
 
+use std::fmt::Write as _;
+
 use crate::{CheckReport, Discharge};
 
 /// Renders a check report as a numbered step table followed by the pure
@@ -19,23 +21,23 @@ use crate::{CheckReport, Discharge};
 /// ```
 pub fn render_report(title: &str, report: &CheckReport) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{title}\n"));
+    let _ = writeln!(out, "{title}");
     out.push_str(&"=".repeat(title.len().min(78)));
     out.push('\n');
     for (i, step) in report.steps.iter().enumerate() {
-        out.push_str(&format!("({:>2}) {step}\n", i + 1));
+        let _ = writeln!(out, "({:>2}) {step}", i + 1);
     }
     if !report.obligations.is_empty() {
         out.push_str("\npure premises:\n");
         for ob in &report.obligations {
-            let how = match &ob.discharge {
-                Discharge::Syntactic(law) => format!("syntactic: {law}"),
-                Discharge::Bounded(cases) => format!("bounded check, {cases} cases"),
-                Discharge::Binder => "closed by binder".to_string(),
-                Discharge::MembershipChecked => "membership checked".to_string(),
-                Discharge::MembershipAssumed => "assumed (abstract set)".to_string(),
+            let _ = write!(out, "  [{}] {}  — ", ob.rule, ob.formula);
+            let _ = match &ob.discharge {
+                Discharge::Syntactic(law) => writeln!(out, "syntactic: {law}"),
+                Discharge::Bounded(cases) => writeln!(out, "bounded check, {cases} cases"),
+                Discharge::Binder => writeln!(out, "closed by binder"),
+                Discharge::MembershipChecked => writeln!(out, "membership checked"),
+                Discharge::MembershipAssumed => writeln!(out, "assumed (abstract set)"),
             };
-            out.push_str(&format!("  [{}] {}  — {how}\n", ob.rule, ob.formula));
         }
     }
     out

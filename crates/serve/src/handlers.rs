@@ -19,11 +19,15 @@ use std::time::Instant;
 
 use csp_core::obs::{json_string, parse_json, JsonValue};
 use csp_core::{
-    hash_field, render_json, AnalysisDb, Engine, Env, FaultPlan, MonitorSpec, ParseError, Process,
-    RunOptions, SatOptions, SatResult, Scheduler, Universe, Value, Workbench, HASH_SEED,
+    hash_field, render_json, AnalysisDb, Engine, FaultPlan, RunOptions, SatOptions, Scheduler,
+    Session, Value, HASH_SEED,
 };
 
 use crate::http::{Request, Response};
+use crate::v1::{
+    check_data, envelope, render_parse_errors, run_data, set_value, verify_phase, ModuleOptions,
+    ProveOutcome,
+};
 use crate::ServeState;
 
 /// The five verification endpoints.
@@ -81,12 +85,6 @@ impl HandlerError {
             cache: CacheStatus::Miss,
         }
     }
-}
-
-/// Wraps a rendered JSON value in the `csp/v1` envelope (same shape as
-/// the CLI's `--json` output; the command is namespaced `serve.*`).
-fn envelope(command: &str, data: &str) -> String {
-    format!("{{\"schema\":\"csp/v1\",\"command\":{command:?},\"data\":{data}}}")
 }
 
 /// Routes one parsed request. Infallible: every outcome, including
@@ -219,7 +217,7 @@ fn lint(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
     let db_key = p.lint_db_key();
     let mut db = state
         .take_lint_db(db_key)
-        .unwrap_or_else(|| AnalysisDb::new().with_env(&p.env()));
+        .unwrap_or_else(|| AnalysisDb::new().with_env(&p.options.env()));
     let stats = db.set_source(&p.source);
     state
         .collector()
@@ -238,6 +236,22 @@ fn lint(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
     Ok(envelope("serve.lint", &data))
 }
 
+/// Runs `f` on a session over the request's pooled workbench, then
+/// checks the workbench back in. Fails when a cold workbench does not
+/// build or when `f` fails.
+fn with_session<T, E: ToString>(
+    state: &ServeState,
+    p: &Params,
+    f: impl FnOnce(&Session<'_>) -> Result<T, E>,
+) -> Result<T, String> {
+    let pooled = state
+        .pool()
+        .checkout(p.wb_key(), || p.options.workbench(&p.source))?;
+    let out = f(&pooled.wb.session_with(state.collector().clone()));
+    state.pool().checkin(pooled);
+    out.map_err(|e| e.to_string())
+}
+
 /// `/v1/check`: bounded model checking through a pooled workbench.
 fn check(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
     let process = p.need_process()?;
@@ -245,42 +259,13 @@ fn check(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
         .assertion
         .as_deref()
         .ok_or_else(|| HandlerError::miss("missing required string field `assertion`"))?;
-    let pooled = state
-        .pool()
-        .checkout(p.wb_key(), || p.build_workbench())
+    let opts = SatOptions::from(p.depth).with_engine(p.engine);
+    let verdict = with_session(state, p, |s| s.check_sat(process, assertion, opts))
         .map_err(HandlerError::miss)?;
-    let session = pooled.wb.session_with(state.collector().clone());
-    let verdict = session.check_sat(
-        process,
-        assertion,
-        SatOptions::from(p.depth).with_engine(p.engine),
-    );
-    let data = match verdict {
-        Ok(SatResult::Holds {
-            traces_checked,
-            depth,
-            engine,
-        }) => format!(
-            "{{\"process\":{},\"assertion\":{},\"engine\":{},\"holds\":true,\
-             \"traces_checked\":{traces_checked},\"depth\":{depth}}}",
-            json_string(process),
-            json_string(assertion),
-            json_string(engine.as_str()),
-        ),
-        Ok(SatResult::Counterexample { trace, engine }) => format!(
-            "{{\"process\":{},\"assertion\":{},\"engine\":{},\"holds\":false,\"counterexample\":{}}}",
-            json_string(process),
-            json_string(assertion),
-            json_string(engine.as_str()),
-            json_string(&trace.to_string()),
-        ),
-        Err(e) => {
-            state.pool().checkin(pooled);
-            return Err(HandlerError::miss(e.to_string()));
-        }
-    };
-    state.pool().checkin(pooled);
-    Ok(envelope("serve.check", &data))
+    Ok(envelope(
+        "serve.check",
+        &check_data(process, assertion, &verdict),
+    ))
 }
 
 /// `/v1/prove`: proof synthesis + checking. A failed proof is a verdict
@@ -292,49 +277,16 @@ fn prove(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
             "at least one spec {\"process\":…,\"assertion\":…} is required",
         ));
     }
-    let pooled = state
-        .pool()
-        .checkout(p.wb_key(), || p.build_workbench())
-        .map_err(HandlerError::miss)?;
-    let session = pooled.wb.session_with(state.collector().clone());
     let specs: Vec<(&str, &str)> = p
         .specs
         .iter()
         .map(|(n, a)| (n.as_str(), a.as_str()))
         .collect();
-    let specs_json: Vec<String> = p
-        .specs
-        .iter()
-        .map(|(n, a)| {
-            format!(
-                "{{\"process\":{},\"assertion\":{}}}",
-                json_string(n),
-                json_string(a)
-            )
-        })
-        .collect();
-    // The proof checker itself is symbolic; the engine member reports
-    // what the selector resolves to for the concluded process, so
-    // callers see the same resolution `check` would use.
-    let resolved = p
-        .engine
-        .resolve(pooled.wb.definitions(), &Process::call(&p.specs[0].0));
-    let data = match session.prove_auto(&specs) {
-        Ok(report) => format!(
-            "{{\"specs\":[{}],\"engine\":{},\"proved\":true,\"rules\":{}}}",
-            specs_json.join(","),
-            json_string(resolved.as_str()),
-            report.rule_count(),
-        ),
-        Err(e) => format!(
-            "{{\"specs\":[{}],\"engine\":{},\"proved\":false,\"error\":{}}}",
-            specs_json.join(","),
-            json_string(resolved.as_str()),
-            json_string(&e.to_string()),
-        ),
-    };
-    state.pool().checkin(pooled);
-    Ok(envelope("serve.prove", &data))
+    let outcome = with_session(state, p, |s| {
+        Ok::<_, String>(ProveOutcome::prove(s, &specs, p.engine))
+    })
+    .map_err(HandlerError::miss)?;
+    Ok(envelope("serve.prove", &outcome.data()))
 }
 
 /// `/v1/run`: real-thread execution of the named network. Bypasses the
@@ -346,139 +298,28 @@ fn run(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
         Some(spec) => FaultPlan::parse(spec).map_err(|e| HandlerError::bypass(e.to_string()))?,
         None => FaultPlan::none(),
     };
-    let pooled = state
-        .pool()
-        .checkout(p.wb_key(), || p.build_workbench())
-        .map_err(HandlerError::bypass)?;
-    // `"monitor": true` = online trace-membership checking; a string is
-    // additionally checked as a `sat` assertion on every visible prefix.
-    let monitor = match &p.monitor {
-        None => None,
-        Some(src) if src.is_empty() => Some(MonitorSpec::new()),
-        Some(src) => match pooled.wb.assertion(src) {
-            Ok(a) => Some(MonitorSpec::new().with_assertion(a)),
-            Err(e) => {
-                state.pool().checkin(pooled);
-                return Err(HandlerError::bypass(e.to_string()));
-            }
-        },
-    };
-    let session = pooled.wb.session_with(state.collector().clone());
-    let result = session.run(
-        process,
-        RunOptions {
-            max_steps: p.steps,
-            scheduler: Scheduler::seeded(p.seed),
-            faults,
-            monitor,
-            ..RunOptions::default()
-        },
-    );
-    let result = match result {
-        Ok(r) => r,
-        Err(e) => {
-            state.pool().checkin(pooled);
-            return Err(HandlerError::bypass(e.to_string()));
-        }
-    };
-    state.pool().checkin(pooled);
-    let data = format!(
-        "{{\"process\":{},\"steps\":{},\"outcome\":{},\"clean\":{},\
-         \"visible\":{},\"failures\":{},\"supervision\":{},\"monitor\":{}}}",
-        json_string(process),
-        result.steps,
-        json_string(&result.outcome.to_string()),
-        result.outcome.is_clean(),
-        json_string(&result.visible.to_string()),
-        render_failures(&result),
-        render_supervision(&result),
-        render_monitor(&result),
-    );
-    Ok(envelope("serve.run", &data))
-}
-
-/// Recovered parse errors as a JSON array, span fields flattened exactly
-/// like [`csp_core::Diagnostic::to_json`] renders lint spans.
-pub fn render_parse_errors(errors: &[ParseError]) -> String {
-    let items: Vec<String> = errors
-        .iter()
-        .map(|e| {
-            let sp = e.span();
-            format!(
-                "{{\"message\":{},\"line\":{},\"column\":{},\"offset\":{},\"len\":{}}}",
-                json_string(e.message()),
-                sp.line,
-                sp.column,
-                sp.offset,
-                sp.len
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-/// The component failures of a finished run as a JSON array, one
-/// object per death: its label, reason, step and whether a restart
-/// recovered it.
-pub fn render_failures(result: &csp_core::RunResult) -> String {
-    let items: Vec<String> = result
-        .failures
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"label\":{},\"reason\":{},\"at_step\":{},\"recovered\":{}}}",
-                json_string(&f.label),
-                json_string(&f.reason.to_string()),
-                f.at_step,
-                f.recovered,
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-/// The machine-readable supervision summary of a finished run: how many
-/// components died, how many deaths a restart policy recovered, and the
-/// causal-log size (fault/supervision events included).
-pub fn render_supervision(result: &csp_core::RunResult) -> String {
-    format!(
-        "{{\"deaths\":{},\"recovered\":{},\"causal_events\":{},\"causal_dropped\":{}}}",
-        result.failures.len(),
-        result.recoveries(),
-        result.causal.len(),
-        result.causal.dropped(),
-    )
-}
-
-/// The `"monitor"` member of a run response: `null` when monitoring was
-/// off, else the verdict plus the first violation (if any) with its
-/// causal history.
-pub fn render_monitor(result: &csp_core::RunResult) -> String {
-    let Some(m) = &result.monitor else {
-        return "null".to_string();
-    };
-    let violation = match &m.violation {
-        None => "null".to_string(),
-        Some(v) => format!(
-            "{{\"step\":{},\"visible_index\":{},\"event\":{},\"kind\":{},\"causal_history\":[{}]}}",
-            v.step,
-            v.visible_index,
-            json_string(&v.event.to_string()),
-            json_string(&v.kind.to_string()),
-            v.causal_history
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-        ),
-    };
-    format!(
-        "{{\"verdict\":{},\"conforming\":{},\"events_checked\":{},\"violation\":{}}}",
-        json_string(&m.verdict.to_string()),
-        m.is_conforming(),
-        m.events_checked,
-        violation,
-    )
+    let result = with_session(state, p, |s| {
+        // `"monitor": true` = online trace-membership checking; a string
+        // is additionally checked as a `sat` assertion on every visible
+        // prefix.
+        let monitor = p
+            .monitor
+            .as_deref()
+            .map(|src| s.workbench().monitor_spec((!src.is_empty()).then_some(src)))
+            .transpose()?;
+        s.run(
+            process,
+            RunOptions {
+                max_steps: p.steps,
+                scheduler: Scheduler::seeded(p.seed),
+                faults,
+                monitor,
+                ..RunOptions::default()
+            },
+        )
+    })
+    .map_err(HandlerError::bypass)?;
+    Ok(envelope("serve.run", &run_data(process, &result)))
 }
 
 /// `/v1/profile`: the parse → fixpoint → verify pipeline, timed per
@@ -486,79 +327,31 @@ pub fn render_monitor(result: &csp_core::RunResult) -> String {
 /// endpoint emits (a cache hit replays the *original* timings, which is
 /// the honest answer: the cached verdict cost that much to compute).
 fn profile(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
+    let ms_since = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
-    let pooled = state
-        .pool()
-        .checkout(p.wb_key(), || p.build_workbench())
-        .map_err(HandlerError::miss)?;
-    let parse_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let session = pooled.wb.session_with(state.collector().clone());
-
-    let t1 = Instant::now();
-    let fix = session.fixpoint(p.depth, 32);
-    let fixpoint_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let fix = match fix {
-        Ok(f) => f,
-        Err(e) => {
-            state.pool().checkin(pooled);
-            return Err(HandlerError::miss(e.to_string()));
-        }
-    };
-
-    let t2 = Instant::now();
-    let verified = match (p.process.as_deref(), p.assertion.as_deref()) {
-        (Some(name), Some(assertion)) => session
-            .check_sat(name, assertion, p.depth)
-            .map(|v| u64::from(v.holds()))
-            .map_err(|e| e.to_string()),
-        _ => {
-            // Array equations need a concrete subscript; sweep plain ones.
-            let names: Vec<String> = pooled
-                .wb
-                .definitions()
-                .iter()
-                .filter(|d| d.param().is_none())
-                .map(|d| d.name().to_string())
-                .collect();
-            let mut traces = 0u64;
-            let mut err = None;
-            for name in &names {
-                match pooled.wb.traces(name, p.depth) {
-                    Ok(ts) => traces += ts.len() as u64,
-                    Err(e) => {
-                        err = Some(e.to_string());
-                        break;
-                    }
-                }
-            }
-            match err {
-                Some(e) => Err(e),
-                None => Ok(traces),
-            }
-        }
-    };
-    let verify_ms = t2.elapsed().as_secs_f64() * 1e3;
-    let verified = match verified {
-        Ok(v) => v,
-        Err(e) => {
-            state.pool().checkin(pooled);
-            return Err(HandlerError::miss(e));
-        }
-    };
-    let definitions = pooled.wb.definitions().len();
-    state.pool().checkin(pooled);
-
-    let converged = match fix.converged_at {
-        Some(i) => i.to_string(),
-        None => "null".to_string(),
-    };
-    let data = format!(
-        "{{\"phases\":[\
-         {{\"name\":\"parse\",\"ms\":{parse_ms:.3},\"definitions\":{definitions}}},\
-         {{\"name\":\"fixpoint\",\"ms\":{fixpoint_ms:.3},\"iterations\":{},\"converged_at\":{converged}}},\
-         {{\"name\":\"verify\",\"ms\":{verify_ms:.3},\"result\":{verified}}}]}}",
-        fix.iterates.len(),
-    );
+    let data = with_session(state, p, |s| {
+        let parse_ms = ms_since(t0);
+        let t = Instant::now();
+        let fix = s.fixpoint(p.depth, 32).map_err(|e| e.to_string())?;
+        let fixpoint_ms = ms_since(t);
+        let t = Instant::now();
+        let claim = p.process.as_deref().zip(p.assertion.as_deref());
+        let verified = verify_phase(s, claim, p.depth, p.engine)?;
+        let verify_ms = ms_since(t);
+        let converged = match fix.converged_at {
+            Some(i) => i.to_string(),
+            None => "null".to_string(),
+        };
+        Ok::<_, String>(format!(
+            "{{\"phases\":[\
+             {{\"name\":\"parse\",\"ms\":{parse_ms:.3},\"definitions\":{}}},\
+             {{\"name\":\"fixpoint\",\"ms\":{fixpoint_ms:.3},\"iterations\":{},\"converged_at\":{converged}}},\
+             {{\"name\":\"verify\",\"ms\":{verify_ms:.3},\"result\":{verified}}}]}}",
+            s.workbench().definitions().len(),
+            fix.iterates.len(),
+        ))
+    })
+    .map_err(HandlerError::miss)?;
     Ok(envelope("serve.profile", &data))
 }
 
@@ -574,10 +367,7 @@ struct Params {
     depth: usize,
     steps: usize,
     seed: u64,
-    nat_bound: u32,
-    sets: Vec<(String, Vec<Value>)>,
-    binds: Vec<(String, Vec<i64>)>,
-    channels: Vec<String>,
+    options: ModuleOptions,
     fault_plan: Option<String>,
     engine: Engine,
     /// `/v1/run` online monitoring: `Some("")` (from `"monitor": true`)
@@ -644,7 +434,11 @@ impl Params {
                     .ok_or_else(|| format!("set `{name}` must be an array"))?;
                 let parsed = arr
                     .iter()
-                    .map(parse_set_value)
+                    .map(|x| match (x.as_i64(), x.as_str()) {
+                        (Some(n), _) => Ok(Value::Int(n)),
+                        (None, Some(s)) => set_value(s),
+                        _ => Err("set values must be integers or Uppercase atoms".to_string()),
+                    })
                     .collect::<Result<Vec<_>, _>>()?;
                 sets.push((name.clone(), parsed));
             }
@@ -705,10 +499,13 @@ impl Params {
             depth: num_field("depth", 4)? as usize,
             steps: num_field("steps", 32)? as usize,
             seed: num_field("seed", 0)?,
-            nat_bound: num_field("nat_bound", 2)? as u32,
-            sets,
-            binds,
-            channels,
+            options: ModuleOptions {
+                nat_bound: u32::try_from(num_field("nat_bound", 2)?)
+                    .map_err(|_| format!("field `nat_bound` must be at most {}", u32::MAX))?,
+                sets,
+                binds,
+                channels,
+            },
             fault_plan: str_field("fault_plan")?,
             engine: match str_field("engine")? {
                 Some(s) => s.parse::<Engine>()?,
@@ -758,7 +555,7 @@ impl Params {
     fn lint_db_key(&self) -> u64 {
         let mut h = hash_field(HASH_SEED, b"lint-db");
         h = hash_field(h, self.module.as_bytes());
-        for (name, vals) in &self.binds {
+        for (name, vals) in &self.options.binds {
             h = hash_field(h, name.as_bytes());
             for v in vals {
                 h = hash_field(h, &v.to_le_bytes());
@@ -768,50 +565,25 @@ impl Params {
     }
 
     fn hash_workbench_fields(&self, mut h: u64) -> u64 {
+        let o = &self.options;
         h = hash_field(h, self.source.as_bytes());
-        h = hash_field(h, &u64::from(self.nat_bound).to_le_bytes());
-        for (name, vals) in &self.sets {
+        h = hash_field(h, &u64::from(o.nat_bound).to_le_bytes());
+        for (name, vals) in &o.sets {
             h = hash_field(h, name.as_bytes());
             for v in vals {
                 h = hash_field(h, v.to_string().as_bytes());
             }
         }
-        for (name, vals) in &self.binds {
+        for (name, vals) in &o.binds {
             h = hash_field(h, name.as_bytes());
             for v in vals {
                 h = hash_field(h, &v.to_le_bytes());
             }
         }
-        for c in &self.channels {
+        for c in &o.channels {
             h = hash_field(h, c.as_bytes());
         }
         h
-    }
-
-    fn env(&self) -> Env {
-        let mut env = Env::new();
-        for (name, vals) in &self.binds {
-            for (i, &v) in vals.iter().enumerate() {
-                env.bind_mut(&format!("{name}[{}]", i + 1), Value::Int(v));
-            }
-        }
-        env
-    }
-
-    fn build_workbench(&self) -> Result<Workbench, String> {
-        let mut uni = Universe::new(self.nat_bound);
-        for (name, vals) in &self.sets {
-            uni = uni.with_named(name, vals.iter().cloned());
-        }
-        let mut wb = Workbench::new().with_universe(uni);
-        wb.define_source(&self.source).map_err(|e| e.to_string())?;
-        for (name, vals) in &self.binds {
-            wb.bind_vector(name, vals);
-        }
-        if !self.channels.is_empty() {
-            wb.declare_channels(self.channels.iter().map(String::as_str));
-        }
-        Ok(wb)
     }
 }
 
@@ -820,22 +592,4 @@ fn hash_opt(h: u64, v: Option<&str>) -> u64 {
         Some(s) => hash_field(hash_field(h, b"+"), s.as_bytes()),
         None => hash_field(h, b"-"),
     }
-}
-
-/// One set element: a JSON integer or an Uppercase atom string, same
-/// grammar as the CLI's `--set`.
-fn parse_set_value(v: &JsonValue) -> Result<Value, String> {
-    if let Some(n) = v.as_i64() {
-        return Ok(Value::Int(n));
-    }
-    if let Some(s) = v.as_str() {
-        let s = s.trim();
-        if let Ok(n) = s.parse::<i64>() {
-            return Ok(Value::Int(n));
-        }
-        if s.chars().next().is_some_and(char::is_uppercase) {
-            return Ok(Value::sym(s));
-        }
-    }
-    Err("set values must be integers or Uppercase atoms".to_string())
 }

@@ -7,6 +7,12 @@
 //! (Prometheus text exposition) and `/v1/trace` (Chrome trace-event
 //! JSON of the server's own span stream).
 //!
+//! The `csp/v1` layer that the CLI shares lives here too: the workbench
+//! [`ModuleOptions`] build, the [`envelope`], the `data` of check
+//! ([`check_data`]), prove ([`ProveOutcome`]) and run ([`run_data`]),
+//! and profile's [`verify_phase`]. One query answers the same `data`
+//! from `csp --json` and from the endpoints.
+//!
 //! The point of staying resident is the **cross-request cache**: every
 //! verification verdict is a pure function of its request body, so
 //! results are keyed by FNV-1a content hashes (the same hashing the
@@ -50,9 +56,13 @@
 pub mod client;
 mod handlers;
 pub mod http;
+mod v1;
 
 pub use client::{Client, ClientResponse};
-pub use handlers::{render_failures, render_monitor, render_parse_errors, render_supervision};
+pub use v1::{
+    check_data, envelope, render_failures, render_monitor, render_parse_errors, render_supervision,
+    run_data, set_value, verify_phase, ModuleOptions, ProveOutcome,
+};
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -356,12 +366,8 @@ fn handle_connection(state: &ServeState, stream: TcpStream, stop: &AtomicBool) {
             Ok(None) => return, // peer closed, stalled out, or shutdown
             Err(message) => {
                 // Malformed request: answer 400 and close.
-                let body = format!(
-                    "{{\"schema\":\"csp/v1\",\"command\":\"serve.error\",\
-                     \"data\":{{\"error\":{}}}}}",
-                    csp_core::obs::json_string(&message)
-                );
-                let resp = http::Response::json(400, body);
+                let data = format!("{{\"error\":{}}}", csp_core::obs::json_string(&message));
+                let resp = http::Response::json(400, envelope("serve.error", &data));
                 let _ = http::write_response(&mut write_half, &resp, false);
                 return;
             }
@@ -492,12 +498,34 @@ mod tests {
         let bad_process = state.post("/v1/check", &body(",\"assertion\":\"output <= input\""));
         assert_eq!(bad_process.status, 400);
         assert_eq!(header(&bad_process, "X-Csp-Cache"), Some("miss"));
+        // 2^32 + 1 does not fit the NAT bound: rejected, not wrapped to 1.
+        let wide_nat = state.post(
+            "/v1/check",
+            &body(",\"process\":\"pipeline\",\"assertion\":\"output <= input\",\"depth\":3,\"nat_bound\":4294967297"),
+        );
+        assert_eq!(wide_nat.status, 400);
+        assert_eq!(header(&wide_nat, "X-Csp-Cache"), Some("bypass"));
         let m = state.metrics();
-        assert_eq!(m.counter("serve.errors"), 2);
+        assert_eq!(m.counter("serve.errors"), 3);
         assert_eq!(
             m.counter("serve.cache.bypass") + m.counter("serve.cache.miss"),
             m.counter("serve.requests"),
         );
+    }
+
+    /// The verify phase of `/v1/profile` checks its claim on the
+    /// request's engine, so the compiled arena's counters move.
+    #[test]
+    fn profile_checks_its_claim_on_the_requested_engine() {
+        let state = ServeState::new(64, 2);
+        let profile = state.post(
+            "/v1/profile",
+            &body(",\"process\":\"copier\",\"assertion\":\"wire <= input\",\"depth\":3,\"nat_bound\":1,\"engine\":\"compiled\""),
+        );
+        let text = String::from_utf8_lossy(&profile.body).into_owned();
+        assert_eq!(profile.status, 200, "{text}");
+        assert!(text.contains("\"name\":\"verify\""), "{text}");
+        assert!(state.metrics().counter("satcheck.states") > 0, "{text}");
     }
 
     #[test]

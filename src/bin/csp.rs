@@ -85,9 +85,11 @@ use std::time::Instant;
 
 use csp::obs::{json_string, parse_json, JsonValue, MetricsSnapshot};
 use csp::prelude::*;
-use csp::{
-    max_severity, render_json, render_report, timeline, Diagnostic, ParseError, Session, Severity,
+use csp::serve::{
+    check_data, envelope, run_data, set_value, verify_phase, ModuleOptions, ProveOutcome,
 };
+use csp::{max_severity, render_json, timeline, Diagnostic, Session, Severity};
+use csp_bench::report::HistoryRow;
 
 /// A byte-counting wrapper around the system allocator, so `csp profile`
 /// can attribute allocation volume to pipeline phases without any
@@ -231,10 +233,7 @@ struct Opts {
     fault_plan: Option<String>,
     deadline_ms: Option<u64>,
     livelock_window: usize,
-    nat_bound: u32,
-    sets: Vec<(String, Vec<Value>)>,
-    binds: Vec<(String, Vec<i64>)>,
-    channels: Vec<String>,
+    module: ModuleOptions,
     trace_out: Option<String>,
     chrome_out: Option<String>,
     prom_out: Option<String>,
@@ -265,10 +264,7 @@ fn parse_opts(args: &[String], multi_file: bool) -> Result<Opts, String> {
         fault_plan: None,
         deadline_ms: None,
         livelock_window: 0,
-        nat_bound: 2,
-        sets: Vec::new(),
-        binds: Vec::new(),
-        channels: Vec::new(),
+        module: ModuleOptions::default(),
         trace_out: None,
         chrome_out: None,
         prom_out: None,
@@ -339,7 +335,7 @@ fn parse_opts(args: &[String], multi_file: bool) -> Result<Opts, String> {
                     .map_err(|_| "--livelock-window expects a number".to_string())?;
             }
             "--nat-bound" => {
-                opts.nat_bound = value("--nat-bound")?
+                opts.module.nat_bound = value("--nat-bound")?
                     .parse()
                     .map_err(|_| "--nat-bound expects a number".to_string())?;
             }
@@ -350,9 +346,9 @@ fn parse_opts(args: &[String], multi_file: bool) -> Result<Opts, String> {
                     .ok_or_else(|| format!("--set expects NAME=v1,v2, got `{v}`"))?;
                 let parsed = vals
                     .split(',')
-                    .map(parse_value)
+                    .map(set_value)
                     .collect::<Result<Vec<_>, _>>()?;
-                opts.sets.push((name.trim().to_string(), parsed));
+                opts.module.sets.push((name.trim().to_string(), parsed));
             }
             "--bind" => {
                 let v = value("--bind")?;
@@ -367,11 +363,12 @@ fn parse_opts(args: &[String], multi_file: bool) -> Result<Opts, String> {
                             .map_err(|_| format!("bad integer `{x}` in --bind"))
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                opts.binds.push((name.trim().to_string(), parsed));
+                opts.module.binds.push((name.trim().to_string(), parsed));
             }
             "--channels" => {
                 let v = value("--channels")?;
-                opts.channels
+                opts.module
+                    .channels
                     .extend(v.split(',').map(|c| c.trim().to_string()));
             }
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
@@ -428,77 +425,18 @@ fn parse_opts(args: &[String], multi_file: bool) -> Result<Opts, String> {
     }
 }
 
-fn parse_value(s: &str) -> Result<Value, String> {
-    let s = s.trim();
-    if let Ok(n) = s.parse::<i64>() {
-        Ok(Value::Int(n))
-    } else if s.chars().next().is_some_and(char::is_uppercase) {
-        Ok(Value::sym(s))
-    } else {
-        Err(format!("bad value `{s}` (integers or Uppercase atoms)"))
-    }
+fn read_source(file: &str) -> Result<String, String> {
+    std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))
 }
 
 fn build_workbench(opts: &Opts) -> Result<Workbench, String> {
-    build_workbench_for(opts, &opts.file)
-}
-
-fn build_workbench_for(opts: &Opts, file: &str) -> Result<Workbench, String> {
-    let (wb, errors) = assemble_workbench(opts, file, false)?;
-    debug_assert!(errors.is_empty(), "strict parsing returns Err instead");
-    Ok(wb)
-}
-
-/// Like [`build_workbench_for`], but parses with error recovery:
-/// definitions that survive a syntax error still load and the errors
-/// come back as values. `csp lint` uses this so one typo cannot silence
-/// every diagnostic below it; verification commands stay strict because
-/// an error hole would make their verdicts vacuous.
-fn build_workbench_lenient(
-    opts: &Opts,
-    file: &str,
-) -> Result<(Workbench, Vec<ParseError>), String> {
-    assemble_workbench(opts, file, true)
-}
-
-fn assemble_workbench(
-    opts: &Opts,
-    file: &str,
-    lenient: bool,
-) -> Result<(Workbench, Vec<ParseError>), String> {
-    let mut uni = Universe::new(opts.nat_bound);
-    for (name, vals) in &opts.sets {
-        uni = uni.with_named(name, vals.iter().cloned());
-    }
-    let mut wb = Workbench::new().with_universe(uni);
-    let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    let errors = if lenient {
-        wb.define_source_lenient(&src)
-    } else {
-        wb.define_source(&src).map_err(|e| e.to_string())?;
-        Vec::new()
-    };
-    for (name, vals) in &opts.binds {
-        wb.bind_vector(name, vals);
-    }
-    if !opts.channels.is_empty() {
-        wb.declare_channels(opts.channels.iter().map(String::as_str));
-    }
-    Ok((wb, errors))
+    opts.module.workbench(&read_source(&opts.file)?)
 }
 
 fn need_process(opts: &Opts) -> Result<&str, String> {
     opts.process
         .as_deref()
         .ok_or_else(|| "--process NAME is required".to_string())
-}
-
-/// Wraps a rendered JSON value in the `csp/v1` envelope.
-fn envelope(command: &str, data: &str) -> String {
-    format!(
-        "{{\"schema\":\"csp/v1\",\"command\":{},\"data\":{data}}}",
-        json_string(command)
-    )
 }
 
 /// The shared `--trace-out`/`--metrics` epilogue: writes the session's
@@ -599,55 +537,28 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
                     SatOptions::from(opts.depth).with_engine(opts.engine),
                 )
                 .map_err(|e| e.to_string())?;
-            let clean = match &verdict {
-                SatResult::Holds {
-                    traces_checked,
-                    depth,
-                    engine,
-                } => {
-                    if opts.json {
-                        let mut data = format!(
-                            "{{\"process\":{},\"assertion\":{},\
-                             \"holds\":true,\"traces_checked\":{traces_checked},\
-                             \"depth\":{depth},\"engine\":{}",
-                            json_string(name),
-                            json_string(assertion),
-                            json_string(engine.as_str())
-                        );
-                        append_metrics(&mut data, &session, &opts);
-                        data.push('}');
-                        println!("{}", envelope("check", &data));
-                    } else {
-                        println!(
-                            "holds: {name} sat {assertion} on {traces_checked} traces \
-                             (depth {depth}, engine {engine})"
-                        );
-                    }
-                    true
-                }
-                SatResult::Counterexample { trace, engine } => {
-                    if opts.json {
-                        let mut data = format!(
-                            "{{\"process\":{},\"assertion\":{},\
-                             \"holds\":false,\"counterexample\":{},\"engine\":{}",
-                            json_string(name),
-                            json_string(assertion),
-                            json_string(&trace.to_string()),
-                            json_string(engine.as_str())
-                        );
-                        append_metrics(&mut data, &session, &opts);
-                        data.push('}');
-                        println!("{}", envelope("check", &data));
-                    } else {
+            if opts.json {
+                let data = with_metrics(check_data(name, assertion, &verdict), &session, &opts);
+                println!("{}", envelope("check", &data));
+            } else {
+                match &verdict {
+                    SatResult::Holds {
+                        traces_checked,
+                        depth,
+                        engine,
+                    } => println!(
+                        "holds: {name} sat {assertion} on {traces_checked} traces \
+                         (depth {depth}, engine {engine})"
+                    ),
+                    SatResult::Counterexample { trace, engine } => {
                         println!("REFUTED: {name} sat {assertion} (engine {engine})");
                         println!("counterexample: {trace}");
                         print!("{}", timeline(trace));
                     }
-                    false
                 }
-            };
+            }
             finish_observation(&session, &opts)?;
-            Ok(clean)
+            Ok(verdict.holds())
         }
         "prove" => {
             if opts.specs.is_empty() {
@@ -659,61 +570,18 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
                 .map(|(n, a)| (n.as_str(), a.as_str()))
                 .collect();
             let session = observed_session(&wb, &opts);
-            // The proof checker itself is symbolic — the engine matters
-            // only to the model-checking cross-validation — but the
-            // envelope still reports what the selection resolves to for
-            // the first spec's process, so callers see one consistent
-            // `"engine"` member across check and prove.
-            let resolved = opts
-                .engine
-                .resolve(wb.definitions(), &Process::call(specs[0].0));
-            let spec_json: Vec<String> = specs
-                .iter()
-                .map(|(n, a)| {
-                    format!(
-                        "{{\"name\":{},\"assertion\":{}}}",
-                        json_string(n),
-                        json_string(a)
-                    )
-                })
-                .collect();
-            let clean = match session.prove_auto(&specs) {
-                Ok(report) => {
-                    let title = format!("proof: {} sat {}", specs[0].0, specs[0].1);
-                    if opts.json {
-                        let mut data = format!(
-                            "{{\"specs\":[{}],\"proved\":true,\"engine\":{},\"report\":{}",
-                            spec_json.join(","),
-                            json_string(resolved.as_str()),
-                            json_string(&render_report(&title, &report))
-                        );
-                        append_metrics(&mut data, &session, &opts);
-                        data.push('}');
-                        println!("{}", envelope("prove", &data));
-                    } else {
-                        println!("{}", render_report(&title, &report));
-                    }
-                    true
+            let outcome = ProveOutcome::prove(&session, &specs, opts.engine);
+            if opts.json {
+                let data = with_metrics(outcome.data(), &session, &opts);
+                println!("{}", envelope("prove", &data));
+            } else {
+                match outcome.report() {
+                    Ok(report) => println!("{report}"),
+                    Err(e) => println!("proof failed: {e}"),
                 }
-                Err(e) => {
-                    if opts.json {
-                        let mut data = format!(
-                            "{{\"specs\":[{}],\"proved\":false,\"engine\":{},\"error\":{}",
-                            spec_json.join(","),
-                            json_string(resolved.as_str()),
-                            json_string(&e.to_string())
-                        );
-                        append_metrics(&mut data, &session, &opts);
-                        data.push('}');
-                        println!("{}", envelope("prove", &data));
-                    } else {
-                        println!("proof failed: {e}");
-                    }
-                    false
-                }
-            };
+            }
             finish_observation(&session, &opts)?;
-            Ok(clean)
+            Ok(outcome.proved())
         }
         "run" => {
             let name = need_process(&opts)?;
@@ -780,20 +648,7 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
                 .as_ref()
                 .is_none_or(MonitorReport::is_conforming);
             if opts.json {
-                let mut data = format!(
-                    "{{\"process\":{},\"steps\":{},\"outcome\":{},\"clean\":{},\
-                     \"visible\":{},\"failures\":{},\"supervision\":{},\"monitor\":{}",
-                    json_string(name),
-                    res.steps,
-                    json_string(&res.outcome.to_string()),
-                    res.outcome.is_clean(),
-                    json_string(&res.visible.to_string()),
-                    csp::serve::render_failures(&res),
-                    csp::serve::render_supervision(&res),
-                    csp::serve::render_monitor(&res),
-                );
-                append_metrics(&mut data, &session, &opts);
-                data.push('}');
+                let data = with_metrics(run_data(name, &res), &session, &opts);
                 println!("{}", envelope("run", &data));
             } else {
                 println!("{} event(s); outcome: {}", res.steps, res.outcome);
@@ -929,8 +784,12 @@ fn watch_loop(collector: &Collector, interval_ms: u64, stop: &std::sync::atomic:
         && std::env::var("TERM").map_or(true, |t| t != "dumb");
     let mut last_steps = 0u64;
     let mut last_t = Instant::now();
+    let mut initial = true;
     loop {
-        let done = stop.load(Relaxed);
+        // The initial sample never ends the loop: a run that is over
+        // before the sampler first looks still leaves two samples.
+        let done = !initial && stop.load(Relaxed);
+        initial = false;
         let m = collector.snapshot();
         // Throughput from the causal layer's per-channel counters (their
         // sum equals run.steps: hidden events count on both sides).
@@ -969,12 +828,16 @@ fn watch_loop(collector: &Collector, interval_ms: u64, stop: &std::sync::atomic:
     }
 }
 
-/// Appends `,"metrics":{…}` to a JSON object body under `--metrics`.
-fn append_metrics(data: &mut String, session: &Session<'_>, opts: &Opts) {
+/// Appends the member `"metrics":{…}` to a rendered `data` object under
+/// `--metrics`.
+fn with_metrics(mut data: String, session: &Session<'_>, opts: &Opts) -> String {
     if opts.metrics {
+        data.pop(); // the object's closing brace
         data.push_str(",\"metrics\":");
         data.push_str(&session.metrics().to_json());
+        data.push('}');
     }
+    data
 }
 
 /// Lints every file in `opts.files`; returns Ok(true) when nothing
@@ -984,7 +847,7 @@ fn run_lint(opts: &Opts) -> Result<bool, String> {
     let mut json_files = Vec::new();
     let mut all_diags: Vec<Diagnostic> = Vec::new();
     for file in &opts.files {
-        let (wb, errors) = build_workbench_lenient(opts, file)?;
+        let (wb, errors) = opts.module.workbench_lenient(&read_source(file)?);
         let mut diags = wb.lint();
         if let (Some(name), Some(assert_src)) = (opts.process.as_deref(), opts.assertion.as_deref())
         {
@@ -1112,30 +975,8 @@ fn run_profile(opts: &Opts) -> Result<bool, String> {
             .map(|_| ())
     });
     phase("verify", &mut phases, || {
-        if let (Some(name), Some(assertion)) = (opts.process.as_deref(), opts.assertion.as_deref())
-        {
-            session
-                .check_sat(
-                    name,
-                    assertion,
-                    SatOptions::from(opts.depth).with_engine(opts.engine),
-                )
-                .map_err(|e| e.to_string())
-                .map(|_| ())
-        } else {
-            // Array equations (`q[i:M] = …`) need a subscript to become
-            // a process, so the flag-less sweep covers plain ones only.
-            let names: Vec<String> = wb
-                .definitions()
-                .iter()
-                .filter(|d| d.param().is_none())
-                .map(|d| d.name().to_string())
-                .collect();
-            for name in names {
-                wb.traces(&name, opts.depth).map_err(|e| e.to_string())?;
-            }
-            Ok(())
-        }
+        let claim = opts.process.as_deref().zip(opts.assertion.as_deref());
+        verify_phase(&session, claim, opts.depth, opts.engine).map(|_| ())
     });
     report_profile(opts, &phases, Some(&session))?;
     Ok(phases.iter().all(|p| p.error.is_none()))
@@ -1344,53 +1185,16 @@ fn run_bench_report(args: &[String]) -> Result<bool, String> {
             other => return Err(format!("unknown option `{other}` for `bench report`")),
         }
     }
-    struct Row {
-        unix_ms: u64,
-        samples: u64,
-        total_wall_ms: f64,
-        benches: Vec<(String, f64)>,
-        engines: Vec<(String, String)>,
-    }
     let src =
         std::fs::read_to_string(&history).map_err(|e| format!("cannot read {history}: {e}"))?;
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<HistoryRow> = Vec::new();
     for (i, line) in src.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+        if !line.trim().is_empty() {
+            rows.push(
+                HistoryRow::from_jsonl_line(line)
+                    .map_err(|e| format!("{history}:{}: {e}", i + 1))?,
+            );
         }
-        let bad = |msg: String| format!("{history}:{}: {msg}", i + 1);
-        let v = parse_json(line).map_err(|e| bad(e.message.clone()))?;
-        if v.get("schema").and_then(JsonValue::as_str) != Some("csp-bench-history/v1") {
-            return Err(bad("not a csp-bench-history/v1 row".to_string()));
-        }
-        let benches = v
-            .get("benches")
-            .and_then(JsonValue::entries)
-            .ok_or_else(|| bad("missing benches map".to_string()))?
-            .iter()
-            .filter_map(|(name, ms)| ms.as_f64().map(|ms| (name.clone(), ms)))
-            .collect();
-        // Rows written before the engine split have no engines map.
-        let engines = v
-            .get("engines")
-            .and_then(JsonValue::entries)
-            .map(|entries| {
-                entries
-                    .iter()
-                    .filter_map(|(name, e)| e.as_str().map(|e| (name.clone(), e.to_string())))
-                    .collect()
-            })
-            .unwrap_or_default();
-        rows.push(Row {
-            unix_ms: v.get("unix_ms").and_then(JsonValue::as_u64).unwrap_or(0),
-            samples: v.get("samples").and_then(JsonValue::as_u64).unwrap_or(0),
-            total_wall_ms: v
-                .get("total_wall_ms")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            benches,
-            engines,
-        });
     }
     if rows.is_empty() {
         println!("bench history: {history} — no runs recorded");

@@ -780,6 +780,75 @@ fn prove_json_envelope_reports_the_engine() {
     assert!(stdout.contains("\"engine\":\"enumerative\""), "{stdout}");
 }
 
+/// `csp check|prove --json` and `csp serve` give one answer: the same
+/// `data`, member for member and in the same order, for a claim that
+/// holds and one that is refuted, a proof that checks and one that
+/// fails.
+#[test]
+fn both_front_ends_give_one_answer() {
+    let f = write_fixture("front_ends.csp", PIPELINE);
+    let path = f.to_str().unwrap();
+    let state = csp::serve::ServeState::new(16, 2);
+    let data = |text: &str| {
+        csp::obs::parse_json(text.trim())
+            .unwrap_or_else(|e| panic!("{e:?} in {text}"))
+            .get("data")
+            .cloned()
+            .unwrap_or_else(|| panic!("no data in {text}"))
+    };
+    let source = csp::obs::json_string(PIPELINE);
+    for assertion in ["output <= input", "input <= output"] {
+        let (stdout, _, _) = csp(&[
+            "check",
+            path,
+            "--process",
+            "pipeline",
+            "--assert",
+            assertion,
+            "--depth",
+            "3",
+            "--nat-bound",
+            "1",
+            "--json",
+        ]);
+        let body = format!(
+            "{{\"source\":{source},\"process\":\"pipeline\",\"assertion\":{},\
+             \"depth\":3,\"nat_bound\":1}}",
+            csp::obs::json_string(assertion)
+        );
+        let served = state.post("/v1/check", &body);
+        assert_eq!(served.status, 200);
+        assert_eq!(
+            data(&stdout),
+            data(&String::from_utf8_lossy(&served.body)),
+            "check {assertion}"
+        );
+    }
+    for assertion in ["wire <= input", "input <= wire"] {
+        let (stdout, _, _) = csp(&[
+            "prove",
+            path,
+            "--spec",
+            &format!("copier={assertion}"),
+            "--nat-bound",
+            "1",
+            "--json",
+        ]);
+        let body = format!(
+            "{{\"source\":{source},\"specs\":[{{\"process\":\"copier\",\"assertion\":{}}}],\
+             \"nat_bound\":1}}",
+            csp::obs::json_string(assertion)
+        );
+        let served = state.post("/v1/prove", &body);
+        assert_eq!(served.status, 200);
+        assert_eq!(
+            data(&stdout),
+            data(&String::from_utf8_lossy(&served.body)),
+            "prove copier sat {assertion}"
+        );
+    }
+}
+
 /// `bench report --engine E` keeps only benches recorded on that engine
 /// (tagged per row) and says so explicitly when nothing matches — rows
 /// written before the engine split never match a filter.

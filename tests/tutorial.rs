@@ -107,6 +107,15 @@ fn section_11_profile_the_library_claims() {
         .any(|l| l.starts_with("fixpoint;fixpoint.iter ")));
 }
 
+/// The response body §14 quotes for `command`.
+fn quoted_response(command: &str) -> &'static str {
+    let envelope = format!("{{\"schema\":\"csp/v1\",\"command\":\"{command}\",");
+    include_str!("../docs/TUTORIAL.md")
+        .lines()
+        .find(|line| line.starts_with(&envelope))
+        .unwrap_or_else(|| panic!("TUTORIAL.md quotes no {command} response"))
+}
+
 #[test]
 fn section_14_verification_service_claims() {
     // §14's walkthrough, executed over a real socket: the listening
@@ -129,13 +138,7 @@ fn section_14_verification_service_claims() {
     let cold = client.post("/v1/lint", &lint).expect("cold lint");
     assert_eq!(cold.status, 200, "{}", cold.body);
     assert_eq!(cold.header("X-Csp-Cache"), Some("miss"));
-    assert!(
-        cold.body
-            .starts_with("{\"schema\":\"csp/v1\",\"command\":\"serve.lint\",\"data\":"),
-        "{}",
-        cold.body
-    );
-    assert!(cold.body.contains("\"definitions\":3"), "{}", cold.body);
+    assert_eq!(cold.body, quoted_response("serve.lint"));
     let warm = client.post("/v1/lint", &lint).expect("warm lint");
     assert_eq!(warm.header("X-Csp-Cache"), Some("hit"));
     assert_eq!(cold.body, warm.body, "hits are byte-identical");
@@ -144,7 +147,8 @@ fn section_14_verification_service_claims() {
     let relint = client.post("/v1/lint", &edited).expect("re-lint");
     assert_eq!(relint.header("X-Csp-Cache"), Some("miss"));
 
-    // The quoted §14 check and prove responses, field for field.
+    // The quoted §14 check and prove responses, byte for byte; the
+    // quoted prove response elides its report after the title.
     let check = client
         .post(
             "/v1/check",
@@ -154,12 +158,7 @@ fn section_14_verification_service_claims() {
             ),
         )
         .expect("check");
-    assert!(check.body.contains("\"holds\":true"), "{}", check.body);
-    assert!(
-        check.body.contains("\"traces_checked\":17"),
-        "{}",
-        check.body
-    );
+    assert_eq!(check.body, quoted_response("serve.check"));
     let prove = client
         .post(
             "/v1/prove",
@@ -169,8 +168,16 @@ fn section_14_verification_service_claims() {
             ),
         )
         .expect("prove");
-    assert!(prove.body.contains("\"proved\":true"), "{}", prove.body);
-    assert!(prove.body.contains("\"rules\":5"), "{}", prove.body);
+    let (head, tail) = quoted_response("serve.prove")
+        .split_once('…')
+        .expect("the quoted report is elided");
+    assert!(prove.body.starts_with(head), "{}", prove.body);
+    assert!(prove.body.ends_with(tail), "{}", prove.body);
+    assert!(
+        prove.body[head.len()..].contains("pure premises:"),
+        "{}",
+        prove.body
+    );
 
     let health = client.get("/healthz").expect("healthz");
     assert!(health.body.contains("\"status\":\"ok\""), "{}", health.body);
