@@ -337,6 +337,20 @@ impl fmt::Display for Term {
     }
 }
 
+/// An operand of `and` or `or`, or the left operand of `=>`. A
+/// quantifier there is wrapped: its body would otherwise extend over the
+/// rest of the connective, and `and`/`or` take no bare quantifier.
+struct Operand<'a>(&'a Assertion);
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            q @ (Assertion::ForallIn(..) | Assertion::ExistsIn(..)) => write!(f, "({q})"),
+            a => a.fmt(f),
+        }
+    }
+}
+
 impl fmt::Display for Assertion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -346,9 +360,9 @@ impl fmt::Display for Assertion {
             Assertion::SeqEq(a, b) => write!(f, "{a} == {b}"),
             Assertion::Cmp(op, a, b) => write!(f, "{a} {} {b}", op.symbol()),
             Assertion::Not(a) => write!(f, "not ({a})"),
-            Assertion::And(a, b) => write!(f, "({a} and {b})"),
-            Assertion::Or(a, b) => write!(f, "({a} or {b})"),
-            Assertion::Implies(a, b) => write!(f, "({a} => {b})"),
+            Assertion::And(a, b) => write!(f, "({} and {})", Operand(a), Operand(b)),
+            Assertion::Or(a, b) => write!(f, "({} or {})", Operand(a), Operand(b)),
+            Assertion::Implies(a, b) => write!(f, "({} => {b})", Operand(a)),
             Assertion::ForallIn(x, m, a) => write!(f, "forall {x}:{m}. ({a})"),
             Assertion::ExistsIn(x, m, a) => write!(f, "exists {x}:{m}. ({a})"),
         }

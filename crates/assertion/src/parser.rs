@@ -867,6 +867,26 @@ mod tests {
     }
 
     #[test]
+    fn quantified_operands_print_back_to_themselves() {
+        // A quantifier's body extends as far right as it can, so a
+        // quantifier left of `=>`, `and` or `or` prints in parentheses.
+        let q = ok("forall i:NAT. i <= #wire");
+        let r = q.clone().implies(ok("wire <= input"));
+        assert_eq!(
+            r.to_string(),
+            "((forall i:NAT. (i <= #wire)) => wire <= input)"
+        );
+        for a in [
+            r,
+            q.clone().and(ok("wire <= input")),
+            ok("wire <= input").or(q.clone()),
+            ok("wire <= input").implies(q),
+        ] {
+            assert_eq!(ok(&a.to_string()), a, "{a}");
+        }
+    }
+
+    #[test]
     fn channel_array_subscripts() {
         let r = ok("col[0] <= col[i-1]");
         assert_eq!(r.to_string(), "col[0] <= col[(i - 1)]");

@@ -20,16 +20,24 @@
 //! [`Lts::steps`] once per arena. A network row runs the `||` and `chan`
 //! rules of [`Lts::steps`] over the component rows, and each successor is
 //! the same skeleton with the moved components' ids replaced, interned
-//! by hashing the id vector: no term is built or compared. A state no
-//! skeleton represents (the unfolded `Call` start state, a root `||`
+//! by hashing the id vector: no term is built or compared. The moves of a
+//! row are built in two buffers the arena reuses from row to row. A state
+//! no skeleton represents (the unfolded `Call` start state, a root `||`
 //! whose alphabets are not pinned in resolved form, a root `chan` over a
-//! leaf, a leaf with free variables) is stepped as a whole term, and so is
-//! the one successor in which a component grows a spine of its own (an
-//! inner `||` pinning on its first move). Two rules keep this invisible:
-//! a network row has the same steps, in the same order, as
+//! leaf, a leaf with free variables) is stepped as a whole term. When one
+//! component grows a spine of its own (an inner `||` pinning on its first
+//! move), the successor is built as a term and decomposed once per
+//! `(skeleton, slot, component, step)`; the arena keeps the successor's
+//! skeleton and the components filling the grown slot, and splices them
+//! into the key of every later such successor. Two rules keep this
+//! invisible: a network row has the same steps, in the same order, as
 //! [`Lts::steps`] on the whole term; and decomposition is a function of
 //! the configuration, so every path into the arena gives a configuration
 //! the same [`StateId`].
+//!
+//! The trace walk numbers traces: `<>` is 0, a child's number comes from
+//! its parent's number and the event, and the walk's visited set holds
+//! `(number, state)` pairs, so each distinct trace is built once.
 //!
 //! On top of the compiled successor rows, reachability-style checks
 //! (deadlock search, trace refinement) run over [`StateSet`] bitset rows
@@ -46,6 +54,7 @@
 //! search, refinement and conformance run on the arena alone.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use csp_lang::{
@@ -274,20 +283,50 @@ pub struct CompiledLts<'a> {
     /// Components by environment and term. Terms come from user input,
     /// so this map keeps the default, collision-resistant hasher.
     component_ids: HashMap<(u32, Arc<Process>), u32>,
+    /// Grown successors by `(skeleton, slot, component, step)`.
+    grown: FxHashMap<(u32, usize, u32, usize), Grown>,
+    /// The moves of the row being built, kept between rows.
+    move_buf: MoveBuf,
     transitions: usize,
     component_rows: usize,
     fallback_rows: usize,
+    decompositions: usize,
+    splices: usize,
 }
 
-/// The bookkeeping of one trace walk.
-#[derive(Default)]
+/// The bookkeeping of one trace walk. Traces are numbered: `<>` is 0,
+/// and every other trace is numbered when the walk first reaches it.
 struct TraceWalk {
-    /// `(trace, state)` pairs already visited: a revisit adds nothing.
-    seen: FxHashSet<(Trace, u32)>,
-    /// The distinct traces reached so far, and the same traces in
-    /// first-visit order.
-    traces: FxHashSet<Trace>,
+    /// `(trace number, state)` pairs already visited: a revisit adds
+    /// nothing.
+    seen: FxHashSet<(u32, u32)>,
+    /// Trace numbers by `(parent number, event)`.
+    children: FxHashMap<(u32, Event), u32>,
+    /// The traces by number, so in first-visit order.
     listed: Vec<Trace>,
+}
+
+impl TraceWalk {
+    fn new() -> Self {
+        TraceWalk {
+            seen: FxHashSet::default(),
+            children: FxHashMap::default(),
+            listed: vec![Trace::empty()],
+        }
+    }
+
+    /// The number of `parent` extended by `e`, built from the parent's
+    /// trace the first time it is asked for.
+    fn child(&mut self, parent: u32, e: Event) -> u32 {
+        let TraceWalk {
+            children, listed, ..
+        } = self;
+        *children.entry((parent, e)).or_insert_with(|| {
+            let trace = listed[parent as usize].snoc(e);
+            listed.push(trace);
+            u32::try_from(listed.len() - 1).expect("trace count exceeds u32")
+        })
+    }
 }
 
 /// One interned state.
@@ -375,12 +414,20 @@ enum Next {
     Term(Arc<Process>),
 }
 
-/// One step of a skeleton node: the event (`None` when concealed) and
-/// the component steps taking part, as `(leaf slot, row index)` pairs in
-/// slot order.
-#[derive(Debug, Clone)]
-struct Move {
-    event: Option<Event>,
+/// A successor in which one component grew a spine, as decomposition
+/// read it: its skeleton, and the components filling the grown slot.
+#[derive(Debug)]
+struct Grown {
+    skel: u32,
+    fill: Arc<[u32]>,
+}
+
+/// The steps of a skeleton node. Each move is its event (`None` when
+/// concealed) and the range of `parts` holding the component steps
+/// taking part, as `(leaf slot, row index)` pairs in slot order.
+#[derive(Debug, Default)]
+struct MoveBuf {
+    moves: Vec<(Option<Event>, Range<usize>)>,
     parts: Vec<(usize, usize)>,
 }
 
@@ -398,9 +445,13 @@ impl<'a> CompiledLts<'a> {
             env_ids: BTreeMap::new(),
             components: Vec::new(),
             component_ids: HashMap::new(),
+            grown: FxHashMap::default(),
+            move_buf: MoveBuf::default(),
             transitions: 0,
             component_rows: 0,
             fallback_rows: 0,
+            decompositions: 0,
+            splices: 0,
         }
     }
 
@@ -486,6 +537,19 @@ impl<'a> CompiledLts<'a> {
         self.fallback_rows
     }
 
+    /// Configurations interned by reading their term: one per call of
+    /// [`intern`](Self::intern), the successors in which a component
+    /// first grows a spine among them.
+    pub fn num_decompositions(&self) -> usize {
+        self.decompositions
+    }
+
+    /// Successors in which a component grows a spine, interned by
+    /// splicing a memoised decomposition into the parent's key.
+    pub fn num_splices(&self) -> usize {
+        self.splices
+    }
+
     /// The successor row of a state, compiling it on first access. The
     /// steps keep the exact order [`Lts::steps`] produces them in, so
     /// walks over the compiled graph reproduce the enumerative engine's
@@ -532,31 +596,82 @@ impl<'a> CompiledLts<'a> {
         for &c in &key[1..] {
             self.component_row(c)?;
         }
+        let mut buf = std::mem::take(&mut self.move_buf);
+        buf.moves.clear();
+        buf.parts.clear();
         let skel = &self.skeletons[key[0] as usize];
-        let moves = self.moves(skel, skel.nodes.len() - 1, &key[1..]);
+        self.moves(skel, skel.nodes.len() - 1, &key[1..], &mut buf);
         let mut next = key.to_vec();
-        let mut row = Vec::with_capacity(moves.len());
-        for m in moves {
+        let mut row = Vec::with_capacity(buf.moves.len());
+        for (event, parts) in &buf.moves {
+            let parts = &buf.parts[parts.clone()];
             next.copy_from_slice(key);
-            let mut grown = false;
-            for &(slot, k) in &m.parts {
+            let (mut growths, mut grown) = (0, 0);
+            for (i, &(slot, k)) in parts.iter().enumerate() {
                 match self.component_step(key[1 + slot], k) {
                     Next::Comp(c) => next[1 + slot] = *c,
-                    Next::Term(_) => grown = true,
+                    Next::Term(_) => {
+                        growths += 1;
+                        grown = i;
+                    }
                 }
             }
-            let target = if grown {
-                let config = self.grown_successor(key, &m.parts);
-                self.intern(config)
-            } else {
-                self.intern_net(&next)
+            let target = match growths {
+                0 => self.intern_net(&next),
+                1 => self.splice(key, &next, parts, grown),
+                _ => {
+                    let config = self.grown_successor(key, parts);
+                    self.intern(config)
+                }
             };
-            row.push(match m.event {
-                Some(e) => CompiledStep::Visible(e, target),
+            row.push(match event {
+                Some(e) => CompiledStep::Visible(*e, target),
                 None => CompiledStep::Internal(target),
             });
         }
+        self.move_buf = buf;
         Ok(row)
+    }
+
+    /// The successor of a network state when exactly one moved component,
+    /// `parts[grown]`, grows a spine. Leaves sit directly under `||` nodes
+    /// and every other leaf is a component, which decomposes to itself;
+    /// so the successor's key is `next` with the grown slot replaced by
+    /// the leaves of the new spine, under a skeleton fixed by the parent's
+    /// skeleton, the slot and the grown term. The first such successor
+    /// per `(skeleton, slot, component, step)` is built and decomposed;
+    /// later ones are spliced.
+    fn splice(
+        &mut self,
+        key: &[u32],
+        next: &[u32],
+        parts: &[(usize, usize)],
+        grown: usize,
+    ) -> StateId {
+        let (slot, k) = parts[grown];
+        let memo = (key[0], slot, key[1 + slot], k);
+        if let Some(Grown { skel, fill }) = self.grown.get(&memo) {
+            let mut spliced = Vec::with_capacity(next.len() + fill.len() - 1);
+            spliced.push(*skel);
+            spliced.extend_from_slice(&next[1..1 + slot]);
+            spliced.extend_from_slice(fill);
+            spliced.extend_from_slice(&next[2 + slot..]);
+            self.splices += 1;
+            return self.intern_net(&spliced);
+        }
+        let config = self.grown_successor(key, parts);
+        let id = self.intern(config);
+        if let Some(succ) = &self.states[id.index()].net {
+            let fill = &succ[1 + slot..1 + slot + succ.len() - (key.len() - 1)];
+            debug_assert_eq!(succ[1..1 + slot], next[1..1 + slot]);
+            debug_assert_eq!(succ[1 + slot + fill.len()..], next[2 + slot..]);
+            let grown = Grown {
+                skel: succ[0],
+                fill: fill.into(),
+            };
+            self.grown.insert(memo, grown);
+        }
+        id
     }
 
     fn component_step(&self, c: u32, k: usize) -> &Next {
@@ -640,56 +755,66 @@ impl<'a> CompiledLts<'a> {
         Some(c)
     }
 
-    /// The steps of one skeleton node, by the rules of [`Lts::steps`]:
-    /// a `chan` node conceals its hidden events; a `||` node moves its
-    /// left operand alone or jointly with the right on a shared channel
-    /// (in left-row order), then its right operand alone. A concealed
-    /// operand step is a concealed step of the node.
-    fn moves(&self, skel: &Skeleton, node: usize, comps: &[u32]) -> Vec<Move> {
+    /// Appends the steps of one skeleton node to `buf.moves`, by the
+    /// rules of [`Lts::steps`]: a `chan` node conceals its hidden events;
+    /// a `||` node moves its left operand alone or jointly with the right
+    /// on a shared channel (in left-row order), then its right operand
+    /// alone. A concealed operand step is a concealed step of the node.
+    /// The operands' moves are dropped once the node's are built, so a
+    /// node's moves are all `buf.moves` holds past its length on entry.
+    fn moves(&self, skel: &Skeleton, node: usize, comps: &[u32], buf: &mut MoveBuf) {
+        let start = buf.moves.len();
         match &skel.nodes[node] {
-            Node::Leaf(slot) => self.components[comps[*slot] as usize]
-                .row
-                .as_ref()
-                .expect("component compiled")
-                .iter()
-                .enumerate()
-                .map(|(k, (event, _))| Move {
-                    event: *event,
-                    parts: vec![(*slot, k)],
-                })
-                .collect(),
+            Node::Leaf(slot) => {
+                let row = self.components[comps[*slot] as usize]
+                    .row
+                    .as_ref()
+                    .expect("component compiled");
+                for (k, (event, _)) in row.iter().enumerate() {
+                    let at = buf.parts.len();
+                    buf.parts.push((*slot, k));
+                    buf.moves.push((*event, at..at + 1));
+                }
+            }
             Node::Hide { hidden, body, .. } => {
-                let mut moves = self.moves(skel, *body, comps);
-                for m in &mut moves {
-                    if m.event.is_some_and(|e| hidden.contains(e.channel())) {
-                        m.event = None;
+                self.moves(skel, *body, comps, buf);
+                for (event, _) in &mut buf.moves[start..] {
+                    if event.is_some_and(|e| hidden.contains(e.channel())) {
+                        *event = None;
                     }
                 }
-                moves
             }
             Node::Par {
                 left, right, sync, ..
             } => {
-                let shared = |m: &Move| m.event.is_some_and(|e| sync.contains(e.channel()));
-                let ls = self.moves(skel, *left, comps);
-                let rs = self.moves(skel, *right, comps);
-                let mut out = Vec::with_capacity(ls.len() + rs.len());
-                for l in ls {
-                    if !shared(&l) {
-                        out.push(l);
+                let shared = |e: Option<Event>| e.is_some_and(|e| sync.contains(e.channel()));
+                self.moves(skel, *left, comps, buf);
+                let mid = buf.moves.len();
+                self.moves(skel, *right, comps, buf);
+                let end = buf.moves.len();
+                for l in start..mid {
+                    let (event, lparts) = buf.moves[l].clone();
+                    if !shared(event) {
+                        buf.moves.push((event, lparts));
                         continue;
                     }
-                    for r in rs.iter().filter(|r| r.event == l.event) {
-                        let mut parts = l.parts.clone();
-                        parts.extend_from_slice(&r.parts);
-                        out.push(Move {
-                            event: l.event,
-                            parts,
-                        });
+                    for r in mid..end {
+                        let (revent, rparts) = buf.moves[r].clone();
+                        if revent == event {
+                            let from = buf.parts.len();
+                            buf.parts.extend_from_within(lparts.clone());
+                            buf.parts.extend_from_within(rparts);
+                            buf.moves.push((event, from..buf.parts.len()));
+                        }
                     }
                 }
-                out.extend(rs.into_iter().filter(|r| !shared(r)));
-                out
+                for r in mid..end {
+                    if !shared(buf.moves[r].0) {
+                        let m = buf.moves[r].clone();
+                        buf.moves.push(m);
+                    }
+                }
+                buf.moves.drain(start..end);
             }
         }
     }
@@ -699,6 +824,7 @@ impl<'a> CompiledLts<'a> {
     /// alone, so every path into the arena gives a configuration the same
     /// id.
     fn decompose(&mut self, config: &Config) -> Option<Vec<u32>> {
+        self.decompositions += 1;
         let mut nodes = Vec::new();
         let mut leaves = Vec::new();
         let shape = spine(
@@ -777,8 +903,8 @@ impl<'a> CompiledLts<'a> {
         depth: usize,
         internal_budget: usize,
     ) -> Result<Vec<Trace>, EvalError> {
-        let mut walk = TraceWalk::default();
-        self.walk(start, depth, internal_budget, &Trace::empty(), &mut walk)?;
+        let mut walk = TraceWalk::new();
+        self.walk(start, depth, internal_budget, 0, &mut walk)?;
         Ok(walk.listed)
     }
 
@@ -797,14 +923,11 @@ impl<'a> CompiledLts<'a> {
         id: StateId,
         depth: usize,
         internal_budget: usize,
-        prefix: &Trace,
+        trace: u32,
         out: &mut TraceWalk,
     ) -> Result<(), EvalError> {
-        if !out.seen.insert((prefix.clone(), id.0)) {
+        if !out.seen.insert((trace, id.0)) {
             return Ok(());
-        }
-        if out.traces.insert(prefix.clone()) {
-            out.listed.push(prefix.clone());
         }
         let n = self.steps_of(id)?.len();
         for k in 0..n {
@@ -812,12 +935,13 @@ impl<'a> CompiledLts<'a> {
             match step {
                 CompiledStep::Visible(e, next) => {
                     if depth > 0 {
-                        self.walk(next, depth - 1, internal_budget, &prefix.snoc(e), out)?;
+                        let child = out.child(trace, e);
+                        self.walk(next, depth - 1, internal_budget, child, out)?;
                     }
                 }
                 CompiledStep::Internal(next) => {
                     if internal_budget > 0 {
-                        self.walk(next, depth, internal_budget - 1, prefix, out)?;
+                        self.walk(next, depth, internal_budget - 1, trace, out)?;
                     }
                 }
             }
@@ -1268,6 +1392,11 @@ mod tests {
     #[test]
     fn network_rows_are_whole_term_rows() {
         let mult = parse_definitions(&examples::multiplier_src(3)).unwrap();
+        // The benchmark's widest multiplier: rows over {0..1}.
+        let mult4 = parse_definitions(
+            &examples::multiplier_src(4).replace("row[i]?x:NAT", "row[i]?x:{0..1}"),
+        )
+        .unwrap();
         let chain = parse_definitions(&examples::pipeline_src(4)).unwrap();
         let protocol_uni = Universe::new(0).with_named("M", [Value::nat(0), Value::nat(1)]);
         let cases = [
@@ -1293,6 +1422,13 @@ mod tests {
                 examples::multiplier_env(&[1, 2, 3]),
                 3,
             ),
+            (
+                mult4,
+                Universe::new(10),
+                "multiplier",
+                examples::multiplier_env(&[1, 2, 3, 4]),
+                4,
+            ),
         ];
         for (defs, uni, name, env, depth) in &cases {
             let lts = Lts::new(defs, uni);
@@ -1306,6 +1442,30 @@ mod tests {
             // Only the unfolded start state is stepped as a whole term.
             assert_eq!(c.num_fallback_rows(), 1, "{name}");
             assert!(c.num_component_rows() > 0, "{name}");
+            // The multipliers' inner `||`s pin on their first moves: those
+            // successors are spliced once each spine has been read.
+            if *name == "multiplier" {
+                assert!(c.num_splices() > 0, "{name}");
+            }
+            assert_rows_are_whole_term_rows(&mut c, &lts);
+        }
+    }
+
+    #[test]
+    fn joint_moves_growing_two_spines_are_whole_term_moves() {
+        // On `a.0` both operands of the pinned root `||` move jointly, and
+        // each pins its own inner `||`: two components grow in one move.
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let net = "(a!0 -> STOP || b!0 -> STOP) ||{a, b | a, c} (a!0 -> STOP || c!0 -> STOP)";
+        for src in [net.to_string(), format!("chan a; ({net})")] {
+            let config = Config::new(csp_lang::parse_process(&src).unwrap(), Env::new());
+            let mut c = CompiledLts::new(&defs, &uni);
+            let start = c.intern(config.clone());
+            let compiled = c.traces_budgeted(start, 4, 12).unwrap();
+            let enumerated = lts.traces_budgeted(&config, 4, 12).unwrap();
+            assert_eq!(compiled, enumerated, "{src}");
             assert_rows_are_whole_term_rows(&mut c, &lts);
         }
     }

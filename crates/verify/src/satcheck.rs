@@ -172,6 +172,12 @@ impl<'a> SatChecker<'a> {
                         "satcheck.fallback_rows",
                         compiled.num_fallback_rows(),
                     ),
+                    (
+                        "decompositions",
+                        "satcheck.decompositions",
+                        compiled.num_decompositions(),
+                    ),
+                    ("splices", "satcheck.splices", compiled.num_splices()),
                 ] {
                     root.record(field, n);
                     self.collector.add(counter, n as u64);

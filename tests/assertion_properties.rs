@@ -10,7 +10,7 @@
 
 use csp::{
     parse_assertion, Assertion, Channel, ChannelInfo, CmpOp, Env, EvalCtx, Expr, FuncTable,
-    History, STerm, Term, Trace, Universe, Value,
+    History, STerm, SetExpr, Term, Trace, Universe, Value,
 };
 use proptest::prelude::*;
 
@@ -76,6 +76,7 @@ fn arb_term() -> impl Strategy<Value = Term> {
 }
 
 fn arb_assertion() -> impl Strategy<Value = Assertion> {
+    use Assertion::{ExistsIn, ForallIn};
     let atom = prop_oneof![
         (arb_sterm(), arb_sterm()).prop_map(|(s, t)| Assertion::Prefix(s, t)),
         (arb_sterm(), arb_sterm()).prop_map(|(s, t)| Assertion::SeqEq(s, t)),
@@ -90,8 +91,19 @@ fn arb_assertion() -> impl Strategy<Value = Assertion> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.implies(b)),
             inner.clone().prop_map(Assertion::negate),
+            (arb_binder(), inner.clone()).prop_map(|((x, m), a)| ForallIn(x, m, a.into())),
+            (arb_binder(), inner).prop_map(|((x, m), a)| ExistsIn(x, m, a.into())),
         ]
     })
+}
+
+/// A quantifier's variable and set: `x` shadows the variable the terms
+/// use, `i` binds a fresh one.
+fn arb_binder() -> impl Strategy<Value = (String, SetExpr)> {
+    prop_oneof![
+        Just(("x".to_string(), SetExpr::range(0, 2))),
+        Just(("i".to_string(), SetExpr::Nat)),
+    ]
 }
 
 /// Evaluates, returning `None` when the generated instance falls outside

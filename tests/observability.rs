@@ -79,41 +79,63 @@ fn session_fixpoint_matches_unobserved_workbench() {
 }
 
 /// Observation must not perturb a compiled `sat` check either, and the
-/// arena counters it records are those of the arena the check walked.
+/// arena counters it records are those of the arena the check walked. The
+/// multiplier's inner `||`s pin on their first moves, so its arena splices
+/// grown successors.
 #[test]
 fn compiled_sat_check_is_identical_under_observation() {
-    let wb = pipeline_workbench();
-    let opts = SatOptions::from(6).with_engine(Engine::Compiled);
-    let quiet = wb
-        .check_sat("pipeline", "output <= input", opts.clone())
-        .expect("quiet check");
-    let session = wb.session();
-    let observed = session
-        .check_sat("pipeline", "output <= input", opts.clone())
-        .expect("observed check");
-    assert_eq!(format!("{quiet:?}"), format!("{observed:?}"));
+    let multiplier_invariant = csp_bench::multiplier_invariant(3);
+    let cases = [
+        (pipeline_workbench(), "pipeline", "output <= input", 6),
+        (
+            csp_bench::multiplier_workbench(3),
+            "multiplier",
+            multiplier_invariant.as_str(),
+            4,
+        ),
+    ];
+    for (wb, process, assertion, depth) in &cases {
+        let opts = SatOptions::from(*depth).with_engine(Engine::Compiled);
+        let quiet = wb
+            .check_sat(process, assertion, opts.clone())
+            .expect("quiet check");
+        let session = wb.session();
+        let observed = session
+            .check_sat(process, assertion, opts.clone())
+            .expect("observed check");
+        assert_eq!(format!("{quiet:?}"), format!("{observed:?}"));
 
-    let mut arena = csp::CompiledLts::new(wb.definitions(), wb.universe());
-    let start = arena.start("pipeline", wb.env());
-    arena
-        .traces_budgeted(start, opts.depth, opts.depth * opts.internal_budget_factor)
-        .expect("walk");
-    let metrics = session.metrics();
-    let root = session
-        .events()
-        .into_iter()
-        .find(|r| r.name == "satcheck")
-        .expect("satcheck span");
-    for (field, n) in [
-        ("states", arena.num_states()),
-        ("transitions", arena.num_transitions()),
-        ("component_rows", arena.num_component_rows()),
-        ("fallback_rows", arena.num_fallback_rows()),
-    ] {
-        let counter = format!("satcheck.{field}");
-        assert_eq!(metrics.counter(&counter), n as u64, "{counter}");
-        let recorded = root.fields.iter().find(|(k, _)| k == field).map(|(_, v)| v);
-        assert_eq!(recorded, Some(&FieldValue::from(n)), "span field {field}");
+        let mut arena = csp::CompiledLts::new(wb.definitions(), wb.universe());
+        let start = arena.start(process, wb.env());
+        arena
+            .traces_budgeted(start, opts.depth, opts.depth * opts.internal_budget_factor)
+            .expect("walk");
+        if *process == "multiplier" {
+            assert!(arena.num_splices() > 0, "{process}");
+        }
+        let metrics = session.metrics();
+        let root = session
+            .events()
+            .into_iter()
+            .find(|r| r.name == "satcheck")
+            .expect("satcheck span");
+        for (field, n) in [
+            ("states", arena.num_states()),
+            ("transitions", arena.num_transitions()),
+            ("component_rows", arena.num_component_rows()),
+            ("fallback_rows", arena.num_fallback_rows()),
+            ("decompositions", arena.num_decompositions()),
+            ("splices", arena.num_splices()),
+        ] {
+            let counter = format!("satcheck.{field}");
+            assert_eq!(metrics.counter(&counter), n as u64, "{process}: {counter}");
+            let recorded = root.fields.iter().find(|(k, _)| k == field).map(|(_, v)| v);
+            assert_eq!(
+                recorded,
+                Some(&FieldValue::from(n)),
+                "{process}: span field {field}"
+            );
+        }
     }
 }
 
