@@ -211,41 +211,6 @@ impl Diagnostic {
         self.span = span.filter(|s| !s.is_unknown());
         self
     }
-
-    /// Renders the finding as one JSON object (no external dependencies;
-    /// the schema is part of the CLI contract and covered by tests).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-            self.code.code(),
-            self.severity,
-            json_escape(&self.message)
-        ));
-        if let Some(def) = &self.def {
-            s.push_str(&format!(",\"def\":\"{}\"", json_escape(def)));
-        }
-        if let Some(sp) = &self.span {
-            s.push_str(&format!(
-                ",\"line\":{},\"column\":{},\"offset\":{},\"len\":{}",
-                sp.line, sp.column, sp.offset, sp.len
-            ));
-        }
-        match &self.confirmation {
-            Some(Confirmation::Confirmed { witness }) => {
-                s.push_str(&format!(
-                    ",\"confirmation\":\"confirmed\",\"witness\":\"{}\"",
-                    json_escape(witness)
-                ));
-            }
-            Some(Confirmation::Heuristic) => {
-                s.push_str(",\"confirmation\":\"heuristic\"");
-            }
-            None => {}
-        }
-        s.push('}');
-        s
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -261,31 +226,9 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Renders a slice of diagnostics as a JSON array.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let items: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-    format!("[{}]", items.join(","))
-}
-
 /// The worst severity present, if any.
 pub fn max_severity(diags: &[Diagnostic]) -> Option<Severity> {
     diags.iter().map(|d| d.severity).max()
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -324,17 +267,6 @@ mod tests {
         let d = Diagnostic::new(LintCode::UselessHiding, "m").at(Some(Span::default()));
         assert!(d.span.is_none());
         assert!(!d.to_string().contains("?:?"));
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_nests() {
-        let d = Diagnostic::new(LintCode::UnboundVariable, "unbound variable `x\"y`").in_def("p");
-        let j = d.to_json();
-        assert!(j.contains("\\\"y"), "{j}");
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        let arr = render_json(&[d.clone(), d]);
-        assert!(arr.starts_with('[') && arr.ends_with(']'));
-        assert_eq!(arr.matches("CSP003").count(), 2);
     }
 
     #[test]

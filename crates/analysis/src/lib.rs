@@ -47,9 +47,7 @@ mod passes;
 mod walk;
 
 pub use db::{content_hash, AnalysisDb, RevisionStats};
-pub use diagnostic::{
-    max_severity, render_json, Confirmation, Diagnostic, LintCode, Severity, ALL_CODES,
-};
+pub use diagnostic::{max_severity, Confirmation, Diagnostic, LintCode, Severity, ALL_CODES};
 pub use linter::Linter;
 pub use passes::scope::hidden_channels;
-pub use walk::{channel_uses, initial_offers, ChannelUse, Offer};
+pub use walk::{initial_offers, Offer};

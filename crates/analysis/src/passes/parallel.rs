@@ -16,11 +16,14 @@
 
 use std::collections::BTreeMap;
 
-use csp_lang::{channel_alphabet, DefSpans, Definition, Definitions, Env, Process, Span, SpanTree};
+use csp_lang::{
+    channel_alphabet, channel_uses, operand_alphabet, ChanRef, ChannelUse, DefSpans, Definition,
+    Definitions, Env, Process, Span, SpanTree,
+};
 use csp_trace::{Channel, ChannelSet};
 
 use crate::diagnostic::{Diagnostic, LintCode};
-use crate::walk::{channel_uses, initial_offers, ChannelUse};
+use crate::walk::initial_offers;
 
 pub(crate) fn check(
     def: &Definition,
@@ -62,7 +65,7 @@ fn walk(
         if !parent_is_parallel {
             check_direction_races(in_def, p, defs, env, span, out);
         }
-        check_offer_mismatch(in_def, left, right, defs, env, span, out);
+        check_offer_mismatch(in_def, p, defs, env, span, out);
     }
 
     let child = |i: usize| t.and_then(|t| t.child(i));
@@ -90,7 +93,7 @@ fn walk(
 fn check_alphabet_coverage(
     in_def: &str,
     operand: &Process,
-    declared: &Option<Vec<csp_lang::ChanRef>>,
+    declared: &Option<Vec<ChanRef>>,
     side: &str,
     defs: &Definitions,
     env: &Env,
@@ -203,19 +206,28 @@ fn flatten<'a>(p: &'a Process, out: &mut Vec<&'a Process>) {
     }
 }
 
-/// CSP010: both operands' first offers are known and no initial event is
-/// possible — no offer on a private channel, no compatible pair on a
-/// shared one.
-#[allow(clippy::too_many_arguments)]
+/// CSP010 at the composition `p`: both operands' first offers are known
+/// and no initial event is possible — no offer outside the shared
+/// alphabet `X ∩ Y`, no compatible pair inside it. `X` and `Y` are the
+/// operands' alphabets as §1.2(7) reads them: declared when listed,
+/// otherwise inferred.
 fn check_offer_mismatch(
     in_def: &str,
-    left: &Process,
-    right: &Process,
+    p: &Process,
     defs: &Definitions,
     env: &Env,
     span: Option<Span>,
     out: &mut Vec<Diagnostic>,
 ) {
+    let Process::Parallel {
+        left,
+        right,
+        left_alpha,
+        right_alpha,
+    } = p
+    else {
+        return;
+    };
     let (Some(lo), Some(ro)) = (
         initial_offers(left, defs, env),
         initial_offers(right, defs, env),
@@ -227,15 +239,15 @@ fn check_offer_mismatch(
         return;
     }
     let (Ok(la), Ok(ra)) = (
-        channel_alphabet(left, defs, env),
-        channel_alphabet(right, defs, env),
+        operand_alphabet(left_alpha.as_deref(), left, defs, env),
+        operand_alphabet(right_alpha.as_deref(), right, defs, env),
     ) else {
         return;
     };
-    let left_moves_alone = lo.iter().any(|o| !ra.contains(&o.chan));
-    let right_moves_alone = ro.iter().any(|o| !la.contains(&o.chan));
+    let shared = la.intersection(&ra);
+    let moves_alone = lo.iter().chain(&ro).any(|o| !shared.contains(&o.chan));
     let can_sync = lo.iter().any(|l| ro.iter().any(|r| l.compatible(r)));
-    if !(left_moves_alone || right_moves_alone || can_sync) {
+    if !(moves_alone || can_sync) {
         out.push(
             Diagnostic::new(
                 LintCode::OfferMismatch,

@@ -1,106 +1,11 @@
-//! Shared analyses over process text: spanned traversal, channel
-//! direction maps, and initial communication offers.
-//!
-//! These mirror the unfolding discipline of
-//! [`channel_alphabet`](csp_lang::channel_alphabet): process-name
-//! references are resolved through the definition list with a visited set
-//! keyed on `(name, argument values)`, finite input sets are sampled so
-//! value-dependent channel subscripts are covered, and unbounded inputs
-//! bind a representative `0`.
+//! Initial communication offers, the lint-only analysis behind CSP010.
+//! The channels a term uses, and how, come from csp-lang's
+//! [`channel_uses`](csp_lang::channel_uses).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use csp_lang::{Definitions, Env, EvalError, MsgSet, Process};
+use csp_lang::{Definitions, Env, MsgSet, Process};
 use csp_trace::{Channel, Value};
-
-/// How one process text uses a channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelUse {
-    /// The text contains an output `c!e`.
-    pub written: bool,
-    /// The text contains an input `c?x:M`.
-    pub read: bool,
-}
-
-/// The channels a (closed) process text can communicate on, each with the
-/// directions it is used in, unfolding definitions.
-///
-/// # Errors
-///
-/// Fails like [`channel_alphabet`](csp_lang::channel_alphabet): on
-/// unresolvable subscripts or undefined process references.
-pub fn channel_uses(
-    p: &Process,
-    defs: &Definitions,
-    env: &Env,
-) -> Result<BTreeMap<Channel, ChannelUse>, EvalError> {
-    let mut out = BTreeMap::new();
-    let mut visited = BTreeSet::new();
-    walk_uses(p, defs, env, &mut out, &mut visited)?;
-    Ok(out)
-}
-
-fn walk_uses(
-    p: &Process,
-    defs: &Definitions,
-    env: &Env,
-    out: &mut BTreeMap<Channel, ChannelUse>,
-    visited: &mut BTreeSet<(String, Vec<Value>)>,
-) -> Result<(), EvalError> {
-    match p {
-        Process::Stop | Process::Error(_) => Ok(()),
-        Process::Call { name, args } => {
-            let vals = args
-                .iter()
-                .map(|e| e.eval(env))
-                .collect::<Result<Vec<_>, _>>()?;
-            if visited.insert((name.clone(), vals.clone())) {
-                let (body, scope) = defs.resolve_call(name, &vals, env)?;
-                walk_uses(body, defs, &scope, out, visited)?;
-            }
-            Ok(())
-        }
-        Process::Output { chan, then, .. } => {
-            out.entry(chan.resolve(env)?).or_default().written = true;
-            walk_uses(then, defs, env, out, visited)
-        }
-        Process::Input {
-            chan,
-            var,
-            set,
-            then,
-        } => {
-            out.entry(chan.resolve(env)?).or_default().read = true;
-            let m = set.eval(env)?;
-            match m.enumerate(0, &|_| None) {
-                Ok(vals) if !vals.is_empty() => {
-                    for v in vals {
-                        let scope = env.bind(var, v);
-                        walk_uses(then, defs, &scope, out, visited)?;
-                    }
-                    Ok(())
-                }
-                _ => {
-                    let scope = env.bind(var, Value::nat(0));
-                    walk_uses(then, defs, &scope, out, visited)
-                }
-            }
-        }
-        Process::Choice(a, b) => {
-            walk_uses(a, defs, env, out, visited)?;
-            walk_uses(b, defs, env, out, visited)
-        }
-        Process::Parallel { left, right, .. } => {
-            walk_uses(left, defs, env, out, visited)?;
-            walk_uses(right, defs, env, out, visited)
-        }
-        Process::Hide { body, .. } => {
-            // Hidden channels appear with whatever direction the body
-            // uses them in; the declaration alone adds no endpoint.
-            walk_uses(body, defs, env, out, visited)
-        }
-    }
-}
 
 /// One communication a process is ready to perform first.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,43 +94,6 @@ fn first_offers(
 mod tests {
     use super::*;
     use csp_lang::{parse_definitions, parse_process};
-
-    fn uses(src: &str, defs: &str) -> BTreeMap<Channel, ChannelUse> {
-        let p = parse_process(src).unwrap();
-        let d = parse_definitions(defs).unwrap();
-        channel_uses(&p, &d, &Env::new()).unwrap()
-    }
-
-    #[test]
-    fn uses_track_directions_through_definitions() {
-        let m = uses("copier", "copier = input?x:NAT -> wire!x -> copier");
-        assert_eq!(
-            m[&Channel::simple("input")],
-            ChannelUse {
-                written: false,
-                read: true
-            }
-        );
-        assert_eq!(
-            m[&Channel::simple("wire")],
-            ChannelUse {
-                written: true,
-                read: false
-            }
-        );
-    }
-
-    #[test]
-    fn uses_merge_both_directions() {
-        // The protocol's sender both writes and reads wire.
-        let m = uses(
-            "sender",
-            "sender = input?y:M -> q[y]
-             q[x:M] = wire!x -> (wire?y:{ACK} -> sender | wire?y:{NACK} -> q[x])",
-        );
-        let w = m[&Channel::simple("wire")];
-        assert!(w.written && w.read);
-    }
 
     #[test]
     fn offers_of_prefix_choice_and_stop() {

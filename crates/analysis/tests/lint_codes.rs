@@ -256,6 +256,23 @@ fn csp010_disjoint_initial_offers() {
 }
 
 #[test]
+fn csp010_reads_declared_alphabets() {
+    // Each side declares the other's channel, so neither offer is
+    // private: a!1 waits for the right, b!2 for the left, and the
+    // composition deadlocks at <>. Inferred alphabets would make both
+    // channels private and hide the jam.
+    let diags = lint("net = a!1 -> STOP ||{a, b | a, b} b!2 -> STOP", &[]);
+    let d = expect_code(&diags, LintCode::OfferMismatch, 1, 19);
+    assert_eq!(d.severity, Severity::Warning);
+    // Declaring only one's own channel leaves it private: no finding.
+    let diags = lint("net = a!1 -> STOP ||{a | a, b} b!2 -> STOP", &[]);
+    assert!(
+        !diags.iter().any(|d| d.code == LintCode::OfferMismatch),
+        "{diags:?}"
+    );
+}
+
+#[test]
 fn csp010_negative_compatible_or_independent_offers() {
     // Compatible values.
     let diags = lint("p = a!1 -> STOP || a?x:{1,2} -> STOP", &[]);

@@ -41,7 +41,6 @@ mod decide;
 mod eval;
 mod funcs;
 mod parser;
-mod simplify;
 mod subst;
 
 pub use ast::{Assertion, CmpOp, STerm, Term};
@@ -49,5 +48,4 @@ pub use decide::{decide_valid, free_vars, syntactic_valid, DecideConfig, Decisio
 pub use eval::{AssertError, EvalCtx};
 pub use funcs::{protocol_cancel, FuncTable, SeqFn};
 pub use parser::{parse_assertion, AssertParseError, ChannelInfo};
-pub use simplify::simplify;
 pub use subst::{subst_chan_cons, subst_empty, subst_var};

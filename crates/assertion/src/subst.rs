@@ -7,7 +7,7 @@
 //! * `R^x_e` (rule 6 and ∀-elimination): every free occurrence of
 //!   variable `x` replaced by expression `e` — lemma (a).
 
-use csp_lang::{ChanRef, Expr, SetExpr};
+use csp_lang::{subst_expr_with, subst_setexpr_with, ChanRef, Expr};
 
 use crate::{Assertion, STerm, Term};
 
@@ -90,7 +90,7 @@ pub fn subst_var(a: &Assertion, x: &str, e: &Expr) -> Assertion {
             Assertion::Implies(Box::new(subst_var(p, x, e)), Box::new(subst_var(q, x, e)))
         }
         Assertion::ForallIn(y, m, body) => {
-            let m2 = subst_var_set(m, x, e);
+            let m2 = subst_setexpr_with(m, x, e);
             if y == x {
                 Assertion::ForallIn(y.clone(), m2, body.clone())
             } else {
@@ -98,7 +98,7 @@ pub fn subst_var(a: &Assertion, x: &str, e: &Expr) -> Assertion {
             }
         }
         Assertion::ExistsIn(y, m, body) => {
-            let m2 = subst_var_set(m, x, e);
+            let m2 = subst_setexpr_with(m, x, e);
             if y == x {
                 Assertion::ExistsIn(y.clone(), m2, body.clone())
             } else {
@@ -112,7 +112,10 @@ fn subst_var_sterm(s: &STerm, x: &str, e: &Expr) -> STerm {
     match s {
         STerm::Hist(c) => STerm::Hist(ChanRef::with_indices(
             c.base(),
-            c.indices().iter().map(|i| subst_in_expr(i, x, e)).collect(),
+            c.indices()
+                .iter()
+                .map(|i| subst_expr_with(i, x, e))
+                .collect(),
         )),
         STerm::Empty => STerm::Empty,
         STerm::Lit(ts) => STerm::Lit(ts.iter().map(|t| subst_var_term(t, x, e)).collect()),
@@ -130,7 +133,7 @@ fn subst_var_sterm(s: &STerm, x: &str, e: &Expr) -> STerm {
 
 fn subst_var_term(t: &Term, x: &str, e: &Expr) -> Term {
     match t {
-        Term::Expr(inner) => Term::Expr(subst_in_expr(inner, x, e)),
+        Term::Expr(inner) => Term::Expr(subst_expr_with(inner, x, e)),
         Term::Length(s) => Term::Length(Box::new(subst_var_sterm(s, x, e))),
         Term::Index(s, i) => Term::Index(
             Box::new(subst_var_sterm(s, x, e)),
@@ -142,43 +145,6 @@ fn subst_var_term(t: &Term, x: &str, e: &Expr) -> Term {
             Box::new(subst_var_term(b, x, e)),
         ),
         Term::Un(op, a) => Term::Un(*op, Box::new(subst_var_term(a, x, e))),
-    }
-}
-
-fn subst_var_set(m: &SetExpr, x: &str, e: &Expr) -> SetExpr {
-    match m {
-        SetExpr::Nat | SetExpr::Named(_) => m.clone(),
-        SetExpr::Range(lo, hi) => SetExpr::Range(
-            Box::new(subst_in_expr(lo, x, e)),
-            Box::new(subst_in_expr(hi, x, e)),
-        ),
-        SetExpr::Enum(es) => SetExpr::Enum(es.iter().map(|el| subst_in_expr(el, x, e)).collect()),
-    }
-}
-
-/// Expression-level substitution of a variable by an arbitrary expression
-/// (csp-lang's `subst_expr` only substitutes constants; the input rule
-/// needs to substitute a *fresh variable*, which is also an expression).
-fn subst_in_expr(target: &Expr, x: &str, e: &Expr) -> Expr {
-    match target {
-        Expr::Const(_) => target.clone(),
-        Expr::Var(y) => {
-            if y == x {
-                e.clone()
-            } else {
-                target.clone()
-            }
-        }
-        Expr::Bin(op, a, b) => Expr::Bin(
-            *op,
-            Box::new(subst_in_expr(a, x, e)),
-            Box::new(subst_in_expr(b, x, e)),
-        ),
-        Expr::Un(op, a) => Expr::Un(*op, Box::new(subst_in_expr(a, x, e))),
-        Expr::Tuple(es) => Expr::Tuple(es.iter().map(|t| subst_in_expr(t, x, e)).collect()),
-        Expr::ArrayRef(name, idx) => {
-            Expr::ArrayRef(name.clone(), Box::new(subst_in_expr(idx, x, e)))
-        }
     }
 }
 
@@ -250,6 +216,7 @@ fn rewrite_term(t: &Term, rw: &dyn Fn(&STerm) -> Option<STerm>) -> Term {
 mod tests {
     use super::*;
     use crate::CmpOp;
+    use csp_lang::SetExpr;
 
     #[test]
     fn empty_substitution_hits_every_channel() {

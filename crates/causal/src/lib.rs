@@ -19,8 +19,6 @@
 //!   run could have produced under other schedulers.
 //! * [`msc`] — message-sequence-chart exporters (Mermaid `sequenceDiagram`
 //!   and a compact text MSC) plus a Mermaid parser for round-tripping.
-//! * [`chrome`] — a causal-edge-annotated Chrome trace (flow events
-//!   between per-process tracks).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +28,6 @@ use std::fmt;
 
 use csp_trace::Event;
 
-pub mod chrome;
 pub mod msc;
 
 // ------------------------------------------------------------ clocks --
@@ -512,101 +509,6 @@ impl CausalLog {
         go(n, &preds, &mut placed, &mut prefix, &mut out, limit);
         out
     }
-
-    /// Serializes the log as JSON-lines: a header line with labels,
-    /// capacity and drop count, then one object per event.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"labels\":[");
-        for (i, l) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(l));
-        }
-        out.push_str(&format!(
-            "],\"cap\":{},\"dropped\":{}}}\n",
-            self.cap, self.dropped
-        ));
-        for e in &self.events {
-            let (kind, detail) = match &e.kind {
-                CausalEventKind::Comm {
-                    event,
-                    sender,
-                    receiver,
-                    hidden,
-                } => (
-                    "comm",
-                    format!(
-                        "\"event\":{},\"sender\":{},\"receiver\":{},\"hidden\":{}",
-                        json_str(&event.to_string()),
-                        opt(*sender),
-                        opt(*receiver),
-                        hidden
-                    ),
-                ),
-                CausalEventKind::Fault { detail } => {
-                    ("fault", format!("\"detail\":{}", json_str(detail)))
-                }
-                CausalEventKind::Death { detail } => {
-                    ("death", format!("\"detail\":{}", json_str(detail)))
-                }
-                CausalEventKind::Restart => ("restart", String::new()),
-            };
-            out.push_str(&format!(
-                "{{\"seq\":{},\"step\":{},\"kind\":{}",
-                e.seq,
-                e.step,
-                json_str(kind)
-            ));
-            if !detail.is_empty() {
-                out.push(',');
-                out.push_str(&detail);
-            }
-            out.push_str(",\"participants\":[");
-            for (i, p) in e.participants.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&p.to_string());
-            }
-            out.push_str("],\"pre_clocks\":[");
-            for (i, c) in e.pre_clocks.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&c.to_string());
-            }
-            out.push_str(&format!("],\"clock\":{}}}\n", e.clock));
-        }
-        out
-    }
-}
-
-fn opt(v: Option<usize>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -768,16 +670,5 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!(log.dropped(), 1);
         log.validate().unwrap();
-    }
-
-    #[test]
-    fn jsonl_export_has_header_and_one_line_per_event() {
-        let log = sample();
-        let text = log.to_jsonl();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("\"labels\":[\"left\",\"right\"]"));
-        assert!(lines[2].contains("\"event\":\"w.1\""));
-        assert!(lines[2].contains("\"clock\":[2,1]"));
     }
 }

@@ -81,13 +81,13 @@ pub mod proofs {
 }
 
 pub use csp_analysis::{
-    max_severity, render_json, AnalysisDb, Confirmation, Diagnostic, LintCode, Linter,
-    RevisionStats, Severity, ALL_CODES,
+    max_severity, AnalysisDb, Confirmation, Diagnostic, LintCode, Linter, RevisionStats, Severity,
+    ALL_CODES,
 };
 pub use csp_assert::{
-    decide_valid, parse_assertion, protocol_cancel, simplify, subst_chan_cons, subst_empty,
-    subst_var, AssertError, Assertion, ChannelInfo, CmpOp, DecideConfig, Decision, EvalCtx,
-    FuncTable, STerm, Term,
+    decide_valid, parse_assertion, protocol_cancel, subst_chan_cons, subst_empty, subst_var,
+    AssertError, Assertion, ChannelInfo, CmpOp, DecideConfig, Decision, EvalCtx, FuncTable, STerm,
+    Term,
 };
 pub use csp_lang::{
     channel_alphabet, parse_definitions, parse_definitions_spanned, parse_expr, parse_module,
@@ -100,7 +100,7 @@ pub use csp_proof::{
     Judgement, Obligation, Proof, ProofError, SynthError,
 };
 pub use csp_runtime::{
-    check_conformance, chrome_causal_trace, flatten, msc, CausalError, CausalEvent,
+    causal_jsonl, check_conformance, chrome_causal_trace, flatten, msc, CausalError, CausalEvent,
     CausalEventKind, CausalLog, Component, ComponentFailure, ComponentSel, ConformanceReport,
     Executor, FailureReason, Fault, FaultError, FaultPlan, Monitor, MonitorReport, MonitorSpec,
     MonitorVerdict, MonitorViolation, Network, RestartPolicy, RunError, RunOptions, RunOutcome,

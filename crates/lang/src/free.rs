@@ -1,17 +1,12 @@
-//! Free-variable and channel-alphabet analysis.
+//! Free-variable analysis and the names a body calls.
 //!
-//! The parallel rule (§1.2(7)) needs "the set of channel names occurring
-//! in `P`" — including those occurring via process-name references, so
-//! [`channel_alphabet`] unfolds definitions (with a visited-set to
-//! terminate on recursion). Free value-variables are needed by the
-//! validity checker and by the proof rules' side conditions ("let `v` be
-//! a fresh variable which is not free in `P`, `R` or `c`", rule 6).
+//! Free value-variables are needed by the validity checker and by the
+//! proof rules' side conditions ("let `v` be a fresh variable which is
+//! not free in `P`, `R` or `c`", rule 6).
 
 use std::collections::BTreeSet;
 
-use csp_trace::{ChannelSet, Value};
-
-use crate::{ChanRef, Definitions, Env, EvalError, Expr, Process, SetExpr};
+use crate::{ChanRef, Expr, Process, SetExpr};
 
 /// The free variables of an expression, in sorted order.
 ///
@@ -190,212 +185,9 @@ fn collect_calls(p: &Process, out: &mut BTreeSet<String>) {
     }
 }
 
-/// The set of concrete channels a (closed) process expression can ever
-/// communicate on — the alphabet `X` of §1.2(7) — obtained by walking the
-/// text, resolving channel subscripts in `env`, and unfolding
-/// process-name references through `defs` (each `(name, args)` pair is
-/// visited once, so recursion terminates).
-///
-/// # Errors
-///
-/// Fails if a channel subscript or call argument contains a variable not
-/// bound in `env`, or a referenced process is undefined.
-///
-/// # Examples
-///
-/// ```
-/// use csp_lang::{channel_alphabet, parse_definitions, Env};
-/// use csp_trace::Channel;
-///
-/// let defs = parse_definitions(
-///     "copier = input?x:NAT -> wire!x -> copier",
-/// ).unwrap();
-/// let alpha = channel_alphabet(defs.get("copier").unwrap().body(), &defs, &Env::new()).unwrap();
-/// assert!(alpha.contains(&Channel::simple("input")));
-/// assert!(alpha.contains(&Channel::simple("wire")));
-/// assert_eq!(alpha.len(), 2);
-/// ```
-pub fn channel_alphabet(
-    p: &Process,
-    defs: &Definitions,
-    env: &Env,
-) -> Result<ChannelSet, EvalError> {
-    let mut out = ChannelSet::new();
-    let mut visited = BTreeSet::new();
-    walk_alphabet(p, defs, env, &mut out, &mut visited)?;
-    Ok(out)
-}
-
-/// The subset of a process's alphabet it can ever *write* on — the
-/// channels appearing in output position (`c!e`). Together with
-/// [`channel_alphabet`] this recovers the direction of a committed
-/// communication: among the components synchronizing on a channel, the
-/// one with the channel in its output set is the sender, the others are
-/// readers. Same traversal rules (and error cases) as
-/// [`channel_alphabet`].
-///
-/// # Errors
-///
-/// Fails if a channel subscript or call argument contains a variable not
-/// bound in `env`, or a referenced process is undefined.
-///
-/// # Examples
-///
-/// ```
-/// use csp_lang::{output_channels, parse_definitions, Env};
-/// use csp_trace::Channel;
-///
-/// let defs = parse_definitions(
-///     "copier = input?x:NAT -> wire!x -> copier",
-/// ).unwrap();
-/// let w = output_channels(defs.get("copier").unwrap().body(), &defs, &Env::new()).unwrap();
-/// assert!(w.contains(&Channel::simple("wire")));
-/// assert!(!w.contains(&Channel::simple("input")));
-/// ```
-pub fn output_channels(
-    p: &Process,
-    defs: &Definitions,
-    env: &Env,
-) -> Result<ChannelSet, EvalError> {
-    let mut out = ChannelSet::new();
-    let mut visited = BTreeSet::new();
-    walk_outputs(p, defs, env, &mut out, &mut visited)?;
-    Ok(out)
-}
-
-fn walk_outputs(
-    p: &Process,
-    defs: &Definitions,
-    env: &Env,
-    out: &mut ChannelSet,
-    visited: &mut BTreeSet<(String, Vec<Value>)>,
-) -> Result<(), EvalError> {
-    match p {
-        Process::Stop | Process::Error(_) => Ok(()),
-        Process::Call { name, args } => {
-            let vals = args
-                .iter()
-                .map(|e| e.eval(env))
-                .collect::<Result<Vec<_>, _>>()?;
-            let key = (name.clone(), vals.clone());
-            if visited.insert(key) {
-                let (body, scope) = defs.resolve_call(name, &vals, env)?;
-                walk_outputs(body, defs, &scope, out, visited)?;
-            }
-            Ok(())
-        }
-        Process::Output { chan, then, .. } => {
-            out.insert(chan.resolve(env)?);
-            walk_outputs(then, defs, env, out, visited)
-        }
-        Process::Input {
-            chan: _,
-            var,
-            set,
-            then,
-        } => {
-            let m = set.eval(env)?;
-            match m.enumerate(0, &|_| None) {
-                Ok(vals) if !vals.is_empty() => {
-                    for v in vals {
-                        let scope = env.bind(var, v);
-                        walk_outputs(then, defs, &scope, out, visited)?;
-                    }
-                    Ok(())
-                }
-                _ => {
-                    let scope = env.bind(var, Value::nat(0));
-                    walk_outputs(then, defs, &scope, out, visited)
-                }
-            }
-        }
-        Process::Choice(a, b) => {
-            walk_outputs(a, defs, env, out, visited)?;
-            walk_outputs(b, defs, env, out, visited)
-        }
-        Process::Parallel { left, right, .. } => {
-            walk_outputs(left, defs, env, out, visited)?;
-            walk_outputs(right, defs, env, out, visited)
-        }
-        Process::Hide { channels: _, body } => walk_outputs(body, defs, env, out, visited),
-    }
-}
-
-fn walk_alphabet(
-    p: &Process,
-    defs: &Definitions,
-    env: &Env,
-    out: &mut ChannelSet,
-    visited: &mut BTreeSet<(String, Vec<Value>)>,
-) -> Result<(), EvalError> {
-    match p {
-        Process::Stop | Process::Error(_) => Ok(()),
-        Process::Call { name, args } => {
-            let vals = args
-                .iter()
-                .map(|e| e.eval(env))
-                .collect::<Result<Vec<_>, _>>()?;
-            let key = (name.clone(), vals.clone());
-            if visited.insert(key) {
-                let (body, scope) = defs.resolve_call(name, &vals, env)?;
-                walk_alphabet(body, defs, &scope, out, visited)?;
-            }
-            Ok(())
-        }
-        Process::Output { chan, then, .. } => {
-            out.insert(chan.resolve(env)?);
-            walk_alphabet(then, defs, env, out, visited)
-        }
-        Process::Input {
-            chan,
-            var,
-            set,
-            then,
-        } => {
-            out.insert(chan.resolve(env)?);
-            // The bound variable may appear in later channel subscripts
-            // (e.g. route[x]); sample the set's members when finite so the
-            // alphabet covers every instantiation.
-            let m = set.eval(env)?;
-            match m.enumerate(0, &|_| None) {
-                Ok(vals) if !vals.is_empty() => {
-                    for v in vals {
-                        let scope = env.bind(var, v);
-                        walk_alphabet(then, defs, &scope, out, visited)?;
-                    }
-                    Ok(())
-                }
-                _ => {
-                    // NAT / abstract set: bind a representative 0 so that
-                    // subscripts like col[x] resolve; processes whose channel
-                    // *identity* depends on an unbounded input are outside
-                    // the paper's examples.
-                    let scope = env.bind(var, Value::nat(0));
-                    walk_alphabet(then, defs, &scope, out, visited)
-                }
-            }
-        }
-        Process::Choice(a, b) => {
-            walk_alphabet(a, defs, env, out, visited)?;
-            walk_alphabet(b, defs, env, out, visited)
-        }
-        Process::Parallel { left, right, .. } => {
-            walk_alphabet(left, defs, env, out, visited)?;
-            walk_alphabet(right, defs, env, out, visited)
-        }
-        Process::Hide { channels, body } => {
-            for c in channels {
-                out.insert(c.resolve(env)?);
-            }
-            walk_alphabet(body, defs, env, out, visited)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Definition, Expr};
 
     #[test]
     fn free_vars_of_expr() {
@@ -437,63 +229,5 @@ mod tests {
             then: std::sync::Arc::new(Process::Stop),
         };
         assert!(free_vars_process(&p).contains("x"));
-    }
-
-    #[test]
-    fn alphabet_of_recursive_copier_terminates() {
-        let mut defs = Definitions::new();
-        defs.define(Definition::plain(
-            "copier",
-            Process::input(
-                "input",
-                "x",
-                SetExpr::Nat,
-                Process::output("wire", Expr::var("x"), Process::call("copier")),
-            ),
-        ));
-        let alpha = channel_alphabet(&Process::call("copier"), &defs, &Env::new()).unwrap();
-        assert_eq!(alpha.len(), 2);
-    }
-
-    #[test]
-    fn alphabet_resolves_subscripts_per_instance() {
-        // mult[i] = row[i]?x -> col[i-1]?y -> col[i]!(x+y) -> mult[i]
-        let body = Process::Input {
-            chan: ChanRef::indexed("row", Expr::var("i")),
-            var: "x".into(),
-            set: SetExpr::Nat,
-            then: std::sync::Arc::new(Process::Input {
-                chan: ChanRef::indexed("col", Expr::var("i").sub(Expr::int(1))),
-                var: "y".into(),
-                set: SetExpr::Nat,
-                then: std::sync::Arc::new(Process::Output {
-                    chan: ChanRef::indexed("col", Expr::var("i")),
-                    msg: Expr::var("x").add(Expr::var("y")),
-                    then: std::sync::Arc::new(Process::call1("mult", Expr::var("i"))),
-                }),
-            }),
-        };
-        let mut defs = Definitions::new();
-        defs.define(Definition::array("mult", "i", SetExpr::range(1, 3), body));
-        let alpha =
-            channel_alphabet(&Process::call1("mult", Expr::int(2)), &defs, &Env::new()).unwrap();
-        use csp_trace::Channel;
-        assert!(alpha.contains(&Channel::indexed("row", 2)));
-        assert!(alpha.contains(&Channel::indexed("col", 1)));
-        assert!(alpha.contains(&Channel::indexed("col", 2)));
-        assert_eq!(alpha.len(), 3);
-    }
-
-    #[test]
-    fn alphabet_includes_hidden_channels() {
-        let p = Process::output("a", Expr::int(1), Process::Stop).hide(vec![ChanRef::simple("a")]);
-        let alpha = channel_alphabet(&p, &Definitions::new(), &Env::new()).unwrap();
-        assert_eq!(alpha.len(), 1);
-    }
-
-    #[test]
-    fn alphabet_error_on_undefined_call() {
-        let p = Process::call("ghost");
-        assert!(channel_alphabet(&p, &Definitions::new(), &Env::new()).is_err());
     }
 }

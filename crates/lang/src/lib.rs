@@ -20,7 +20,7 @@
 //! This crate provides the abstract syntax ([`Process`], [`Expr`],
 //! [`SetExpr`]), definition lists ([`Definitions`], supporting process
 //! arrays `q[i:M] = …` and mutual recursion), evaluation environments
-//! ([`Env`]), free-variable and channel-alphabet analysis, substitution,
+//! ([`Env`]), free-variable and channel analysis, substitution,
 //! a parser for the concrete syntax above, and a pretty-printer that
 //! round-trips with the parser.
 //!
@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod channels;
 mod defs;
 mod env;
 mod error;
@@ -53,13 +54,14 @@ mod subst;
 
 pub mod examples;
 
+pub use channels::{
+    channel_alphabet, channel_uses, operand_alphabet, reaches_network, resolve_chanrefs, ChannelUse,
+};
 pub use defs::{Definition, Definitions};
 pub use env::Env;
 pub use error::{EvalError, LangError, ParseError};
 pub use expr::{eval_bin, eval_un, BinOp, Expr, UnOp};
-pub use free::{
-    called_names, channel_alphabet, free_vars_expr, free_vars_process, output_channels,
-};
+pub use free::{called_names, free_vars_expr, free_vars_process};
 pub use parser::{
     parse_definitions, parse_definitions_spanned, parse_expr, parse_module, parse_process,
     parse_process_spanned, parse_set_expr, ParsedModule,
@@ -68,5 +70,5 @@ pub use process::{ChanRef, Process};
 pub use setexpr::{MsgSet, SetExpr};
 pub use span::{DefSpans, SourceMap, Span, SpanTree};
 pub use subst::{
-    close_process, process_has_free, subst_expr, subst_expr_with, subst_process, subst_process_with,
+    close_process, process_has_free, subst_expr_with, subst_process_with, subst_setexpr_with,
 };

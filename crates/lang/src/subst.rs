@@ -1,15 +1,16 @@
-//! Substitution of values for variables in expressions and processes.
+//! Substitution of an expression for a variable in expressions and
+//! processes.
 //!
 //! The paper's rules use substitutions like `P^x_v` (replace free `x` by
-//! `v`, rule 6) and the instantiation `Q'` formed from an array body `Q`
-//! by replacing the parameter `i` by the value of the subscript
-//! (§1.2(3)). Because we only ever substitute *constants* (values), no
-//! variable capture can occur; binders (`c?x:M -> P`) simply stop the
-//! substitution of their own variable.
+//! `v`, rule 6), `R^x_e` (∀-elimination), and the instantiation `Q'`
+//! formed from an array body `Q` by replacing the parameter `i` by the
+//! value of the subscript (§1.2(3)). A value is substituted as the
+//! constant expression [`Expr::Const`]. Binders (`c?x:M -> P`) stop the
+//! substitution of their own variable; no capture can occur while the
+//! replacement's variables are not bound inside the term (a constant has
+//! none, and the proof checker substitutes fresh variables).
 
 use std::sync::Arc;
-
-use csp_trace::Value;
 
 use crate::{ChanRef, Env, EvalError, Expr, Process, SetExpr};
 
@@ -37,7 +38,7 @@ fn chanref_has_free(c: &ChanRef, x: &str) -> bool {
 }
 
 /// True when variable `x` occurs free in `p` — exactly when
-/// [`subst_process`] for `x` could change the term. A read-only
+/// [`subst_process_with`] for `x` could change the term. A read-only
 /// traversal, so callers can use it to skip no-op substitutions (the
 /// common case when re-closing an already-closed network state).
 pub fn process_has_free(p: &Process, x: &str) -> bool {
@@ -79,135 +80,6 @@ pub fn process_has_free(p: &Process, x: &str) -> bool {
     }
 }
 
-/// `e^x_v` — replaces every free occurrence of variable `x` in `e` by the
-/// constant `v`.
-///
-/// # Examples
-///
-/// ```
-/// use csp_lang::{subst_expr, Expr};
-/// use csp_trace::Value;
-///
-/// let e = Expr::var("x").add(Expr::var("y"));
-/// let e2 = subst_expr(&e, "x", &Value::Int(3));
-/// assert_eq!(e2.to_string(), "(3 + y)");
-/// ```
-pub fn subst_expr(e: &Expr, x: &str, v: &Value) -> Expr {
-    match e {
-        Expr::Const(_) => e.clone(),
-        Expr::Var(y) => {
-            if y == x {
-                Expr::Const(v.clone())
-            } else {
-                e.clone()
-            }
-        }
-        Expr::Bin(op, a, b) => Expr::Bin(
-            *op,
-            Box::new(subst_expr(a, x, v)),
-            Box::new(subst_expr(b, x, v)),
-        ),
-        Expr::Un(op, a) => Expr::Un(*op, Box::new(subst_expr(a, x, v))),
-        Expr::Tuple(es) => Expr::Tuple(es.iter().map(|e| subst_expr(e, x, v)).collect()),
-        Expr::ArrayRef(name, idx) => Expr::ArrayRef(name.clone(), Box::new(subst_expr(idx, x, v))),
-    }
-}
-
-fn subst_setexpr(s: &SetExpr, x: &str, v: &Value) -> SetExpr {
-    match s {
-        SetExpr::Nat | SetExpr::Named(_) => s.clone(),
-        SetExpr::Range(lo, hi) => SetExpr::Range(
-            Box::new(subst_expr(lo, x, v)),
-            Box::new(subst_expr(hi, x, v)),
-        ),
-        SetExpr::Enum(es) => SetExpr::Enum(es.iter().map(|e| subst_expr(e, x, v)).collect()),
-    }
-}
-
-fn subst_chanref(c: &ChanRef, x: &str, v: &Value) -> ChanRef {
-    ChanRef::with_indices(
-        c.base(),
-        c.indices().iter().map(|e| subst_expr(e, x, v)).collect(),
-    )
-}
-
-/// `P^x_v` — replaces every free occurrence of variable `x` in process
-/// `P` by the constant `v` (rule 6 of §2.1 and the array-instantiation of
-/// §1.2(3)).
-///
-/// # Examples
-///
-/// ```
-/// use csp_lang::{parse_process, subst_process};
-/// use csp_trace::Value;
-///
-/// let p = parse_process("wire!x -> q[x]").unwrap();
-/// let p3 = subst_process(&p, "x", &Value::nat(3));
-/// assert_eq!(p3.to_string(), "wire!3 -> q[3]");
-///
-/// // Binders shadow: the inner x is untouched.
-/// let p = parse_process("wire!x -> input?x:NAT -> out!x -> STOP").unwrap();
-/// let p3 = subst_process(&p, "x", &Value::nat(3));
-/// assert_eq!(p3.to_string(), "wire!3 -> input?x:NAT -> out!x -> STOP");
-/// ```
-pub fn subst_process(p: &Process, x: &str, v: &Value) -> Process {
-    match p {
-        Process::Stop => Process::Stop,
-        Process::Error(_) => p.clone(),
-        Process::Call { name, args } => Process::Call {
-            name: name.clone(),
-            args: args.iter().map(|e| subst_expr(e, x, v)).collect(),
-        },
-        Process::Output { chan, msg, then } => Process::Output {
-            chan: subst_chanref(chan, x, v),
-            msg: subst_expr(msg, x, v),
-            then: Arc::new(subst_process(then, x, v)),
-        },
-        Process::Input {
-            chan,
-            var,
-            set,
-            then,
-        } => {
-            let new_then = if var == x {
-                // x is rebound below; substitution stops here.
-                then.clone()
-            } else {
-                Arc::new(subst_process(then, x, v))
-            };
-            Process::Input {
-                chan: subst_chanref(chan, x, v),
-                var: var.clone(),
-                set: subst_setexpr(set, x, v),
-                then: new_then,
-            }
-        }
-        Process::Choice(a, b) => Process::Choice(
-            Arc::new(subst_process(a, x, v)),
-            Arc::new(subst_process(b, x, v)),
-        ),
-        Process::Parallel {
-            left,
-            right,
-            left_alpha,
-            right_alpha,
-        } => Process::Parallel {
-            left: Arc::new(subst_process(left, x, v)),
-            right: Arc::new(subst_process(right, x, v)),
-            left_alpha: left_alpha
-                .as_ref()
-                .map(|cs| cs.iter().map(|c| subst_chanref(c, x, v)).collect()),
-            right_alpha: right_alpha
-                .as_ref()
-                .map(|cs| cs.iter().map(|c| subst_chanref(c, x, v)).collect()),
-        },
-        Process::Hide { channels, body } => Process::Hide {
-            channels: channels.iter().map(|c| subst_chanref(c, x, v)).collect(),
-            body: Arc::new(subst_process(body, x, v)),
-        },
-    }
-}
-
 /// Substitutes *every* binding of `env` into `p`, producing the closed
 /// instantiation of an array body (or the identity for an empty
 /// environment).
@@ -226,107 +98,25 @@ pub fn close_process(p: &Process, env: &Env) -> Result<Process, EvalError> {
     for (x, v) in env.iter() {
         let cur = out.as_ref().unwrap_or(p);
         if process_has_free(cur, x) {
-            out = Some(subst_process(cur, x, v));
+            out = Some(subst_process_with(cur, x, &Expr::Const(v.clone())));
         }
     }
     Ok(out.unwrap_or_else(|| p.clone()))
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn subst_expr_replaces_free_occurrences() {
-        let e = Expr::var("x").add(Expr::var("x"));
-        let e2 = subst_expr(&e, "x", &Value::Int(2));
-        assert!(e2.is_closed());
-        assert_eq!(e2.eval(&Env::new()).unwrap(), Value::Int(4));
-    }
-
-    #[test]
-    fn subst_expr_leaves_other_vars() {
-        let e = Expr::var("y");
-        assert_eq!(subst_expr(&e, "x", &Value::Int(1)), e);
-    }
-
-    #[test]
-    fn subst_process_output_and_call() {
-        let p = Process::output("wire", Expr::var("x"), Process::call1("q", Expr::var("x")));
-        let p2 = subst_process(&p, "x", &Value::Int(5));
-        match p2 {
-            Process::Output { msg, then, .. } => {
-                assert_eq!(msg, Expr::int(5));
-                assert_eq!(*then, Process::call1("q", Expr::int(5)));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn input_binder_shadows() {
-        // (input?x:M -> wire!x -> STOP)^x_v leaves the bound x alone.
-        let p = Process::input(
-            "input",
-            "x",
-            SetExpr::Nat,
-            Process::output("wire", Expr::var("x"), Process::Stop),
-        );
-        let p2 = subst_process(&p, "x", &Value::Int(9));
-        assert_eq!(p2, p);
-    }
-
-    #[test]
-    fn input_set_and_channel_are_substituted_even_when_var_shadows() {
-        // The set M and channel subscripts are outside the binder's scope.
-        let p = Process::Input {
-            chan: ChanRef::indexed("row", Expr::var("x")),
-            var: "x".to_string(),
-            set: SetExpr::Range(Box::new(Expr::int(0)), Box::new(Expr::var("x"))),
-            then: std::sync::Arc::new(Process::Stop),
-        };
-        let p2 = subst_process(&p, "x", &Value::Int(3));
-        match p2 {
-            Process::Input { chan, set, .. } => {
-                assert_eq!(chan.indices()[0], Expr::int(3));
-                assert_eq!(
-                    set,
-                    SetExpr::Range(Box::new(Expr::int(0)), Box::new(Expr::int(3)))
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn close_process_applies_all_bindings() {
-        let p = Process::output("c", Expr::var("a").add(Expr::var("b")), Process::Stop);
-        let env = Env::new().bind("a", Value::Int(1)).bind("b", Value::Int(2));
-        let p2 = close_process(&p, &env).unwrap();
-        match p2 {
-            Process::Output { msg, .. } => {
-                assert_eq!(msg.eval(&Env::new()).unwrap(), Value::Int(3));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn subst_under_choice_and_parallel_and_hide() {
-        let p = Process::output("a", Expr::var("x"), Process::Stop)
-            .or(Process::output("b", Expr::var("x"), Process::Stop))
-            .par(Process::call1("r", Expr::var("x")))
-            .hide(vec![ChanRef::indexed("h", Expr::var("x"))]);
-        let p2 = subst_process(&p, "x", &Value::Int(1));
-        let shown = format!("{p2:?}");
-        assert!(!shown.contains("Var(\"x\")"), "left a free x: {shown}");
-    }
-}
-
 /// `e^x_r` — replaces every free occurrence of variable `x` in `e` by the
-/// *expression* `r` (the generalisation of [`subst_expr`] needed by
-/// ∀-elimination, where the instantiating argument may itself contain
-/// variables).
+/// expression `r`; a value `v` is substituted as `Expr::Const(v)`.
+///
+/// # Examples
+///
+/// ```
+/// use csp_lang::{subst_expr_with, Expr};
+/// use csp_trace::Value;
+///
+/// let e = Expr::var("x").add(Expr::var("y"));
+/// assert_eq!(subst_expr_with(&e, "x", &Expr::Const(Value::Int(3))).to_string(), "(3 + y)");
+/// assert_eq!(subst_expr_with(&e, "x", &Expr::var("v")).to_string(), "(v + y)");
+/// ```
 pub fn subst_expr_with(e: &Expr, x: &str, r: &Expr) -> Expr {
     match e {
         Expr::Const(_) => e.clone(),
@@ -350,26 +140,52 @@ pub fn subst_expr_with(e: &Expr, x: &str, r: &Expr) -> Expr {
     }
 }
 
-/// `P^x_r` with an expression replacement — see [`subst_expr_with`].
-/// No capture is possible only when `r`'s variables are not bound inside
-/// `P`; callers (the proof checker) use fresh variables.
-pub fn subst_process_with(p: &Process, x: &str, r: &Expr) -> Process {
-    let sub_set = |s: &SetExpr| match s {
+/// `M^x_r` — [`subst_expr_with`] in the bounds or members of a message
+/// set.
+pub fn subst_setexpr_with(s: &SetExpr, x: &str, r: &Expr) -> SetExpr {
+    match s {
         SetExpr::Nat | SetExpr::Named(_) => s.clone(),
         SetExpr::Range(lo, hi) => SetExpr::Range(
             Box::new(subst_expr_with(lo, x, r)),
             Box::new(subst_expr_with(hi, x, r)),
         ),
         SetExpr::Enum(es) => SetExpr::Enum(es.iter().map(|e| subst_expr_with(e, x, r)).collect()),
-    };
-    let sub_chan = |c: &ChanRef| {
-        ChanRef::with_indices(
-            c.base(),
-            c.indices()
-                .iter()
-                .map(|e| subst_expr_with(e, x, r))
-                .collect(),
-        )
+    }
+}
+
+fn subst_chanref_with(c: &ChanRef, x: &str, r: &Expr) -> ChanRef {
+    ChanRef::with_indices(
+        c.base(),
+        c.indices()
+            .iter()
+            .map(|e| subst_expr_with(e, x, r))
+            .collect(),
+    )
+}
+
+/// `P^x_r` — replaces every free occurrence of variable `x` in process
+/// `P` by the expression `r` (rule 6 of §2.1, ∀-elimination, and, with
+/// `r = Expr::Const(v)`, the array instantiation of §1.2(3)). No capture
+/// is possible only when `r`'s variables are not bound inside `P`.
+///
+/// # Examples
+///
+/// ```
+/// use csp_lang::{parse_process, subst_process_with, Expr};
+/// use csp_trace::Value;
+///
+/// let three = Expr::Const(Value::nat(3));
+/// let p = parse_process("wire!x -> q[x]").unwrap();
+/// assert_eq!(subst_process_with(&p, "x", &three).to_string(), "wire!3 -> q[3]");
+///
+/// // Binders shadow: the inner x is untouched.
+/// let p = parse_process("wire!x -> input?x:NAT -> out!x -> STOP").unwrap();
+/// let p3 = subst_process_with(&p, "x", &three);
+/// assert_eq!(p3.to_string(), "wire!3 -> input?x:NAT -> out!x -> STOP");
+/// ```
+pub fn subst_process_with(p: &Process, x: &str, r: &Expr) -> Process {
+    let sub_chans = |cs: &[ChanRef]| -> Vec<ChanRef> {
+        cs.iter().map(|c| subst_chanref_with(c, x, r)).collect()
     };
     match p {
         Process::Stop => Process::Stop,
@@ -379,7 +195,7 @@ pub fn subst_process_with(p: &Process, x: &str, r: &Expr) -> Process {
             args: args.iter().map(|e| subst_expr_with(e, x, r)).collect(),
         },
         Process::Output { chan, msg, then } => Process::Output {
-            chan: sub_chan(chan),
+            chan: subst_chanref_with(chan, x, r),
             msg: subst_expr_with(msg, x, r),
             then: Arc::new(subst_process_with(then, x, r)),
         },
@@ -389,9 +205,10 @@ pub fn subst_process_with(p: &Process, x: &str, r: &Expr) -> Process {
             set,
             then,
         } => Process::Input {
-            chan: sub_chan(chan),
+            chan: subst_chanref_with(chan, x, r),
             var: var.clone(),
-            set: sub_set(set),
+            set: subst_setexpr_with(set, x, r),
+            // x is rebound below; substitution stops here.
             then: if var == x {
                 then.clone()
             } else {
@@ -410,35 +227,116 @@ pub fn subst_process_with(p: &Process, x: &str, r: &Expr) -> Process {
         } => Process::Parallel {
             left: Arc::new(subst_process_with(left, x, r)),
             right: Arc::new(subst_process_with(right, x, r)),
-            left_alpha: left_alpha
-                .as_ref()
-                .map(|cs| cs.iter().map(&sub_chan).collect()),
-            right_alpha: right_alpha
-                .as_ref()
-                .map(|cs| cs.iter().map(&sub_chan).collect()),
+            left_alpha: left_alpha.as_deref().map(sub_chans),
+            right_alpha: right_alpha.as_deref().map(sub_chans),
         },
         Process::Hide { channels, body } => Process::Hide {
-            channels: channels.iter().map(&sub_chan).collect(),
+            channels: sub_chans(channels),
             body: Arc::new(subst_process_with(body, x, r)),
         },
     }
 }
 
 #[cfg(test)]
-mod expr_subst_tests {
+mod tests {
     use super::*;
+    use csp_trace::Value;
 
-    #[test]
-    fn expr_level_substitution_replaces_with_expression() {
-        let e = Expr::var("x").add(Expr::int(1));
-        let r = subst_expr_with(&e, "x", &Expr::var("v"));
-        assert_eq!(r.to_string(), "(v + 1)");
+    fn int(n: i64) -> Expr {
+        Expr::Const(Value::Int(n))
     }
 
     #[test]
-    fn process_level_substitution_respects_binders() {
+    fn a_value_replaces_every_free_occurrence() {
+        let e = Expr::var("x").add(Expr::var("x"));
+        let e2 = subst_expr_with(&e, "x", &int(2));
+        assert!(e2.is_closed());
+        assert_eq!(e2.eval(&Env::new()).unwrap(), Value::Int(4));
+        let y = Expr::var("y");
+        assert_eq!(subst_expr_with(&y, "x", &int(1)), y);
+    }
+
+    #[test]
+    fn an_expression_replaces_a_variable() {
+        let e = Expr::var("x").add(Expr::int(1));
+        let r = subst_expr_with(&e, "x", &Expr::var("v"));
+        assert_eq!(r.to_string(), "(v + 1)");
         let p = crate::parse_process("c!x -> c?x:NAT -> d!x -> STOP").unwrap();
         let q = subst_process_with(&p, "x", &Expr::var("v"));
         assert_eq!(q.to_string(), "c!v -> c?x:NAT -> d!x -> STOP");
+    }
+
+    #[test]
+    fn output_and_call_are_substituted() {
+        let p = Process::output("wire", Expr::var("x"), Process::call1("q", Expr::var("x")));
+        match subst_process_with(&p, "x", &int(5)) {
+            Process::Output { msg, then, .. } => {
+                assert_eq!(msg, Expr::int(5));
+                assert_eq!(*then, Process::call1("q", Expr::int(5)));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn input_binder_shadows() {
+        // (input?x:M -> wire!x -> STOP)^x_v leaves the bound x alone.
+        let p = Process::input(
+            "input",
+            "x",
+            SetExpr::Nat,
+            Process::output("wire", Expr::var("x"), Process::Stop),
+        );
+        assert_eq!(subst_process_with(&p, "x", &int(9)), p);
+    }
+
+    #[test]
+    fn input_set_and_channel_are_substituted_even_when_var_shadows() {
+        // The set M and channel subscripts are outside the binder's scope.
+        let p = Process::Input {
+            chan: ChanRef::indexed("row", Expr::var("x")),
+            var: "x".to_string(),
+            set: SetExpr::Range(Box::new(Expr::int(0)), Box::new(Expr::var("x"))),
+            then: std::sync::Arc::new(Process::Stop),
+        };
+        match subst_process_with(&p, "x", &int(3)) {
+            Process::Input { chan, set, .. } => {
+                assert_eq!(chan.indices()[0], Expr::int(3));
+                assert_eq!(
+                    set,
+                    SetExpr::Range(Box::new(Expr::int(0)), Box::new(Expr::int(3)))
+                );
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let m = SetExpr::Enum(vec![Expr::var("x"), Expr::var("y")]);
+        assert_eq!(
+            subst_setexpr_with(&m, "x", &Expr::var("v")),
+            SetExpr::Enum(vec![Expr::var("v"), Expr::var("y")])
+        );
+    }
+
+    #[test]
+    fn close_process_applies_all_bindings() {
+        let p = Process::output("c", Expr::var("a").add(Expr::var("b")), Process::Stop);
+        let env = Env::new().bind("a", Value::Int(1)).bind("b", Value::Int(2));
+        match close_process(&p, &env).unwrap() {
+            Process::Output { msg, .. } => {
+                assert_eq!(msg.eval(&Env::new()).unwrap(), Value::Int(3));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn subst_under_choice_and_parallel_and_hide() {
+        let p = Process::output("a", Expr::var("x"), Process::Stop)
+            .or(Process::output("b", Expr::var("x"), Process::Stop))
+            .par(Process::call1("r", Expr::var("x")))
+            .hide(vec![ChanRef::indexed("h", Expr::var("x"))]);
+        let p2 = subst_process_with(&p, "x", &int(1));
+        let shown = format!("{p2:?}");
+        assert!(!shown.contains("Var(\"x\")"), "left a free x: {shown}");
+        assert!(!process_has_free(&p2, "x"));
     }
 }

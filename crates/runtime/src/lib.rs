@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod causal_json;
 mod conformance;
 mod executor;
 mod fault;
@@ -57,7 +58,7 @@ pub use net::{flatten, Component, NetError, Network};
 pub use scheduler::Scheduler;
 pub use supervisor::{ComponentFailure, FailureReason, RunOutcome, Supervision};
 
+pub use causal_json::{causal_jsonl, chrome_causal_trace};
 // Re-export the causal layer so downstream users get clocks and logs
 // from the same crate that produces them.
-pub use csp_causal::chrome::chrome_causal_trace;
 pub use csp_causal::{msc, CausalError, CausalEvent, CausalEventKind, CausalLog, VectorClock};

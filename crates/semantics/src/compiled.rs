@@ -58,11 +58,11 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use csp_lang::{
-    free_vars_process, process_has_free, ChanRef, Definitions, Env, EvalError, Expr, Process,
+    free_vars_process, process_has_free, reaches_network, resolve_chanrefs, ChanRef, Definitions,
+    Env, EvalError, Expr, Process,
 };
 use csp_trace::{ChannelSet, Event, FxHashMap, FxHashSet, Trace, TraceSet};
 
-use crate::denote::resolve_chanrefs;
 use crate::lts::channelset_to_refs;
 use crate::{Config, Lts, Step, Universe};
 
@@ -114,7 +114,7 @@ impl Engine {
     pub fn resolve(self, defs: &Definitions, root: &Process) -> Engine {
         match self {
             Engine::Auto => {
-                if prefers_compiled(defs, root) {
+                if reaches_network(defs, root) {
                     Engine::Compiled
                 } else {
                     Engine::Enumerative
@@ -144,33 +144,6 @@ impl std::str::FromStr for Engine {
             )),
         }
     }
-}
-
-/// True when any definition reachable from `root` composes processes in
-/// parallel or hides channels — the shapes whose state spaces revisit
-/// configurations across interleavings.
-fn prefers_compiled(defs: &Definitions, root: &Process) -> bool {
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    let mut stack: Vec<&Process> = vec![root];
-    while let Some(p) = stack.pop() {
-        match p {
-            Process::Parallel { .. } | Process::Hide { .. } => return true,
-            Process::Stop | Process::Error(_) => {}
-            Process::Call { name, .. } => {
-                if seen.insert(name.as_str()) {
-                    if let Some(def) = defs.get(name) {
-                        stack.push(def.body());
-                    }
-                }
-            }
-            Process::Output { then, .. } | Process::Input { then, .. } => stack.push(then),
-            Process::Choice(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-        }
-    }
-    false
 }
 
 /// An interned configuration in a [`CompiledLts`] arena.

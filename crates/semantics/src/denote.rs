@@ -26,8 +26,8 @@
 //! the requested depth; raise the multiplier for networks with long
 //! internal chatter per visible event).
 
-use csp_lang::{channel_alphabet, ChanRef, Definitions, Env, EvalError, Expr, Process};
-use csp_trace::{ChannelSet, Event, TraceSet, Value};
+use csp_lang::{operand_alphabet, resolve_chanrefs, Definitions, Env, EvalError, Expr, Process};
+use csp_trace::{Event, TraceSet, Value};
 
 use crate::{ProcKey, Universe};
 
@@ -125,28 +125,6 @@ impl<'a> Semantics<'a> {
         depth.saturating_mul(self.hide_multiplier)
     }
 
-    /// Resolves the alphabets `X`, `Y` of a parallel composition:
-    /// explicit channel lists are evaluated; absent ones are inferred
-    /// from the operand's text per the paper's convention.
-    fn parallel_alphabets(
-        &self,
-        left: &Process,
-        right: &Process,
-        left_alpha: Option<&[ChanRef]>,
-        right_alpha: Option<&[ChanRef]>,
-        env: &Env,
-    ) -> Result<(ChannelSet, ChannelSet), EvalError> {
-        let x = match left_alpha {
-            Some(cs) => resolve_chanrefs(cs, env)?,
-            None => channel_alphabet(left, self.defs, env)?,
-        };
-        let y = match right_alpha {
-            Some(cs) => resolve_chanrefs(cs, env)?,
-            None => channel_alphabet(right, self.defs, env)?,
-        };
-        Ok((x, y))
-    }
-
     /// The §3.2 equations, one arm per construct, with process names read
     /// through `rho`. Left operands are evaluated before right ones.
     fn eval(
@@ -211,13 +189,8 @@ impl<'a> Semantics<'a> {
                 left_alpha,
                 right_alpha,
             } => {
-                let (x, y) = self.parallel_alphabets(
-                    left,
-                    right,
-                    left_alpha.as_deref(),
-                    right_alpha.as_deref(),
-                    env,
-                )?;
+                let x = operand_alphabet(left_alpha.as_deref(), left, self.defs, env)?;
+                let y = operand_alphabet(right_alpha.as_deref(), right, self.defs, env)?;
                 let tl = self.eval(left, env, depth, rho)?;
                 let tr = self.eval(right, env, depth, rho)?;
                 Ok(tl.parallel(&x, &tr, &y, depth))
@@ -255,14 +228,10 @@ fn eval_args(args: &[Expr], env: &Env) -> Result<Vec<Value>, EvalError> {
     args.iter().map(|e| e.eval(env)).collect()
 }
 
-pub(crate) fn resolve_chanrefs(cs: &[ChanRef], env: &Env) -> Result<ChannelSet, EvalError> {
-    cs.iter().map(|c| c.resolve(env)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_lang::{examples, parse_definitions, parse_process};
+    use csp_lang::{examples, parse_definitions, parse_process, ChanRef};
     use csp_trace::{Trace, Value};
 
     fn tr(pairs: &[(&'static str, u32)]) -> Trace {

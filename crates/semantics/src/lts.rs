@@ -107,28 +107,25 @@ impl<'a> Lts<'a> {
         }
     }
 
-    /// The alphabet of one `||` operand: an explicit channel list is
-    /// resolved (with memoisation when it is constant), an absent one is
-    /// inferred from the operand's text.
+    /// [`operand_alphabet`](csp_lang::operand_alphabet), memoised when
+    /// the declared list is constant.
     fn resolve_alpha(
         &self,
-        explicit: Option<&[ChanRef]>,
+        declared: Option<&[ChanRef]>,
         operand: &Process,
         env: &Env,
     ) -> Result<Arc<ChannelSet>, EvalError> {
-        let Some(refs) = explicit else {
-            return Ok(Arc::new(csp_lang::channel_alphabet(
-                operand, self.defs, env,
-            )?));
-        };
-        let constant = refs.iter().all(|c| c.indices().iter().all(Expr::is_closed));
-        if constant {
+        let constant =
+            declared.filter(|refs| refs.iter().all(|c| c.indices().iter().all(Expr::is_closed)));
+        if let Some(refs) = constant {
             if let Some(hit) = self.alpha_memo.lock().expect("alphabet memo").get(refs) {
                 return Ok(Arc::clone(hit));
             }
         }
-        let set = Arc::new(crate::denote::resolve_chanrefs(refs, env)?);
-        if constant {
+        let set = Arc::new(csp_lang::operand_alphabet(
+            declared, operand, self.defs, env,
+        )?);
+        if let Some(refs) = constant {
             self.alpha_memo
                 .lock()
                 .expect("alphabet memo")
@@ -279,10 +276,7 @@ impl<'a> Lts<'a> {
                 Ok(out)
             }
             Process::Hide { channels, body } => {
-                let hidden: ChannelSet = channels
-                    .iter()
-                    .map(|c| c.resolve(env))
-                    .collect::<Result<_, _>>()?;
+                let hidden = csp_lang::resolve_chanrefs(channels, env)?;
                 let mut out = Vec::new();
                 // Successor configs are owned here, so the hiding wrapper is
                 // rebuilt around the *moved* body term — no deep copy.

@@ -19,14 +19,14 @@ use std::time::Instant;
 
 use csp_core::obs::{json_string, parse_json, JsonValue};
 use csp_core::{
-    hash_field, render_json, AnalysisDb, Engine, FaultPlan, RunOptions, SatOptions, Scheduler,
-    Session, Value, HASH_SEED,
+    hash_field, AnalysisDb, Engine, FaultPlan, RunOptions, SatOptions, Scheduler, Session, Value,
+    HASH_SEED,
 };
 
 use crate::http::{Request, Response};
 use crate::v1::{
-    check_data, envelope, render_parse_errors, run_data, set_value, verify_phase, ModuleOptions,
-    ProveOutcome,
+    check_data, envelope, render_json, render_parse_errors, run_data, set_value, verify_phase,
+    ModuleOptions, ProveOutcome,
 };
 use crate::ServeState;
 

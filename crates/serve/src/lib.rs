@@ -60,8 +60,9 @@ mod v1;
 
 pub use client::{Client, ClientResponse};
 pub use v1::{
-    check_data, envelope, render_failures, render_monitor, render_parse_errors, render_supervision,
-    run_data, set_value, verify_phase, ModuleOptions, ProveOutcome,
+    check_data, diagnostic_json, envelope, render_failures, render_json, render_monitor,
+    render_parse_errors, render_supervision, run_data, set_value, verify_phase, ModuleOptions,
+    ProveOutcome,
 };
 
 use std::io::BufReader;

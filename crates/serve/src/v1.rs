@@ -10,8 +10,8 @@
 
 use csp_core::obs::json_string;
 use csp_core::{
-    render_report, CheckReport, Engine, Env, ParseError, Process, RunResult, SatOptions, SatResult,
-    Session, Universe, Value, Workbench,
+    render_report, CheckReport, Confirmation, Diagnostic, Engine, Env, ParseError, Process,
+    RunResult, SatOptions, SatResult, Session, Universe, Value, Workbench,
 };
 
 /// The options that shape a module's workbench: the CLI's
@@ -280,8 +280,45 @@ pub fn verify_phase(
     Ok(traces)
 }
 
+/// One lint finding as a JSON object: its code, severity and message,
+/// then its definition, span and confirmation when it has them.
+pub fn diagnostic_json(d: &Diagnostic) -> String {
+    let mut s = format!(
+        "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":{}",
+        d.code.code(),
+        d.severity,
+        json_string(&d.message)
+    );
+    if let Some(def) = &d.def {
+        s.push_str(&format!(",\"def\":{}", json_string(def)));
+    }
+    if let Some(sp) = &d.span {
+        s.push_str(&format!(
+            ",\"line\":{},\"column\":{},\"offset\":{},\"len\":{}",
+            sp.line, sp.column, sp.offset, sp.len
+        ));
+    }
+    match &d.confirmation {
+        Some(Confirmation::Confirmed { witness }) => s.push_str(&format!(
+            ",\"confirmation\":\"confirmed\",\"witness\":{}",
+            json_string(witness)
+        )),
+        Some(Confirmation::Heuristic) => s.push_str(",\"confirmation\":\"heuristic\""),
+        None => {}
+    }
+    s.push('}');
+    s
+}
+
+/// Lint findings as a JSON array of [`diagnostic_json`] objects: the
+/// `diagnostics` of `csp lint --json` and `/v1/lint`.
+pub fn render_json(diags: &[Diagnostic]) -> String {
+    let items: Vec<String> = diags.iter().map(diagnostic_json).collect();
+    format!("[{}]", items.join(","))
+}
+
 /// Recovered parse errors as a JSON array, span fields flattened exactly
-/// like [`csp_core::Diagnostic::to_json`] renders lint spans.
+/// like [`diagnostic_json`] renders lint spans.
 pub fn render_parse_errors(errors: &[ParseError]) -> String {
     let items: Vec<String> = errors
         .iter()
@@ -362,4 +399,34 @@ pub fn render_monitor(result: &RunResult) -> String {
         m.events_checked,
         violation,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csp_core::LintCode;
+
+    #[test]
+    fn json_rendering_escapes_and_nests() {
+        let d = Diagnostic::new(LintCode::UnboundVariable, "unbound variable `x\"y`").in_def("p");
+        let j = diagnostic_json(&d);
+        assert!(j.contains("\\\"y"), "{j}");
+        assert!(j.starts_with('{') && j.ends_with('}'));
+        let arr = render_json(&[d.clone(), d]);
+        assert!(arr.starts_with('[') && arr.ends_with(']'));
+        assert_eq!(arr.matches("CSP003").count(), 2);
+        let confirmed = Diagnostic {
+            confirmation: Some(Confirmation::Confirmed {
+                witness: "<a.1>".into(),
+            }),
+            ..Diagnostic::new(LintCode::OfferMismatch, "m")
+        };
+        assert!(diagnostic_json(&confirmed)
+            .ends_with(",\"confirmation\":\"confirmed\",\"witness\":\"<a.1>\"}"));
+        let heuristic = Diagnostic {
+            confirmation: Some(Confirmation::Heuristic),
+            ..Diagnostic::new(LintCode::OfferMismatch, "m")
+        };
+        assert!(diagnostic_json(&heuristic).ends_with(",\"confirmation\":\"heuristic\"}"));
+    }
 }

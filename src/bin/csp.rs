@@ -86,9 +86,10 @@ use std::time::Instant;
 use csp::obs::{json_string, parse_json, JsonValue, MetricsSnapshot};
 use csp::prelude::*;
 use csp::serve::{
-    check_data, envelope, run_data, set_value, verify_phase, ModuleOptions, ProveOutcome,
+    check_data, envelope, render_json, run_data, set_value, verify_phase, ModuleOptions,
+    ProveOutcome,
 };
-use csp::{max_severity, render_json, timeline, Diagnostic, Session, Severity};
+use csp::{max_severity, timeline, Diagnostic, Session, Severity};
 use csp_bench::report::HistoryRow;
 
 /// A byte-counting wrapper around the system allocator, so `csp profile`
@@ -635,7 +636,7 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
                 eprintln!("wrote MSC ({} causal event(s)) to {path}", res.causal.len());
             }
             if let Some(path) = &opts.causal_out {
-                std::fs::write(path, res.causal.to_jsonl())
+                std::fs::write(path, csp::causal_jsonl(&res.causal))
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 eprintln!(
                     "wrote causal log ({} event(s), {} dropped) to {path}",
