@@ -6,14 +6,17 @@
 //! justified "(def f)". The paper discharges these by informal sequence
 //! reasoning; this module provides the mechanical counterpart:
 //!
-//! 1. a **syntactic prover** for the handful of laws the paper's proofs
-//!    actually use (prefix reflexivity, `<> ≤ s`, cons-monotonicity,
-//!    conjunction/implication structure), and
-//! 2. a **bounded validity checker** that exhaustively evaluates the
+//! 1. a **syntactic prover** for a handful of laws (prefix reflexivity,
+//!    `<> ≤ s`, cons-monotonicity, conjunction/implication structure);
+//! 2. the **symbolic stage** ([`symbolic_valid`]), which decides the
+//!    fragment the paper's proofs use — prefix order, `f`'s declared
+//!    equations, length bounds, indexing — for every history and every
+//!    value; and
+//! 3. a **bounded validity checker** that exhaustively evaluates the
 //!    formula over all channel histories up to a configured length and
 //!    all variable values from the universe — refutation-complete within
-//!    the bound, and the paper-honest analogue of "check it against the
-//!    definition of f".
+//!    the bound. It finds the counterexamples, and it is the oracle the
+//!    symbolic stage is tested against.
 //!
 //! Every decision records *how* it was reached so proof checking can
 //! report which premises rest on the bounded oracle.
@@ -22,7 +25,7 @@ use csp_lang::Env;
 use csp_semantics::Universe;
 use csp_trace::{Channel, History, Seq, Value};
 
-use crate::{Assertion, EvalCtx, FuncTable, STerm};
+use crate::{symbolic_valid, Assertion, EvalCtx, FuncTable, STerm};
 
 /// How thorough the bounded check is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +54,12 @@ pub enum Decision {
         /// The law that matched, e.g. `"prefix-reflexivity"`.
         law: &'static str,
     },
+    /// Valid for every history and every value, by the symbolic stage
+    /// ([`symbolic_valid`]).
+    ValidSymbolic {
+        /// The rule that carried the proof, e.g. `"prefix-transitivity"`.
+        rule: &'static str,
+    },
     /// Valid in every enumerated case.
     ValidBounded {
         /// Number of (history, valuation) cases checked.
@@ -72,11 +81,13 @@ pub enum Decision {
 }
 
 impl Decision {
-    /// True for either form of validity.
+    /// True for any form of validity.
     pub fn is_valid(&self) -> bool {
         matches!(
             self,
-            Decision::ValidSyntactic { .. } | Decision::ValidBounded { .. }
+            Decision::ValidSyntactic { .. }
+                | Decision::ValidSymbolic { .. }
+                | Decision::ValidBounded { .. }
         )
     }
 }
@@ -111,6 +122,9 @@ pub fn decide_valid(
     if let Some(law) = syntactic_valid(a) {
         return Decision::ValidSyntactic { law };
     }
+    if let Some(rule) = symbolic_valid(a, universe, funcs) {
+        return Decision::ValidSymbolic { rule };
+    }
     bounded_valid(a, universe, funcs, config)
 }
 
@@ -138,8 +152,8 @@ pub fn syntactic_valid(a: &Assertion) -> Option<&'static str> {
                     }
                 }
                 // prefix-transitivity: (s ≤ t) ⇒ (r ≤ t) when r ≤ s is
-                // itself one of the conjuncts — handled by the bounded
-                // checker in general; only the degenerate r == s case is
+                // itself one of the conjuncts — decided by the symbolic
+                // stage in general; only the degenerate r == s case is
                 // syntactic:
                 if s2 == s && t2 == t {
                     return Some("implication-reflexivity");
@@ -155,8 +169,10 @@ pub fn syntactic_valid(a: &Assertion) -> Option<&'static str> {
     }
 }
 
-/// Exhaustive evaluation over bounded histories and valuations.
-fn bounded_valid(
+/// Exhaustive evaluation over bounded histories and valuations: the
+/// third stage of [`decide_valid`], which finds the counterexamples, and
+/// the oracle the symbolic stage is tested against.
+pub fn bounded_valid(
     a: &Assertion,
     universe: &Universe,
     funcs: &FuncTable,
@@ -402,7 +418,7 @@ fn expr_vars(e: &csp_lang::Expr, bound: &[String], out: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CmpOp, Term};
+    use crate::{symbolic_valid, CmpOp, Term};
 
     fn setup() -> (Universe, FuncTable) {
         (Universe::new(1), FuncTable::with_builtins())
@@ -452,7 +468,7 @@ mod tests {
     #[test]
     fn transitivity_is_bounded_checked() {
         // (a ≤ b and b ≤ c) ⇒ a ≤ c — used in the protocol proof
-        // ("trans ≤").
+        // ("trans ≤"). The oracle agrees with the symbolic stage.
         let (u, f) = setup();
         let r = Assertion::prefix(STerm::chan("a"), STerm::chan("b"))
             .and(Assertion::prefix(STerm::chan("b"), STerm::chan("c")))
@@ -461,10 +477,24 @@ mod tests {
             max_history_len: 2,
             ..DecideConfig::default()
         };
-        match decide_valid(&r, &u, &f, cfg) {
+        match bounded_valid(&r, &u, &f, cfg) {
             Decision::ValidBounded { cases } => assert!(cases > 0),
             other => panic!("expected bounded validity, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn transitivity_is_symbolic() {
+        let (u, f) = setup();
+        let r = Assertion::prefix(STerm::chan("a"), STerm::chan("b"))
+            .and(Assertion::prefix(STerm::chan("b"), STerm::chan("c")))
+            .implies(Assertion::prefix(STerm::chan("a"), STerm::chan("c")));
+        assert_eq!(
+            decide_valid(&r, &u, &f, DecideConfig::default()),
+            Decision::ValidSymbolic {
+                rule: "prefix-transitivity"
+            }
+        );
     }
 
     #[test]
@@ -487,7 +517,7 @@ mod tests {
         // f(<>) ≤ <> — the R_<> premise of the sender proof.
         let (u, f) = setup();
         let r = Assertion::prefix(STerm::Empty.app("f"), STerm::Empty);
-        match decide_valid(&r, &u, &f, DecideConfig::default()) {
+        match bounded_valid(&r, &u, &f, DecideConfig::default()) {
             Decision::ValidBounded { .. } => {}
             other => panic!("expected bounded validity, got {other:?}"),
         }
@@ -496,7 +526,119 @@ mod tests {
             STerm::chan("wire").cons(Term::sym("ACK")).app("f"),
             STerm::chan("wire").app("f"),
         );
-        assert!(decide_valid(&law, &u, &f, DecideConfig::default()).is_valid());
+        assert!(bounded_valid(&law, &u, &f, DecideConfig::default()).is_valid());
+    }
+
+    #[test]
+    fn f_definition_facts_are_symbolic() {
+        let (u, f) = setup();
+        let r = Assertion::prefix(STerm::Empty.app("f"), STerm::Empty);
+        assert_eq!(
+            decide_valid(&r, &u, &f, DecideConfig::default()),
+            Decision::ValidSymbolic {
+                rule: "declared-equations"
+            }
+        );
+        // f(ACK^wire) == f(wire) rests on f(x^ACK^s) = x^f(s) with x a
+        // message, which ACK is not: the stage gives no answer, and the
+        // bounded checker still finds it valid.
+        let law = Assertion::SeqEq(
+            STerm::chan("wire").cons(Term::sym("ACK")).app("f"),
+            STerm::chan("wire").app("f"),
+        );
+        assert_eq!(symbolic_valid(&law, &u, &f), None);
+        // f(x^NACK^wire) == f(wire) holds for every x.
+        let nack = Assertion::ForallIn(
+            "x".into(),
+            csp_lang::SetExpr::Nat,
+            Box::new(Assertion::SeqEq(
+                STerm::chan("wire")
+                    .cons(Term::sym("NACK"))
+                    .cons(Term::var("x"))
+                    .app("f"),
+                STerm::chan("wire").app("f"),
+            )),
+        );
+        assert_eq!(symbolic_valid(&nack, &u, &f), Some("declared-equations"));
+    }
+
+    #[test]
+    fn a_signal_binder_gets_no_message_equation() {
+        // With x = NACK, f(NACK^ACK^wire) = f(wire), not NACK^f(wire):
+        // the premise is false, and only the bounded checker answers.
+        let (u, f) = setup();
+        let info = crate::ChannelInfo::new()
+            .with_channels(["wire", "input"])
+            .with_funcs(["f"]);
+        let r = crate::parse_assertion(
+            "forall x:{NACK}. (f(wire) <= input => f(x^ACK^wire) <= x^input)",
+            &info,
+        )
+        .unwrap();
+        assert_eq!(symbolic_valid(&r, &u, &f), None);
+        assert!(matches!(
+            decide_valid(&r, &u, &f, DecideConfig::default()),
+            Decision::Refuted { .. }
+        ));
+        // Over M = {0, 1} the same premise is the sender's Table 1 step.
+        let m = Universe::new(1).with_named("M", [Value::nat(0), Value::nat(1)]);
+        let ok = crate::parse_assertion(
+            "forall x:M. (forall w:{ACK}. (f(wire) <= input => f(x^w^wire) <= x^input))",
+            &info,
+        )
+        .unwrap();
+        assert_eq!(symbolic_valid(&ok, &m, &f), Some("declared-equations"));
+        // An unregistered f declares no equations.
+        let mut plain = FuncTable::new();
+        plain.register("f", std::sync::Arc::new(crate::protocol_cancel));
+        assert_eq!(symbolic_valid(&ok, &m, &plain), None);
+    }
+
+    #[test]
+    fn length_bounds_and_contradictions_are_symbolic() {
+        let (u, f) = setup();
+        let info = crate::ChannelInfo::new().with_channels(["in", "link", "out", "c"]);
+        let read = |src: &str| crate::parse_assertion(src, &info).unwrap();
+        let cases = [
+            ("#<> <= #<> + 1", Some("normalisation")),
+            (
+                "(#in <= #link + 1 and #link <= #out + 1) => #in <= #out + 2",
+                Some("difference-bounds"),
+            ),
+            (
+                "(#in <= #link + 1 and #link <= #out + 1) => #in <= #out + 1",
+                None,
+            ),
+            (
+                "forall i:NAT. ((1 <= i and i <= #<>) => <>[i] == 0)",
+                Some("contradictory-hypotheses"),
+            ),
+            (
+                "(forall i:NAT. ((1 <= i and i <= #c) => c[i] == 0)) => \
+                 forall i:NAT. ((1 <= i and i <= #(0^c)) => (0^c)[i] == 0)",
+                Some("index-split"),
+            ),
+            (
+                "(forall i:NAT. ((1 <= i and i <= #c) => c[i] == 0)) => \
+                 forall i:NAT. ((1 <= i and i <= #(1^c)) => (1^c)[i] == 0)",
+                None,
+            ),
+            (
+                "(forall i:NAT. ((1 <= i and i <= #c) => c[i] == 0)) => \
+                 forall i:NAT. ((1 <= i and i <= #(0^c) + 1) => (0^c)[i] == 0)",
+                None,
+            ),
+        ];
+        // The last formula is false at i = #c + 2, an index the bounded
+        // reading's `∀i:NAT` (up to the history's length) never takes.
+        for (src, want) in cases {
+            let a = read(src);
+            assert_eq!(symbolic_valid(&a, &u, &f), want, "{src}");
+            if want.is_some() {
+                let bounded = bounded_valid(&a, &u, &f, DecideConfig::default());
+                assert!(bounded.is_valid(), "{src}: {bounded:?}");
+            }
+        }
     }
 
     #[test]

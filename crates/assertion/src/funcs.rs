@@ -13,7 +13,9 @@
 //!
 //! A [`FuncTable`] maps function names to implementations so assertions
 //! like `f(wire) ≤ input` can be evaluated; the protocol cancellation
-//! function is pre-registered as `"f"` in [`FuncTable::with_builtins`].
+//! function is pre-registered as `"f"` in [`FuncTable::with_builtins`],
+//! together with those four equations as [`Equation`] data, which the
+//! symbolic stage of [`decide_valid`](crate::decide_valid) rewrites by.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,7 +44,7 @@ pub type SeqFn = Arc<dyn Fn(&Seq<Value>) -> Seq<Value> + Send + Sync>;
 /// ```
 #[derive(Clone, Default)]
 pub struct FuncTable {
-    funcs: BTreeMap<String, SeqFn>,
+    funcs: BTreeMap<String, (SeqFn, &'static [Equation])>,
 }
 
 impl FuncTable {
@@ -52,21 +54,32 @@ impl FuncTable {
     }
 
     /// A table with the paper's built-ins registered: the protocol
-    /// cancellation function `f`.
+    /// cancellation function `f`, with its defining equations.
     pub fn with_builtins() -> Self {
         let mut t = FuncTable::new();
-        t.register("f", Arc::new(|s: &Seq<Value>| protocol_cancel(s)));
+        t.funcs.insert(
+            "f".to_string(),
+            (Arc::new(|s: &Seq<Value>| protocol_cancel(s)), &F_EQUATIONS),
+        );
         t
     }
 
-    /// Registers (or replaces) a function under `name`.
+    /// Registers (or replaces) a function under `name`. It comes with no
+    /// equations, so the symbolic stage treats its applications as
+    /// opaque, even under the name `f`.
     pub fn register(&mut self, name: &str, f: SeqFn) {
-        self.funcs.insert(name.to_string(), f);
+        self.funcs.insert(name.to_string(), (f, &[]));
     }
 
     /// Looks up a function by name.
     pub fn get(&self, name: &str) -> Option<&SeqFn> {
-        self.funcs.get(name)
+        self.funcs.get(name).map(|(f, _)| f)
+    }
+
+    /// The equations declared with `name`; none for an unknown name or a
+    /// function added by [`register`](Self::register).
+    pub fn equations(&self, name: &str) -> &'static [Equation] {
+        self.funcs.get(name).map_or(&[], |(_, eqs)| eqs)
     }
 
     /// True if `name` is registered.
@@ -87,6 +100,105 @@ impl fmt::Debug for FuncTable {
             .finish()
     }
 }
+
+/// What an argument head must be for an [`Equation`] to apply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pattern {
+    /// Any value.
+    Any,
+    /// A message: any value but the signals `ACK` and `NACK`.
+    Message,
+    /// Exactly this signal.
+    Signal(&'static str),
+}
+
+/// One declared equation of a sequence function `g`, read left to right:
+/// `g(x₁^…^xₙ^s) = y₁^…^yₖ^g(s)` when `open`, and
+/// `g(<x₁, …, xₙ>) = <y₁, …, yₖ>` when not, where each `xᵢ` matches
+/// `heads[i]` and the `y`s are the heads numbered by `keep`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Equation {
+    /// The argument's leading elements.
+    pub heads: &'static [Pattern],
+    /// True if the argument continues past `heads` (`…^s`), false if it
+    /// ends there.
+    pub open: bool,
+    /// The matched heads the result starts with, by position.
+    pub keep: &'static [usize],
+}
+
+impl Equation {
+    /// Both sides of this equation for `g`, instantiated at the argument
+    /// heads `xs` and rest `s` (ignored when the equation is closed):
+    /// `(g(lhs), rhs)`, which agree if the equation holds there. `None`
+    /// if `xs` does not match the patterns.
+    pub fn sides(
+        &self,
+        g: &SeqFn,
+        xs: &[Value],
+        s: &Seq<Value>,
+    ) -> Option<(Seq<Value>, Seq<Value>)> {
+        if xs.len() != self.heads.len() || !self.heads.iter().zip(xs).all(|(p, x)| p.matches(x)) {
+            return None;
+        }
+        let rest = if self.open { s.clone() } else { Seq::empty() };
+        let mut arg = rest.clone();
+        for x in xs.iter().rev() {
+            arg = arg.cons(x.clone());
+        }
+        let mut rhs = if self.open { g(&rest) } else { Seq::empty() };
+        for &i in self.keep.iter().rev() {
+            rhs = rhs.cons(xs[i].clone());
+        }
+        Some((g(&arg), rhs))
+    }
+}
+
+impl Pattern {
+    /// True if `v` is a head this pattern admits.
+    fn matches(self, v: &Value) -> bool {
+        match self {
+            Pattern::Any => true,
+            Pattern::Message => !is_signal(v),
+            Pattern::Signal(s) => v.as_sym() == Some(s),
+        }
+    }
+}
+
+/// True for the protocol's signals `ACK` and `NACK`.
+pub(crate) fn is_signal(v: &Value) -> bool {
+    matches!(v.as_sym(), Some("ACK" | "NACK"))
+}
+
+/// The equations §2.2 gives `f`. The message-only ones need their `x`
+/// to be a message: for `x = NACK`, [`protocol_cancel`] gives
+/// `f(NACK^ACK^s) = f(s)`, not `NACK^f(s)`.
+const F_EQUATIONS: [Equation; 4] = [
+    // f(<>) = <>
+    Equation {
+        heads: &[],
+        open: false,
+        keep: &[],
+    },
+    // f(<x>) = <x>, x a message
+    Equation {
+        heads: &[Pattern::Message],
+        open: false,
+        keep: &[0],
+    },
+    // f(x^ACK^s) = x^f(s), x a message
+    Equation {
+        heads: &[Pattern::Message, Pattern::Signal("ACK")],
+        open: true,
+        keep: &[0],
+    },
+    // f(x^NACK^s) = f(s), every x
+    Equation {
+        heads: &[Pattern::Any, Pattern::Signal("NACK")],
+        open: true,
+        keep: &[],
+    },
+];
 
 /// The paper's `f`: cancel every `ACK` and every consecutive pair
 /// `⟨x, NACK⟩`; the surviving elements are the successfully delivered
@@ -109,7 +221,7 @@ pub fn protocol_cancel(s: &Seq<Value>) -> Seq<Value> {
     let mut out = Vec::new();
     let mut it = s.iter().peekable();
     while let Some(x) = it.next() {
-        if matches!(x.as_sym(), Some("ACK" | "NACK")) {
+        if is_signal(x) {
             // A bare signal (no preceding message at this position):
             // cancelled. For ACK this is the paper's "cancel all
             // occurrences"; a bare NACK cannot arise from the protocol.
@@ -210,6 +322,32 @@ mod tests {
     #[test]
     fn builtins_include_f() {
         assert!(FuncTable::with_builtins().contains("f"));
+        assert_eq!(FuncTable::with_builtins().equations("f").len(), 4);
+    }
+
+    #[test]
+    fn registered_functions_declare_no_equations() {
+        let mut t = FuncTable::with_builtins();
+        t.register("f", Arc::new(|s: &Seq<Value>| s.clone()));
+        assert!(t.equations("f").is_empty());
+        assert!(t.equations("ghost").is_empty());
+    }
+
+    #[test]
+    fn message_equations_reject_signal_heads() {
+        let t = FuncTable::with_builtins();
+        let f = t.get("f").unwrap();
+        let ack_cons = &t.equations("f")[2];
+        let s = seq(&["y"]);
+        assert!(ack_cons
+            .sides(f, seq(&["NACK", "ACK"]).as_slice(), &s)
+            .is_none());
+        let (lhs, rhs) = ack_cons
+            .sides(f, seq(&["x", "ACK"]).as_slice(), &s)
+            .unwrap();
+        assert_eq!((lhs.clone(), rhs), (seq(&["x", "y"]), seq(&["x", "y"])));
+        // f(NACK^ACK^s) = f(s): the message-only equation would be wrong.
+        assert_eq!(protocol_cancel(&seq(&["NACK", "ACK", "y"])), seq(&["y"]));
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! * [`subst_empty`], [`subst_chan_cons`], [`subst_var`] — the
 //!   substitutions `R_<>`, `R^c_{e^c}`, `R^x_e` that the inference rules
 //!   of §2.1 are built from;
-//! * [`decide_valid`] — a validity oracle for pure premises, combining a
-//!   syntactic prover for the laws the paper's proofs use with a bounded
-//!   exhaustive checker;
+//! * [`decide_valid`] — a validity oracle for pure premises in three
+//!   stages: a syntactic prover for a few laws ([`syntactic_valid`]), a
+//!   symbolic decision of the fragment the paper's proofs use for every
+//!   history and value ([`symbolic_valid`]), and a bounded exhaustive
+//!   checker that finds counterexamples ([`bounded_valid`]);
 //! * [`FuncTable`]/[`protocol_cancel`] — the paper's cancellation
-//!   function `f` and a registry for user functions.
+//!   function `f` with its declared [`Equation`]s, and a registry for
+//!   user functions.
 //!
 //! ```
 //! use csp_assert::{parse_assertion, ChannelInfo, EvalCtx, FuncTable};
@@ -42,10 +45,13 @@ mod eval;
 mod funcs;
 mod parser;
 mod subst;
+mod symbolic;
 
 pub use ast::{Assertion, CmpOp, STerm, Term};
-pub use decide::{decide_valid, free_vars, syntactic_valid, DecideConfig, Decision};
+pub use decide::{bounded_valid, decide_valid, free_vars, syntactic_valid, DecideConfig, Decision};
 pub use eval::{AssertError, EvalCtx};
-pub use funcs::{protocol_cancel, FuncTable, SeqFn};
+pub(crate) use funcs::is_signal;
+pub use funcs::{protocol_cancel, Equation, FuncTable, Pattern, SeqFn};
 pub use parser::{parse_assertion, AssertParseError, ChannelInfo};
 pub use subst::{subst_chan_cons, subst_empty, subst_var};
+pub use symbolic::symbolic_valid;

@@ -37,7 +37,7 @@ use csp_bench::{
 };
 use csp_core::prelude::*;
 use csp_core::proofs;
-use csp_core::{stop_choice_identity, validate_all_rules, AnalysisDb};
+use csp_core::{check_with, stop_choice_identity, validate_all_rules, AnalysisDb};
 
 /// The paper's module, benched as the front-end's reference input.
 const PAPER_CSP: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../paper.csp"));
@@ -111,10 +111,12 @@ fn workloads() -> Vec<Workload> {
     // P3 — proof-checker throughput over the whole script suite.
     v.push((
         "P3/proofs/all_scripts",
-        Box::new(|_c| {
+        Box::new(|c| {
             let mut rules = 0u64;
             for script in proofs::all_scripts() {
-                rules += script.check().expect("checks").rule_count() as u64;
+                rules += check_with(&script.context, &script.goal, &script.proof, c)
+                    .expect("checks")
+                    .rule_count() as u64;
             }
             Metrics {
                 traces: rules,

@@ -85,9 +85,9 @@ pub use csp_analysis::{
     ALL_CODES,
 };
 pub use csp_assert::{
-    decide_valid, parse_assertion, protocol_cancel, subst_chan_cons, subst_empty, subst_var,
-    AssertError, Assertion, ChannelInfo, CmpOp, DecideConfig, Decision, EvalCtx, FuncTable, STerm,
-    Term,
+    bounded_valid, decide_valid, parse_assertion, protocol_cancel, subst_chan_cons, subst_empty,
+    subst_var, symbolic_valid, AssertError, Assertion, ChannelInfo, CmpOp, DecideConfig, Decision,
+    EvalCtx, FuncTable, STerm, Term,
 };
 pub use csp_lang::{
     channel_alphabet, parse_definitions, parse_definitions_spanned, parse_expr, parse_module,

@@ -282,17 +282,9 @@ fn parse_string(c: &mut Cursor<'_>) -> Result<String, JsonError> {
                     Some(b'n') => out.push('\n'),
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = c
-                            .bytes
-                            .get(c.pos + 1..c.pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| c.err("bad \\u escape"))?;
-                        out.push(hex);
-                        c.pos += 4;
-                    }
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'u') => out.push(unicode_escape(c)?),
                     other => {
                         return Err(c.err(&format!("bad escape {other:?}")));
                     }
@@ -309,6 +301,42 @@ fn parse_string(c: &mut Cursor<'_>) -> Result<String, JsonError> {
             }
         }
     }
+}
+
+/// The character a `\u` escape spells, with `c` at its `u`; leaves `c`
+/// at the escape's last hex digit. A high surrogate and the low one
+/// escaped right after it spell one character; a lone half spells none.
+fn unicode_escape(c: &mut Cursor<'_>) -> Result<char, JsonError> {
+    let unit = hex4(c, c.pos + 1)?;
+    c.pos += 4;
+    let code = if (0xD800..0xDC00).contains(&unit) {
+        let low = match c.bytes.get(c.pos + 1..c.pos + 3) {
+            Some(b"\\u") => hex4(c, c.pos + 3)?,
+            _ => return Err(c.err("lone surrogate in \\u escape")),
+        };
+        if !(0xDC00..0xE000).contains(&low) {
+            return Err(c.err("lone surrogate in \\u escape"));
+        }
+        c.pos += 6;
+        0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+    } else {
+        unit
+    };
+    char::from_u32(code).ok_or_else(|| c.err("lone surrogate in \\u escape"))
+}
+
+/// The code unit spelled by exactly four ASCII hex digits at `at`.
+fn hex4(c: &Cursor<'_>, at: usize) -> Result<u32, JsonError> {
+    let digits = c
+        .bytes
+        .get(at..at + 4)
+        .ok_or_else(|| c.err("bad \\u escape"))?;
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| c.err("bad \\u escape"))?;
+        Ok(code * 16 + digit)
+    })
 }
 
 #[cfg(test)]
@@ -370,5 +398,51 @@ mod tests {
             let e = parse_json(bad).unwrap_err();
             assert!(e.message.contains(message), "{bad}: {e}");
         }
+    }
+
+    #[test]
+    fn backspace_and_form_feed_escapes() {
+        let v = parse_json(r#""a\bb\fc""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\u{8}b\u{c}c"));
+    }
+
+    #[test]
+    fn surrogate_pairs_combine() {
+        let v = parse_json(r#""-- \ud83d\ude00!""#).unwrap();
+        assert_eq!(v.as_str(), Some("-- 😀!"));
+        let v = parse_json(r#""\uD83D\uDE00\u00e9\u0041""#).unwrap();
+        assert_eq!(v.as_str(), Some("😀éA"));
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            let e = parse_json(bad).unwrap_err();
+            assert!(e.message.contains("lone surrogate"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u004""#,
+            r#""\u 041""#,
+            r#""\u00""#,
+        ] {
+            let e = parse_json(bad).unwrap_err();
+            assert!(e.message.contains("bad \\u escape"), "{bad}: {e}");
+        }
+        // A fifth digit is an ordinary character after the escape.
+        let v = parse_json(r#""\u00411""#).unwrap();
+        assert_eq!(v.as_str(), Some("A1"));
     }
 }

@@ -50,6 +50,9 @@ impl Context {
 pub enum Discharge {
     /// By a syntactic law of the sequence theory.
     Syntactic(&'static str),
+    /// By the symbolic stage, for every history and every value; names
+    /// the rule that carried it.
+    Symbolic(&'static str),
     /// By exhaustive bounded evaluation over `n` cases.
     Bounded(usize),
     /// A set-membership obligation `e ∈ M` closed because `e` is the
@@ -99,7 +102,7 @@ impl CheckReport {
     }
 
     /// True if no obligation rests on an assumption (everything was
-    /// syntactic, bounded-checked, or binder-closed).
+    /// syntactic, symbolic, bounded-checked, or binder-closed).
     pub fn fully_discharged(&self) -> bool {
         !self
             .obligations
@@ -275,6 +278,7 @@ fn tally(report: &CheckReport) -> MetricsSnapshot {
     for o in &report.obligations {
         let kind = match o.discharge {
             Discharge::Syntactic(_) => "proof.discharge.syntactic",
+            Discharge::Symbolic(_) => "proof.discharge.symbolic",
             Discharge::Bounded(_) => "proof.discharge.bounded",
             Discharge::Binder => "proof.discharge.binder",
             Discharge::MembershipChecked => "proof.discharge.membership_checked",
@@ -680,34 +684,31 @@ fn oblige(
         Assertion::ForallIn(v.clone(), m.clone(), Box::new(acc))
     });
     let rendered = closed.to_string();
-    match decide_valid(&closed, &ctx.universe, &ctx.funcs, ctx.decide_config) {
-        Decision::ValidSyntactic { law } => {
-            report.obligations.push(Obligation {
+    let discharge = match decide_valid(&closed, &ctx.universe, &ctx.funcs, ctx.decide_config) {
+        Decision::ValidSyntactic { law } => Discharge::Syntactic(law),
+        Decision::ValidSymbolic { rule } => Discharge::Symbolic(rule),
+        Decision::ValidBounded { cases } => Discharge::Bounded(cases),
+        Decision::Refuted { history, env } => {
+            return Err(ProofError::InvalidPremise {
                 rule,
                 formula: rendered,
-                discharge: Discharge::Syntactic(law),
-            });
-            Ok(())
+                decision: format!("refuted with history {history} and {env}"),
+            })
         }
-        Decision::ValidBounded { cases } => {
-            report.obligations.push(Obligation {
+        Decision::Unknown { reason } => {
+            return Err(ProofError::InvalidPremise {
                 rule,
                 formula: rendered,
-                discharge: Discharge::Bounded(cases),
-            });
-            Ok(())
+                decision: format!("undecided: {reason}"),
+            })
         }
-        Decision::Refuted { history, env } => Err(ProofError::InvalidPremise {
-            rule,
-            formula: rendered,
-            decision: format!("refuted with history {history} and {env}"),
-        }),
-        Decision::Unknown { reason } => Err(ProofError::InvalidPremise {
-            rule,
-            formula: rendered,
-            decision: format!("undecided: {reason}"),
-        }),
-    }
+    };
+    report.obligations.push(Obligation {
+        rule,
+        formula: rendered,
+        discharge,
+    });
+    Ok(())
 }
 
 /// Discharges the membership obligation `arg ∈ set` of ∀-elimination.

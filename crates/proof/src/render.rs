@@ -33,6 +33,7 @@ pub fn render_report(title: &str, report: &CheckReport) -> String {
             let _ = write!(out, "  [{}] {}  — ", ob.rule, ob.formula);
             let _ = match &ob.discharge {
                 Discharge::Syntactic(law) => writeln!(out, "syntactic: {law}"),
+                Discharge::Symbolic(rule) => writeln!(out, "symbolic: {rule}"),
                 Discharge::Bounded(cases) => writeln!(out, "bounded check, {cases} cases"),
                 Discharge::Binder => writeln!(out, "closed by binder"),
                 Discharge::MembershipChecked => writeln!(out, "membership checked"),

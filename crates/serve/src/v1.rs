@@ -195,8 +195,9 @@ impl ProveOutcome {
     }
 
     /// The `data` object: the specs and the engine, then `proved:true`
-    /// with the rule count and the rendered [`report`](Self::report),
-    /// or `proved:false` with the error.
+    /// with the rule count, what the pure premises rest on
+    /// (`discharge`) and the rendered [`report`](Self::report), or
+    /// `proved:false` with the error.
     pub fn data(&self) -> String {
         let specs: Vec<String> = self
             .specs
@@ -216,13 +217,31 @@ impl ProveOutcome {
         );
         match &self.result {
             Ok(proof) => format!(
-                "{head},\"proved\":true,\"rules\":{},\"report\":{}}}",
+                "{head},\"proved\":true,\"rules\":{},\"discharge\":{},\"report\":{}}}",
                 proof.rule_count(),
+                discharge_json(proof),
                 json_string(&self.render(proof))
             ),
             Err(e) => format!("{head},\"proved\":false,\"error\":{}}}", json_string(e)),
         }
     }
+}
+
+/// What a proof's pure premises rest on: how many were discharged by a
+/// syntactic law, by the symbolic stage, by bounded enumeration (with
+/// the cases it checked), by a binder, or as a set membership.
+fn discharge_json(proof: &CheckReport) -> String {
+    let count = |name: &str| proof.metrics.counter(&format!("proof.discharge.{name}"));
+    format!(
+        "{{\"syntactic\":{},\"symbolic\":{},\"bounded\":{},\"bounded_cases\":{},\
+         \"binder\":{},\"membership\":{}}}",
+        count("syntactic"),
+        count("symbolic"),
+        count("bounded"),
+        proof.metrics.counter("proof.bounded_cases"),
+        count("binder"),
+        count("membership_checked") + count("membership_assumed"),
+    )
 }
 
 /// The `data` object of a finished `run`: the outcome, the visible

@@ -131,12 +131,32 @@ fn main() -> ExitCode {
                 ExitCode::from(1)
             }
         }
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
+        Err(Failure::Error(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Why a command exits 2. A usage mistake — a missing or unknown
+/// subcommand or flag, a flag without its value or with a malformed
+/// one, a missing required flag — is followed by the usage text; any
+/// other error (an unreadable file, an unknown process, a refused run)
+/// prints its one line alone.
+enum Failure {
+    Usage(String),
+    Error(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Error(message)
     }
 }
 
@@ -434,10 +454,10 @@ fn build_workbench(opts: &Opts) -> Result<Workbench, String> {
     opts.module.workbench(&read_source(&opts.file)?)
 }
 
-fn need_process(opts: &Opts) -> Result<&str, String> {
+fn need_process(opts: &Opts) -> Result<&str, Failure> {
     opts.process
         .as_deref()
-        .ok_or_else(|| "--process NAME is required".to_string())
+        .ok_or_else(|| Failure::Usage("--process NAME is required".to_string()))
 }
 
 /// The shared `--trace-out`/`--metrics` epilogue: writes the session's
@@ -485,28 +505,30 @@ fn write_exports(session: &Session<'_>, opts: &Opts) -> Result<(), String> {
 }
 
 /// Returns Ok(true) when the analysis found no refutation.
-fn dispatch(args: &[String]) -> Result<bool, String> {
+fn dispatch(args: &[String]) -> Result<bool, Failure> {
     let (cmd, rest) = args
         .split_first()
-        .ok_or_else(|| "missing subcommand".to_string())?;
-    if cmd == "bench" {
-        return run_bench_report(rest);
-    }
-    if cmd == "serve" {
-        return run_serve(rest);
-    }
-    if cmd == "lsp" {
-        if let Some(extra) = rest.first() {
-            return Err(format!("`csp lsp` takes no arguments, got `{extra}`"));
+        .ok_or_else(|| Failure::Usage("missing subcommand".to_string()))?;
+    match cmd.as_str() {
+        "bench" => return run_bench_report(rest),
+        "serve" => return run_serve(rest),
+        "lsp" => {
+            if let Some(extra) = rest.first() {
+                return Err(Failure::Usage(format!(
+                    "`csp lsp` takes no arguments, got `{extra}`"
+                )));
+            }
+            return Ok(csp_lsp::serve_stdio().map_err(|e| format!("lsp transport failure: {e}"))?);
         }
-        return csp_lsp::serve_stdio().map_err(|e| format!("lsp transport failure: {e}"));
+        "lint" | "profile" | "traces" | "check" | "prove" | "run" | "deadlock" => {}
+        other => return Err(Failure::Usage(format!("unknown subcommand `{other}`"))),
     }
-    let opts = parse_opts(rest, cmd == "lint")?;
+    let opts = parse_opts(rest, cmd == "lint").map_err(Failure::Usage)?;
     if cmd == "lint" {
-        return run_lint(&opts);
+        return Ok(run_lint(&opts)?);
     }
     if cmd == "profile" {
-        return run_profile(&opts);
+        return Ok(run_profile(&opts)?);
     }
     let wb = build_workbench(&opts)?;
     match cmd.as_str() {
@@ -529,7 +551,7 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
             let assertion = opts
                 .assertion
                 .as_deref()
-                .ok_or_else(|| "--assert EXPR is required".to_string())?;
+                .ok_or_else(|| Failure::Usage("--assert EXPR is required".to_string()))?;
             let session = observed_session(&wb, &opts);
             let verdict = session
                 .check_sat(
@@ -563,7 +585,9 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
         }
         "prove" => {
             if opts.specs.is_empty() {
-                return Err("at least one --spec NAME=EXPR is required".to_string());
+                return Err(Failure::Usage(
+                    "at least one --spec NAME=EXPR is required".to_string(),
+                ));
             }
             let specs: Vec<(&str, &str)> = opts
                 .specs
@@ -706,7 +730,7 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
             }
             Ok(report.deadlock_free())
         }
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => unreachable!("subcommand `{other}` was checked above"),
     }
 }
 
@@ -1113,7 +1137,28 @@ fn find_metrics(v: &JsonValue) -> Option<&JsonValue> {
 /// *stdout* (machine-parseable, resolves `--addr`'s port 0); everything
 /// operational is observable over `/metrics` and `/v1/trace` instead of
 /// the process's stderr.
-fn run_serve(args: &[String]) -> Result<bool, String> {
+fn run_serve(args: &[String]) -> Result<bool, Failure> {
+    let cfg = serve_config(args).map_err(Failure::Usage)?;
+    let server =
+        csp::serve::CspServer::bind(&cfg).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
+    let addr = server.local_addr().map_err(|e| e.to_string())?;
+    {
+        use std::io::Write;
+        let mut out = std::io::stdout().lock();
+        writeln!(
+            out,
+            "csp serve: listening on http://{addr} (workers {}, cache-cap {})",
+            cfg.workers, cfg.cache_cap
+        )
+        .map_err(|e| e.to_string())?;
+        out.flush().map_err(|e| e.to_string())?;
+    }
+    server.run().map_err(|e| format!("server failed: {e}"))?;
+    Ok(true)
+}
+
+/// `csp serve`'s flags.
+fn serve_config(args: &[String]) -> Result<csp::serve::ServeConfig, String> {
     let mut cfg = csp::serve::ServeConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -1138,28 +1183,11 @@ fn run_serve(args: &[String]) -> Result<bool, String> {
             other => return Err(format!("unknown option `{other}` for `csp serve`")),
         }
     }
-    let server =
-        csp::serve::CspServer::bind(&cfg).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
-    {
-        use std::io::Write;
-        let mut out = std::io::stdout().lock();
-        writeln!(
-            out,
-            "csp serve: listening on http://{addr} (workers {}, cache-cap {})",
-            cfg.workers, cfg.cache_cap
-        )
-        .map_err(|e| e.to_string())?;
-        out.flush().map_err(|e| e.to_string())?;
-    }
-    server.run().map_err(|e| format!("server failed: {e}"))?;
-    Ok(true)
+    Ok(cfg)
 }
 
-/// `csp bench report`: renders the run-over-run trajectory appended to
-/// `BENCH_history.jsonl` by `bench-json --history` — one line per
-/// recorded run, plus a first→last comparison per benchmark.
-fn run_bench_report(args: &[String]) -> Result<bool, String> {
+/// `csp bench report`'s history path and engine filter.
+fn bench_report_flags(args: &[String]) -> Result<(String, Option<Engine>), String> {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         Some("report") => {}
@@ -1186,6 +1214,14 @@ fn run_bench_report(args: &[String]) -> Result<bool, String> {
             other => return Err(format!("unknown option `{other}` for `bench report`")),
         }
     }
+    Ok((history, engine_filter))
+}
+
+/// `csp bench report`: renders the run-over-run trajectory appended to
+/// `BENCH_history.jsonl` by `bench-json --history` — one line per
+/// recorded run, plus a first→last comparison per benchmark.
+fn run_bench_report(args: &[String]) -> Result<bool, Failure> {
+    let (history, engine_filter) = bench_report_flags(args).map_err(Failure::Usage)?;
     let src =
         std::fs::read_to_string(&history).map_err(|e| format!("cannot read {history}: {e}"))?;
     let mut rows: Vec<HistoryRow> = Vec::new();

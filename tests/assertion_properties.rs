@@ -9,8 +9,9 @@
 //! plus parser/printer round-tripping for the assertion syntax.
 
 use csp::{
-    parse_assertion, Assertion, Channel, ChannelInfo, CmpOp, Env, EvalCtx, Expr, FuncTable,
-    History, STerm, SetExpr, Term, Trace, Universe, Value,
+    bounded_valid, parse_assertion, symbolic_valid, Assertion, Channel, ChannelInfo, CmpOp,
+    DecideConfig, Decision, Env, EvalCtx, Expr, FuncTable, History, STerm, Seq, SetExpr, Term,
+    Trace, Universe, Value,
 };
 use proptest::prelude::*;
 
@@ -209,6 +210,251 @@ proptest! {
             eval_with(&a.clone().implies(b.clone()), &h, &env),
             eval_with(&a.negate().or(b), &h, &env)
         );
+    }
+}
+
+// ----------------------------------------------------- the symbolic stage --
+
+/// A cons head: the two messages, the two signals, `x` (bound by the
+/// formula's binder) and the free `y`, which may hold any value.
+fn frag_head() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        (0i64..2).prop_map(Term::int),
+        Just(Term::sym("ACK")),
+        Just(Term::sym("NACK")),
+        Just(Term::var("x")),
+        Just(Term::var("y")),
+    ]
+}
+
+fn frag_seq() -> impl Strategy<Value = STerm> {
+    let leaf = prop_oneof![
+        Just(STerm::chan("a")),
+        Just(STerm::chan("b")),
+        Just(STerm::Empty),
+    ];
+    leaf.prop_recursive(3, 8, 2, |inner| {
+        prop_oneof![
+            (frag_head(), inner.clone()).prop_map(|(x, s)| s.cons(x)),
+            inner.clone().prop_map(|s| s.app("f")),
+            (inner.clone(), inner).prop_map(|(s, t)| STerm::Concat(Box::new(s), Box::new(t))),
+        ]
+    })
+}
+
+fn frag_int() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        frag_seq().prop_map(Term::length),
+        (frag_seq(), 0i64..3).prop_map(|(s, k)| Term::length(s).add(Term::int(k))),
+        (0i64..3).prop_map(Term::int),
+        Just(Term::var("x")),
+    ]
+}
+
+fn frag_atom() -> impl Strategy<Value = Assertion> {
+    let op = prop_oneof![
+        Just(CmpOp::Le),
+        Just(CmpOp::Lt),
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne)
+    ];
+    prop_oneof![
+        (frag_seq(), frag_seq()).prop_map(|(s, t)| Assertion::Prefix(s, t)),
+        (frag_seq(), frag_seq()).prop_map(|(s, t)| Assertion::SeqEq(s, t)),
+        (op, frag_int(), frag_int()).prop_map(|(op, x, y)| Assertion::Cmp(op, x, y)),
+        (frag_seq(), 0i64..3, frag_head()).prop_map(|(s, i, v)| Assertion::Cmp(
+            CmpOp::Eq,
+            Term::Index(Box::new(s), Box::new(Term::int(i))),
+            v
+        )),
+    ]
+}
+
+/// Hypotheses and a goal, from templates shaped like the paper's
+/// premises (so that a good share is valid) and at random.
+fn frag_body() -> impl Strategy<Value = (Vec<Assertion>, Assertion)> {
+    let le = |s: STerm, t: STerm| Assertion::prefix(s, t);
+    let len_le = |s: STerm, t: STerm, k: i64| {
+        Assertion::Cmp(
+            CmpOp::Le,
+            Term::length(s),
+            Term::length(t).add(Term::int(k)),
+        )
+    };
+    prop_oneof![
+        (prop::collection::vec(frag_atom(), 0..3), frag_atom()),
+        (frag_seq(), frag_seq(), frag_seq(), 0usize..4).prop_map(move |(p, q, r, g)| {
+            let goals = [
+                le(p.clone(), r.clone()),
+                le(r.clone(), p.clone()),
+                le(q.clone(), p.clone()),
+                le(p.clone(), q.clone()),
+            ];
+            (vec![le(p, q.clone()), le(q, r)], goals[g].clone())
+        }),
+        (frag_seq(), frag_seq(), frag_head(), frag_head()).prop_map(move |(s, t, h1, h2)| (
+            vec![le(s.clone(), t.clone())],
+            le(s.cons(h1), t.cons(h2))
+        )),
+        (
+            frag_seq(),
+            frag_seq(),
+            frag_head(),
+            frag_head(),
+            prop_oneof![Just(true), Just(false)]
+        )
+            .prop_map(move |(s, t, h, sig, cons_right)| {
+                let goal_left = s.clone().cons(sig).cons(h.clone()).app("f");
+                let goal_right = if cons_right {
+                    t.clone().cons(h)
+                } else {
+                    t.clone()
+                };
+                (vec![le(s.app("f"), t)], le(goal_left, goal_right))
+            }),
+        (
+            (frag_seq(), frag_seq(), frag_seq()),
+            (0i64..3, 0i64..3, 0i64..5)
+        )
+            .prop_map(move |((s, t, u), (k1, k2, k3))| {
+                (
+                    vec![len_le(s.clone(), t.clone(), k1), len_le(t, u.clone(), k2)],
+                    len_le(s, u, k3),
+                )
+            }),
+        (frag_head(), frag_head(), 0i64..2).prop_map(|(h, v, slack)| {
+            let guard = |s: STerm, var: &str, slack: i64| {
+                Assertion::Cmp(CmpOp::Le, Term::int(1), Term::var(var)).and(Assertion::Cmp(
+                    CmpOp::Le,
+                    Term::var(var),
+                    Term::length(s).add(Term::int(slack)),
+                ))
+            };
+            let all = |var: &str, s: STerm, slack: i64| {
+                let body = Assertion::Cmp(
+                    CmpOp::Eq,
+                    Term::Index(Box::new(s.clone()), Box::new(Term::var(var))),
+                    v.clone(),
+                );
+                Assertion::ForallIn(
+                    var.to_string(),
+                    SetExpr::Nat,
+                    Box::new(guard(s, var, slack).implies(body)),
+                )
+            };
+            let a = STerm::chan("a");
+            (vec![all("j", a.clone(), 0)], all("i", a.cons(h), slack))
+        }),
+    ]
+}
+
+/// `∀x:S. (H₁ ∧ … ⇒ G)`, over the sets the stage tells apart.
+fn frag_formula() -> impl Strategy<Value = Assertion> {
+    let set = prop_oneof![
+        Just(SetExpr::Nat),
+        Just(SetExpr::range(0, 1)),
+        Just(SetExpr::Named("M".into())),
+        Just(SetExpr::enumeration([
+            Value::sym("ACK"),
+            Value::sym("NACK")
+        ])),
+        Just(SetExpr::enumeration([Value::sym("ACK")])),
+        Just(SetExpr::enumeration([Value::sym("NACK")])),
+    ];
+    (set, frag_body()).prop_map(|(m, (hyps, goal))| {
+        let body = match hyps.into_iter().reduce(Assertion::and) {
+            Some(h) => h.implies(goal),
+            None => goal,
+        };
+        Assertion::ForallIn("x".into(), m, Box::new(body))
+    })
+}
+
+/// The fragment, and (a third of the time) the general generator, whose
+/// formulas mostly fall outside it or fail to evaluate.
+fn oracle_formula() -> impl Strategy<Value = Assertion> {
+    prop_oneof![frag_formula(), frag_formula(), arb_assertion()]
+}
+
+fn frag_oracle(a: &Assertion) -> (Option<&'static str>, Decision) {
+    let uni = Universe::new(1).with_named("M", [Value::nat(0), Value::nat(1)]);
+    let funcs = FuncTable::with_builtins();
+    let config = DecideConfig {
+        max_history_len: 2,
+        ..DecideConfig::default()
+    };
+    (
+        symbolic_valid(a, &uni, &funcs),
+        bounded_valid(a, &uni, &funcs, config),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// What the symbolic stage proves, the bounded checker finds valid:
+    /// no counterexample, and no evaluation failure either.
+    #[test]
+    fn symbolic_valid_implies_bounded_valid(a in oracle_formula()) {
+        let (symbolic, bounded) = frag_oracle(&a);
+        if let Some(rule) = symbolic {
+            prop_assert!(
+                matches!(bounded, Decision::ValidBounded { .. }),
+                "{a} proved by {rule}, but bounded: {bounded:?}"
+            );
+        }
+    }
+
+    /// A formula the bounded checker refutes gets no symbolic answer.
+    #[test]
+    fn bounded_refuted_gets_no_symbolic_answer(a in oracle_formula()) {
+        let (symbolic, bounded) = frag_oracle(&a);
+        if matches!(bounded, Decision::Refuted { .. }) {
+            prop_assert_eq!(symbolic, None, "{} is refuted", a);
+        }
+    }
+
+    /// Each equation declared with the built-in `f` agrees with
+    /// `protocol_cancel` on sequences over {0, 1, ACK, NACK}.
+    #[test]
+    fn declared_f_equations_agree_with_protocol_cancel(
+        xs in prop::collection::vec(arb_value(), 0..3),
+        rest in prop::collection::vec(arb_value(), 0..5),
+    ) {
+        let funcs = FuncTable::with_builtins();
+        let f = funcs.get("f").unwrap();
+        let rest: Seq<Value> = rest.into_iter().collect();
+        for eq in funcs.equations("f") {
+            let heads = &xs[..eq.heads.len().min(xs.len())];
+            if let Some((lhs, rhs)) = eq.sides(f, heads, &rest) {
+                prop_assert_eq!(lhs, rhs, "{:?} at {:?}, {}", eq, heads, rest);
+            }
+        }
+    }
+}
+
+#[test]
+fn the_fragment_generator_reaches_every_symbolic_rule() {
+    let mut rng = <proptest::TestRng as rand::SeedableRng>::seed_from_u64(7);
+    let formulas = frag_formula();
+    let mut rules = std::collections::BTreeSet::new();
+    let mut proved = 0;
+    for _ in 0..400 {
+        let a = formulas.generate(&mut rng);
+        if let (Some(rule), _) = frag_oracle(&a) {
+            rules.insert(rule);
+            proved += 1;
+        }
+    }
+    assert!(proved >= 40, "only {proved} of 400 proved symbolically");
+    for rule in [
+        "declared-equations",
+        "prefix-transitivity",
+        "difference-bounds",
+        "index-split",
+        "normalisation",
+    ] {
+        assert!(rules.contains(rule), "{rule} never used: {rules:?}");
     }
 }
 

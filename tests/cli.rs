@@ -209,6 +209,55 @@ fn usage_errors_exit_2() {
     assert!(stderr.contains("--process"));
 }
 
+/// Only a usage mistake prints the usage text. An error in what was
+/// asked — an unreadable file, an unknown process — prints its one line
+/// and still exits 2.
+#[test]
+fn setup_errors_print_one_line_without_the_usage() {
+    let missing = std::env::temp_dir().join("hoare-csp-cli-tests/no-such-file.csp");
+    let (stdout, stderr, code) = csp(&[
+        "check",
+        missing.to_str().unwrap(),
+        "--process",
+        "p",
+        "--assert",
+        "a <= b",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("error: cannot read "), "{stderr}");
+    let f = write_fixture("pipeline_setup.csp", PIPELINE);
+    let (_, stderr, code) = csp(&[
+        "check",
+        f.to_str().unwrap(),
+        "--process",
+        "nope",
+        "--assert",
+        "output <= input",
+    ]);
+    assert_eq!(code, Some(2));
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("nope"), "{stderr}");
+}
+
+#[test]
+fn usage_mistakes_still_print_the_usage() {
+    let f = write_fixture("pipeline_usage.csp", PIPELINE);
+    let (_, stderr, code) = csp(&["check", f.to_str().unwrap(), "--bogus"]);
+    assert_eq!(code, Some(2));
+    assert!(
+        stderr.starts_with("error: unknown option `--bogus`"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
+    // An unknown subcommand is a usage mistake even when its file is
+    // unreadable.
+    let (_, stderr, code) = csp(&["validate", "/no/such/file.csp"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("unknown subcommand `validate`"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
 #[test]
 fn lint_clean_file_exits_zero() {
     let f = write_fixture("lint_clean.csp", PIPELINE);
@@ -778,6 +827,44 @@ fn prove_json_envelope_reports_the_engine() {
     );
     assert!(stdout.contains("\"proved\":true"), "{stdout}");
     assert!(stdout.contains("\"engine\":\"enumerative\""), "{stdout}");
+}
+
+/// A proof says what its verdict rests on: the copier's four pure
+/// premises all discharge by syntactic laws, and the copier's length
+/// bound's by the symbolic stage, with no bounded enumeration.
+#[test]
+fn prove_json_reports_what_the_premises_rest_on() {
+    let f = write_fixture("discharge_prove.csp", PIPELINE);
+    let prove = |spec: &str| {
+        let (stdout, _, code) = csp(&[
+            "prove",
+            f.to_str().unwrap(),
+            "--spec",
+            spec,
+            "--nat-bound",
+            "1",
+            "--json",
+        ]);
+        assert_eq!(code, Some(0), "{stdout}");
+        stdout
+    };
+    let copier = prove("copier=wire <= input");
+    assert!(
+        copier.contains(
+            "\"rules\":5,\"discharge\":{\"syntactic\":4,\"symbolic\":0,\"bounded\":0,\
+             \"bounded_cases\":0,\"binder\":0,\"membership\":0},\"report\":"
+        ),
+        "{copier}"
+    );
+    let length = prove("copier=#input <= #wire + 1");
+    assert!(
+        length.contains(
+            "\"discharge\":{\"syntactic\":0,\"symbolic\":4,\"bounded\":0,\
+             \"bounded_cases\":0,\"binder\":0,\"membership\":0}"
+        ),
+        "{length}"
+    );
+    assert!(length.contains("symbolic: difference-bounds"), "{length}");
 }
 
 /// `csp check|prove --json` and `csp serve` give one answer: the same

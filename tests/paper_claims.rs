@@ -20,6 +20,41 @@ fn every_paper_proof_is_machine_checked() {
 }
 
 /// Table 1 specifically: the displayed proof of the sender lemma.
+/// What each proof's pure premises rest on: a syntactic law, or the
+/// symbolic stage, which decides them for every history and value. None
+/// rests on enumerating bounded histories (ROADMAP item 3).
+#[test]
+fn no_paper_proof_rests_on_bounded_enumeration() {
+    // (script, syntactic, symbolic, bounded, bounded cases)
+    let want = [
+        ("copier", 4, 0, 0, 0),
+        ("recopier", 4, 0, 0, 0),
+        ("copier-length", 0, 4, 0, 0),
+        ("pipeline", 9, 1, 0, 0),
+        ("table1", 0, 8, 0, 0),
+        ("receiver", 5, 2, 0, 0),
+        ("protocol", 6, 11, 0, 0),
+        ("zeroes", 0, 3, 0, 0),
+        ("last", 4, 0, 0, 0),
+        ("buffer2", 9, 1, 0, 0),
+        ("buffer2-capacity", 0, 10, 0, 0),
+    ];
+    let got: Vec<_> = proofs::all_scripts()
+        .iter()
+        .map(|script| {
+            let m = script.check().expect("checks").metrics;
+            (
+                script.name,
+                m.counter("proof.discharge.syntactic"),
+                m.counter("proof.discharge.symbolic"),
+                m.counter("proof.discharge.bounded"),
+                m.counter("proof.bounded_cases"),
+            )
+        })
+        .collect();
+    assert_eq!(got, want);
+}
+
 #[test]
 fn table1_has_the_papers_rule_structure() {
     let table1 = proofs::protocol::sender_table1();

@@ -342,3 +342,36 @@ fn run_endpoint_reports_monitor_and_supervision() {
     let unparsable = state.post("/v1/run", &body("\"not an assertion\""));
     assert_eq!(unparsable.status, 400);
 }
+
+/// A body built by an encoder that escapes every non-ASCII character
+/// (Python's default `json.dumps`) spells an emoji as a UTF-16
+/// surrogate pair and a form feed as `\f`. Both decode to the same
+/// source as the raw UTF-8 body, so the lint answer is the same bytes.
+#[test]
+fn escaped_surrogate_pairs_and_form_feeds_decode() {
+    let state = ServeState::new(16, 2);
+    let source = format!("-- fine \u{1F600}\n\u{c}{PIPELINE}");
+    let raw = format!("{{\"source\":{}}}", json_string(&source));
+    let escaped = raw.replace('\u{1F600}', "\\ud83d\\ude00");
+    let escaped = escaped.replace("\\u000c", "\\f");
+    assert!(
+        escaped.is_ascii() && escaped.contains("\\ud83d\\ude00\\n\\f"),
+        "{escaped}"
+    );
+    let plain = state.post("/v1/lint", &raw);
+    assert_eq!(
+        plain.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&plain.body)
+    );
+    let ascii = state.post("/v1/lint", &escaped);
+    assert_eq!(
+        ascii.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&ascii.body)
+    );
+    assert_eq!(plain.body, ascii.body);
+    assert_eq!(header(&ascii, "X-Csp-Cache"), Some("hit"));
+}
