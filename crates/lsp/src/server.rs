@@ -522,6 +522,24 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_message_is_a_parse_error() {
+        let mut s = Server::new();
+        let out = s.handle_message(&"[".repeat(200_000));
+        assert_eq!(out.len(), 1);
+        let v = parse_json(&out[0]).unwrap();
+        assert_eq!(
+            v.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(JsonValue::as_i64),
+            Some(-32700)
+        );
+        // The server keeps answering.
+        let out = s.handle_message(&req(2, "initialize", "{}"));
+        let v = parse_json(&out[0]).unwrap();
+        assert!(v.get("result").is_some(), "{}", out[0]);
+    }
+
+    #[test]
     fn full_stdio_round_trip_over_in_memory_pipes() {
         let mut input = Vec::new();
         for msg in [

@@ -5,7 +5,7 @@
 //! server can be driven end-to-end from an in-memory buffer in tests and
 //! from stdio in production — same code path, no threads, no sockets.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Reads one framed message body; `Ok(None)` signals a clean EOF before
 /// any header byte.
@@ -17,8 +17,9 @@ use std::io::{self, BufRead, Write};
 ///
 /// # Errors
 ///
-/// Propagates I/O errors, and reports `InvalidData` for a header block
-/// with no `Content-Length` or a truncated body.
+/// Propagates I/O errors, reports `InvalidData` for a header block with
+/// no `Content-Length`, and `UnexpectedEof` for a body shorter than its
+/// `Content-Length`.
 pub fn read_message(input: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut content_length: Option<usize> = None;
     let mut saw_header = false;
@@ -53,8 +54,16 @@ pub fn read_message(input: &mut impl BufRead) -> io::Result<Option<String>> {
     let len = content_length.ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidData, "message without Content-Length")
     })?;
-    let mut body = vec![0u8; len];
-    input.read_exact(&mut body)?;
+    // Memory grows with the bytes that arrive, never with what the
+    // header claims.
+    let mut body = Vec::new();
+    input.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-body",
+        ));
+    }
     String::from_utf8(body)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
@@ -105,6 +114,14 @@ mod tests {
     #[test]
     fn truncated_body_is_an_error() {
         let mut cur = Cursor::new(b"Content-Length: 10\r\n\r\n{}".to_vec());
-        assert!(read_message(&mut cur).is_err());
+        let err = read_message(&mut cur).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_huge_content_length_is_an_error_not_an_allocation() {
+        let mut cur = Cursor::new(b"Content-Length: 99999999999999\r\n\r\n{}".to_vec());
+        let err = read_message(&mut cur).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

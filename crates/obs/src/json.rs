@@ -5,8 +5,11 @@
 //! and — because the build environment is offline — parses them back
 //! with this module instead of serde. The model is deliberately small:
 //! one number type (`f64`, as in JSON itself), objects as ordered
-//! key/value vectors, and a recursive-descent parser over the byte
-//! slice.
+//! key/value vectors, and a recursive-descent parser over the source
+//! text that copies each run of plain string bytes in one step, so a
+//! document is read in time linear in its length. Nesting is capped at
+//! [`MAX_JSON_DEPTH`] arrays and objects, so no document can exhaust the
+//! stack of the thread that reads it.
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,20 +113,25 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How many arrays and objects a document may nest. The deepest
+/// documents the workspace reads (an LSP `didChange`, a `csp profile`
+/// envelope) nest six; the parser recurses once per level, so the cap
+/// is what keeps a run of opening brackets from overflowing the stack.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses one complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// Fails on malformed JSON with the offending byte offset.
+/// Fails on malformed JSON with the offending byte offset, and on an
+/// array or object nested deeper than [`MAX_JSON_DEPTH`] at its opening
+/// bracket.
 pub fn parse_json(src: &str) -> Result<JsonValue, JsonError> {
-    let mut c = Cursor {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    let value = parse_value(&mut c)?;
+    let mut c = Cursor { src, pos: 0 };
+    let value = parse_value(&mut c, 0)?;
     c.skip_ws();
-    if c.pos != c.bytes.len() {
+    if c.pos != c.src.len() {
         return Err(c.err("trailing characters after JSON value"));
     }
     Ok(value)
@@ -149,11 +157,15 @@ pub fn json_string(s: &str) -> String {
 }
 
 struct Cursor<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -163,7 +175,7 @@ impl<'a> Cursor<'a> {
 
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| b.is_ascii_whitespace())
         {
@@ -173,7 +185,7 @@ impl<'a> Cursor<'a> {
 
     fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -191,7 +203,7 @@ impl<'a> Cursor<'a> {
 
     fn eat_literal(&mut self, lit: &str) -> bool {
         self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -200,8 +212,13 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn parse_value(c: &mut Cursor<'_>) -> Result<JsonValue, JsonError> {
+/// Parses the value at `c`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(c: &mut Cursor<'_>, depth: usize) -> Result<JsonValue, JsonError> {
     match c.peek() {
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(c.err(&format!(
+            "arrays and objects nested deeper than {MAX_JSON_DEPTH} levels"
+        ))),
         Some(b'{') => {
             c.bump();
             let mut pairs = Vec::new();
@@ -212,7 +229,7 @@ fn parse_value(c: &mut Cursor<'_>) -> Result<JsonValue, JsonError> {
             loop {
                 let key = parse_string(c)?;
                 c.expect(b':')?;
-                let value = parse_value(c)?;
+                let value = parse_value(c, depth + 1)?;
                 pairs.push((key, value));
                 match c.bump() {
                     Some(b',') => continue,
@@ -229,7 +246,7 @@ fn parse_value(c: &mut Cursor<'_>) -> Result<JsonValue, JsonError> {
                 return Ok(JsonValue::Array(items));
             }
             loop {
-                items.push(parse_value(c)?);
+                items.push(parse_value(c, depth + 1)?);
                 match c.bump() {
                     Some(b',') => continue,
                     Some(b']') => return Ok(JsonValue::Array(items)),
@@ -241,17 +258,17 @@ fn parse_value(c: &mut Cursor<'_>) -> Result<JsonValue, JsonError> {
         Some(b) if b == b'-' || b.is_ascii_digit() => {
             c.skip_ws();
             let start = c.pos;
-            if c.bytes[c.pos] == b'-' {
+            if c.bytes()[c.pos] == b'-' {
                 c.pos += 1;
             }
             while c
-                .bytes
+                .bytes()
                 .get(c.pos)
                 .is_some_and(|b| b.is_ascii_digit() || matches!(*b, b'.' | b'e' | b'E' | b'+'))
             {
                 c.pos += 1;
             }
-            let text = std::str::from_utf8(&c.bytes[start..c.pos]).expect("ascii");
+            let text = &c.src[start..c.pos];
             text.parse::<f64>()
                 .map(JsonValue::Num)
                 .map_err(|_| c.err(&format!("bad number `{text}`")))
@@ -267,15 +284,26 @@ fn parse_string(c: &mut Cursor<'_>) -> Result<String, JsonError> {
     c.expect(b'"')?;
     let mut out = String::new();
     loop {
-        match c.bytes.get(c.pos).copied() {
+        // Copy the run of plain bytes up to the next `"` or `\` in one
+        // step. Both are ASCII, so the run is whole characters of the
+        // `&str` source and needs no UTF-8 check.
+        let rest = &c.bytes()[c.pos..];
+        let run = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        out.push_str(&c.src[c.pos..c.pos + run]);
+        c.pos += run;
+        match c.bytes().get(c.pos).copied() {
             None => return Err(c.err("unterminated string")),
             Some(b'"') => {
                 c.pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            // The run stopped at a `\`.
+            Some(_) => {
                 c.pos += 1;
-                match c.bytes.get(c.pos).copied() {
+                match c.bytes().get(c.pos).copied() {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'/') => out.push('/'),
@@ -291,14 +319,6 @@ fn parse_string(c: &mut Cursor<'_>) -> Result<String, JsonError> {
                 }
                 c.pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest =
-                    std::str::from_utf8(&c.bytes[c.pos..]).map_err(|_| c.err("invalid UTF-8"))?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                c.pos += ch.len_utf8();
-            }
         }
     }
 }
@@ -310,7 +330,7 @@ fn unicode_escape(c: &mut Cursor<'_>) -> Result<char, JsonError> {
     let unit = hex4(c, c.pos + 1)?;
     c.pos += 4;
     let code = if (0xD800..0xDC00).contains(&unit) {
-        let low = match c.bytes.get(c.pos + 1..c.pos + 3) {
+        let low = match c.bytes().get(c.pos + 1..c.pos + 3) {
             Some(b"\\u") => hex4(c, c.pos + 3)?,
             _ => return Err(c.err("lone surrogate in \\u escape")),
         };
@@ -328,7 +348,7 @@ fn unicode_escape(c: &mut Cursor<'_>) -> Result<char, JsonError> {
 /// The code unit spelled by exactly four ASCII hex digits at `at`.
 fn hex4(c: &Cursor<'_>, at: usize) -> Result<u32, JsonError> {
     let digits = c
-        .bytes
+        .bytes()
         .get(at..at + 4)
         .ok_or_else(|| c.err("bad \\u escape"))?;
     digits.iter().try_fold(0, |code, &b| {
@@ -342,6 +362,7 @@ fn hex4(c: &Cursor<'_>, at: usize) -> Result<u32, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_documents() {
@@ -444,5 +465,129 @@ mod tests {
         // A fifth digit is an ordinary character after the escape.
         let v = parse_json(r#""\u00411""#).unwrap();
         assert_eq!(v.as_str(), Some("A1"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let mut v = parse_json(&nested(MAX_JSON_DEPTH)).unwrap();
+        for _ in 1..MAX_JSON_DEPTH {
+            v = v.as_array().unwrap()[0].clone();
+        }
+        assert_eq!(v, JsonValue::Array(Vec::new()));
+        let e = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_JSON_DEPTH, "{e}");
+        assert!(e.message.contains("nested deeper than 128"), "{e}");
+        // Objects count too, and whitespace does not move the offset off
+        // the offending bracket.
+        let objects = r#"{"a": "#.repeat(MAX_JSON_DEPTH) + " {}" + &"}".repeat(MAX_JSON_DEPTH);
+        let e = parse_json(&objects).unwrap_err();
+        assert_eq!(e.offset, 6 * MAX_JSON_DEPTH + 1, "{e}");
+        // A body of nothing but opening brackets is an error, not a
+        // stack overflow.
+        let e = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e.offset, MAX_JSON_DEPTH, "{e}");
+    }
+
+    #[test]
+    fn reads_a_mebibyte_string_in_one_pass() {
+        let piece = "copier = input?x:NAT -> wire!x -> copier\n\"déjà\" \\ 😀\t";
+        let long = piece.repeat((1 << 20) / piece.len() + 1);
+        assert!(long.len() > 1 << 20);
+        let body = format!("{{\"source\":{},\"pad\":1}}", json_string(&long));
+        let v = parse_json(&body).unwrap();
+        assert_eq!(v.get("source").and_then(JsonValue::as_str), Some(&*long));
+    }
+
+    /// One character for the property tests: printable ASCII, the two
+    /// characters a string must escape, a control character, or a
+    /// scalar from any of the seventeen planes (a surrogate code point
+    /// becomes U+FFFD).
+    fn arb_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+            prop_oneof![Just('"'), Just('\\')],
+            (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            (0u32..17, 0u32..0x1_0000).prop_map(|(plane, unit)| {
+                char::from_u32(plane << 16 | unit).unwrap_or('\u{fffd}')
+            }),
+        ]
+    }
+
+    fn arb_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(arb_char(), 0..48).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// `s` as a JSON string literal with every non-ASCII character
+    /// written as a `\u` escape (a surrogate pair past U+FFFF), in
+    /// alternating hex case.
+    fn ascii_literal(s: &str) -> String {
+        let mut out = String::from("\"");
+        for (i, c) in s.chars().enumerate() {
+            if c.is_ascii() {
+                let literal = json_string(&c.to_string());
+                out.push_str(&literal[1..literal.len() - 1]);
+                continue;
+            }
+            for unit in c.encode_utf16(&mut [0; 2]) {
+                out.push_str(&if i % 2 == 0 {
+                    format!("\\u{unit:04x}")
+                } else {
+                    format!("\\u{unit:04X}")
+                });
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn escaped_strings_read_back(s in arb_text()) {
+            prop_assert_eq!(parse_json(&json_string(&s)), Ok(JsonValue::Str(s.clone())));
+            let ascii = ascii_literal(&s);
+            prop_assert!(ascii.is_ascii(), "{}", ascii);
+            prop_assert_eq!(parse_json(&ascii), Ok(JsonValue::Str(s)));
+        }
+
+        #[test]
+        fn any_text_is_read_or_refused_within_bounds(
+            pieces in proptest::collection::vec(
+                prop_oneof![
+                    (0usize..16).prop_map(|i| {
+                        [
+                            "\"", "\\", "\\u", "\\ud83d", "\\ude00", "\\u00e9", "{", "}",
+                            "[", "]", ":", ",", "-1.5e3", "nul", "true", " ",
+                        ][i]
+                        .to_string()
+                    }),
+                    arb_char().prop_map(String::from),
+                ],
+                0..24,
+            ),
+            s in arb_text(),
+            cut in 0usize..64,
+        ) {
+            let soup: String = pieces.concat();
+            for text in [soup.clone(), format!("[\"{soup}"), format!("{{\"k\":\"{soup}\"}}")] {
+                if let Err(e) = parse_json(&text) {
+                    prop_assert!(e.offset <= text.len(), "{}: {}", text, e);
+                }
+            }
+            // Every proper prefix of a string literal is refused: as
+            // unterminated at its end, or at a broken escape.
+            let literal = json_string(&s);
+            let mut at = cut.min(literal.len() - 1);
+            while !literal.is_char_boundary(at) {
+                at -= 1;
+            }
+            let e = parse_json(&literal[..at]).unwrap_err();
+            prop_assert!(e.offset <= at, "{}: {}", &literal[..at], e);
+            if e.message == "unterminated string" {
+                prop_assert_eq!(e.offset, at);
+            }
+        }
     }
 }

@@ -47,7 +47,7 @@ mod span;
 
 pub use chrome::{chrome_trace, chrome_trace_named};
 pub use folded::folded_stacks;
-pub use json::{json_string, parse_json, JsonError, JsonValue};
+pub use json::{json_string, parse_json, JsonError, JsonValue, MAX_JSON_DEPTH};
 pub use jsonl::{
     parse_jsonl, parse_jsonl_with_dropped, write_jsonl, write_jsonl_with_dropped, JsonlError,
 };

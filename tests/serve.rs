@@ -5,8 +5,8 @@
 //! headers), and the `/metrics` cache counters partition the request
 //! count exactly.
 
-use csp::obs::json_string;
-use csp::serve::http::Response;
+use csp::obs::{json_string, MAX_JSON_DEPTH};
+use csp::serve::http::{Request, Response};
 use csp::serve::{Client, CspServer, ServeConfig, ServeState};
 use proptest::prelude::*;
 
@@ -374,4 +374,178 @@ fn escaped_surrogate_pairs_and_form_feeds_decode() {
     );
     assert_eq!(plain.body, ascii.body);
     assert_eq!(header(&ascii, "X-Csp-Cache"), Some("hit"));
+}
+
+/// A body of 200,000 `[` stops at the JSON reader's nesting cap: a 400
+/// classified as bypass, where the parser used to recurse once per
+/// bracket until the stack overflowed and took the process with it.
+/// The same state then serves a valid lint.
+#[test]
+fn a_deeply_nested_body_is_refused_and_serving_continues() {
+    let state = ServeState::new(16, 2);
+    let deep = state.post("/v1/lint", &"[".repeat(200_000));
+    let text = String::from_utf8_lossy(&deep.body);
+    assert_eq!(deep.status, 400, "{text}");
+    assert_eq!(header(&deep, "X-Csp-Cache"), Some("bypass"));
+    assert!(text.contains("nested deeper than"), "{text}");
+    let (path, body) = body_for(0, PIPELINE);
+    let lint = state.post(path, &body);
+    assert_eq!(lint.status, 200, "{}", String::from_utf8_lossy(&lint.body));
+}
+
+/// The members `Params::parse` reads.
+const FIELDS: [&str; 14] = [
+    "source",
+    "process",
+    "assertion",
+    "specs",
+    "depth",
+    "engine",
+    "nat_bound",
+    "sets",
+    "bind",
+    "channels",
+    "monitor",
+    "fault_plan",
+    "seed",
+    "steps",
+];
+
+/// Strings a random value draws from: names and queries the example
+/// module answers, spellings the handlers reject, and text to escape.
+const WORDS: [&str; 10] = [
+    "",
+    "pipeline",
+    "copier",
+    "output <= input",
+    "wire <= input",
+    "compiled",
+    "enumerative",
+    "crash:copier@2;restart:replay",
+    "NAT",
+    "\u{1F600}\n\"x\\",
+];
+
+/// Any JSON value, rendered: numbers stay within 0..=3.
+fn arb_json() -> BoxedStrategy<String> {
+    prop_oneof![
+        prop_oneof![Just("null"), Just("true"), Just("false")].prop_map(String::from),
+        (0u8..=3).prop_map(|n| n.to_string()),
+        (0u8..3).prop_map(|n| format!("{n}.5")),
+        (0..WORDS.len()).prop_map(|i| json_string(WORDS[i])),
+    ]
+    .prop_recursive(3, 16, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4)
+                .prop_map(|items| format!("[{}]", items.join(","))),
+            prop::collection::vec((0..FIELDS.len(), inner), 0..4).prop_map(|members| {
+                let members: Vec<String> = members
+                    .into_iter()
+                    .map(|(f, v)| format!("{}:{v}", json_string(FIELDS[f])))
+                    .collect();
+                format!("{{{}}}", members.join(","))
+            }),
+        ]
+    })
+}
+
+/// Values of the type `Params::parse` wants for `field`, so that some
+/// random documents get past it and reach the work.
+fn typed(field: &str) -> &'static [&'static str] {
+    match field {
+        "process" => &["\"pipeline\"", "\"pipeline\"", "\"copier\"", "\"nope\""],
+        "assertion" => &["\"output <= input\"", "\"#output <= 1\"", "\"not one\""],
+        "specs" => &[
+            r#"[{"process":"copier","assertion":"wire <= input"}]"#,
+            r##"[{"process":"pipeline","assertion":"#output <= 1"}]"##,
+            "[]",
+        ],
+        "engine" => &["\"compiled\"", "\"enumerative\"", "\"auto\""],
+        "sets" => &[
+            r#"{"M":[0,1]}"#,
+            r#"{"M":["ACK","NACK"]}"#,
+            "{}",
+            r#"{"M":["x"]}"#,
+        ],
+        "bind" => &[r#"{"v":[2,3]}"#, "{}"],
+        "channels" => &[r#"["input","output","wire"]"#, "[]", r#"["wire"]"#],
+        "monitor" => &["true", "false", "\"output <= input\"", "\"#output <= 1\""],
+        "fault_plan" => &[
+            "\"crash:copier@2;restart:replay\"",
+            "\"stall:recopier@1x2\"",
+            "\"\"",
+            "\"bogus\"",
+        ],
+        _ => &["0", "1", "2", "3"],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random documents to every verification route are answered with
+    /// a 200 or a 4xx, never a 500 or a panic, and the state still
+    /// answers `/healthz` afterwards. Each member `Params::parse` reads
+    /// is absent, a value of any JSON type, or a value of its own type;
+    /// some documents nest past the reader's cap, and some are not
+    /// objects. Numbers stay within 0..=3, `source` comes from a small
+    /// pool and `depth` is always present: a large `depth` or
+    /// `nat_bound` on a valid module runs for minutes, and the default
+    /// depth of 4 with a `nat_bound` of 3 profiles the pipeline for
+    /// 3 s in a release build on a 2-vCPU host. Only work budgets can
+    /// bound that.
+    #[test]
+    fn random_bodies_get_a_200_or_a_4xx_on_every_route(
+        source in 0usize..6,
+        members in prop::collection::vec((0u8..16, arb_json(), 0usize..12), FIELDS.len() - 1),
+        shape in 0u8..8,
+    ) {
+        let pipeline = include_str!("../examples/pipeline.csp");
+        let sources = ["", "p = -> ; garbage", pipeline, pipeline, pipeline];
+        let mut fields: Vec<String> = sources
+            .get(source)
+            .map(|s| format!("\"source\":{}", json_string(s)))
+            .into_iter()
+            .collect();
+        // Half the members are absent, one in sixteen holds any value,
+        // and the rest hold a value of their own type.
+        for (field, (choice, any, pick)) in FIELDS[1..].iter().zip(&members) {
+            let pool = typed(field);
+            let value = match choice {
+                0..=7 if *field != "depth" => continue,
+                8 => any.clone(),
+                _ => pool[pick % pool.len()].to_string(),
+            };
+            fields.push(format!("\"{field}\":{value}"));
+        }
+        let too_deep = shape == 0;
+        if too_deep {
+            let depth = MAX_JSON_DEPTH + 1;
+            fields.push(format!("\"bind\":{}{}", "[".repeat(depth), "]".repeat(depth)));
+        }
+        let body = if shape == 1 {
+            members[0].1.clone()
+        } else {
+            format!("{{{}}}", fields.join(","))
+        };
+        let state = ServeState::new(16, 2);
+        for path in ["/v1/lint", "/v1/check", "/v1/prove", "/v1/run", "/v1/profile"] {
+            let resp = state.post(path, &body);
+            let text = String::from_utf8_lossy(&resp.body);
+            prop_assert!(
+                resp.status == 200 || (400..500).contains(&resp.status),
+                "{} {}: {} {}", path, body, resp.status, text
+            );
+            if too_deep {
+                prop_assert_eq!(resp.status, 400, "{} {}: {}", path, body, text);
+            }
+        }
+        let health = state.respond(&Request {
+            method: "GET".to_string(),
+            path: "/healthz".to_string(),
+            body: Vec::new(),
+            keep_alive: true,
+        });
+        prop_assert_eq!(health.status, 200);
+    }
 }
