@@ -266,13 +266,6 @@ impl AnalysisDb {
         out
     }
 
-    /// Lint findings attributed to one definition.
-    pub fn diagnostics_for(&self, name: &str) -> &[Diagnostic] {
-        self.entries
-            .get(name)
-            .map_or(&[], |e| e.diagnostics.as_slice())
-    }
-
     /// The statically inferred channel alphabet of a definition, when
     /// computable.
     pub fn alphabet(&self, name: &str) -> Option<&ChannelSet> {

@@ -47,11 +47,6 @@ const PAPER_CSP: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../..
 struct Metrics {
     traces: u64,
     peak_set: u64,
-    /// Which verification engine the workload pinned itself to, or ""
-    /// where the distinction does not apply. The sat workloads pin
-    /// explicitly rather than trusting `auto`, so the committed
-    /// baseline keeps measuring the engine it was recorded on.
-    engine: &'static str,
 }
 
 /// `paper.csp` as `csp profile --bind v=2,3,5 --set M=0,1` loads it,
@@ -89,7 +84,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: t.len() as u64,
                 peak_set: t.len() as u64,
-                engine: "",
             }
         }),
     ));
@@ -103,7 +97,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: t.len() as u64,
                 peak_set: t.len() as u64,
-                engine: "",
             }
         }),
     ));
@@ -121,7 +114,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: rules,
                 peak_set: 0,
-                engine: "",
             }
         }),
     ));
@@ -145,7 +137,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: res.steps as u64,
                 peak_set: 0,
-                engine: "",
             }
         }),
     ));
@@ -157,11 +148,7 @@ fn workloads() -> Vec<Workload> {
             let wb = pipeline_workbench();
             let verdict = wb
                 .session_with(c.clone())
-                .check_sat(
-                    "copier",
-                    "wire <= input",
-                    SatOptions::from(5).with_engine(Engine::Enumerative),
-                )
+                .check_sat("copier", "wire <= input", 5)
                 .expect("checks");
             let SatResult::Holds { traces_checked, .. } = verdict else {
                 panic!("E1 claim refuted");
@@ -169,7 +156,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: traces_checked as u64,
                 peak_set: traces_checked as u64,
-                engine: "enumerative",
             }
         }),
     ));
@@ -181,11 +167,7 @@ fn workloads() -> Vec<Workload> {
             let wb = protocol_workbench();
             let verdict = wb
                 .session_with(c.clone())
-                .check_sat(
-                    "receiver",
-                    "output <= f(wire)",
-                    SatOptions::from(3).with_engine(Engine::Enumerative),
-                )
+                .check_sat("receiver", "output <= f(wire)", 3)
                 .expect("checks");
             let SatResult::Holds { traces_checked, .. } = verdict else {
                 panic!("E2 claim refuted");
@@ -193,7 +175,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: traces_checked as u64,
                 peak_set: traces_checked as u64,
-                engine: "enumerative",
             }
         }),
     ));
@@ -205,11 +186,7 @@ fn workloads() -> Vec<Workload> {
             let wb = protocol_workbench();
             let verdict = wb
                 .session_with(c.clone())
-                .check_sat(
-                    "protocol",
-                    "output <= input",
-                    SatOptions::from(3).with_engine(Engine::Enumerative),
-                )
+                .check_sat("protocol", "output <= input", 3)
                 .expect("checks");
             let SatResult::Holds { traces_checked, .. } = verdict else {
                 panic!("E3 claim refuted");
@@ -217,7 +194,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: traces_checked as u64,
                 peak_set: traces_checked as u64,
-                engine: "enumerative",
             }
         }),
     ));
@@ -230,11 +206,7 @@ fn workloads() -> Vec<Workload> {
             let inv = multiplier_invariant(2);
             let verdict = wb
                 .session_with(c.clone())
-                .check_sat(
-                    "multiplier",
-                    &inv,
-                    SatOptions::from(3).with_engine(Engine::Enumerative),
-                )
+                .check_sat("multiplier", &inv, 3)
                 .expect("checks");
             let SatResult::Holds { traces_checked, .. } = verdict else {
                 panic!("E4 claim refuted");
@@ -242,7 +214,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: traces_checked as u64,
                 peak_set: traces_checked as u64,
-                engine: "enumerative",
             }
         }),
     ));
@@ -260,7 +231,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: run.iterates.len() as u64,
                 peak_set: peak_of_run(&run),
-                engine: "",
             }
         }),
     ));
@@ -276,7 +246,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: run.iterates.len() as u64,
                 peak_set: peak_of_run(&run),
-                engine: "",
             }
         }),
     ));
@@ -292,7 +261,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: run.iterates.len() as u64,
                 peak_set: peak_of_run(&run),
-                engine: "",
             }
         }),
     ));
@@ -310,7 +278,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: run.iterates.len() as u64,
                 peak_set: peak_of_run(&run),
-                engine: "",
             }
         })
     }));
@@ -324,7 +291,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: reports.iter().map(|r| r.premises_held as u64).sum(),
                 peak_set: 0,
-                engine: "",
             }
         }),
     ));
@@ -340,15 +306,15 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: a as u64,
                 peak_set: a as u64,
-                engine: "",
             }
         }),
     ));
 
     // LTS — the compiled engine on workloads past the enumerative
     // engine's comfortable range: the width-4 multiplier at depth 4 and
-    // the pipeline at depth 8. Both pin `--engine compiled`; the gate's
-    // ±30% tolerance is the budget the compiled engine must keep.
+    // the pipeline at depth 8. Both are networks, so they run compiled;
+    // the gate's ±30% tolerance is the budget the compiled engine must
+    // keep.
     v.push((
         "lts/multiplier_w4_d4",
         Box::new(|c| {
@@ -356,11 +322,7 @@ fn workloads() -> Vec<Workload> {
             let inv = multiplier_invariant(4);
             let verdict = wb
                 .session_with(c.clone())
-                .check_sat(
-                    "multiplier",
-                    &inv,
-                    SatOptions::from(4).with_engine(Engine::Compiled),
-                )
+                .check_sat("multiplier", &inv, 4)
                 .expect("checks");
             let SatResult::Holds { traces_checked, .. } = verdict else {
                 panic!("lts multiplier claim refuted");
@@ -368,7 +330,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: traces_checked as u64,
                 peak_set: traces_checked as u64,
-                engine: "compiled",
             }
         }),
     ));
@@ -378,11 +339,7 @@ fn workloads() -> Vec<Workload> {
             let wb = pipeline_workbench();
             let verdict = wb
                 .session_with(c.clone())
-                .check_sat(
-                    "pipeline",
-                    "output <= input",
-                    SatOptions::from(8).with_engine(Engine::Compiled),
-                )
+                .check_sat("pipeline", "output <= input", 8)
                 .expect("checks");
             let SatResult::Holds { traces_checked, .. } = verdict else {
                 panic!("lts pipeline claim refuted");
@@ -390,7 +347,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: traces_checked as u64,
                 peak_set: traces_checked as u64,
-                engine: "compiled",
             }
         }),
     ));
@@ -408,7 +364,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: stats.relinted as u64,
                 peak_set: db.diagnostics().len() as u64,
-                engine: "",
             }
         }),
     ));
@@ -435,7 +390,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: stats.relinted as u64,
                 peak_set: stats.cached as u64,
-                engine: "",
             }
         })
     }));
@@ -457,7 +411,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: conf.runs.len() as u64,
                 peak_set: conf.runs.iter().map(|r| r.steps as u64).max().unwrap_or(0),
-                engine: "",
             }
         }),
     ));
@@ -494,7 +447,6 @@ fn workloads() -> Vec<Workload> {
             Metrics {
                 traces: monitor.events_checked as u64,
                 peak_set: res.causal.len() as u64,
-                engine: "compiled",
             }
         }),
     ));
@@ -641,7 +593,6 @@ fn main() {
             wall_ms,
             traces: metrics.traces,
             peak_set: metrics.peak_set,
-            engine: metrics.engine.to_string(),
             spans,
         });
     }

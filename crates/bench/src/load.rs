@@ -308,7 +308,6 @@ pub fn run_load(base_url: &str) -> Result<Vec<BenchRecord>, String> {
             wall_ms: cold_ms,
             traces: CHECK_SAMPLES as u64,
             peak_set: 0,
-            engine: String::new(),
             spans: no_spans.clone(),
         },
         BenchRecord {
@@ -316,7 +315,6 @@ pub fn run_load(base_url: &str) -> Result<Vec<BenchRecord>, String> {
             wall_ms: warm_ms,
             traces: CHECK_SAMPLES as u64,
             peak_set: speedup as u64,
-            engine: String::new(),
             spans: no_spans.clone(),
         },
         BenchRecord {
@@ -327,7 +325,6 @@ pub fn run_load(base_url: &str) -> Result<Vec<BenchRecord>, String> {
             wall_ms: 1e6 / rps.max(1e-9),
             traces: total as u64,
             peak_set: rps as u64,
-            engine: String::new(),
             spans: no_spans.clone(),
         },
         BenchRecord {
@@ -335,7 +332,6 @@ pub fn run_load(base_url: &str) -> Result<Vec<BenchRecord>, String> {
             wall_ms: p99,
             traces: total as u64,
             peak_set: 0,
-            engine: String::new(),
             spans: no_spans,
         },
     ])

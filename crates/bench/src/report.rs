@@ -40,12 +40,6 @@ pub struct BenchRecord {
     pub traces: u64,
     /// Peak trace-set size observed during the workload.
     pub peak_set: u64,
-    /// The verification engine the workload ran on (`"enumerative"` /
-    /// `"compiled"`), or empty for workloads where the distinction does
-    /// not apply (proofs, runtime, front-end). Recorded so baselines
-    /// stay comparable: an engine switch shows up as a schema-visible
-    /// change, not a silent wall-time cliff.
-    pub engine: String,
     /// Top spans by total time (empty when run unobserved).
     pub spans: Vec<SpanAttr>,
 }
@@ -76,9 +70,6 @@ impl Report {
                 b.traces,
                 b.peak_set
             );
-            if !b.engine.is_empty() {
-                let _ = write!(out, ", \"engine\": {}", json_string(&b.engine));
-            }
             if b.spans.is_empty() {
                 out.push('}');
             } else {
@@ -163,11 +154,6 @@ fn bench_from_json(v: &JsonValue) -> Result<BenchRecord, String> {
         wall_ms,
         traces: u64_member(v, "traces"),
         peak_set: u64_member(v, "peak_set"),
-        engine: v
-            .get("engine")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_default()
-            .to_string(),
         spans,
     })
 }
@@ -339,10 +325,6 @@ pub struct HistoryRow {
     pub total_wall_ms: f64,
     /// Per-bench medians, in execution order.
     pub benches: Vec<(String, f64)>,
-    /// Per-bench verification engine, for the benches that recorded one
-    /// (see [`BenchRecord::engine`]). When empty, the JSONL line has no
-    /// `engines` map, like the rows written before the engine split.
-    pub engines: Vec<(String, String)>,
 }
 
 impl HistoryRow {
@@ -356,12 +338,6 @@ impl HistoryRow {
                 .benches
                 .iter()
                 .map(|b| (b.name.clone(), b.wall_ms))
-                .collect(),
-            engines: report
-                .benches
-                .iter()
-                .filter(|b| !b.engine.is_empty())
-                .map(|b| (b.name.clone(), b.engine.clone()))
                 .collect(),
         }
     }
@@ -380,25 +356,13 @@ impl HistoryRow {
             }
             let _ = write!(out, "{}: {ms:.3}", json_string(name));
         }
-        out.push('}');
-        if !self.engines.is_empty() {
-            out.push_str(", \"engines\": {");
-            for (i, (name, engine)) in self.engines.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{}: {}", json_string(name), json_string(engine));
-            }
-            out.push('}');
-        }
-        out.push('}');
+        out.push_str("}}");
         out
     }
 
     /// Parses one line written by [`HistoryRow::to_jsonl_line`]. A
-    /// missing `unix_ms` or `samples` reads as 0, and a missing
-    /// `engines` map as no engines, like the rows written before the
-    /// engine split.
+    /// missing `unix_ms` or `samples` reads as 0; members it does not
+    /// know (the `engines` map of older rows) are skipped.
     ///
     /// # Errors
     ///
@@ -416,13 +380,6 @@ impl HistoryRow {
             .iter()
             .filter_map(|(name, ms)| ms.as_f64().map(|ms| (name.clone(), ms)))
             .collect();
-        let engines = v
-            .get("engines")
-            .and_then(JsonValue::entries)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|(name, e)| e.as_str().map(|e| (name.clone(), e.to_string())))
-            .collect();
         Ok(HistoryRow {
             unix_ms: u64_member(&v, "unix_ms"),
             samples: u64_member(&v, "samples") as usize,
@@ -431,7 +388,6 @@ impl HistoryRow {
                 .and_then(JsonValue::as_f64)
                 .unwrap_or(0.0),
             benches,
-            engines,
         })
     }
 }
@@ -450,7 +406,6 @@ mod tests {
                     wall_ms,
                     traces: 10,
                     peak_set: 20,
-                    engine: String::new(),
                     spans: Vec::new(),
                 })
                 .collect(),
@@ -607,27 +562,26 @@ mod tests {
         assert_eq!(culprits[0].span, "s1", "largest delta first");
     }
 
+    /// Baselines and history lines written while bench rows carried an
+    /// engine tag still read; the tags are skipped.
     #[test]
-    fn engine_round_trips_and_legacy_records_parse() {
-        let mut r = report(&[("lts/pipeline_d8", 3.0), ("P3/proofs/all_scripts", 9.0)]);
-        r.benches[0].engine = "compiled".to_string();
-        let parsed = Report::from_json(&r.to_json()).expect("parses");
-        assert_eq!(parsed.benches[0].engine, "compiled");
+    fn engine_tagged_records_still_read() {
+        let baseline = "{\"schema\": \"csp-bench-json/v1\", \"samples\": 3, \"benches\": [\
+            {\"name\": \"lts/pipeline_d8\", \"wall_ms\": 0.450, \"traces\": 681, \
+             \"peak_set\": 681, \"engine\": \"compiled\"}]}";
+        let parsed = Report::from_json(baseline).expect("tagged baseline parses");
+        let b = &parsed.benches[0];
         assert_eq!(
-            parsed.benches[1].engine, "",
-            "engine-free rows stay engine-free"
+            (b.name.as_str(), b.traces, b.peak_set),
+            ("lts/pipeline_d8", 681, 681)
         );
-        // A pre-engine report (no "engine" members) still parses.
-        let legacy = report(&[("a", 1.0)]).to_json();
-        assert!(!legacy.contains("\"engine\""));
-        assert_eq!(Report::from_json(&legacy).unwrap().benches[0].engine, "");
-        // The history row carries the engines map for the recorded rows
-        // only.
-        let row = HistoryRow::from_report(&r, 7);
-        assert_eq!(
-            row.engines,
-            vec![("lts/pipeline_d8".to_string(), "compiled".to_string())]
-        );
+        assert!(!parsed.to_json().contains("engine"));
+        let line = "{\"schema\": \"csp-bench-history/v1\", \"unix_ms\": 5, \"samples\": 3, \
+            \"total_wall_ms\": 0.450, \"benches\": {\"lts/pipeline_d8\": 0.450}, \
+            \"engines\": {\"lts/pipeline_d8\": \"compiled\"}}";
+        let row = HistoryRow::from_jsonl_line(line).expect("tagged history row parses");
+        assert_eq!(row.benches, vec![("lts/pipeline_d8".to_string(), 0.45)]);
+        assert_eq!((row.unix_ms, row.samples), (5, 3));
     }
 
     /// The committed baseline is exactly what [`Report::to_json`] writes,
@@ -645,29 +599,22 @@ mod tests {
     #[test]
     fn names_with_json_punctuation_round_trip() {
         let name = "odd/{a, b}/\"quoted\" \\ path";
-        let mut r = with_spans(report(&[(name, 2.5)]), &[("span, {x}", 9, 1)]);
-        r.benches[0].engine = "comp\"iled".to_string();
+        let r = with_spans(report(&[(name, 2.5)]), &[("span, {x}", 9, 1)]);
         let parsed = Report::from_json(&r.to_json()).expect("parses");
         assert_eq!(parsed, r);
     }
 
     /// `csp bench report` reads history lines through
     /// [`HistoryRow::from_jsonl_line`]: what [`HistoryRow::to_jsonl_line`]
-    /// writes comes back as the same row, with and without engine tags.
+    /// writes comes back as the same row.
     #[test]
     fn history_rows_render_the_members_bench_report_reads() {
-        let mut r = report(&[("a", 10.5), ("b/{\"x\", y}", 2.25)]);
-        r.benches[1].engine = "compiled".to_string();
+        let r = report(&[("a", 10.5), ("b/{\"x\", y}", 2.25)]);
         let row = HistoryRow::from_report(&r, 1_700_000_000_000);
         assert!((row.total_wall_ms - 12.75).abs() < 1e-9);
         let line = row.to_jsonl_line();
         assert!(!line.contains('\n'));
         assert_eq!(HistoryRow::from_jsonl_line(&line), Ok(row));
-        // Without engine tags the line has no engines map at all.
-        let plain = HistoryRow::from_report(&report(&[("a", 1.0)]), 1);
-        let plain_line = plain.to_jsonl_line();
-        assert!(parse_json(&plain_line).unwrap().get("engines").is_none());
-        assert_eq!(HistoryRow::from_jsonl_line(&plain_line), Ok(plain));
         // A row without a timestamp or a sample count reads both as 0.
         let bare = HistoryRow::from_jsonl_line(
             "{\"schema\": \"csp-bench-history/v1\", \"total_wall_ms\": 2.000, \

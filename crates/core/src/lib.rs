@@ -46,7 +46,7 @@ mod session;
 mod workbench;
 
 pub use cache::{content_hash, hash_field, Lru, VerifyCache, HASH_SEED};
-pub use options::{ConformanceOptions, Engine, SatOptions};
+pub use options::{ConformanceOptions, SatOptions};
 
 /// The workspace's canonical content hashing (re-exported from
 /// `csp_trace::hash`): one FNV-1a definition shared by the incremental
@@ -107,8 +107,8 @@ pub use csp_runtime::{
     RunResult, Scheduler, Supervision, VectorClock, ViolationKind,
 };
 pub use csp_semantics::{
-    compare, fixpoint, fixpoint_with, CompiledLts, CompiledStep, Config, Discrepancy, FixpointRun,
-    Lts, Semantics, StateId, StateSet, Step, Universe,
+    compare, fixpoint, fixpoint_with, CompiledLts, CompiledStep, Config, Discrepancy, Engine,
+    FixpointRun, Lts, Semantics, StateId, StateSet, Step, Universe,
 };
 pub use csp_trace::{
     timeline, Channel, ChannelSet, Event, History, NaiveTraceSet, OpStats, Seq, Trace, TraceSet,

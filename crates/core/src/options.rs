@@ -7,12 +7,11 @@
 //! [`SatOptions`], an invariant-source slice into
 //! [`ConformanceOptions`].
 //!
-//! [`SatOptions`] carries an [`Engine`] selector choosing the backend of
-//! the `sat` check — the enumerative trace walk, the compiled LTS, or
-//! (the default) a per-query automatic choice. Deadlock search,
-//! refinement and conformance have one backend each, the compiled LTS.
-
-pub use csp_semantics::Engine;
+//! No option selects a backend: the process decides the backend of the
+//! `sat` check ([`Engine`](crate::Engine) names it in the verdict), the
+//! compiled LTS for networks and the enumerative trace walk for
+//! sequential terms. Deadlock search, refinement and conformance have
+//! one backend each, the compiled LTS.
 
 /// Options for bounded satisfaction checking
 /// ([`Workbench::check_sat`](crate::Workbench::check_sat)) and trace
@@ -34,10 +33,6 @@ pub struct SatOptions {
     pub depth: usize,
     /// Hidden-communication budget as a multiple of the depth.
     pub internal_budget_factor: usize,
-    /// Which backend answers a `sat` check
-    /// ([`Workbench::check_sat`](crate::Workbench::check_sat)); refinement
-    /// ignores it.
-    pub engine: Engine,
 }
 
 impl Default for SatOptions {
@@ -45,13 +40,12 @@ impl Default for SatOptions {
         SatOptions {
             depth: 4,
             internal_budget_factor: 4,
-            engine: Engine::Auto,
         }
     }
 }
 
 impl SatOptions {
-    /// The default options (depth 4, budget factor 4, automatic engine).
+    /// The default options (depth 4, budget factor 4).
     pub fn new() -> Self {
         Self::default()
     }
@@ -67,13 +61,6 @@ impl SatOptions {
     #[must_use]
     pub fn with_internal_budget_factor(mut self, factor: usize) -> Self {
         self.internal_budget_factor = factor.max(1);
-        self
-    }
-
-    /// Selects the `sat` backend ([`Engine::Auto`] by default).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 }
@@ -193,16 +180,6 @@ mod tests {
                 .with_internal_budget_factor(0)
                 .internal_budget_factor,
             1
-        );
-    }
-
-    #[test]
-    fn engine_defaults_to_auto_and_is_selectable() {
-        assert_eq!(SatOptions::new().engine, Engine::Auto);
-        assert_eq!(SatOptions::from(3).engine, Engine::Auto);
-        assert_eq!(
-            SatOptions::new().with_engine(Engine::Compiled).engine,
-            Engine::Compiled
         );
     }
 

@@ -102,7 +102,6 @@ pub struct Workbench {
     env: Env,
     funcs: FuncTable,
     extra_channels: Vec<String>,
-    extra_arrays: Vec<String>,
 }
 
 impl Default for Workbench {
@@ -122,7 +121,6 @@ impl Workbench {
             env: Env::new(),
             funcs: FuncTable::with_builtins(),
             extra_channels: Vec::new(),
-            extra_arrays: Vec::new(),
         }
     }
 
@@ -210,12 +208,6 @@ impl Workbench {
     /// process that deliberately does nothing, §4's STOP discussion).
     pub fn declare_channels<'a, I: IntoIterator<Item = &'a str>>(&mut self, names: I) {
         self.extra_channels
-            .extend(names.into_iter().map(String::from));
-    }
-
-    /// Declares channel-array names for assertion parsing.
-    pub fn declare_channel_arrays<'a, I: IntoIterator<Item = &'a str>>(&mut self, names: I) {
-        self.extra_arrays
             .extend(names.into_iter().map(String::from));
     }
 
@@ -320,9 +312,6 @@ impl Workbench {
             });
         }
         plain.extend(self.extra_channels.iter().cloned());
-        for a in &self.extra_arrays {
-            arrays.entry(a.clone()).or_insert(1);
-        }
         let funcs: Vec<&str> = self.funcs.names().collect();
         let mut info = ChannelInfo::new()
             .with_channels(plain.iter().map(String::as_str))
@@ -411,7 +400,6 @@ impl Workbench {
             .with_env(self.env.clone())
             .with_funcs(self.funcs.clone())
             .with_internal_budget_factor(opts.internal_budget_factor)
-            .with_engine(opts.engine)
             .with_collector(collector.clone());
         Ok(checker.check_name(name, &assertion, opts.depth)?)
     }
@@ -565,8 +553,8 @@ impl Workbench {
 
     /// Bounded trace refinement: every behaviour of `implementation` is
     /// a behaviour of `specification`, up to the exploration depth
-    /// (a bare depth or a [`SatOptions`] bundle, whose `engine` does not
-    /// apply). Returns the first counterexample trace on failure.
+    /// (a bare depth or a [`SatOptions`] bundle). Returns the first
+    /// counterexample trace on failure.
     ///
     /// The check runs as a subset construction over the interned
     /// transition graph of a [`CompiledLts`]; no trace set is
@@ -893,19 +881,8 @@ mod tests {
     #[test]
     fn engine_selection_through_workbench() {
         let wb = pipeline_wb();
-        for engine in [Engine::Enumerative, Engine::Compiled] {
-            let v = wb
-                .check_sat(
-                    "pipeline",
-                    "output <= input",
-                    SatOptions::from(3).with_engine(engine),
-                )
-                .unwrap();
-            assert!(v.holds());
-            assert_eq!(v.engine(), engine);
-        }
-        // Auto resolves to compiled for the hidden-wire network and to
-        // the enumerative oracle for a lone sequential component.
+        // The process picks the backend: compiled for the hidden-wire
+        // network, the enumerative walk for a lone sequential component.
         let v = wb.check_sat("pipeline", "output <= input", 3).unwrap();
         assert_eq!(v.engine(), Engine::Compiled);
         let v = wb.check_sat("copier", "wire <= input", 3).unwrap();

@@ -46,21 +46,22 @@ impl JsonValue {
         }
     }
 
-    /// The value as an unsigned integer (rejects negatives and
-    /// fractions).
+    /// The value as an unsigned integer: a whole number with
+    /// 0 ≤ n < 2⁶⁴. Negatives, fractions and larger numbers are refused,
+    /// not saturated.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
+        // `u64::MAX as f64` rounds up to 2⁶⁴, the least value out of range.
+        let n = self.as_f64()?;
+        ((0.0..u64::MAX as f64).contains(&n) && n.fract() == 0.0).then_some(n as u64)
     }
 
-    /// The value as a signed integer (rejects fractions).
+    /// The value as a signed integer: a whole number with
+    /// −2⁶³ ≤ n < 2⁶³. Fractions and numbers outside the range are
+    /// refused, not saturated.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Num(n) if n.fract() == 0.0 => Some(*n as i64),
-            _ => None,
-        }
+        // `i64::MAX as f64` rounds up to 2⁶³, the least value out of range.
+        let n = self.as_f64()?;
+        ((i64::MIN as f64..i64::MAX as f64).contains(&n) && n.fract() == 0.0).then_some(n as i64)
     }
 
     /// The value as a string slice.
@@ -375,6 +376,40 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c"), Some(&JsonValue::Null));
         assert_eq!(v.get("b").unwrap().get("d").unwrap().as_str(), Some("x\n"));
         assert_eq!(v.get("e").unwrap().as_bool(), Some(true));
+    }
+
+    /// Integers read exactly up to the edges of their type's range and
+    /// are refused past them, where a cast would saturate.
+    #[test]
+    fn integer_reads_stop_at_the_range_edges() {
+        let u = |src: &str| parse_json(src).unwrap().as_u64();
+        let i = |src: &str| parse_json(src).unwrap().as_i64();
+        assert_eq!(u("0"), Some(0));
+        assert_eq!(u("-0"), Some(0));
+        // The largest f64 below 2⁶⁴, then 2⁶⁴ and what rounds to it.
+        assert_eq!(u("18446744073709549568"), Some(u64::MAX - 2047));
+        for past in [
+            "18446744073709551616",
+            "18446744073709551617",
+            "1e300",
+            "-1",
+            "0.5",
+        ] {
+            assert_eq!(u(past), None, "{past}");
+        }
+        assert_eq!(i("-9223372036854775808"), Some(i64::MIN));
+        // The largest f64 below 2⁶³, then 2⁶³ and what rounds to it.
+        assert_eq!(i("9223372036854774784"), Some(i64::MAX - 1023));
+        for past in [
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854777856",
+            "1e300",
+            "-1e300",
+            "-0.5",
+        ] {
+            assert_eq!(i(past), None, "{past}");
+        }
     }
 
     #[test]

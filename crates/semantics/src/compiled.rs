@@ -49,9 +49,10 @@
 //! validated against `NaiveTraceSet` — identical budgets, identical
 //! exploration order, byte-identical trace sets (see the tests here and
 //! the property harness in `tests/properties.rs`). The skeleton walk is
-//! code of its own, so that check is independent. [`Engine`] selects
-//! between the trace walk and this arena for the `sat` check; deadlock
-//! search, refinement and conformance run on the arena alone.
+//! code of its own, so that check is independent. The process decides
+//! whether its `sat` check runs on the trace walk or on this arena
+//! ([`Engine::for_process`]); deadlock search, refinement and
+//! conformance run on the arena alone.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
@@ -66,61 +67,47 @@ use csp_trace::{ChannelSet, Event, FxHashMap, FxHashSet, Trace, TraceSet};
 use crate::lts::channelset_to_refs;
 use crate::{Config, Lts, Step, Universe};
 
-/// Which backend answers a `sat` check.
-///
-/// The selector is `#[non_exhaustive]`: future backends (e.g. a failures
-/// model) can be added without breaking callers. Parse/display round-trip
-/// through the CLI spelling:
+/// Which backend answered a `sat` check. The process decides it
+/// ([`Engine::for_process`]); a verdict reports it.
 ///
 /// ```
+/// use csp_lang::{examples, Process};
 /// use csp_semantics::Engine;
 ///
-/// let e: Engine = "compiled".parse().unwrap();
+/// let defs = examples::pipeline();
+/// let e = Engine::for_process(&defs, &Process::call("pipeline"));
 /// assert_eq!(e, Engine::Compiled);
 /// assert_eq!(e.to_string(), "compiled");
-/// assert_eq!(Engine::default(), Engine::Auto);
 /// ```
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Engine {
-    /// The enumerative trace-set engine — the paper's semantics
-    /// transcribed directly; kept as the cross-validation oracle.
+    /// The enumerative trace walk ([`Lts::traces_budgeted`]) — the
+    /// paper's semantics transcribed directly.
     Enumerative,
     /// The compiled-LTS engine: interned states, memoised successor
-    /// rows, bitset reachability.
+    /// rows.
     Compiled,
-    /// Resolve per query: compiled for networks (any reachable parallel
-    /// composition or hiding, where re-stepping is quadratic pain),
-    /// enumerative for plain sequential terms (where interning is pure
-    /// overhead).
-    #[default]
-    Auto,
 }
 
 impl Engine {
-    /// The CLI spelling (`enumerative` / `compiled` / `auto`).
+    /// The name reported in output (`enumerative` / `compiled`).
     pub fn as_str(self) -> &'static str {
         match self {
             Engine::Enumerative => "enumerative",
             Engine::Compiled => "compiled",
-            Engine::Auto => "auto",
         }
     }
 
-    /// Resolves `Auto` against a concrete query: compiled when the
+    /// The backend of a `sat` check of `root`: compiled when the
     /// definitions reachable from `root` contain a parallel composition
-    /// or hiding, enumerative otherwise. `Enumerative` and `Compiled`
-    /// resolve to themselves.
-    pub fn resolve(self, defs: &Definitions, root: &Process) -> Engine {
-        match self {
-            Engine::Auto => {
-                if reaches_network(defs, root) {
-                    Engine::Compiled
-                } else {
-                    Engine::Enumerative
-                }
-            }
-            other => other,
+    /// or hiding (where re-stepping a configuration once per
+    /// interleaving is quadratic), enumerative for plain sequential
+    /// terms (where interning is pure overhead).
+    pub fn for_process(defs: &Definitions, root: &Process) -> Engine {
+        if reaches_network(defs, root) {
+            Engine::Compiled
+        } else {
+            Engine::Enumerative
         }
     }
 }
@@ -128,21 +115,6 @@ impl Engine {
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "enumerative" => Ok(Engine::Enumerative),
-            "compiled" => Ok(Engine::Compiled),
-            "auto" => Ok(Engine::Auto),
-            other => Err(format!(
-                "unknown engine `{other}` (expected `enumerative`, `compiled`, or `auto`)"
-            )),
-        }
     }
 }
 
@@ -1153,38 +1125,16 @@ mod tests {
     use csp_trace::Value;
 
     #[test]
-    fn engine_parse_display_round_trip() {
-        for e in [Engine::Enumerative, Engine::Compiled, Engine::Auto] {
-            let back: Engine = e.to_string().parse().unwrap();
-            assert_eq!(back, e);
-        }
-        let err = "turbo".parse::<Engine>().unwrap_err();
-        assert!(
-            err.contains("turbo") && err.contains("enumerative"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn auto_resolves_by_network_shape() {
+    fn the_process_picks_the_backend() {
         let defs = examples::pipeline();
         // The pipeline hides `wire` and composes in parallel: compiled.
         assert_eq!(
-            Engine::Auto.resolve(&defs, &Process::call("pipeline")),
+            Engine::for_process(&defs, &Process::call("pipeline")),
             Engine::Compiled
         );
         // A single sequential component: enumerative.
         assert_eq!(
-            Engine::Auto.resolve(&defs, &Process::call("copier")),
-            Engine::Enumerative
-        );
-        // Explicit choices always win.
-        assert_eq!(
-            Engine::Compiled.resolve(&defs, &Process::call("copier")),
-            Engine::Compiled
-        );
-        assert_eq!(
-            Engine::Enumerative.resolve(&defs, &Process::call("pipeline")),
+            Engine::for_process(&defs, &Process::call("copier")),
             Engine::Enumerative
         );
     }

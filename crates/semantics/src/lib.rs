@@ -19,8 +19,8 @@
 //!   with configurations interned into a [`StateId`] arena and successor
 //!   rows memoised, so reachability-style checks (deadlock, refinement)
 //!   run over [`StateSet`] bitsets instead of re-stepping terms.
-//!   [`Engine`] selects the backend of the `sat` check and is
-//!   re-exported by `csp-core` as the option-level selector.
+//!   [`Engine`] names the backend of a `sat` check, which the process
+//!   decides: the arena for networks, the trace walk otherwise.
 //!
 //! ```
 //! use csp_lang::{examples, Env};

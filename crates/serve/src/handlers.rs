@@ -19,8 +19,7 @@ use std::time::Instant;
 
 use csp_core::obs::{json_string, parse_json, JsonValue};
 use csp_core::{
-    hash_field, AnalysisDb, Engine, FaultPlan, RunOptions, SatOptions, Scheduler, Session, Value,
-    HASH_SEED,
+    hash_field, AnalysisDb, FaultPlan, RunOptions, Scheduler, Session, Value, HASH_SEED,
 };
 
 use crate::http::{Request, Response};
@@ -185,14 +184,6 @@ fn handle_verify(
         let body = run(state, &p)?;
         return Ok((Arc::from(body), CacheStatus::Bypass));
     }
-    // Engine-aware endpoints count their selector per request (hits
-    // included), so /metrics shows the backend mix regardless of cache
-    // temperature.
-    if matches!(endpoint, "check" | "prove") {
-        state
-            .collector()
-            .add(format!("serve.engine.{}", p.engine.as_str()), 1);
-    }
     let key = p.cache_key(endpoint);
     if let Some(hit) = state.cache().get(key) {
         return Ok((hit, CacheStatus::Hit));
@@ -259,8 +250,7 @@ fn check(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
         .assertion
         .as_deref()
         .ok_or_else(|| HandlerError::miss("missing required string field `assertion`"))?;
-    let opts = SatOptions::from(p.depth).with_engine(p.engine);
-    let verdict = with_session(state, p, |s| s.check_sat(process, assertion, opts))
+    let verdict = with_session(state, p, |s| s.check_sat(process, assertion, p.depth))
         .map_err(HandlerError::miss)?;
     Ok(envelope(
         "serve.check",
@@ -283,7 +273,7 @@ fn prove(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
         .map(|(n, a)| (n.as_str(), a.as_str()))
         .collect();
     let outcome = with_session(state, p, |s| {
-        Ok::<_, String>(ProveOutcome::prove(s, &specs, p.engine))
+        Ok::<_, String>(ProveOutcome::prove(s, &specs))
     })
     .map_err(HandlerError::miss)?;
     Ok(envelope("serve.prove", &outcome.data()))
@@ -336,7 +326,7 @@ fn profile(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
         let fixpoint_ms = ms_since(t);
         let t = Instant::now();
         let claim = p.process.as_deref().zip(p.assertion.as_deref());
-        let verified = verify_phase(s, claim, p.depth, p.engine)?;
+        let verified = verify_phase(s, claim, p.depth)?;
         let verify_ms = ms_since(t);
         let converged = match fix.converged_at {
             Some(i) => i.to_string(),
@@ -369,7 +359,6 @@ struct Params {
     seed: u64,
     options: ModuleOptions,
     fault_plan: Option<String>,
-    engine: Engine,
     /// `/v1/run` online monitoring: `Some("")` (from `"monitor": true`)
     /// means membership-only, a non-empty string adds a `sat` assertion.
     monitor: Option<String>,
@@ -507,10 +496,6 @@ impl Params {
                 channels,
             },
             fault_plan: str_field("fault_plan")?,
-            engine: match str_field("engine")? {
-                Some(s) => s.parse::<Engine>()?,
-                None => Engine::Auto,
-            },
             monitor,
         })
     }
@@ -536,11 +521,7 @@ impl Params {
         }
         h = hash_field(h, &(self.depth as u64).to_le_bytes());
         h = hash_field(h, &(self.steps as u64).to_le_bytes());
-        h = hash_field(h, &self.seed.to_le_bytes());
-        // Compiled and enumerative responses carry their engine in the
-        // body, so they must never alias in the cache.
-        h = hash_field(h, self.engine.as_str().as_bytes());
-        h
+        hash_field(h, &self.seed.to_le_bytes())
     }
 
     /// The workbench-pool key: only the fields that shape construction.

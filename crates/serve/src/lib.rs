@@ -514,14 +514,14 @@ mod tests {
         );
     }
 
-    /// The verify phase of `/v1/profile` checks its claim on the
-    /// request's engine, so the compiled arena's counters move.
+    /// The verify phase of `/v1/profile` checks its claim; a network's
+    /// check runs on the compiled arena, so the arena's counters move.
     #[test]
-    fn profile_checks_its_claim_on_the_requested_engine() {
+    fn profile_checks_its_claim() {
         let state = ServeState::new(64, 2);
         let profile = state.post(
             "/v1/profile",
-            &body(",\"process\":\"copier\",\"assertion\":\"wire <= input\",\"depth\":3,\"nat_bound\":1,\"engine\":\"compiled\""),
+            &body(",\"process\":\"pipeline\",\"assertion\":\"output <= input\",\"depth\":3,\"nat_bound\":1"),
         );
         let text = String::from_utf8_lossy(&profile.body).into_owned();
         assert_eq!(profile.status, 200, "{text}");

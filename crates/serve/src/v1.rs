@@ -10,8 +10,8 @@
 
 use csp_core::obs::json_string;
 use csp_core::{
-    render_report, CheckReport, Confirmation, Diagnostic, Engine, Env, ParseError, Process,
-    RunResult, SatOptions, SatResult, Session, Universe, Value, Workbench,
+    render_report, CheckReport, Confirmation, Diagnostic, Env, ParseError, RunResult, SatResult,
+    Session, Universe, Value, Workbench,
 };
 
 /// The options that shape a module's workbench: the CLI's
@@ -141,13 +141,11 @@ pub fn check_data(process: &str, assertion: &str, verdict: &SatResult) -> String
     }
 }
 
-/// A finished `prove`: the specs, the engine the selector resolves to
-/// for the first spec's process, and the checked proof or the reason
+/// A finished `prove`: the specs, and the checked proof or the reason
 /// the synthesiser found none.
 #[derive(Debug)]
 pub struct ProveOutcome {
     specs: Vec<(String, String)>,
-    engine: Engine,
     result: Result<CheckReport, String>,
 }
 
@@ -158,19 +156,13 @@ impl ProveOutcome {
     /// # Panics
     ///
     /// When `specs` is empty; both front-ends reject that request first.
-    pub fn prove(session: &Session<'_>, specs: &[(&str, &str)], engine: Engine) -> ProveOutcome {
-        let (first, _) = specs.first().expect("front-ends reject an empty spec list");
-        // The proof checker itself is symbolic; the engine matters only
-        // to the model-checking cross-validation. The member reports
-        // what the selector resolves to for the concluded process, so
-        // callers see the resolution `check` would use.
-        let engine = engine.resolve(session.workbench().definitions(), &Process::call(first));
+    pub fn prove(session: &Session<'_>, specs: &[(&str, &str)]) -> ProveOutcome {
+        assert!(!specs.is_empty(), "front-ends reject an empty spec list");
         ProveOutcome {
             specs: specs
                 .iter()
                 .map(|&(p, a)| (p.to_string(), a.to_string()))
                 .collect(),
-            engine,
             result: session.prove_auto(specs).map_err(|e| e.to_string()),
         }
     }
@@ -194,7 +186,7 @@ impl ProveOutcome {
         render_report(&format!("proof: {process} sat {assertion}"), proof)
     }
 
-    /// The `data` object: the specs and the engine, then `proved:true`
+    /// The `data` object: the specs, then `proved:true`
     /// with the rule count, what the pure premises rest on
     /// (`discharge`) and the rendered [`report`](Self::report), or
     /// `proved:false` with the error.
@@ -210,11 +202,7 @@ impl ProveOutcome {
                 )
             })
             .collect();
-        let head = format!(
-            "{{\"specs\":[{}],\"engine\":{}",
-            specs.join(","),
-            json_string(self.engine.as_str())
-        );
+        let head = format!("{{\"specs\":[{}]", specs.join(","));
         match &self.result {
             Ok(proof) => format!(
                 "{head},\"proved\":true,\"rules\":{},\"discharge\":{},\"report\":{}}}",
@@ -263,7 +251,7 @@ pub fn run_data(process: &str, result: &RunResult) -> String {
 }
 
 /// Profile's verify phase. With a `(process, assertion)` claim it
-/// checks the claim to `depth` on `engine` and answers 1 when it holds,
+/// checks the claim to `depth` and answers 1 when it holds,
 /// 0 when not. Without one it walks the traces of every definition that
 /// takes no parameter and answers how many there are.
 ///
@@ -274,15 +262,10 @@ pub fn verify_phase(
     session: &Session<'_>,
     claim: Option<(&str, &str)>,
     depth: usize,
-    engine: Engine,
 ) -> Result<u64, String> {
     if let Some((process, assertion)) = claim {
         return session
-            .check_sat(
-                process,
-                assertion,
-                SatOptions::from(depth).with_engine(engine),
-            )
+            .check_sat(process, assertion, depth)
             .map(|v| u64::from(v.holds()))
             .map_err(|e| e.to_string());
     }

@@ -9,7 +9,9 @@
 //! channel history that moves from trace to trace, and reports the least
 //! counterexample trace, making it the refutation-complete companion to
 //! the symbolic proof system: everything `csp-proof` proves is also
-//! model-checked in this crate's tests.
+//! model-checked in this crate's tests. The process decides which walk
+//! lists its traces ([`Engine::for_process`]): the compiled arena for a
+//! network, the enumerative walk for a sequential term.
 
 use csp_assert::{AssertError, Assertion, EvalCtx, FuncTable};
 use csp_lang::{Definitions, Env, Process};
@@ -26,14 +28,14 @@ pub enum SatResult {
         traces_checked: usize,
         /// The exploration depth.
         depth: usize,
-        /// The backend that produced the verdict (never `Auto`).
+        /// The backend that produced the verdict.
         engine: Engine,
     },
     /// A reachable trace falsifies the assertion.
     Counterexample {
         /// The falsifying trace.
         trace: Trace,
-        /// The backend that produced the verdict (never `Auto`).
+        /// The backend that produced the verdict.
         engine: Engine,
     },
 }
@@ -44,7 +46,7 @@ impl SatResult {
         matches!(self, SatResult::Holds { .. })
     }
 
-    /// The backend that answered (resolved, never [`Engine::Auto`]).
+    /// The backend that answered.
     pub fn engine(&self) -> Engine {
         match self {
             SatResult::Holds { engine, .. } | SatResult::Counterexample { engine, .. } => *engine,
@@ -61,7 +63,6 @@ pub struct SatChecker<'a> {
     env: Env,
     internal_budget_factor: usize,
     collector: Collector,
-    engine: Engine,
 }
 
 impl<'a> SatChecker<'a> {
@@ -75,16 +76,7 @@ impl<'a> SatChecker<'a> {
             env: Env::new(),
             internal_budget_factor: 3,
             collector: Collector::disabled(),
-            engine: Engine::Auto,
         }
-    }
-
-    /// Selects the verification backend; [`Engine::Auto`] (the default)
-    /// picks per query based on the network shape.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Replaces the host environment (e.g. the multiplier's vector).
@@ -140,7 +132,7 @@ impl<'a> SatChecker<'a> {
     ) -> Result<SatResult, AssertError> {
         let mut root = self.collector.span("satcheck");
         root.record("depth", depth);
-        let engine = self.engine.resolve(self.defs, process);
+        let engine = Engine::for_process(self.defs, process);
         root.record("engine", engine.as_str());
         let start = Config::new(process.clone(), self.env.clone());
         let explore_span = root.child("satcheck.explore");
@@ -187,7 +179,7 @@ impl<'a> SatChecker<'a> {
                 explore_span.end();
                 self.judge(&mut root, traces.iter(), assertion, depth, engine)
             }
-            _ => {
+            Engine::Enumerative => {
                 let traces = Lts::new(self.defs, self.universe)
                     .traces_budgeted(&start, depth, budget)
                     .map_err(AssertError::Eval)?;
@@ -392,44 +384,24 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_and_report_themselves() {
+    fn the_process_picks_the_backend() {
         let defs = examples::pipeline();
         let uni = Universe::new(1);
+        let checker = SatChecker::new(&defs, &uni);
         let r = parse_assertion("output <= input", &info()).unwrap();
         let wrong = parse_assertion("input <= output", &info()).unwrap();
-        for name in ["copier", "pipeline"] {
-            let base = SatChecker::new(&defs, &uni);
-            for assertion in [&r, &wrong] {
-                let enumerative = base
-                    .clone()
-                    .with_engine(Engine::Enumerative)
-                    .check_name(name, assertion, 4)
-                    .unwrap();
-                let compiled = base
-                    .clone()
-                    .with_engine(Engine::Compiled)
-                    .check_name(name, assertion, 4)
-                    .unwrap();
-                assert_eq!(enumerative.engine(), Engine::Enumerative);
-                assert_eq!(compiled.engine(), Engine::Compiled);
-                assert_eq!(enumerative.holds(), compiled.holds(), "{name}");
-                // Identical exploration order ⇒ identical verdict detail.
-                match (&enumerative, &compiled) {
-                    (
-                        SatResult::Holds {
-                            traces_checked: a, ..
-                        },
-                        SatResult::Holds {
-                            traces_checked: b, ..
-                        },
-                    ) => assert_eq!(a, b, "{name}"),
-                    (
-                        SatResult::Counterexample { trace: a, .. },
-                        SatResult::Counterexample { trace: b, .. },
-                    ) => assert_eq!(a, b, "{name}"),
-                    _ => unreachable!(),
-                }
-            }
+        // A lone sequential component runs on the trace walk, the
+        // hidden-wire network on the arena; each reports itself.
+        for (name, engine) in [
+            ("copier", Engine::Enumerative),
+            ("pipeline", Engine::Compiled),
+        ] {
+            let holds = checker.check_name(name, &r, 4).unwrap();
+            assert!(holds.holds(), "{name}");
+            assert_eq!(holds.engine(), engine, "{name}");
+            let refuted = checker.check_name(name, &wrong, 4).unwrap();
+            assert!(!refuted.holds(), "{name}");
+            assert_eq!(refuted.engine(), engine, "{name}");
         }
     }
 
@@ -439,7 +411,10 @@ mod tests {
         // comes first in trace order, so it decides the answer either way.
         let defs = Definitions::new();
         let uni = Universe::new(1);
-        let p = csp_lang::parse_process("c!0 -> STOP | a!0 -> STOP").unwrap();
+        let seq = csp_lang::parse_process("c!0 -> STOP | a!0 -> STOP").unwrap();
+        // Hiding an unused channel gives the same traces a network form,
+        // so the compiled judge answers.
+        let net = csp_lang::parse_process("chan b; (c!0 -> STOP | a!0 -> STOP)").unwrap();
         let info = ChannelInfo::new().with_channels(["a", "b", "c"]);
         // `<a.0>` refutes; `<c.0>` compares the symbol `ACK` with `<=`.
         let refutes_at_a =
@@ -448,32 +423,28 @@ mod tests {
         let fails_at_a =
             parse_assertion("#c == 0 and (#a == 0 or (ACK ^ b)[#a] <= 1)", &info).unwrap();
         let a0 = Trace::parse_like([("a", Value::nat(0))]);
-        for engine in [Engine::Enumerative, Engine::Compiled] {
-            let checker = SatChecker::new(&defs, &uni).with_engine(engine);
-            match checker.check(&p, &refutes_at_a, 1) {
-                Ok(SatResult::Counterexample { trace, .. }) => assert_eq!(trace, a0),
+        let c0 = Trace::parse_like([("c", Value::nat(0))]);
+        let mut compiled = CompiledLts::new(&defs, &uni);
+        let start = compiled.intern(Config::new(net.clone(), Env::new()));
+        let listed = compiled.trace_list(start, 1, 3).unwrap();
+        let at = |t: &Trace| listed.iter().position(|l| l == t).unwrap();
+        assert!(at(&c0) < at(&a0), "{listed:?}");
+        let checker = SatChecker::new(&defs, &uni);
+        for (p, engine) in [(&seq, Engine::Enumerative), (&net, Engine::Compiled)] {
+            match checker.check(p, &refutes_at_a, 1) {
+                Ok(SatResult::Counterexample { trace, engine: e }) => {
+                    assert_eq!((trace, e), (a0.clone(), engine));
+                }
                 other => panic!("{engine:?}: {other:?}"),
             }
             assert!(
                 matches!(
-                    checker.check(&p, &fails_at_a, 1),
+                    checker.check(p, &fails_at_a, 1),
                     Err(AssertError::Eval(csp_lang::EvalError::TypeMismatch { .. }))
                 ),
                 "{engine:?}"
             );
         }
-    }
-
-    #[test]
-    fn auto_picks_compiled_for_networks_only() {
-        let defs = examples::pipeline();
-        let uni = Universe::new(1);
-        let checker = SatChecker::new(&defs, &uni);
-        let r = parse_assertion("wire <= input", &info()).unwrap();
-        let res = checker.check_name("copier", &r, 3).unwrap();
-        assert_eq!(res.engine(), Engine::Enumerative);
-        let res = checker.check_name("pipeline", &r, 3).unwrap();
-        assert_eq!(res.engine(), Engine::Compiled);
     }
 
     #[test]

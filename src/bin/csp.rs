@@ -4,9 +4,7 @@
 //! csp lint      <file.csp> [more.csp ...] [--json] [--deny warnings]
 //! csp traces    <file.csp> --process NAME [--depth N] [--nat-bound K]
 //! csp check     <file.csp> --process NAME --assert EXPR [--depth N]
-//!               [--engine enumerative|compiled|auto]
-//! csp prove     <file.csp> --spec NAME=EXPR [--spec NAME=EXPR ...]
-//!               [--engine enumerative|compiled|auto] [--json]
+//! csp prove     <file.csp> --spec NAME=EXPR [--spec NAME=EXPR ...] [--json]
 //! csp run       <file.csp> --process NAME [--steps N] [--seed S]
 //!               [--fault-plan SPEC] [--deadline-ms T] [--livelock-window W]
 //!               [--watch[=MS]] [--monitor[=ASSERT]] [--msc-out F]
@@ -14,21 +12,15 @@
 //! csp deadlock  <file.csp> --process NAME [--depth N]
 //! csp profile   <file.csp> [--depth N] [--folded-out PATH]
 //!               [--diff OLD.json] [--noise-ms X]
-//! csp bench     report [--history PATH] [--engine E]
+//! csp bench     report [--history PATH]
 //! csp serve     [--addr HOST:PORT] [--workers N] [--cache-cap N]
 //! csp lsp
 //! ```
 //!
-//! `check`, `prove` and `profile` accept
-//! `--engine enumerative|compiled|auto` to pick the backend of the `sat`
-//! check: the enumerative engine re-derives traces from the operational
-//! semantics on every visit, while the compiled engine interns reachable
-//! states into an explicit LTS. `auto` (the default) selects compiled for
-//! networks (`||` / `chan … ;` hiding) and enumerative for sequential
-//! processes. Verdicts agree; the resolved engine is reported in `--json`
-//! envelopes as `"engine"`. Every command parses the flag; `deadlock`
-//! ignores it, because deadlock search has one backend, the compiled
-//! LTS.
+//! The process picks the backend of the `sat` check: the compiled LTS
+//! (reachable states interned once) for networks (`||` / `chan … ;`
+//! hiding), the enumerative trace walk for sequential processes. `check`
+//! names it in its output and in its `--json` envelope as `"engine"`.
 //!
 //! Common options: `--nat-bound K` (finite carrier for NAT, default 2),
 //! `--set M=v1,v2,…` (interpret a named abstract set), `--bind v=1,2,3`
@@ -165,9 +157,7 @@ const USAGE: &str = "usage:
                 [--process NAME --assert EXPR]
   csp traces    <file.csp> --process NAME [--depth N]
   csp check     <file.csp> --process NAME --assert EXPR [--depth N]
-                [--engine enumerative|compiled|auto]
-  csp prove     <file.csp> --spec NAME=EXPR [--spec NAME=EXPR ...]
-                [--engine enumerative|compiled|auto] [--json]
+  csp prove     <file.csp> --spec NAME=EXPR [--spec NAME=EXPR ...] [--json]
   csp run       <file.csp> --process NAME [--steps N] [--seed S]
                 [--fault-plan SPEC] [--deadline-ms T] [--livelock-window W]
                 [--watch[=MS]] [--monitor[=ASSERT]] [--msc-out F]
@@ -175,7 +165,7 @@ const USAGE: &str = "usage:
   csp deadlock  <file.csp> --process NAME [--depth N]
   csp profile   <file.csp> [--depth N] [--folded-out PATH]
                 [--process NAME --assert EXPR] [--diff OLD.json]
-  csp bench     report [--history PATH] [--engine E]
+  csp bench     report [--history PATH]
   csp serve     [--addr HOST:PORT] [--workers N] [--cache-cap N]
                 persistent HTTP verification service (see below)
   csp lsp       speak the Language Server Protocol over stdio
@@ -184,10 +174,8 @@ options:
                        envelope {\"schema\":\"csp/v1\",\"command\":…,\"data\":…}
                        (lint/check/prove/run/profile)
   --deny warnings      treat lint warnings as errors (exit 1)
-  --engine E           `sat` backend for check/prove/profile:
-                       enumerative (trace re-derivation), compiled
-                       (interned-state LTS), or auto (compiled for
-                       networks; the default)
+  --engine E           accepted and ignored (the process picks the
+                       `sat` backend)
   --trace-out PATH     write the recorded span stream as JSONL
                        (lint/check/prove/run/profile)
   --chrome-out PATH    write the span tree as Chrome trace-event JSON
@@ -247,7 +235,6 @@ struct Opts {
     process: Option<String>,
     assertion: Option<String>,
     specs: Vec<(String, String)>,
-    engine: Engine,
     depth: usize,
     steps: usize,
     seed: u64,
@@ -278,7 +265,6 @@ fn parse_opts(args: &[String], multi_file: bool) -> Result<Opts, String> {
         process: None,
         assertion: None,
         specs: Vec::new(),
-        engine: Engine::Auto,
         depth: 4,
         steps: 32,
         seed: 0,
@@ -326,7 +312,9 @@ fn parse_opts(args: &[String], multi_file: bool) -> Result<Opts, String> {
                 opts.specs
                     .push((name.trim().to_string(), inv.trim().to_string()));
             }
-            "--engine" => opts.engine = value("--engine")?.parse()?,
+            "--engine" => {
+                value("--engine")?;
+            }
             "--depth" => {
                 opts.depth = value("--depth")?
                     .parse()
@@ -554,11 +542,7 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
                 .ok_or_else(|| Failure::Usage("--assert EXPR is required".to_string()))?;
             let session = observed_session(&wb, &opts);
             let verdict = session
-                .check_sat(
-                    name,
-                    assertion,
-                    SatOptions::from(opts.depth).with_engine(opts.engine),
-                )
+                .check_sat(name, assertion, opts.depth)
                 .map_err(|e| e.to_string())?;
             if opts.json {
                 let data = with_metrics(check_data(name, assertion, &verdict), &session, &opts);
@@ -595,7 +579,7 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
                 .map(|(n, a)| (n.as_str(), a.as_str()))
                 .collect();
             let session = observed_session(&wb, &opts);
-            let outcome = ProveOutcome::prove(&session, &specs, opts.engine);
+            let outcome = ProveOutcome::prove(&session, &specs);
             if opts.json {
                 let data = with_metrics(outcome.data(), &session, &opts);
                 println!("{}", envelope("prove", &data));
@@ -1001,7 +985,7 @@ fn run_profile(opts: &Opts) -> Result<bool, String> {
     });
     phase("verify", &mut phases, || {
         let claim = opts.process.as_deref().zip(opts.assertion.as_deref());
-        verify_phase(&session, claim, opts.depth, opts.engine).map(|_| ())
+        verify_phase(&session, claim, opts.depth).map(|_| ())
     });
     report_profile(opts, &phases, Some(&session))?;
     Ok(phases.iter().all(|p| p.error.is_none()))
@@ -1186,8 +1170,8 @@ fn serve_config(args: &[String]) -> Result<csp::serve::ServeConfig, String> {
     Ok(cfg)
 }
 
-/// `csp bench report`'s history path and engine filter.
-fn bench_report_flags(args: &[String]) -> Result<(String, Option<Engine>), String> {
+/// `csp bench report`'s history path.
+fn bench_report_flags(args: &[String]) -> Result<String, String> {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         Some("report") => {}
@@ -1195,7 +1179,6 @@ fn bench_report_flags(args: &[String]) -> Result<(String, Option<Engine>), Strin
         None => return Err("bench expects a subcommand: `csp bench report`".to_string()),
     }
     let mut history = "BENCH_history.jsonl".to_string();
-    let mut engine_filter: Option<Engine> = None;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--history" => {
@@ -1204,24 +1187,17 @@ fn bench_report_flags(args: &[String]) -> Result<(String, Option<Engine>), Strin
                     .cloned()
                     .ok_or_else(|| "--history requires a value".to_string())?;
             }
-            "--engine" => {
-                engine_filter = Some(
-                    it.next()
-                        .ok_or_else(|| "--engine requires a value".to_string())?
-                        .parse()?,
-                );
-            }
             other => return Err(format!("unknown option `{other}` for `bench report`")),
         }
     }
-    Ok((history, engine_filter))
+    Ok(history)
 }
 
 /// `csp bench report`: renders the run-over-run trajectory appended to
 /// `BENCH_history.jsonl` by `bench-json --history` — one line per
 /// recorded run, plus a first→last comparison per benchmark.
 fn run_bench_report(args: &[String]) -> Result<bool, Failure> {
-    let (history, engine_filter) = bench_report_flags(args).map_err(Failure::Usage)?;
+    let history = bench_report_flags(args).map_err(Failure::Usage)?;
     let src =
         std::fs::read_to_string(&history).map_err(|e| format!("cannot read {history}: {e}"))?;
     let mut rows: Vec<HistoryRow> = Vec::new();
@@ -1260,26 +1236,8 @@ fn run_bench_report(args: &[String]) -> Result<bool, Failure> {
     }
     let (first, last) = (&rows[0], &rows[rows.len() - 1]);
     if rows.len() > 1 {
-        match &engine_filter {
-            Some(e) => println!("per-bench (first → last, engine {e}):"),
-            None => println!("per-bench (first → last):"),
-        }
-        let mut shown = 0usize;
+        println!("per-bench (first → last):");
         for (name, new_ms) in &last.benches {
-            let engine = last
-                .engines
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, e)| e.as_str());
-            if let Some(want) = &engine_filter {
-                // Only benches recorded on the requested engine; rows
-                // written before the engine split never match.
-                if engine != Some(want.as_str()) {
-                    continue;
-                }
-            }
-            shown += 1;
-            let tag = engine.map(|e| format!("  [{e}]")).unwrap_or_default();
             let old = first
                 .benches
                 .iter()
@@ -1287,15 +1245,10 @@ fn run_bench_report(args: &[String]) -> Result<bool, Failure> {
                 .map(|(_, ms)| *ms);
             match old {
                 Some(old_ms) if old_ms > 0.0 => println!(
-                    "  {name:<28} {old_ms:>10.3} → {new_ms:>10.3} ms  {:+.1}%{tag}",
+                    "  {name:<28} {old_ms:>10.3} → {new_ms:>10.3} ms  {:+.1}%",
                     (new_ms - old_ms) / old_ms * 100.0
                 ),
-                _ => println!("  {name:<28} {:>10} → {new_ms:>10.3} ms  (new){tag}", "—"),
-            }
-        }
-        if let Some(e) = &engine_filter {
-            if shown == 0 {
-                println!("  no benches recorded on engine {e}");
+                _ => println!("  {name:<28} {:>10} → {new_ms:>10.3} ms  (new)", "—"),
             }
         }
     }

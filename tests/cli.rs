@@ -143,12 +143,6 @@ fn deadlock_finds_jams() {
     let (stdout, _, code) = csp(&args);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("DEADLOCK"));
-    // Deadlock search has one backend: `--engine` parses and changes
-    // nothing.
-    for engine in ["enumerative", "compiled"] {
-        let (out, _, exit) = csp(&[&args[..], &["--engine", engine]].concat());
-        assert_eq!((out, exit), (stdout.clone(), code), "--engine {engine}");
-    }
 }
 
 #[test]
@@ -681,40 +675,56 @@ fn bench_report_renders_the_history_trajectory() {
     assert!(stdout.contains("+12.4%"), "{stdout}");
 }
 
-/// `--engine` pins the backend, and the human-readable verdict names the
-/// engine that actually ran — so a log line is enough to tell which
-/// semantics produced it.
+/// The process picks the `sat` backend, so `--engine` is accepted for
+/// one release and changes nothing: with any value, known or not,
+/// `check`, `prove` and `deadlock` print the same bytes and exit with the
+/// same code as without it, and `profile` exits the same (its output
+/// carries timings).
 #[test]
-fn check_engine_flag_selects_the_backend() {
-    let f = write_fixture("engine_flag.csp", PIPELINE);
-    let path = f.to_str().unwrap();
-    let base = [
-        "check",
-        path,
-        "--process",
-        "pipeline",
-        "--assert",
-        "output <= input",
-        "--depth",
-        "3",
-        "--nat-bound",
-        "1",
+fn engine_flag_is_accepted_and_ignored() {
+    let f = write_fixture("engine_ignored.csp", PIPELINE);
+    let jam = write_fixture(
+        "engine_ignored_jam.csp",
+        "left = w!1 -> STOP\nright = w?x:{2} -> STOP\nnet = left || right\n",
+    );
+    let folded = std::env::temp_dir()
+        .join("hoare-csp-cli-tests")
+        .join("engine_ignored.folded");
+    let runs = [
+        "check PIPE --process pipeline --assert output<=input",
+        "check PIPE --process pipeline --assert input<=output",
+        "check PIPE --process pipeline --assert output<=input --json",
+        "prove PIPE --spec copier=wire<=input",
+        "prove PIPE --spec copier=wire<=input --json",
+        "deadlock JAM --process net",
+        "profile PIPE --folded-out FOLDED",
     ];
-    for engine in ["enumerative", "compiled"] {
-        let mut args = base.to_vec();
-        args.extend_from_slice(&["--engine", engine]);
-        let (stdout, _, code) = csp(&args);
-        assert_eq!(code, Some(0), "{stdout}");
-        assert!(
-            stdout.contains(&format!("(depth 3, engine {engine})")),
-            "{stdout}"
-        );
+    for run in runs {
+        let mut args: Vec<&str> = run
+            .split(' ')
+            .map(|a| match a {
+                "PIPE" => f.to_str().unwrap(),
+                "JAM" => jam.to_str().unwrap(),
+                "FOLDED" => folded.to_str().unwrap(),
+                a => a,
+            })
+            .collect();
+        args.extend(["--depth", "3", "--nat-bound", "1"]);
+        let (stdout, stderr, code) = csp(&args);
+        assert!(matches!(code, Some(0 | 1)), "{run}: {stderr}");
+        for engine in ["enumerative", "compiled", "quantum"] {
+            let (out, err, exit) = csp(&[&args[..], &["--engine", engine]].concat());
+            assert_eq!(exit, code, "{run} --engine {engine}: {err}");
+            if !run.starts_with("profile") {
+                assert_eq!(out, stdout, "{run} --engine {engine}");
+            }
+        }
     }
 }
 
-/// Without `--engine`, `Auto` resolves per query: compiled for the hidden
-/// `pipeline` network, enumerative for the sequential `copier` — and the
-/// report shows the resolved engine, never the literal `auto`.
+/// The process picks the backend: compiled for the hidden `pipeline`
+/// network, enumerative for the sequential `copier` — and the report
+/// names the engine that answered.
 #[test]
 fn check_auto_engine_resolves_per_process_shape() {
     let f = write_fixture("engine_auto.csp", PIPELINE);
@@ -750,48 +760,28 @@ fn check_auto_engine_resolves_per_process_shape() {
     assert!(stdout.contains("engine enumerative)"), "{stdout}");
 }
 
-#[test]
-fn check_rejects_unknown_engines_as_usage_errors() {
-    let f = write_fixture("engine_bad.csp", PIPELINE);
-    let (_, stderr, code) = csp(&[
-        "check",
-        f.to_str().unwrap(),
-        "--process",
-        "pipeline",
-        "--assert",
-        "output <= input",
-        "--engine",
-        "quantum",
-    ]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("unknown engine `quantum`"), "{stderr}");
-    assert!(
-        stderr.contains("expected `enumerative`, `compiled`, or `auto`"),
-        "{stderr}"
-    );
-}
-
 /// The `csp/v1` check envelope records the engine that ran, so machine
 /// consumers can split verdicts per backend.
 #[test]
 fn check_json_envelope_reports_the_engine() {
     let f = write_fixture("engine_json.csp", PIPELINE);
     let path = f.to_str().unwrap();
-    for engine in ["enumerative", "compiled"] {
+    for (process, assertion, engine) in [
+        ("pipeline", "output <= input", "compiled"),
+        ("copier", "wire <= input", "enumerative"),
+    ] {
         let (stdout, _, code) = csp(&[
             "check",
             path,
             "--process",
-            "pipeline",
+            process,
             "--assert",
-            "output <= input",
+            assertion,
             "--depth",
             "3",
             "--nat-bound",
             "1",
             "--json",
-            "--engine",
-            engine,
         ]);
         assert_eq!(code, Some(0), "{stdout}");
         assert!(
@@ -804,29 +794,6 @@ fn check_json_envelope_reports_the_engine() {
             "{stdout}"
         );
     }
-}
-
-/// `csp prove --json` carries the same `"engine"` member as check; the
-/// sequential copier resolves `Auto` to the enumerative engine.
-#[test]
-fn prove_json_envelope_reports_the_engine() {
-    let f = write_fixture("engine_prove.csp", PIPELINE);
-    let (stdout, _, code) = csp(&[
-        "prove",
-        f.to_str().unwrap(),
-        "--spec",
-        "copier=wire <= input",
-        "--nat-bound",
-        "1",
-        "--json",
-    ]);
-    assert_eq!(code, Some(0), "{stdout}");
-    assert!(
-        stdout.starts_with("{\"schema\":\"csp/v1\",\"command\":\"prove\",\"data\":"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"proved\":true"), "{stdout}");
-    assert!(stdout.contains("\"engine\":\"enumerative\""), "{stdout}");
 }
 
 /// A proof says what its verdict rests on: the copier's four pure
@@ -934,59 +901,6 @@ fn both_front_ends_give_one_answer() {
             "prove copier sat {assertion}"
         );
     }
-}
-
-/// `bench report --engine E` keeps only benches recorded on that engine
-/// (tagged per row) and says so explicitly when nothing matches — rows
-/// written before the engine split never match a filter.
-#[test]
-fn bench_report_filters_benches_per_engine() {
-    let hist = write_fixture(
-        "bench_report_engines.jsonl",
-        "{\"schema\": \"csp-bench-history/v1\", \"unix_ms\": 1754500000000, \
-          \"samples\": 2, \"total_wall_ms\": 100.000, \
-          \"benches\": {\"lts/pipeline_d8\": 2.000, \"fixpoint.depth4\": 60.000}, \
-          \"engines\": {\"lts/pipeline_d8\": \"compiled\", \"fixpoint.depth4\": \"enumerative\"}}\n\
-         {\"schema\": \"csp-bench-history/v1\", \"unix_ms\": 1754500600000, \
-          \"samples\": 2, \"total_wall_ms\": 90.000, \
-          \"benches\": {\"lts/pipeline_d8\": 1.500, \"fixpoint.depth4\": 61.000}, \
-          \"engines\": {\"lts/pipeline_d8\": \"compiled\", \"fixpoint.depth4\": \"enumerative\"}}\n",
-    );
-    let path = hist.to_str().unwrap();
-    let (stdout, _, code) = csp(&["bench", "report", "--history", path, "--engine", "compiled"]);
-    assert_eq!(code, Some(0), "{stdout}");
-    assert!(
-        stdout.contains("per-bench (first → last, engine compiled):"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("lts/pipeline_d8"), "{stdout}");
-    assert!(stdout.contains("[compiled]"), "{stdout}");
-    assert!(!stdout.contains("fixpoint.depth4"), "{stdout}");
-
-    // A history written before the engine split carries no engines map, so
-    // every bench is filtered out.
-    let legacy = write_fixture(
-        "bench_report_legacy.jsonl",
-        "{\"schema\": \"csp-bench-history/v1\", \"unix_ms\": 1754500000000, \
-          \"samples\": 2, \"total_wall_ms\": 100.000, \
-          \"benches\": {\"fixpoint.depth4\": 60.000}}\n\
-         {\"schema\": \"csp-bench-history/v1\", \"unix_ms\": 1754500600000, \
-          \"samples\": 2, \"total_wall_ms\": 90.000, \
-          \"benches\": {\"fixpoint.depth4\": 61.000}}\n",
-    );
-    let (stdout, _, code) = csp(&[
-        "bench",
-        "report",
-        "--history",
-        legacy.to_str().unwrap(),
-        "--engine",
-        "compiled",
-    ]);
-    assert_eq!(code, Some(0), "{stdout}");
-    assert!(
-        stdout.contains("no benches recorded on engine compiled"),
-        "{stdout}"
-    );
 }
 
 #[test]

@@ -95,10 +95,11 @@ fn compiled_sat_check_is_identical_under_observation() {
         ),
     ];
     for (wb, process, assertion, depth) in &cases {
-        let opts = SatOptions::from(*depth).with_engine(Engine::Compiled);
+        let opts = SatOptions::from(*depth);
         let quiet = wb
             .check_sat(process, assertion, opts.clone())
             .expect("quiet check");
+        assert_eq!(quiet.engine(), Engine::Compiled, "{process}");
         let session = wb.session();
         let observed = session
             .check_sat(process, assertion, opts.clone())
@@ -142,24 +143,37 @@ fn compiled_sat_check_is_identical_under_observation() {
 /// A `sat` check explores, then judges: it records a `satcheck.explore`
 /// span that closes before its `satcheck.verdicts` span opens, both
 /// under the `satcheck` root, and counts every distinct trace in
-/// `satcheck.moments` — on either engine, holding or refuted — and
-/// observing it does not change its result.
+/// `satcheck.moments` — on either engine (the sequential copier runs
+/// on the trace walk, the pipeline on the arena), holding or refuted —
+/// and observing it does not change its result.
 #[test]
 fn sat_check_records_both_phases_and_is_identical_under_observation() {
     let wb = pipeline_workbench();
     let depth = 5;
-    for engine in [Engine::Enumerative, Engine::Compiled] {
-        for (assertion, holds) in [("output <= input", true), ("input <= output", false)] {
-            let opts = SatOptions::from(depth).with_engine(engine);
+    let opts = SatOptions::from(depth);
+    for (process, engine, claims) in [
+        (
+            "copier",
+            Engine::Enumerative,
+            [("wire <= input", true), ("input <= wire", false)],
+        ),
+        (
+            "pipeline",
+            Engine::Compiled,
+            [("output <= input", true), ("input <= output", false)],
+        ),
+    ] {
+        for (assertion, holds) in claims {
             let quiet = wb
-                .check_sat("pipeline", assertion, opts.clone())
+                .check_sat(process, assertion, opts.clone())
                 .expect("quiet check");
             let session = wb.session();
             let observed = session
-                .check_sat("pipeline", assertion, opts.clone())
+                .check_sat(process, assertion, opts.clone())
                 .expect("observed check");
             assert_eq!(format!("{quiet:?}"), format!("{observed:?}"));
-            assert_eq!(observed.holds(), holds, "{assertion}");
+            assert_eq!(observed.holds(), holds, "{process}: {assertion}");
+            assert_eq!(observed.engine(), engine, "{process}");
 
             let records = session.events();
             let span = |name: &str| {
@@ -176,7 +190,7 @@ fn sat_check_records_both_phases_and_is_identical_under_observation() {
             assert!(explore.end_ns <= verdicts.start_ns, "phases overlap");
 
             let mut arena = csp::CompiledLts::new(wb.definitions(), wb.universe());
-            let start = arena.start("pipeline", wb.env());
+            let start = arena.start(process, wb.env());
             let traces = arena
                 .traces_budgeted(start, depth, depth * opts.internal_budget_factor)
                 .expect("walk")

@@ -448,43 +448,34 @@ proptest! {
         }
     }
 
-    /// `sat` verdicts agree between engines on random networks and
-    /// random `InstanceGen` assertions: same holds/refuted answer, same
-    /// number of moments checked, same counterexample.
+    /// `sat` verdicts on random networks, which the compiled judge
+    /// answers, and random `InstanceGen` assertions are those of a sorted
+    /// scan over the enumerative walk's traces at the checker's budget:
+    /// same holds/refuted answer, same number of moments checked, same
+    /// counterexample.
     #[test]
     fn sat_verdicts_agree_across_engines(p in arb_network(), seed in 0u64..1024) {
         let defs = Definitions::new();
         let uni = Universe::small();
         let assertion = csp::InstanceGen::new(seed).assertion();
+        let depth = 3;
 
-        let enum_res = csp::SatChecker::new(&defs, &uni)
-            .with_engine(csp::Engine::Enumerative)
-            .check(&p, &assertion, 3)
-            .expect("enumerative sat");
-        let comp_res = csp::SatChecker::new(&defs, &uni)
-            .with_engine(csp::Engine::Compiled)
-            .check(&p, &assertion, 3)
+        let got = csp::SatChecker::new(&defs, &uni)
+            .check(&p, &assertion, depth)
             .expect("compiled sat");
-
-        prop_assert_eq!(enum_res.holds(), comp_res.holds());
-        match (enum_res, comp_res) {
-            (
-                csp::SatResult::Holds { traces_checked: a, .. },
-                csp::SatResult::Holds { traces_checked: b, .. },
-            ) => prop_assert_eq!(a, b),
-            (
-                csp::SatResult::Counterexample { trace: a, .. },
-                csp::SatResult::Counterexample { trace: b, .. },
-            ) => prop_assert_eq!(a, b),
-            _ => unreachable!("holds() equality already checked"),
-        }
+        prop_assert_eq!(got.engine(), csp::Engine::Compiled);
+        let walked = Lts::new(&defs, &uni)
+            .traces_budgeted(&Config::new(p.clone(), Env::new()), depth, depth * 3)
+            .expect("enumerative");
+        prop_assert_eq!(sat_answer(Ok(got)), sorted_scan(&walked, &assertion, &uni));
     }
 
     /// `SatChecker::check` — one moving history, no sort, the least
     /// failing trace — gives exactly the answer of the sorted scan in
     /// [`sorted_scan`]: the same verdict, moments checked, counterexample
-    /// and evaluation error, on networks and on sequential terms, at every
-    /// depth up to 3, on both engines.
+    /// and evaluation error, at every depth up to 3, on networks (the
+    /// compiled judge) and on sequential terms (the enumerative one),
+    /// against the traces of both walks.
     #[test]
     fn sat_check_matches_the_sorted_scan(net in arb_network(), seq in arb_process()) {
         let defs = Definitions::new();
@@ -496,7 +487,7 @@ proptest! {
             .iter()
             .map(|a| csp::parse_assertion(a, &info).expect(a))
             .collect();
-        for p in [&net, &seq] {
+        for (p, engine) in [(&net, csp::Engine::Compiled), (&seq, csp::Engine::Enumerative)] {
             for depth in 0..=3 {
                 let start = Config::new(p.clone(), Env::new());
                 let budget = depth * 3;
@@ -507,16 +498,15 @@ proptest! {
                 let s = arena.intern(start);
                 let compiled = arena.traces_budgeted(s, depth, budget).expect("compiled");
                 for a in &assertions {
-                    for (engine, traces) in [
-                        (csp::Engine::Enumerative, &enumerative),
-                        (csp::Engine::Compiled, &compiled),
-                    ] {
-                        let got = csp::SatChecker::new(&defs, &uni)
-                            .with_engine(engine)
-                            .check(p, a, depth);
+                    let got = csp::SatChecker::new(&defs, &uni).check(p, a, depth);
+                    if let Ok(r) = &got {
+                        prop_assert_eq!(r.engine(), engine);
+                    }
+                    let got = sat_answer(got);
+                    for traces in [&enumerative, &compiled] {
                         prop_assert_eq!(
-                            sat_answer(got),
-                            sorted_scan(traces, a, &uni),
+                            &got,
+                            &sorted_scan(traces, a, &uni),
                             "{} sat {} at depth {} on {:?}", p, a, depth, engine
                         );
                     }

@@ -218,86 +218,86 @@ fn socket_round_trip_reports_prometheus_counters() {
     handle.stop();
 }
 
-/// The engine selector is folded into the response-cache key (compiled
-/// and enumerative answers to one query never alias), reported in the
-/// envelope `data`, counted per engine in `/metrics`, and rejected with
-/// a 400 when unknown — all without breaking the cache-counter
-/// partition.
+/// The `sat` backend follows the process, so an `engine` member is not
+/// read: after a plain check, the same body with `"engine":"enumerative"`
+/// or with an unknown spelling is a cache hit with the same bytes, which
+/// name the engine that answered. A proof names no engine, and
+/// `/metrics` counts none.
 #[test]
-fn engine_is_keyed_counted_and_reported() {
+fn an_engine_member_is_ignored() {
+    let state = ServeState::new(16, 2);
+    let (path, plain) = body_for(1, PIPELINE);
+    let cold = state.post(path, &plain);
+    let text = String::from_utf8_lossy(&cold.body).into_owned();
+    assert_eq!(cold.status, 200, "{text}");
+    assert_eq!(header(&cold, "X-Csp-Cache"), Some("miss"));
+    assert!(text.contains("\"engine\":\"compiled\""), "{text}");
+    for engine in ["enumerative", "quantum"] {
+        let body = plain.replacen('{', &format!("{{\"engine\":\"{engine}\","), 1);
+        let again = state.post(path, &body);
+        assert_eq!(header(&again, "X-Csp-Cache"), Some("hit"), "{engine}");
+        assert_eq!(again.body, cold.body, "{engine}");
+    }
+    let (path, prove) = body_for(2, PIPELINE);
+    let proved = state.post(path, &prove);
+    let text = String::from_utf8_lossy(&proved.body);
+    assert!(text.contains("\"proved\":true"), "{text}");
+    assert!(!text.contains("\"engine\""), "{text}");
+    let metrics = state.respond(&Request {
+        method: "GET".to_string(),
+        path: "/metrics".to_string(),
+        body: Vec::new(),
+        keep_alive: true,
+    });
+    let text = String::from_utf8_lossy(&metrics.body);
+    assert!(text.contains("serve.cache.hit"), "{text}");
+    assert!(!text.contains("name=\"serve.engine"), "{text}");
+}
+
+/// A number outside the integer type its field is read into is a 400
+/// naming the field, not saturated to the type's maximum: a `depth` of
+/// 1e300 used to read as `usize::MAX`, a `seed` as `u64::MAX` and a
+/// `bind` cell as `i64::MAX`. The same state then answers a valid
+/// request.
+#[test]
+fn out_of_range_numbers_are_refused() {
     let state = ServeState::new(16, 2);
     let src = json_string(PIPELINE);
-    let check_with = |engine: &str| {
-        format!(
-            "{{\"source\":{src},\"process\":\"pipeline\",\
-             \"assertion\":\"output <= input\",\"depth\":3,\"nat_bound\":1,\
-             \"engine\":\"{engine}\"}}"
-        )
-    };
-
-    let compiled = state.post("/v1/check", &check_with("compiled"));
+    let requests = [
+        (
+            "/v1/lint",
+            format!("{{\"source\":{src},\"depth\":1e300}}"),
+            "`depth`",
+        ),
+        (
+            "/v1/run",
+            format!("{{\"source\":{src},\"process\":\"pipeline\",\"steps\":8,\"seed\":1e300}}"),
+            "`seed`",
+        ),
+        (
+            "/v1/check",
+            format!(
+                "{{\"source\":{src},\"process\":\"pipeline\",\"assertion\":\"output <= input\",\
+                 \"depth\":3,\"nat_bound\":1,\"bind\":{{\"v\":[1e300]}}}}"
+            ),
+            "`v`",
+        ),
+    ];
+    for (path, body, field) in requests {
+        let refused = state.post(path, &body);
+        let text = String::from_utf8_lossy(&refused.body);
+        assert_eq!(refused.status, 400, "{path}: {text}");
+        assert_eq!(header(&refused, "X-Csp-Cache"), Some("bypass"), "{path}");
+        assert!(text.contains(field), "{path}: {text}");
+    }
+    let (path, body) = body_for(1, PIPELINE);
+    let served = state.post(path, &body);
     assert_eq!(
-        compiled.status,
+        served.status,
         200,
         "{}",
-        String::from_utf8_lossy(&compiled.body)
+        String::from_utf8_lossy(&served.body)
     );
-    assert_eq!(header(&compiled, "X-Csp-Cache"), Some("miss"));
-    assert!(
-        String::from_utf8_lossy(&compiled.body).contains("\"engine\":\"compiled\""),
-        "{}",
-        String::from_utf8_lossy(&compiled.body)
-    );
-
-    // Same query, different engine: must be a fresh key, and the body
-    // must say which backend answered.
-    let enumerative = state.post("/v1/check", &check_with("enumerative"));
-    assert_eq!(header(&enumerative, "X-Csp-Cache"), Some("miss"));
-    assert!(String::from_utf8_lossy(&enumerative.body).contains("\"engine\":\"enumerative\""));
-    assert_ne!(compiled.body, enumerative.body);
-
-    // Re-posting the compiled query is a verbatim hit.
-    let again = state.post("/v1/check", &check_with("compiled"));
-    assert_eq!(header(&again, "X-Csp-Cache"), Some("hit"));
-    assert_eq!(again.body, compiled.body);
-
-    // `auto` resolves (the pipeline hides a channel, so: compiled) and
-    // reports the *resolution*, not the selector.
-    let auto = state.post("/v1/check", &check_with("auto"));
-    assert_eq!(header(&auto, "X-Csp-Cache"), Some("miss"));
-    assert!(String::from_utf8_lossy(&auto.body).contains("\"engine\":\"compiled\""));
-
-    // Prove envelopes carry the member too.
-    let prove_body = format!(
-        "{{\"source\":{src},\"nat_bound\":1,\"engine\":\"enumerative\",\
-         \"specs\":[{{\"process\":\"copier\",\"assertion\":\"wire <= input\"}}]}}"
-    );
-    let prove = state.post("/v1/prove", &prove_body);
-    assert_eq!(
-        prove.status,
-        200,
-        "{}",
-        String::from_utf8_lossy(&prove.body)
-    );
-    assert!(String::from_utf8_lossy(&prove.body).contains("\"engine\":\"enumerative\""));
-
-    // An unknown engine is a 400 naming the valid spellings.
-    let bad = state.post("/v1/check", &check_with("turbo"));
-    assert_eq!(bad.status, 400);
-    assert!(String::from_utf8_lossy(&bad.body).contains("enumerative"));
-
-    // Ledger intact, per-engine counters as posted (the rejected
-    // request never parsed an engine, so it counts nowhere).
-    let snap = state.metrics();
-    assert_eq!(snap.counter("serve.engine.compiled"), 2);
-    assert_eq!(snap.counter("serve.engine.enumerative"), 2);
-    assert_eq!(snap.counter("serve.engine.auto"), 1);
-    let hit = snap.counter("serve.cache.hit");
-    let miss = snap.counter("serve.cache.miss");
-    let bypass = snap.counter("serve.cache.bypass");
-    assert_eq!(hit + miss + bypass, snap.counter("serve.requests"));
-    assert_eq!(hit, 1);
-    assert_eq!(bypass, 1);
 }
 
 /// `/v1/run` monitoring: `"monitor": true` checks trace membership,
@@ -394,13 +394,12 @@ fn a_deeply_nested_body_is_refused_and_serving_continues() {
 }
 
 /// The members `Params::parse` reads.
-const FIELDS: [&str; 14] = [
+const FIELDS: [&str; 13] = [
     "source",
     "process",
     "assertion",
     "specs",
     "depth",
-    "engine",
     "nat_bound",
     "sets",
     "bind",
@@ -460,7 +459,6 @@ fn typed(field: &str) -> &'static [&'static str] {
             r##"[{"process":"pipeline","assertion":"#output <= 1"}]"##,
             "[]",
         ],
-        "engine" => &["\"compiled\"", "\"enumerative\"", "\"auto\""],
         "sets" => &[
             r#"{"M":[0,1]}"#,
             r#"{"M":["ACK","NACK"]}"#,
