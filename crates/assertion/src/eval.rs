@@ -15,7 +15,7 @@ use csp_trace::{History, Seq, Value};
 use crate::{Assertion, CmpOp, FuncTable, STerm, Term};
 
 /// Errors raised while evaluating an assertion.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum AssertError {
     /// An embedded expression failed to evaluate.
     Eval(EvalError),

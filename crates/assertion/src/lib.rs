@@ -10,6 +10,9 @@
 //! * [`parse_assertion`] — a parser for the concrete syntax
 //!   (`"f(wire) <= x^input"`);
 //! * [`EvalCtx`] — evaluation in `(ρ + ch(s))`, §3.3;
+//! * [`CompiledAssertion`] — the same evaluation with the expressions,
+//!   subscripts and function names that read only ρ resolved once, for
+//!   judging many moments;
 //! * [`subst_empty`], [`subst_chan_cons`], [`subst_var`] — the
 //!   substitutions `R_<>`, `R^c_{e^c}`, `R^x_e` that the inference rules
 //!   of §2.1 are built from;
@@ -40,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod ast;
+mod compile;
 mod decide;
 mod eval;
 mod funcs;
@@ -48,6 +52,7 @@ mod subst;
 mod symbolic;
 
 pub use ast::{Assertion, CmpOp, STerm, Term};
+pub use compile::CompiledAssertion;
 pub use decide::{bounded_valid, decide_valid, free_vars, syntactic_valid, DecideConfig, Decision};
 pub use eval::{AssertError, EvalCtx};
 pub(crate) use funcs::is_signal;

@@ -86,13 +86,13 @@ pub use csp_analysis::{
 };
 pub use csp_assert::{
     bounded_valid, decide_valid, parse_assertion, protocol_cancel, subst_chan_cons, subst_empty,
-    subst_var, symbolic_valid, AssertError, Assertion, ChannelInfo, CmpOp, DecideConfig, Decision,
-    EvalCtx, FuncTable, STerm, Term,
+    subst_var, symbolic_valid, AssertError, Assertion, ChannelInfo, CmpOp, CompiledAssertion,
+    DecideConfig, Decision, EvalCtx, FuncTable, STerm, Term,
 };
 pub use csp_lang::{
     channel_alphabet, parse_definitions, parse_definitions_spanned, parse_expr, parse_module,
-    parse_process, ChanRef, Definition, Definitions, Env, EvalError, Expr, MsgSet, ParseError,
-    ParsedModule, Process, SetExpr, SourceMap, Span,
+    parse_process, BinOp, ChanRef, Definition, Definitions, Env, EvalError, Expr, MsgSet,
+    ParseError, ParsedModule, Process, SetExpr, SourceMap, Span,
 };
 pub use csp_obs::{Collector, FieldValue, Metered, MetricsSnapshot, SpanRecord};
 pub use csp_proof::{

@@ -351,14 +351,17 @@ impl Workbench {
     }
 
     /// The traces of a named process to the given depth (operational
-    /// exploration; agrees with the denotational semantics).
+    /// exploration; agrees with the denotational semantics). Hidden
+    /// steps are budgeted as [`check_sat`](Self::check_sat) budgets them
+    /// by default, so the traces listed are the traces a check judges.
     ///
     /// # Errors
     ///
     /// Fails on undefined names or evaluation errors.
     pub fn traces(&self, name: &str, depth: usize) -> Result<TraceSet, WorkbenchError> {
         let lts = Lts::new(&self.defs, &self.universe);
-        Ok(lts.traces(&lts.initial(name, &self.env), depth)?)
+        let budget = depth * SatOptions::default().internal_budget_factor;
+        Ok(lts.traces_budgeted(&lts.initial(name, &self.env), depth, budget)?)
     }
 
     /// The denotational trace set (reference implementation; exponential

@@ -61,6 +61,12 @@ impl Env {
         }
     }
 
+    /// In-place removal of `x`'s binding, returning its value: undoes a
+    /// [`bind_mut`](Self::bind_mut) of a variable that was unbound.
+    pub fn unbind(&mut self, x: &str) -> Option<Value> {
+        self.bindings.remove(x)
+    }
+
     /// The value of variable `x`, if bound.
     pub fn lookup(&self, x: &str) -> Option<&Value> {
         self.bindings.get(x)

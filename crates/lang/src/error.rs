@@ -74,6 +74,12 @@ pub enum EvalError {
     },
     /// Division or modulus by zero.
     DivisionByZero,
+    /// An integer operation whose result lies outside `i64`, e.g.
+    /// `i64::MIN / -1`.
+    Overflow {
+        /// The operator applied.
+        context: String,
+    },
     /// A set was required to be finite (for enumeration) but was `NAT`
     /// without a universe bound.
     UnboundedSet(String),
@@ -109,6 +115,7 @@ impl fmt::Display for EvalError {
             EvalError::UnboundVariable(x) => write!(f, "unbound variable `{x}`"),
             EvalError::TypeMismatch { context } => write!(f, "type mismatch in {context}"),
             EvalError::DivisionByZero => write!(f, "division by zero"),
+            EvalError::Overflow { context } => write!(f, "integer overflow in {context}"),
             EvalError::UnboundedSet(s) => {
                 write!(f, "set `{s}` is unbounded; supply a finite universe")
             }

@@ -148,8 +148,9 @@ impl Expr {
     /// # Errors
     ///
     /// Returns [`EvalError::UnboundVariable`] for unbound variables,
-    /// [`EvalError::TypeMismatch`] for ill-typed applications, and
-    /// [`EvalError::DivisionByZero`] for zero divisors.
+    /// [`EvalError::TypeMismatch`] for ill-typed applications,
+    /// [`EvalError::DivisionByZero`] for zero divisors, and
+    /// [`EvalError::Overflow`] for results outside `i64`.
     pub fn eval(&self, env: &Env) -> Result<Value, EvalError> {
         match self {
             Expr::Const(v) => Ok(v.clone()),
@@ -236,6 +237,12 @@ fn int2(context: &str, a: Value, b: Value) -> Result<(i64, i64), EvalError> {
     }
 }
 
+fn overflow(context: &str) -> EvalError {
+    EvalError::Overflow {
+        context: context.to_string(),
+    }
+}
+
 fn bool2(context: &str, a: Value, b: Value) -> Result<(bool, bool), EvalError> {
     match (a.as_bool(), b.as_bool()) {
         (Some(x), Some(y)) => Ok((x, y)),
@@ -250,7 +257,8 @@ fn bool2(context: &str, a: Value, b: Value) -> Result<(bool, bool), EvalError> {
 ///
 /// # Errors
 ///
-/// As for [`Expr::eval`]: ill-typed operands and zero divisors.
+/// As for [`Expr::eval`]: ill-typed operands, zero divisors and
+/// results outside `i64`.
 ///
 /// # Examples
 ///
@@ -264,29 +272,29 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
     Ok(match op {
         BinOp::Add => {
             let (x, y) = int2("+", a, b)?;
-            Value::Int(x + y)
+            Value::Int(x.checked_add(y).ok_or_else(|| overflow("+"))?)
         }
         BinOp::Sub => {
             let (x, y) = int2("-", a, b)?;
-            Value::Int(x - y)
+            Value::Int(x.checked_sub(y).ok_or_else(|| overflow("-"))?)
         }
         BinOp::Mul => {
             let (x, y) = int2("*", a, b)?;
-            Value::Int(x * y)
+            Value::Int(x.checked_mul(y).ok_or_else(|| overflow("*"))?)
         }
         BinOp::Div => {
             let (x, y) = int2("/", a, b)?;
             if y == 0 {
                 return Err(EvalError::DivisionByZero);
             }
-            Value::Int(x / y)
+            Value::Int(x.checked_div(y).ok_or_else(|| overflow("/"))?)
         }
         BinOp::Mod => {
             let (x, y) = int2("%", a, b)?;
             if y == 0 {
                 return Err(EvalError::DivisionByZero);
             }
-            Value::Int(x.rem_euclid(y))
+            Value::Int(x.checked_rem_euclid(y).ok_or_else(|| overflow("%"))?)
         }
         BinOp::Eq => Value::Bool(a == b),
         BinOp::Ne => Value::Bool(a != b),
@@ -321,15 +329,18 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
 ///
 /// # Errors
 ///
-/// [`EvalError::TypeMismatch`] for an ill-typed operand.
+/// [`EvalError::TypeMismatch`] for an ill-typed operand,
+/// [`EvalError::Overflow`] for `-` of `i64::MIN`.
 pub fn eval_un(op: UnOp, a: Value) -> Result<Value, EvalError> {
     match op {
-        UnOp::Neg => a
-            .as_int()
-            .map(|x| Value::Int(-x))
-            .ok_or(EvalError::TypeMismatch {
+        UnOp::Neg => {
+            let x = a.as_int().ok_or(EvalError::TypeMismatch {
                 context: "unary -".to_string(),
-            }),
+            })?;
+            Ok(Value::Int(
+                x.checked_neg().ok_or_else(|| overflow("unary -"))?,
+            ))
+        }
         UnOp::Not => a
             .as_bool()
             .map(|x| Value::Bool(!x))
@@ -397,6 +408,34 @@ mod tests {
         assert_eq!(e.eval(&Env::new()), Err(EvalError::DivisionByZero));
         let m = Expr::Bin(BinOp::Mod, Box::new(Expr::int(1)), Box::new(Expr::int(0)));
         assert_eq!(m.eval(&Env::new()), Err(EvalError::DivisionByZero));
+    }
+
+    #[test]
+    fn overflow_is_an_error() {
+        let (min, max) = (Value::Int(i64::MIN), Value::Int(i64::MAX));
+        let minus_one = Value::Int(-1);
+        for (op, a, b) in [
+            (BinOp::Add, &max, &Value::Int(1)),
+            (BinOp::Sub, &min, &Value::Int(1)),
+            (BinOp::Mul, &max, &Value::Int(2)),
+            (BinOp::Div, &min, &minus_one),
+            (BinOp::Mod, &min, &minus_one),
+        ] {
+            assert_eq!(
+                eval_bin(op, a.clone(), b.clone()),
+                Err(EvalError::Overflow {
+                    context: op.symbol().to_string()
+                })
+            );
+        }
+        assert!(matches!(
+            eval_un(UnOp::Neg, min),
+            Err(EvalError::Overflow { .. })
+        ));
+        assert_eq!(
+            eval_bin(BinOp::Mod, Value::Int(-7), Value::Int(3)),
+            Ok(Value::Int(2))
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `P sat R`; the *model* defines `⟦P⟧`; the *runtime* produces actual
 //! traces; conformance shows the three agree on real executions.
 
-use csp_assert::{Assertion, EvalCtx, FuncTable};
+use csp_assert::{Assertion, CompiledAssertion, FuncTable};
 use csp_lang::{Definitions, Env, EvalError, Process};
 use csp_semantics::Universe;
 use csp_trace::{History, Trace};
@@ -64,12 +64,13 @@ pub fn check_conformance(
     }
 
     // Invariants at every prefix (including the complete trace and <>),
-    // on one `ch(s)` that grows by the next event per prefix. Each
-    // invariant reports its first violation whether or not the trace was
-    // admitted, which a latching monitor cannot.
+    // on one `ch(s)` that grows by the next event per prefix, each
+    // compiled once. Each invariant reports its first violation whether
+    // or not the trace was admitted, which a latching monitor cannot.
     let funcs = FuncTable::with_builtins();
     let mut inv_results = Vec::with_capacity(invariants.len());
     for inv in invariants {
+        let mut compiled = CompiledAssertion::new(inv, env, &funcs, universe);
         let mut first_violation = None;
         let mut history = History::empty();
         for i in 0..=visible.len() {
@@ -77,8 +78,7 @@ pub fn check_conformance(
                 let e = visible.events()[i - 1];
                 history.push(e.channel().clone(), e.value().clone());
             }
-            let ctx = EvalCtx::new(env, &history, &funcs, universe);
-            let ok = ctx.assertion(inv).map_err(|e| match e {
+            let ok = compiled.holds(&history).map_err(|e| match e {
                 csp_assert::AssertError::Eval(e) => e,
                 csp_assert::AssertError::UnknownFunction(n) => {
                     EvalError::UnboundVariable(format!("function {n}"))

@@ -13,7 +13,7 @@
 //! [`MonitorViolation`]; the run continues (observation must not change
 //! the observed system) but the verdict is final.
 
-use csp_assert::{Assertion, EvalCtx, FuncTable};
+use csp_assert::{Assertion, CompiledAssertion, FuncTable};
 use csp_lang::{Definitions, Env, EvalError, Process};
 use csp_semantics::{CompiledLts, CompiledStep, Config, StateId, Universe};
 use csp_trace::{Event, History};
@@ -161,10 +161,8 @@ impl MonitorReport {
 pub struct Monitor<'a> {
     lts: CompiledLts<'a>,
     frontier: Vec<StateId>,
-    env: Env,
-    universe: &'a Universe,
-    funcs: FuncTable,
-    assertions: Vec<Assertion>,
+    /// Each monitored assertion, compiled once for the run.
+    assertions: Vec<(Assertion, CompiledAssertion<'a>)>,
     budget: usize,
     /// How many visible events have been accepted, and their `ch(s)`.
     visible: usize,
@@ -186,13 +184,19 @@ impl<'a> Monitor<'a> {
     ) -> Self {
         let mut lts = CompiledLts::new(defs, universe);
         let start = lts.intern(Config::new(process.clone(), env.clone()));
+        let funcs = FuncTable::with_builtins();
+        let assertions = spec
+            .assertions
+            .into_iter()
+            .map(|a| {
+                let compiled = CompiledAssertion::new(&a, env, &funcs, universe);
+                (a, compiled)
+            })
+            .collect();
         Monitor {
             lts,
             frontier: vec![start],
-            env: env.clone(),
-            universe,
-            funcs: FuncTable::with_builtins(),
-            assertions: spec.assertions,
+            assertions,
             budget: spec.internal_budget,
             visible: 0,
             history: History::empty(),
@@ -241,30 +245,27 @@ impl<'a> Monitor<'a> {
 
         // `P sat R` quantifies over every trace prefix: check the newly
         // extended prefix against each monitored assertion.
-        if !self.assertions.is_empty() {
-            let ctx = EvalCtx::new(&self.env, &self.history, &self.funcs, self.universe);
-            for a in &self.assertions {
-                match ctx.assertion(a) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        self.violation = Some(MonitorViolation {
-                            step,
-                            visible_index,
-                            event,
-                            kind: ViolationKind::AssertionFailed(a.to_string()),
-                            causal_history: Vec::new(),
-                        });
-                        return false;
-                    }
-                    Err(e) => {
-                        self.error = Some(match e {
-                            csp_assert::AssertError::Eval(e) => e.to_string(),
-                            csp_assert::AssertError::UnknownFunction(n) => {
-                                format!("unknown function {n}")
-                            }
-                        });
-                        return false;
-                    }
+        for (a, compiled) in &mut self.assertions {
+            match compiled.holds(&self.history) {
+                Ok(true) => {}
+                Ok(false) => {
+                    self.violation = Some(MonitorViolation {
+                        step,
+                        visible_index,
+                        event,
+                        kind: ViolationKind::AssertionFailed(a.to_string()),
+                        causal_history: Vec::new(),
+                    });
+                    return false;
+                }
+                Err(e) => {
+                    self.error = Some(match e {
+                        csp_assert::AssertError::Eval(e) => e.to_string(),
+                        csp_assert::AssertError::UnknownFunction(n) => {
+                            format!("unknown function {n}")
+                        }
+                    });
+                    return false;
                 }
             }
         }

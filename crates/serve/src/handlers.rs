@@ -392,7 +392,7 @@ impl Params {
                 None => Ok(default),
                 Some(f) => f
                     .as_u64()
-                    .ok_or_else(|| format!("field `{name}` must be a non-negative number")),
+                    .ok_or_else(|| format!("field `{name}` must be an integer from 0 to 2^64 - 1")),
             }
         };
         let mut specs = Vec::new();
@@ -445,8 +445,9 @@ impl Params {
                 let parsed = arr
                     .iter()
                     .map(|x| {
-                        x.as_i64()
-                            .ok_or_else(|| format!("bind `{name}` must contain integers"))
+                        x.as_i64().ok_or_else(|| {
+                            format!("bind `{name}` must contain integers from -2^63 to 2^63 - 1")
+                        })
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 binds.push((name.clone(), parsed));

@@ -13,7 +13,7 @@
 //! lists its traces ([`Engine::for_process`]): the compiled arena for a
 //! network, the enumerative walk for a sequential term.
 
-use csp_assert::{AssertError, Assertion, EvalCtx, FuncTable};
+use csp_assert::{AssertError, Assertion, CompiledAssertion, FuncTable};
 use csp_lang::{Definitions, Env, Process};
 use csp_obs::{Collector, Span};
 use csp_semantics::{CompiledLts, Config, Engine, Lts, Universe};
@@ -194,10 +194,12 @@ impl<'a> SatChecker<'a> {
     /// Evaluates the assertion at every trace of `traces` (distinct, in
     /// any order) on one `ch(s)` that moves from trace to trace: back to
     /// the common prefix with the previous trace, then forward along the
-    /// new one. The answer is decided by the least trace, in [`Trace`]
-    /// order, on which the assertion is false (a counterexample) or fails
-    /// to evaluate (the error); traces above the least such trace found
-    /// so far cannot change it and are skipped.
+    /// new one. The assertion is compiled once against ρ and the function
+    /// table, and the quantifier values it binds are counted. The answer
+    /// is decided by the least trace, in [`Trace`] order, on which the
+    /// assertion is false (a counterexample) or fails to evaluate (the
+    /// error); traces above the least such trace found so far cannot
+    /// change it and are skipped.
     fn judge<'t>(
         &self,
         root: &mut Span,
@@ -209,7 +211,8 @@ impl<'a> SatChecker<'a> {
         let moments = traces.len();
         root.record("moments", moments);
         self.collector.add("satcheck.moments", moments as u64);
-        let _verdicts = root.child("satcheck.verdicts");
+        let verdicts = root.child("satcheck.verdicts");
+        let mut compiled = CompiledAssertion::new(assertion, &self.env, &self.funcs, self.universe);
         let mut history = History::empty();
         let empty = Trace::empty();
         let mut at = &empty;
@@ -230,13 +233,15 @@ impl<'a> SatChecker<'a> {
                 history.push(e.channel().clone(), e.value().clone());
             }
             at = trace;
-            let ctx = EvalCtx::new(&self.env, &history, &self.funcs, self.universe);
-            match ctx.assertion(assertion) {
+            match compiled.holds(&history) {
                 Ok(true) => {}
                 Ok(false) => least = Some((trace, Ok(()))),
                 Err(e) => least = Some((trace, Err(e))),
             }
         }
+        verdicts.end();
+        root.record("bindings", compiled.bindings());
+        self.collector.add("satcheck.bindings", compiled.bindings());
         match least {
             None => Ok(SatResult::Holds {
                 traces_checked: moments,

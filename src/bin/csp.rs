@@ -174,8 +174,6 @@ options:
                        envelope {\"schema\":\"csp/v1\",\"command\":…,\"data\":…}
                        (lint/check/prove/run/profile)
   --deny warnings      treat lint warnings as errors (exit 1)
-  --engine E           accepted and ignored (the process picks the
-                       `sat` backend)
   --trace-out PATH     write the recorded span stream as JSONL
                        (lint/check/prove/run/profile)
   --chrome-out PATH    write the span tree as Chrome trace-event JSON
@@ -311,9 +309,6 @@ fn parse_opts(args: &[String], multi_file: bool) -> Result<Opts, String> {
                     .ok_or_else(|| format!("--spec expects NAME=EXPR, got `{v}`"))?;
                 opts.specs
                     .push((name.trim().to_string(), inv.trim().to_string()));
-            }
-            "--engine" => {
-                value("--engine")?;
             }
             "--depth" => {
                 opts.depth = value("--depth")?

@@ -6,12 +6,13 @@
 //! * lemma (c): `(ρ + ch(s))⟦R^c_{e^c}⟧ = (ρ + ch((c.e)^s))⟦R⟧`,
 //! * lemma (d): restriction invariance for unmentioned channels,
 //!
-//! plus parser/printer round-tripping for the assertion syntax.
+//! plus parser/printer round-tripping for the assertion syntax, and the
+//! compiled evaluator against the interpreter it must agree with.
 
 use csp::{
-    bounded_valid, parse_assertion, symbolic_valid, Assertion, Channel, ChannelInfo, CmpOp,
-    DecideConfig, Decision, Env, EvalCtx, Expr, FuncTable, History, STerm, Seq, SetExpr, Term,
-    Trace, Universe, Value,
+    bounded_valid, parse_assertion, symbolic_valid, AssertError, Assertion, BinOp, Channel,
+    ChannelInfo, CmpOp, CompiledAssertion, DecideConfig, Decision, Env, EvalCtx, Expr, FuncTable,
+    History, STerm, Seq, SetExpr, Term, Trace, Universe, Value,
 };
 use proptest::prelude::*;
 
@@ -76,24 +77,36 @@ fn arb_term() -> impl Strategy<Value = Term> {
     ]
 }
 
-fn arb_assertion() -> impl Strategy<Value = Assertion> {
-    use Assertion::{ExistsIn, ForallIn};
-    let atom = prop_oneof![
+fn arb_atom() -> impl Strategy<Value = Assertion> {
+    prop_oneof![
         (arb_sterm(), arb_sterm()).prop_map(|(s, t)| Assertion::Prefix(s, t)),
         (arb_sterm(), arb_sterm()).prop_map(|(s, t)| Assertion::SeqEq(s, t)),
         (arb_term(), arb_term()).prop_map(|(x, y)| Assertion::Cmp(CmpOp::Le, x, y)),
         (arb_term(), arb_term()).prop_map(|(x, y)| Assertion::Cmp(CmpOp::Eq, x, y)),
         Just(Assertion::True),
         Just(Assertion::False),
-    ];
-    atom.prop_recursive(2, 12, 2, |inner| {
+    ]
+}
+
+fn arb_assertion() -> impl Strategy<Value = Assertion> {
+    connect(arb_atom(), arb_binder().boxed(), 2)
+}
+
+/// Atoms joined by connectives and quantifiers, `depth` layers deep.
+fn connect(
+    atom: impl Strategy<Value = Assertion> + 'static,
+    binder: BoxedStrategy<(String, SetExpr)>,
+    depth: u32,
+) -> BoxedStrategy<Assertion> {
+    use Assertion::{ExistsIn, ForallIn};
+    atom.prop_recursive(depth, 12, 2, move |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.implies(b)),
             inner.clone().prop_map(Assertion::negate),
-            (arb_binder(), inner.clone()).prop_map(|((x, m), a)| ForallIn(x, m, a.into())),
-            (arb_binder(), inner).prop_map(|((x, m), a)| ExistsIn(x, m, a.into())),
+            (binder.clone(), inner.clone()).prop_map(|((x, m), a)| ForallIn(x, m, a.into())),
+            (binder.clone(), inner).prop_map(|((x, m), a)| ExistsIn(x, m, a.into())),
         ]
     })
 }
@@ -455,6 +468,293 @@ fn the_fragment_generator_reaches_every_symbolic_rule() {
         "normalisation",
     ] {
         assert!(rules.contains(rule), "{rule} never used: {rules:?}");
+    }
+}
+
+// ------------------------------------------------ the compiled evaluator --
+
+/// Atoms that read what `arb_atom`'s do not: the `i` that `NAT` binds;
+/// an array cell, a channel and an expression read through a bound
+/// variable; and what fails to evaluate: the unknown function `g`, also
+/// on an argument that fails itself, and the variable `z`, which ρ never
+/// binds.
+fn open_atom() -> impl Strategy<Value = Assertion> {
+    let cell = |e: Expr| Term::Expr(Expr::ArrayRef("v".into(), Box::new(e)));
+    let open = prop_oneof![
+        Just(Term::var("i")),
+        Just(Term::var("z")),
+        Just(cell(Expr::var("x"))),
+        Just(cell(Expr::var("i").add(Expr::var("x")))),
+        Just(Term::Expr(Expr::var("x").add(Expr::var("z")))),
+        arb_sterm().prop_map(|s| Term::length(s.app("g"))),
+        Just(Term::length(STerm::chan_at("a", Expr::var("x")))),
+        arb_sterm().prop_map(|s| Term::Index(Box::new(s), Box::new(Term::var("i")))),
+    ]
+    .boxed();
+    let failing_arg = prop_oneof![Just(STerm::chan("a")), Just(STerm::Empty)]
+        .prop_map(|s| s.cons(Term::var("z")));
+    prop_oneof![
+        (open.clone(), arb_term()).prop_map(|(x, y)| Assertion::Cmp(CmpOp::Le, x, y)),
+        (arb_term(), open).prop_map(|(x, y)| Assertion::Cmp(CmpOp::Eq, x, y)),
+        arb_sterm().prop_map(|s| Assertion::SeqEq(s.app("g"), STerm::Empty)),
+        (prop_oneof![Just("f"), Just("g")], failing_arg)
+            .prop_map(|(f, s)| Assertion::SeqEq(s.app(f), STerm::Empty)),
+    ]
+}
+
+/// `arb_binder`'s, and `x` over `{0..x}`: a set read in the scope
+/// outside its quantifier, from ρ or from an outer `x`.
+fn open_binder() -> impl Strategy<Value = (String, SetExpr)> {
+    let upto_x = SetExpr::Range(Box::new(Expr::int(0)), Box::new(Expr::var("x")));
+    prop_oneof![arb_binder(), Just(("x".to_string(), upto_x))]
+}
+
+fn arb_open_assertion() -> impl Strategy<Value = Assertion> {
+    let atom = prop_oneof![arb_atom(), arb_atom(), open_atom()];
+    connect(atom, open_binder().boxed(), 3)
+}
+
+/// `∀j:{0..2}. ∀i:NAT. G ⇒ B` (`∃i` for the inner one half the time)
+/// with `G` a guard the compiled form may narrow: either conjunct order,
+/// `<` or `<=` on either side, `lo` in −1..3 and `hi = #c + k` with `k`
+/// in −1..2, spelled `#c`, `#c + k` or `#c - (−k)`; a bound sometimes
+/// compares the outer `j` instead of `i`.
+fn arb_guarded() -> impl Strategy<Value = Assertion> {
+    let bit = || prop_oneof![Just(false), Just(true)];
+    let var = || prop_oneof![Just("i"), Just("i"), Just("i"), Just("j")];
+    let chan = prop_oneof![Just("a"), Just("wire")];
+    let body = prop_oneof![
+        Just(Assertion::Cmp(
+            CmpOp::Eq,
+            Term::Index(Box::new(STerm::chan("a")), Box::new(Term::var("i"))),
+            Term::int(1),
+        )),
+        Just(Assertion::Cmp(
+            CmpOp::Le,
+            Term::Index(Box::new(STerm::chan("wire")), Box::new(Term::var("i"))),
+            Term::int(1),
+        )),
+        Just(Assertion::Cmp(CmpOp::Le, Term::var("i"), Term::int(2))),
+        Just(Assertion::Cmp(CmpOp::Le, Term::var("z"), Term::var("i"))),
+    ];
+    (
+        (-1i64..3, -1i64..2, chan),
+        (bit(), bit(), bit()),
+        (bit(), bit()),
+        (var(), var()),
+        body,
+    )
+        .prop_map(
+            |((lo, k, c), (lo_strict, hi_strict, swap), (spell_minus, exists), (v, w), body)| {
+                let op = |strict| if strict { CmpOp::Lt } else { CmpOp::Le };
+                let len = Term::length(STerm::chan(c));
+                let hi = match k {
+                    0 if !spell_minus => len,
+                    k if k < 0 || spell_minus => {
+                        Term::Bin(BinOp::Sub, Box::new(len), Box::new(Term::int(-k)))
+                    }
+                    k => len.add(Term::int(k)),
+                };
+                let lower = Assertion::Cmp(op(lo_strict), Term::int(lo), Term::var(v));
+                let upper = Assertion::Cmp(op(hi_strict), Term::var(w), hi);
+                let guard = if swap {
+                    upper.and(lower)
+                } else {
+                    lower.and(upper)
+                };
+                let body = Box::new(guard.implies(body));
+                let inner = if exists {
+                    Assertion::ExistsIn("i".into(), SetExpr::Nat, body)
+                } else {
+                    Assertion::ForallIn("i".into(), SetExpr::Nat, body)
+                };
+                Assertion::ForallIn("j".into(), SetExpr::range(0, 2), Box::new(inner))
+            },
+        )
+}
+
+/// An answer with its error as text, so that the two evaluators' errors
+/// compare.
+fn answer(r: Result<bool, AssertError>) -> Result<bool, String> {
+    r.map_err(|e| e.to_string())
+}
+
+/// Compiles `a` once and judges every prefix of `s` with it, beside the
+/// interpreter at the same moment. Returns the values the compiled form
+/// bound.
+fn compiled_agrees(a: &Assertion, s: &Trace, env: &Env, uni: &Universe) -> u64 {
+    let funcs = FuncTable::with_builtins();
+    let mut compiled = CompiledAssertion::new(a, env, &funcs, uni);
+    let mut h = History::empty();
+    for k in 0..=s.len() {
+        if k > 0 {
+            let e = &s.events()[k - 1];
+            h.push(e.channel().clone(), e.value().clone());
+        }
+        let want = EvalCtx::new(env, &h, &funcs, uni).assertion(a);
+        assert_eq!(
+            answer(compiled.holds(&h)),
+            answer(want),
+            "{a} at {k} events of {s}, ρ = {env}"
+        );
+    }
+    compiled.bindings()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The compiled form gives the interpreter's value or error at every
+    /// moment, with `x` bound in ρ and without.
+    #[test]
+    fn compiled_assertions_match_the_interpreter(
+        a in arb_open_assertion(),
+        s in arb_trace(),
+        x_bound in prop_oneof![Just(false), Just(true)],
+    ) {
+        let env = Env::new().bind("v[1]", Value::nat(2));
+        let env = if x_bound { env.bind("x", Value::nat(1)) } else { env };
+        compiled_agrees(&a, &s, &env, &Universe::new(3));
+    }
+
+    /// A narrowable guard changes no answer, whatever the nat bound,
+    /// including histories longer than the bound.
+    #[test]
+    fn guarded_walks_match_the_interpreter(
+        a in arb_guarded(),
+        s in arb_trace(),
+        bound in 0u32..4,
+    ) {
+        compiled_agrees(&a, &s, &Env::new(), &Universe::new(bound));
+    }
+}
+
+#[test]
+fn a_guard_walks_only_the_values_it_admits() {
+    // ∀i:NAT. 1 ≤ i ∧ i ≤ #a ⇒ a[i] == 1 over five `a`s: five bindings
+    // at the last moment, where the full walk binds 0..=5.
+    let a = parse_assertion("forall i:NAT. 1 <= i and i <= #a => a[i] == 1", &info()).unwrap();
+    let s = Trace::parse_like(std::iter::repeat_n(("a", Value::nat(1)), 5));
+    let narrowed = compiled_agrees(&a, &s, &Env::new(), &Universe::new(1));
+    assert_eq!(narrowed, (1..=5).sum::<u64>());
+    // The same guard under ∃ is not narrowed: i = 0 makes it true.
+    let e = parse_assertion("exists i:NAT. 1 <= i and i <= #a => a[i] == 1", &info()).unwrap();
+    assert_eq!(compiled_agrees(&e, &s, &Env::new(), &Universe::new(1)), 6);
+}
+
+#[test]
+fn a_quantifier_restores_the_outer_binding() {
+    let funcs = FuncTable::with_builtins();
+    let uni = Universe::new(1);
+    let h = History::empty();
+    let both = |src: &str, env: &Env| {
+        let a = parse_assertion(src, &info()).unwrap();
+        let compiled = CompiledAssertion::new(&a, env, &funcs, &uni).holds(&h);
+        let interpreted = EvalCtx::new(env, &h, &funcs, &uni).assertion(&a);
+        (answer(compiled), answer(interpreted))
+    };
+    let unbound = Env::new().bind("v[1]", Value::nat(7));
+    let one = unbound.bind("x", Value::nat(1));
+    // `x` is free again after its quantifier: unbound, it still errors.
+    let after = "(forall x:{0..2}. x <= 2) and x == 1";
+    let (compiled, interpreted) = both(after, &unbound);
+    assert_eq!(compiled, interpreted);
+    assert!(compiled.unwrap_err().contains("`x`"));
+    assert_eq!(both(after, &one), (Ok(true), Ok(true)));
+    // Read beside a bound `i`, so evaluated per value, not once: the
+    // cell is `v[1]` at i = 0, with ρ's `x`, not the quantifier's last.
+    let beside = "exists i:{0..1}. ((forall x:{0..2}. x <= 2) and v[i + x] == 7)";
+    let (compiled, interpreted) = both(beside, &unbound);
+    assert_eq!(compiled, interpreted);
+    assert!(compiled.unwrap_err().contains("`x`"));
+    assert_eq!(both(beside, &one), (Ok(true), Ok(true)));
+    // A set is read in the scope outside its quantifier, each time it
+    // is reached.
+    assert_eq!(both("forall x:{0..x}. x <= 1", &one), (Ok(true), Ok(true)));
+    assert_eq!(
+        both("forall x:{0..2}. exists y:{0..x}. y == x", &one),
+        (Ok(true), Ok(true))
+    );
+}
+
+#[test]
+fn an_error_behind_a_short_circuit_is_not_raised() {
+    let funcs = FuncTable::with_builtins();
+    let uni = Universe::new(1);
+    let z = || Assertion::Cmp(CmpOp::Eq, Term::var("z"), Term::int(1));
+    let g = || Assertion::SeqEq(STerm::chan("a").app("g"), STerm::Empty);
+    let a0 = Assertion::Cmp(CmpOp::Eq, Term::length(STerm::chan("a")), Term::int(0));
+    let parse = |src: &str| parse_assertion(src, &info()).unwrap();
+    // i64::MIN / -1, spelled without an out-of-range literal.
+    let overflow = "(0 - 9223372036854775807 - 1) / (0 - 1)";
+    let overflow_chan = || {
+        let min_by_minus_one = Expr::Bin(
+            BinOp::Div,
+            Box::new(Expr::int(i64::MIN)),
+            Box::new(Expr::int(-1)),
+        );
+        Assertion::SeqEq(STerm::chan_at("a", min_by_minus_one), STerm::Empty)
+    };
+    let empty = Trace::empty();
+    let one = Trace::parse_like([("a", Value::nat(1))]);
+    for (a, at_empty, at_one) in [
+        (Assertion::False.and(z()), Ok(false), Ok(false)),
+        (Assertion::True.or(g()), Ok(true), Ok(true)),
+        // `#a == 0 => z == 1` reaches `z` only at `<>`.
+        (a0.clone().implies(z()), Err(()), Ok(true)),
+        (a0.clone().negate().and(g()), Ok(false), Err(())),
+        // No value to bind: the body is never read.
+        (
+            Assertion::ForallIn("x".into(), SetExpr::range(1, 0), Box::new(z())),
+            Ok(true),
+            Ok(true),
+        ),
+        // An overflow is an error like any other, where it is reached:
+        // in a term read per moment, in a cell subscript and a channel
+        // subscript evaluated once at compile time, behind a guard that
+        // admits no value at `<>`, and in a quantifier over no values.
+        (
+            parse(&format!("false and {overflow} == 0")),
+            Ok(false),
+            Ok(false),
+        ),
+        (
+            parse(&format!("#a == 0 => {overflow} == 0")),
+            Err(()),
+            Ok(true),
+        ),
+        (
+            parse(&format!("false and v[{overflow}] == 0")),
+            Ok(false),
+            Ok(false),
+        ),
+        (a0.implies(overflow_chan()), Err(()), Ok(true)),
+        (
+            parse(&format!(
+                "forall i:NAT. 1 <= i and i <= #a => v[{overflow}] == i"
+            )),
+            Ok(true),
+            Err(()),
+        ),
+        (
+            parse(&format!("forall x:{{1..0}}. v[{overflow}] == x")),
+            Ok(true),
+            Ok(true),
+        ),
+    ] {
+        let mut compiled = CompiledAssertion::new(&a, &Env::new(), &funcs, &uni);
+        for (s, want) in [(&empty, at_empty), (&one, at_one)] {
+            let h = s.history();
+            let got = answer(compiled.holds(&h));
+            assert_eq!(got.clone().map_err(|_| ()), want, "{a} at {s}");
+            assert_eq!(
+                got,
+                answer(EvalCtx::new(&Env::new(), &h, &funcs, &uni).assertion(&a))
+            );
+            if let Err(e) = &got {
+                assert!(e.contains("`z`") || e.contains("`g`") || e.contains("overflow"));
+            }
+        }
     }
 }
 

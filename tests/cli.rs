@@ -162,6 +162,34 @@ fn traces_lists_maximal_behaviours() {
     assert!(stdout.contains("traces of `copier`"));
 }
 
+/// `csp traces` lists the traces `csp check` judges: both budget hidden
+/// steps at the same multiple of the depth, so four hidden `h`s before
+/// the first visible event are within reach of each at depth 1.
+#[test]
+fn traces_lists_what_check_judges() {
+    let f = write_fixture(
+        "hidden_budget.csp",
+        "q = h!0 -> h!0 -> h!0 -> h!0 -> a!0 -> q\np = chan h; q\n",
+    );
+    let path = f.to_str().unwrap();
+    let (stdout, stderr, code) = csp(&["traces", path, "--process", "p", "--depth", "1"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("2 traces of `p`"), "{stdout}");
+    assert!(stdout.contains("<a.0>"), "{stdout}");
+    let (stdout, stderr, code) = csp(&[
+        "check",
+        path,
+        "--process",
+        "p",
+        "--depth",
+        "1",
+        "--assert",
+        "#a == 0",
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.contains("<a.0>"), "{stdout}");
+}
+
 #[test]
 fn named_sets_via_flag() {
     let f = write_fixture(
@@ -675,51 +703,42 @@ fn bench_report_renders_the_history_trajectory() {
     assert!(stdout.contains("+12.4%"), "{stdout}");
 }
 
-/// The process picks the `sat` backend, so `--engine` is accepted for
-/// one release and changes nothing: with any value, known or not,
-/// `check`, `prove` and `deadlock` print the same bytes and exit with the
-/// same code as without it, and `profile` exits the same (its output
-/// carries timings).
+/// The process picks the `sat` backend, and the `--engine` flag that was
+/// accepted and ignored for one release is gone: on every subcommand it
+/// is an unknown option, a usage error that exits 2 before anything
+/// runs.
 #[test]
-fn engine_flag_is_accepted_and_ignored() {
-    let f = write_fixture("engine_ignored.csp", PIPELINE);
-    let jam = write_fixture(
-        "engine_ignored_jam.csp",
-        "left = w!1 -> STOP\nright = w?x:{2} -> STOP\nnet = left || right\n",
-    );
-    let folded = std::env::temp_dir()
-        .join("hoare-csp-cli-tests")
-        .join("engine_ignored.folded");
-    let runs = [
-        "check PIPE --process pipeline --assert output<=input",
-        "check PIPE --process pipeline --assert input<=output",
-        "check PIPE --process pipeline --assert output<=input --json",
-        "prove PIPE --spec copier=wire<=input",
-        "prove PIPE --spec copier=wire<=input --json",
-        "deadlock JAM --process net",
-        "profile PIPE --folded-out FOLDED",
+fn engine_flag_is_a_usage_error() {
+    let f = write_fixture("engine_flag.csp", PIPELINE);
+    let path = f.to_str().unwrap();
+    let runs: [&[&str]; 10] = [
+        &["lint", path],
+        &["traces", path, "--process", "pipeline"],
+        &[
+            "check",
+            path,
+            "--process",
+            "pipeline",
+            "--assert",
+            "output <= input",
+        ],
+        &["prove", path, "--spec", "copier=wire <= input"],
+        &["run", path, "--process", "pipeline", "--steps", "4"],
+        &["deadlock", path, "--process", "pipeline"],
+        &["profile", path],
+        &["serve", "--addr", "127.0.0.1:0"],
+        &["bench", "report"],
+        &["lsp"],
     ];
     for run in runs {
-        let mut args: Vec<&str> = run
-            .split(' ')
-            .map(|a| match a {
-                "PIPE" => f.to_str().unwrap(),
-                "JAM" => jam.to_str().unwrap(),
-                "FOLDED" => folded.to_str().unwrap(),
-                a => a,
-            })
-            .collect();
-        args.extend(["--depth", "3", "--nat-bound", "1"]);
-        let (stdout, stderr, code) = csp(&args);
-        assert!(matches!(code, Some(0 | 1)), "{run}: {stderr}");
-        for engine in ["enumerative", "compiled", "quantum"] {
-            let (out, err, exit) = csp(&[&args[..], &["--engine", engine]].concat());
-            assert_eq!(exit, code, "{run} --engine {engine}: {err}");
-            if !run.starts_with("profile") {
-                assert_eq!(out, stdout, "{run} --engine {engine}");
-            }
-        }
+        let (stdout, stderr, code) = csp(&[run, &["--engine", "compiled"]].concat());
+        assert_eq!(code, Some(2), "{run:?}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{run:?}: {stdout}");
+        assert!(stderr.contains("`--engine`"), "{run:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{run:?}: {stderr}");
     }
+    let (_, usage, _) = csp(&[]);
+    assert!(!usage.contains("--engine"), "{usage}");
 }
 
 /// The process picks the backend: compiled for the hidden `pipeline`

@@ -81,7 +81,9 @@ fn session_fixpoint_matches_unobserved_workbench() {
 /// Observation must not perturb a compiled `sat` check either, and the
 /// arena counters it records are those of the arena the check walked. The
 /// multiplier's inner `||`s pin on their first moves, so its arena splices
-/// grown successors.
+/// grown successors. The quantifier values its compiled assertion bound
+/// are counted too: the guard `1 <= i and i <= #output` walks only the
+/// indices of `output`, which fewer moments have than there are moments.
 #[test]
 fn compiled_sat_check_is_identical_under_observation() {
     let multiplier_invariant = csp_bench::multiplier_invariant(3);
@@ -136,6 +138,13 @@ fn compiled_sat_check_is_identical_under_observation() {
                 Some(&FieldValue::from(n)),
                 "{process}: span field {field}"
             );
+        }
+        let bindings = metrics.counter("satcheck.bindings");
+        assert_eq!(root.field("bindings"), Some(&FieldValue::from(bindings)));
+        let moments = metrics.counter("satcheck.moments");
+        match *process {
+            "multiplier" => assert!(0 < bindings && bindings < moments, "{bindings}"),
+            _ => assert_eq!(bindings, 0, "{process}"),
         }
     }
 }

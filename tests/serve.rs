@@ -255,10 +255,10 @@ fn an_engine_member_is_ignored() {
 }
 
 /// A number outside the integer type its field is read into is a 400
-/// naming the field, not saturated to the type's maximum: a `depth` of
-/// 1e300 used to read as `usize::MAX`, a `seed` as `u64::MAX` and a
-/// `bind` cell as `i64::MAX`. The same state then answers a valid
-/// request.
+/// naming the field and the range, not saturated to the type's maximum:
+/// a `depth` of 1e300 used to read as `usize::MAX`, a `seed` as
+/// `u64::MAX` and a `bind` cell as `i64::MAX`. The same state then
+/// answers a valid request.
 #[test]
 fn out_of_range_numbers_are_refused() {
     let state = ServeState::new(16, 2);
@@ -267,12 +267,12 @@ fn out_of_range_numbers_are_refused() {
         (
             "/v1/lint",
             format!("{{\"source\":{src},\"depth\":1e300}}"),
-            "`depth`",
+            "field `depth` must be an integer from 0 to 2^64 - 1",
         ),
         (
             "/v1/run",
             format!("{{\"source\":{src},\"process\":\"pipeline\",\"steps\":8,\"seed\":1e300}}"),
-            "`seed`",
+            "field `seed` must be an integer from 0 to 2^64 - 1",
         ),
         (
             "/v1/check",
@@ -280,15 +280,15 @@ fn out_of_range_numbers_are_refused() {
                 "{{\"source\":{src},\"process\":\"pipeline\",\"assertion\":\"output <= input\",\
                  \"depth\":3,\"nat_bound\":1,\"bind\":{{\"v\":[1e300]}}}}"
             ),
-            "`v`",
+            "bind `v` must contain integers from -2^63 to 2^63 - 1",
         ),
     ];
-    for (path, body, field) in requests {
+    for (path, body, message) in requests {
         let refused = state.post(path, &body);
         let text = String::from_utf8_lossy(&refused.body);
         assert_eq!(refused.status, 400, "{path}: {text}");
         assert_eq!(header(&refused, "X-Csp-Cache"), Some("bypass"), "{path}");
-        assert!(text.contains(field), "{path}: {text}");
+        assert!(text.contains(message), "{path}: {text}");
     }
     let (path, body) = body_for(1, PIPELINE);
     let served = state.post(path, &body);
@@ -297,6 +297,23 @@ fn out_of_range_numbers_are_refused() {
         200,
         "{}",
         String::from_utf8_lossy(&served.body)
+    );
+}
+
+/// Without a claim, `/v1/profile`'s verify phase counts the traces of
+/// every plain definition, with hidden steps budgeted as a check budgets
+/// them: four `h` steps hide before `p`'s `a.0`, so `p` has `<>` and
+/// `<a.0>` at depth 1, and `q` has `<>` and `<h.0>`.
+#[test]
+fn profile_counts_the_traces_a_check_judges() {
+    let state = ServeState::new(16, 2);
+    let src = json_string("q = h!0 -> h!0 -> h!0 -> h!0 -> a!0 -> q\np = chan h; q\n");
+    let resp = state.post("/v1/profile", &format!("{{\"source\":{src},\"depth\":1}}"));
+    let text = String::from_utf8_lossy(&resp.body);
+    assert_eq!(resp.status, 200, "{text}");
+    assert!(
+        text.contains("{\"name\":\"verify\",") && text.contains(",\"result\":4}"),
+        "{text}"
     );
 }
 
