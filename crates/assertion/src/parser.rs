@@ -640,8 +640,15 @@ impl AParser<'_> {
             }
             Some(T::Ident(name)) => {
                 self.pos += 1;
-                // Sequence function application.
-                if self.info.is_func(&name) && self.peek_sym("(") {
+                // Sequence function application. Nothing else puts an
+                // identifier before `(`.
+                if self.peek_sym("(") {
+                    if !self.info.is_func(&name) {
+                        return Err(AssertParseError {
+                            message: format!("unknown sequence function `{name}`"),
+                            position: self.pos - 1,
+                        });
+                    }
                     self.pos += 1;
                     let arg = self.operand()?;
                     self.expect_sym(")")?;
@@ -895,5 +902,25 @@ mod tests {
     #[test]
     fn trailing_tokens_rejected() {
         assert!(parse_assertion("wire <= input input", &info()).is_err());
+    }
+
+    #[test]
+    fn an_undeclared_function_is_refused_at_its_name() {
+        for (src, position) in [
+            ("g(wire) <= input", 0),
+            ("output <= g(wire)", 2),
+            ("#g(wire) == 0", 1),
+            ("(g(wire) <= input)", 1),
+        ] {
+            let e = parse_assertion(src, &info()).unwrap_err();
+            assert_eq!(e.message(), "unknown sequence function `g`", "{src}");
+            assert_eq!(
+                e.to_string(),
+                format!("assertion parse error at token {position}: unknown sequence function `g`"),
+                "{src}"
+            );
+        }
+        // A declared function still applies.
+        assert_eq!(ok("f(wire) <= input").to_string(), "f(wire) <= input");
     }
 }

@@ -112,7 +112,7 @@ pub use csp_semantics::{
 };
 pub use csp_trace::{
     timeline, Channel, ChannelSet, Event, History, NaiveTraceSet, OpStats, Seq, Trace, TraceSet,
-    Value,
+    TraceTree, Value,
 };
 pub use csp_verify::{
     cross_validate_scripts, fault_conformance, find_deadlocks, stop_choice_identity,

@@ -16,6 +16,11 @@
 //! as a *skeleton* id plus a vector of *component* ids. The skeleton is
 //! the `chan`/`||` spine of the term in one environment, with its pinned
 //! alphabets, synchronisation sets and hidden sets resolved once. A
+//! configuration's spine is read in place: a pinned alphabet is known by
+//! its form (integer-literal subscripts, channels strictly ascending), a
+//! skeleton is found by a randomly keyed hash of the spine as written
+//! (environment, node kinds, alphabets, hidden channels) and confirmed
+//! node by node, and sets are resolved only for a new skeleton. A
 //! component is a closed subterm below the spine; its row comes from
 //! [`Lts::steps`] once per arena. A network row runs the `||` and `chan`
 //! rules of [`Lts::steps`] over the component rows, and each successor is
@@ -37,7 +42,9 @@
 //!
 //! The trace walk numbers traces: `<>` is 0, a child's number comes from
 //! its parent's number and the event, and the walk's visited set holds
-//! `(number, state)` pairs, so each distinct trace is built once.
+//! `(number, state)` pairs. A trace is recorded as its parent's number and
+//! its event, a [`TraceTree`]; no trace is built unless a caller asks for
+//! the list ([`CompiledLts::trace_list`]).
 //!
 //! On top of the compiled successor rows, reachability-style checks
 //! (deadlock search, trace refinement) run over [`StateSet`] bitset rows
@@ -54,17 +61,18 @@
 //! ([`Engine::for_process`]); deadlock search, refinement and
 //! conformance run on the arena alone.
 
+use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use csp_lang::{
-    free_vars_process, process_has_free, reaches_network, resolve_chanrefs, ChanRef, Definitions,
-    Env, EvalError, Expr, Process,
+    reaches_network, resolve_chanrefs, ChanRef, Definitions, Env, EvalError, Expr, Process, SetExpr,
 };
-use csp_trace::{ChannelSet, Event, FxHashMap, FxHashSet, Trace, TraceSet};
+use csp_trace::{ChannelSet, Event, FxHashMap, FxHashSet, Trace, TraceSet, TraceTree, Value};
 
-use crate::lts::channelset_to_refs;
 use crate::{Config, Lts, Step, Universe};
 
 /// Which backend answered a `sat` check. The process decides it
@@ -219,9 +227,14 @@ pub struct CompiledLts<'a> {
     /// Every other state by its configuration.
     wholes: BTreeMap<Config, u32>,
     skeletons: Vec<Skeleton>,
-    /// Skeletons by their spine (leaves replaced by `STOP`) and
-    /// environment.
-    skeleton_ids: BTreeMap<Config, u32>,
+    /// Skeletons by the hash of their spine as written
+    /// ([`spine_hash`](Self::spine_hash)); a hit is confirmed against the
+    /// skeleton's nodes.
+    skeletons_by_spine: FxHashMap<u64, Vec<u32>>,
+    /// The randomly keyed hasher of spines: terms come from user input.
+    spine_keys: RandomState,
+    /// The spine being read, kept between reads.
+    read_buf: Vec<Part>,
     envs: Vec<Env>,
     env_ids: BTreeMap<Env, u32>,
     components: Vec<Component>,
@@ -247,8 +260,9 @@ struct TraceWalk {
     seen: FxHashSet<(u32, u32)>,
     /// Trace numbers by `(parent number, event)`.
     children: FxHashMap<(u32, Event), u32>,
-    /// The traces by number, so in first-visit order.
-    listed: Vec<Trace>,
+    /// The traces by number, so in first-visit order, each as its
+    /// parent's number and its last event.
+    tree: TraceTree,
 }
 
 impl TraceWalk {
@@ -256,21 +270,17 @@ impl TraceWalk {
         TraceWalk {
             seen: FxHashSet::default(),
             children: FxHashMap::default(),
-            listed: vec![Trace::empty()],
+            tree: TraceTree::new(),
         }
     }
 
-    /// The number of `parent` extended by `e`, built from the parent's
-    /// trace the first time it is asked for.
+    /// The number of `parent` extended by `e`, numbering it the first
+    /// time it is asked for.
     fn child(&mut self, parent: u32, e: Event) -> u32 {
-        let TraceWalk {
-            children, listed, ..
-        } = self;
-        *children.entry((parent, e)).or_insert_with(|| {
-            let trace = listed[parent as usize].snoc(e);
-            listed.push(trace);
-            u32::try_from(listed.len() - 1).expect("trace count exceeds u32")
-        })
+        let TraceWalk { children, tree, .. } = self;
+        *children
+            .entry((parent, e))
+            .or_insert_with(|| tree.push(parent, e))
     }
 }
 
@@ -296,6 +306,86 @@ struct Skeleton {
 }
 
 impl Skeleton {
+    /// The skeleton of a spine [`read_spine`] read in `env`: the one place
+    /// a spine's alphabets and hidden channels are resolved.
+    fn new(env_id: u32, env: &Env, read: &[Part]) -> Self {
+        let resolve =
+            |refs: &[ChanRef]| resolve_chanrefs(refs, env).expect("spine_node resolved these");
+        let mut nodes = Vec::with_capacity(read.len());
+        // The roots of the subtrees read so far, left to right.
+        let mut roots = Vec::new();
+        let mut slot = 0;
+        for part in read {
+            let node = match part {
+                Part::Leaf(_) => {
+                    slot += 1;
+                    Node::Leaf(slot - 1)
+                }
+                Part::Node(term) => match &**term {
+                    Process::Parallel {
+                        left_alpha: Some(la),
+                        right_alpha: Some(ra),
+                        ..
+                    } => {
+                        let right = roots.pop().expect("a right operand");
+                        let left = roots.pop().expect("a left operand");
+                        Node::Par {
+                            left,
+                            right,
+                            left_alpha: la.clone(),
+                            right_alpha: ra.clone(),
+                            sync: resolve(la).intersection(&resolve(ra)),
+                        }
+                    }
+                    Process::Hide { channels, .. } => Node::Hide {
+                        channels: channels.clone(),
+                        hidden: resolve(channels),
+                        body: roots.pop().expect("a body"),
+                    },
+                    _ => unreachable!("spine nodes are `||` and `chan` terms"),
+                },
+            };
+            roots.push(nodes.len());
+            nodes.push(node);
+        }
+        Skeleton { env: env_id, nodes }
+    }
+
+    /// True when `read` is this skeleton's spine in environment `env`:
+    /// node for node the same kinds (which fix the shape, children
+    /// first), alphabets and hidden channels as written.
+    fn reads_as(&self, env: u32, read: &[Part]) -> bool {
+        self.env == env
+            && self.nodes.len() == read.len()
+            && self
+                .nodes
+                .iter()
+                .zip(read)
+                .all(|(node, part)| match (node, part) {
+                    (Node::Leaf(_), Part::Leaf(_)) => true,
+                    (
+                        Node::Par {
+                            left_alpha,
+                            right_alpha,
+                            ..
+                        },
+                        Part::Node(term),
+                    ) => matches!(
+                        &**term,
+                        Process::Parallel {
+                            left_alpha: Some(la),
+                            right_alpha: Some(ra),
+                            ..
+                        } if la == left_alpha && ra == right_alpha
+                    ),
+                    (Node::Hide { channels, .. }, Part::Node(term)) => matches!(
+                        &**term,
+                        Process::Hide { channels: c, .. } if c == channels
+                    ),
+                    _ => false,
+                })
+    }
+
     /// Rebuilds the term of a node around the given leaves.
     fn build(&self, node: usize, leaf: &dyn Fn(usize) -> Arc<Process>) -> Arc<Process> {
         match &self.nodes[node] {
@@ -376,6 +466,15 @@ struct MoveBuf {
     parts: Vec<(usize, usize)>,
 }
 
+/// One node of a spine as [`read_spine`] reads it from a term, children
+/// first: a leaf holds its component's term, a node the `||` or `chan`
+/// term itself, so nothing is copied out of the term.
+#[derive(Debug)]
+enum Part {
+    Leaf(Arc<Process>),
+    Node(Arc<Process>),
+}
+
 impl<'a> CompiledLts<'a> {
     /// An empty arena over the given definitions and universe.
     pub fn new(defs: &'a Definitions, universe: &'a Universe) -> Self {
@@ -385,7 +484,9 @@ impl<'a> CompiledLts<'a> {
             nets: FxHashMap::default(),
             wholes: BTreeMap::new(),
             skeletons: Vec::new(),
-            skeleton_ids: BTreeMap::new(),
+            skeletons_by_spine: FxHashMap::default(),
+            spine_keys: RandomState::new(),
+            read_buf: Vec::new(),
             envs: Vec::new(),
             env_ids: BTreeMap::new(),
             components: Vec::new(),
@@ -687,7 +788,9 @@ impl<'a> CompiledLts<'a> {
         if let Some(&c) = self.component_ids.get(&key) {
             return Some(c);
         }
-        if grows_spine(term, &self.envs[env as usize]) || !is_closed(term) {
+        // A component stepping into a spine node has grown a spine of its
+        // own.
+        if spine_node(term, &self.envs[env as usize], true) || !is_closed(term) {
             return None;
         }
         let c = u32::try_from(self.components.len()).expect("component arena exceeds u32");
@@ -767,42 +870,85 @@ impl<'a> CompiledLts<'a> {
     /// Splits a configuration into `[skeleton, component…]`, or `None`
     /// when no skeleton represents it. A function of the configuration
     /// alone, so every path into the arena gives a configuration the same
-    /// id.
+    /// id. The spine is read in place: a skeleton is found by the hash of
+    /// the spine as written and confirmed node by node, and only a new
+    /// skeleton resolves its sets.
     fn decompose(&mut self, config: &Config) -> Option<Vec<u32>> {
         self.decompositions += 1;
-        let mut nodes = Vec::new();
-        let mut leaves = Vec::new();
-        let shape = spine(
-            config.process_arc(),
-            config.env(),
-            false,
-            &mut nodes,
-            &mut leaves,
-        )?;
-        let env = match self.env_ids.get(config.env()) {
+        let (term, env) = (config.process_arc(), config.env());
+        if !spine_node(term, env, false) {
+            return None;
+        }
+        let mut read = std::mem::take(&mut self.read_buf);
+        let key = read_spine(term, env, &mut read).then(|| self.key_of(env, &read));
+        read.clear();
+        self.read_buf = read;
+        key
+    }
+
+    /// The key of a spine read in `env`, interning its skeleton and
+    /// components as needed.
+    fn key_of(&mut self, env: &Env, read: &[Part]) -> Vec<u32> {
+        let env_id = match self.env_ids.get(env) {
             Some(&e) => e,
             None => {
                 let e = u32::try_from(self.envs.len()).expect("env arena exceeds u32");
-                self.envs.push(config.env().clone());
-                self.env_ids.insert(config.env().clone(), e);
+                self.envs.push(env.clone());
+                self.env_ids.insert(env.clone(), e);
                 e
             }
         };
-        let shape = Config::new(shape, config.env().clone());
-        let skel = match self.skeleton_ids.get(&shape) {
-            Some(&s) => s,
+        let hash = self.spine_hash(env_id, read);
+        let found = self.skeletons_by_spine.get(&hash).and_then(|ids| {
+            ids.iter()
+                .copied()
+                .find(|&s| self.skeletons[s as usize].reads_as(env_id, read))
+        });
+        let skel = match found {
+            Some(s) => s,
             None => {
                 let s = u32::try_from(self.skeletons.len()).expect("skeleton arena exceeds u32");
-                self.skeletons.push(Skeleton { env, nodes });
-                self.skeleton_ids.insert(shape, s);
+                self.skeletons.push(Skeleton::new(env_id, env, read));
+                self.skeletons_by_spine.entry(hash).or_default().push(s);
                 s
             }
         };
         let mut key = vec![skel];
-        for leaf in &leaves {
-            key.push(self.component(env, leaf).expect("leaves are components"));
+        for part in read {
+            if let Part::Leaf(leaf) = part {
+                key.push(self.component(env_id, leaf).expect("leaves are components"));
+            }
         }
-        Some(key)
+        key
+    }
+
+    /// The hash of a spine read in environment `env`: its node kinds, and
+    /// its alphabets and hidden channels as written.
+    fn spine_hash(&self, env: u32, read: &[Part]) -> u64 {
+        let mut h = self.spine_keys.build_hasher();
+        env.hash(&mut h);
+        for part in read {
+            match part {
+                Part::Leaf(_) => 0u8.hash(&mut h),
+                Part::Node(term) => match &**term {
+                    Process::Parallel {
+                        left_alpha,
+                        right_alpha,
+                        ..
+                    } => {
+                        1u8.hash(&mut h);
+                        left_alpha.hash(&mut h);
+                        right_alpha.hash(&mut h);
+                    }
+                    Process::Hide { channels, .. } => {
+                        2u8.hash(&mut h);
+                        channels.hash(&mut h);
+                    }
+                    _ => unreachable!("spine nodes are `||` and `chan` terms"),
+                },
+            }
+        }
+        h.finish()
     }
 
     fn row(&self, id: StateId) -> &[CompiledStep] {
@@ -833,11 +979,8 @@ impl<'a> CompiledLts<'a> {
     }
 
     /// The members of [`traces_budgeted`](Self::traces_budgeted), each
-    /// listed once, in the order the walk first reaches them. The walk
-    /// reaches a trace only from a visit of its parent, so every trace
-    /// comes after its parent: consecutive entries mostly differ by one
-    /// event at the back, which lets a caller follow the list with one
-    /// incrementally updated `ch(s)`.
+    /// listed once, in the order the walk first reaches them: the
+    /// [`trace_tree`](Self::trace_tree)'s traces, built.
     ///
     /// # Errors
     ///
@@ -848,9 +991,28 @@ impl<'a> CompiledLts<'a> {
         depth: usize,
         internal_budget: usize,
     ) -> Result<Vec<Trace>, EvalError> {
+        Ok(self.trace_tree(start, depth, internal_budget)?.traces())
+    }
+
+    /// The members of [`traces_budgeted`](Self::traces_budgeted) as a
+    /// tree, numbered in the order the walk first reaches them; no trace
+    /// is built. The walk reaches a trace only from a visit of its
+    /// parent, so every trace is numbered after its parent, and
+    /// consecutive traces mostly differ by one event at the back: a caller
+    /// can follow the numbers with one incrementally updated `ch(s)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation failures from the transition relation.
+    pub fn trace_tree(
+        &mut self,
+        start: StateId,
+        depth: usize,
+        internal_budget: usize,
+    ) -> Result<TraceTree, EvalError> {
         let mut walk = TraceWalk::new();
         self.walk(start, depth, internal_budget, 0, &mut walk)?;
-        Ok(walk.listed)
+        Ok(walk.tree)
     }
 
     /// [`traces_budgeted`](Self::traces_budgeted) with the default
@@ -1010,119 +1172,182 @@ impl<'a> CompiledLts<'a> {
     }
 }
 
-/// Reads the spine of a network term in `env`: pushes its nodes children
-/// first and its leaves left to right, and returns the spine with every
-/// leaf replaced by `STOP`. `None` when the term is no spine node, or when
-/// one step of [`Lts::steps`] would rebuild it differently: a `||` whose
-/// alphabets are not pinned in resolved form, a `chan` directly over a
-/// leaf (its successors keep the leaf's environment), a `chan` below a
-/// `||` with variables in its channels (the `||` rule closes them), or a
-/// leaf with free variables. Below a `||`, a subterm that is no spine node
-/// is a leaf. On `None`, `nodes` and `leaves` may hold partial output.
-fn spine(
-    p: &Arc<Process>,
-    env: &Env,
-    under_par: bool,
-    nodes: &mut Vec<Node>,
-    leaves: &mut Vec<Arc<Process>>,
-) -> Option<Process> {
-    match &**p {
+/// True when `p` reads as a spine node at its top: a `||` whose
+/// alphabets are pinned in resolved form, or a `chan` over a spine node
+/// whose channels resolve in `env`. Anything else would be rebuilt
+/// differently by one step of [`Lts::steps`]: an unpinned `||` pins its
+/// alphabets, and a `chan` directly over a leaf has successors that keep
+/// the leaf's environment. Below a `||` (`under_par`), a `chan` with
+/// variables in its channels is no spine node either, since the `||` rule
+/// closes it. Whether the leaves are closed is [`read_spine`]'s question.
+fn spine_node(p: &Process, env: &Env, under_par: bool) -> bool {
+    match p {
         Process::Parallel {
-            left,
-            right,
             left_alpha: Some(la),
             right_alpha: Some(ra),
-        } => {
-            let x = pinned(la, env)?;
-            let y = pinned(ra, env)?;
-            let (l, left_shape) = operand(left, env, nodes, leaves)?;
-            let (r, right_shape) = operand(right, env, nodes, leaves)?;
-            nodes.push(Node::Par {
-                left: l,
-                right: r,
-                left_alpha: la.clone(),
-                right_alpha: ra.clone(),
-                sync: x.intersection(&y),
-            });
-            Some(Process::Parallel {
-                left: Arc::new(left_shape),
-                right: Arc::new(right_shape),
-                left_alpha: Some(la.clone()),
-                right_alpha: Some(ra.clone()),
-            })
-        }
+            ..
+        } => is_pinned(la) && is_pinned(ra),
         Process::Hide { channels, body } => {
-            let closed = channels
-                .iter()
-                .all(|c| c.indices().iter().all(Expr::is_closed));
-            if under_par && !closed {
-                return None;
-            }
-            let hidden = resolve_chanrefs(channels, env).ok()?;
-            let shape = spine(body, env, under_par, nodes, leaves)?;
-            let body = nodes.len() - 1;
-            nodes.push(Node::Hide {
-                channels: channels.clone(),
-                hidden,
-                body,
-            });
-            Some(Process::Hide {
-                channels: channels.clone(),
-                body: Arc::new(shape),
-            })
+            (!under_par
+                || channels
+                    .iter()
+                    .all(|c| c.indices().iter().all(Expr::is_closed)))
+                && resolves(channels, env)
+                && spine_node(body, env, under_par)
         }
-        _ => None,
+        _ => false,
     }
 }
 
-/// One `||` operand: a spine node if it reads as one, else a leaf.
-/// `None` only for a leaf with free variables.
-fn operand(
-    p: &Arc<Process>,
-    env: &Env,
-    nodes: &mut Vec<Node>,
-    leaves: &mut Vec<Arc<Process>>,
-) -> Option<(usize, Process)> {
-    let (n, l) = (nodes.len(), leaves.len());
-    if let Some(shape) = spine(p, env, true, nodes, leaves) {
-        return Some((nodes.len() - 1, shape));
+/// Reads the spine of a spine node in place: pushes its nodes onto `out`
+/// children first, its leaves left to right. Below a `||`, a subterm that
+/// is no spine node is a leaf. False when a leaf has free variables: `p`
+/// then has them too, and no skeleton represents it (`out` holds partial
+/// output).
+fn read_spine(p: &Arc<Process>, env: &Env, out: &mut Vec<Part>) -> bool {
+    match &**p {
+        Process::Parallel { left, right, .. } => {
+            for operand in [left, right] {
+                if spine_node(operand, env, true) {
+                    if !read_spine(operand, env, out) {
+                        return false;
+                    }
+                } else if is_closed(operand) {
+                    out.push(Part::Leaf(Arc::clone(operand)));
+                } else {
+                    return false;
+                }
+            }
+        }
+        Process::Hide { body, .. } => {
+            if !read_spine(body, env, out) {
+                return false;
+            }
+        }
+        _ => unreachable!("only spine nodes are read"),
     }
-    nodes.truncate(n);
-    leaves.truncate(l);
-    if !is_closed(p) {
-        return None;
-    }
-    nodes.push(Node::Leaf(l));
-    leaves.push(Arc::clone(p));
-    Some((n, Process::Stop))
+    out.push(Part::Node(Arc::clone(p)));
+    true
+}
+
+/// True when an alphabet is pinned in resolved form, as the `||` rule
+/// leaves it after its first step: integer-literal subscripts, and the
+/// channels strictly ascending in [`csp_trace::Channel`] order (name,
+/// then subscripts) — exactly the lists that rendering a resolved channel
+/// set reproduces.
+fn is_pinned(refs: &[ChanRef]) -> bool {
+    let literal = |e: &Expr| matches!(e, Expr::Const(Value::Int(_)));
+    refs.iter().all(|c| c.indices().iter().all(literal))
+        && refs.windows(2).all(|w| {
+            let order = w[0].base().cmp(w[1].base());
+            order.then_with(|| literals(&w[0]).cmp(literals(&w[1]))) == Ordering::Less
+        })
+}
+
+/// The integer-literal subscripts of a channel reference.
+fn literals(c: &ChanRef) -> impl Iterator<Item = i64> + '_ {
+    c.indices().iter().filter_map(|e| match e {
+        Expr::Const(Value::Int(i)) => Some(*i),
+        _ => None,
+    })
+}
+
+/// True when every channel of `refs` resolves in `env` as
+/// [`resolve_chanrefs`] resolves it — each subscript evaluates to an
+/// integer — without building the set.
+fn resolves(refs: &[ChanRef], env: &Env) -> bool {
+    refs.iter().all(|c| {
+        c.indices()
+            .iter()
+            .all(|e| e.eval(env).is_ok_and(|v| v.as_int().is_some()))
+    })
 }
 
 /// True when no variable occurs free in `p`, so closing it with any
 /// environment is the identity. Array names such as `v` in `v[1]` are
-/// host constants, not variables.
+/// host constants, not variables. One walk of the term, with the input
+/// variables bound around each subterm on the call stack.
 fn is_closed(p: &Process) -> bool {
-    free_vars_process(p).iter().all(|x| !process_has_free(p, x))
+    closed_under(p, None)
 }
 
-/// True when a term reads as a spine node below a `||`: a component
-/// stepping into such a term has grown a spine of its own.
-fn grows_spine(p: &Arc<Process>, env: &Env) -> bool {
-    matches!(**p, Process::Parallel { .. } | Process::Hide { .. })
-        && spine(p, env, true, &mut Vec::new(), &mut Vec::new()).is_some()
+/// The input variables bound around a subterm, innermost first.
+struct Bound<'a> {
+    var: &'a str,
+    outer: Option<&'a Bound<'a>>,
 }
 
-/// The channel set of an alphabet already pinned in resolved form, as
-/// the `||` rule leaves it after its first step.
-fn pinned(refs: &[ChanRef], env: &Env) -> Option<ChannelSet> {
-    let set = resolve_chanrefs(refs, env).ok()?;
-    (channelset_to_refs(&set) == refs).then_some(set)
+fn binds(mut bound: Option<&Bound<'_>>, x: &str) -> bool {
+    while let Some(b) = bound {
+        if b.var == x {
+            return true;
+        }
+        bound = b.outer;
+    }
+    false
+}
+
+fn closed_under(p: &Process, bound: Option<&Bound<'_>>) -> bool {
+    let expr = |e: &Expr| expr_closed_under(e, bound);
+    let chan = |c: &ChanRef| c.indices().iter().all(expr);
+    match p {
+        Process::Stop | Process::Error(_) => true,
+        Process::Call { args, .. } => args.iter().all(expr),
+        Process::Output { chan: c, msg, then } => chan(c) && expr(msg) && closed_under(then, bound),
+        Process::Input {
+            chan: c,
+            var,
+            set,
+            then,
+        } => {
+            chan(c)
+                && set_closed_under(set, bound)
+                && closed_under(then, Some(&Bound { var, outer: bound }))
+        }
+        Process::Choice(a, b) => closed_under(a, bound) && closed_under(b, bound),
+        Process::Parallel {
+            left,
+            right,
+            left_alpha,
+            right_alpha,
+        } => {
+            [left_alpha, right_alpha]
+                .into_iter()
+                .flatten()
+                .flatten()
+                .all(chan)
+                && closed_under(left, bound)
+                && closed_under(right, bound)
+        }
+        Process::Hide { channels, body } => channels.iter().all(chan) && closed_under(body, bound),
+    }
+}
+
+fn expr_closed_under(e: &Expr, bound: Option<&Bound<'_>>) -> bool {
+    match e {
+        Expr::Const(_) => true,
+        Expr::Var(x) => binds(bound, x),
+        Expr::Bin(_, a, b) => expr_closed_under(a, bound) && expr_closed_under(b, bound),
+        Expr::Un(_, a) => expr_closed_under(a, bound),
+        Expr::Tuple(es) => es.iter().all(|e| expr_closed_under(e, bound)),
+        Expr::ArrayRef(_, idx) => expr_closed_under(idx, bound),
+    }
+}
+
+fn set_closed_under(s: &SetExpr, bound: Option<&Bound<'_>>) -> bool {
+    match s {
+        SetExpr::Nat | SetExpr::Named(_) => true,
+        SetExpr::Range(lo, hi) => expr_closed_under(lo, bound) && expr_closed_under(hi, bound),
+        SetExpr::Enum(es) => es.iter().all(|e| expr_closed_under(e, bound)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_lang::{examples, parse_definitions};
-    use csp_trace::Value;
+    use crate::lts::channelset_to_refs;
+    use csp_lang::{examples, free_vars_process, parse_definitions, process_has_free};
+    use proptest::prelude::*;
 
     #[test]
     fn the_process_picks_the_backend() {
@@ -1394,6 +1619,47 @@ mod tests {
     }
 
     #[test]
+    fn one_shape_with_other_alphabets_is_another_skeleton() {
+        // Both arms pin a two-leaf `||` in the same environment; only the
+        // alphabets differ, and with them whether `c` synchronises.
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let p = csp_lang::parse_process(
+            "(a!0 -> c!0 -> STOP || c!0 -> STOP) | (a!1 -> c!0 -> STOP || d!0 -> STOP)",
+        )
+        .unwrap();
+        let config = Config::new(p, Env::new());
+        let mut c = CompiledLts::new(&defs, &uni);
+        let start = c.intern(config.clone());
+        let compiled = c.traces_budgeted(start, 3, 9).unwrap();
+        assert_eq!(compiled, lts.traces_budgeted(&config, 3, 9).unwrap());
+        assert_rows_are_whole_term_rows(&mut c, &lts);
+    }
+
+    #[test]
+    fn a_chan_whose_channels_do_not_resolve_is_a_leaf() {
+        // Below the pinned root, the `chan` over a pinned `||` reads as a
+        // spine node but for its channel, which is no integer-subscripted
+        // channel: it is a leaf, whose first step fails as on the whole
+        // term.
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let p = csp_lang::parse_process(
+            "(chan c[ACK]; (a!0 -> STOP ||{a | b} b!0 -> STOP)) ||{a, b | d} d!0 -> STOP",
+        )
+        .unwrap();
+        let config = Config::new(p, Env::new());
+        let mut c = CompiledLts::new(&defs, &uni);
+        let start = c.intern(config.clone());
+        assert_eq!(
+            c.traces_budgeted(start, 2, 6).unwrap_err(),
+            lts.traces_budgeted(&config, 2, 6).unwrap_err()
+        );
+    }
+
+    #[test]
     fn concealed_array_networks_rows_are_whole_term_rows() {
         // `chan` with a subscripted channel inside each `||` operand: the
         // operands are closed on their first move, then walk as skeleton
@@ -1445,6 +1711,175 @@ mod tests {
             let start = c.intern(Config::new(p, Env::new()));
             assert_eq!(c.traces(start, 3).unwrap(), want, "{src}");
             assert_rows_are_whole_term_rows(&mut c, &lts);
+        }
+    }
+
+    fn arb_subscript() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            (-1i64..3).prop_map(Expr::int),
+            // `i` is bound in the tests' environment, `j` is not.
+            Just(Expr::var("i")),
+            Just(Expr::var("j")),
+            // Resolves, but is no literal.
+            Just(Expr::int(1).add(Expr::int(0))),
+        ]
+    }
+
+    fn arb_chanref() -> impl Strategy<Value = ChanRef> {
+        (
+            prop_oneof![Just("a"), Just("b"), Just("c")],
+            prop::collection::vec(arb_subscript(), 0..=2),
+        )
+            .prop_map(|(base, indices)| ChanRef::with_indices(base, indices))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// An alphabet is in pinned form exactly when resolving and
+        /// rendering it gives it back, as the `||` rule pins it. Half the
+        /// cases start from a rendered list, then reverse it or repeat a
+        /// channel.
+        #[test]
+        fn the_pinned_form_is_what_resolving_renders(
+            refs in prop::collection::vec(arb_chanref(), 0..5),
+            shape in 0u8..4,
+        ) {
+            let env = Env::new().bind("i", Value::Int(1));
+            let rendered = |refs: &[ChanRef]| {
+                resolve_chanrefs(refs, &env).ok().map(|set| channelset_to_refs(&set))
+            };
+            let refs = match (shape, rendered(&refs)) {
+                (0, _) | (_, None) => refs,
+                (1, Some(pinned)) => pinned,
+                (2, Some(mut pinned)) => {
+                    pinned.reverse();
+                    pinned
+                }
+                (_, Some(mut pinned)) => {
+                    if let Some(c) = pinned.first().cloned() {
+                        pinned.push(c);
+                    }
+                    pinned
+                }
+            };
+            prop_assert_eq!(
+                is_pinned(&refs),
+                rendered(&refs).as_deref() == Some(&refs[..]),
+                "{:?}",
+                refs
+            );
+        }
+
+        /// The one-walk `is_closed` agrees with the free-variable set read
+        /// through `process_has_free`, on networks over terms that bind,
+        /// read and subscript with `x` and `y` and read the host array `v`
+        /// (and an array named like a variable).
+        #[test]
+        fn is_closed_agrees_with_the_free_variable_set(p in arb_open_term()) {
+            prop_assert_eq!(is_closed(&p), closed_by_free_vars(&p), "{}", p);
+        }
+    }
+
+    fn closed_by_free_vars(p: &Process) -> bool {
+        free_vars_process(p).iter().all(|x| !process_has_free(p, x))
+    }
+
+    fn arb_operand() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            (0i64..3).prop_map(Expr::int),
+            Just(Expr::var("x")),
+            Just(Expr::var("y")),
+        ]
+    }
+
+    fn arb_open_expr() -> impl Strategy<Value = Expr> {
+        (arb_operand(), arb_operand(), 0u8..4).prop_map(|(a, b, shape)| match shape {
+            0 => a,
+            1 => a.add(b),
+            // Array names are host constants, not variables.
+            2 => Expr::ArrayRef("v".into(), Box::new(a)),
+            _ => Expr::ArrayRef("x".into(), Box::new(a)),
+        })
+    }
+
+    fn arb_open_chan() -> impl Strategy<Value = ChanRef> {
+        (prop_oneof![Just("a"), Just("b")], arb_open_expr(), 0u8..2).prop_map(
+            |(base, e, subscripted)| match subscripted {
+                0 => ChanRef::simple(base),
+                _ => ChanRef::indexed(base, e),
+            },
+        )
+    }
+
+    fn arb_open_set() -> impl Strategy<Value = SetExpr> {
+        prop_oneof![
+            Just(SetExpr::Nat),
+            (arb_open_expr(), arb_open_expr())
+                .prop_map(|(lo, hi)| SetExpr::Range(Box::new(lo), Box::new(hi))),
+            arb_open_expr().prop_map(|e| SetExpr::Enum(vec![e])),
+        ]
+    }
+
+    fn arb_open_alpha() -> impl Strategy<Value = Option<Vec<ChanRef>>> {
+        (0u8..2, arb_open_chan()).prop_map(|(declared, c)| (declared == 1).then(|| vec![c]))
+    }
+
+    fn arb_open_term() -> impl Strategy<Value = Process> {
+        let leaf = prop_oneof![
+            Just(Process::Stop),
+            arb_open_expr().prop_map(|e| Process::call1("q", e)),
+        ];
+        leaf.prop_recursive(4, 32, 2, |inner| {
+            prop_oneof![
+                (arb_open_chan(), arb_open_expr(), inner.clone())
+                    .prop_map(|(c, e, p)| Process::output(c, e, p)),
+                (
+                    arb_open_chan(),
+                    prop_oneof![Just("x"), Just("y")],
+                    arb_open_set(),
+                    inner.clone()
+                )
+                    .prop_map(|(c, x, m, p)| Process::input(c, x, m, p)),
+                (inner.clone(), inner.clone()).prop_map(|(p, q)| p.or(q)),
+                (
+                    inner.clone(),
+                    inner.clone(),
+                    arb_open_alpha(),
+                    arb_open_alpha()
+                )
+                    .prop_map(|(p, q, la, ra)| Process::Parallel {
+                        left: Arc::new(p),
+                        right: Arc::new(q),
+                        left_alpha: la,
+                        right_alpha: ra,
+                    }),
+                (arb_open_chan(), inner).prop_map(|(c, p)| p.hide(vec![c])),
+            ]
+        })
+    }
+
+    #[test]
+    fn an_input_binds_only_what_follows_it() {
+        for (src, closed) in [
+            // The variable read in a later subscript and set is bound.
+            ("c?x:NAT -> d[x]?y:{0..x} -> e[y]!v[x] -> STOP", true),
+            // Its own subscript and set are read outside the binding.
+            ("c[x]?x:NAT -> STOP", false),
+            ("c?x:{0..x} -> STOP", false),
+            (
+                "c?x:NAT -> (d!x -> STOP || e?y:{x} -> f[y]!v[x] -> STOP)",
+                true,
+            ),
+            ("(c?x:NAT -> STOP) || d!x -> STOP", false),
+            ("d!v[1] -> STOP", true),
+            ("d!v[i] -> STOP", false),
+            ("chan c[i]; STOP", false),
+            ("c?x:NAT -> chan d[x]; STOP", true),
+        ] {
+            let p = csp_lang::parse_process(src).unwrap();
+            assert_eq!(is_closed(&p), closed, "{src}");
+            assert_eq!(closed_by_free_vars(&p), closed, "{src}");
         }
     }
 }

@@ -22,7 +22,9 @@
 //! * [`History`] — the channel-history map `ch(s)` of §3.3,
 //! * [`TraceSet`] — finite prefix-closed trace sets with the operators of
 //!   §3.1 (`s\C` restriction, interleaving-based padding, union,
-//!   intersection).
+//!   intersection),
+//! * [`TraceTree`] — a prefix-closed set listed as a tree, each trace its
+//!   parent plus one communication.
 //!
 //! Everything here is finite and concrete; symbolic/unbounded reasoning
 //! lives in the `csp-assert` and `csp-proof` crates.
@@ -56,6 +58,7 @@ mod seq;
 pub mod stats;
 mod trace;
 mod traceset;
+mod tree;
 mod value;
 
 pub use channel::{Channel, ChannelSet};
@@ -70,4 +73,5 @@ pub use seq::Seq;
 pub use stats::OpStats;
 pub use trace::Trace;
 pub use traceset::TraceSet;
+pub use tree::TraceTree;
 pub use value::Value;

@@ -5,19 +5,21 @@
 //! `∀s ∈ ⟦P⟧. (ρ + ch(s))⟦R⟧`. Because `⟦P⟧` is prefix-closed, checking
 //! every member trace up to a depth checks every intermediate moment up
 //! to that depth. The checker explores traces through the operational
-//! semantics (which composes networks on the fly), judges each on a
-//! channel history that moves from trace to trace, and reports the least
-//! counterexample trace, making it the refutation-complete companion to
-//! the symbolic proof system: everything `csp-proof` proves is also
-//! model-checked in this crate's tests. The process decides which walk
-//! lists its traces ([`Engine::for_process`]): the compiled arena for a
-//! network, the enumerative walk for a sequential term.
+//! semantics (which composes networks on the fly), lists them as a
+//! [`TraceTree`] (each trace its parent plus one communication), judges
+//! each on a channel history that moves through the tree from trace to
+//! trace, and reports the least counterexample trace, making it the
+//! refutation-complete companion to the symbolic proof system: everything
+//! `csp-proof` proves is also model-checked in this crate's tests. The
+//! process decides which walk lists its traces ([`Engine::for_process`]):
+//! the compiled arena for a network, the enumerative walk for a
+//! sequential term, whose set is read as a tree.
 
 use csp_assert::{AssertError, Assertion, CompiledAssertion, FuncTable};
 use csp_lang::{Definitions, Env, Process};
 use csp_obs::{Collector, Span};
 use csp_semantics::{CompiledLts, Config, Engine, Lts, Universe};
-use csp_trace::{History, Trace};
+use csp_trace::{History, Trace, TraceTree};
 
 /// The verdict of a bounded satisfaction check.
 #[derive(Debug, Clone)]
@@ -137,15 +139,15 @@ impl<'a> SatChecker<'a> {
         let start = Config::new(process.clone(), self.env.clone());
         let explore_span = root.child("satcheck.explore");
         let budget = depth * self.internal_budget_factor;
-        // The compiled walk lists each trace after its parent, so the
-        // history mostly moves by one event; the enumerative set comes in
-        // hash order, and the verdict does not depend on the order.
-        let result = match engine {
+        // The compiled walk numbers each trace after its parent, so the
+        // history mostly moves by one event; the enumerative set is read
+        // in hash order, and the verdict does not depend on the order.
+        let tree = match engine {
             Engine::Compiled => {
                 let mut compiled = CompiledLts::new(self.defs, self.universe);
                 let s = compiled.intern(start);
-                let traces = compiled
-                    .trace_list(s, depth, budget)
+                let tree = compiled
+                    .trace_tree(s, depth, budget)
                     .map_err(AssertError::Eval)?;
                 for (field, counter, n) in [
                     ("states", "satcheck.states", compiled.num_states()),
@@ -174,69 +176,71 @@ impl<'a> SatChecker<'a> {
                     root.record(field, n);
                     self.collector.add(counter, n as u64);
                 }
-                // Freeing the arena is exploration's cost, not judging's.
-                drop(compiled);
-                explore_span.end();
-                self.judge(&mut root, traces.iter(), assertion, depth, engine)
+                tree
             }
             Engine::Enumerative => {
                 let traces = Lts::new(self.defs, self.universe)
                     .traces_budgeted(&start, depth, budget)
                     .map_err(AssertError::Eval)?;
-                explore_span.end();
-                self.judge(&mut root, traces.iter_unordered(), assertion, depth, engine)
+                TraceTree::of_set(&traces)
             }
-        }?;
+        };
+        // Freeing the arena or the set is exploration's cost, not
+        // judging's.
+        explore_span.end();
+        let result = self.judge(&mut root, &tree, assertion, depth, engine)?;
         root.record("counterexample", !result.holds());
         Ok(result)
     }
 
-    /// Evaluates the assertion at every trace of `traces` (distinct, in
-    /// any order) on one `ch(s)` that moves from trace to trace: back to
-    /// the common prefix with the previous trace, then forward along the
-    /// new one. The assertion is compiled once against ρ and the function
-    /// table, and the quantifier values it binds are counted. The answer
-    /// is decided by the least trace, in [`Trace`] order, on which the
-    /// assertion is false (a counterexample) or fails to evaluate (the
-    /// error); traces above the least such trace found so far cannot
-    /// change it and are skipped.
-    fn judge<'t>(
+    /// Evaluates the assertion at every trace of `tree`, in number order,
+    /// on one `ch(s)` that moves from trace to trace: up to their deepest
+    /// common ancestor, then down to the next trace; no trace is built to
+    /// be judged. The assertion is compiled once against ρ and the
+    /// function table, and the quantifier values it binds are counted.
+    /// The answer is decided by the least trace, in [`Trace`] order, on
+    /// which the assertion is false (a counterexample) or fails to
+    /// evaluate (the error); traces above the least such trace found so
+    /// far cannot change it and are skipped. Only that trace is built.
+    fn judge(
         &self,
         root: &mut Span,
-        traces: impl ExactSizeIterator<Item = &'t Trace>,
+        tree: &TraceTree,
         assertion: &Assertion,
         depth: usize,
         engine: Engine,
     ) -> Result<SatResult, AssertError> {
-        let moments = traces.len();
+        let moments = tree.len();
         root.record("moments", moments);
         self.collector.add("satcheck.moments", moments as u64);
         let verdicts = root.child("satcheck.verdicts");
         let mut compiled = CompiledAssertion::new(assertion, &self.env, &self.funcs, self.universe);
         let mut history = History::empty();
-        let empty = Trace::empty();
-        let mut at = &empty;
-        let mut least: Option<(&Trace, Result<(), AssertError>)> = None;
-        for trace in traces {
-            if least.as_ref().is_some_and(|(failing, _)| trace > *failing) {
+        let mut at = tree.root();
+        // The events from the common ancestor down to the next trace,
+        // last first.
+        let mut down = Vec::new();
+        let mut least: Option<(u32, Result<(), AssertError>)> = None;
+        for n in (0..moments).map(|n| n as u32) {
+            if least
+                .as_ref()
+                .is_some_and(|(failing, _)| tree.cmp(n, *failing).is_gt())
+            {
                 continue;
             }
-            let common = at
-                .iter()
-                .zip(trace.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-            for e in at.events()[common..].iter().rev() {
+            let common = tree.common_ancestor(at, n);
+            for e in tree.ascend(at, common) {
                 history.pop(e.channel());
             }
-            for e in &trace.events()[common..] {
+            down.extend(tree.ascend(n, common));
+            for e in down.drain(..).rev() {
                 history.push(e.channel().clone(), e.value().clone());
             }
-            at = trace;
+            at = n;
             match compiled.holds(&history) {
                 Ok(true) => {}
-                Ok(false) => least = Some((trace, Ok(()))),
-                Err(e) => least = Some((trace, Err(e))),
+                Ok(false) => least = Some((n, Ok(()))),
+                Err(e) => least = Some((n, Err(e))),
             }
         }
         verdicts.end();
@@ -248,8 +252,8 @@ impl<'a> SatChecker<'a> {
                 depth,
                 engine,
             }),
-            Some((trace, Ok(()))) => Ok(SatResult::Counterexample {
-                trace: trace.clone(),
+            Some((n, Ok(()))) => Ok(SatResult::Counterexample {
+                trace: tree.trace(n),
                 engine,
             }),
             Some((_, Err(e))) => Err(e),

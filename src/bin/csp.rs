@@ -918,6 +918,9 @@ struct Phase {
     name: &'static str,
     ms: f64,
     alloc_bytes: u64,
+    /// The verify phase's answer ([`verify_phase`]), as `/v1/profile`
+    /// reports it.
+    result: Option<u64>,
     error: Option<String>,
 }
 
@@ -939,6 +942,7 @@ fn phase<T>(
                 name,
                 ms,
                 alloc_bytes,
+                result: None,
                 error: None,
             });
             Some(v)
@@ -948,6 +952,7 @@ fn phase<T>(
                 name,
                 ms,
                 alloc_bytes,
+                result: None,
                 error: Some(e),
             });
             None
@@ -961,7 +966,9 @@ fn phase<T>(
 ///
 /// The verify phase model-checks `--process`/`--assert` when given and
 /// otherwise explores every definition's traces to `--depth`, so the
-/// command works on any parseable file without further flags.
+/// command works on any parseable file without further flags. Its
+/// `result` is the answer `/v1/profile` reports: 1 when the claim holds
+/// (0 when refuted), or the number of traces explored.
 fn run_profile(opts: &Opts) -> Result<bool, String> {
     let mut phases: Vec<Phase> = Vec::new();
     let wb = match phase("parse", &mut phases, || build_workbench(opts)) {
@@ -978,10 +985,13 @@ fn run_profile(opts: &Opts) -> Result<bool, String> {
             .map_err(|e| e.to_string())
             .map(|_| ())
     });
-    phase("verify", &mut phases, || {
-        let claim = opts.process.as_deref().zip(opts.assertion.as_deref());
-        verify_phase(&session, claim, opts.depth).map(|_| ())
+    let claim = opts.process.as_deref().zip(opts.assertion.as_deref());
+    let verified = phase("verify", &mut phases, || {
+        verify_phase(&session, claim, opts.depth)
     });
+    if let Some(verify) = phases.last_mut() {
+        verify.result = verified;
+    }
     report_profile(opts, &phases, Some(&session))?;
     Ok(phases.iter().all(|p| p.error.is_none()))
 }
@@ -1031,6 +1041,9 @@ fn report_profile(
                     p.ms,
                     p.alloc_bytes
                 );
+                if let Some(r) = p.result {
+                    o.push_str(&format!(",\"result\":{r}"));
+                }
                 if let Some(e) = &p.error {
                     o.push_str(&format!(",\"error\":{}", json_string(e)));
                 }
@@ -1062,9 +1075,17 @@ fn report_profile(
         return Ok(());
     }
     println!("profile: {}", opts.file);
-    println!("{:<12} {:>12} {:>14}", "phase", "time ms", "alloc bytes");
+    println!(
+        "{:<12} {:>12} {:>14} {:>8}",
+        "phase", "time ms", "alloc bytes", "result"
+    );
     for p in phases {
-        println!("{:<12} {:>12.3} {:>14}", p.name, p.ms, p.alloc_bytes);
+        let result = p.result.map(|r| r.to_string()).unwrap_or_default();
+        let row = format!(
+            "{:<12} {:>12.3} {:>14} {:>8}",
+            p.name, p.ms, p.alloc_bytes, result
+        );
+        println!("{}", row.trim_end());
         if let Some(e) = &p.error {
             println!("  phase failed: {e}");
         }

@@ -1070,6 +1070,62 @@ fn serve_binary_round_trip() {
     }
 }
 
+/// `csp profile` keeps the verify phase's answer, as `/v1/profile`
+/// does: with hidden steps budgeted at four per visible event, `p`
+/// has four traces at depth 1 (`tests/serve.rs` pins the same count).
+#[test]
+fn profile_reports_the_verify_phase_result() {
+    let f = write_fixture(
+        "profile_result.csp",
+        "q = h!0 -> h!0 -> h!0 -> h!0 -> a!0 -> q\np = chan h; q\n",
+    );
+    let dir = std::env::temp_dir().join("hoare-csp-cli-tests");
+    let folded = dir.join("profile_result.folded");
+    let args = [
+        "profile",
+        f.to_str().unwrap(),
+        "--depth",
+        "1",
+        "--folded-out",
+        folded.to_str().unwrap(),
+    ];
+    let (stdout, stderr, code) = csp(&[&args[..], &["--json"]].concat());
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.contains("{\"name\":\"verify\",") && stdout.contains(",\"result\":4}"),
+        "{stdout}"
+    );
+    let (stdout, stderr, code) = csp(&args);
+    assert_eq!(code, Some(0), "{stderr}");
+    let verify = stdout
+        .lines()
+        .find(|l| l.starts_with("verify "))
+        .unwrap_or_else(|| panic!("{stdout}"));
+    assert!(verify.ends_with(" 4"), "{verify}");
+}
+
+/// An assertion applying a function nobody declared is refused as an
+/// unknown function at the function's name, by `check` and by `lint`.
+#[test]
+fn an_undeclared_function_is_named_in_the_refusal() {
+    let paper = concat!(env!("CARGO_MANIFEST_DIR"), "/paper.csp");
+    for command in ["check", "lint"] {
+        let (stdout, stderr, code) = csp(&[
+            command,
+            paper,
+            "--process",
+            "copier",
+            "--assert",
+            "g(wire) <= input",
+        ]);
+        assert_eq!(code, Some(2), "{command}: {stdout}");
+        assert!(
+            stderr.contains("assertion parse error at token 0: unknown sequence function `g`"),
+            "{command}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn profile_json_envelope_reports_phases() {
     let f = write_fixture("profile_json.csp", PIPELINE);
