@@ -76,7 +76,7 @@ pub fn check_conformance(
         for i in 0..=visible.len() {
             if i > 0 {
                 let e = visible.events()[i - 1];
-                history.push(e.channel().clone(), e.value().clone());
+                history.push(e.channel(), e.value().clone());
             }
             let ok = compiled.holds(&history).map_err(|e| match e {
                 csp_assert::AssertError::Eval(e) => e,

@@ -164,8 +164,6 @@ impl From<FaultError> for RunError {
 enum Decision {
     /// The given event occurred and involves you: advance past it.
     Advance(Event),
-    /// An event occurred that does not involve you: re-offer.
-    Stay,
     /// The run is over.
     Halt,
     /// Injected crash: die by unwinding, as a buggy component would.
@@ -478,19 +476,22 @@ impl<'a> Executor<'a> {
                     hidden_streak = 0;
                 }
 
-                // Inform everyone who has an offer on the table.
+                // Advance everyone the event involves. A component it does
+                // not involve has not moved, so its offer stays in hand, as
+                // a stalled component's does.
                 for j in 0..co.slots.len() {
                     let slot = &co.slots[j];
-                    if slot.stall_rounds > 0 || !matches!(slot.state, SlotState::Offered(_)) {
+                    if slot.stall_rounds > 0
+                        || !matches!(slot.state, SlotState::Offered(_))
+                        || !net.components[j].alphabet.contains(chosen.channel())
+                    {
                         continue;
                     }
-                    let involved = net.components[j].alphabet.contains(chosen.channel());
-                    let msg = if involved {
-                        Decision::Advance(chosen)
-                    } else {
-                        Decision::Stay
-                    };
-                    if co.slots[j].decision_tx.try_send(msg).is_err() {
+                    if co.slots[j]
+                        .decision_tx
+                        .try_send(Decision::Advance(chosen))
+                        .is_err()
+                    {
                         co.kill(j, FailureReason::ChannelClosed);
                     } else {
                         co.slots[j].state = SlotState::AwaitingOffer;
@@ -864,7 +865,7 @@ impl<'run, 'scope, 'env> Coordinator<'run, 'scope, 'env> {
             if !matches!(slot.state, SlotState::Dead) {
                 // Blocking send, not `try_send`: right after a decision
                 // round the capacity-1 buffer may still hold an
-                // unconsumed `Advance`/`Stay`, and a dropped `Halt`
+                // unconsumed `Advance`, and a dropped `Halt`
                 // would leave the component blocked on `recv` forever.
                 let _ = slot.decision_tx.send(Decision::Halt);
             }
@@ -955,7 +956,6 @@ fn component_thread(
                     }
                 }
             }
-            Ok(Decision::Stay) => {}
             Ok(Decision::Poison) => {
                 // Die exactly as a buggy component would — by unwinding —
                 // but without tripping the global panic hook's stderr
@@ -1166,6 +1166,37 @@ mod tests {
         // The run degraded instead of erroring: the trace up to (and
         // possibly past) the crash is preserved.
         assert!(res.steps >= 4);
+    }
+
+    #[test]
+    fn a_crash_and_replay_run_commits_its_pinned_trace() {
+        // Seed 7, `copier` crashes at step 4 and is replayed. The trace
+        // the run commits, concealed events included, is pinned event by
+        // event: collecting offers differently must not change it.
+        let defs = examples::pipeline();
+        let uni = Universe::new(1);
+        let res = Executor::new(&defs, &uni)
+            .run_name(
+                "pipeline",
+                &Env::new(),
+                RunOptions {
+                    max_steps: 24,
+                    scheduler: Scheduler::seeded(7),
+                    faults: FaultPlan::none()
+                        .crash("copier", 4)
+                        .with_restart(RestartPolicy::Replay),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(res.outcome, RunOutcome::Completed);
+        assert_eq!(res.recoveries(), 1);
+        assert_eq!(
+            res.full.to_string(),
+            "<input.0, wire.0, input.0, output.0, wire.0, output.0, input.0, wire.0, \
+             output.0, input.0, wire.0, output.0, input.0, wire.0, input.0, output.0, \
+             wire.0, output.0, input.0, wire.0, input.1, output.0, wire.1, input.0>"
+        );
     }
 
     #[test]

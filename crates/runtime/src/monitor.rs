@@ -240,8 +240,7 @@ impl<'a> Monitor<'a> {
             }
         }
         self.visible += 1;
-        self.history
-            .push(event.channel().clone(), event.value().clone());
+        self.history.push(event.channel(), event.value().clone());
 
         // `P sat R` quantifies over every trace prefix: check the newly
         // extended prefix against each monitored assertion.

@@ -14,31 +14,42 @@
 //!
 //! Networks are compiled component by component. A network state is held
 //! as a *skeleton* id plus a vector of *component* ids. The skeleton is
-//! the `chan`/`||` spine of the term in one environment, with its pinned
-//! alphabets, synchronisation sets and hidden sets resolved once. A
-//! configuration's spine is read in place: a pinned alphabet is known by
-//! its form (integer-literal subscripts, channels strictly ascending), a
-//! skeleton is found by a randomly keyed hash of the spine as written
-//! (environment, node kinds, alphabets, hidden channels) and confirmed
-//! node by node, and sets are resolved only for a new skeleton. A
-//! component is a closed subterm below the spine; its row comes from
-//! [`Lts::steps`] once per arena. A network row runs the `||` and `chan`
-//! rules of [`Lts::steps`] over the component rows, and each successor is
-//! the same skeleton with the moved components' ids replaced, interned
-//! by hashing the id vector: no term is built or compared. The moves of a
-//! row are built in two buffers the arena reuses from row to row. A state
-//! no skeleton represents (the unfolded `Call` start state, a root `||`
-//! whose alphabets are not pinned in resolved form, a root `chan` over a
-//! leaf, a leaf with free variables) is stepped as a whole term. When one
-//! component grows a spine of its own (an inner `||` pinning on its first
-//! move), the successor is built as a term and decomposed once per
-//! `(skeleton, slot, component, step)`; the arena keeps the successor's
-//! skeleton and the components filling the grown slot, and splices them
-//! into the key of every later such successor. Two rules keep this
-//! invisible: a network row has the same steps, in the same order, as
-//! [`Lts::steps`] on the whole term; and decomposition is a function of
-//! the configuration, so every path into the arena gives a configuration
-//! the same [`StateId`].
+//! the `chan`/`||` spine of the term in one environment, with its
+//! alphabets, synchronisation sets and hidden sets resolved once. §1.2(7)
+//! fixes a `||`'s alphabets when the network is composed, so a `||` is a
+//! spine node before its first move too: the skeleton keeps its alphabets
+//! as written, the sets its operands resolve them to, and the lists the
+//! `||` rule pins it to on that move. A configuration's spine is read in
+//! place: a pinned alphabet is known by its form (integer-literal
+//! subscripts, channels strictly ascending), a skeleton is found by a
+//! randomly keyed hash of the spine (environment, node kinds, alphabets
+//! and hidden channels as written, and an unpinned `||`'s resolved
+//! alphabets) and confirmed node by node, and sets are resolved only for
+//! a new skeleton. A component is a closed subterm below the spine; its
+//! row comes from [`Lts::steps`] once per arena. A network row runs the
+//! `||` and `chan` rules of [`Lts::steps`] over the component rows, with
+//! whether an event is shared or hidden at a node read from a bitmask the
+//! skeleton memoises per event. Each successor is the parent's key with
+//! the moved components' ids replaced, under the skeleton the move leaves
+//! (its unpinned `||`s above the moved slots pinned: a memoised skeleton
+//! to skeleton step), interned by hashing the id vector: no term is built
+//! or compared. Keys and rows sit back to back in two flat buffers, and a
+//! row's moves and keys are built in buffers the arena reuses.
+//!
+//! A state no skeleton represents keeps its whole term. The `Call` start
+//! state (or `chan`s over a call) takes its row from the key of its
+//! unfolded trunk, which is not interned; a leaf with free variables, a
+//! root `chan` over a leaf, a `||` whose alphabets do not resolve and a
+//! call chain that could outrun [`Lts::steps`]'s fuel leave a state to
+//! [`Lts::steps`] on the whole term. When a sequential component steps
+//! into a spine of its own, the successor is built as a term and
+//! decomposed once per `(skeleton, slot, component, step)`; the arena
+//! keeps the successor's skeleton and the components filling the grown
+//! slot, and splices them into the key of every later such successor.
+//! Two rules keep this invisible: a network row has the same steps, in
+//! the same order, as [`Lts::steps`] on the whole term; and decomposition
+//! is a function of the configuration, so every path into the arena gives
+//! a configuration the same [`StateId`].
 //!
 //! The trace walk numbers traces: `<>` is 0, a child's number comes from
 //! its parent's number and the event, and the walk's visited set holds
@@ -69,10 +80,12 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use csp_lang::{
-    reaches_network, resolve_chanrefs, ChanRef, Definitions, Env, EvalError, Expr, Process, SetExpr,
+    operand_alphabet, reaches_network, resolve_chanrefs, ChanRef, Definitions, Env, EvalError,
+    Expr, Process, SetExpr,
 };
 use csp_trace::{ChannelSet, Event, FxHashMap, FxHashSet, Trace, TraceSet, TraceTree, Value};
 
+use crate::lts::channelset_to_refs;
 use crate::{Config, Lts, Step, Universe};
 
 /// Which backend answered a `sat` check. The process decides it
@@ -217,22 +230,29 @@ impl FromIterator<StateId> for StateSet {
 ///
 /// A network state is held as a skeleton id plus the ids of the
 /// components filling its leaves (see the module docs); any other state
-/// is held, and stepped, as a whole term.
+/// is held as a whole term.
 #[derive(Debug)]
 pub struct CompiledLts<'a> {
     lts: Lts<'a>,
+    defs: &'a Definitions,
     states: Vec<State>,
-    /// Network states by `[skeleton, component…]`.
-    nets: FxHashMap<Arc<[u32]>, u32>,
+    /// Network keys, `[skeleton, component…]`, back to back.
+    keys: Vec<u32>,
+    /// Network states by key.
+    nets: KeyIndex,
     /// Every other state by its configuration.
     wholes: BTreeMap<Config, u32>,
+    /// Compiled rows, back to back.
+    rows: Vec<CompiledStep>,
     skeletons: Vec<Skeleton>,
-    /// Skeletons by the hash of their spine as written
-    /// ([`spine_hash`](Self::spine_hash)); a hit is confirmed against the
-    /// skeleton's nodes.
+    /// Skeletons by the hash of their spine
+    /// ([`spine_hash`](Self::spine_hash)); a hit is confirmed node by
+    /// node.
     skeletons_by_spine: FxHashMap<u64, Vec<u32>>,
     /// The randomly keyed hasher of spines: terms come from user input.
     spine_keys: RandomState,
+    /// The skeleton a move of a leaf slot leaves, by `(skeleton, slot)`.
+    pins: FxHashMap<(u32, usize), u32>,
     /// The spine being read, kept between reads.
     read_buf: Vec<Part>,
     envs: Vec<Env>,
@@ -241,10 +261,16 @@ pub struct CompiledLts<'a> {
     /// Components by environment and term. Terms come from user input,
     /// so this map keeps the default, collision-resistant hasher.
     component_ids: HashMap<(u32, Arc<Process>), u32>,
-    /// Grown successors by `(skeleton, slot, component, step)`.
+    /// Grown successors by `(successor's pinned skeleton, slot,
+    /// component, step)`.
     grown: FxHashMap<(u32, usize, u32, usize), Grown>,
     /// The moves of the row being built, kept between rows.
     move_buf: MoveBuf,
+    /// The key whose row is being built, the successor key built from
+    /// it, and the key of a term being decomposed; kept between uses.
+    row_key: Vec<u32>,
+    next_key: Vec<u32>,
+    read_key: Vec<u32>,
     transitions: usize,
     component_rows: usize,
     fallback_rows: usize,
@@ -287,12 +313,83 @@ impl TraceWalk {
 /// One interned state.
 #[derive(Debug)]
 struct State {
-    /// `[skeleton, component…]` for a network state; `None` for a state
-    /// stepped as a whole term.
-    net: Option<Arc<[u32]>>,
+    /// Where a network state's `[skeleton, component…]` sits in the key
+    /// buffer; empty for a whole-term state.
+    key: Range<u32>,
     /// The configuration, built on first use for network states.
     term: OnceLock<Config>,
-    row: Option<Vec<CompiledStep>>,
+    /// Where the row sits in the row buffer, once compiled.
+    row: Option<Range<u32>>,
+}
+
+/// A range of one of the arena's buffers as indices.
+fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
+}
+
+/// Network states by key: an open-addressed table, probed linearly, of
+/// the ids of the states whose keys sit in the key buffer.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    /// Per slot, a state id plus one, or 0 for an empty slot. The length
+    /// is zero or a power of two, and at most half the slots are full.
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl KeyIndex {
+    /// The state whose key is `key`, hashed to `hash`.
+    fn get(&self, key: &[u32], hash: u64, states: &[State], keys: &[u32]) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = slot_of(hash) & mask;
+        loop {
+            let id = self.slots[i].checked_sub(1)?;
+            if keys[span(&states[id as usize].key)] == *key {
+                return Some(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Adds a state whose key is not in the table yet.
+    fn insert(&mut self, id: u32, hash: u64, states: &[State], keys: &[u32]) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let size = (2 * self.slots.len()).max(64);
+            for slot in std::mem::replace(&mut self.slots, vec![0; size]) {
+                if let Some(old) = slot.checked_sub(1) {
+                    self.place(slot, key_hash(&keys[span(&states[old as usize].key)]));
+                }
+            }
+        }
+        self.place(id + 1, hash);
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: u32, hash: u64) {
+        let mask = self.slots.len() - 1;
+        let mut i = slot_of(hash) & mask;
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+    }
+}
+
+/// The hash of a network key. Keys are arena ids, not user input, so a
+/// multiply-rotate hash serves.
+fn key_hash(key: &[u32]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    key.iter().fold(key.len() as u64, |h, &x| {
+        (h.rotate_left(5) ^ u64::from(x)).wrapping_mul(K)
+    })
+}
+
+/// The first slot to probe for a hash: its high bits, the best mixed.
+fn slot_of(hash: u64) -> usize {
+    (hash >> 32) as usize
 }
 
 /// The `chan`/`||` spine of a network term in one environment, with its
@@ -303,14 +400,23 @@ struct State {
 struct Skeleton {
     env: u32,
     nodes: Vec<Node>,
+    /// True when some `||` node is unpinned.
+    unpinned: bool,
+    /// The events met in this skeleton's moves, each with its row of
+    /// `marks`.
+    events: FxHashMap<Event, u32>,
+    /// One bit per node and event row: the event's channel is shared at
+    /// that `||` node, or concealed at that `chan` node.
+    marks: Vec<u64>,
 }
 
 impl Skeleton {
-    /// The skeleton of a spine [`read_spine`] read in `env`: the one place
-    /// a spine's alphabets and hidden channels are resolved.
+    /// The skeleton of a spine [`read_spine`](CompiledLts::read_spine)
+    /// read in `env`: the one place a spine's pinned alphabets and hidden
+    /// channels are resolved.
     fn new(env_id: u32, env: &Env, read: &[Part]) -> Self {
         let resolve =
-            |refs: &[ChanRef]| resolve_chanrefs(refs, env).expect("spine_node resolved these");
+            |refs: &[ChanRef]| resolve_chanrefs(refs, env).expect("read_spine resolved these");
         let mut nodes = Vec::with_capacity(read.len());
         // The roots of the subtrees read so far, left to right.
         let mut roots = Vec::new();
@@ -321,69 +427,131 @@ impl Skeleton {
                     slot += 1;
                     Node::Leaf(slot - 1)
                 }
-                Part::Node(term) => match &**term {
-                    Process::Parallel {
-                        left_alpha: Some(la),
-                        right_alpha: Some(ra),
+                Part::Par(term, alphabets) => {
+                    let Process::Parallel {
+                        left_alpha,
+                        right_alpha,
                         ..
-                    } => {
-                        let right = roots.pop().expect("a right operand");
-                        let left = roots.pop().expect("a left operand");
-                        Node::Par {
-                            left,
-                            right,
-                            left_alpha: la.clone(),
-                            right_alpha: ra.clone(),
-                            sync: resolve(la).intersection(&resolve(ra)),
+                    } = &**term
+                    else {
+                        unreachable!("a `||` part holds a `||` term")
+                    };
+                    let right = roots.pop().expect("a right operand");
+                    let left = roots.pop().expect("a left operand");
+                    let (sync, unpinned) = match alphabets {
+                        Some((x, y)) => (
+                            x.intersection(y),
+                            Some(Arc::new(Unpinned {
+                                left: channelset_to_refs(x).into(),
+                                right: channelset_to_refs(y).into(),
+                                x: x.clone(),
+                                y: y.clone(),
+                            })),
+                        ),
+                        None => {
+                            let pinned = |a: &Option<Vec<ChanRef>>| {
+                                resolve(a.as_deref().expect("a pinned node lists both sides"))
+                            };
+                            (pinned(left_alpha).intersection(&pinned(right_alpha)), None)
                         }
+                    };
+                    Node::Par {
+                        left,
+                        right,
+                        left_alpha: left_alpha.as_deref().map(Arc::from),
+                        right_alpha: right_alpha.as_deref().map(Arc::from),
+                        unpinned,
+                        sync: Arc::new(sync),
                     }
-                    Process::Hide { channels, .. } => Node::Hide {
-                        channels: channels.clone(),
-                        hidden: resolve(channels),
+                }
+                Part::Hide(term) => {
+                    let Process::Hide { channels, .. } = &**term else {
+                        unreachable!("a `chan` part holds a `chan` term")
+                    };
+                    Node::Hide {
+                        channels: channels.as_slice().into(),
+                        hidden: Arc::new(resolve(channels)),
                         body: roots.pop().expect("a body"),
-                    },
-                    _ => unreachable!("spine nodes are `||` and `chan` terms"),
-                },
+                    }
+                }
             };
             roots.push(nodes.len());
             nodes.push(node);
         }
-        Skeleton { env: env_id, nodes }
+        Skeleton::of_nodes(env_id, nodes)
     }
 
-    /// True when `read` is this skeleton's spine in environment `env`:
-    /// node for node the same kinds (which fix the shape, children
-    /// first), alphabets and hidden channels as written.
-    fn reads_as(&self, env: u32, read: &[Part]) -> bool {
+    fn of_nodes(env: u32, nodes: Vec<Node>) -> Self {
+        Skeleton {
+            env,
+            unpinned: nodes.iter().any(|n| matches!(n.view(), View::Unpinned(..))),
+            nodes,
+            events: FxHashMap::default(),
+            marks: Vec::new(),
+        }
+    }
+
+    /// True when `views` is this skeleton's spine in environment `env`,
+    /// node for node: the same kinds (which fix the shape, children
+    /// first), alphabets and hidden channels.
+    fn reads_as<'v>(&self, env: u32, mut views: impl Iterator<Item = View<'v>>) -> bool {
         self.env == env
-            && self.nodes.len() == read.len()
             && self
                 .nodes
                 .iter()
-                .zip(read)
-                .all(|(node, part)| match (node, part) {
-                    (Node::Leaf(_), Part::Leaf(_)) => true,
-                    (
-                        Node::Par {
-                            left_alpha,
-                            right_alpha,
-                            ..
-                        },
-                        Part::Node(term),
-                    ) => matches!(
-                        &**term,
-                        Process::Parallel {
-                            left_alpha: Some(la),
-                            right_alpha: Some(ra),
-                            ..
-                        } if la == left_alpha && ra == right_alpha
-                    ),
-                    (Node::Hide { channels, .. }, Part::Node(term)) => matches!(
-                        &**term,
-                        Process::Hide { channels: c, .. } if c == channels
-                    ),
-                    _ => false,
-                })
+                .all(|node| views.next().is_some_and(|v| node.view() == v))
+            && views.next().is_none()
+    }
+
+    /// The nodes above leaf `slot`, nearest first.
+    fn ancestors(&self, slot: usize) -> Vec<usize> {
+        let mut parent = vec![usize::MAX; self.nodes.len()];
+        let mut leaf = 0;
+        for (i, node) in self.nodes.iter().enumerate() {
+            match node {
+                Node::Leaf(s) if *s == slot => leaf = i,
+                Node::Leaf(_) => {}
+                Node::Par { left, right, .. } => {
+                    parent[*left] = i;
+                    parent[*right] = i;
+                }
+                Node::Hide { body, .. } => parent[*body] = i,
+            }
+        }
+        std::iter::successors(parent.get(leaf).copied(), |&n| parent.get(n).copied())
+            .take_while(|&n| n != usize::MAX)
+            .collect()
+    }
+
+    /// The row of `marks` of an event, made on the event's first move
+    /// here.
+    fn marks_of(&mut self, e: Event) -> u32 {
+        if let Some(&row) = self.events.get(&e) {
+            return row;
+        }
+        let words = self.nodes.len().div_ceil(64);
+        let row = u32::try_from(self.marks.len() / words).expect("event rows exceed u32");
+        self.marks.resize(self.marks.len() + words, 0);
+        let bits = &mut self.marks[row as usize * words..];
+        for (n, node) in self.nodes.iter().enumerate() {
+            let set: &ChannelSet = match node {
+                Node::Par { sync, .. } => sync,
+                Node::Hide { hidden, .. } => hidden,
+                Node::Leaf(_) => continue,
+            };
+            if set.contains(e.channel()) {
+                bits[n / 64] |= 1 << (n % 64);
+            }
+        }
+        self.events.insert(e, row);
+        row
+    }
+
+    /// True when the event of `marks` row `row` is shared (a `||` node)
+    /// or concealed (a `chan` node) at `node`.
+    fn marked(&self, row: u32, node: usize) -> bool {
+        let words = self.nodes.len().div_ceil(64);
+        self.marks[row as usize * words + node / 64] >> (node % 64) & 1 != 0
     }
 
     /// Rebuilds the term of a node around the given leaves.
@@ -399,34 +567,90 @@ impl Skeleton {
             } => Arc::new(Process::Parallel {
                 left: self.build(*left, leaf),
                 right: self.build(*right, leaf),
-                left_alpha: Some(left_alpha.clone()),
-                right_alpha: Some(right_alpha.clone()),
+                left_alpha: left_alpha.as_deref().map(<[ChanRef]>::to_vec),
+                right_alpha: right_alpha.as_deref().map(<[ChanRef]>::to_vec),
             }),
             Node::Hide { channels, body, .. } => Arc::new(Process::Hide {
-                channels: channels.clone(),
+                channels: channels.to_vec(),
                 body: self.build(*body, leaf),
             }),
         }
     }
 }
 
-#[derive(Debug)]
+/// A skeleton node. Its lists and sets are shared, so the skeleton a move
+/// pins copies none of them.
+#[derive(Debug, Clone)]
 enum Node {
     /// The component in this leaf slot.
     Leaf(usize),
     Par {
         left: usize,
         right: usize,
-        /// The pinned alphabets, kept to rebuild the term.
-        left_alpha: Vec<ChanRef>,
-        right_alpha: Vec<ChanRef>,
-        sync: ChannelSet,
+        /// The alphabets as written, to rebuild the term: a pinned node's
+        /// are its pinned lists.
+        left_alpha: Option<Arc<[ChanRef]>>,
+        right_alpha: Option<Arc<[ChanRef]>>,
+        /// `None` once pinned.
+        unpinned: Option<Arc<Unpinned>>,
+        sync: Arc<ChannelSet>,
     },
     Hide {
-        channels: Vec<ChanRef>,
-        hidden: ChannelSet,
+        channels: Arc<[ChanRef]>,
+        hidden: Arc<ChannelSet>,
         body: usize,
     },
+}
+
+impl Node {
+    fn view(&self) -> View<'_> {
+        match self {
+            Node::Leaf(_) => View::Leaf,
+            Node::Par {
+                left_alpha,
+                right_alpha,
+                unpinned,
+                ..
+            } => match unpinned {
+                None => View::Pinned(
+                    left_alpha.as_deref().unwrap_or_default(),
+                    right_alpha.as_deref().unwrap_or_default(),
+                ),
+                Some(u) => {
+                    View::Unpinned(left_alpha.as_deref(), right_alpha.as_deref(), &u.x, &u.y)
+                }
+            },
+            Node::Hide { channels, .. } => View::Hide(channels),
+        }
+    }
+}
+
+/// An unpinned `||` node's alphabets `X` and `Y`, as its operands resolve
+/// them in the skeleton's environment (declared or inferred), and the
+/// lists the `||` rule pins the node to on its first move.
+#[derive(Debug)]
+struct Unpinned {
+    x: ChannelSet,
+    y: ChannelSet,
+    left: Arc<[ChanRef]>,
+    right: Arc<[ChanRef]>,
+}
+
+/// What identifies one spine node, read from a term or from a skeleton:
+/// its kind and its alphabets or hidden channels as written, and for an
+/// unpinned `||` also the alphabets its operands resolve to, since
+/// inference reads the operands.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum View<'a> {
+    Leaf,
+    Pinned(&'a [ChanRef], &'a [ChanRef]),
+    Unpinned(
+        Option<&'a [ChanRef]>,
+        Option<&'a [ChanRef]>,
+        &'a ChannelSet,
+        &'a ChannelSet,
+    ),
+    Hide(&'a [ChanRef]),
 }
 
 /// A closed sequential term below a spine, stepped in its skeleton's
@@ -457,22 +681,77 @@ struct Grown {
     fill: Arc<[u32]>,
 }
 
-/// The steps of a skeleton node. Each move is its event (`None` when
-/// concealed) and the range of `parts` holding the component steps
-/// taking part, as `(leaf slot, row index)` pairs in slot order.
+/// One step of a skeleton node: its event (`None` when concealed), the
+/// event's row of marks in the skeleton, and the range of
+/// [`MoveBuf::parts`] holding the component steps taking part.
+#[derive(Debug, Clone)]
+struct Move {
+    event: Option<Event>,
+    marks: u32,
+    parts: Range<usize>,
+}
+
+/// The moves of a skeleton node, and the `(leaf slot, row index)` parts
+/// they name, in slot order.
 #[derive(Debug, Default)]
 struct MoveBuf {
-    moves: Vec<(Option<Event>, Range<usize>)>,
+    moves: Vec<Move>,
     parts: Vec<(usize, usize)>,
 }
 
-/// One node of a spine as [`read_spine`] reads it from a term, children
-/// first: a leaf holds its component's term, a node the `||` or `chan`
-/// term itself, so nothing is copied out of the term.
+/// One node of a spine as [`read_spine`](CompiledLts::read_spine) reads
+/// it from a term, children first: a leaf holds its component's term, a
+/// node the `||` or `chan` term itself, so nothing is copied out of the
+/// term. An unpinned `||` also holds the alphabets its operands resolve
+/// to.
 #[derive(Debug)]
 enum Part {
     Leaf(Arc<Process>),
-    Node(Arc<Process>),
+    Par(Arc<Process>, Option<(ChannelSet, ChannelSet)>),
+    Hide(Arc<Process>),
+}
+
+impl Part {
+    fn view(&self) -> View<'_> {
+        match self {
+            Part::Leaf(_) => View::Leaf,
+            Part::Par(term, alphabets) => {
+                let Process::Parallel {
+                    left_alpha,
+                    right_alpha,
+                    ..
+                } = &**term
+                else {
+                    unreachable!("a `||` part holds a `||` term")
+                };
+                match alphabets {
+                    None => View::Pinned(
+                        left_alpha.as_deref().unwrap_or_default(),
+                        right_alpha.as_deref().unwrap_or_default(),
+                    ),
+                    Some((x, y)) => {
+                        View::Unpinned(left_alpha.as_deref(), right_alpha.as_deref(), x, y)
+                    }
+                }
+            }
+            Part::Hide(term) => match &**term {
+                Process::Hide { channels, .. } => View::Hide(channels),
+                _ => unreachable!("a `chan` part holds a `chan` term"),
+            },
+        }
+    }
+}
+
+/// How a subterm reads where a spine node may stand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Read {
+    /// A spine node; its spine was pushed.
+    Spine,
+    /// No spine node; nothing was pushed.
+    Leaf,
+    /// A leaf below it has free variables, so no skeleton represents the
+    /// term (part of its spine may have been pushed).
+    Open,
 }
 
 impl<'a> CompiledLts<'a> {
@@ -480,12 +759,16 @@ impl<'a> CompiledLts<'a> {
     pub fn new(defs: &'a Definitions, universe: &'a Universe) -> Self {
         CompiledLts {
             lts: Lts::new(defs, universe),
+            defs,
             states: Vec::new(),
-            nets: FxHashMap::default(),
+            keys: Vec::new(),
+            nets: KeyIndex::default(),
             wholes: BTreeMap::new(),
+            rows: Vec::new(),
             skeletons: Vec::new(),
             skeletons_by_spine: FxHashMap::default(),
             spine_keys: RandomState::new(),
+            pins: FxHashMap::default(),
             read_buf: Vec::new(),
             envs: Vec::new(),
             env_ids: BTreeMap::new(),
@@ -493,6 +776,9 @@ impl<'a> CompiledLts<'a> {
             component_ids: HashMap::new(),
             grown: FxHashMap::default(),
             move_buf: MoveBuf::default(),
+            row_key: Vec::new(),
+            next_key: Vec::new(),
+            read_key: Vec::new(),
             transitions: 0,
             component_rows: 0,
             fallback_rows: 0,
@@ -505,8 +791,13 @@ impl<'a> CompiledLts<'a> {
     /// lifetime of the arena; the same configuration always gets the
     /// same id).
     pub fn intern(&mut self, config: Config) -> StateId {
-        if let Some(key) = self.decompose(&config) {
-            let id = self.intern_net(&key);
+        self.decompositions += 1;
+        let mut key = std::mem::take(&mut self.read_key);
+        let net = self
+            .decompose(config.process_arc(), config.env(), &mut key)
+            .then(|| self.intern_key(&key));
+        self.read_key = key;
+        if let Some(id) = net {
             // Already built: spare `state` the rebuild.
             let _ = self.states[id.index()].term.set(config);
             return id;
@@ -514,30 +805,38 @@ impl<'a> CompiledLts<'a> {
         if let Some(&i) = self.wholes.get(&config) {
             return StateId(i);
         }
-        let id = self.push(None);
+        let id = self.push(0..0);
         let _ = self.states[id.index()].term.set(config.clone());
         self.wholes.insert(config, id.0);
         id
     }
 
-    fn intern_net(&mut self, key: &[u32]) -> StateId {
-        if let Some(&i) = self.nets.get(key) {
+    fn intern_key(&mut self, key: &[u32]) -> StateId {
+        let hash = key_hash(key);
+        if let Some(i) = self.nets.get(key, hash, &self.states, &self.keys) {
             return StateId(i);
         }
-        let key: Arc<[u32]> = Arc::from(key);
-        let id = self.push(Some(Arc::clone(&key)));
-        self.nets.insert(key, id.0);
+        let at = u32::try_from(self.keys.len()).expect("key arena exceeds u32");
+        self.keys.extend_from_slice(key);
+        let end = u32::try_from(self.keys.len()).expect("key arena exceeds u32");
+        let id = self.push(at..end);
+        self.nets.insert(id.0, hash, &self.states, &self.keys);
         id
     }
 
-    fn push(&mut self, net: Option<Arc<[u32]>>) -> StateId {
+    fn push(&mut self, key: Range<u32>) -> StateId {
         let i = u32::try_from(self.states.len()).expect("state arena exceeds u32");
         self.states.push(State {
-            net,
+            key,
             term: OnceLock::new(),
             row: None,
         });
         StateId(i)
+    }
+
+    /// The key of a network state; empty for a whole-term state.
+    fn key(&self, id: StateId) -> &[u32] {
+        &self.keys[span(&self.states[id.index()].key)]
     }
 
     /// Interns the initial configuration of a named process.
@@ -549,12 +848,8 @@ impl<'a> CompiledLts<'a> {
     /// The configuration behind an id (built on first use for network
     /// states).
     pub fn state(&self, id: StateId) -> &Config {
-        let state = &self.states[id.index()];
-        state.term.get_or_init(|| {
-            let key = state
-                .net
-                .as_deref()
-                .expect("whole-term states keep their term");
+        self.states[id.index()].term.get_or_init(|| {
+            let key = self.key(id);
             self.assemble(key[0], &|slot| {
                 Arc::clone(&self.components[key[1 + slot] as usize].term)
             })
@@ -578,7 +873,7 @@ impl<'a> CompiledLts<'a> {
     }
 
     /// State rows compiled by stepping the whole term, for states no
-    /// skeleton represents.
+    /// skeleton represents, whose trunk no skeleton represents either.
     pub fn num_fallback_rows(&self) -> usize {
         self.fallback_rows
     }
@@ -607,53 +902,134 @@ impl<'a> CompiledLts<'a> {
     /// Propagates evaluation failures from the transition relation.
     pub fn steps_of(&mut self, id: StateId) -> Result<&[CompiledStep], EvalError> {
         if self.states[id.index()].row.is_none() {
-            let row = match self.states[id.index()].net.clone() {
-                Some(key) => self.net_row(&key)?,
-                None => self.whole_row(id)?,
-            };
-            self.transitions += row.len();
+            let at = self.rows.len();
+            if self.states[id.index()].key.is_empty() {
+                self.whole_row(id)?;
+            } else {
+                let mut key = std::mem::take(&mut self.row_key);
+                key.clear();
+                key.extend_from_slice(self.key(id));
+                let built = self.net_row(&key);
+                self.row_key = key;
+                built?;
+            }
+            let end = self.rows.len();
+            self.transitions += end - at;
+            let row = u32::try_from(at).expect("row arena exceeds u32")
+                ..u32::try_from(end).expect("row arena exceeds u32");
             self.states[id.index()].row = Some(row);
         }
-        Ok(self.states[id.index()]
-            .row
-            .as_deref()
-            .expect("row just compiled"))
+        Ok(self.row(id))
     }
 
-    /// The row of a state no skeleton represents: [`Lts::steps`] on the
-    /// whole term.
-    fn whole_row(&mut self, id: StateId) -> Result<Vec<CompiledStep>, EvalError> {
+    /// Appends the row of a whole-term state. A state whose unfolded
+    /// [`trunk`](Self::trunk) reads as a spine takes the row of that
+    /// spine's key, which is not interned: its successors are the ones
+    /// [`Lts::steps`] builds after unfolding the same calls. Any other
+    /// is [`Lts::steps`] on the whole term.
+    fn whole_row(&mut self, id: StateId) -> Result<(), EvalError> {
+        if let Some((term, env)) = self.trunk(self.state(id)) {
+            let mut key = std::mem::take(&mut self.row_key);
+            let built = self
+                .decompose(&term, &env, &mut key)
+                .then(|| self.net_row(&key));
+            self.row_key = key;
+            if let Some(built) = built {
+                return built;
+            }
+        }
         let steps = self.lts.steps(self.state(id))?;
         self.fallback_rows += 1;
-        Ok(steps
-            .into_iter()
-            .map(|s| match s {
+        for s in steps {
+            let step = match s {
                 Step::Visible(e, c) => CompiledStep::Visible(e, self.intern(c)),
                 Step::Internal(c) => CompiledStep::Internal(self.intern(c)),
-            })
-            .collect())
+            };
+            self.rows.push(step);
+        }
+        Ok(())
     }
 
-    /// The row of a network state, from the rows of its components by
-    /// the `||` and `chan` rules of [`Lts::steps`]. Component rows are
-    /// compiled left to right, so the first failure is the one the whole
-    /// term would report.
-    fn net_row(&mut self, key: &[u32]) -> Result<Vec<CompiledStep>, EvalError> {
+    /// The trunk of a whole-term configuration that is a call, or
+    /// `chan`s over one: the calls at its root and under its root-level
+    /// `chan`s unfolded as [`Lts::steps`] unfolds them, in the
+    /// environment the innermost unfolding leaves. `None` when unfolding
+    /// fails, when a call under a `chan` changes the environment its
+    /// channels are read in, or when a chain of calls could outrun the
+    /// fuel, so that an operand below the trunk could step otherwise than
+    /// on its own.
+    fn trunk(&self, config: &Config) -> Option<(Arc<Process>, Env)> {
+        let mut p = config.process();
+        while let Process::Hide { body, .. } = p {
+            p = body;
+        }
+        if !matches!(p, Process::Call { .. }) || !self.lts.within_fuel(config.process()) {
+            return None;
+        }
+        match self.unfold(config.process_arc(), config.env())? {
+            (term, Some(env)) => Some((term, env)),
+            (_, None) => None,
+        }
+    }
+
+    /// `p` with its root call, or the call under its root-level `chan`s,
+    /// unfolded, and the environment the innermost unfolding leaves
+    /// (`None` when nothing was unfolded). [`Lts::within_fuel`] bounds
+    /// the unfolding.
+    fn unfold(&self, p: &Arc<Process>, env: &Env) -> Option<(Arc<Process>, Option<Env>)> {
+        match &**p {
+            Process::Call { name, args } => {
+                let vals = args
+                    .iter()
+                    .map(|e| e.eval(env))
+                    .collect::<Result<Vec<_>, _>>()
+                    .ok()?;
+                let (body, scope) = self.defs.resolve_call(name, &vals, env).ok()?;
+                let body = Arc::new(body.clone());
+                Some(match self.unfold(&body, &scope)? {
+                    (term, Some(inner)) => (term, Some(inner)),
+                    (_, None) => (body, Some(scope)),
+                })
+            }
+            Process::Hide { channels, body } => match self.unfold(body, env)? {
+                (_, None) => Some((Arc::clone(p), None)),
+                (inner, Some(scope)) if scope == *env || closed_refs(channels) => {
+                    let hide = Process::Hide {
+                        channels: channels.clone(),
+                        body: inner,
+                    };
+                    Some((Arc::new(hide), Some(scope)))
+                }
+                _ => None,
+            },
+            _ => Some((Arc::clone(p), None)),
+        }
+    }
+
+    /// Appends the row of the network state `key`, from the rows of its
+    /// components by the `||` and `chan` rules of [`Lts::steps`].
+    /// Component rows are compiled left to right, so the first failure
+    /// is the one the whole term would report. Each successor is `key`
+    /// with the moved components' ids replaced, under the skeleton the
+    /// move leaves.
+    fn net_row(&mut self, key: &[u32]) -> Result<(), EvalError> {
         for &c in &key[1..] {
             self.component_row(c)?;
         }
         let mut buf = std::mem::take(&mut self.move_buf);
         buf.moves.clear();
         buf.parts.clear();
-        let skel = &self.skeletons[key[0] as usize];
-        self.moves(skel, skel.nodes.len() - 1, &key[1..], &mut buf);
-        let mut next = key.to_vec();
-        let mut row = Vec::with_capacity(buf.moves.len());
-        for (event, parts) in &buf.moves {
-            let parts = &buf.parts[parts.clone()];
-            next.copy_from_slice(key);
+        let skel = &mut self.skeletons[key[0] as usize];
+        let root = skel.nodes.len() - 1;
+        moves(skel, root, &key[1..], &self.components, &mut buf);
+        let mut next = std::mem::take(&mut self.next_key);
+        for m in &buf.moves {
+            let parts = &buf.parts[m.parts.clone()];
+            next.clear();
+            next.extend_from_slice(key);
             let (mut growths, mut grown) = (0, 0);
             for (i, &(slot, k)) in parts.iter().enumerate() {
+                next[0] = self.pinned(next[0], slot);
                 match self.component_step(key[1 + slot], k) {
                     Next::Comp(c) => next[1 + slot] = *c,
                     Next::Term(_) => {
@@ -663,30 +1039,75 @@ impl<'a> CompiledLts<'a> {
                 }
             }
             let target = match growths {
-                0 => self.intern_net(&next),
+                0 => self.intern_key(&next),
                 1 => self.splice(key, &next, parts, grown),
                 _ => {
-                    let config = self.grown_successor(key, parts);
+                    let config = self.grown_successor(key, next[0], parts);
                     self.intern(config)
                 }
             };
-            row.push(match event {
-                Some(e) => CompiledStep::Visible(*e, target),
+            self.rows.push(match m.event {
+                Some(e) => CompiledStep::Visible(e, target),
                 None => CompiledStep::Internal(target),
             });
         }
         self.move_buf = buf;
-        Ok(row)
+        self.next_key = next;
+        Ok(())
+    }
+
+    /// The skeleton a move of leaf `slot` leaves: `skel` with the
+    /// unpinned `||` nodes above the slot pinned to the lists the `||`
+    /// rule writes on their first move. Memoised per `(skeleton, slot)`,
+    /// and found among the existing skeletons first, so that the
+    /// successor read from its term gets the same one.
+    fn pinned(&mut self, skel: u32, slot: usize) -> u32 {
+        if !self.skeletons[skel as usize].unpinned {
+            return skel;
+        }
+        if let Some(&s) = self.pins.get(&(skel, slot)) {
+            return s;
+        }
+        let old = &self.skeletons[skel as usize];
+        let env = old.env;
+        let mut nodes = old.nodes.clone();
+        let mut changed = false;
+        for n in old.ancestors(slot) {
+            if let Node::Par {
+                left_alpha,
+                right_alpha,
+                unpinned,
+                ..
+            } = &mut nodes[n]
+            {
+                if let Some(u) = unpinned.take() {
+                    *left_alpha = Some(Arc::clone(&u.left));
+                    *right_alpha = Some(Arc::clone(&u.right));
+                    changed = true;
+                }
+            }
+        }
+        let s = if changed {
+            let hash = self.spine_hash(env, nodes.iter().map(Node::view));
+            match self.find_skeleton(hash, env, || nodes.iter().map(Node::view)) {
+                Some(s) => s,
+                None => self.add_skeleton(hash, Skeleton::of_nodes(env, nodes)),
+            }
+        } else {
+            skel
+        };
+        self.pins.insert((skel, slot), s);
+        s
     }
 
     /// The successor of a network state when exactly one moved component,
     /// `parts[grown]`, grows a spine. Leaves sit directly under `||` nodes
     /// and every other leaf is a component, which decomposes to itself;
     /// so the successor's key is `next` with the grown slot replaced by
-    /// the leaves of the new spine, under a skeleton fixed by the parent's
-    /// skeleton, the slot and the grown term. The first such successor
-    /// per `(skeleton, slot, component, step)` is built and decomposed;
-    /// later ones are spliced.
+    /// the leaves of the new spine, under a skeleton fixed by the
+    /// successor's pinned skeleton `next[0]`, the slot and the grown
+    /// term. The first such successor per `(skeleton, slot, component,
+    /// step)` is built and decomposed; later ones are spliced.
     fn splice(
         &mut self,
         key: &[u32],
@@ -695,7 +1116,7 @@ impl<'a> CompiledLts<'a> {
         grown: usize,
     ) -> StateId {
         let (slot, k) = parts[grown];
-        let memo = (key[0], slot, key[1 + slot], k);
+        let memo = (next[0], slot, key[1 + slot], k);
         if let Some(Grown { skel, fill }) = self.grown.get(&memo) {
             let mut spliced = Vec::with_capacity(next.len() + fill.len() - 1);
             spliced.push(*skel);
@@ -703,11 +1124,12 @@ impl<'a> CompiledLts<'a> {
             spliced.extend_from_slice(fill);
             spliced.extend_from_slice(&next[2 + slot..]);
             self.splices += 1;
-            return self.intern_net(&spliced);
+            return self.intern_key(&spliced);
         }
-        let config = self.grown_successor(key, parts);
+        let config = self.grown_successor(key, next[0], parts);
         let id = self.intern(config);
-        if let Some(succ) = &self.states[id.index()].net {
+        let succ = self.key(id);
+        if !succ.is_empty() {
             let fill = &succ[1 + slot..1 + slot + succ.len() - (key.len() - 1)];
             debug_assert_eq!(succ[1..1 + slot], next[1..1 + slot]);
             debug_assert_eq!(succ[1 + slot + fill.len()..], next[2 + slot..]);
@@ -729,11 +1151,12 @@ impl<'a> CompiledLts<'a> {
     }
 
     /// The successor of a network state when a moved component's
-    /// successor is no component: the configuration [`Lts::steps`] builds.
-    fn grown_successor(&self, key: &[u32], parts: &[(usize, usize)]) -> Config {
+    /// successor is no component: the configuration [`Lts::steps`]
+    /// builds, around the skeleton `skel` the move leaves.
+    fn grown_successor(&self, key: &[u32], skel: u32, parts: &[(usize, usize)]) -> Config {
         let term = |c: u32| Arc::clone(&self.components[c as usize].term);
         self.assemble(
-            key[0],
+            skel,
             &|slot| match parts.iter().find(|&&(s, _)| s == slot) {
                 Some(&(_, k)) => match self.component_step(key[1 + slot], k) {
                     Next::Comp(c) => term(*c),
@@ -784,13 +1207,16 @@ impl<'a> CompiledLts<'a> {
     /// Interns a component, or `None` when the term cannot be one: it
     /// reads as a spine node, or has free variables.
     fn component(&mut self, env: u32, term: &Arc<Process>) -> Option<u32> {
-        let key = (env, Arc::clone(term));
-        if let Some(&c) = self.component_ids.get(&key) {
+        if let Some(&c) = self.component_ids.get(&(env, Arc::clone(term))) {
             return Some(c);
         }
         // A component stepping into a spine node has grown a spine of its
         // own.
-        if spine_node(term, &self.envs[env as usize], true) || !is_closed(term) {
+        let mut scratch = std::mem::take(&mut self.read_buf);
+        let read = self.read_spine(term, &self.envs[env as usize], true, &mut scratch);
+        scratch.clear();
+        self.read_buf = scratch;
+        if read != Read::Leaf || !is_closed(term) {
             return None;
         }
         let c = u32::try_from(self.components.len()).expect("component arena exceeds u32");
@@ -799,96 +1225,104 @@ impl<'a> CompiledLts<'a> {
             env,
             row: None,
         });
-        self.component_ids.insert(key, c);
+        self.component_ids.insert((env, Arc::clone(term)), c);
         Some(c)
     }
 
-    /// Appends the steps of one skeleton node to `buf.moves`, by the
-    /// rules of [`Lts::steps`]: a `chan` node conceals its hidden events;
-    /// a `||` node moves its left operand alone or jointly with the right
-    /// on a shared channel (in left-row order), then its right operand
-    /// alone. A concealed operand step is a concealed step of the node.
-    /// The operands' moves are dropped once the node's are built, so a
-    /// node's moves are all `buf.moves` holds past its length on entry.
-    fn moves(&self, skel: &Skeleton, node: usize, comps: &[u32], buf: &mut MoveBuf) {
-        let start = buf.moves.len();
-        match &skel.nodes[node] {
-            Node::Leaf(slot) => {
-                let row = self.components[comps[*slot] as usize]
-                    .row
-                    .as_ref()
-                    .expect("component compiled");
-                for (k, (event, _)) in row.iter().enumerate() {
-                    let at = buf.parts.len();
-                    buf.parts.push((*slot, k));
-                    buf.moves.push((*event, at..at + 1));
-                }
-            }
-            Node::Hide { hidden, body, .. } => {
-                self.moves(skel, *body, comps, buf);
-                for (event, _) in &mut buf.moves[start..] {
-                    if event.is_some_and(|e| hidden.contains(e.channel())) {
-                        *event = None;
-                    }
-                }
-            }
-            Node::Par {
-                left, right, sync, ..
-            } => {
-                let shared = |e: Option<Event>| e.is_some_and(|e| sync.contains(e.channel()));
-                self.moves(skel, *left, comps, buf);
-                let mid = buf.moves.len();
-                self.moves(skel, *right, comps, buf);
-                let end = buf.moves.len();
-                for l in start..mid {
-                    let (event, lparts) = buf.moves[l].clone();
-                    if !shared(event) {
-                        buf.moves.push((event, lparts));
-                        continue;
-                    }
-                    for r in mid..end {
-                        let (revent, rparts) = buf.moves[r].clone();
-                        if revent == event {
-                            let from = buf.parts.len();
-                            buf.parts.extend_from_within(lparts.clone());
-                            buf.parts.extend_from_within(rparts);
-                            buf.moves.push((event, from..buf.parts.len()));
-                        }
-                    }
-                }
-                for r in mid..end {
-                    if !shared(buf.moves[r].0) {
-                        let m = buf.moves[r].clone();
-                        buf.moves.push(m);
-                    }
-                }
-                buf.moves.drain(start..end);
-            }
-        }
-    }
-
-    /// Splits a configuration into `[skeleton, component…]`, or `None`
-    /// when no skeleton represents it. A function of the configuration
-    /// alone, so every path into the arena gives a configuration the same
-    /// id. The spine is read in place: a skeleton is found by the hash of
-    /// the spine as written and confirmed node by node, and only a new
-    /// skeleton resolves its sets.
-    fn decompose(&mut self, config: &Config) -> Option<Vec<u32>> {
-        self.decompositions += 1;
-        let (term, env) = (config.process_arc(), config.env());
-        if !spine_node(term, env, false) {
-            return None;
-        }
+    /// Reads a term's spine into `key` as `[skeleton, component…]`; false
+    /// when no skeleton represents the term. A function of the term and
+    /// environment alone, so every path into the arena gives a
+    /// configuration the same id. The spine is read in place: a skeleton
+    /// is found by the hash of the spine and confirmed node by node, and
+    /// only a new skeleton resolves its sets.
+    fn decompose(&mut self, term: &Arc<Process>, env: &Env, key: &mut Vec<u32>) -> bool {
         let mut read = std::mem::take(&mut self.read_buf);
-        let key = read_spine(term, env, &mut read).then(|| self.key_of(env, &read));
+        let spine = self.read_spine(term, env, false, &mut read) == Read::Spine;
+        if spine {
+            self.key_of(env, &read, key);
+        }
         read.clear();
         self.read_buf = read;
-        key
+        spine
+    }
+
+    /// Reads the spine of `p` in place: pushes its nodes onto `out`
+    /// children first, its leaves left to right. A spine node is a `||`
+    /// or a `chan` over one:
+    ///
+    /// - a `||` whose alphabets are pinned in resolved form;
+    /// - an unpinned `||` whose alphabets its operands resolve
+    ///   ([`operand_alphabet`]), its declared subscripts closed below a
+    ///   `||`, where the rule closes a standing operand;
+    /// - a `chan` whose channels resolve in `env`, its subscripts closed
+    ///   below a `||`, over a spine node (a `chan` directly over a leaf
+    ///   has successors that keep the leaf's environment).
+    ///
+    /// Below a `||` (`under_par`), a subterm that is no spine node is a
+    /// leaf, and a leaf must be closed.
+    fn read_spine(
+        &self,
+        p: &Arc<Process>,
+        env: &Env,
+        under_par: bool,
+        out: &mut Vec<Part>,
+    ) -> Read {
+        match &**p {
+            Process::Parallel {
+                left,
+                right,
+                left_alpha,
+                right_alpha,
+            } => {
+                let part = match (left_alpha, right_alpha) {
+                    (Some(la), Some(ra)) if is_pinned(la) && is_pinned(ra) => {
+                        Part::Par(Arc::clone(p), None)
+                    }
+                    _ => {
+                        let mut declared = [left_alpha, right_alpha].into_iter().flatten();
+                        if under_par && !declared.all(|a| closed_refs(a)) {
+                            return Read::Leaf;
+                        }
+                        let resolve = |alpha: &Option<Vec<ChanRef>>, operand: &Process| {
+                            operand_alphabet(alpha.as_deref(), operand, self.defs, env)
+                        };
+                        let (Ok(x), Ok(y)) =
+                            (resolve(left_alpha, left), resolve(right_alpha, right))
+                        else {
+                            return Read::Leaf;
+                        };
+                        Part::Par(Arc::clone(p), Some((x, y)))
+                    }
+                };
+                for operand in [left, right] {
+                    match self.read_spine(operand, env, true, out) {
+                        Read::Spine => {}
+                        Read::Leaf if is_closed(operand) => {
+                            out.push(Part::Leaf(Arc::clone(operand)))
+                        }
+                        _ => return Read::Open,
+                    }
+                }
+                out.push(part);
+                Read::Spine
+            }
+            Process::Hide { channels, body } => {
+                if under_par && !closed_refs(channels) || !resolves(channels, env) {
+                    return Read::Leaf;
+                }
+                let read = self.read_spine(body, env, under_par, out);
+                if read == Read::Spine {
+                    out.push(Part::Hide(Arc::clone(p)));
+                }
+                read
+            }
+            _ => Read::Leaf,
+        }
     }
 
     /// The key of a spine read in `env`, interning its skeleton and
     /// components as needed.
-    fn key_of(&mut self, env: &Env, read: &[Part]) -> Vec<u32> {
+    fn key_of(&mut self, env: &Env, read: &[Part], key: &mut Vec<u32>) {
         let env_id = match self.env_ids.get(env) {
             Some(&e) => e,
             None => {
@@ -898,61 +1332,54 @@ impl<'a> CompiledLts<'a> {
                 e
             }
         };
-        let hash = self.spine_hash(env_id, read);
-        let found = self.skeletons_by_spine.get(&hash).and_then(|ids| {
-            ids.iter()
-                .copied()
-                .find(|&s| self.skeletons[s as usize].reads_as(env_id, read))
-        });
-        let skel = match found {
+        let hash = self.spine_hash(env_id, read.iter().map(Part::view));
+        let skel = match self.find_skeleton(hash, env_id, || read.iter().map(Part::view)) {
             Some(s) => s,
-            None => {
-                let s = u32::try_from(self.skeletons.len()).expect("skeleton arena exceeds u32");
-                self.skeletons.push(Skeleton::new(env_id, env, read));
-                self.skeletons_by_spine.entry(hash).or_default().push(s);
-                s
-            }
+            None => self.add_skeleton(hash, Skeleton::new(env_id, env, read)),
         };
-        let mut key = vec![skel];
+        key.clear();
+        key.push(skel);
         for part in read {
             if let Part::Leaf(leaf) = part {
-                key.push(self.component(env_id, leaf).expect("leaves are components"));
+                let c = self.component(env_id, leaf).expect("leaves are components");
+                key.push(c);
             }
         }
-        key
     }
 
-    /// The hash of a spine read in environment `env`: its node kinds, and
-    /// its alphabets and hidden channels as written.
-    fn spine_hash(&self, env: u32, read: &[Part]) -> u64 {
+    /// The hash of a spine in environment `env`: its nodes' views.
+    fn spine_hash<'v>(&self, env: u32, views: impl Iterator<Item = View<'v>>) -> u64 {
         let mut h = self.spine_keys.build_hasher();
         env.hash(&mut h);
-        for part in read {
-            match part {
-                Part::Leaf(_) => 0u8.hash(&mut h),
-                Part::Node(term) => match &**term {
-                    Process::Parallel {
-                        left_alpha,
-                        right_alpha,
-                        ..
-                    } => {
-                        1u8.hash(&mut h);
-                        left_alpha.hash(&mut h);
-                        right_alpha.hash(&mut h);
-                    }
-                    Process::Hide { channels, .. } => {
-                        2u8.hash(&mut h);
-                        channels.hash(&mut h);
-                    }
-                    _ => unreachable!("spine nodes are `||` and `chan` terms"),
-                },
-            }
+        for view in views {
+            view.hash(&mut h);
         }
         h.finish()
     }
 
+    /// The skeleton whose spine is `views` in `env`, if there is one.
+    fn find_skeleton<'v, I: Iterator<Item = View<'v>>>(
+        &self,
+        hash: u64,
+        env: u32,
+        views: impl Fn() -> I,
+    ) -> Option<u32> {
+        self.skeletons_by_spine
+            .get(&hash)?
+            .iter()
+            .copied()
+            .find(|&s| self.skeletons[s as usize].reads_as(env, views()))
+    }
+
+    fn add_skeleton(&mut self, hash: u64, skel: Skeleton) -> u32 {
+        let s = u32::try_from(self.skeletons.len()).expect("skeleton arena exceeds u32");
+        self.skeletons.push(skel);
+        self.skeletons_by_spine.entry(hash).or_default().push(s);
+        s
+    }
+
     fn row(&self, id: StateId) -> &[CompiledStep] {
-        self.states[id.index()].row.as_deref().expect("compiled")
+        &self.rows[span(self.states[id.index()].row.as_ref().expect("compiled"))]
     }
 
     /// The set of visible traces of length at most `depth`, exploring at
@@ -1172,62 +1599,86 @@ impl<'a> CompiledLts<'a> {
     }
 }
 
-/// True when `p` reads as a spine node at its top: a `||` whose
-/// alphabets are pinned in resolved form, or a `chan` over a spine node
-/// whose channels resolve in `env`. Anything else would be rebuilt
-/// differently by one step of [`Lts::steps`]: an unpinned `||` pins its
-/// alphabets, and a `chan` directly over a leaf has successors that keep
-/// the leaf's environment. Below a `||` (`under_par`), a `chan` with
-/// variables in its channels is no spine node either, since the `||` rule
-/// closes it. Whether the leaves are closed is [`read_spine`]'s question.
-fn spine_node(p: &Process, env: &Env, under_par: bool) -> bool {
-    match p {
-        Process::Parallel {
-            left_alpha: Some(la),
-            right_alpha: Some(ra),
-            ..
-        } => is_pinned(la) && is_pinned(ra),
-        Process::Hide { channels, body } => {
-            (!under_par
-                || channels
-                    .iter()
-                    .all(|c| c.indices().iter().all(Expr::is_closed)))
-                && resolves(channels, env)
-                && spine_node(body, env, under_par)
+/// Appends the steps of one skeleton node to `buf.moves`, by the rules of
+/// [`Lts::steps`]: a `chan` node conceals its hidden events; a `||` node
+/// moves its left operand alone or jointly with the right on a shared
+/// channel (in left-row order), then its right operand alone. A
+/// concealed operand step is a concealed step of the node. Whether an
+/// event is shared or hidden at a node is a bit of the event's row of
+/// marks, looked up once per component step. The operands' moves are
+/// dropped once the node's are built, so a node's moves are all
+/// `buf.moves` holds past its length on entry.
+fn moves(
+    skel: &mut Skeleton,
+    node: usize,
+    comps: &[u32],
+    components: &[Component],
+    buf: &mut MoveBuf,
+) {
+    let start = buf.moves.len();
+    match skel.nodes[node] {
+        Node::Leaf(slot) => {
+            let row = components[comps[slot] as usize]
+                .row
+                .as_ref()
+                .expect("component compiled");
+            for (k, &(event, _)) in row.iter().enumerate() {
+                let at = buf.parts.len();
+                buf.parts.push((slot, k));
+                buf.moves.push(Move {
+                    event,
+                    marks: event.map_or(0, |e| skel.marks_of(e)),
+                    parts: at..at + 1,
+                });
+            }
         }
-        _ => false,
-    }
-}
-
-/// Reads the spine of a spine node in place: pushes its nodes onto `out`
-/// children first, its leaves left to right. Below a `||`, a subterm that
-/// is no spine node is a leaf. False when a leaf has free variables: `p`
-/// then has them too, and no skeleton represents it (`out` holds partial
-/// output).
-fn read_spine(p: &Arc<Process>, env: &Env, out: &mut Vec<Part>) -> bool {
-    match &**p {
-        Process::Parallel { left, right, .. } => {
-            for operand in [left, right] {
-                if spine_node(operand, env, true) {
-                    if !read_spine(operand, env, out) {
-                        return false;
-                    }
-                } else if is_closed(operand) {
-                    out.push(Part::Leaf(Arc::clone(operand)));
-                } else {
-                    return false;
+        Node::Hide { body, .. } => {
+            moves(skel, body, comps, components, buf);
+            for m in &mut buf.moves[start..] {
+                if m.event.is_some() && skel.marked(m.marks, node) {
+                    m.event = None;
                 }
             }
         }
-        Process::Hide { body, .. } => {
-            if !read_spine(body, env, out) {
-                return false;
+        Node::Par { left, right, .. } => {
+            moves(skel, left, comps, components, buf);
+            let mid = buf.moves.len();
+            moves(skel, right, comps, components, buf);
+            let end = buf.moves.len();
+            let shared = |m: &Move| m.event.is_some() && skel.marked(m.marks, node);
+            for l in start..mid {
+                let lm = buf.moves[l].clone();
+                if !shared(&lm) {
+                    buf.moves.push(lm);
+                    continue;
+                }
+                for r in mid..end {
+                    if buf.moves[r].event == lm.event {
+                        let from = buf.parts.len();
+                        buf.parts.extend_from_within(lm.parts.clone());
+                        buf.parts.extend_from_within(buf.moves[r].parts.clone());
+                        buf.moves.push(Move {
+                            parts: from..buf.parts.len(),
+                            ..lm.clone()
+                        });
+                    }
+                }
             }
+            for r in mid..end {
+                if !shared(&buf.moves[r]) {
+                    let m = buf.moves[r].clone();
+                    buf.moves.push(m);
+                }
+            }
+            buf.moves.drain(start..end);
         }
-        _ => unreachable!("only spine nodes are read"),
     }
-    out.push(Part::Node(Arc::clone(p)));
-    true
+}
+
+/// True when no channel subscript of `refs` has a variable or a host
+/// constant in it, so it resolves alike in every environment.
+fn closed_refs(refs: &[ChanRef]) -> bool {
+    refs.iter().all(|c| c.indices().iter().all(Expr::is_closed))
 }
 
 /// True when an alphabet is pinned in resolved form, as the `||` rule
@@ -1345,7 +1796,6 @@ fn set_closed_under(s: &SetExpr, bound: Option<&Bound<'_>>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lts::channelset_to_refs;
     use csp_lang::{examples, free_vars_process, parse_definitions, process_has_free};
     use proptest::prelude::*;
 
@@ -1519,6 +1969,7 @@ mod tests {
             let Some(row) = c.states[i].row.clone() else {
                 continue;
             };
+            let row = c.rows[span(&row)].to_vec();
             let want: Vec<CompiledStep> = lts
                 .steps(&config)
                 .unwrap()
@@ -1587,16 +2038,184 @@ mod tests {
                 .traces_budgeted(&lts.initial(name, env), *depth, depth * 3)
                 .unwrap();
             assert_eq!(compiled, enumerated, "{name}");
-            // Only the unfolded start state is stepped as a whole term.
-            assert_eq!(c.num_fallback_rows(), 1, "{name}");
+            // No whole term is stepped: the start state's row comes from
+            // its unfolded trunk, and an inner `||` is a spine node before
+            // its first move, so no component grows a spine.
+            assert_eq!(c.num_fallback_rows(), 0, "{name}");
             assert!(c.num_component_rows() > 0, "{name}");
-            // The multipliers' inner `||`s pin on their first moves: those
-            // successors are spliced once each spine has been read.
-            if *name == "multiplier" {
-                assert!(c.num_splices() > 0, "{name}");
-            }
+            assert_eq!(c.num_splices(), 0, "{name}");
+            assert!(
+                c.components.iter().all(|comp| !matches!(
+                    *comp.term,
+                    Process::Parallel { .. } | Process::Hide { .. }
+                )),
+                "{name}: a network term is a component"
+            );
             assert_rows_are_whole_term_rows(&mut c, &lts);
         }
+        // The benchmark's check of the widest multiplier, at its τ budget:
+        // the arena's states and traces are those the check counts.
+        let (defs, uni, name, env, _) = &cases[4];
+        let mut c = CompiledLts::new(defs, uni);
+        let start = c.start(name, env);
+        assert_eq!(c.trace_list(start, 4, 16).unwrap().len(), 1001);
+        assert_eq!((c.num_states(), c.num_fallback_rows()), (745, 0));
+    }
+
+    #[test]
+    fn a_component_stepping_into_a_network_is_spliced() {
+        // `grow` steps into a `||` of its own while `ticker` stands at any
+        // of its three states: the first such successor is read from its
+        // term, the others are spliced into the parent's key.
+        let defs = parse_definitions(
+            "grow = a!0 -> (b!0 -> STOP || c!0 -> grow)
+             ticker = d?x:{0..1} -> e!x -> ticker
+             net = grow || ticker",
+        )
+        .unwrap();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let mut c = CompiledLts::new(&defs, &uni);
+        let start = c.start("net", &Env::new());
+        let compiled = c.traces_budgeted(start, 5, 15).unwrap();
+        let enumerated = lts
+            .traces_budgeted(&lts.initial("net", &Env::new()), 5, 15)
+            .unwrap();
+        assert_eq!(compiled, enumerated);
+        assert!(c.num_splices() > 0);
+        assert_eq!(c.num_fallback_rows(), 0);
+        assert_rows_are_whole_term_rows(&mut c, &lts);
+    }
+
+    #[test]
+    fn a_call_start_state_steps_through_its_unfolded_trunk() {
+        // A parameterised root call, `chan`s over calls that do and do not
+        // bind, and a `chan` whose subscript the unfolding rebinds: every
+        // start row is the whole term's, and a trunk that reads as a spine
+        // is stepped without stepping the whole term.
+        let defs = parse_definitions(
+            "cell[i:1..2] = in[i]?x:{0..1} -> link[i]!x -> cell[i]
+             sink[i:1..2] = link[i]?y:{0..1} -> out[i]!y -> sink[i]
+             pair[i:1..2] = chan link[i]; (cell[i] || sink[i])
+             inner = cell[1] || sink[1]
+             outer = chan link[1]; inner
+             wrapped[i:1..2] = chan link[i]; (chan out[1]; inner)
+             talk = link[1]!0 -> talk
+             hear = link[1]?x:{0} -> hear
+             chat[i:1..2] = talk || hear
+             rebinds[i:1..2] = chan link[i]; chat[3 - i]",
+        )
+        .unwrap();
+        let uni = Universe::new(1);
+        let lts = Lts::new(&defs, &uni);
+        for (name, env, trunk) in [
+            ("outer", Env::new(), true),
+            ("wrapped[1]", Env::new(), true),
+            // The call under `chan link[i]` binds `i` to 2: the first step
+            // conceals `link[1]`, the later ones `link[2]`.
+            ("rebinds[1]", Env::new(), false),
+            // `cell[i]` and `sink[i]` are open in the unfolded trunk.
+            ("pair[1]", Env::new(), false),
+        ] {
+            let call = csp_lang::parse_process(name).unwrap();
+            let config = Config::new(call, env);
+            let mut c = CompiledLts::new(&defs, &uni);
+            let start = c.intern(config.clone());
+            let compiled = c.traces_budgeted(start, 4, 12).unwrap();
+            assert_eq!(
+                compiled,
+                lts.traces_budgeted(&config, 4, 12).unwrap(),
+                "{name}"
+            );
+            assert_eq!(c.num_fallback_rows() == 0, trunk, "{name}");
+            assert_rows_are_whole_term_rows(&mut c, &lts);
+        }
+    }
+
+    #[test]
+    fn a_call_chain_that_could_outrun_the_fuel_is_stepped_whole() {
+        // `p` offers `a.0` once per unfolding until the fuel runs out, so
+        // its row depends on the fuel left below the trunk's calls: the
+        // start state is stepped as a whole term.
+        let defs = parse_definitions(
+            "p = a!0 -> STOP | p
+             q = b!0 -> q
+             net = p || q",
+        )
+        .unwrap();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let mut c = CompiledLts::new(&defs, &uni);
+        let start = c.start("net", &Env::new());
+        let compiled = c.traces_budgeted(start, 3, 9).unwrap();
+        let enumerated = lts
+            .traces_budgeted(&lts.initial("net", &Env::new()), 3, 9)
+            .unwrap();
+        assert_eq!(compiled, enumerated);
+        assert_eq!(c.num_fallback_rows(), 1);
+        assert_rows_are_whole_term_rows(&mut c, &lts);
+    }
+
+    #[test]
+    fn spines_written_alike_that_infer_other_alphabets_are_other_skeletons() {
+        // Both arms are an unpinned two-leaf `||` written without
+        // alphabets, in one environment; only the operands, and with them
+        // the inferred alphabets, differ: `c` is shared in the first.
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let mut c = CompiledLts::new(&defs, &uni);
+        let shared = Config::new(
+            csp_lang::parse_process("a!0 -> c!0 -> STOP || c!0 -> STOP").unwrap(),
+            Env::new(),
+        );
+        let apart = Config::new(
+            csp_lang::parse_process("a!0 -> c!0 -> STOP || d!0 -> STOP").unwrap(),
+            Env::new(),
+        );
+        let (s, a) = (c.intern(shared.clone()), c.intern(apart.clone()));
+        assert_ne!(s, a);
+        assert_ne!(c.key(s)[0], c.key(a)[0], "one skeleton for both");
+        for config in [shared, apart] {
+            let start = c.intern(config.clone());
+            let compiled = c.traces_budgeted(start, 3, 9).unwrap();
+            assert_eq!(compiled, lts.traces_budgeted(&config, 3, 9).unwrap());
+        }
+        assert_rows_are_whole_term_rows(&mut c, &lts);
+    }
+
+    #[test]
+    fn a_pinned_and_an_unpinned_spine_are_two_states() {
+        // The same network before its `||` pins and written pinned: two
+        // configurations, two skeletons, two states, each interning back
+        // to itself; the unpinned one's successors are the pinned one's.
+        let defs = Definitions::new();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let mut c = CompiledLts::new(&defs, &uni);
+        let unpinned = Config::new(
+            csp_lang::parse_process("chan h; (a!0 -> h!0 -> STOP || h!0 -> b!0 -> STOP)").unwrap(),
+            Env::new(),
+        );
+        let pinned = Config::new(
+            csp_lang::parse_process(
+                "chan h; (a!0 -> h!0 -> STOP ||{a, h | b, h} h!0 -> b!0 -> STOP)",
+            )
+            .unwrap(),
+            Env::new(),
+        );
+        let (u, p) = (c.intern(unpinned.clone()), c.intern(pinned.clone()));
+        assert_ne!(u, p);
+        assert_ne!(c.key(u)[0], c.key(p)[0]);
+        assert_eq!(c.intern(unpinned), u);
+        assert_eq!(c.intern(pinned), p);
+        let (after_u, after_p) = (
+            c.steps_of(u).unwrap().to_vec(),
+            c.steps_of(p).unwrap().to_vec(),
+        );
+        assert_eq!(after_u, after_p);
+        assert_eq!(c.num_fallback_rows(), 0);
+        assert_rows_are_whole_term_rows(&mut c, &lts);
     }
 
     #[test]
@@ -1778,6 +2397,89 @@ mod tests {
         #[test]
         fn is_closed_agrees_with_the_free_variable_set(p in arb_open_term()) {
             prop_assert_eq!(is_closed(&p), closed_by_free_vars(&p), "{}", p);
+        }
+    }
+
+    /// Definitions whose start state `top[j]` is a call, or `chan`s over
+    /// one, above an unpinned network: operands that are closed calls, a
+    /// call left open by its parameter, a `chan` or a `||` of their own,
+    /// and an unguarded recursion; inferred alphabets, declared ones and a
+    /// declared one subscripted by the parameter; `chan`s
+    /// with literal subscripts and with one the unfolding rebinds; a chain
+    /// of unguarded calls of random length.
+    fn arb_call_network() -> impl Strategy<Value = String> {
+        let operand = prop_oneof![
+            Just("p[0]"),
+            Just("p[1]"),
+            Just("q"),
+            Just("r"),
+            Just("s"),
+            Just("p[i]"),
+            Just("(chan d; q)"),
+            Just("(q || r)"),
+            Just("w"),
+        ]
+        .boxed();
+        let alphabet = prop_oneof![
+            Just(""),
+            Just(""),
+            Just("{a[0], b, c | a[1], b, c, d}"),
+            Just("{a[0], a[1], b | b, c, d}"),
+            Just("{a[i], b | b, c, d}"),
+        ]
+        .boxed();
+        let wrapper = prop_oneof![
+            Just("net[j]"),
+            Just("chan b; net[j]"),
+            Just("chan a[j]; net[1]"),
+            Just("chan a[0]; mid"),
+            Just("u0"),
+            Just("chan c; u0"),
+        ];
+        (
+            (operand.clone(), operand.clone(), operand),
+            (alphabet.clone(), alphabet),
+            wrapper,
+            0usize..4,
+        )
+            .prop_map(|((o1, o2, o3), (x, y), top, chain)| {
+                let mut src = String::from(
+                    "p[i:0..1] = a[i]!i -> b?x:{0..1} -> p[i]
+                     q = b!0 -> c!1 -> q | d!0 -> q
+                     r = c?y:{0..1} -> a[0]!y -> r
+                     s = a[1]?z:{0..1} -> STOP
+                     w = a[0]!0 -> STOP | w
+                     mid = net[0]\n",
+                );
+                src.push_str(&format!("net[i:0..1] = {o1} ||{x} ({o2} ||{y} {o3})\n"));
+                src.push_str(&format!("top[j:0..1] = {top}\n"));
+                for k in 0..chain {
+                    src.push_str(&format!("u{k} = u{}\n", k + 1));
+                }
+                src.push_str(&format!("u{chain} = net[0]\n"));
+                src
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A call start state's row, whether it comes from its unfolded
+        /// trunk or from the whole term, is `Lts::steps` on the call, and
+        /// the walk lists the enumerative engine's traces.
+        #[test]
+        fn call_start_rows_are_whole_term_rows(src in arb_call_network(), j in 0i64..2) {
+            let defs = parse_definitions(&src).unwrap();
+            let uni = Universe::new(1);
+            let lts = Lts::new(&defs, &uni);
+            let start = Config::new(Process::call1("top", Expr::int(j)), Env::new());
+            let mut c = CompiledLts::new(&defs, &uni);
+            let id = c.intern(start.clone());
+            let compiled = c.traces_budgeted(id, 3, 9);
+            prop_assert_eq!(&compiled, &lts.traces_budgeted(&start, 3, 9), "{}", src);
+            if compiled.is_ok() {
+                assert_rows_are_whole_term_rows(&mut c, &lts);
+            }
         }
     }
 

@@ -139,6 +139,46 @@ impl<'a> Lts<'a> {
         Config::new(Process::call(name), env.clone())
     }
 
+    /// True when [`steps`](Self::steps) on `p` never reaches a call with
+    /// its fuel spent: every chain of calls `p` unfolds before a prefix,
+    /// read by definition name, is at most the fuel long. Then stepping
+    /// any operand below the calls `p` unfolds gives the steps it gives
+    /// with the full fuel. A chain through one name twice is unbounded.
+    pub(crate) fn within_fuel(&self, p: &Process) -> bool {
+        /// The longest such chain from `p`; `None` when unbounded. A name
+        /// maps to `None` while its body is being read.
+        fn depth<'d>(
+            p: &'d Process,
+            defs: &'d Definitions,
+            memo: &mut BTreeMap<&'d str, Option<usize>>,
+        ) -> Option<usize> {
+            match p {
+                Process::Stop
+                | Process::Error(_)
+                | Process::Output { .. }
+                | Process::Input { .. } => Some(0),
+                Process::Call { name, .. } => {
+                    if let Some(&known) = memo.get(name.as_str()) {
+                        return known.map(|d| d + 1);
+                    }
+                    memo.insert(name, None);
+                    // An undefined name fails when it is unfolded.
+                    let d = defs
+                        .get(name)
+                        .map_or(Some(0), |def| depth(def.body(), defs, memo));
+                    memo.insert(name, d);
+                    d.map(|d| d + 1)
+                }
+                Process::Choice(a, b)
+                | Process::Parallel {
+                    left: a, right: b, ..
+                } => Some(depth(a, defs, memo)?.max(depth(b, defs, memo)?)),
+                Process::Hide { body, .. } => depth(body, defs, memo),
+            }
+        }
+        depth(p, self.defs, &mut BTreeMap::new()).is_some_and(|d| d <= self.fuel0)
+    }
+
     /// All transitions enabled in `config`.
     ///
     /// # Errors

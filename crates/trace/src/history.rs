@@ -49,7 +49,7 @@ impl History {
     pub fn of_trace(trace: &Trace) -> Self {
         let mut h = History::empty();
         for e in trace.iter() {
-            h.push(e.channel().clone(), e.value().clone());
+            h.push(e.channel(), e.value().clone());
         }
         h
     }
@@ -73,7 +73,7 @@ impl History {
     /// use csp_trace::{Channel, History, Value};
     ///
     /// let mut h = History::empty();
-    /// h.push(Channel::indexed("row", 2), Value::nat(7));
+    /// h.push(&Channel::indexed("row", 2), Value::nat(7));
     /// assert_eq!(h.lookup("row", &[2]).unwrap().to_string(), "<7>");
     /// assert!(h.lookup("row", &[1]).is_none());
     /// ```
@@ -82,9 +82,15 @@ impl History {
     }
 
     /// Appends one message to the history of `c` — how `ch` evolves as a
-    /// trace is extended at the back.
-    pub fn push(&mut self, c: Channel, v: Value) {
-        self.sequences.entry(c).or_default().extend([v]);
+    /// trace is extended at the back. The channel is copied only when the
+    /// history has no message on it yet.
+    pub fn push(&mut self, c: &Channel, v: Value) {
+        match self.sequences.get_mut(c) {
+            Some(seq) => seq.extend([v]),
+            None => {
+                self.sequences.insert(c.clone(), Seq::from_iter([v]));
+            }
+        }
     }
 
     /// Removes the last message of `c`'s history and returns it — undoes
@@ -243,8 +249,8 @@ mod tests {
     fn push_appends_in_order() {
         let mut h = History::empty();
         let c = Channel::simple("wire");
-        h.push(c.clone(), nat(1));
-        h.push(c.clone(), nat(2));
+        h.push(&c, nat(1));
+        h.push(&c, nat(2));
         assert_eq!(h.on(&c).to_string(), "<1, 2>");
         assert_eq!(h.total_messages(), 2);
     }
@@ -280,7 +286,7 @@ mod tests {
     fn set_with_empty_sequence_removes_entry() {
         let mut h = History::empty();
         let c = Channel::simple("x");
-        h.push(c.clone(), nat(1));
+        h.push(&c, nat(1));
         assert_eq!(h.len(), 1);
         h.set(c.clone(), Seq::empty());
         assert!(h.is_empty());
@@ -293,7 +299,7 @@ mod tests {
         let t = Trace::parse_like([("a", nat(1)), ("b", nat(2)), ("a", nat(3))]);
         let mut h = History::empty();
         for e in t.iter() {
-            h.push(e.channel().clone(), e.value().clone());
+            h.push(e.channel(), e.value().clone());
         }
         assert_eq!(h, t.history());
     }

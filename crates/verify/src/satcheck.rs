@@ -234,7 +234,7 @@ impl<'a> SatChecker<'a> {
             }
             down.extend(tree.ascend(n, common));
             for e in down.drain(..).rev() {
-                history.push(e.channel().clone(), e.value().clone());
+                history.push(e.channel(), e.value().clone());
             }
             at = n;
             match compiled.holds(&history) {

@@ -508,6 +508,11 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
     }
     let opts = parse_opts(rest, cmd == "lint").map_err(Failure::Usage)?;
     if cmd == "lint" {
+        // An assertion is scope-checked against a process: without one it
+        // would be dropped unread.
+        if opts.assertion.is_some() {
+            need_process(&opts)?;
+        }
         return Ok(run_lint(&opts)?);
     }
     if cmd == "profile" {

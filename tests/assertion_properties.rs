@@ -589,7 +589,7 @@ fn compiled_agrees(a: &Assertion, s: &Trace, env: &Env, uni: &Universe) -> u64 {
     for k in 0..=s.len() {
         if k > 0 {
             let e = &s.events()[k - 1];
-            h.push(e.channel().clone(), e.value().clone());
+            h.push(e.channel(), e.value().clone());
         }
         let want = EvalCtx::new(env, &h, &funcs, uni).assertion(a);
         assert_eq!(

@@ -381,6 +381,16 @@ fn lint_checks_assertion_scope() {
 }
 
 #[test]
+fn lint_assert_without_process_is_a_usage_error() {
+    let f = write_fixture("lint_no_process.csp", PIPELINE);
+    let (stdout, stderr, code) = csp(&["lint", f.to_str().unwrap(), "--assert", "wire <= input"]);
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("--process NAME is required"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
 fn check_json_uses_the_envelope_with_metrics() {
     let f = write_fixture("check_json.csp", PIPELINE);
     let (stdout, _, code) = csp(&[

@@ -79,14 +79,25 @@ fn session_fixpoint_matches_unobserved_workbench() {
 }
 
 /// Observation must not perturb a compiled `sat` check either, and the
-/// arena counters it records are those of the arena the check walked. The
-/// multiplier's inner `||`s pin on their first moves, so its arena splices
-/// grown successors. The quantifier values its compiled assertion bound
-/// are counted too: the guard `1 <= i and i <= #output` walks only the
-/// indices of `output`, which fewer moments have than there are moments.
+/// arena counters it records are those of the arena the check walked. In
+/// `growing`, a sequential component steps into a `||` of its own while
+/// its neighbour stands at different states, so its arena splices grown
+/// successors; the multiplier's inner `||`s are spine nodes from the
+/// start, so nothing grows there. The quantifier values its compiled
+/// assertion bound are counted too: the guard `1 <= i and i <= #output`
+/// walks only the indices of `output`, which fewer moments have than
+/// there are moments.
 #[test]
 fn compiled_sat_check_is_identical_under_observation() {
     let multiplier_invariant = csp_bench::multiplier_invariant(3);
+    let mut growing = Workbench::new();
+    growing
+        .define_source(
+            "grow = a!0 -> (b!0 -> STOP || c!0 -> grow)
+             ticker = d?x:{0..1} -> e!x -> ticker
+             net = grow || ticker",
+        )
+        .expect("growing network parses");
     let cases = [
         (pipeline_workbench(), "pipeline", "output <= input", 6),
         (
@@ -95,6 +106,7 @@ fn compiled_sat_check_is_identical_under_observation() {
             multiplier_invariant.as_str(),
             4,
         ),
+        (growing, "net", "#b <= #a", 5),
     ];
     for (wb, process, assertion, depth) in &cases {
         let opts = SatOptions::from(*depth);
@@ -113,8 +125,9 @@ fn compiled_sat_check_is_identical_under_observation() {
         arena
             .traces_budgeted(start, opts.depth, opts.depth * opts.internal_budget_factor)
             .expect("walk");
-        if *process == "multiplier" {
-            assert!(arena.num_splices() > 0, "{process}");
+        match *process {
+            "net" => assert!(arena.num_splices() > 0, "{process}"),
+            _ => assert_eq!(arena.num_splices(), 0, "{process}"),
         }
         let metrics = session.metrics();
         let root = session
