@@ -75,15 +75,14 @@ impl From<usize> for SatOptions {
 /// Options for conformance checking
 /// ([`Workbench::conformance`](crate::Workbench::conformance) and
 /// [`Workbench::fault_conformance`](crate::Workbench::fault_conformance)):
-/// which invariants a recorded run must satisfy, and how deep the
-/// semantic replay may search.
+/// which invariants a recorded run must satisfy. The replay may take as
+/// many concealed steps between two visible events as the recorded run
+/// took events in all (at least 8).
 ///
 /// ```
 /// use csp_core::ConformanceOptions;
 ///
-/// let opts = ConformanceOptions::new()
-///     .with_invariant("output <= input")
-///     .with_replay_depth(12);
+/// let opts = ConformanceOptions::new().with_invariant("output <= input");
 /// assert_eq!(opts.invariants.len(), 1);
 /// // A slice of invariant sources still converts:
 /// let from_slice = ConformanceOptions::from(&["output <= input"]);
@@ -95,13 +94,10 @@ pub struct ConformanceOptions {
     /// Invariants in assertion syntax; each must hold on every prefix of
     /// the visible trace.
     pub invariants: Vec<String>,
-    /// Semantic replay depth; defaults to the recorded run's full length
-    /// (minimum 8) when unset.
-    pub replay_depth: Option<usize>,
 }
 
 impl ConformanceOptions {
-    /// No invariants, default replay depth.
+    /// No invariants.
     pub fn new() -> Self {
         Self::default()
     }
@@ -121,13 +117,6 @@ impl ConformanceOptions {
         S: Into<String>,
     {
         self.invariants.extend(srcs.into_iter().map(Into::into));
-        self
-    }
-
-    /// Overrides the semantic replay depth.
-    #[must_use]
-    pub fn with_replay_depth(mut self, depth: usize) -> Self {
-        self.replay_depth = Some(depth);
         self
     }
 }
@@ -187,7 +176,6 @@ mod tests {
     fn invariant_slices_convert() {
         let a: ConformanceOptions = (&["x <= y", "y <= z"]).into();
         assert_eq!(a.invariants, vec!["x <= y", "y <= z"]);
-        assert_eq!(a.replay_depth, None);
         let b: ConformanceOptions = vec!["x <= y".to_string()].into();
         assert_eq!(b.invariants.len(), 1);
     }

@@ -11,7 +11,7 @@ use csp_lang::{
 use csp_obs::Collector;
 use csp_proof::{check_with, CheckReport, Context, Judgement, Proof, ProofError};
 use csp_runtime::{check_conformance, ConformanceReport, Executor, RunOptions, RunResult};
-use csp_semantics::{fixpoint_with, CompiledLts, FixpointRun, Lts, Semantics, Universe};
+use csp_semantics::{fixpoint_with, CompiledLts, FixpointRun, Semantics, Universe};
 use csp_trace::{Channel, ChannelSet};
 use csp_trace::{TraceSet, Value};
 use csp_verify::{
@@ -350,18 +350,20 @@ impl Workbench {
         Ok(spec)
     }
 
-    /// The traces of a named process to the given depth (operational
-    /// exploration; agrees with the denotational semantics). Hidden
-    /// steps are budgeted as [`check_sat`](Self::check_sat) budgets them
-    /// by default, so the traces listed are the traces a check judges.
+    /// The traces of a named process to the given depth, walked on the
+    /// compiled arena (operational exploration; agrees with the
+    /// denotational semantics). Hidden steps are budgeted as
+    /// [`check_sat`](Self::check_sat) budgets them by default, so the
+    /// traces listed are the traces a check judges.
     ///
     /// # Errors
     ///
     /// Fails on undefined names or evaluation errors.
     pub fn traces(&self, name: &str, depth: usize) -> Result<TraceSet, WorkbenchError> {
-        let lts = Lts::new(&self.defs, &self.universe);
+        let mut lts = CompiledLts::new(&self.defs, &self.universe);
+        let start = lts.start(name, &self.env);
         let budget = depth * SatOptions::default().internal_budget_factor;
-        Ok(lts.traces_budgeted(&lts.initial(name, &self.env), depth, budget)?)
+        Ok(lts.traces_budgeted(start, depth, budget)?)
     }
 
     /// The denotational trace set (reference implementation; exponential
@@ -465,7 +467,7 @@ impl Workbench {
             &self.universe,
             &result.visible,
             &invariants,
-            opts.replay_depth.unwrap_or(result.full.len().max(8)),
+            result.full.len().max(8),
         )?)
     }
 

@@ -2,20 +2,24 @@
 //! against its own semantics and `sat`-style assertions.
 //!
 //! The monitor is fed each visible event as the coordinator commits it.
-//! It tracks a frontier — a set of [`StateId`]s in a [`CompiledLts`],
-//! advanced by one visible event (plus up to a budget of concealed
-//! steps) per observation — so trace-membership is decided
-//! incrementally. [`crate::check_conformance`] replays a *finished*
-//! trace through the same frontier step. Every observed prefix
-//! is checked against the monitored assertions the way `P sat R`
-//! quantifies over prefixes (§2.2). The first event the semantics cannot
-//! match, or the first prefix falsifying an assertion, latches a
-//! [`MonitorViolation`]; the run continues (observation must not change
-//! the observed system) but the verdict is final.
+//! It tracks a frontier — a [`StateSet`] of the states in a
+//! [`CompiledLts`] the run can be in — advanced per observation by the
+//! arena's one frontier step: the states up to a budget of concealed
+//! steps away ([`CompiledLts::tau_closure`]), then their successors on
+//! the event ([`CompiledLts::after`]). The closure steps each state once
+//! however many τ-paths reach it, so hidden loops cost no more than the
+//! states they pass. Trace-membership is decided incrementally;
+//! [`crate::check_conformance`] replays a *finished* trace through the
+//! same frontier step. Every observed prefix is checked against the
+//! monitored assertions the way `P sat R` quantifies over prefixes
+//! (§2.2). The first event the semantics cannot match, or the first
+//! prefix falsifying an assertion, latches a [`MonitorViolation`]; the
+//! run continues (observation must not change the observed system) but
+//! the verdict is final.
 
 use csp_assert::{Assertion, CompiledAssertion, FuncTable};
 use csp_lang::{Definitions, Env, EvalError, Process};
-use csp_semantics::{CompiledLts, CompiledStep, Config, StateId, Universe};
+use csp_semantics::{CompiledLts, Config, StateSet, Universe};
 use csp_trace::{Event, History};
 
 /// What an online monitor should check, carried in
@@ -152,7 +156,7 @@ impl MonitorReport {
 
 /// The online monitor itself. Owns a [`CompiledLts`] over the *spec*
 /// process (the same term the executor runs) and advances a frontier of
-/// state ids by one visible event per [`Monitor::observe`] call.
+/// states by one visible event per [`Monitor::observe`] call.
 ///
 /// Reusing `CompiledLts` rather than a purpose-built automaton means the
 /// monitor judges with exactly the semantics the verifier proves against
@@ -160,7 +164,7 @@ impl MonitorReport {
 /// stepping cost once per distinct network state.
 pub struct Monitor<'a> {
     lts: CompiledLts<'a>,
-    frontier: Vec<StateId>,
+    frontier: StateSet,
     /// Each monitored assertion, compiled once for the run.
     assertions: Vec<(Assertion, CompiledAssertion<'a>)>,
     budget: usize,
@@ -195,7 +199,7 @@ impl<'a> Monitor<'a> {
             .collect();
         Monitor {
             lts,
-            frontier: vec![start],
+            frontier: StateSet::from_iter([start]),
             assertions,
             budget: spec.internal_budget,
             visible: 0,
@@ -275,12 +279,8 @@ impl<'a> Monitor<'a> {
     /// `event`. Returns `false`, leaving the frontier as it was, when the
     /// spec admits no such continuation.
     pub(crate) fn advance(&mut self, event: &Event) -> Result<bool, EvalError> {
-        let mut next = Vec::new();
-        for &id in &self.frontier {
-            collect_after_compiled(&mut self.lts, id, event, self.budget, &mut next)?;
-        }
-        next.sort();
-        next.dedup();
+        let reach = self.lts.tau_closure(self.frontier.clone(), self.budget)?;
+        let next = self.lts.after(&reach, *event)?;
         if next.is_empty() {
             return Ok(false);
         }
@@ -317,33 +317,6 @@ impl<'a> Monitor<'a> {
     pub fn violation_step(&self) -> Option<usize> {
         self.violation.as_ref().map(|v| v.step)
     }
-}
-
-/// Collects every state reachable from `id` by at most `budget`
-/// internal steps followed by the visible `event`.
-fn collect_after_compiled(
-    lts: &mut CompiledLts<'_>,
-    id: StateId,
-    event: &Event,
-    budget: usize,
-    out: &mut Vec<StateId>,
-) -> Result<(), EvalError> {
-    let n = lts.steps_of(id)?.len();
-    for k in 0..n {
-        match lts.steps_of(id)?[k].clone() {
-            CompiledStep::Visible(e, next) => {
-                if &e == event {
-                    out.push(next);
-                }
-            }
-            CompiledStep::Internal(next) => {
-                if budget > 0 {
-                    collect_after_compiled(lts, next, event, budget - 1, out)?;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -415,6 +388,46 @@ mod tests {
             ViolationKind::AssertionFailed(text) => assert!(text.contains("#input")),
             other => panic!("expected AssertionFailed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn hidden_loops_cost_a_step_per_state_not_per_path() {
+        // Two independent hidden loops: within the default budget of 32
+        // concealed steps, 2^32 τ-paths reach the one state the network
+        // has. A 64-step monitored run and the replay of its trace must
+        // conform, and finish.
+        let defs = csp_lang::parse_definitions(
+            "spin1 = h1!0 -> spin1
+             sink1 = h1?x:{0} -> sink1
+             spin2 = h2!0 -> spin2
+             sink2 = h2?x:{0} -> sink2
+             out = o!0 -> out
+             net = chan h1, h2; (spin1 || sink1 || spin2 || sink2 || out)",
+        )
+        .unwrap();
+        let uni = Universe::new(1);
+        let opts = crate::RunOptions {
+            max_steps: 64,
+            monitor: Some(MonitorSpec::new()),
+            ..crate::RunOptions::default()
+        };
+        let res = crate::Executor::new(&defs, &uni)
+            .run_name("net", &Env::new(), opts)
+            .unwrap();
+        let report = res.monitor.expect("a monitored run reports");
+        assert!(report.is_conforming(), "{report:?}");
+        assert!(report.events_checked > 0, "{report:?}");
+        let replay = crate::check_conformance(
+            &Process::call("net"),
+            &Env::new(),
+            &defs,
+            &uni,
+            &res.visible,
+            &[],
+            res.full.len().max(8),
+        )
+        .unwrap();
+        assert!(replay.conforms(), "{replay:?}");
     }
 
     #[test]

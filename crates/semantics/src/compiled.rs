@@ -43,13 +43,10 @@
 //! call chain that could outrun [`Lts::steps`]'s fuel leave a state to
 //! [`Lts::steps`] on the whole term. When a sequential component steps
 //! into a spine of its own, the successor is built as a term and
-//! decomposed once per `(skeleton, slot, component, step)`; the arena
-//! keeps the successor's skeleton and the components filling the grown
-//! slot, and splices them into the key of every later such successor.
-//! Two rules keep this invisible: a network row has the same steps, in
-//! the same order, as [`Lts::steps`] on the whole term; and decomposition
-//! is a function of the configuration, so every path into the arena gives
-//! a configuration the same [`StateId`].
+//! decomposed. Two rules keep this invisible: a network row has the same
+//! steps, in the same order, as [`Lts::steps`] on the whole term; and
+//! decomposition is a function of the configuration, so every path into
+//! the arena gives a configuration the same [`StateId`].
 //!
 //! The trace walk numbers traces: `<>` is 0, a child's number comes from
 //! its parent's number and the event, and the walk's visited set holds
@@ -57,9 +54,12 @@
 //! its event, a [`TraceTree`]; no trace is built unless a caller asks for
 //! the list ([`CompiledLts::trace_list`]).
 //!
-//! On top of the compiled successor rows, reachability-style checks
-//! (deadlock search, trace refinement) run over [`StateSet`] bitset rows
-//! instead of ordered configuration sets.
+//! On top of the compiled successor rows, walks over sets of states
+//! (deadlock search, trace refinement, the runtime monitor) run over
+//! [`StateSet`] bitset rows. Refinement's specification side and the
+//! monitor advance a set by one frontier step: a bounded
+//! [`tau_closure`](CompiledLts::tau_closure), then the visible
+//! successors [`after`](CompiledLts::after) one event.
 //!
 //! The enumerative engine stays authoritative: it is the direct
 //! transcription of the paper's semantics, so the compiled engine is
@@ -69,8 +69,8 @@
 //! the property harness in `tests/properties.rs`). The skeleton walk is
 //! code of its own, so that check is independent. The process decides
 //! whether its `sat` check runs on the trace walk or on this arena
-//! ([`Engine::for_process`]); deadlock search, refinement and
-//! conformance run on the arena alone.
+//! ([`Engine::for_process`]); trace listing, deadlock search,
+//! refinement, monitoring and conformance run on the arena alone.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
@@ -261,9 +261,6 @@ pub struct CompiledLts<'a> {
     /// Components by environment and term. Terms come from user input,
     /// so this map keeps the default, collision-resistant hasher.
     component_ids: HashMap<(u32, Arc<Process>), u32>,
-    /// Grown successors by `(successor's pinned skeleton, slot,
-    /// component, step)`.
-    grown: FxHashMap<(u32, usize, u32, usize), Grown>,
     /// The moves of the row being built, kept between rows.
     move_buf: MoveBuf,
     /// The key whose row is being built, the successor key built from
@@ -275,7 +272,6 @@ pub struct CompiledLts<'a> {
     component_rows: usize,
     fallback_rows: usize,
     decompositions: usize,
-    splices: usize,
 }
 
 /// The bookkeeping of one trace walk. Traces are numbered: `<>` is 0,
@@ -673,14 +669,6 @@ enum Next {
     Term(Arc<Process>),
 }
 
-/// A successor in which one component grew a spine, as decomposition
-/// read it: its skeleton, and the components filling the grown slot.
-#[derive(Debug)]
-struct Grown {
-    skel: u32,
-    fill: Arc<[u32]>,
-}
-
 /// One step of a skeleton node: its event (`None` when concealed), the
 /// event's row of marks in the skeleton, and the range of
 /// [`MoveBuf::parts`] holding the component steps taking part.
@@ -774,7 +762,6 @@ impl<'a> CompiledLts<'a> {
             env_ids: BTreeMap::new(),
             components: Vec::new(),
             component_ids: HashMap::new(),
-            grown: FxHashMap::default(),
             move_buf: MoveBuf::default(),
             row_key: Vec::new(),
             next_key: Vec::new(),
@@ -783,7 +770,6 @@ impl<'a> CompiledLts<'a> {
             component_rows: 0,
             fallback_rows: 0,
             decompositions: 0,
-            splices: 0,
         }
     }
 
@@ -880,15 +866,9 @@ impl<'a> CompiledLts<'a> {
 
     /// Configurations interned by reading their term: one per call of
     /// [`intern`](Self::intern), the successors in which a component
-    /// first grows a spine among them.
+    /// grows a spine among them.
     pub fn num_decompositions(&self) -> usize {
         self.decompositions
-    }
-
-    /// Successors in which a component grows a spine, interned by
-    /// splicing a memoised decomposition into the parent's key.
-    pub fn num_splices(&self) -> usize {
-        self.splices
     }
 
     /// The successor row of a state, compiling it on first access. The
@@ -1011,7 +991,8 @@ impl<'a> CompiledLts<'a> {
     /// Component rows are compiled left to right, so the first failure
     /// is the one the whole term would report. Each successor is `key`
     /// with the moved components' ids replaced, under the skeleton the
-    /// move leaves.
+    /// move leaves; one in which a component grew a spine is built as a
+    /// term and interned from it.
     fn net_row(&mut self, key: &[u32]) -> Result<(), EvalError> {
         for &c in &key[1..] {
             self.component_row(c)?;
@@ -1027,24 +1008,19 @@ impl<'a> CompiledLts<'a> {
             let parts = &buf.parts[m.parts.clone()];
             next.clear();
             next.extend_from_slice(key);
-            let (mut growths, mut grown) = (0, 0);
-            for (i, &(slot, k)) in parts.iter().enumerate() {
+            let mut grew = false;
+            for &(slot, k) in parts {
                 next[0] = self.pinned(next[0], slot);
                 match self.component_step(key[1 + slot], k) {
                     Next::Comp(c) => next[1 + slot] = *c,
-                    Next::Term(_) => {
-                        growths += 1;
-                        grown = i;
-                    }
+                    Next::Term(_) => grew = true,
                 }
             }
-            let target = match growths {
-                0 => self.intern_key(&next),
-                1 => self.splice(key, &next, parts, grown),
-                _ => {
-                    let config = self.grown_successor(key, next[0], parts);
-                    self.intern(config)
-                }
+            let target = if grew {
+                let config = self.grown_successor(key, next[0], parts);
+                self.intern(config)
+            } else {
+                self.intern_key(&next)
             };
             self.rows.push(match m.event {
                 Some(e) => CompiledStep::Visible(e, target),
@@ -1098,48 +1074,6 @@ impl<'a> CompiledLts<'a> {
         };
         self.pins.insert((skel, slot), s);
         s
-    }
-
-    /// The successor of a network state when exactly one moved component,
-    /// `parts[grown]`, grows a spine. Leaves sit directly under `||` nodes
-    /// and every other leaf is a component, which decomposes to itself;
-    /// so the successor's key is `next` with the grown slot replaced by
-    /// the leaves of the new spine, under a skeleton fixed by the
-    /// successor's pinned skeleton `next[0]`, the slot and the grown
-    /// term. The first such successor per `(skeleton, slot, component,
-    /// step)` is built and decomposed; later ones are spliced.
-    fn splice(
-        &mut self,
-        key: &[u32],
-        next: &[u32],
-        parts: &[(usize, usize)],
-        grown: usize,
-    ) -> StateId {
-        let (slot, k) = parts[grown];
-        let memo = (next[0], slot, key[1 + slot], k);
-        if let Some(Grown { skel, fill }) = self.grown.get(&memo) {
-            let mut spliced = Vec::with_capacity(next.len() + fill.len() - 1);
-            spliced.push(*skel);
-            spliced.extend_from_slice(&next[1..1 + slot]);
-            spliced.extend_from_slice(fill);
-            spliced.extend_from_slice(&next[2 + slot..]);
-            self.splices += 1;
-            return self.intern_key(&spliced);
-        }
-        let config = self.grown_successor(key, next[0], parts);
-        let id = self.intern(config);
-        let succ = self.key(id);
-        if !succ.is_empty() {
-            let fill = &succ[1 + slot..1 + slot + succ.len() - (key.len() - 1)];
-            debug_assert_eq!(succ[1..1 + slot], next[1..1 + slot]);
-            debug_assert_eq!(succ[1 + slot + fill.len()..], next[2 + slot..]);
-            let grown = Grown {
-                skel: succ[0],
-                fill: fill.into(),
-            };
-            self.grown.insert(memo, grown);
-        }
-        id
     }
 
     fn component_step(&self, c: u32, k: usize) -> &Next {
@@ -1485,7 +1419,8 @@ impl<'a> CompiledLts<'a> {
 
     /// Every state reachable from `set` by at most `budget` concealed
     /// steps (the τ-closure, bounded like the trace walks bound hidden
-    /// chatter).
+    /// chatter). The closure grows a layer per step, so each state is
+    /// stepped once however many τ-paths reach it.
     ///
     /// # Errors
     ///
@@ -1510,6 +1445,27 @@ impl<'a> CompiledLts<'a> {
             layer += 1;
         }
         Ok(closed)
+    }
+
+    /// The visible `e`-successors of the states in `set`: the other half
+    /// of a frontier step, after [`tau_closure`](Self::tau_closure).
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation failures from the transition relation.
+    pub fn after(&mut self, set: &StateSet, e: Event) -> Result<StateSet, EvalError> {
+        let mut next = StateSet::new();
+        for id in set.iter() {
+            for step in self.steps_of(id)? {
+                match *step {
+                    CompiledStep::Visible(e2, t) if e2 == e => {
+                        next.insert(t);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(next)
     }
 
     /// Bounded trace refinement by subset construction: every visible
@@ -1562,17 +1518,7 @@ impl<'a> CompiledLts<'a> {
                     if depth == 0 {
                         continue;
                     }
-                    let mut after = StateSet::new();
-                    for s in spec.iter().collect::<Vec<_>>() {
-                        let m = self.steps_of(s)?.len();
-                        for j in 0..m {
-                            if let CompiledStep::Visible(e2, t) = self.row(s)[j] {
-                                if e2 == e {
-                                    after.insert(t);
-                                }
-                            }
-                        }
-                    }
+                    let after = self.after(spec, e)?;
                     let trace = prefix.snoc(e);
                     if after.is_empty() {
                         return Ok(Err(trace));
@@ -2040,10 +1986,11 @@ mod tests {
             assert_eq!(compiled, enumerated, "{name}");
             // No whole term is stepped: the start state's row comes from
             // its unfolded trunk, and an inner `||` is a spine node before
-            // its first move, so no component grows a spine.
+            // its first move, so no component grows a spine and only the
+            // start state is read from its term.
             assert_eq!(c.num_fallback_rows(), 0, "{name}");
             assert!(c.num_component_rows() > 0, "{name}");
-            assert_eq!(c.num_splices(), 0, "{name}");
+            assert_eq!(c.num_decompositions(), 1, "{name}");
             assert!(
                 c.components.iter().all(|comp| !matches!(
                     *comp.term,
@@ -2063,10 +2010,10 @@ mod tests {
     }
 
     #[test]
-    fn a_component_stepping_into_a_network_is_spliced() {
+    fn a_component_stepping_into_a_network_is_read_from_its_term() {
         // `grow` steps into a `||` of its own while `ticker` stands at any
-        // of its three states: the first such successor is read from its
-        // term, the others are spliced into the parent's key.
+        // of its three states: each such successor is built as a term and
+        // read from it.
         let defs = parse_definitions(
             "grow = a!0 -> (b!0 -> STOP || c!0 -> grow)
              ticker = d?x:{0..1} -> e!x -> ticker
@@ -2082,7 +2029,7 @@ mod tests {
             .traces_budgeted(&lts.initial("net", &Env::new()), 5, 15)
             .unwrap();
         assert_eq!(compiled, enumerated);
-        assert!(c.num_splices() > 0);
+        assert!(c.num_decompositions() > 1);
         assert_eq!(c.num_fallback_rows(), 0);
         assert_rows_are_whole_term_rows(&mut c, &lts);
     }

@@ -15,9 +15,9 @@
 //! what the benchmark harness uses for the larger experiments.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use csp_lang::{ChanRef, Definitions, Env, EvalError, Expr, Process};
+use csp_lang::{operand_alphabet, ChanRef, Definitions, Env, EvalError, Expr, Process};
 use csp_trace::{ChannelSet, Event, Trace, TraceSet};
 
 use crate::Universe;
@@ -87,13 +87,6 @@ pub struct Lts<'a> {
     defs: &'a Definitions,
     universe: &'a Universe,
     fuel0: usize,
-    /// Resolved parallel alphabets, keyed by the explicit channel list.
-    /// Once a `||` has been expanded its alphabets are materialised into
-    /// every successor term as constant channel references, so the same
-    /// lists are re-resolved on every subsequent step of the network;
-    /// caching them skips that churn. Only constant (environment-free)
-    /// lists are cached. Shared across clones.
-    alpha_memo: Arc<Mutex<BTreeMap<Vec<ChanRef>, Arc<ChannelSet>>>>,
 }
 
 impl<'a> Lts<'a> {
@@ -103,35 +96,7 @@ impl<'a> Lts<'a> {
             defs,
             universe,
             fuel0: (defs.len() + 2).max(8),
-            alpha_memo: Arc::new(Mutex::new(BTreeMap::new())),
         }
-    }
-
-    /// [`operand_alphabet`](csp_lang::operand_alphabet), memoised when
-    /// the declared list is constant.
-    fn resolve_alpha(
-        &self,
-        declared: Option<&[ChanRef]>,
-        operand: &Process,
-        env: &Env,
-    ) -> Result<Arc<ChannelSet>, EvalError> {
-        let constant =
-            declared.filter(|refs| refs.iter().all(|c| c.indices().iter().all(Expr::is_closed)));
-        if let Some(refs) = constant {
-            if let Some(hit) = self.alpha_memo.lock().expect("alphabet memo").get(refs) {
-                return Ok(Arc::clone(hit));
-            }
-        }
-        let set = Arc::new(csp_lang::operand_alphabet(
-            declared, operand, self.defs, env,
-        )?);
-        if let Some(refs) = constant {
-            self.alpha_memo
-                .lock()
-                .expect("alphabet memo")
-                .insert(refs.to_vec(), Arc::clone(&set));
-        }
-        Ok(set)
     }
 
     /// The initial configuration for a named process.
@@ -252,8 +217,8 @@ impl<'a> Lts<'a> {
                 // Alphabets are fixed at composition time (§1.2(7)); once
                 // computed they are materialised into successor terms so
                 // they do not drift as the operands evolve.
-                let x = self.resolve_alpha(left_alpha.as_deref(), left, env)?;
-                let y = self.resolve_alpha(right_alpha.as_deref(), right, env)?;
+                let x = operand_alphabet(left_alpha.as_deref(), left, self.defs, env)?;
+                let y = operand_alphabet(right_alpha.as_deref(), right, self.defs, env)?;
                 let sync = x.intersection(&y);
                 let ls = self.steps_inner(left, env, fuel)?;
                 let rs = self.steps_inner(right, env, fuel)?;

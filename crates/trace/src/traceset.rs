@@ -25,7 +25,7 @@
 use std::fmt;
 
 use crate::fx::{FxHashMap, FxHashSet};
-use crate::{Channel, ChannelSet, Event, Trace};
+use crate::{ChannelSet, Event, Trace};
 
 /// A finite, prefix-closed set of traces.
 ///
@@ -370,28 +370,6 @@ impl TraceSet {
         }
         cs
     }
-
-    /// The set of events enabled after trace `t`: events `e` with
-    /// `t⌢⟨e⟩` in the set, in sorted order. Drives simulation and the
-    /// operational/denotational agreement tests.
-    pub fn enabled_after(&self, t: &Trace) -> Vec<Event> {
-        let mut out = Vec::new();
-        for u in &self.traces {
-            if u.len() == t.len() + 1 && t.is_prefix_of(u) {
-                out.push(*u.last().expect("non-empty by length"));
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// The messages enabled on a specific channel after `t`.
-    pub fn enabled_on(&self, t: &Trace, c: &Channel) -> Vec<Event> {
-        self.enabled_after(t)
-            .into_iter()
-            .filter(|e| e.channel() == c)
-            .collect()
-    }
 }
 
 /// All traces over the given events with length ≤ `max_len`.
@@ -437,7 +415,7 @@ impl fmt::Display for TraceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
+    use crate::{Channel, Value};
 
     fn ev(c: &str, n: u32) -> Event {
         Event::new(Channel::simple(c), Value::nat(n))
@@ -569,16 +547,6 @@ mod tests {
         let p = TraceSet::closure_of([tr(&[("a", 1), ("b", 2)]), tr(&[("c", 3)])]);
         let max = p.maximal_traces();
         assert_eq!(max.len(), 2);
-    }
-
-    #[test]
-    fn enabled_after_computes_next_steps() {
-        let p = TraceSet::closure_of([tr(&[("a", 1), ("b", 2)]), tr(&[("a", 1), ("c", 3)])]);
-        let next = p.enabled_after(&tr(&[("a", 1)]));
-        assert_eq!(next.len(), 2);
-        let on_b = p.enabled_on(&tr(&[("a", 1)]), &Channel::simple("b"));
-        assert_eq!(on_b.len(), 1);
-        assert!(p.enabled_after(&tr(&[("a", 1), ("b", 2)])).is_empty());
     }
 
     #[test]

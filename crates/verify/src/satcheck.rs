@@ -171,7 +171,6 @@ impl<'a> SatChecker<'a> {
                         "satcheck.decompositions",
                         compiled.num_decompositions(),
                     ),
-                    ("splices", "satcheck.splices", compiled.num_splices()),
                 ] {
                     root.record(field, n);
                     self.collector.add(counter, n as u64);

@@ -443,6 +443,12 @@ fn need_process(opts: &Opts) -> Result<&str, Failure> {
         .ok_or_else(|| Failure::Usage("--process NAME is required".to_string()))
 }
 
+fn need_assertion(opts: &Opts) -> Result<&str, Failure> {
+    opts.assertion
+        .as_deref()
+        .ok_or_else(|| Failure::Usage("--assert EXPR is required".to_string()))
+}
+
 /// The shared `--trace-out`/`--metrics` epilogue: writes the session's
 /// span stream and prints the aggregated table (human output only; the
 /// `--json` paths embed the metrics in their envelope instead).
@@ -507,12 +513,17 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
         other => return Err(Failure::Usage(format!("unknown subcommand `{other}`"))),
     }
     let opts = parse_opts(rest, cmd == "lint").map_err(Failure::Usage)?;
-    if cmd == "lint" {
-        // An assertion is scope-checked against a process: without one it
-        // would be dropped unread.
+    if cmd == "lint" || cmd == "profile" {
+        // `--process` and `--assert` name one claim, checked only as a
+        // pair: half of it would be dropped unread.
         if opts.assertion.is_some() {
             need_process(&opts)?;
         }
+        if opts.process.is_some() {
+            need_assertion(&opts)?;
+        }
+    }
+    if cmd == "lint" {
         return Ok(run_lint(&opts)?);
     }
     if cmd == "profile" {
@@ -536,10 +547,7 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
         }
         "check" => {
             let name = need_process(&opts)?;
-            let assertion = opts
-                .assertion
-                .as_deref()
-                .ok_or_else(|| Failure::Usage("--assert EXPR is required".to_string()))?;
+            let assertion = need_assertion(&opts)?;
             let session = observed_session(&wb, &opts);
             let verdict = session
                 .check_sat(name, assertion, opts.depth)

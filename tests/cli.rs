@@ -390,6 +390,30 @@ fn lint_assert_without_process_is_a_usage_error() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// `--process` and `--assert` name one claim to `lint` and `profile`:
+/// half of it is a usage error naming the missing flag, not a claim
+/// dropped unread.
+#[test]
+fn half_a_claim_is_a_usage_error() {
+    let f = write_fixture("half_a_claim.csp", PIPELINE);
+    let halves = [
+        ("--process", "pipeline", "--assert EXPR"),
+        ("--assert", "output <= input", "--process NAME"),
+    ];
+    for cmd in ["lint", "profile"] {
+        for (flag, value, missing) in halves {
+            let args = [cmd, f.to_str().unwrap(), "--depth", "1", flag, value];
+            let (stdout, stderr, code) = csp(&args);
+            assert_eq!(code, Some(2), "{args:?}: {stdout}");
+            assert!(stdout.is_empty(), "{args:?}: {stdout}");
+            assert!(
+                stderr.contains(&format!("{missing} is required")),
+                "{stderr}"
+            );
+        }
+    }
+}
+
 #[test]
 fn check_json_uses_the_envelope_with_metrics() {
     let f = write_fixture("check_json.csp", PIPELINE);
@@ -1300,6 +1324,34 @@ fn run_monitor_violation_exits_one_and_names_the_event() {
     assert_eq!(code, Some(1), "{stdout}{stderr}");
     assert!(stdout.contains("monitor: violated"), "{stdout}");
     assert!(stdout.contains("falsified"), "{stdout}");
+}
+
+/// Two independent hidden loops give 2^32 τ-paths within the monitor's
+/// budget of concealed steps per event, through one state: the monitor
+/// steps states, not paths, so a monitored run finishes.
+#[test]
+fn run_monitor_finishes_on_two_hidden_loops() {
+    let f = write_fixture(
+        "run_two_loops.csp",
+        "spin1 = h1!0 -> spin1
+sink1 = h1?x:{0} -> sink1
+spin2 = h2!0 -> spin2
+sink2 = h2?x:{0} -> sink2
+out = o!0 -> out
+net = chan h1, h2; (spin1 || sink1 || spin2 || sink2 || out)
+",
+    );
+    let (stdout, stderr, code) = csp(&[
+        "run",
+        f.to_str().unwrap(),
+        "--process",
+        "net",
+        "--steps",
+        "64",
+        "--monitor",
+    ]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("monitor: conforming"), "{stdout}");
 }
 
 #[test]

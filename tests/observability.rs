@@ -80,10 +80,10 @@ fn session_fixpoint_matches_unobserved_workbench() {
 
 /// Observation must not perturb a compiled `sat` check either, and the
 /// arena counters it records are those of the arena the check walked. In
-/// `growing`, a sequential component steps into a `||` of its own while
-/// its neighbour stands at different states, so its arena splices grown
-/// successors; the multiplier's inner `||`s are spine nodes from the
-/// start, so nothing grows there. The quantifier values its compiled
+/// `growing`, a sequential component steps into a `||` of its own, so its
+/// arena reads grown successors from their terms; the multiplier's inner
+/// `||`s are spine nodes from the start, so nothing grows there and only
+/// the start state is read from its term. The quantifier values its compiled
 /// assertion bound are counted too: the guard `1 <= i and i <= #output`
 /// walks only the indices of `output`, which fewer moments have than
 /// there are moments.
@@ -126,8 +126,8 @@ fn compiled_sat_check_is_identical_under_observation() {
             .traces_budgeted(start, opts.depth, opts.depth * opts.internal_budget_factor)
             .expect("walk");
         match *process {
-            "net" => assert!(arena.num_splices() > 0, "{process}"),
-            _ => assert_eq!(arena.num_splices(), 0, "{process}"),
+            "net" => assert!(arena.num_decompositions() > 1, "{process}"),
+            _ => assert_eq!(arena.num_decompositions(), 1, "{process}"),
         }
         let metrics = session.metrics();
         let root = session
@@ -141,7 +141,6 @@ fn compiled_sat_check_is_identical_under_observation() {
             ("component_rows", arena.num_component_rows()),
             ("fallback_rows", arena.num_fallback_rows()),
             ("decompositions", arena.num_decompositions()),
-            ("splices", arena.num_splices()),
         ] {
             let counter = format!("satcheck.{field}");
             assert_eq!(metrics.counter(&counter), n as u64, "{process}: {counter}");

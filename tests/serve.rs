@@ -360,6 +360,29 @@ fn run_endpoint_reports_monitor_and_supervision() {
     assert_eq!(unparsable.status, 400);
 }
 
+/// A monitored run of a network with two independent hidden loops
+/// answers: the monitor steps the states its τ budget reaches, not the
+/// 2^32 τ-paths to them.
+#[test]
+fn a_monitored_run_through_two_hidden_loops_answers() {
+    let state = ServeState::new(16, 2);
+    let source = "spin1 = h1!0 -> spin1
+sink1 = h1?x:{0} -> sink1
+spin2 = h2!0 -> spin2
+sink2 = h2?x:{0} -> sink2
+out = o!0 -> out
+net = chan h1, h2; (spin1 || sink1 || spin2 || sink2 || out)
+";
+    let body = format!(
+        "{{\"source\":{},\"process\":\"net\",\"steps\":64,\"monitor\":true}}",
+        json_string(source)
+    );
+    let run = state.post("/v1/run", &body);
+    let text = String::from_utf8(run.body).unwrap();
+    assert_eq!(run.status, 200, "{text}");
+    assert!(text.contains("\"verdict\":\"conforming\""), "{text}");
+}
+
 /// A body built by an encoder that escapes every non-ASCII character
 /// (Python's default `json.dumps`) spells an emoji as a UTF-16
 /// surrogate pair and a form feed as `\f`. Both decode to the same
