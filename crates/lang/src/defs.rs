@@ -174,6 +174,29 @@ impl Definitions {
         args: &[Value],
         env: &Env,
     ) -> Result<(&Process, Env), EvalError> {
+        let (body, param) = self.resolve_call_with(name, args, &|x| env.lookup(x).cloned())?;
+        let mut scope = env.clone();
+        if let Some(param) = param {
+            scope.bind_mut(param, args[0].clone());
+        }
+        Ok((body, scope))
+    }
+
+    /// [`resolve_call`](Self::resolve_call) without building the
+    /// environment: the body, and the parameter the call binds to
+    /// `args[0]` (`None` for a plain equation). The parameter's set is
+    /// read through `lookup`, as [`Expr::eval_with`](crate::Expr::eval_with)
+    /// reads names.
+    ///
+    /// # Errors
+    ///
+    /// As for [`resolve_call`](Self::resolve_call).
+    pub fn resolve_call_with<F: Fn(&str) -> Option<Value>>(
+        &self,
+        name: &str,
+        args: &[Value],
+        lookup: &F,
+    ) -> Result<(&Process, Option<&str>), EvalError> {
         let def = self
             .get(name)
             .ok_or_else(|| EvalError::UndefinedProcess(name.to_string()))?;
@@ -184,19 +207,17 @@ impl Definitions {
                 expected: def.arity(),
             });
         }
-        let mut scope = env.clone();
-        if let Some((param, set)) = def.param() {
-            let v = args[0].clone();
-            let m = set.eval(env)?;
-            if m.contains(&v) == Some(false) {
-                return Err(EvalError::NotInSet {
-                    value: v.to_string(),
-                    set: m.to_string(),
-                });
-            }
-            scope.bind_mut(param, v);
+        let Some((param, set)) = def.param() else {
+            return Ok((def.body(), None));
+        };
+        let m = set.eval_with(lookup)?;
+        if m.contains(&args[0]) == Some(false) {
+            return Err(EvalError::NotInSet {
+                value: args[0].to_string(),
+                set: m.to_string(),
+            });
         }
-        Ok((def.body(), scope))
+        Ok((def.body(), Some(param)))
     }
 
     /// Like [`resolve_call`](Self::resolve_call) but returns a clone of the

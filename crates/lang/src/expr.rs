@@ -152,21 +152,44 @@ impl Expr {
     /// [`EvalError::DivisionByZero`] for zero divisors, and
     /// [`EvalError::Overflow`] for results outside `i64`.
     pub fn eval(&self, env: &Env) -> Result<Value, EvalError> {
+        self.eval_with(&|x| env.lookup(x).cloned())
+    }
+
+    /// [`eval`](Self::eval) with every name read through `lookup`: a
+    /// variable `x`, or an array cell as its environment key `v[1]`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`eval`](Self::eval).
+    ///
+    /// ```
+    /// use csp_lang::Expr;
+    /// use csp_trace::Value;
+    ///
+    /// let e = Expr::var("x").add(Expr::ArrayRef("v".into(), Box::new(Expr::int(1))));
+    /// let lookup = |x: &str| match x {
+    ///     "x" => Some(Value::Int(2)),
+    ///     "v[1]" => Some(Value::Int(5)),
+    ///     _ => None,
+    /// };
+    /// assert_eq!(e.eval_with(&lookup).unwrap(), Value::Int(7));
+    /// ```
+    pub fn eval_with<F: Fn(&str) -> Option<Value>>(&self, lookup: &F) -> Result<Value, EvalError> {
         match self {
             Expr::Const(v) => Ok(v.clone()),
-            Expr::Var(x) => env
-                .lookup(x)
-                .cloned()
-                .ok_or_else(|| EvalError::UnboundVariable(x.clone())),
-            Expr::Bin(op, a, b) => eval_bin(*op, a.eval(env)?, b.eval(env)?),
-            Expr::Un(op, a) => eval_un(*op, a.eval(env)?),
+            Expr::Var(x) => lookup(x).ok_or_else(|| EvalError::UnboundVariable(x.clone())),
+            Expr::Bin(op, a, b) => eval_bin(*op, a.eval_with(lookup)?, b.eval_with(lookup)?),
+            Expr::Un(op, a) => eval_un(*op, a.eval_with(lookup)?),
             Expr::Tuple(es) => {
-                let vs = es.iter().map(|e| e.eval(env)).collect::<Result<_, _>>()?;
+                let vs = es
+                    .iter()
+                    .map(|e| e.eval_with(lookup))
+                    .collect::<Result<_, _>>()?;
                 Ok(Value::Tuple(vs))
             }
             Expr::ArrayRef(name, idx) => {
                 let i = idx
-                    .eval(env)?
+                    .eval_with(lookup)?
                     .as_int()
                     .ok_or_else(|| EvalError::BadSubscript { name: name.clone() })?;
                 let mut cell = CellKey::new();
@@ -175,9 +198,7 @@ impl Expr {
                 } else {
                     Cow::Owned(format!("{name}[{i}]"))
                 };
-                env.lookup(&key)
-                    .cloned()
-                    .ok_or_else(|| EvalError::UnboundVariable(key.into_owned()))
+                lookup(&key).ok_or_else(|| EvalError::UnboundVariable(key.into_owned()))
             }
         }
     }

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use csp_trace::Channel;
+use csp_trace::{Channel, Value};
 
 use crate::{Env, EvalError, Expr, SetExpr, Span};
 
@@ -73,9 +73,22 @@ impl ChanRef {
     /// Fails if a subscript expression fails to evaluate or is not an
     /// integer.
     pub fn resolve(&self, env: &Env) -> Result<Channel, EvalError> {
+        self.resolve_with(&|x| env.lookup(x).cloned())
+    }
+
+    /// [`resolve`](Self::resolve) with names read through `lookup`, as
+    /// [`Expr::eval_with`] reads them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`resolve`](Self::resolve).
+    pub fn resolve_with<F: Fn(&str) -> Option<Value>>(
+        &self,
+        lookup: &F,
+    ) -> Result<Channel, EvalError> {
         let mut idx = Vec::with_capacity(self.indices.len());
         for e in &self.indices {
-            let v = e.eval(env)?;
+            let v = e.eval_with(lookup)?;
             let i = v.as_int().ok_or_else(|| EvalError::BadSubscript {
                 name: self.base.clone(),
             })?;

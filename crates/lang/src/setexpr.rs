@@ -50,21 +50,37 @@ impl SetExpr {
     /// Propagates expression-evaluation failures from range bounds and
     /// enumeration elements, and rejects non-integer range bounds.
     pub fn eval(&self, env: &Env) -> Result<MsgSet, EvalError> {
+        self.eval_with(&|x| env.lookup(x).cloned())
+    }
+
+    /// [`eval`](Self::eval) with names read through `lookup`, as
+    /// [`Expr::eval_with`] reads them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`eval`](Self::eval).
+    pub fn eval_with<F: Fn(&str) -> Option<Value>>(&self, lookup: &F) -> Result<MsgSet, EvalError> {
         match self {
             SetExpr::Nat => Ok(MsgSet::Nat),
             SetExpr::Range(lo, hi) => {
-                let l = lo.eval(env)?.as_int().ok_or(EvalError::TypeMismatch {
-                    context: "range lower bound".to_string(),
-                })?;
-                let h = hi.eval(env)?.as_int().ok_or(EvalError::TypeMismatch {
-                    context: "range upper bound".to_string(),
-                })?;
+                let l = lo
+                    .eval_with(lookup)?
+                    .as_int()
+                    .ok_or(EvalError::TypeMismatch {
+                        context: "range lower bound".to_string(),
+                    })?;
+                let h = hi
+                    .eval_with(lookup)?
+                    .as_int()
+                    .ok_or(EvalError::TypeMismatch {
+                        context: "range upper bound".to_string(),
+                    })?;
                 Ok(MsgSet::Finite((l..=h).map(Value::Int).collect()))
             }
             SetExpr::Enum(es) => {
                 let vs = es
                     .iter()
-                    .map(|e| e.eval(env))
+                    .map(|e| e.eval_with(lookup))
                     .collect::<Result<BTreeSet<_>, _>>()?;
                 Ok(MsgSet::Finite(vs))
             }

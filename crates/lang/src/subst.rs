@@ -12,6 +12,8 @@
 
 use std::sync::Arc;
 
+use csp_trace::Value;
+
 use crate::{ChanRef, Env, EvalError, Expr, Process, SetExpr};
 
 fn expr_has_free(e: &Expr, x: &str) -> bool {
@@ -102,6 +104,122 @@ pub fn close_process(p: &Process, env: &Env) -> Result<Process, EvalError> {
         }
     }
     Ok(out.unwrap_or_else(|| p.clone()))
+}
+
+/// [`close_process`] in one walk: every free variable `x` of `p` for
+/// which `value(x)` is `Some(v)` is replaced by the constant `v` (an
+/// input binds its own variable in what follows it), the rest stay.
+///
+/// # Examples
+///
+/// ```
+/// use csp_lang::{close_process_with, parse_process};
+/// use csp_trace::Value;
+///
+/// let p = parse_process("c!(x + y) -> d?x:NAT -> e!x -> q[y]").unwrap();
+/// let value = |x: &str| (x != "z").then_some(Value::Int(if x == "x" { 1 } else { 2 }));
+/// assert_eq!(
+///     close_process_with(&p, &value).to_string(),
+///     "c!(1 + 2) -> d?x:NAT -> e!x -> q[2]"
+/// );
+/// ```
+pub fn close_process_with<F: Fn(&str) -> Option<Value>>(p: &Process, value: &F) -> Process {
+    Closer {
+        value,
+        bound: Vec::new(),
+    }
+    .process(p)
+}
+
+/// One [`close_process_with`] walk: the values, and the input variables
+/// bound around the subterm being closed.
+struct Closer<'a, F> {
+    value: &'a F,
+    bound: Vec<&'a str>,
+}
+
+impl<'a, F: Fn(&str) -> Option<Value>> Closer<'a, F> {
+    fn expr(&self, e: &Expr) -> Expr {
+        match e {
+            Expr::Const(_) => e.clone(),
+            Expr::Var(x) => match (self.value)(x) {
+                Some(v) if !self.bound.contains(&x.as_str()) => Expr::Const(v),
+                _ => e.clone(),
+            },
+            Expr::Bin(op, a, b) => Expr::Bin(*op, Box::new(self.expr(a)), Box::new(self.expr(b))),
+            Expr::Un(op, a) => Expr::Un(*op, Box::new(self.expr(a))),
+            Expr::Tuple(es) => Expr::Tuple(es.iter().map(|e| self.expr(e)).collect()),
+            Expr::ArrayRef(name, idx) => Expr::ArrayRef(name.clone(), Box::new(self.expr(idx))),
+        }
+    }
+
+    fn chan(&self, c: &ChanRef) -> ChanRef {
+        ChanRef::with_indices(c.base(), c.indices().iter().map(|e| self.expr(e)).collect())
+    }
+
+    fn chans(&self, cs: &[ChanRef]) -> Vec<ChanRef> {
+        cs.iter().map(|c| self.chan(c)).collect()
+    }
+
+    fn process(&mut self, p: &'a Process) -> Process {
+        match p {
+            Process::Stop | Process::Error(_) => p.clone(),
+            Process::Call { name, args } => Process::Call {
+                name: name.clone(),
+                args: args.iter().map(|e| self.expr(e)).collect(),
+            },
+            Process::Output { chan, msg, then } => Process::Output {
+                chan: self.chan(chan),
+                msg: self.expr(msg),
+                then: Arc::new(self.process(then)),
+            },
+            Process::Input {
+                chan,
+                var,
+                set,
+                then,
+            } => {
+                let (chan, set) = (self.chan(chan), self.set(set));
+                self.bound.push(var);
+                let then = Arc::new(self.process(then));
+                self.bound.pop();
+                Process::Input {
+                    chan,
+                    var: var.clone(),
+                    set,
+                    then,
+                }
+            }
+            Process::Choice(a, b) => {
+                Process::Choice(Arc::new(self.process(a)), Arc::new(self.process(b)))
+            }
+            Process::Parallel {
+                left,
+                right,
+                left_alpha,
+                right_alpha,
+            } => Process::Parallel {
+                left: Arc::new(self.process(left)),
+                right: Arc::new(self.process(right)),
+                left_alpha: left_alpha.as_deref().map(|cs| self.chans(cs)),
+                right_alpha: right_alpha.as_deref().map(|cs| self.chans(cs)),
+            },
+            Process::Hide { channels, body } => Process::Hide {
+                channels: self.chans(channels),
+                body: Arc::new(self.process(body)),
+            },
+        }
+    }
+
+    fn set(&self, s: &SetExpr) -> SetExpr {
+        match s {
+            SetExpr::Nat | SetExpr::Named(_) => s.clone(),
+            SetExpr::Range(lo, hi) => {
+                SetExpr::Range(Box::new(self.expr(lo)), Box::new(self.expr(hi)))
+            }
+            SetExpr::Enum(es) => SetExpr::Enum(es.iter().map(|e| self.expr(e)).collect()),
+        }
+    }
 }
 
 /// `e^x_r` — replaces every free occurrence of variable `x` in `e` by the
@@ -240,7 +358,6 @@ pub fn subst_process_with(p: &Process, x: &str, r: &Expr) -> Process {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_trace::Value;
 
     fn int(n: i64) -> Expr {
         Expr::Const(Value::Int(n))
@@ -325,6 +442,27 @@ mod tests {
                 assert_eq!(msg.eval(&Env::new()).unwrap(), Value::Int(3));
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn closing_in_one_walk_is_closing_binding_by_binding() {
+        let env = Env::new()
+            .bind("x", Value::Int(1))
+            .bind("y", Value::Int(2))
+            .bind("v[1]", Value::Int(9));
+        for src in [
+            "c[x]?x:{0..x} -> d!(x + y) -> q[y]",
+            "c!v[x] -> (a?y:NAT -> b!y -> STOP | b!y -> STOP)",
+            "chan h[y]; (h[y]!x -> STOP ||{h[y] | h[x]} h[x]?z:{y} -> e!z -> STOP)",
+            "c?z:NAT -> (d!z -> STOP || e!w -> q[x])",
+        ] {
+            let p = crate::parse_process(src).unwrap();
+            assert_eq!(
+                close_process_with(&p, &|x| env.lookup(x).cloned()),
+                close_process(&p, &env).unwrap(),
+                "{src}"
+            );
         }
     }
 

@@ -25,11 +25,28 @@
 //! randomly keyed hash of the spine (environment, node kinds, alphabets
 //! and hidden channels as written, and an unpinned `||`'s resolved
 //! alphabets) and confirmed node by node, and sets are resolved only for
-//! a new skeleton. A component is a closed subterm below the spine; its
-//! row comes from [`Lts::steps`] once per arena. A network row runs the
-//! `||` and `chan` rules of [`Lts::steps`] over the component rows, with
-//! whether an event is shared or hidden at a node read from a bitmask the
-//! skeleton memoises per event. Each successor is the parent's key with
+//! a new skeleton. An unpinned `||`'s inferred alphabets are unions of
+//! its leaves' alphabets, each call's resolved once per arguments, so a
+//! spine read is linear in its leaves.
+//!
+//! A component is a closed sequential term below the spine, held as a
+//! control point (a subterm of a definition body, numbered once per
+//! arena, or a leaf read from a spine) and a valuation of the point's
+//! free variables. Its row is computed once per arena at that point, by
+//! the prefix, choice and call rules of [`Lts::steps`] with names read
+//! from the valuation: each successor is the next point and the values
+//! of its free variables, looked up by an integer hash; no term is built
+//! and no environment copied. A pair never seen is keyed by the hash of
+//! the term it renders, computed without building the term, so two pairs
+//! that render one term are one component, and every path into the
+//! arena gives a configuration one id. The term is rendered only when a
+//! witness or a grown spine reads it. A component that reaches a `||` or
+//! `chan` is stepped by [`Lts::steps`] on its term.
+//!
+//! A network row runs the `||` and `chan` rules of [`Lts::steps`] over
+//! the component rows, with whether an event is shared or hidden at a
+//! node read from a bitmask the skeleton memoises per event (and per
+//! component step). Each successor is the parent's key with
 //! the moved components' ids replaced, under the skeleton the move leaves
 //! (its unpinned `||`s above the moved slots pinned: a memoised skeleton
 //! to skeleton step), interned by hashing the id vector: no term is built
@@ -48,9 +65,12 @@
 //! decomposition is a function of the configuration, so every path into
 //! the arena gives a configuration the same [`StateId`].
 //!
-//! The trace walk numbers traces: `<>` is 0, a child's number comes from
-//! its parent's number and the event, and the walk's visited set holds
-//! `(number, state)` pairs. A trace is recorded as its parent's number and
+//! The trace walk numbers traces: `<>` is 0, and a child's number is
+//! found among its parent's children. The walk's visited set holds
+//! `(number, state)` pairs, each trace's states in a short chain of
+//! blocks, so a visit scans the states its trace has met instead of
+//! probing a hash; memory grows with the pairs visited, never with
+//! traces times states. A trace is recorded as its parent's number and
 //! its event, a [`TraceTree`]; no trace is built unless a caller asks for
 //! the list ([`CompiledLts::trace_list`]).
 //!
@@ -80,8 +100,8 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use csp_lang::{
-    operand_alphabet, reaches_network, resolve_chanrefs, ChanRef, Definitions, Env, EvalError,
-    Expr, Process, SetExpr,
+    channel_alphabet, close_process_with, reaches_network, resolve_chanrefs, ChanRef, Definitions,
+    Env, EvalError, Expr, Process, SetExpr,
 };
 use csp_trace::{ChannelSet, Event, FxHashMap, FxHashSet, Trace, TraceSet, TraceTree, Value};
 
@@ -239,7 +259,7 @@ pub struct CompiledLts<'a> {
     /// Network keys, `[skeleton, component…]`, back to back.
     keys: Vec<u32>,
     /// Network states by key.
-    nets: KeyIndex,
+    nets: IdTable,
     /// Every other state by its configuration.
     wholes: BTreeMap<Config, u32>,
     /// Compiled rows, back to back.
@@ -257,10 +277,25 @@ pub struct CompiledLts<'a> {
     read_buf: Vec<Part>,
     envs: Vec<Env>,
     env_ids: BTreeMap<Env, u32>,
+    /// Inferred `||` operand alphabets, kept between spine reads.
+    alphabets: Alphabets,
+    /// The control points components stand at.
+    points: Points,
     components: Vec<Component>,
-    /// Components by environment and term. Terms come from user input,
-    /// so this map keeps the default, collision-resistant hasher.
-    component_ids: HashMap<(u32, Arc<Process>), u32>,
+    /// Components by the keyed hash of their environment and rendered
+    /// term ([`hash_rendered`]); a hit is confirmed on the terms.
+    component_ids: IdTable,
+    /// Every `(environment, point, valuation)` a component was reached
+    /// at, and the component; the valuations back to back.
+    aliases: Vec<Alias>,
+    alias_vals: Vec<Value>,
+    /// Aliases by the keyed hash of their `(environment, point,
+    /// valuation)`.
+    alias_ids: IdTable,
+    /// The component steps of the row being built, and their successors'
+    /// valuations back to back; kept between rows.
+    raw_buf: Vec<Raw>,
+    vals_buf: Vec<Value>,
     /// The moves of the row being built, kept between rows.
     move_buf: MoveBuf,
     /// The key whose row is being built, the successor key built from
@@ -272,6 +307,7 @@ pub struct CompiledLts<'a> {
     component_rows: usize,
     fallback_rows: usize,
     decompositions: usize,
+    visits: usize,
 }
 
 /// The bookkeeping of one trace walk. Traces are numbered: `<>` is 0,
@@ -279,19 +315,32 @@ pub struct CompiledLts<'a> {
 struct TraceWalk {
     /// `(trace number, state)` pairs already visited: a revisit adds
     /// nothing.
-    seen: FxHashSet<(u32, u32)>,
-    /// Trace numbers by `(parent number, event)`.
-    children: FxHashMap<(u32, Event), u32>,
+    seen: Visited,
+    /// Per trace number, its newest child's number (or [`NONE`], or
+    /// [`HASHED`] once it has more than [`SIBLINGS`] children), its next
+    /// older sibling's, and its last event (`None` for `<>`): a trace's
+    /// children are found by scanning them.
+    first_child: Vec<u32>,
+    next_sibling: Vec<u32>,
+    last: Vec<Option<Event>>,
+    /// The children of the traces with many, by `(parent number, event)`.
+    hashed: FxHashMap<(u32, Event), u32>,
     /// The traces by number, so in first-visit order, each as its
     /// parent's number and its last event.
     tree: TraceTree,
 }
 
+/// Children a trace's sibling list holds before they move to a hash map.
+const SIBLINGS: usize = 16;
+
 impl TraceWalk {
     fn new() -> Self {
         TraceWalk {
-            seen: FxHashSet::default(),
-            children: FxHashMap::default(),
+            seen: Visited::default(),
+            first_child: vec![NONE],
+            next_sibling: vec![NONE],
+            last: vec![None],
+            hashed: FxHashMap::default(),
             tree: TraceTree::new(),
         }
     }
@@ -299,10 +348,136 @@ impl TraceWalk {
     /// The number of `parent` extended by `e`, numbering it the first
     /// time it is asked for.
     fn child(&mut self, parent: u32, e: Event) -> u32 {
-        let TraceWalk { children, tree, .. } = self;
-        *children
-            .entry((parent, e))
-            .or_insert_with(|| tree.push(parent, e))
+        let p = parent as usize;
+        let first = self.first_child[p];
+        if first == HASHED {
+            let TraceWalk { hashed, tree, .. } = self;
+            let n = *hashed
+                .entry((parent, e))
+                .or_insert_with(|| tree.push(parent, e));
+            self.number(n, NONE, e);
+            return n;
+        }
+        let (mut n, mut count) = (first, 0);
+        while n != NONE {
+            if self.last[n as usize] == Some(e) {
+                return n;
+            }
+            n = self.next_sibling[n as usize];
+            count += 1;
+        }
+        let n = self.tree.push(parent, e);
+        if count == SIBLINGS {
+            let mut sibling = first;
+            while sibling != NONE {
+                let last = self.last[sibling as usize].expect("a child has an event");
+                self.hashed.insert((parent, last), sibling);
+                sibling = self.next_sibling[sibling as usize];
+            }
+            self.hashed.insert((parent, e), n);
+            self.first_child[p] = HASHED;
+            self.number(n, NONE, e);
+        } else {
+            self.number(n, first, e);
+            self.first_child[p] = n;
+        }
+        n
+    }
+
+    /// Gives trace `n`, new, its sibling and its last event.
+    fn number(&mut self, n: u32, sibling: u32, e: Event) {
+        assert!(n < HASHED, "trace numbers exceed u32");
+        if n as usize == self.last.len() {
+            self.first_child.push(NONE);
+            self.next_sibling.push(sibling);
+            self.last.push(Some(e));
+        }
+    }
+}
+
+/// The `(trace number, state)` pairs a walk has visited. Each trace's
+/// states sit in a chain of blocks in one pool, its newest block first,
+/// so a visit scans the few states its trace has visited: no hash is
+/// probed. A trace that has visited more states than its chain may hold
+/// moves them to a hash set. Memory grows with the pairs visited, never
+/// with traces times states.
+#[derive(Debug, Default)]
+struct Visited {
+    /// Per trace number, the index of its newest block in `pool`, or
+    /// [`NONE`] when it has visited no state, or [`HASHED`].
+    heads: Vec<u32>,
+    /// Blocks of [`BLOCK`] words: the index of the next, older block (or
+    /// [`NONE`]), then states; only a newest block has free words, which
+    /// hold [`NONE`].
+    pool: Vec<u32>,
+    /// The pairs of the traces whose chains grew past [`CHAIN`] blocks.
+    hashed: FxHashSet<(u32, u32)>,
+    len: usize,
+}
+
+/// Words per block of a [`Visited`] chain: a link and seven states.
+const BLOCK: usize = 8;
+/// Blocks a trace's chain may hold before its states move to the hash set.
+const CHAIN: usize = 8;
+const NONE: u32 = u32::MAX;
+const HASHED: u32 = u32::MAX - 1;
+
+impl Visited {
+    /// Records a visit; true when the pair is new.
+    fn insert(&mut self, trace: u32, state: u32) -> bool {
+        let t = trace as usize;
+        if t >= self.heads.len() {
+            self.heads.resize(t + 1, NONE);
+        }
+        let head = self.heads[t];
+        if head == HASHED {
+            let fresh = self.hashed.insert((trace, state));
+            self.len += usize::from(fresh);
+            return fresh;
+        }
+        let (mut block, mut blocks, mut free) = (head, 0, None);
+        while block != NONE {
+            let at = block as usize;
+            for (i, &s) in self.pool[at + 1..at + BLOCK].iter().enumerate() {
+                if s == state {
+                    return false;
+                }
+                if s == NONE {
+                    free = Some(at + 1 + i);
+                    break;
+                }
+            }
+            block = self.pool[at];
+            blocks += 1;
+        }
+        self.len += 1;
+        if let Some(i) = free {
+            self.pool[i] = state;
+        } else if blocks == CHAIN {
+            let mut block = head;
+            while block != NONE {
+                let at = block as usize;
+                let states = &self.pool[at + 1..at + BLOCK];
+                self.hashed.extend(states.iter().map(|&s| (trace, s)));
+                block = self.pool[at];
+            }
+            self.hashed.insert((trace, state));
+            self.heads[t] = HASHED;
+        } else {
+            let at = u32::try_from(self.pool.len())
+                .ok()
+                .filter(|&at| at < HASHED);
+            self.heads[t] = at.expect("visit pool exceeds u32");
+            self.pool.push(head);
+            self.pool.push(state);
+            self.pool.resize(self.pool.len() + BLOCK - 2, NONE);
+        }
+        true
+    }
+
+    /// The pairs visited.
+    fn len(&self) -> usize {
+        self.len
     }
 }
 
@@ -323,19 +498,20 @@ fn span(r: &Range<u32>) -> Range<usize> {
     r.start as usize..r.end as usize
 }
 
-/// Network states by key: an open-addressed table, probed linearly, of
-/// the ids of the states whose keys sit in the key buffer.
+/// Ids by the hash of keys kept elsewhere: an open-addressed table,
+/// probed linearly, that asks its caller whether a candidate's key is the
+/// one looked for.
 #[derive(Debug, Default)]
-struct KeyIndex {
-    /// Per slot, a state id plus one, or 0 for an empty slot. The length
-    /// is zero or a power of two, and at most half the slots are full.
+struct IdTable {
+    /// Per slot, an id plus one, or 0 for an empty slot. The length is
+    /// zero or a power of two, and at most half the slots are full.
     slots: Vec<u32>,
     len: usize,
 }
 
-impl KeyIndex {
-    /// The state whose key is `key`, hashed to `hash`.
-    fn get(&self, key: &[u32], hash: u64, states: &[State], keys: &[u32]) -> Option<u32> {
+impl IdTable {
+    /// The first id hashed to `hash` whose key `is` the one looked for.
+    fn get(&self, hash: u64, mut is: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
@@ -343,20 +519,21 @@ impl KeyIndex {
         let mut i = slot_of(hash) & mask;
         loop {
             let id = self.slots[i].checked_sub(1)?;
-            if keys[span(&states[id as usize].key)] == *key {
+            if is(id) {
                 return Some(id);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Adds a state whose key is not in the table yet.
-    fn insert(&mut self, id: u32, hash: u64, states: &[State], keys: &[u32]) {
+    /// Adds an id whose key is not in the table yet; `hash_of` rehashes
+    /// the ids already in it when the table grows.
+    fn insert(&mut self, id: u32, hash: u64, hash_of: impl Fn(u32) -> u64) {
         if 2 * (self.len + 1) > self.slots.len() {
             let size = (2 * self.slots.len()).max(64);
             for slot in std::mem::replace(&mut self.slots, vec![0; size]) {
                 if let Some(old) = slot.checked_sub(1) {
-                    self.place(slot, key_hash(&keys[span(&states[old as usize].key)]));
+                    self.place(slot, hash_of(old));
                 }
             }
         }
@@ -650,14 +827,274 @@ enum View<'a> {
 }
 
 /// A closed sequential term below a spine, stepped in its skeleton's
-/// environment.
+/// environment: a control point and a valuation of its free variables,
+/// `term` rendered. Two pairs that render one term are one component.
 #[derive(Debug)]
 struct Component {
-    term: Arc<Process>,
+    term: Rendered,
     env: u32,
+    /// The keyed hash of the environment and the rendered term.
+    hash: u64,
     /// `(event, successor)` per step, in [`Lts::steps`] order; `None`
     /// marks a concealed step.
     row: Option<Vec<(Option<Event>, Next)>>,
+}
+
+/// A component's term: a control point's subterm with its free variables
+/// read from a valuation, built the first time it is read.
+#[derive(Debug)]
+struct Rendered {
+    site: Arc<Process>,
+    vars: Arc<[Box<str>]>,
+    vals: Box<[Value]>,
+    term: OnceLock<Arc<Process>>,
+}
+
+impl Rendered {
+    fn arc(&self) -> &Arc<Process> {
+        self.term
+            .get_or_init(|| render(&self.site, &self.vars, &self.vals))
+    }
+}
+
+impl std::ops::Deref for Rendered {
+    type Target = Process;
+
+    fn deref(&self) -> &Process {
+        self.arc()
+    }
+}
+
+/// The term `site` renders to with its free variables `vars` read from
+/// `vals`: the site itself when there are none.
+fn render(site: &Arc<Process>, vars: &[Box<str>], vals: &[Value]) -> Arc<Process> {
+    if vals.is_empty() {
+        return Arc::clone(site);
+    }
+    let val = Valuation { vars, vals };
+    Arc::new(close_process_with(site, &|x| val.get(x).cloned()))
+}
+
+/// The control points components stand at: the subterms of definition
+/// bodies that follow a prefix, and the terms a component is interned by
+/// (spine leaves, successors of a component stepped whole), each
+/// numbered once per arena by its address.
+#[derive(Debug, Default)]
+struct Points {
+    list: Vec<Point>,
+    ids: FxHashMap<usize, u32>,
+}
+
+#[derive(Debug)]
+struct Point {
+    /// The subterm; holding it keeps its address this point's.
+    term: Arc<Process>,
+    /// Its free variables, ascending: a valuation lists their values in
+    /// this order.
+    vars: Arc<[Box<str>]>,
+}
+
+impl Points {
+    /// The point of a subterm, numbering it on first sight.
+    fn of(&mut self, term: &Arc<Process>) -> u32 {
+        let addr = Arc::as_ptr(term) as usize;
+        if let Some(&p) = self.ids.get(&addr) {
+            return p;
+        }
+        let p = u32::try_from(self.list.len()).expect("point arena exceeds u32");
+        let mut vars = BTreeSet::new();
+        free_vars_under(term, None, &mut |x| {
+            vars.insert(x);
+            true
+        });
+        self.list.push(Point {
+            term: Arc::clone(term),
+            vars: vars.into_iter().map(Box::from).collect(),
+        });
+        self.ids.insert(addr, p);
+        p
+    }
+}
+
+/// A valuation a component was reached with: `(environment, point,
+/// valuation)` and the component that renders it.
+#[derive(Debug)]
+struct Alias {
+    env: u32,
+    at: u32,
+    vals: Range<u32>,
+    hash: u64,
+    comp: u32,
+}
+
+/// A component step before interning: its event and its successor, as a
+/// point and the range of its valuation in the row's value buffer, or as
+/// a term where no point stands for it (it has free variables, or is a
+/// `||` or `chan`, read as a spine or a leaf).
+#[derive(Debug)]
+enum Raw {
+    At(Event, u32, Range<usize>),
+    Term(Event, Arc<Process>),
+}
+
+/// Where a name at a control point is read: in a component's own
+/// valuation, or, once a call is unfolded, in the parameters the
+/// unfolded calls bound, innermost first; then in the skeleton's
+/// environment (array cells, and what a body reads of its callers' scope).
+#[derive(Debug, Clone, Copy)]
+enum Scope<'s> {
+    Own(Valuation<'s>),
+    Call(Option<&'s Param<'s>>),
+}
+
+#[derive(Debug)]
+struct Param<'s> {
+    name: &'s str,
+    value: Value,
+    outer: Option<&'s Param<'s>>,
+}
+
+impl Scope<'_> {
+    fn lookup(&self, x: &str, env: &Env) -> Option<Value> {
+        match *self {
+            Scope::Own(val) => {
+                if let Some(v) = val.get(x) {
+                    return Some(v.clone());
+                }
+            }
+            Scope::Call(mut param) => {
+                while let Some(p) = param {
+                    if p.name == x {
+                        return Some(p.value.clone());
+                    }
+                    param = p.outer;
+                }
+            }
+        }
+        env.lookup(x).cloned()
+    }
+
+    /// The parameters a call made here is resolved in: a component's own
+    /// term is stepped in the skeleton's environment alone.
+    fn params(&self) -> Option<&Param<'_>> {
+        match *self {
+            Scope::Own(..) => None,
+            Scope::Call(param) => param,
+        }
+    }
+}
+
+/// Steps one component at its control point, by the rules of
+/// [`Lts::steps`] for prefixes, choices and calls, with names read
+/// through a [`Scope`]: no environment is built, and each successor is a
+/// point and the values of its free variables.
+struct Stepper<'s, 'a> {
+    defs: &'a Definitions,
+    universe: &'a Universe,
+    env: &'s Env,
+    points: &'s mut Points,
+    raw: &'s mut Vec<Raw>,
+    vals: &'s mut Vec<Value>,
+}
+
+impl Stepper<'_, '_> {
+    /// Appends the steps of `p` in `scope`, in [`Lts::steps`] order;
+    /// false when `p` reaches a `||` or `chan`, which only the whole term
+    /// steps.
+    fn step(&mut self, p: &Process, scope: Scope<'_>, fuel: usize) -> Result<bool, EvalError> {
+        let env = self.env;
+        let lookup = |x: &str| scope.lookup(x, env);
+        match p {
+            Process::Stop | Process::Error(_) => Ok(true),
+            Process::Call { name, args } => {
+                if fuel == 0 {
+                    return Ok(true);
+                }
+                let mut vals = args
+                    .iter()
+                    .map(|e| e.eval_with(&lookup))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let outer = scope.params();
+                let (body, param) = self
+                    .defs
+                    .resolve_call_with(name, &vals, &|x| Scope::Call(outer).lookup(x, env))?;
+                match param {
+                    Some(name) => {
+                        let param = Param {
+                            name,
+                            value: vals.swap_remove(0),
+                            outer,
+                        };
+                        self.step(body, Scope::Call(Some(&param)), fuel - 1)
+                    }
+                    None => self.step(body, Scope::Call(outer), fuel - 1),
+                }
+            }
+            Process::Output { chan, msg, then } => {
+                let c = chan.resolve_with(&lookup)?;
+                let v = msg.eval_with(&lookup)?;
+                self.push(Event::new(c, v), then, scope, None);
+                Ok(true)
+            }
+            Process::Input {
+                chan,
+                var,
+                set,
+                then,
+            } => {
+                let c = chan.resolve_with(&lookup)?;
+                let m = set.eval_with(&lookup)?;
+                for v in self.universe.enumerate(&m)? {
+                    let e = Event::new(c.clone(), v.clone());
+                    self.push(e, then, scope, Some((var, v)));
+                }
+                Ok(true)
+            }
+            Process::Choice(a, b) => Ok(self.step(a, scope, fuel)? && self.step(b, scope, fuel)?),
+            Process::Parallel { .. } | Process::Hide { .. } => Ok(false),
+        }
+    }
+
+    /// Appends a step to `then`, an input binding `input` on the way: the
+    /// successor is `then`'s point and the values of its free variables,
+    /// or, when one is unbound or `then` is a `||` or `chan`, `then`
+    /// closed as the `||` rule closes a moved operand.
+    fn push(
+        &mut self,
+        e: Event,
+        then: &Arc<Process>,
+        scope: Scope<'_>,
+        input: Option<(&str, Value)>,
+    ) {
+        let env = self.env;
+        let value = |x: &str| match &input {
+            Some((var, v)) if *var == x => Some(v.clone()),
+            _ => scope.lookup(x, env),
+        };
+        let at = self.points.of(then);
+        let vars = &self.points.list[at as usize].vars;
+        let from = self.vals.len();
+        for x in vars.iter() {
+            match value(x) {
+                Some(v) => self.vals.push(v),
+                None => break,
+            }
+        }
+        if self.vals.len() - from == vars.len()
+            && !matches!(**then, Process::Parallel { .. } | Process::Hide { .. })
+        {
+            self.raw.push(Raw::At(e, at, from..self.vals.len()));
+            return;
+        }
+        let bound = self.vals.len() > from || vars.iter().any(|x| value(x).is_some());
+        self.vals.truncate(from);
+        let term = if bound {
+            Arc::new(close_process_with(then, &value))
+        } else {
+            Arc::clone(then)
+        };
+        self.raw.push(Raw::Term(e, term));
+    }
 }
 
 /// Where a component step leads.
@@ -680,11 +1117,35 @@ struct Move {
 }
 
 /// The moves of a skeleton node, and the `(leaf slot, row index)` parts
-/// they name, in slot order.
+/// they name, in slot order; and, kept between rows, the marks of each
+/// component's steps under each skeleton it has stood in.
 #[derive(Debug, Default)]
 struct MoveBuf {
     moves: Vec<Move>,
     parts: Vec<(usize, usize)>,
+    /// Where the marks of a component's row under a skeleton start in
+    /// `marks`, by `(skeleton, component)`.
+    leaf_marks: FxHashMap<(u32, u32), usize>,
+    marks: Vec<u32>,
+}
+
+impl MoveBuf {
+    /// The start in `marks` of the marks of component `c`'s steps under
+    /// skeleton `skel`, read from the skeleton on first use.
+    fn leaf_marks(
+        &mut self,
+        skel: (u32, &mut Skeleton),
+        c: u32,
+        row: &[(Option<Event>, Next)],
+    ) -> usize {
+        let (id, skel) = skel;
+        *self.leaf_marks.entry((id, c)).or_insert_with(|| {
+            let at = self.marks.len();
+            self.marks
+                .extend(row.iter().map(|&(e, _)| e.map_or(0, |e| skel.marks_of(e))));
+            at
+        })
+    }
 }
 
 /// One node of a spine as [`read_spine`](CompiledLts::read_spine) reads
@@ -750,7 +1211,7 @@ impl<'a> CompiledLts<'a> {
             defs,
             states: Vec::new(),
             keys: Vec::new(),
-            nets: KeyIndex::default(),
+            nets: IdTable::default(),
             wholes: BTreeMap::new(),
             rows: Vec::new(),
             skeletons: Vec::new(),
@@ -760,8 +1221,15 @@ impl<'a> CompiledLts<'a> {
             read_buf: Vec::new(),
             envs: Vec::new(),
             env_ids: BTreeMap::new(),
+            alphabets: Alphabets::default(),
+            points: Points::default(),
             components: Vec::new(),
-            component_ids: HashMap::new(),
+            component_ids: IdTable::default(),
+            aliases: Vec::new(),
+            alias_vals: Vec::new(),
+            alias_ids: IdTable::default(),
+            raw_buf: Vec::new(),
+            vals_buf: Vec::new(),
             move_buf: MoveBuf::default(),
             row_key: Vec::new(),
             next_key: Vec::new(),
@@ -770,6 +1238,7 @@ impl<'a> CompiledLts<'a> {
             component_rows: 0,
             fallback_rows: 0,
             decompositions: 0,
+            visits: 0,
         }
     }
 
@@ -799,14 +1268,21 @@ impl<'a> CompiledLts<'a> {
 
     fn intern_key(&mut self, key: &[u32]) -> StateId {
         let hash = key_hash(key);
-        if let Some(i) = self.nets.get(key, hash, &self.states, &self.keys) {
+        let (states, keys) = (&self.states, &self.keys);
+        if let Some(i) = self
+            .nets
+            .get(hash, |i| keys[span(&states[i as usize].key)] == *key)
+        {
             return StateId(i);
         }
         let at = u32::try_from(self.keys.len()).expect("key arena exceeds u32");
         self.keys.extend_from_slice(key);
         let end = u32::try_from(self.keys.len()).expect("key arena exceeds u32");
         let id = self.push(at..end);
-        self.nets.insert(id.0, hash, &self.states, &self.keys);
+        let (states, keys) = (&self.states, &self.keys);
+        self.nets.insert(id.0, hash, |i| {
+            key_hash(&keys[span(&states[i as usize].key)])
+        });
         id
     }
 
@@ -837,7 +1313,7 @@ impl<'a> CompiledLts<'a> {
         self.states[id.index()].term.get_or_init(|| {
             let key = self.key(id);
             self.assemble(key[0], &|slot| {
-                Arc::clone(&self.components[key[1 + slot] as usize].term)
+                Arc::clone(self.components[key[1 + slot] as usize].term.arc())
             })
         })
     }
@@ -862,6 +1338,12 @@ impl<'a> CompiledLts<'a> {
     /// skeleton represents, whose trunk no skeleton represents either.
     pub fn num_fallback_rows(&self) -> usize {
         self.fallback_rows
+    }
+
+    /// `(trace, state)` pairs the trace walks visited: a walk's revisit of
+    /// a pair is not counted again.
+    pub fn num_visits(&self) -> usize {
+        self.visits
     }
 
     /// Configurations interned by reading their term: one per call of
@@ -1002,7 +1484,7 @@ impl<'a> CompiledLts<'a> {
         buf.parts.clear();
         let skel = &mut self.skeletons[key[0] as usize];
         let root = skel.nodes.len() - 1;
-        moves(skel, root, &key[1..], &self.components, &mut buf);
+        moves((key[0], skel), root, &key[1..], &self.components, &mut buf);
         let mut next = std::mem::take(&mut self.next_key);
         for m in &buf.moves {
             let parts = &buf.parts[m.parts.clone()];
@@ -1088,7 +1570,7 @@ impl<'a> CompiledLts<'a> {
     /// successor is no component: the configuration [`Lts::steps`]
     /// builds, around the skeleton `skel` the move leaves.
     fn grown_successor(&self, key: &[u32], skel: u32, parts: &[(usize, usize)]) -> Config {
-        let term = |c: u32| Arc::clone(&self.components[c as usize].term);
+        let term = |c: u32| Arc::clone(self.components[c as usize].term.arc());
         self.assemble(
             skel,
             &|slot| match parts.iter().find(|&&(s, _)| s == slot) {
@@ -1109,58 +1591,195 @@ impl<'a> CompiledLts<'a> {
         Config::from_arc(term, self.envs[skel.env as usize].clone())
     }
 
-    /// Compiles a component's row on first use: [`Lts::steps`] on the
-    /// component, each successor closed as the `||` rule closes a moved
-    /// operand.
+    /// Compiles a component's row on first use: its control point
+    /// stepped in its valuation, or, where the point reaches a `||` or
+    /// `chan`, [`Lts::steps`] on its term with each successor closed as
+    /// the `||` rule closes a moved operand.
     fn component_row(&mut self, c: u32) -> Result<(), EvalError> {
         let comp = &self.components[c as usize];
         if comp.row.is_some() {
             return Ok(());
         }
         let env = comp.env;
-        let steps = self.lts.steps_at(&comp.term, &self.envs[env as usize])?;
-        let row = steps
-            .into_iter()
-            .map(|s| {
-                let (event, next) = match s {
-                    Step::Visible(e, next) => (Some(e), next),
-                    Step::Internal(next) => (None, next),
-                };
-                let term = next.closed();
-                match self.component(env, &term) {
-                    Some(c) => (event, Next::Comp(c)),
-                    None => (event, Next::Term(term)),
-                }
-            })
-            .collect();
-        self.components[c as usize].row = Some(row);
+        let (term, vars) = (Arc::clone(&comp.term.site), Arc::clone(&comp.term.vars));
+        let mut raw = std::mem::take(&mut self.raw_buf);
+        let mut vals = std::mem::take(&mut self.vals_buf);
+        raw.clear();
+        vals.clear();
+        let stepped = Stepper {
+            defs: self.defs,
+            universe: self.lts.universe(),
+            env: &self.envs[env as usize],
+            points: &mut self.points,
+            raw: &mut raw,
+            vals: &mut vals,
+        }
+        .step(
+            &term,
+            Scope::Own(Valuation {
+                vars: &vars,
+                vals: &comp.term.vals,
+            }),
+            self.lts.fuel(),
+        );
+        let row = match stepped {
+            Ok(true) => Ok(raw
+                .drain(..)
+                .map(|step| match step {
+                    Raw::At(e, at, range) => (
+                        Some(e),
+                        Next::Comp(self.component_at(env, at, &vals[range])),
+                    ),
+                    Raw::Term(e, term) => (Some(e), self.next_of(env, term)),
+                })
+                .collect()),
+            Ok(false) => self.whole_component_row(c),
+            Err(e) => Err(e),
+        };
+        self.raw_buf = raw;
+        self.vals_buf = vals;
+        self.components[c as usize].row = Some(row?);
         self.component_rows += 1;
         Ok(())
     }
 
-    /// Interns a component, or `None` when the term cannot be one: it
-    /// reads as a spine node, or has free variables.
+    /// A component's row from [`Lts::steps`] on its term.
+    fn whole_component_row(&mut self, c: u32) -> Result<Vec<(Option<Event>, Next)>, EvalError> {
+        let comp = &self.components[c as usize];
+        let env = comp.env;
+        let steps = self
+            .lts
+            .steps_at(comp.term.arc(), &self.envs[env as usize])?;
+        Ok(steps
+            .into_iter()
+            .map(|s| match s {
+                Step::Visible(e, next) => (Some(e), self.next_of(env, next.closed())),
+                Step::Internal(next) => (None, self.next_of(env, next.closed())),
+            })
+            .collect())
+    }
+
+    /// Where a component step to a closed-over term leads.
+    fn next_of(&mut self, env: u32, term: Arc<Process>) -> Next {
+        match self.component(env, &term) {
+            Some(c) => Next::Comp(c),
+            None => Next::Term(term),
+        }
+    }
+
+    /// The component at point `at` in valuation `vals`: found by the
+    /// alias, or else by the term the pair renders, which only a new
+    /// alias renders.
+    fn component_at(&mut self, env: u32, at: u32, vals: &[Value]) -> u32 {
+        let alias_hash = self.spine_keys.hash_one((env, at, vals));
+        let (aliases, alias_vals) = (&self.aliases, &self.alias_vals);
+        if let Some(a) = self.alias_ids.get(alias_hash, |a| {
+            let a = &aliases[a as usize];
+            a.hash == alias_hash && a.env == env && a.at == at && alias_vals[span(&a.vals)] == *vals
+        }) {
+            return self.aliases[a as usize].comp;
+        }
+        let point = &self.points.list[at as usize];
+        let (site, vars) = (Arc::clone(&point.term), Arc::clone(&point.vars));
+        let hash = self.term_hash(env, &site, &vars, vals);
+        let comp = match self.find_component(env, hash, || render(&site, &vars, vals)) {
+            Some(c) => c,
+            None => self.new_component(env, at, hash, vals.into()),
+        };
+        let from = u32::try_from(self.alias_vals.len()).expect("alias arena exceeds u32");
+        self.alias_vals.extend_from_slice(vals);
+        let end = u32::try_from(self.alias_vals.len()).expect("alias arena exceeds u32");
+        let id = u32::try_from(self.aliases.len()).expect("alias arena exceeds u32");
+        self.aliases.push(Alias {
+            env,
+            at,
+            vals: from..end,
+            hash: alias_hash,
+            comp,
+        });
+        let aliases = &self.aliases;
+        self.alias_ids
+            .insert(id, alias_hash, |a| aliases[a as usize].hash);
+        comp
+    }
+
+    /// The keyed hash of environment `env` and the term `site` renders to
+    /// in valuation `vals` of its free variables `vars`.
+    fn term_hash(&self, env: u32, site: &Process, vars: &[Box<str>], vals: &[Value]) -> u64 {
+        let mut h = self.spine_keys.build_hasher();
+        env.hash(&mut h);
+        hash_rendered(site, &Valuation { vars, vals }, &mut Vec::new(), &mut h);
+        h.finish()
+    }
+
+    /// The component of environment `env` whose term hashes to `hash` and
+    /// is `term()`, built only when a hash matches.
+    fn find_component(
+        &self,
+        env: u32,
+        hash: u64,
+        term: impl FnOnce() -> Arc<Process>,
+    ) -> Option<u32> {
+        let mut term = Some(term);
+        let mut built = None;
+        let comps = &self.components;
+        self.component_ids.get(hash, |c| {
+            let comp = &comps[c as usize];
+            comp.hash == hash
+                && comp.env == env
+                && *comp.term == **built.get_or_insert_with(|| term.take().expect("built once")())
+        })
+    }
+
+    fn new_component(&mut self, env: u32, at: u32, hash: u64, vals: Box<[Value]>) -> u32 {
+        let c = u32::try_from(self.components.len()).expect("component arena exceeds u32");
+        let point = &self.points.list[at as usize];
+        self.components.push(Component {
+            term: Rendered {
+                site: Arc::clone(&point.term),
+                vars: Arc::clone(&point.vars),
+                vals,
+                term: OnceLock::new(),
+            },
+            env,
+            hash,
+            row: None,
+        });
+        let comps = &self.components;
+        self.component_ids
+            .insert(c, hash, |c| comps[c as usize].hash);
+        c
+    }
+
+    /// Interns a component by its term, or `None` when the term cannot be
+    /// one: it reads as a spine node, or has free variables. The term is
+    /// its own control point.
     fn component(&mut self, env: u32, term: &Arc<Process>) -> Option<u32> {
-        if let Some(&c) = self.component_ids.get(&(env, Arc::clone(term))) {
+        let hash = self.term_hash(env, term, &[], &[]);
+        if let Some(c) = self.find_component(env, hash, || Arc::clone(term)) {
             return Some(c);
         }
         // A component stepping into a spine node has grown a spine of its
         // own.
         let mut scratch = std::mem::take(&mut self.read_buf);
-        let read = self.read_spine(term, &self.envs[env as usize], true, &mut scratch);
+        let mut alphabets = std::mem::take(&mut self.alphabets);
+        alphabets.nodes.clear();
+        let read = self.read_spine(
+            term,
+            &self.envs[env as usize],
+            env,
+            true,
+            &mut scratch,
+            &mut alphabets,
+        );
         scratch.clear();
         self.read_buf = scratch;
+        self.alphabets = alphabets;
         if read != Read::Leaf || !is_closed(term) {
             return None;
         }
-        let c = u32::try_from(self.components.len()).expect("component arena exceeds u32");
-        self.components.push(Component {
-            term: Arc::clone(term),
-            env,
-            row: None,
-        });
-        self.component_ids.insert((env, Arc::clone(term)), c);
-        Some(c)
+        let at = self.points.of(term);
+        Some(self.new_component(env, at, hash, Box::default()))
     }
 
     /// Reads a term's spine into `key` as `[skeleton, component…]`; false
@@ -1170,14 +1789,34 @@ impl<'a> CompiledLts<'a> {
     /// is found by the hash of the spine and confirmed node by node, and
     /// only a new skeleton resolves its sets.
     fn decompose(&mut self, term: &Arc<Process>, env: &Env, key: &mut Vec<u32>) -> bool {
+        if !matches!(**term, Process::Parallel { .. } | Process::Hide { .. }) {
+            return false;
+        }
+        let env_id = self.env_id(env);
         let mut read = std::mem::take(&mut self.read_buf);
-        let spine = self.read_spine(term, env, false, &mut read) == Read::Spine;
+        let mut alphabets = std::mem::take(&mut self.alphabets);
+        alphabets.nodes.clear();
+        let env = &self.envs[env_id as usize];
+        let spine =
+            self.read_spine(term, env, env_id, false, &mut read, &mut alphabets) == Read::Spine;
+        self.alphabets = alphabets;
         if spine {
-            self.key_of(env, &read, key);
+            self.key_of(env_id, &read, key);
         }
         read.clear();
         self.read_buf = read;
         spine
+    }
+
+    /// The arena id of an environment, numbering it on first sight.
+    fn env_id(&mut self, env: &Env) -> u32 {
+        if let Some(&e) = self.env_ids.get(env) {
+            return e;
+        }
+        let e = u32::try_from(self.envs.len()).expect("env arena exceeds u32");
+        self.envs.push(env.clone());
+        self.env_ids.insert(env.clone(), e);
+        e
     }
 
     /// Reads the spine of `p` in place: pushes its nodes onto `out`
@@ -1186,8 +1825,9 @@ impl<'a> CompiledLts<'a> {
     ///
     /// - a `||` whose alphabets are pinned in resolved form;
     /// - an unpinned `||` whose alphabets its operands resolve
-    ///   ([`operand_alphabet`]), its declared subscripts closed below a
-    ///   `||`, where the rule closes a standing operand;
+    ///   ([`csp_lang::operand_alphabet`], through [`Alphabets`]), its declared
+    ///   subscripts closed below a `||`, where the rule closes a standing
+    ///   operand;
     /// - a `chan` whose channels resolve in `env`, its subscripts closed
     ///   below a `||`, over a spine node (a `chan` directly over a leaf
     ///   has successors that keep the leaf's environment).
@@ -1198,8 +1838,10 @@ impl<'a> CompiledLts<'a> {
         &self,
         p: &Arc<Process>,
         env: &Env,
+        env_id: u32,
         under_par: bool,
         out: &mut Vec<Part>,
+        alphabets: &mut Alphabets,
     ) -> Read {
         match &**p {
             Process::Parallel {
@@ -1217,19 +1859,19 @@ impl<'a> CompiledLts<'a> {
                         if under_par && !declared.all(|a| closed_refs(a)) {
                             return Read::Leaf;
                         }
-                        let resolve = |alpha: &Option<Vec<ChanRef>>, operand: &Process| {
-                            operand_alphabet(alpha.as_deref(), operand, self.defs, env)
+                        let mut resolve = |alpha: &Option<Vec<ChanRef>>, operand: &Process| {
+                            alphabets.operand(self.defs, alpha.as_deref(), operand, env, env_id)
                         };
-                        let (Ok(x), Ok(y)) =
-                            (resolve(left_alpha, left), resolve(right_alpha, right))
-                        else {
+                        let x = resolve(left_alpha, left);
+                        let y = resolve(right_alpha, right);
+                        let (Ok(x), Ok(y)) = (x, y) else {
                             return Read::Leaf;
                         };
                         Part::Par(Arc::clone(p), Some((x, y)))
                     }
                 };
                 for operand in [left, right] {
-                    match self.read_spine(operand, env, true, out) {
+                    match self.read_spine(operand, env, env_id, true, out, alphabets) {
                         Read::Spine => {}
                         Read::Leaf if is_closed(operand) => {
                             out.push(Part::Leaf(Arc::clone(operand)))
@@ -1244,7 +1886,7 @@ impl<'a> CompiledLts<'a> {
                 if under_par && !closed_refs(channels) || !resolves(channels, env) {
                     return Read::Leaf;
                 }
-                let read = self.read_spine(body, env, under_par, out);
+                let read = self.read_spine(body, env, env_id, under_par, out, alphabets);
                 if read == Read::Spine {
                     out.push(Part::Hide(Arc::clone(p)));
                 }
@@ -1254,22 +1896,16 @@ impl<'a> CompiledLts<'a> {
         }
     }
 
-    /// The key of a spine read in `env`, interning its skeleton and
-    /// components as needed.
-    fn key_of(&mut self, env: &Env, read: &[Part], key: &mut Vec<u32>) {
-        let env_id = match self.env_ids.get(env) {
-            Some(&e) => e,
-            None => {
-                let e = u32::try_from(self.envs.len()).expect("env arena exceeds u32");
-                self.envs.push(env.clone());
-                self.env_ids.insert(env.clone(), e);
-                e
-            }
-        };
+    /// The key of a spine read in environment `env_id`, interning its
+    /// skeleton and components as needed.
+    fn key_of(&mut self, env_id: u32, read: &[Part], key: &mut Vec<u32>) {
         let hash = self.spine_hash(env_id, read.iter().map(Part::view));
         let skel = match self.find_skeleton(hash, env_id, || read.iter().map(Part::view)) {
             Some(s) => s,
-            None => self.add_skeleton(hash, Skeleton::new(env_id, env, read)),
+            None => {
+                let skel = Skeleton::new(env_id, &self.envs[env_id as usize], read);
+                self.add_skeleton(hash, skel)
+            }
         };
         key.clear();
         key.push(skel);
@@ -1372,7 +2008,9 @@ impl<'a> CompiledLts<'a> {
         internal_budget: usize,
     ) -> Result<TraceTree, EvalError> {
         let mut walk = TraceWalk::new();
-        self.walk(start, depth, internal_budget, 0, &mut walk)?;
+        let walked = self.walk(start, depth, internal_budget, 0, &mut walk);
+        self.visits += walk.seen.len();
+        walked?;
         Ok(walk.tree)
     }
 
@@ -1394,7 +2032,7 @@ impl<'a> CompiledLts<'a> {
         trace: u32,
         out: &mut TraceWalk,
     ) -> Result<(), EvalError> {
-        if !out.seen.insert((trace, id.0)) {
+        if !out.seen.insert(trace, id.0) {
             return Ok(());
         }
         let n = self.steps_of(id)?.len();
@@ -1551,11 +2189,11 @@ impl<'a> CompiledLts<'a> {
 /// channel (in left-row order), then its right operand alone. A
 /// concealed operand step is a concealed step of the node. Whether an
 /// event is shared or hidden at a node is a bit of the event's row of
-/// marks, looked up once per component step. The operands' moves are
+/// marks, looked up once per component step and skeleton. The operands' moves are
 /// dropped once the node's are built, so a node's moves are all
 /// `buf.moves` holds past its length on entry.
 fn moves(
-    skel: &mut Skeleton,
+    (id, skel): (u32, &mut Skeleton),
     node: usize,
     comps: &[u32],
     components: &[Component],
@@ -1564,22 +2202,24 @@ fn moves(
     let start = buf.moves.len();
     match skel.nodes[node] {
         Node::Leaf(slot) => {
-            let row = components[comps[slot] as usize]
+            let c = comps[slot];
+            let row = components[c as usize]
                 .row
                 .as_ref()
                 .expect("component compiled");
+            let marks = buf.leaf_marks((id, skel), c, row);
             for (k, &(event, _)) in row.iter().enumerate() {
                 let at = buf.parts.len();
                 buf.parts.push((slot, k));
                 buf.moves.push(Move {
                     event,
-                    marks: event.map_or(0, |e| skel.marks_of(e)),
+                    marks: buf.marks[marks + k],
                     parts: at..at + 1,
                 });
             }
         }
         Node::Hide { body, .. } => {
-            moves(skel, body, comps, components, buf);
+            moves((id, skel), body, comps, components, buf);
             for m in &mut buf.moves[start..] {
                 if m.event.is_some() && skel.marked(m.marks, node) {
                     m.event = None;
@@ -1587,9 +2227,9 @@ fn moves(
             }
         }
         Node::Par { left, right, .. } => {
-            moves(skel, left, comps, components, buf);
+            moves((id, skel), left, comps, components, buf);
             let mid = buf.moves.len();
-            moves(skel, right, comps, components, buf);
+            moves((id, skel), right, comps, components, buf);
             let end = buf.moves.len();
             let shared = |m: &Move| m.event.is_some() && skel.marked(m.marks, node);
             for l in start..mid {
@@ -1617,6 +2257,88 @@ fn moves(
                 }
             }
             buf.moves.drain(start..end);
+        }
+    }
+}
+
+/// The alphabets the unpinned `||`s of spine reads resolve, as
+/// [`csp_lang::operand_alphabet`] resolves them. Inference walks an operand's text
+/// with calls unfolded once each; when no definition's body reads a
+/// variable but its own parameter, what a call contributes depends on
+/// the call alone, so an inferred alphabet is the union of its spine's
+/// leaves' alphabets, each call's resolved once per arguments and each
+/// `||` node's once per read: a spine read is linear in its leaves.
+#[derive(Debug, Default)]
+struct Alphabets {
+    /// Whether every definition's body reads no variable but its
+    /// parameter; `None` until first asked.
+    scoped: Option<bool>,
+    /// The alphabets of calls by environment, name and arguments. Names
+    /// come from user input, so this map keeps the default hasher.
+    calls: HashMap<(u32, String, Vec<Value>), Result<ChannelSet, EvalError>>,
+    /// The inferred alphabets of the `||` nodes of the read in progress,
+    /// by address.
+    nodes: FxHashMap<usize, Result<ChannelSet, EvalError>>,
+}
+
+impl Alphabets {
+    /// The alphabet of a `||` operand: its declared list resolved, or its
+    /// inferred alphabet.
+    fn operand(
+        &mut self,
+        defs: &Definitions,
+        declared: Option<&[ChanRef]>,
+        operand: &Process,
+        env: &Env,
+        env_id: u32,
+    ) -> Result<ChannelSet, EvalError> {
+        let scoped = *self.scoped.get_or_insert_with(|| {
+            defs.iter().all(|d| {
+                let param = d.param().map(|(var, _)| Bound { var, outer: None });
+                free_vars_under(d.body(), param.as_ref(), &mut |_| false)
+            })
+        });
+        match declared {
+            Some(refs) => resolve_chanrefs(refs, env),
+            None if scoped => self.inferred(defs, operand, env, env_id),
+            None => channel_alphabet(operand, defs, env),
+        }
+    }
+
+    fn inferred(
+        &mut self,
+        defs: &Definitions,
+        p: &Process,
+        env: &Env,
+        env_id: u32,
+    ) -> Result<ChannelSet, EvalError> {
+        match p {
+            Process::Parallel { left, right, .. } => {
+                let addr = std::ptr::from_ref(p) as usize;
+                if let Some(known) = self.nodes.get(&addr) {
+                    return known.clone();
+                }
+                let set = self
+                    .inferred(defs, left, env, env_id)
+                    .and_then(|x| Ok(x.union(&self.inferred(defs, right, env, env_id)?)));
+                self.nodes.insert(addr, set.clone());
+                set
+            }
+            Process::Hide { channels, body } => {
+                let hidden = resolve_chanrefs(channels, env)?;
+                Ok(hidden.union(&self.inferred(defs, body, env, env_id)?))
+            }
+            Process::Call { name, args } => {
+                let vals = args
+                    .iter()
+                    .map(|e| e.eval(env))
+                    .collect::<Result<Vec<_>, _>>()?;
+                self.calls
+                    .entry((env_id, name.clone(), vals))
+                    .or_insert_with(|| channel_alphabet(p, defs, env))
+                    .clone()
+            }
+            _ => channel_alphabet(p, defs, env),
         }
     }
 }
@@ -1660,12 +2382,151 @@ fn resolves(refs: &[ChanRef], env: &Env) -> bool {
     })
 }
 
+/// Values of free variables: `vars` ascending, `vals` aligned with them.
+#[derive(Debug, Clone, Copy)]
+struct Valuation<'v> {
+    vars: &'v [Box<str>],
+    vals: &'v [Value],
+}
+
+impl Valuation<'_> {
+    fn get(&self, x: &str) -> Option<&Value> {
+        let k = self.vars.binary_search_by(|v| (**v).cmp(x)).ok()?;
+        Some(&self.vals[k])
+    }
+}
+
+/// Feeds into `h` the term `p` renders to ([`render`]): a free variable
+/// with a value hashes as that constant, so the pair and the term it
+/// renders hash alike, and no term is built. `bound` holds the input
+/// variables bound around `p`.
+fn hash_rendered<'p>(
+    p: &'p Process,
+    val: &Valuation<'_>,
+    bound: &mut Vec<&'p str>,
+    h: &mut impl Hasher,
+) {
+    let chans = |cs: &[ChanRef], bound: &[&str], h: &mut _| {
+        cs.len().hash(h);
+        for c in cs {
+            hash_chan(c, val, bound, h);
+        }
+    };
+    match p {
+        Process::Stop => 0u8.hash(h),
+        Process::Error(span) => (1u8, span).hash(h),
+        Process::Call { name, args } => {
+            (2u8, name, args.len()).hash(h);
+            for e in args {
+                hash_expr(e, val, bound, h);
+            }
+        }
+        Process::Output { chan, msg, then } => {
+            3u8.hash(h);
+            hash_chan(chan, val, bound, h);
+            hash_expr(msg, val, bound, h);
+            hash_rendered(then, val, bound, h);
+        }
+        Process::Input {
+            chan,
+            var,
+            set,
+            then,
+        } => {
+            4u8.hash(h);
+            hash_chan(chan, val, bound, h);
+            match set {
+                SetExpr::Nat => 0u8.hash(h),
+                SetExpr::Range(lo, hi) => {
+                    1u8.hash(h);
+                    hash_expr(lo, val, bound, h);
+                    hash_expr(hi, val, bound, h);
+                }
+                SetExpr::Enum(es) => {
+                    (2u8, es.len()).hash(h);
+                    for e in es {
+                        hash_expr(e, val, bound, h);
+                    }
+                }
+                SetExpr::Named(n) => (3u8, n).hash(h),
+            }
+            var.hash(h);
+            bound.push(var);
+            hash_rendered(then, val, bound, h);
+            bound.pop();
+        }
+        Process::Choice(a, b) => {
+            5u8.hash(h);
+            hash_rendered(a, val, bound, h);
+            hash_rendered(b, val, bound, h);
+        }
+        Process::Parallel {
+            left,
+            right,
+            left_alpha,
+            right_alpha,
+        } => {
+            6u8.hash(h);
+            for alpha in [left_alpha, right_alpha] {
+                alpha.is_some().hash(h);
+                if let Some(cs) = alpha {
+                    chans(cs, bound, h);
+                }
+            }
+            hash_rendered(left, val, bound, h);
+            hash_rendered(right, val, bound, h);
+        }
+        Process::Hide { channels, body } => {
+            7u8.hash(h);
+            chans(channels, bound, h);
+            hash_rendered(body, val, bound, h);
+        }
+    }
+}
+
+fn hash_chan(c: &ChanRef, val: &Valuation<'_>, bound: &[&str], h: &mut impl Hasher) {
+    (c.base(), c.indices().len()).hash(h);
+    for e in c.indices() {
+        hash_expr(e, val, bound, h);
+    }
+}
+
+fn hash_expr(e: &Expr, val: &Valuation<'_>, bound: &[&str], h: &mut impl Hasher) {
+    match e {
+        Expr::Var(x) if !bound.contains(&x.as_str()) => match val.get(x) {
+            Some(v) => (0u8, v).hash(h),
+            None => (1u8, x).hash(h),
+        },
+        Expr::Const(v) => (0u8, v).hash(h),
+        Expr::Var(x) => (1u8, x).hash(h),
+        Expr::Bin(op, a, b) => {
+            (2u8, op).hash(h);
+            hash_expr(a, val, bound, h);
+            hash_expr(b, val, bound, h);
+        }
+        Expr::Un(op, a) => {
+            (3u8, op).hash(h);
+            hash_expr(a, val, bound, h);
+        }
+        Expr::Tuple(es) => {
+            (4u8, es.len()).hash(h);
+            for e in es {
+                hash_expr(e, val, bound, h);
+            }
+        }
+        Expr::ArrayRef(name, idx) => {
+            (5u8, name).hash(h);
+            hash_expr(idx, val, bound, h);
+        }
+    }
+}
+
 /// True when no variable occurs free in `p`, so closing it with any
 /// environment is the identity. Array names such as `v` in `v[1]` are
 /// host constants, not variables. One walk of the term, with the input
 /// variables bound around each subterm on the call stack.
 fn is_closed(p: &Process) -> bool {
-    closed_under(p, None)
+    free_vars_under(p, None, &mut |_| false)
 }
 
 /// The input variables bound around a subterm, innermost first.
@@ -1684,24 +2545,37 @@ fn binds(mut bound: Option<&Bound<'_>>, x: &str) -> bool {
     false
 }
 
-fn closed_under(p: &Process, bound: Option<&Bound<'_>>) -> bool {
-    let expr = |e: &Expr| expr_closed_under(e, bound);
-    let chan = |c: &ChanRef| c.indices().iter().all(expr);
+/// Calls `f` on each occurrence of a variable free in `p` and not
+/// `bound` around it, until `f` returns false; false when it did.
+fn free_vars_under<'p>(
+    p: &'p Process,
+    bound: Option<&Bound<'_>>,
+    f: &mut impl FnMut(&'p str) -> bool,
+) -> bool {
+    let expr = |e: &'p Expr, f: &mut _| expr_free_vars(e, bound, f);
     match p {
         Process::Stop | Process::Error(_) => true,
-        Process::Call { args, .. } => args.iter().all(expr),
-        Process::Output { chan: c, msg, then } => chan(c) && expr(msg) && closed_under(then, bound),
+        Process::Call { args, .. } => args.iter().all(|e| expr(e, f)),
+        Process::Output { chan, msg, then } => {
+            chan.indices().iter().all(|e| expr(e, f))
+                && expr(msg, f)
+                && free_vars_under(then, bound, f)
+        }
         Process::Input {
-            chan: c,
+            chan,
             var,
             set,
             then,
         } => {
-            chan(c)
-                && set_closed_under(set, bound)
-                && closed_under(then, Some(&Bound { var, outer: bound }))
+            chan.indices().iter().all(|e| expr(e, f))
+                && match set {
+                    SetExpr::Nat | SetExpr::Named(_) => true,
+                    SetExpr::Range(lo, hi) => expr(lo, f) && expr(hi, f),
+                    SetExpr::Enum(es) => es.iter().all(|e| expr(e, f)),
+                }
+                && free_vars_under(then, Some(&Bound { var, outer: bound }), f)
         }
-        Process::Choice(a, b) => closed_under(a, bound) && closed_under(b, bound),
+        Process::Choice(a, b) => free_vars_under(a, bound, f) && free_vars_under(b, bound, f),
         Process::Parallel {
             left,
             right,
@@ -1712,30 +2586,31 @@ fn closed_under(p: &Process, bound: Option<&Bound<'_>>) -> bool {
                 .into_iter()
                 .flatten()
                 .flatten()
-                .all(chan)
-                && closed_under(left, bound)
-                && closed_under(right, bound)
+                .all(|c| c.indices().iter().all(|e| expr(e, f)))
+                && free_vars_under(left, bound, f)
+                && free_vars_under(right, bound, f)
         }
-        Process::Hide { channels, body } => channels.iter().all(chan) && closed_under(body, bound),
+        Process::Hide { channels, body } => {
+            channels
+                .iter()
+                .all(|c| c.indices().iter().all(|e| expr(e, f)))
+                && free_vars_under(body, bound, f)
+        }
     }
 }
 
-fn expr_closed_under(e: &Expr, bound: Option<&Bound<'_>>) -> bool {
+fn expr_free_vars<'p>(
+    e: &'p Expr,
+    bound: Option<&Bound<'_>>,
+    f: &mut impl FnMut(&'p str) -> bool,
+) -> bool {
     match e {
         Expr::Const(_) => true,
-        Expr::Var(x) => binds(bound, x),
-        Expr::Bin(_, a, b) => expr_closed_under(a, bound) && expr_closed_under(b, bound),
-        Expr::Un(_, a) => expr_closed_under(a, bound),
-        Expr::Tuple(es) => es.iter().all(|e| expr_closed_under(e, bound)),
-        Expr::ArrayRef(_, idx) => expr_closed_under(idx, bound),
-    }
-}
-
-fn set_closed_under(s: &SetExpr, bound: Option<&Bound<'_>>) -> bool {
-    match s {
-        SetExpr::Nat | SetExpr::Named(_) => true,
-        SetExpr::Range(lo, hi) => expr_closed_under(lo, bound) && expr_closed_under(hi, bound),
-        SetExpr::Enum(es) => es.iter().all(|e| expr_closed_under(e, bound)),
+        Expr::Var(x) => binds(bound, x) || f(x),
+        Expr::Bin(_, a, b) => expr_free_vars(a, bound, f) && expr_free_vars(b, bound, f),
+        Expr::Un(_, a) => expr_free_vars(a, bound, f),
+        Expr::Tuple(es) => es.iter().all(|e| expr_free_vars(e, bound, f)),
+        Expr::ArrayRef(_, idx) => expr_free_vars(idx, bound, f),
     }
 }
 
@@ -2010,6 +2885,219 @@ mod tests {
     }
 
     #[test]
+    fn the_first_visit_of_a_configuration_fixes_its_hidden_budget() {
+        // Both branches reach `chan h; h!0 -> a!0 -> STOP` under `<>`, the
+        // longer one with no hidden step left. The visited set ignores the
+        // budget left, so the branch walked first decides whether `a.0`
+        // fits in a budget of 2.
+        let defs = parse_definitions(
+            "p = chan h; (h!0 -> h!0 -> h!0 -> a!0 -> STOP | h!0 -> h!0 -> a!0 -> STOP)
+             q = chan h; (h!0 -> h!0 -> a!0 -> STOP | h!0 -> h!0 -> h!0 -> a!0 -> STOP)",
+        )
+        .unwrap();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let empty = TraceSet::stop();
+        let a0 = TraceSet::closure_of([Trace::parse_like([("a", Value::nat(0))])]);
+        for (name, budget, want) in [
+            ("p", 2, &empty),
+            ("q", 2, &a0),
+            ("p", 3, &a0),
+            ("q", 3, &a0),
+        ] {
+            let start = Config::new(Process::call(name), Env::new());
+            let listed = lts.traces_budgeted(&start, 1, budget).unwrap();
+            assert_eq!(&listed, want, "{name}, budget {budget}: enumerative");
+            let mut c = CompiledLts::new(&defs, &uni);
+            let id = c.intern(start);
+            let listed = c.traces_budgeted(id, 1, budget).unwrap();
+            assert_eq!(&listed, want, "{name}, budget {budget}: compiled");
+        }
+    }
+
+    #[test]
+    fn points_that_render_one_term_are_one_component() {
+        // `m[1]` written in `net` and `m[i]` ending m's body with i = 1
+        // render one term; so do `b!x -> STOP` after `c?x:{0}` and the
+        // `b!0 -> STOP` written after `d!0`. Each pair is one component,
+        // and the networks holding them are one state.
+        let defs = parse_definitions(
+            "m[i:1..2] = a[i]!0 -> m[i]
+             k = c?x:{0} -> b!x -> STOP | d!0 -> b!0 -> STOP
+             net = m[1] || k",
+        )
+        .unwrap();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let mut c = CompiledLts::new(&defs, &uni);
+        let start = c.start("net", &Env::new());
+        let env = c.env_id(&Env::new());
+        let m1 = c.component(env, &Arc::new(Process::call1("m", Expr::int(1))));
+        let m1 = m1.expect("a component");
+        c.component_row(m1).unwrap();
+        let row = c.components[m1 as usize].row.clone().unwrap();
+        assert!(matches!(row[..], [(Some(_), Next::Comp(n))] if n == m1));
+        let k = c
+            .component(env, &Arc::new(Process::call("k")))
+            .expect("a component");
+        c.component_row(k).unwrap();
+        let row = c.components[k as usize].row.clone().unwrap();
+        let [(_, Next::Comp(after_c)), (_, Next::Comp(after_d))] = row[..] else {
+            panic!("two component steps: {row:?}");
+        };
+        assert_eq!(after_c, after_d);
+        assert_eq!(
+            c.components[after_c as usize].term.to_string(),
+            "b!0 -> STOP"
+        );
+
+        let step = |c: &mut CompiledLts<'_>, id: StateId, on: &str| {
+            let row = c.steps_of(id).unwrap().to_vec();
+            row.into_iter()
+                .find_map(|s| match s {
+                    CompiledStep::Visible(e, next) if e.channel().to_string() == on => Some(next),
+                    _ => None,
+                })
+                .expect("a step on the channel")
+        };
+        let once = step(&mut c, start, "a[1]");
+        assert_eq!(step(&mut c, once, "a[1]"), once, "m[i] and m[1]: one state");
+        assert_eq!(
+            step(&mut c, once, "c"),
+            step(&mut c, once, "d"),
+            "one state"
+        );
+        assert_rows_are_whole_term_rows(&mut c, &lts);
+    }
+
+    /// Every component the rows reached from `start` lead to, up to
+    /// `limit`: its row, with each successor read as the term it renders,
+    /// is [`Lts::steps`] on its term with each successor closed, in order,
+    /// errors included.
+    fn component_rows_agree(
+        c: &mut CompiledLts<'_>,
+        lts: &Lts<'_>,
+        env: &Env,
+        start: &Process,
+        limit: usize,
+    ) {
+        let env_id = c.env_id(env);
+        let start = c
+            .component(env_id, &Arc::new(start.clone()))
+            .expect("a closed sequential term is a component");
+        let (mut queue, mut seen) = (vec![start], BTreeSet::from([start]));
+        while let Some(comp) = queue.pop() {
+            let term = Arc::clone(c.components[comp as usize].term.arc());
+            let want = lts.steps_at(&term, env).map(|steps| {
+                steps
+                    .into_iter()
+                    .map(|s| match s {
+                        Step::Visible(e, next) => (Some(e), next.closed()),
+                        Step::Internal(next) => (None, next.closed()),
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let got = c.component_row(comp).map(|()| {
+                let row = c.components[comp as usize].row.clone().expect("compiled");
+                row.into_iter()
+                    .map(|(e, next)| match next {
+                        Next::Comp(n) => {
+                            if seen.len() < limit && seen.insert(n) {
+                                queue.push(n);
+                            }
+                            (e, Arc::clone(c.components[n as usize].term.arc()))
+                        }
+                        Next::Term(t) => (e, t),
+                    })
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(got, want, "{term}");
+        }
+    }
+
+    /// An expression of `p`'s parameter `i`, of `r`'s `j`, or, in `q`,
+    /// of the `i` a caller or the host environment binds; the host array
+    /// `v` read at one of them.
+    fn arb_seq_expr(var: &'static str) -> impl Strategy<Value = String> {
+        prop_oneof![
+            Just("0".to_string()),
+            Just("1".to_string()),
+            Just(var.to_string()),
+            Just(format!("({var} + 1) % 3")),
+            Just(format!("v[{var} + 1]")),
+        ]
+    }
+
+    /// A sequential body over `var`: prefixes that output, input into
+    /// `x` (then output it) or `y` (from a set the body computes, then
+    /// output a sum), choices, and calls of parameterised definitions,
+    /// of `q`, which reads its callers' `i` (bound while a call of `p`
+    /// unfolds, not once a step has closed it away), of an unguarded
+    /// chain and of an unguarded loop.
+    fn arb_seq_body(var: &'static str) -> impl Strategy<Value = String> {
+        let expr = move || arb_seq_expr(var);
+        let leaf = prop_oneof![
+            Just("STOP".to_string()),
+            expr().prop_map(|e| format!("p[{e}]")),
+            Just("q".to_string()),
+            expr().prop_map(|e| format!("r[{e}]")),
+            Just("u0".to_string()),
+            Just("w".to_string()),
+        ];
+        leaf.prop_recursive(4, 16, 2, move |inner| {
+            prop_oneof![
+                (expr(), expr(), inner.clone()).prop_map(|(c, m, k)| format!("a[{c}]!{m} -> {k}")),
+                inner
+                    .clone()
+                    .prop_map(|k| format!("b?x:{{0..1}} -> a[x]!x -> {k}")),
+                (expr(), expr(), inner.clone()).prop_map(|(lo, m, k)| {
+                    format!("c?y:{{{lo}..2}} -> a[0]!(y + {m}) % 3 -> {k}")
+                }),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a} | {b})")),
+                // `q` read after a step that no longer binds `var`.
+                inner.prop_map(move |k| format!("a[0]!{var} -> ({k} | q)")),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A component row stepped at its control point is [`Lts::steps`]
+        /// on the term it renders, each successor closed as the `||` rule
+        /// closes a moved operand: on parameters, input variables, host
+        /// array cells, a body reading its caller's parameter, unguarded
+        /// call chains within the fuel and a loop that spends it, and
+        /// choice.
+        #[test]
+        fn control_point_rows_are_whole_term_rows(
+            bodies in (arb_seq_body("i"), arb_seq_body("i"), arb_seq_body("j")),
+            chain in 0usize..6,
+            start in prop_oneof![Just("p[0]"), Just("p[2]"), Just("q"), Just("r[1]"), Just("u0"), Just("w")],
+            host_i in 0u8..2,
+        ) {
+            let (bp, bq, br) = bodies;
+            let mut src = format!(
+                "p[i:0..2] = {bp}\nq = {bq}\nr[j:0..2] = {br}\nw = w | a[0]!0 -> STOP\n"
+            );
+            for k in 0..chain {
+                src.push_str(&format!("u{k} = u{}\n", k + 1));
+            }
+            src.push_str(&format!("u{chain} = p[1]\n"));
+            let defs = parse_definitions(&src).unwrap();
+            let uni = Universe::new(1);
+            let lts = Lts::new(&defs, &uni);
+            let mut env = examples::multiplier_env(&[5, 6, 7]);
+            if host_i == 1 {
+                env.bind_mut("i", Value::Int(2));
+            }
+            let mut c = CompiledLts::new(&defs, &uni);
+            let start = csp_lang::parse_process(start).unwrap();
+            component_rows_agree(&mut c, &lts, &env, &start, 40);
+        }
+    }
+
+    #[test]
     fn a_component_stepping_into_a_network_is_read_from_its_term() {
         // `grow` steps into a `||` of its own while `ticker` stands at any
         // of its three states: each such successor is built as a term and
@@ -2128,6 +3216,34 @@ mod tests {
             let compiled = c.traces_budgeted(start, 3, 9).unwrap();
             assert_eq!(compiled, lts.traces_budgeted(&config, 3, 9).unwrap());
         }
+        assert_rows_are_whole_term_rows(&mut c, &lts);
+    }
+
+    #[test]
+    fn a_call_whose_alphabet_depends_on_its_caller_is_walked_whole() {
+        // `q` reads its caller's `i`. Inference unfolds `q` once per walk,
+        // so the left operand's alphabet holds `a[0]` alone; a union of
+        // per-call alphabets would add `a[1]`, and `p[1]` would then have
+        // to synchronise with `r` on it.
+        let defs = parse_definitions(
+            "p[i:0..1] = q
+             q = a[i]!0 -> STOP
+             r = a[1]?x:{0} -> b!0 -> STOP
+             net = (p[0] || p[1]) || r",
+        )
+        .unwrap();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let mut c = CompiledLts::new(&defs, &uni);
+        let start = c.start("net", &Env::new());
+        let compiled = c.traces_budgeted(start, 4, 12).unwrap();
+        let enumerated = lts
+            .traces_budgeted(&lts.initial("net", &Env::new()), 4, 12)
+            .unwrap();
+        assert_eq!(compiled, enumerated);
+        let a1 = Event::new(csp_trace::Channel::indexed("a", 1), Value::nat(0));
+        let twice = Trace::from_events([a1, a1]);
+        assert!(compiled.contains(&twice), "{compiled}");
         assert_rows_are_whole_term_rows(&mut c, &lts);
     }
 

@@ -99,6 +99,17 @@ impl<'a> Lts<'a> {
         }
     }
 
+    /// The universe inputs and `NAT` range over.
+    pub(crate) fn universe(&self) -> &'a Universe {
+        self.universe
+    }
+
+    /// The calls [`steps`](Self::steps) unfolds before it gives up on an
+    /// unguarded cycle.
+    pub(crate) fn fuel(&self) -> usize {
+        self.fuel0
+    }
+
     /// The initial configuration for a named process.
     pub fn initial(&self, name: &str, env: &Env) -> Config {
         Config::new(Process::call(name), env.clone())

@@ -104,9 +104,9 @@ impl<'a> SatChecker<'a> {
 
     /// Attaches an observation stream: each check records a `satcheck`
     /// span (with exploration and moment counts; for the compiled engine
-    /// also the arena's states, transitions, component rows and
-    /// whole-term fallback rows) and per-phase child spans. Disabled by
-    /// default.
+    /// also the arena's states, transitions, component rows, whole-term
+    /// fallback rows, decompositions and the walk's `(trace, state)`
+    /// visits) and per-phase child spans. Disabled by default.
     #[must_use]
     pub fn with_collector(mut self, collector: Collector) -> Self {
         self.collector = collector;
@@ -171,6 +171,7 @@ impl<'a> SatChecker<'a> {
                         "satcheck.decompositions",
                         compiled.num_decompositions(),
                     ),
+                    ("visits", "satcheck.visits", compiled.num_visits()),
                 ] {
                     root.record(field, n);
                     self.collector.add(counter, n as u64);

@@ -113,9 +113,68 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The one stdout every subcommand prints through: locked once and
+/// buffered, so a listing is one write rather than one per line. A
+/// reader that stops reading (`csp traces … | head -1`) closes the pipe;
+/// the next write then ends the process quietly with exit 0, as a
+/// filter's producer should. Any other write failure exits 2.
+mod out {
+    use std::cell::RefCell;
+    use std::io::{BufWriter, ErrorKind, StdoutLock, Write};
+
+    thread_local! {
+        static OUT: RefCell<Option<BufWriter<StdoutLock<'static>>>> = const { RefCell::new(None) };
+    }
+
+    /// Writes formatted text to stdout, locking it on first use.
+    pub fn write(args: std::fmt::Arguments<'_>) {
+        let written = OUT.with(|out| {
+            out.borrow_mut()
+                .get_or_insert_with(|| BufWriter::new(std::io::stdout().lock()))
+                .write_fmt(args)
+        });
+        if let Err(e) = written {
+            failed(&e);
+        }
+    }
+
+    /// Flushes what is buffered and unlocks stdout (`csp serve` prints
+    /// its listening line, then leaves stdout to no one).
+    pub fn flush() {
+        let flushed = OUT.with(|out| match out.borrow_mut().take() {
+            Some(mut w) => w.flush(),
+            None => Ok(()),
+        });
+        if let Err(e) = flushed {
+            failed(&e);
+        }
+    }
+
+    fn failed(e: &std::io::Error) -> ! {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// `print!` through [`out`].
+macro_rules! out {
+    ($($arg:tt)*) => { out::write(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    () => { out::write(format_args!("\n")) };
+    ($($arg:tt)*) => { out::write(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&args) {
+    let done = dispatch(&args);
+    out::flush();
+    match done {
         Ok(clean) => {
             if clean {
                 ExitCode::SUCCESS
@@ -469,7 +528,7 @@ fn finish_observation(session: &Session<'_>, opts: &Opts) -> Result<(), String> 
     }
     write_exports(session, opts)?;
     if opts.metrics && !opts.json {
-        print!("{}", session.metrics().render_table());
+        out!("{}", session.metrics().render_table());
     }
     Ok(())
 }
@@ -534,14 +593,14 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
         "traces" => {
             let name = need_process(&opts)?;
             let traces = wb.traces(name, opts.depth).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "{} traces of `{name}` to depth {} ({} maximal):",
                 traces.len(),
                 opts.depth,
                 traces.maximal_traces().len()
             );
             for t in traces.maximal_traces().iter().take(20) {
-                println!("  {t}");
+                outln!("  {t}");
             }
             Ok(true)
         }
@@ -554,21 +613,21 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
                 .map_err(|e| e.to_string())?;
             if opts.json {
                 let data = with_metrics(check_data(name, assertion, &verdict), &session, &opts);
-                println!("{}", envelope("check", &data));
+                outln!("{}", envelope("check", &data));
             } else {
                 match &verdict {
                     SatResult::Holds {
                         traces_checked,
                         depth,
                         engine,
-                    } => println!(
+                    } => outln!(
                         "holds: {name} sat {assertion} on {traces_checked} traces \
                          (depth {depth}, engine {engine})"
                     ),
                     SatResult::Counterexample { trace, engine } => {
-                        println!("REFUTED: {name} sat {assertion} (engine {engine})");
-                        println!("counterexample: {trace}");
-                        print!("{}", timeline(trace));
+                        outln!("REFUTED: {name} sat {assertion} (engine {engine})");
+                        outln!("counterexample: {trace}");
+                        out!("{}", timeline(trace));
                     }
                 }
             }
@@ -590,11 +649,11 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
             let outcome = ProveOutcome::prove(&session, &specs);
             if opts.json {
                 let data = with_metrics(outcome.data(), &session, &opts);
-                println!("{}", envelope("prove", &data));
+                outln!("{}", envelope("prove", &data));
             } else {
                 match outcome.report() {
-                    Ok(report) => println!("{report}"),
-                    Err(e) => println!("proof failed: {e}"),
+                    Ok(report) => outln!("{report}"),
+                    Err(e) => outln!("proof failed: {e}"),
                 }
             }
             finish_observation(&session, &opts)?;
@@ -666,11 +725,11 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
                 .is_none_or(MonitorReport::is_conforming);
             if opts.json {
                 let data = with_metrics(run_data(name, &res), &session, &opts);
-                println!("{}", envelope("run", &data));
+                outln!("{}", envelope("run", &data));
             } else {
-                println!("{} event(s); outcome: {}", res.steps, res.outcome);
+                outln!("{} event(s); outcome: {}", res.steps, res.outcome);
                 for f in &res.failures {
-                    println!(
+                    outln!(
                         "  fault: `{}` {} at step {}{}",
                         f.label,
                         f.reason,
@@ -678,19 +737,20 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
                         if f.recovered { " (recovered)" } else { "" }
                     );
                 }
-                println!("visible trace:");
-                println!("  {}", res.visible);
-                print!("{}", timeline(&res.visible));
+                outln!("visible trace:");
+                outln!("  {}", res.visible);
+                out!("{}", timeline(&res.visible));
                 if let Some(m) = &res.monitor {
-                    println!(
+                    outln!(
                         "monitor: {} ({} event(s) checked)",
-                        m.verdict, m.events_checked
+                        m.verdict,
+                        m.events_checked
                     );
                     if let Some(v) = &m.violation {
-                        println!("  {v}");
+                        outln!("  {v}");
                     }
                     if let Some(e) = &m.error {
-                        println!("  monitor aborted: {e}");
+                        outln!("  monitor aborted: {e}");
                     }
                 }
             }
@@ -700,16 +760,17 @@ fn dispatch(args: &[String]) -> Result<bool, Failure> {
         "deadlock" => {
             let name = need_process(&opts)?;
             let report = wb.deadlocks(name, opts.depth).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "explored {} state(s) to depth {}",
-                report.states_explored, opts.depth
+                report.states_explored,
+                opts.depth
             );
             if report.deadlocks.is_empty() {
-                println!("no dead states reachable within the bound");
+                outln!("no dead states reachable within the bound");
                 return Ok(true);
             }
             for d in &report.deadlocks {
-                println!(
+                outln!(
                     "  {} after {} at `{}`",
                     if d.terminated {
                         "terminates"
@@ -882,13 +943,13 @@ fn run_lint(opts: &Opts) -> Result<bool, String> {
             ));
         } else {
             for e in &errors {
-                println!("{file}: error [parse] at {}: {}", e.span(), e.message());
+                outln!("{file}: error [parse] at {}: {}", e.span(), e.message());
             }
             if errors.is_empty() && diags.is_empty() {
-                println!("{file}: ok ({} definition(s))", wb.definitions().len());
+                outln!("{file}: ok ({} definition(s))", wb.definitions().len());
             }
             for d in &diags {
-                println!("{file}: {d}");
+                outln!("{file}: {d}");
             }
         }
         if !errors.is_empty() {
@@ -907,12 +968,12 @@ fn run_lint(opts: &Opts) -> Result<bool, String> {
             data.push_str(&m.to_json());
         }
         data.push('}');
-        println!("{}", envelope("lint", &data));
+        outln!("{}", envelope("lint", &data));
     } else if opts.metrics {
         let mut m = MetricsSnapshot::new();
         m.set_counter("lint.files", opts.files.len() as u64);
         m.set_counter("lint.diagnostics", all_diags.len() as u64);
-        print!("{}", m.render_table());
+        out!("{}", m.render_table());
     }
     if let Some(path) = &opts.trace_out {
         // Lint is a pure static analysis — there are no spans to write,
@@ -1084,13 +1145,16 @@ fn report_profile(
             ));
         }
         data.push('}');
-        println!("{}", envelope("profile", &data));
+        outln!("{}", envelope("profile", &data));
         return Ok(());
     }
-    println!("profile: {}", opts.file);
-    println!(
+    outln!("profile: {}", opts.file);
+    outln!(
         "{:<12} {:>12} {:>14} {:>8}",
-        "phase", "time ms", "alloc bytes", "result"
+        "phase",
+        "time ms",
+        "alloc bytes",
+        "result"
     );
     for p in phases {
         let result = p.result.map(|r| r.to_string()).unwrap_or_default();
@@ -1098,20 +1162,20 @@ fn report_profile(
             "{:<12} {:>12.3} {:>14} {:>8}",
             p.name, p.ms, p.alloc_bytes, result
         );
-        println!("{}", row.trim_end());
+        outln!("{}", row.trim_end());
         if let Some(e) = &p.error {
-            println!("  phase failed: {e}");
+            outln!("  phase failed: {e}");
         }
     }
     if let Some(m) = &metrics {
-        print!("{}", m.render_table());
+        out!("{}", m.render_table());
     }
     if let Some((base_path, delta)) = &diff {
-        println!("diff vs {base_path} (noise {:.1} ms):", opts.noise_ms);
-        print!("{}", delta.render_table(noise_ns));
+        outln!("diff vs {base_path} (noise {:.1} ms):", opts.noise_ms);
+        out!("{}", delta.render_table(noise_ns));
     }
     if session.is_some() {
-        println!("folded stacks: {folded_path}");
+        outln!("folded stacks: {folded_path}");
     }
     Ok(())
 }
@@ -1155,17 +1219,12 @@ fn run_serve(args: &[String]) -> Result<bool, Failure> {
     let server =
         csp::serve::CspServer::bind(&cfg).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    {
-        use std::io::Write;
-        let mut out = std::io::stdout().lock();
-        writeln!(
-            out,
-            "csp serve: listening on http://{addr} (workers {}, cache-cap {})",
-            cfg.workers, cfg.cache_cap
-        )
-        .map_err(|e| e.to_string())?;
-        out.flush().map_err(|e| e.to_string())?;
-    }
+    outln!(
+        "csp serve: listening on http://{addr} (workers {}, cache-cap {})",
+        cfg.workers,
+        cfg.cache_cap
+    );
+    out::flush();
     server.run().map_err(|e| format!("server failed: {e}"))?;
     Ok(true)
 }
@@ -1239,13 +1298,17 @@ fn run_bench_report(args: &[String]) -> Result<bool, Failure> {
         }
     }
     if rows.is_empty() {
-        println!("bench history: {history} — no runs recorded");
+        outln!("bench history: {history} — no runs recorded");
         return Ok(true);
     }
-    println!("bench history: {history} — {} run(s)", rows.len());
-    println!(
+    outln!("bench history: {history} — {} run(s)", rows.len());
+    outln!(
         "{:>4} {:>15} {:>8} {:>12} {:>8}",
-        "run", "unix_ms", "samples", "total ms", "Δ"
+        "run",
+        "unix_ms",
+        "samples",
+        "total ms",
+        "Δ"
     );
     let mut prev: Option<f64> = None;
     for (i, r) in rows.iter().enumerate() {
@@ -1253,7 +1316,7 @@ fn run_bench_report(args: &[String]) -> Result<bool, Failure> {
             Some(p) if p > 0.0 => format!("{:+.1}%", (r.total_wall_ms - p) / p * 100.0),
             _ => "—".to_string(),
         };
-        println!(
+        outln!(
             "{:>4} {:>15} {:>8} {:>12.3} {:>8}",
             format!("#{}", i + 1),
             r.unix_ms,
@@ -1265,7 +1328,7 @@ fn run_bench_report(args: &[String]) -> Result<bool, Failure> {
     }
     let (first, last) = (&rows[0], &rows[rows.len() - 1]);
     if rows.len() > 1 {
-        println!("per-bench (first → last):");
+        outln!("per-bench (first → last):");
         for (name, new_ms) in &last.benches {
             let old = first
                 .benches
@@ -1273,11 +1336,11 @@ fn run_bench_report(args: &[String]) -> Result<bool, Failure> {
                 .find(|(n, _)| n == name)
                 .map(|(_, ms)| *ms);
             match old {
-                Some(old_ms) if old_ms > 0.0 => println!(
+                Some(old_ms) if old_ms > 0.0 => outln!(
                     "  {name:<28} {old_ms:>10.3} → {new_ms:>10.3} ms  {:+.1}%",
                     (new_ms - old_ms) / old_ms * 100.0
                 ),
-                _ => println!("  {name:<28} {:>10} → {new_ms:>10.3} ms  (new)", "—"),
+                _ => outln!("  {name:<28} {:>10} → {new_ms:>10.3} ms  (new)", "—"),
             }
         }
     }

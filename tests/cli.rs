@@ -1377,3 +1377,50 @@ fn run_watch_reports_busiest_channel() {
     assert!(last.contains("busiest "), "{stderr}");
     assert!(last.contains("(4 ev)"), "{stderr}");
 }
+
+/// A reader that stops after one line closes the pipe (`csp traces … |
+/// head -1`): the listing ends quietly with exit 0, where it panicked on
+/// its next write. The long run's output outgrows the pipe, so its
+/// writes meet the closed pipe whatever the timing.
+#[test]
+fn a_closed_pipe_ends_the_output_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let paper = concat!(env!("CARGO_MANIFEST_DIR"), "/paper.csp");
+    for (args, first_line) in [
+        (
+            &[
+                "traces",
+                paper,
+                "--process",
+                "multiplier",
+                "--bind",
+                "v=2,3,5",
+                "--depth",
+                "6",
+            ][..],
+            "traces of `multiplier` to depth 6",
+        ),
+        (
+            &["run", paper, "--process", "pipeline", "--steps", "20000"][..],
+            "20000 event(s)",
+        ),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_csp"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut first)
+            .expect("one line");
+        // The reader is gone: the pipe is closed.
+        let out = child.wait_with_output().expect("csp exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(first.contains(first_line), "{args:?}: {first}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

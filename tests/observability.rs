@@ -141,6 +141,7 @@ fn compiled_sat_check_is_identical_under_observation() {
             ("component_rows", arena.num_component_rows()),
             ("fallback_rows", arena.num_fallback_rows()),
             ("decompositions", arena.num_decompositions()),
+            ("visits", arena.num_visits()),
         ] {
             let counter = format!("satcheck.{field}");
             assert_eq!(metrics.counter(&counter), n as u64, "{process}: {counter}");
