@@ -70,6 +70,5 @@ pub use process::{ChanRef, Process};
 pub use setexpr::{MsgSet, SetExpr};
 pub use span::{DefSpans, SourceMap, Span, SpanTree};
 pub use subst::{
-    close_process, close_process_with, process_has_free, subst_expr_with, subst_process_with,
-    subst_setexpr_with,
+    close_process, close_process_with, subst_expr_with, subst_process_with, subst_setexpr_with,
 };

@@ -16,75 +16,9 @@ use csp_trace::Value;
 
 use crate::{ChanRef, Env, EvalError, Expr, Process, SetExpr};
 
-fn expr_has_free(e: &Expr, x: &str) -> bool {
-    match e {
-        Expr::Const(_) => false,
-        Expr::Var(y) => y == x,
-        Expr::Bin(_, a, b) => expr_has_free(a, x) || expr_has_free(b, x),
-        Expr::Un(_, a) => expr_has_free(a, x),
-        Expr::Tuple(es) => es.iter().any(|e| expr_has_free(e, x)),
-        Expr::ArrayRef(_, idx) => expr_has_free(idx, x),
-    }
-}
-
-fn setexpr_has_free(s: &SetExpr, x: &str) -> bool {
-    match s {
-        SetExpr::Nat | SetExpr::Named(_) => false,
-        SetExpr::Range(lo, hi) => expr_has_free(lo, x) || expr_has_free(hi, x),
-        SetExpr::Enum(es) => es.iter().any(|e| expr_has_free(e, x)),
-    }
-}
-
-fn chanref_has_free(c: &ChanRef, x: &str) -> bool {
-    c.indices().iter().any(|e| expr_has_free(e, x))
-}
-
-/// True when variable `x` occurs free in `p` — exactly when
-/// [`subst_process_with`] for `x` could change the term. A read-only
-/// traversal, so callers can use it to skip no-op substitutions (the
-/// common case when re-closing an already-closed network state).
-pub fn process_has_free(p: &Process, x: &str) -> bool {
-    match p {
-        Process::Stop | Process::Error(_) => false,
-        Process::Call { args, .. } => args.iter().any(|e| expr_has_free(e, x)),
-        Process::Output { chan, msg, then } => {
-            chanref_has_free(chan, x) || expr_has_free(msg, x) || process_has_free(then, x)
-        }
-        Process::Input {
-            chan,
-            var,
-            set,
-            then,
-        } => {
-            chanref_has_free(chan, x)
-                || setexpr_has_free(set, x)
-                || (var != x && process_has_free(then, x))
-        }
-        Process::Choice(a, b) => process_has_free(a, x) || process_has_free(b, x),
-        Process::Parallel {
-            left,
-            right,
-            left_alpha,
-            right_alpha,
-        } => {
-            process_has_free(left, x)
-                || process_has_free(right, x)
-                || left_alpha
-                    .as_ref()
-                    .is_some_and(|cs| cs.iter().any(|c| chanref_has_free(c, x)))
-                || right_alpha
-                    .as_ref()
-                    .is_some_and(|cs| cs.iter().any(|c| chanref_has_free(c, x)))
-        }
-        Process::Hide { channels, body } => {
-            channels.iter().any(|c| chanref_has_free(c, x)) || process_has_free(body, x)
-        }
-    }
-}
-
 /// Substitutes *every* binding of `env` into `p`, producing the closed
 /// instantiation of an array body (or the identity for an empty
-/// environment).
+/// environment): [`close_process_with`] reading `env`.
 ///
 /// # Errors
 ///
@@ -92,132 +26,183 @@ pub fn process_has_free(p: &Process, x: &str) -> bool {
 /// but returns `Result` so the definition-resolution pipeline composes
 /// with genuine evaluation errors.
 pub fn close_process(p: &Process, env: &Env) -> Result<Process, EvalError> {
-    // Substitute only the bindings that actually occur free: re-closing an
-    // already-closed state (every rebuild step of the operational
-    // semantics) then costs one read-only scan per binding and a single
-    // shallow clone, instead of a full rebuild per binding.
-    let mut out: Option<Process> = None;
-    for (x, v) in env.iter() {
-        let cur = out.as_ref().unwrap_or(p);
-        if process_has_free(cur, x) {
-            out = Some(subst_process_with(cur, x, &Expr::Const(v.clone())));
-        }
+    let value = |x: &str| env.lookup(x).cloned();
+    let closed = Closer {
+        value: &value,
+        bound: Vec::new(),
     }
-    Ok(out.unwrap_or_else(|| p.clone()))
+    .process(p);
+    Ok(closed.unwrap_or_else(|| p.clone()))
 }
 
-/// [`close_process`] in one walk: every free variable `x` of `p` for
-/// which `value(x)` is `Some(v)` is replaced by the constant `v` (an
-/// input binds its own variable in what follows it), the rest stay.
+/// Closes `p` in one walk: every free variable `x` of `p` for which
+/// `value(x)` is `Some(v)` is replaced by the constant `v` (an input
+/// binds its own variable in what follows it), the rest stay. Subterms
+/// in which nothing is replaced are shared, so closing a closed term
+/// returns it.
 ///
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
+///
 /// use csp_lang::{close_process_with, parse_process};
 /// use csp_trace::Value;
 ///
-/// let p = parse_process("c!(x + y) -> d?x:NAT -> e!x -> q[y]").unwrap();
+/// let p = Arc::new(parse_process("c!(x + y) -> d?x:NAT -> e!x -> q[y]").unwrap());
 /// let value = |x: &str| (x != "z").then_some(Value::Int(if x == "x" { 1 } else { 2 }));
-/// assert_eq!(
-///     close_process_with(&p, &value).to_string(),
-///     "c!(1 + 2) -> d?x:NAT -> e!x -> q[2]"
-/// );
+/// let closed = close_process_with(&p, &value);
+/// assert_eq!(closed.to_string(), "c!(1 + 2) -> d?x:NAT -> e!x -> q[2]");
+/// assert!(Arc::ptr_eq(&close_process_with(&closed, &value), &closed));
 /// ```
-pub fn close_process_with<F: Fn(&str) -> Option<Value>>(p: &Process, value: &F) -> Process {
-    Closer {
+pub fn close_process_with<F: Fn(&str) -> Option<Value>>(
+    p: &Arc<Process>,
+    value: &F,
+) -> Arc<Process> {
+    let closed = Closer {
         value,
         bound: Vec::new(),
     }
-    .process(p)
+    .process(p);
+    shared(closed, p)
 }
 
-/// One [`close_process_with`] walk: the values, and the input variables
-/// bound around the subterm being closed.
+/// One closing walk: the values, and the input variables bound around
+/// the subterm being closed. Each method returns `None` when nothing in
+/// its subterm is replaced.
 struct Closer<'a, F> {
     value: &'a F,
     bound: Vec<&'a str>,
 }
 
+/// `new`, or a copy of `old` when nothing in it was replaced.
+fn kept<T: Clone>(new: Option<T>, old: &T) -> T {
+    new.unwrap_or_else(|| old.clone())
+}
+
+/// `new`, or `old` shared when nothing in it was replaced.
+fn shared(new: Option<Process>, old: &Arc<Process>) -> Arc<Process> {
+    new.map_or_else(|| Arc::clone(old), Arc::new)
+}
+
+/// `items` with `f` applied, or `None` when `f` replaces nothing.
+fn each<T: Clone>(items: &[T], f: impl Fn(&T) -> Option<T>) -> Option<Vec<T>> {
+    let (i, first) = items
+        .iter()
+        .enumerate()
+        .find_map(|(i, x)| Some((i, f(x)?)))?;
+    let mut out = Vec::with_capacity(items.len());
+    out.extend_from_slice(&items[..i]);
+    out.push(first);
+    out.extend(items[i + 1..].iter().map(|x| kept(f(x), x)));
+    Some(out)
+}
+
 impl<'a, F: Fn(&str) -> Option<Value>> Closer<'a, F> {
-    fn expr(&self, e: &Expr) -> Expr {
+    fn expr(&self, e: &Expr) -> Option<Expr> {
         match e {
-            Expr::Const(_) => e.clone(),
-            Expr::Var(x) => match (self.value)(x) {
-                Some(v) if !self.bound.contains(&x.as_str()) => Expr::Const(v),
-                _ => e.clone(),
-            },
-            Expr::Bin(op, a, b) => Expr::Bin(*op, Box::new(self.expr(a)), Box::new(self.expr(b))),
-            Expr::Un(op, a) => Expr::Un(*op, Box::new(self.expr(a))),
-            Expr::Tuple(es) => Expr::Tuple(es.iter().map(|e| self.expr(e)).collect()),
-            Expr::ArrayRef(name, idx) => Expr::ArrayRef(name.clone(), Box::new(self.expr(idx))),
+            Expr::Const(_) => None,
+            Expr::Var(x) if self.bound.contains(&x.as_str()) => None,
+            Expr::Var(x) => (self.value)(x).map(Expr::Const),
+            Expr::Bin(op, a, b) => {
+                let (a2, b2) = (self.expr(a), self.expr(b));
+                (a2.is_some() || b2.is_some())
+                    .then(|| Expr::Bin(*op, Box::new(kept(a2, a)), Box::new(kept(b2, b))))
+            }
+            Expr::Un(op, a) => self.expr(a).map(|a| Expr::Un(*op, Box::new(a))),
+            Expr::Tuple(es) => each(es, |e| self.expr(e)).map(Expr::Tuple),
+            Expr::ArrayRef(name, idx) => self
+                .expr(idx)
+                .map(|idx| Expr::ArrayRef(name.clone(), Box::new(idx))),
         }
     }
 
-    fn chan(&self, c: &ChanRef) -> ChanRef {
-        ChanRef::with_indices(c.base(), c.indices().iter().map(|e| self.expr(e)).collect())
+    fn chan(&self, c: &ChanRef) -> Option<ChanRef> {
+        each(c.indices(), |e| self.expr(e)).map(|idx| ChanRef::with_indices(c.base(), idx))
     }
 
-    fn chans(&self, cs: &[ChanRef]) -> Vec<ChanRef> {
-        cs.iter().map(|c| self.chan(c)).collect()
+    fn chans(&self, cs: Option<&[ChanRef]>) -> Option<Vec<ChanRef>> {
+        each(cs?, |c| self.chan(c))
     }
 
-    fn process(&mut self, p: &'a Process) -> Process {
+    fn set(&self, s: &SetExpr) -> Option<SetExpr> {
+        match s {
+            SetExpr::Nat | SetExpr::Named(_) => None,
+            SetExpr::Range(lo, hi) => {
+                let (lo2, hi2) = (self.expr(lo), self.expr(hi));
+                (lo2.is_some() || hi2.is_some())
+                    .then(|| SetExpr::Range(Box::new(kept(lo2, lo)), Box::new(kept(hi2, hi))))
+            }
+            SetExpr::Enum(es) => each(es, |e| self.expr(e)).map(SetExpr::Enum),
+        }
+    }
+
+    fn process(&mut self, p: &'a Process) -> Option<Process> {
         match p {
-            Process::Stop | Process::Error(_) => p.clone(),
-            Process::Call { name, args } => Process::Call {
-                name: name.clone(),
-                args: args.iter().map(|e| self.expr(e)).collect(),
-            },
-            Process::Output { chan, msg, then } => Process::Output {
-                chan: self.chan(chan),
-                msg: self.expr(msg),
-                then: Arc::new(self.process(then)),
-            },
+            Process::Stop | Process::Error(_) => None,
+            Process::Call { name, args } => {
+                each(args, |e| self.expr(e)).map(|args| Process::Call {
+                    name: name.clone(),
+                    args,
+                })
+            }
+            Process::Output { chan, msg, then } => {
+                let (c, m, t) = (self.chan(chan), self.expr(msg), self.process(then));
+                (c.is_some() || m.is_some() || t.is_some()).then(|| Process::Output {
+                    chan: kept(c, chan),
+                    msg: kept(m, msg),
+                    then: shared(t, then),
+                })
+            }
             Process::Input {
                 chan,
                 var,
                 set,
                 then,
             } => {
-                let (chan, set) = (self.chan(chan), self.set(set));
+                let (c, s) = (self.chan(chan), self.set(set));
                 self.bound.push(var);
-                let then = Arc::new(self.process(then));
+                let t = self.process(then);
                 self.bound.pop();
-                Process::Input {
-                    chan,
+                (c.is_some() || s.is_some() || t.is_some()).then(|| Process::Input {
+                    chan: kept(c, chan),
                     var: var.clone(),
-                    set,
-                    then,
-                }
+                    set: kept(s, set),
+                    then: shared(t, then),
+                })
             }
             Process::Choice(a, b) => {
-                Process::Choice(Arc::new(self.process(a)), Arc::new(self.process(b)))
+                let (a2, b2) = (self.process(a), self.process(b));
+                (a2.is_some() || b2.is_some())
+                    .then(|| Process::Choice(shared(a2, a), shared(b2, b)))
             }
             Process::Parallel {
                 left,
                 right,
                 left_alpha,
                 right_alpha,
-            } => Process::Parallel {
-                left: Arc::new(self.process(left)),
-                right: Arc::new(self.process(right)),
-                left_alpha: left_alpha.as_deref().map(|cs| self.chans(cs)),
-                right_alpha: right_alpha.as_deref().map(|cs| self.chans(cs)),
-            },
-            Process::Hide { channels, body } => Process::Hide {
-                channels: self.chans(channels),
-                body: Arc::new(self.process(body)),
-            },
-        }
-    }
-
-    fn set(&self, s: &SetExpr) -> SetExpr {
-        match s {
-            SetExpr::Nat | SetExpr::Named(_) => s.clone(),
-            SetExpr::Range(lo, hi) => {
-                SetExpr::Range(Box::new(self.expr(lo)), Box::new(self.expr(hi)))
+            } => {
+                let (l, r) = (self.process(left), self.process(right));
+                let (la, ra) = (
+                    self.chans(left_alpha.as_deref()),
+                    self.chans(right_alpha.as_deref()),
+                );
+                (l.is_some() || r.is_some() || la.is_some() || ra.is_some()).then(|| {
+                    Process::Parallel {
+                        left: shared(l, left),
+                        right: shared(r, right),
+                        left_alpha: la.or_else(|| left_alpha.clone()),
+                        right_alpha: ra.or_else(|| right_alpha.clone()),
+                    }
+                })
             }
-            SetExpr::Enum(es) => SetExpr::Enum(es.iter().map(|e| self.expr(e)).collect()),
+            Process::Hide { channels, body } => {
+                let (cs, b) = (self.chans(Some(channels)), self.process(body));
+                (cs.is_some() || b.is_some()).then(|| Process::Hide {
+                    channels: kept(cs, channels),
+                    body: shared(b, body),
+                })
+            }
         }
     }
 }
@@ -445,25 +430,49 @@ mod tests {
         }
     }
 
+    /// Closing replaces what each binding reaches, respecting binders, and
+    /// shares every subterm in which nothing is replaced.
     #[test]
-    fn closing_in_one_walk_is_closing_binding_by_binding() {
+    fn closing_replaces_free_variables_and_shares_the_rest() {
         let env = Env::new()
             .bind("x", Value::Int(1))
             .bind("y", Value::Int(2))
             .bind("v[1]", Value::Int(9));
-        for src in [
-            "c[x]?x:{0..x} -> d!(x + y) -> q[y]",
-            "c!v[x] -> (a?y:NAT -> b!y -> STOP | b!y -> STOP)",
-            "chan h[y]; (h[y]!x -> STOP ||{h[y] | h[x]} h[x]?z:{y} -> e!z -> STOP)",
-            "c?z:NAT -> (d!z -> STOP || e!w -> q[x])",
+        let value = |x: &str| env.lookup(x).cloned();
+        for (src, closed) in [
+            (
+                "c[x]?x:{0..x} -> d!(x + y) -> q[y]",
+                "c[1]?x:0..1 -> d!(x + 2) -> q[2]",
+            ),
+            (
+                "c!v[x] -> (a?y:NAT -> b!y -> STOP | b!y -> STOP)",
+                "c!v[1] -> (a?y:NAT -> b!y -> STOP | b!2 -> STOP)",
+            ),
+            (
+                "chan h[y]; (h[y]!x -> STOP ||{h[y] | h[x]} h[x]?z:{y} -> e!z -> STOP)",
+                "chan h[2]; h[2]!1 -> STOP ||{h[2] | h[1]} h[1]?z:{2} -> e!z -> STOP",
+            ),
+            (
+                "c?z:NAT -> (d!z -> STOP || e!w -> q[x])",
+                "c?z:NAT -> (d!z -> STOP || e!w -> q[1])",
+            ),
         ] {
-            let p = crate::parse_process(src).unwrap();
-            assert_eq!(
-                close_process_with(&p, &|x| env.lookup(x).cloned()),
-                close_process(&p, &env).unwrap(),
-                "{src}"
-            );
+            let p = Arc::new(crate::parse_process(src).unwrap());
+            let once = close_process_with(&p, &value);
+            assert_eq!(once.to_string(), closed, "{src}");
+            assert_eq!(close_process(&p, &env).unwrap(), *once, "{src}");
         }
+        let p = Arc::new(crate::parse_process("c!1 -> (d?x:NAT -> e!x -> STOP | q[w])").unwrap());
+        assert!(Arc::ptr_eq(&close_process_with(&p, &value), &p));
+        // Only the branch that reads `y` is rebuilt.
+        let p = crate::parse_process("a!0 -> STOP | b!y -> STOP").unwrap();
+        let (Process::Choice(a, _), Process::Choice(a2, b2)) =
+            (&p, &*close_process_with(&Arc::new(p.clone()), &value))
+        else {
+            panic!("a choice closes to a choice");
+        };
+        assert!(Arc::ptr_eq(a, a2));
+        assert_eq!(b2.to_string(), "b!2 -> STOP");
     }
 
     #[test]
@@ -475,6 +484,6 @@ mod tests {
         let p2 = subst_process_with(&p, "x", &int(1));
         let shown = format!("{p2:?}");
         assert!(!shown.contains("Var(\"x\")"), "left a free x: {shown}");
-        assert!(!process_has_free(&p2, "x"));
+        assert!(!crate::free_vars_process(&p2).contains("x"));
     }
 }

@@ -45,13 +45,13 @@
 //!
 //! A network row runs the `||` and `chan` rules of [`Lts::steps`] over
 //! the component rows, with whether an event is shared or hidden at a
-//! node read from a bitmask the skeleton memoises per event (and per
-//! component step). Each successor is the parent's key with
-//! the moved components' ids replaced, under the skeleton the move leaves
-//! (its unpinned `||`s above the moved slots pinned: a memoised skeleton
-//! to skeleton step), interned by hashing the id vector: no term is built
-//! or compared. Keys and rows sit back to back in two flat buffers, and a
-//! row's moves and keys are built in buffers the arena reuses.
+//! node read from a bitmask the skeleton memoises per event. Each
+//! successor is the parent's key with the moved components' ids
+//! replaced, under the skeleton the move leaves (its unpinned `||`s above
+//! the moved slots pinned: a memoised skeleton to skeleton step),
+//! interned by hashing the id vector: no term is built or compared. Keys
+//! and rows sit back to back in two flat buffers, and a row's moves and
+//! keys are built in buffers the arena reuses.
 //!
 //! A state no skeleton represents keeps its whole term. The `Call` start
 //! state (or `chan`s over a call) takes its row from the key of its
@@ -331,7 +331,12 @@ struct TraceWalk {
 }
 
 /// Children a trace's sibling list holds before they move to a hash map.
-const SIBLINGS: usize = 16;
+/// Measured on a pipeline whose input offers 21, 41 or 81 values:
+/// scanning a trace's 21 or 41 children explored 4–17% faster than the
+/// hash map, and scanning 81 within 2% of it, so a list moves only past
+/// 64, which bounds a lookup's scan. No benchmark workload has more than
+/// 10 children per trace.
+const SIBLINGS: usize = 64;
 
 impl TraceWalk {
     fn new() -> Self {
@@ -418,6 +423,11 @@ struct Visited {
 /// Words per block of a [`Visited`] chain: a link and seven states.
 const BLOCK: usize = 8;
 /// Blocks a trace's chain may hold before its states move to the hash set.
+/// A full chain is 56 states, scanned in about twice the time of one
+/// probe of the hash set; moving traces past 14 states (two blocks) to it
+/// made the `chain6_d6` check, whose traces reach up to 20 states, 23%
+/// slower, since growing the set costs more than the scans it saves. No
+/// benchmark workload fills a chain.
 const CHAIN: usize = 8;
 const NONE: u32 = u32::MAX;
 const HASHED: u32 = u32::MAX - 1;
@@ -872,7 +882,7 @@ fn render(site: &Arc<Process>, vars: &[Box<str>], vals: &[Value]) -> Arc<Process
         return Arc::clone(site);
     }
     let val = Valuation { vars, vals };
-    Arc::new(close_process_with(site, &|x| val.get(x).cloned()))
+    close_process_with(site, &|x| val.get(x).cloned())
 }
 
 /// The control points components stand at: the subterms of definition
@@ -1086,14 +1096,9 @@ impl Stepper<'_, '_> {
             self.raw.push(Raw::At(e, at, from..self.vals.len()));
             return;
         }
-        let bound = self.vals.len() > from || vars.iter().any(|x| value(x).is_some());
         self.vals.truncate(from);
-        let term = if bound {
-            Arc::new(close_process_with(then, &value))
-        } else {
-            Arc::clone(then)
-        };
-        self.raw.push(Raw::Term(e, term));
+        self.raw
+            .push(Raw::Term(e, close_process_with(then, &value)));
     }
 }
 
@@ -1117,35 +1122,11 @@ struct Move {
 }
 
 /// The moves of a skeleton node, and the `(leaf slot, row index)` parts
-/// they name, in slot order; and, kept between rows, the marks of each
-/// component's steps under each skeleton it has stood in.
+/// they name, in slot order.
 #[derive(Debug, Default)]
 struct MoveBuf {
     moves: Vec<Move>,
     parts: Vec<(usize, usize)>,
-    /// Where the marks of a component's row under a skeleton start in
-    /// `marks`, by `(skeleton, component)`.
-    leaf_marks: FxHashMap<(u32, u32), usize>,
-    marks: Vec<u32>,
-}
-
-impl MoveBuf {
-    /// The start in `marks` of the marks of component `c`'s steps under
-    /// skeleton `skel`, read from the skeleton on first use.
-    fn leaf_marks(
-        &mut self,
-        skel: (u32, &mut Skeleton),
-        c: u32,
-        row: &[(Option<Event>, Next)],
-    ) -> usize {
-        let (id, skel) = skel;
-        *self.leaf_marks.entry((id, c)).or_insert_with(|| {
-            let at = self.marks.len();
-            self.marks
-                .extend(row.iter().map(|&(e, _)| e.map_or(0, |e| skel.marks_of(e))));
-            at
-        })
-    }
 }
 
 /// One node of a spine as [`read_spine`](CompiledLts::read_spine) reads
@@ -1484,7 +1465,7 @@ impl<'a> CompiledLts<'a> {
         buf.parts.clear();
         let skel = &mut self.skeletons[key[0] as usize];
         let root = skel.nodes.len() - 1;
-        moves((key[0], skel), root, &key[1..], &self.components, &mut buf);
+        moves(skel, root, &key[1..], &self.components, &mut buf);
         let mut next = std::mem::take(&mut self.next_key);
         for m in &buf.moves {
             let parts = &buf.parts[m.parts.clone()];
@@ -2189,11 +2170,11 @@ impl<'a> CompiledLts<'a> {
 /// channel (in left-row order), then its right operand alone. A
 /// concealed operand step is a concealed step of the node. Whether an
 /// event is shared or hidden at a node is a bit of the event's row of
-/// marks, looked up once per component step and skeleton. The operands' moves are
+/// marks, looked up once per component step. The operands' moves are
 /// dropped once the node's are built, so a node's moves are all
 /// `buf.moves` holds past its length on entry.
 fn moves(
-    (id, skel): (u32, &mut Skeleton),
+    skel: &mut Skeleton,
     node: usize,
     comps: &[u32],
     components: &[Component],
@@ -2202,24 +2183,22 @@ fn moves(
     let start = buf.moves.len();
     match skel.nodes[node] {
         Node::Leaf(slot) => {
-            let c = comps[slot];
-            let row = components[c as usize]
+            let row = components[comps[slot] as usize]
                 .row
                 .as_ref()
                 .expect("component compiled");
-            let marks = buf.leaf_marks((id, skel), c, row);
             for (k, &(event, _)) in row.iter().enumerate() {
                 let at = buf.parts.len();
                 buf.parts.push((slot, k));
                 buf.moves.push(Move {
                     event,
-                    marks: buf.marks[marks + k],
+                    marks: event.map_or(0, |e| skel.marks_of(e)),
                     parts: at..at + 1,
                 });
             }
         }
         Node::Hide { body, .. } => {
-            moves((id, skel), body, comps, components, buf);
+            moves(skel, body, comps, components, buf);
             for m in &mut buf.moves[start..] {
                 if m.event.is_some() && skel.marked(m.marks, node) {
                     m.event = None;
@@ -2227,9 +2206,9 @@ fn moves(
             }
         }
         Node::Par { left, right, .. } => {
-            moves((id, skel), left, comps, components, buf);
+            moves(skel, left, comps, components, buf);
             let mid = buf.moves.len();
-            moves((id, skel), right, comps, components, buf);
+            moves(skel, right, comps, components, buf);
             let end = buf.moves.len();
             let shared = |m: &Move| m.event.is_some() && skel.marked(m.marks, node);
             for l in start..mid {
@@ -2617,7 +2596,7 @@ fn expr_free_vars<'p>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_lang::{examples, free_vars_process, parse_definitions, process_has_free};
+    use csp_lang::{examples, free_vars_process, parse_definitions};
     use proptest::prelude::*;
 
     #[test]
@@ -2912,6 +2891,113 @@ mod tests {
             let id = c.intern(start);
             let listed = c.traces_budgeted(id, 1, budget).unwrap();
             assert_eq!(&listed, want, "{name}, budget {budget}: compiled");
+        }
+    }
+
+    /// The walk of [`CompiledLts::trace_tree`] over hash tables alone:
+    /// the pairs it visits, in order, and the traces it numbers.
+    struct PlainWalk {
+        seen: FxHashSet<(u32, u32)>,
+        children: FxHashMap<(u32, Event), u32>,
+        tree: TraceTree,
+        visits: Vec<(u32, u32)>,
+    }
+
+    impl PlainWalk {
+        fn visit(
+            &mut self,
+            c: &mut CompiledLts<'_>,
+            id: StateId,
+            depth: usize,
+            budget: usize,
+            t: u32,
+        ) {
+            if !self.seen.insert((t, id.0)) {
+                return;
+            }
+            self.visits.push((t, id.0));
+            for step in c.steps_of(id).unwrap().to_vec() {
+                match step {
+                    CompiledStep::Visible(e, next) if depth > 0 => {
+                        let tree = &mut self.tree;
+                        let child = *self
+                            .children
+                            .entry((t, e))
+                            .or_insert_with(|| tree.push(t, e));
+                        self.visit(c, next, depth - 1, budget, child);
+                    }
+                    CompiledStep::Internal(next) if budget > 0 => {
+                        self.visit(c, next, depth, budget - 1, t);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_walk_past_the_chain_and_sibling_limits_is_the_plain_walk() {
+        // Under `<>`, p meets 81 states by hidden steps, each offering an
+        // `a` event of its own: trace 0's states outgrow a chain of blocks
+        // and its children a sibling list.
+        let defs = parse_definitions(
+            "q[i:NAT] = h!0 -> q[i + 1] | a!i -> STOP
+             p = chan h; q[0]",
+        )
+        .unwrap();
+        let uni = Universe::small();
+        let lts = Lts::new(&defs, &uni);
+        let start = Config::new(Process::call("p"), Env::new());
+        let (depth, budget) = (2, 80);
+        let mut c = CompiledLts::new(&defs, &uni);
+        let id = c.intern(start.clone());
+        let mut walk = TraceWalk::new();
+        c.walk(id, depth, budget, 0, &mut walk).unwrap();
+        assert_eq!(walk.seen.heads[0], HASHED, "trace 0's states are hashed");
+        assert_eq!(walk.first_child[0], HASHED, "trace 0's children are hashed");
+        let mut plain = PlainWalk {
+            seen: FxHashSet::default(),
+            children: FxHashMap::default(),
+            tree: TraceTree::new(),
+            visits: Vec::new(),
+        };
+        plain.visit(&mut c, id, depth, budget, 0);
+        assert_eq!(plain.visits.len(), 81 + 81);
+        assert_eq!(walk.seen.len(), plain.visits.len());
+        for &(t, s) in &plain.visits {
+            assert!(!walk.seen.insert(t, s), "({t}, {s}) was not visited");
+        }
+        assert_eq!(walk.tree.traces(), plain.tree.traces());
+        assert_eq!(
+            c.traces_budgeted(id, depth, budget).unwrap(),
+            lts.traces_budgeted(&start, depth, budget).unwrap()
+        );
+    }
+
+    proptest! {
+        /// `Visited` and `TraceWalk::child` answer as a hash set and a hash
+        /// map do, before a trace's chain or sibling list is full and after
+        /// it has moved to the hash tier.
+        #[test]
+        fn visits_and_children_agree_with_hash_tables(
+            visits in prop::collection::vec((0u32..3, 0u32..80), 0..400),
+            children in prop::collection::vec((0usize..4, 0u32..80), 0..600),
+        ) {
+            let mut seen = Visited::default();
+            let mut plain = FxHashSet::default();
+            for (t, s) in visits {
+                prop_assert_eq!(seen.insert(t, s), plain.insert((t, s)), "({}, {})", t, s);
+            }
+            prop_assert_eq!(seen.len(), plain.len());
+            let mut walk = TraceWalk::new();
+            let (mut plain, mut tree) = (FxHashMap::default(), TraceTree::new());
+            for (p, v) in children {
+                let parent = u32::try_from(p % tree.len()).unwrap();
+                let e = Event::new(csp_trace::Channel::simple("a"), Value::nat(v));
+                let want = *plain.entry((parent, e)).or_insert_with(|| tree.push(parent, e));
+                prop_assert_eq!(walk.child(parent, e), want);
+            }
+            prop_assert_eq!(walk.tree.traces(), tree.traces());
         }
     }
 
@@ -3453,10 +3539,10 @@ mod tests {
             );
         }
 
-        /// The one-walk `is_closed` agrees with the free-variable set read
-        /// through `process_has_free`, on networks over terms that bind,
-        /// read and subscript with `x` and `y` and read the host array `v`
-        /// (and an array named like a variable).
+        /// The one-walk `is_closed` agrees with the free-variable set, on
+        /// networks over terms that bind, read and subscript with `x` and
+        /// `y` and read the host array `v` (and an array named like a
+        /// variable).
         #[test]
         fn is_closed_agrees_with_the_free_variable_set(p in arb_open_term()) {
             prop_assert_eq!(is_closed(&p), closed_by_free_vars(&p), "{}", p);
@@ -3546,8 +3632,13 @@ mod tests {
         }
     }
 
+    /// True when closing `p` with a value for each name of its
+    /// free-variable set (which also lists array names) replaces nothing.
     fn closed_by_free_vars(p: &Process) -> bool {
-        free_vars_process(p).iter().all(|x| !process_has_free(p, x))
+        let names = free_vars_process(p);
+        let p = Arc::new(p.clone());
+        let value = |x: &str| names.contains(x).then(|| Value::nat(0));
+        Arc::ptr_eq(&close_process_with(&p, &value), &p)
     }
 
     fn arb_operand() -> impl Strategy<Value = Expr> {

@@ -403,11 +403,7 @@ impl<'a> Lts<'a> {
 /// Closes a term with the bindings of `env` that occur free in it; the
 /// identity (sharing the term) when none does.
 fn close_arc(p: &Arc<Process>, env: &Env) -> Arc<Process> {
-    if env.iter().any(|(v, _)| csp_lang::process_has_free(p, v)) {
-        Arc::new(csp_lang::close_process(p, env).expect("closing with constants cannot fail"))
-    } else {
-        Arc::clone(p)
-    }
+    csp_lang::close_process_with(p, &|x| env.lookup(x).cloned())
 }
 
 /// Renders a concrete channel set back into constant channel references —

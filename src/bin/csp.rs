@@ -116,18 +116,23 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// The one stdout every subcommand prints through: locked once and
 /// buffered, so a listing is one write rather than one per line. A
 /// reader that stops reading (`csp traces … | head -1`) closes the pipe;
-/// the next write then ends the process quietly with exit 0, as a
-/// filter's producer should. Any other write failure exits 2.
+/// what is written after that is dropped without a word, and the command
+/// still exits with its own status (0 for a listing, 1 for a refuted
+/// check), as a filter's producer should. Any other write failure exits 2.
 mod out {
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::io::{BufWriter, ErrorKind, StdoutLock, Write};
 
     thread_local! {
         static OUT: RefCell<Option<BufWriter<StdoutLock<'static>>>> = const { RefCell::new(None) };
+        static CLOSED: Cell<bool> = const { Cell::new(false) };
     }
 
     /// Writes formatted text to stdout, locking it on first use.
     pub fn write(args: std::fmt::Arguments<'_>) {
+        if CLOSED.get() {
+            return;
+        }
         let written = OUT.with(|out| {
             out.borrow_mut()
                 .get_or_insert_with(|| BufWriter::new(std::io::stdout().lock()))
@@ -150,9 +155,16 @@ mod out {
         }
     }
 
-    fn failed(e: &std::io::Error) -> ! {
+    /// A closed pipe drops the buffered text and every later write; any
+    /// other failure ends the process.
+    fn failed(e: &std::io::Error) {
         if e.kind() == ErrorKind::BrokenPipe {
-            std::process::exit(0);
+            CLOSED.set(true);
+            if let Some(w) = OUT.with(|out| out.borrow_mut().take()) {
+                // Nothing more can reach the reader.
+                drop(w.into_parts());
+            }
+            return;
         }
         eprintln!("error: cannot write to stdout: {e}");
         std::process::exit(2);

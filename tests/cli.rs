@@ -1379,15 +1379,22 @@ fn run_watch_reports_busiest_channel() {
 }
 
 /// A reader that stops after one line closes the pipe (`csp traces … |
-/// head -1`): the listing ends quietly with exit 0, where it panicked on
-/// its next write. The long run's output outgrows the pipe, so its
-/// writes meet the closed pipe whatever the timing.
+/// head -1`): what follows is dropped quietly and the command exits with
+/// its own status, where it panicked on its next write. A refuted check
+/// still exits 1, so a `pipefail` script reads the verdict. Each output
+/// outgrows the pipe, so its writes meet the closed pipe whatever the
+/// timing.
 #[test]
 fn a_closed_pipe_ends_the_output_quietly() {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
     let paper = concat!(env!("CARGO_MANIFEST_DIR"), "/paper.csp");
-    for (args, first_line) in [
+    let looping = write_fixture(
+        "closed-pipe.csp",
+        "p = a!0 -> b!0 -> c!0 -> d!0 -> e!0 -> f!0 -> g!0 -> h!0 -> p\n",
+    );
+    let looping = looping.to_str().unwrap();
+    for (args, first_line, code) in [
         (
             &[
                 "traces",
@@ -1400,10 +1407,28 @@ fn a_closed_pipe_ends_the_output_quietly() {
                 "6",
             ][..],
             "traces of `multiplier` to depth 6",
+            0,
         ),
         (
             &["run", paper, "--process", "pipeline", "--steps", "20000"][..],
             "20000 event(s)",
+            0,
+        ),
+        // Refuted by a trace of 5,993 events, printed with one table row
+        // per event: about 210 kB.
+        (
+            &[
+                "check",
+                looping,
+                "--process",
+                "p",
+                "--depth",
+                "6000",
+                "--assert",
+                "#a < 750",
+            ][..],
+            "REFUTED: p sat #a < 750",
+            1,
         ),
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_csp"))
@@ -1420,7 +1445,7 @@ fn a_closed_pipe_ends_the_output_quietly() {
         let out = child.wait_with_output().expect("csp exits");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(first.contains(first_line), "{args:?}: {first}");
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
     }
 }
