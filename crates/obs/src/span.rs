@@ -197,12 +197,13 @@ impl Collector {
         }
     }
 
-    /// Adds `delta` to a named counter. The name converts lazily, so a
-    /// disabled collector never allocates.
+    /// Adds `delta` to a named counter, saturating at `u64::MAX`. The
+    /// name converts lazily, so a disabled collector never allocates.
     pub fn add(&self, counter: impl Into<String>, delta: u64) {
         if let Some(inner) = &self.inner {
             let mut state = inner.state.lock().expect("collector state");
-            *state.counters.entry(counter.into()).or_insert(0) += delta;
+            let count = state.counters.entry(counter.into()).or_insert(0);
+            *count = count.saturating_add(delta);
         }
     }
 

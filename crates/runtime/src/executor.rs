@@ -1,13 +1,14 @@
 //! The concurrent executor: one OS thread per network component, joined
-//! by a supervising coordinator implementing the paper's
-//! simultaneous-participation rule for channel events.
+//! by a supervising coordinator that moves the network by the binary
+//! `||` and `chan` rules.
 //!
 //! §1.0: a communication "occurs only when both processes are ready for
-//! it" — generalised per the §1.2(8) note to *every* process connected
-//! to the channel. Each step, every component reports the events it is
-//! ready for (its *offers*); an event is enabled iff every component
-//! whose alphabet contains its channel offers it; the scheduler picks one
-//! enabled event; exactly the participating components advance.
+//! it". Each step, every component reports the events it is ready for
+//! (its *offers*); the network's `||`/`chan` tree turns them into moves
+//! as §1.2(7)–(8) do — a `||` joins its operands on the channels they
+//! share, `X ∩ Y`, and lets every other move through alone, and a `chan`
+//! conceals its channels' events from everything outside it. The
+//! scheduler picks one move; exactly its participants advance.
 //!
 //! The coordinator doubles as a supervisor. Component threads can die
 //! (panics, evaluation errors, injected [`crate::Fault::Crash`]es) or
@@ -17,9 +18,9 @@
 //! degrade gracefully around a dead one — which then behaves exactly
 //! like `STOP`, the degradation §4's `STOP | P = P` identity makes
 //! invisible to the proof system. Under [`crate::RestartPolicy::Replay`]
-//! a dead component is respawned and fast-forwarded by replaying its
-//! alphabet's projection of the trace so far; sound because a process's
-//! state is a function of its communication history (§3).
+//! a dead component is respawned and fast-forwarded by replaying the
+//! events it took part in so far; sound because a process's state is a
+//! function of its communication history (§3).
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::thread;
@@ -35,7 +36,7 @@ use csp_trace::{Event, Trace};
 
 use crate::fault::{Fault, FaultError, FaultPlan, RestartPolicy};
 use crate::monitor::{Monitor, MonitorReport, MonitorSpec};
-use crate::net::{flatten, Component, NetError, Network};
+use crate::net::{flatten, Component, Move, NetError, Network};
 use crate::supervisor::{ComponentFailure, FailureReason, RunOutcome, Supervision};
 use crate::Scheduler;
 
@@ -80,7 +81,7 @@ impl Default for RunOptions {
 /// The outcome of a run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// The externally visible trace (hidden channels removed), as the
+    /// The externally visible trace (concealed events removed), as the
     /// paper's observer would record it.
     pub visible: Trace,
     /// The full trace including concealed communications.
@@ -188,6 +189,8 @@ struct Slot<'scope> {
     stall_rounds: usize,
     /// Restarts consumed, towards [`Supervision::max_restarts`].
     restarts_used: usize,
+    /// The events it advanced past, which a replay feeds its successor.
+    advanced: Vec<Event>,
     offer_rx: Receiver<Result<Vec<Event>, EvalError>>,
     decision_tx: SyncSender<Decision>,
     handle: Option<thread::ScopedJoinHandle<'scope, ()>>,
@@ -245,6 +248,8 @@ impl<'a> Executor<'a> {
         let mut picks = 0u64;
         let mut faults_fired = 0u64;
         let mut chan_ready: BTreeMap<String, u64> = BTreeMap::new();
+        // The committed events no `chan` concealed.
+        let mut visible: Vec<Event> = Vec::new();
 
         // Resolve fault targets to indices once, up front.
         let mut crashes: Vec<(usize, usize, bool)> = Vec::new(); // (index, at_step, fired)
@@ -308,7 +313,7 @@ impl<'a> Executor<'a> {
             let mut hidden_streak = 0usize;
 
             'run: while co.full.len() < opts.max_steps {
-                rounds += 1;
+                rounds = rounds.saturating_add(1);
                 co.collector.add("run.rounds", 1);
                 let mut round_span = root.child("run.round");
                 round_span.record("round", rounds - 1);
@@ -358,34 +363,19 @@ impl<'a> Executor<'a> {
                     break 'run;
                 }
 
-                // Enabled events: offered by someone and matched by every
-                // component whose alphabet contains the channel. Dead and
-                // stalled components offer nothing, so events needing
-                // them are disabled — `STOP | P = P` in action.
-                let mut enabled: Vec<Event> = Vec::new();
-                for i in 0..co.slots.len() {
-                    for e in co.effective_offer(i) {
-                        if enabled.contains(e) {
-                            continue;
-                        }
-                        let ok = net.components.iter().enumerate().all(|(j, c)| {
-                            !c.alphabet.contains(e.channel()) || co.effective_offer(j).contains(e)
-                        });
-                        if ok {
-                            enabled.push(*e);
-                        }
-                    }
-                }
-                enabled.sort();
-                enabled.dedup();
+                // The moves the network's `||`/`chan` tree allows over
+                // the live offers. Dead and stalled components offer
+                // nothing, so moves needing them are disabled — `STOP |
+                // P = P` in action.
+                let mut moves = net.shape.moves(&|i| co.effective_offer(i));
+                moves.sort();
 
                 // Channel occupancy: rounds in which each channel had an
-                // enabled event waiting. Tallied only under observation
-                // so the unobserved fast path stays allocation-free.
+                // enabled event waiting, tallied only under observation.
                 if co.collector.is_enabled() {
                     let mut seen = std::collections::BTreeSet::new();
-                    for e in &enabled {
-                        seen.insert(e.channel());
+                    for m in &moves {
+                        seen.insert(m.event.channel());
                     }
                     for c in seen {
                         let name = c.to_string();
@@ -394,75 +384,49 @@ impl<'a> Executor<'a> {
                     }
                 }
 
-                if enabled.is_empty() {
-                    if co
+                // Adversarial starvation: if any move leaves every
+                // starved component out, only such moves are eligible.
+                let starves = |m: &Move| m.participants.iter().any(|p| starved.contains(p));
+                if moves.iter().any(|m| !starves(m)) {
+                    moves.retain(|m| !starves(m));
+                }
+                let Some(k) = opts.scheduler.pick(moves.len()) else {
+                    // Not a deadlock while a stalled offer is in flight;
+                    // nothing changes until the shortest stall ends, so
+                    // its rounds pass at once.
+                    let shortest = co
                         .slots
                         .iter()
-                        .any(|s| s.stall_rounds > 0 && !matches!(s.state, SlotState::Dead))
-                    {
-                        // Not a deadlock: a stalled offer is still in
-                        // flight. Let a coordination round pass.
-                        co.tick_stalls();
+                        .filter(|s| s.stall_rounds > 0 && !matches!(s.state, SlotState::Dead))
+                        .map(|s| s.stall_rounds)
+                        .min();
+                    if let Some(wait) = shortest {
+                        co.tick_stalls(wait);
+                        let skipped = u64::try_from(wait - 1).unwrap_or(u64::MAX);
+                        rounds = rounds.saturating_add(skipped);
+                        co.collector.add("run.rounds", skipped);
                         continue 'run;
                     }
                     saw_deadlock = true;
                     break 'run;
-                }
-
-                // Adversarial starvation: if anything is enabled that
-                // does not involve a starved component, only such events
-                // are eligible.
-                let chosen = {
-                    let pool: Vec<Event> = if starved.is_empty() {
-                        enabled
-                    } else {
-                        let preferred: Vec<Event> = enabled
-                            .iter()
-                            .filter(|e| {
-                                !starved
-                                    .iter()
-                                    .any(|&j| net.components[j].alphabet.contains(e.channel()))
-                            })
-                            .cloned()
-                            .collect();
-                        if preferred.is_empty() {
-                            enabled
-                        } else {
-                            preferred
-                        }
-                    };
-                    round_span.record("enabled", pool.len());
-                    match opts.scheduler.pick(&pool) {
-                        Some(k) => {
-                            picks += 1;
-                            co.collector.add("run.scheduler_picks", 1);
-                            pool[k]
-                        }
-                        None => {
-                            saw_deadlock = true;
-                            break 'run;
-                        }
-                    }
                 };
+                round_span.record("enabled", moves.len());
+                let chosen = moves.swap_remove(k);
+                picks += 1;
+                co.collector.add("run.scheduler_picks", 1);
 
+                let event = chosen.event;
                 if round_span.is_enabled() {
-                    round_span.record("event", chosen.to_string());
+                    round_span.record("event", event.to_string());
                 }
-                co.full.push(chosen);
+                co.full.push(event);
                 co.collector.add("run.steps", 1);
                 if co.collector.is_enabled() {
                     co.collector
-                        .add(format!("run.chan.{}.events", chosen.channel()), 1);
+                        .add(format!("run.chan.{}.events", event.channel()), 1);
                 }
-                let committed_hidden = net.hidden.contains(chosen.channel());
-                co.record_comm(chosen, committed_hidden);
-                if !committed_hidden {
-                    if let Some(m) = monitor.as_mut() {
-                        co.collector.add("run.monitor.events", 1);
-                        m.observe(chosen, co.full.len() - 1);
-                    }
-                }
-                if net.hidden.contains(chosen.channel()) {
+                co.record_comm(&chosen);
+                if chosen.hidden {
                     hidden_streak += 1;
                     let window = opts.supervision.livelock_window;
                     if window > 0 && hidden_streak >= window {
@@ -473,23 +437,22 @@ impl<'a> Executor<'a> {
                         break 'run;
                     }
                 } else {
+                    visible.push(event);
+                    if let Some(m) = monitor.as_mut() {
+                        co.collector.add("run.monitor.events", 1);
+                        m.observe(event, co.full.len() - 1);
+                    }
                     hidden_streak = 0;
                 }
 
-                // Advance everyone the event involves. A component it does
-                // not involve has not moved, so its offer stays in hand, as
-                // a stalled component's does.
-                for j in 0..co.slots.len() {
-                    let slot = &co.slots[j];
-                    if slot.stall_rounds > 0
-                        || !matches!(slot.state, SlotState::Offered(_))
-                        || !net.components[j].alphabet.contains(chosen.channel())
-                    {
-                        continue;
-                    }
+                // Advance the move's participants. A component it does
+                // not involve has not moved, so its offer stays in hand,
+                // as a stalled component's does.
+                for j in chosen.participants {
+                    co.slots[j].advanced.push(event);
                     if co.slots[j]
                         .decision_tx
-                        .try_send(Decision::Advance(chosen))
+                        .try_send(Decision::Advance(event))
                         .is_err()
                     {
                         co.kill(j, FailureReason::ChannelClosed);
@@ -497,7 +460,7 @@ impl<'a> Executor<'a> {
                         co.slots[j].state = SlotState::AwaitingOffer;
                     }
                 }
-                co.tick_stalls();
+                co.tick_stalls(1);
             }
 
             // Single teardown point for every exit path: no component
@@ -546,7 +509,7 @@ impl<'a> Executor<'a> {
         });
 
         let full = Trace::from_events(full);
-        let visible = full.restrict(&net.hidden);
+        let visible = Trace::from_events(visible);
         root.record("steps", full.len());
         root.record("rounds", rounds);
         root.end();
@@ -628,43 +591,43 @@ impl<'run, 'scope, 'env> Coordinator<'run, 'scope, 'env> {
             .is_some_and(|d| self.start.elapsed() >= d)
     }
 
-    /// Stamps a just-committed communication (the last event of `full`):
-    /// every participant ticks its own clock entry, the event carries
-    /// the pointwise max, and every participant adopts it — Lamport's
-    /// rule specialised to the synchronous multi-party rendezvous of
-    /// §1.2(8).
-    fn record_comm(&mut self, event: Event, hidden: bool) {
+    /// Stamps a just-committed move (the last event of `full`): every
+    /// participant ticks its own clock entry, the event carries the
+    /// pointwise max, and every participant adopts it — Lamport's rule
+    /// specialised to the synchronous multi-party rendezvous of §1.2(8).
+    /// The sender is the one participant that writes the channel.
+    fn record_comm(&mut self, m: &Move) {
         let step = self.full.len() - 1;
-        let participants: Vec<usize> = (0..self.net.components.len())
-            .filter(|&j| self.net.components[j].alphabet.contains(event.channel()))
-            .collect();
-        let writers: Vec<usize> = participants
+        let mut writers = m
+            .participants
             .iter()
             .copied()
-            .filter(|&j| self.net.components[j].writes.contains(event.channel()))
-            .collect();
-        let sender = (writers.len() == 1).then(|| writers[0]);
-        let receiver = sender.and_then(|s| participants.iter().copied().find(|&p| p != s));
-        let mut pre_clocks = Vec::with_capacity(participants.len());
+            .filter(|&j| self.net.components[j].writes.contains(m.event.channel()));
+        let sender = match (writers.next(), writers.next()) {
+            (Some(s), None) => Some(s),
+            _ => None,
+        };
+        let receiver = sender.and_then(|s| m.participants.iter().copied().find(|&p| p != s));
+        let mut pre_clocks = Vec::with_capacity(m.participants.len());
         let mut merged = VectorClock::new(self.clocks.len());
-        for &p in &participants {
+        for &p in &m.participants {
             let mut c = self.clocks[p].clone();
             c.tick(p);
             merged.merge(&c);
             pre_clocks.push(c);
         }
-        for &p in &participants {
+        for &p in &m.participants {
             self.clocks[p] = merged.clone();
         }
         self.log.push(
             step,
             CausalEventKind::Comm {
-                event,
+                event: m.event,
                 sender,
                 receiver,
-                hidden,
+                hidden: m.hidden,
             },
-            participants,
+            m.participants.clone(),
             pre_clocks,
             merged,
         );
@@ -692,9 +655,9 @@ impl<'run, 'scope, 'env> Coordinator<'run, 'scope, 'env> {
         }
     }
 
-    fn tick_stalls(&mut self) {
+    fn tick_stalls(&mut self, rounds: usize) {
         for slot in &mut self.slots {
-            slot.stall_rounds = slot.stall_rounds.saturating_sub(1);
+            slot.stall_rounds = slot.stall_rounds.saturating_sub(rounds);
         }
     }
 
@@ -810,14 +773,9 @@ impl<'run, 'scope, 'env> Coordinator<'run, 'scope, 'env> {
 
         if self.restart == RestartPolicy::Replay {
             // State = function of channel history (§3): feed the new
-            // thread its alphabet's projection of the trace so far.
-            let history: Vec<Event> = self
-                .full
-                .iter()
-                .filter(|e| self.net.components[i].alphabet.contains(e.channel()))
-                .cloned()
-                .collect();
-            for event in history {
+            // thread the events the dead one took part in.
+            fresh.advanced = std::mem::take(&mut self.slots[i].advanced);
+            for &event in &fresh.advanced {
                 let offered = match fresh.offer_rx.recv_timeout(self.supervision.round_timeout) {
                     Ok(Ok(events)) => events.contains(&event),
                     _ => false,
@@ -900,6 +858,7 @@ fn spawn_component<'scope, 'env>(
         state: SlotState::AwaitingOffer,
         stall_rounds: 0,
         restarts_used: 0,
+        advanced: Vec::new(),
         offer_rx,
         decision_tx,
         handle: Some(handle),
@@ -1262,6 +1221,45 @@ mod tests {
         assert!(h
             .on(&Channel::simple("output"))
             .is_prefix_of(&h.on(&Channel::simple("input"))));
+    }
+
+    #[test]
+    fn an_idle_stall_passes_at_once_and_counts_its_rounds() {
+        // The copier stalls before its first offer, and the recopier
+        // waits on it: nothing can move until the stall ends.
+        let defs = examples::pipeline();
+        let uni = Universe::new(1);
+        let exec = Executor::new(&defs, &uni);
+        let run = |faults, collector| {
+            exec.run_name(
+                "pipeline",
+                &Env::new(),
+                RunOptions {
+                    max_steps: 6,
+                    faults,
+                    collector,
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap()
+        };
+        let healthy = run(FaultPlan::none(), Collector::disabled());
+        let rounds = |res: &RunResult| res.metrics.counter("run.rounds");
+        let stalled = run(
+            FaultPlan::none().stall("copier", 0, 1000),
+            Collector::disabled(),
+        );
+        assert_eq!(stalled.full, healthy.full);
+        assert_eq!(rounds(&stalled), rounds(&healthy) + 1000);
+        // The live counter saturates with the run's own.
+        let live = Collector::new();
+        let forever = run(
+            FaultPlan::none().stall("copier", 0, usize::MAX),
+            live.clone(),
+        );
+        assert_eq!(forever.full, healthy.full);
+        assert_eq!(rounds(&forever), u64::MAX);
+        assert_eq!(live.snapshot().counter("run.rounds"), u64::MAX);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! What recovery is possible is dictated by the same semantics: a
 //! process's state is a function of its communication history (§3), so a
-//! crashed component can be rebuilt *exactly* by replaying its
-//! alphabet's projection of the trace so far ([`RestartPolicy::Replay`]).
+//! crashed component can be rebuilt *exactly* by replaying the events it
+//! took part in so far ([`RestartPolicy::Replay`]).
 //! Restarting from scratch without replay ([`RestartPolicy::Reset`])
 //! forgets history and can emit traces the network's semantics — and
 //! hence its proven `sat` assertions — never admitted.
@@ -145,10 +145,10 @@ pub enum RestartPolicy {
     /// so `sat` assertions keep holding on every surviving prefix).
     #[default]
     FailStop,
-    /// Respawn the component and fast-forward it by replaying its
-    /// alphabet's projection of the trace so far. Sound because a
-    /// process's state is a function of its channel history (§3): after
-    /// replay the component is in exactly the state it died in.
+    /// Respawn the component and fast-forward it by replaying the events
+    /// it took part in so far. Sound because a process's state is a
+    /// function of its channel history (§3): after replay the component
+    /// is in exactly the state it died in.
     Replay,
     /// Respawn the component in its initial state with no replay.
     /// Unsound: the reset component has forgotten its history, and the

@@ -1,12 +1,12 @@
 //! # csp-runtime
 //!
 //! A concurrent executor for Zhou & Hoare (1981) networks: each network
-//! component runs on its own OS thread, and a coordinator implements the
-//! paper's simultaneous-participation rule — an event `c.m` occurs only
-//! when *every* process connected to channel `c` is ready for it (§1.0,
-//! §1.2(8) note). Hidden channels (`chan L; …`) fire like any other but
-//! are removed from the visible trace, exactly as the semantics removes
-//! them from recordable traces.
+//! component runs on its own OS thread, and a coordinator moves the
+//! network by the binary `||` and `chan` rules (§1.2(7)–(8)) — an event
+//! on a channel two operands share occurs only when both are ready for it
+//! (§1.0). Events a `chan L; …` conceals fire like any other but are
+//! removed from the visible trace, exactly as the semantics removes them
+//! from recordable traces.
 //!
 //! The runtime closes the reproduction loop:
 //!

@@ -1,28 +1,23 @@
-//! Network extraction: flattening a process expression into sequential
-//! components, their alphabets, and the concealed channels.
+//! Network extraction: a process expression as its sequential
+//! components and the `||`/`chan` tree that joins them.
 //!
 //! The paper's networks are *static*: `‖` and `chan` appear outside all
 //! communication prefixes (e.g. `multiplier = chan col[0..3]; (zeroes ||
-//! mult[1] || … || last)`). The runtime executes this class on one flat
-//! rendezvous — each component becomes a thread, an event needs every
-//! component whose alphabet holds its channel, and every concealed
-//! channel is hidden from the whole run. Parallel composition inside a
-//! prefix would require dynamic process creation the paper's language
-//! cannot express anyway (recursion is the only control structure).
-//!
-//! [`flatten`] accepts a network only where that flat rule is the binary
-//! rule of §1.2(7)–(8) — each component's alphabet is the alphabet of the
-//! `||` operand it fills, every `||` shares exactly `X ∩ Y` between its
-//! sides, and a `chan` below a `||` conceals no channel a component
-//! outside it holds — and refuses the rest at set-up.
-
-use std::ops::Range;
+//! mult[1] || … || last)`). [`flatten`] unfolds such a network into its
+//! components — each becomes a thread — and records the tree above them
+//! as a [`Shape`]: a `||` node holds the channels its operands share,
+//! `X ∩ Y` (§1.2(7)), and a `chan` node the channels it conceals
+//! (§1.2(8)). [`Shape::moves`] is the binary rule the executor moves the
+//! network by. A component that reaches `||` or `chan` through its calls
+//! would need dynamic process creation, which the paper's language
+//! cannot express anyway (recursion is the only control structure); it
+//! is refused.
 
 use csp_lang::{
-    channel_alphabet, channel_uses, operand_alphabet, reaches_network, resolve_chanrefs, ChanRef,
-    Definitions, Env, EvalError, Process,
+    channel_uses, operand_alphabet, reaches_network, resolve_chanrefs, Definitions, Env, EvalError,
+    Process,
 };
-use csp_trace::ChannelSet;
+use csp_trace::{ChannelSet, Event};
 
 /// One sequential component of a network.
 #[derive(Debug, Clone)]
@@ -34,8 +29,9 @@ pub struct Component {
     /// The environment it runs in.
     pub env: Env,
     /// Its channel alphabet — the alphabet of the `||` operand it fills,
-    /// or its own channels outside any `||`. Every event on these
-    /// channels requires its participation.
+    /// or its own channels outside any `||`. Description only: which
+    /// components an event needs is the network's `||`/`chan` tree's to
+    /// say.
     pub alphabet: ChannelSet,
     /// The channels it can *write* on (output position `c!e`) — used to
     /// orient committed communications (sender vs. readers) in the
@@ -43,12 +39,92 @@ pub struct Component {
     pub writes: ChannelSet,
 }
 
+/// How a network's components compose: the `||` and `chan` tree above
+/// them, with every alphabet resolved.
+#[derive(Debug, Clone)]
+pub(crate) enum Shape {
+    /// The component at this index of [`Network::components`].
+    Leaf(usize),
+    /// `left ||_{X,Y} right`: an event on a channel in `sync`, `X ∩ Y`,
+    /// needs both sides.
+    Parallel {
+        left: Box<Shape>,
+        right: Box<Shape>,
+        sync: ChannelSet,
+    },
+    /// `chan hidden; body`.
+    Hide {
+        hidden: ChannelSet,
+        body: Box<Shape>,
+    },
+}
+
+/// One way a network can move: an event, the components that take part
+/// in it (in index order), and whether a `chan` conceals it. Moves order
+/// by event, then participants.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Move {
+    pub(crate) event: Event,
+    pub(crate) participants: Vec<usize>,
+    pub(crate) hidden: bool,
+}
+
+impl Shape {
+    /// The moves the tree allows when component `i` offers `offers(i)`:
+    /// a leaf moves alone on its offers; a `chan` node conceals its
+    /// channels' events; a `||` node lets an operand's move through alone
+    /// when it is concealed or outside `X ∩ Y`, and joins a left and a
+    /// right move on the same shared event (§1.2(7)–(8)).
+    pub(crate) fn moves<'o>(&self, offers: &impl Fn(usize) -> &'o [Event]) -> Vec<Move> {
+        match self {
+            Shape::Leaf(i) => offers(*i)
+                .iter()
+                .map(|&event| Move {
+                    event,
+                    participants: vec![*i],
+                    hidden: false,
+                })
+                .collect(),
+            Shape::Hide { hidden, body } => {
+                let mut moves = body.moves(offers);
+                for m in &mut moves {
+                    m.hidden |= hidden.contains(m.event.channel());
+                }
+                moves
+            }
+            Shape::Parallel { left, right, sync } => {
+                let alone = |m: &Move| m.hidden || !sync.contains(m.event.channel());
+                let rights = right.moves(offers);
+                let mut out = Vec::new();
+                for l in left.moves(offers) {
+                    if alone(&l) {
+                        out.push(l);
+                        continue;
+                    }
+                    for r in rights.iter().filter(|r| !r.hidden && r.event == l.event) {
+                        out.push(Move {
+                            event: l.event,
+                            participants: [&l.participants[..], &r.participants].concat(),
+                            hidden: false,
+                        });
+                    }
+                }
+                out.extend(rights.into_iter().filter(alone));
+                out
+            }
+        }
+    }
+}
+
 /// A flattened network ready for execution.
 #[derive(Debug, Clone)]
 pub struct Network {
-    /// The sequential components.
+    /// The sequential components, left to right.
     pub components: Vec<Component>,
-    /// Channels concealed by enclosing `chan L; …` layers.
+    /// How they compose.
+    pub(crate) shape: Shape,
+    /// Every channel some `chan` conceals. Description only: whether an
+    /// event is concealed depends on where in the tree it happens.
     pub hidden: ChannelSet,
 }
 
@@ -62,12 +138,6 @@ pub enum NetError {
         /// The offending sub-term.
         offending: String,
     },
-    /// The network is static, but one flat rendezvous would not run it
-    /// as the binary `||` and `chan` rules do.
-    NotFlat {
-        /// Which alphabet or concealment is out of reach.
-        reason: String,
-    },
     /// Evaluation failed (undefined name, unbound subscript, …).
     Eval(EvalError),
 }
@@ -79,9 +149,6 @@ impl std::fmt::Display for NetError {
                 f,
                 "network is not static: component `{offending}` reaches || or chan"
             ),
-            NetError::NotFlat { reason } => {
-                write!(f, "network cannot run on one rendezvous: {reason}")
-            }
             NetError::Eval(e) => e.fmt(f),
         }
     }
@@ -102,37 +169,18 @@ impl From<EvalError> for NetError {
 /// # Errors
 ///
 /// Returns [`NetError::NotStatic`] when a component reaches `||` or
-/// `chan`, [`NetError::NotFlat`] when a declared alphabet misses a
-/// channel its operand uses, when the channels the components on both
-/// sides of a `||` hold differ from `X ∩ Y`, or when a `chan` below a
-/// `||` conceals a channel a component outside it holds, and
-/// [`NetError::Eval`] for resolution failures.
+/// `chan`, and [`NetError::Eval`] for resolution failures.
 pub fn flatten(p: &Process, defs: &Definitions, env: &Env) -> Result<Network, NetError> {
     let mut flat = Flattener {
         defs,
         components: Vec::new(),
         hidden: ChannelSet::new(),
-        inner_hiding: Vec::new(),
         unfolding: Vec::new(),
     };
-    flat.walk(p, env, None)?;
-    for (concealed, inside) in &flat.inner_hiding {
-        for (j, c) in flat.components.iter().enumerate() {
-            if inside.contains(&j) {
-                continue;
-            }
-            if let Some(ch) = concealed.iter().find(|ch| c.alphabet.contains(ch)) {
-                return Err(NetError::NotFlat {
-                    reason: format!(
-                        "a `chan` below a || conceals `{ch}`, which `{}` outside it holds",
-                        c.label
-                    ),
-                });
-            }
-        }
-    }
+    let shape = flat.walk(p, env, None)?;
     Ok(Network {
         components: flat.components,
+        shape,
         hidden: flat.hidden,
     })
 }
@@ -141,9 +189,6 @@ struct Flattener<'d> {
     defs: &'d Definitions,
     components: Vec<Component>,
     hidden: ChannelSet,
-    /// Each `chan` below a `||`: what it conceals, and the components
-    /// inside it.
-    inner_hiding: Vec<(ChannelSet, Range<usize>)>,
     /// The names being unfolded, to refuse a network that calls itself
     /// before it communicates.
     unfolding: Vec<String>,
@@ -151,14 +196,13 @@ struct Flattener<'d> {
 
 impl Flattener<'_> {
     /// Flattens `p`, which fills a `||` operand of alphabet `operand`
-    /// (`None` above every `||`), and returns the channels its
-    /// components hold.
+    /// (`None` above every `||`), and returns its shape.
     fn walk(
         &mut self,
         p: &Process,
         env: &Env,
         operand: Option<&ChannelSet>,
-    ) -> Result<ChannelSet, NetError> {
+    ) -> Result<Shape, NetError> {
         match p {
             Process::Parallel {
                 left,
@@ -166,30 +210,19 @@ impl Flattener<'_> {
                 left_alpha,
                 right_alpha,
             } => {
-                let x = self.operand_alphabet(left_alpha.as_deref(), left, env)?;
-                let y = self.operand_alphabet(right_alpha.as_deref(), right, env)?;
-                let held_left = self.walk(left, env, Some(&x))?;
-                let held_right = self.walk(right, env, Some(&y))?;
-                if held_left.intersection(&held_right) != x.intersection(&y) {
-                    return Err(NetError::NotFlat {
-                        reason: format!(
-                            "the components on both sides of `{p}` hold other channels \
-                             than the operands' shared alphabet"
-                        ),
-                    });
-                }
-                Ok(held_left.union(&held_right))
+                let x = operand_alphabet(left_alpha.as_deref(), left, self.defs, env)?;
+                let y = operand_alphabet(right_alpha.as_deref(), right, self.defs, env)?;
+                Ok(Shape::Parallel {
+                    left: Box::new(self.walk(left, env, Some(&x))?),
+                    right: Box::new(self.walk(right, env, Some(&y))?),
+                    sync: x.intersection(&y),
+                })
             }
             Process::Hide { channels, body } => {
-                let concealed = resolve_chanrefs(channels, env)?;
-                let first = self.components.len();
-                let held = self.walk(body, env, operand)?;
-                self.hidden.extend(concealed.iter().cloned());
-                if operand.is_some() {
-                    self.inner_hiding
-                        .push((concealed, first..self.components.len()));
-                }
-                Ok(held)
+                let hidden = resolve_chanrefs(channels, env)?;
+                let body = Box::new(self.walk(body, env, operand)?);
+                self.hidden.extend(hidden.iter().cloned());
+                Ok(Shape::Hide { hidden, body })
             }
             _ if !reaches_network(self.defs, p) => self.push_component(p, env, operand),
             Process::Call { name, args } if !self.unfolding.contains(name) => {
@@ -199,9 +232,9 @@ impl Flattener<'_> {
                     .collect::<Result<Vec<_>, _>>()?;
                 let (body, scope) = self.defs.resolve_call(name, &vals, env)?;
                 self.unfolding.push(name.clone());
-                let held = self.walk(body, &scope, operand);
+                let shape = self.walk(body, &scope, operand);
                 self.unfolding.pop();
-                held
+                shape
             }
             _ => Err(NetError::NotStatic {
                 offending: p.to_string(),
@@ -209,33 +242,12 @@ impl Flattener<'_> {
         }
     }
 
-    /// [`operand_alphabet`], refusing a declared list that misses a
-    /// channel the operand uses (CSP005): the flat rule would make that
-    /// channel's events wait for the operand.
-    fn operand_alphabet(
-        &self,
-        declared: Option<&[ChanRef]>,
-        operand: &Process,
-        env: &Env,
-    ) -> Result<ChannelSet, NetError> {
-        let alphabet = operand_alphabet(declared, operand, self.defs, env)?;
-        if declared.is_some() {
-            let used = channel_alphabet(operand, self.defs, env)?;
-            if let Some(c) = used.iter().find(|c| !alphabet.contains(c)) {
-                return Err(NetError::NotFlat {
-                    reason: format!("`{operand}` uses `{c}` outside its declared alphabet"),
-                });
-            };
-        }
-        Ok(alphabet)
-    }
-
     fn push_component(
         &mut self,
         p: &Process,
         env: &Env,
         operand: Option<&ChannelSet>,
-    ) -> Result<ChannelSet, NetError> {
+    ) -> Result<Shape, NetError> {
         let uses = channel_uses(p, self.defs, env)?;
         let alphabet = match operand {
             Some(x) => x.clone(),
@@ -250,10 +262,10 @@ impl Flattener<'_> {
             label: p.to_string(),
             process: p.clone(),
             env: env.clone(),
-            alphabet: alphabet.clone(),
+            alphabet,
             writes,
         });
-        Ok(alphabet)
+        Ok(Shape::Leaf(self.components.len() - 1))
     }
 }
 
@@ -301,18 +313,20 @@ mod tests {
     }
 
     #[test]
-    fn an_inner_chan_concealing_a_channel_outside_it_is_refused() {
-        // p's a is concealed from q, so ⟦net⟧ = {<>, <b.1>}; one flat
-        // rendezvous would join p's hidden a with q's visible one.
+    fn an_inner_chan_conceals_its_channel_from_the_outside() {
+        // p's a is concealed from q, so ⟦net⟧ = {<>, <b.1>}: p moves on
+        // a.1 alone, and q's a?x waits for a visible a.1 that never comes.
         let src = "p = a!1 -> b!1 -> STOP
                    q = a?x:{1} -> c!x -> STOP
                    net = (chan a; p) || q";
-        let err = run(src, 0).expect_err("refused");
-        assert!(
-            matches!(err, RunError::Net(NetError::NotFlat { .. })),
-            "{err}"
-        );
-        assert!(err.to_string().contains("conceals `a`"), "{err}");
+        for seed in 0..4 {
+            let res = run(src, seed).expect("accepted");
+            assert_eq!(res.full.to_string(), "<a.1, b.1>");
+            assert_eq!(res.visible.to_string(), "<b.1>");
+            assert!(res.deadlocked);
+            assert!(res.monitor.expect("monitored").is_conforming());
+            assert!(res.clocks.iter().all(|c| c.get(1) == 0), "q moved");
+        }
     }
 
     #[test]
@@ -334,21 +348,20 @@ mod tests {
     }
 
     #[test]
-    fn declared_alphabets_the_flat_rule_cannot_run_are_refused() {
-        // CSP005: q uses c outside its declared alphabet.
-        let err = run("net = a!1 -> STOP ||{a | b} c!1 -> STOP", 0).expect_err("refused");
-        assert!(
-            err.to_string().contains("outside its declared alphabet"),
-            "{err}"
-        );
-        // The outer || shares nothing, but p holds b, which r uses:
-        // the flat rule would make r wait for p.
-        let err = run(
+    fn channels_outside_the_shared_alphabet_move_alone() {
+        for src in [
+            // CSP005: q uses c outside its declared alphabet.
+            "net = a!1 -> STOP ||{a | b} c!1 -> STOP",
+            // The outer || shares nothing, though the inner one declares
+            // b for its left side: b.2 needs only the right operand.
             "net = (a!1 -> STOP ||{a, b | a} a!1 -> STOP) || b!2 -> STOP",
-            0,
-        )
-        .expect_err("refused");
-        assert!(err.to_string().contains("shared alphabet"), "{err}");
+        ] {
+            for seed in 0..8 {
+                let res = run(src, seed).expect("accepted");
+                assert_eq!(res.full.len(), 2, "{src}: {}", res.full);
+                assert!(res.monitor.expect("monitored").is_conforming(), "{src}");
+            }
+        }
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! between them is non-determinate." An executor must pick; the policy
 //! decides how, and a seeded policy makes runs reproducible.
 
-use csp_trace::Event;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// How the executor resolves a choice among enabled events.
+/// How the executor resolves a choice among enabled moves.
 #[derive(Debug)]
 pub enum Scheduler {
-    /// Always the first enabled event in deterministic order. Useful for
+    /// Always the first enabled move in deterministic order. Useful for
     /// regression tests.
     First,
     /// Cycle through positions — a crude fairness device.
@@ -35,21 +34,21 @@ impl Scheduler {
         Scheduler::RoundRobin { cursor: 0 }
     }
 
-    /// Picks one index among `enabled.len()` candidates, or `None` when
+    /// Picks one index among `enabled` candidates, or `None` when
     /// nothing is enabled (the caller treats that as a deadlock rather
     /// than this policy treating it as a bug).
-    pub fn pick(&mut self, enabled: &[Event]) -> Option<usize> {
-        if enabled.is_empty() {
+    pub fn pick(&mut self, enabled: usize) -> Option<usize> {
+        if enabled == 0 {
             return None;
         }
         Some(match self {
             Scheduler::First => 0,
             Scheduler::RoundRobin { cursor } => {
-                let i = *cursor % enabled.len();
+                let i = *cursor % enabled;
                 *cursor = cursor.wrapping_add(1);
                 i
             }
-            Scheduler::Seeded(rng) => rng.gen_range(0..enabled.len()),
+            Scheduler::Seeded(rng) => rng.gen_range(0..enabled),
         })
     }
 }
@@ -57,25 +56,18 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_trace::{Channel, Value};
-
-    fn events(n: usize) -> Vec<Event> {
-        (0..n)
-            .map(|i| Event::new(Channel::simple("c"), Value::nat(i as u32)))
-            .collect()
-    }
 
     #[test]
     fn first_always_picks_zero() {
         let mut s = Scheduler::First;
-        assert_eq!(s.pick(&events(3)), Some(0));
-        assert_eq!(s.pick(&events(3)), Some(0));
+        assert_eq!(s.pick(3), Some(0));
+        assert_eq!(s.pick(3), Some(0));
     }
 
     #[test]
     fn round_robin_cycles() {
         let mut s = Scheduler::round_robin();
-        let picks: Vec<usize> = (0..6).map(|_| s.pick(&events(3)).unwrap()).collect();
+        let picks: Vec<usize> = (0..6).map(|_| s.pick(3).unwrap()).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -84,8 +76,8 @@ mod tests {
         let mut a = Scheduler::seeded(9);
         let mut b = Scheduler::seeded(9);
         for _ in 0..20 {
-            let ea = a.pick(&events(5)).unwrap();
-            let eb = b.pick(&events(5)).unwrap();
+            let ea = a.pick(5).unwrap();
+            let eb = b.pick(5).unwrap();
             assert_eq!(ea, eb);
             assert!(ea < 5);
         }
@@ -98,7 +90,7 @@ mod tests {
             Scheduler::round_robin(),
             Scheduler::seeded(1),
         ] {
-            assert_eq!(s.pick(&[]), None);
+            assert_eq!(s.pick(0), None);
         }
     }
 }

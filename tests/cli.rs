@@ -1354,6 +1354,55 @@ net = chan h1, h2; (spin1 || sink1 || spin2 || sink2 || out)
     assert!(stdout.contains("monitor: conforming"), "{stdout}");
 }
 
+/// A `chan` inside a `||` operand conceals its channel from the other
+/// operand: `p`'s `a.1` happens alone and concealed, and `q`, which waits
+/// for a visible `a`, never moves. Its two steps taken, the run
+/// completes (a third round would find it deadlocked) and conforms.
+#[test]
+fn run_conceals_an_inner_chan_from_the_other_operand() {
+    let f = write_fixture(
+        "run_inner_chan.csp",
+        "p = a!1 -> b!1 -> STOP\nq = a?x:{1} -> c!x -> STOP\nnet = (chan a; p) || q\n",
+    );
+    let (stdout, stderr, code) = csp(&[
+        "run",
+        f.to_str().unwrap(),
+        "--process",
+        "net",
+        "--steps",
+        "2",
+        "--monitor",
+    ]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("  <b.1>\n"), "{stdout}");
+    assert!(stdout.contains("monitor: conforming"), "{stdout}");
+}
+
+/// While a stalled component withholds the only offers that could
+/// move, nothing changes until the stall ends, so a stall of any length
+/// passes at once and the run goes on as the fault-free one does.
+#[test]
+fn an_idle_stall_of_any_length_passes_at_once() {
+    let paper = concat!(env!("CARGO_MANIFEST_DIR"), "/paper.csp");
+    let started = std::time::Instant::now();
+    let (stdout, stderr, code) = csp(&[
+        "run",
+        paper,
+        "--process",
+        "pipeline",
+        "--steps",
+        "6",
+        "--fault-plan",
+        "stall:0@0x18446744073709551615",
+    ]);
+    assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(
+        stdout.contains("  <input.0, input.0, output.0, input.1>\n"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn run_watch_reports_busiest_channel() {
     let f = write_fixture("run_watch_chan.csp", PIPELINE);

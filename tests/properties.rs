@@ -605,60 +605,46 @@ proptest! {
 }
 
 proptest! {
-    // One case runs the threaded runtime up to eight times; 400 cases
-    // take about two seconds in a debug build.
+    // One case runs the threaded runtime eight times; 400 cases take
+    // about two seconds in a debug build.
     #![proptest_config(ProptestConfig::with_cases(400))]
 
-    /// The runtime runs exactly the semantics, or refuses at set-up:
-    /// `flatten` either refuses a random network, or every run of it
-    /// (seeds 0–3, 8 steps) conforms to its trace set under the
-    /// membership monitor. Without declared alphabets and without a
-    /// `chan` below a `||`, every network is accepted, and conforms.
+    /// The runtime runs exactly the semantics, or refuses at set-up a
+    /// network it cannot run on threads. Every random network is static,
+    /// so `flatten` accepts it, and every run of it (seeds 0–3, 8 steps)
+    /// conforms to its trace set under the membership monitor. A run
+    /// that crashes component 0 at step 2 and replays it commits the
+    /// fault-free run's trace, concealed events included: the replay
+    /// feeds the new thread exactly the events its predecessor took
+    /// part in.
     #[test]
     fn the_runtime_runs_the_semantics_or_refuses(p in arb_network()) {
         let defs = Definitions::new();
         let uni = Universe::small();
-        let plain = without_declarations(&p, false);
-        for (term, must_accept) in [(&p, false), (&plain, true)] {
-            if let Err(e) = csp::flatten(term, &defs, &Env::new()) {
-                prop_assert!(!must_accept, "{} refused: {}", term, e);
-                continue;
-            }
-            for seed in 0..4 {
-                let res = csp::Executor::new(&defs, &uni)
-                    .run(term, &Env::new(), csp::RunOptions {
-                        max_steps: 8,
-                        scheduler: csp::Scheduler::seeded(seed),
-                        monitor: Some(csp::MonitorSpec::new()),
-                        ..csp::RunOptions::default()
-                    })
-                    .expect("flatten accepted it");
-                let report = res.monitor.expect("monitored");
-                prop_assert!(
-                    report.is_conforming(),
-                    "{} at seed {} ran {}: {:?}", term, seed, res.visible, report
-                );
-            }
+        let exec = csp::Executor::new(&defs, &uni);
+        for seed in 0..4 {
+            let run = |monitor, faults| {
+                exec.run(&p, &Env::new(), csp::RunOptions {
+                    max_steps: 8,
+                    scheduler: csp::Scheduler::seeded(seed),
+                    monitor,
+                    faults,
+                    ..csp::RunOptions::default()
+                })
+                .unwrap_or_else(|e| panic!("{p} refused: {e}"))
+            };
+            let res = run(Some(csp::MonitorSpec::new()), csp::FaultPlan::none());
+            let report = res.monitor.expect("monitored");
+            prop_assert!(
+                report.is_conforming(),
+                "{} at seed {} ran {}: {:?}", p, seed, res.visible, report
+            );
+            let replayed = run(
+                None,
+                csp::FaultPlan::none().crash(0usize, 2).with_restart(csp::RestartPolicy::Replay),
+            );
+            prop_assert_eq!(&replayed.full, &res.full, "{} at seed {}", p, seed);
         }
-    }
-}
-
-/// `p` with every declared `||` alphabet dropped and every `chan` below
-/// a `||` removed.
-fn without_declarations(p: &Process, below_par: bool) -> Process {
-    match p {
-        Process::Parallel { left, right, .. } => Process::Parallel {
-            left: std::sync::Arc::new(without_declarations(left, true)),
-            right: std::sync::Arc::new(without_declarations(right, true)),
-            left_alpha: None,
-            right_alpha: None,
-        },
-        Process::Hide { body, .. } if below_par => without_declarations(body, true),
-        Process::Hide { channels, body } => Process::Hide {
-            channels: channels.clone(),
-            body: std::sync::Arc::new(without_declarations(body, false)),
-        },
-        other => other.clone(),
     }
 }
 

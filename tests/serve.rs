@@ -360,6 +360,23 @@ fn run_endpoint_reports_monitor_and_supervision() {
     assert_eq!(unparsable.status, 400);
 }
 
+/// `/v1/run` runs a network whose inner `chan` conceals a channel from
+/// the other `||` operand, and the run conforms: only `<b.1>` is seen.
+#[test]
+fn run_endpoint_runs_an_inner_chan_network() {
+    let state = ServeState::new(16, 2);
+    let source = "p = a!1 -> b!1 -> STOP\nq = a?x:{1} -> c!x -> STOP\nnet = (chan a; p) || q\n";
+    let body = format!(
+        "{{\"source\":{},\"process\":\"net\",\"steps\":8,\"monitor\":true}}",
+        json_string(source)
+    );
+    let resp = state.post("/v1/run", &body);
+    let text = String::from_utf8(resp.body).unwrap();
+    assert_eq!(resp.status, 200, "{text}");
+    assert!(text.contains("\"visible\":\"<b.1>\""), "{text}");
+    assert!(text.contains("\"verdict\":\"conforming\""), "{text}");
+}
+
 /// A monitored run of a network with two independent hidden loops
 /// answers: the monitor steps the states its τ budget reaches, not the
 /// 2^32 τ-paths to them.
