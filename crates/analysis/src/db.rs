@@ -309,9 +309,8 @@ fn prefix_depth(p: &Process) -> usize {
 }
 
 // The hash [`AnalysisDb`] keys its per-definition results on — the
-// workspace-wide FNV-1a from `csp_trace::hash`, re-exported so other
-// layers (the verification service's cross-request cache, the workbench
-// pool) address content the same way the incremental front-end does.
+// workspace-wide FNV-1a from `csp_trace::hash`, re-exported so a caller
+// can recompute a definition's key.
 pub use csp_trace::hash::content_hash;
 
 fn fnv1a(bytes: &[u8]) -> u64 {

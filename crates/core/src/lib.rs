@@ -35,27 +35,21 @@
 //! assert!(wb.check_sat("pipeline", "output <= input", 3)?.holds());
 //! # Ok::<(), csp_core::WorkbenchError>(())
 //! ```
+//!
+//! Every verification entry point reads the workbench through `&self`,
+//! and a built workbench holds no interior mutability, so it is `Send +
+//! Sync`: a long-lived service builds one per module and shares it
+//! between threads behind an `Arc` (csp-serve does, keyed by the source
+//! and its options).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 pub mod options;
-mod pool;
 mod session;
 mod workbench;
 
-pub use cache::{content_hash, hash_field, Lru, VerifyCache, HASH_SEED};
 pub use options::{ConformanceOptions, SatOptions};
-
-/// The workspace's canonical content hashing (re-exported from
-/// `csp_trace::hash`): one FNV-1a definition shared by the incremental
-/// analysis database, the cross-request verification cache, and the
-/// serve request keying.
-pub mod hash {
-    pub use csp_trace::hash::{content_hash, hash_field, HASH_SEED};
-}
-pub use pool::{PooledWorkbench, WorkbenchPool};
 pub use session::Session;
 pub use workbench::{Workbench, WorkbenchError};
 

@@ -32,12 +32,12 @@ use csp_causal::{CausalEventKind, CausalLog, VectorClock};
 use csp_lang::{Definitions, Env, EvalError, Process};
 use csp_obs::{Collector, Metered, MetricsSnapshot};
 use csp_semantics::{Config, Lts, Step, Universe};
-use csp_trace::{Event, Trace};
+use csp_trace::{Channel, Event, Trace};
 
 use crate::fault::{Fault, FaultError, FaultPlan, RestartPolicy};
 use crate::monitor::{Monitor, MonitorReport, MonitorSpec};
 use crate::net::{flatten, Component, Move, NetError, Network};
-use crate::supervisor::{ComponentFailure, FailureReason, RunOutcome, Supervision};
+use crate::supervisor::{ComponentFailure, FailureReason, RunOutcome, Supervision, MAX_RESTARTS};
 use crate::Scheduler;
 
 /// Options controlling a run.
@@ -123,10 +123,9 @@ impl RunResult {
 /// during a run are reported in [`RunResult::outcome`], not here.
 #[derive(Debug)]
 pub enum RunError {
-    /// The process is not a static network.
+    /// The process is not a static network, or a component failed to
+    /// evaluate while flattening.
     Net(NetError),
-    /// A component failed to evaluate while flattening.
-    Eval(EvalError),
     /// The fault plan does not fit the network.
     Fault(FaultError),
 }
@@ -135,7 +134,6 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::Net(e) => e.fmt(f),
-            RunError::Eval(e) => e.fmt(f),
             RunError::Fault(e) => e.fmt(f),
         }
     }
@@ -146,12 +144,6 @@ impl std::error::Error for RunError {}
 impl From<NetError> for RunError {
     fn from(e: NetError) -> Self {
         RunError::Net(e)
-    }
-}
-
-impl From<EvalError> for RunError {
-    fn from(e: EvalError) -> Self {
-        RunError::Eval(e)
     }
 }
 
@@ -187,7 +179,7 @@ struct Slot<'scope> {
     state: SlotState,
     /// Rounds left during which the offer is withheld (stall/delay).
     stall_rounds: usize,
-    /// Restarts consumed, towards [`Supervision::max_restarts`].
+    /// Restarts consumed, towards [`MAX_RESTARTS`].
     restarts_used: usize,
     /// The events it advanced past, which a replay feeds its successor.
     advanced: Vec<Event>,
@@ -247,7 +239,9 @@ impl<'a> Executor<'a> {
         let mut rounds = 0u64;
         let mut picks = 0u64;
         let mut faults_fired = 0u64;
-        let mut chan_ready: BTreeMap<String, u64> = BTreeMap::new();
+        // Rounds in which each channel had an enabled event, tallied
+        // only under observation and handed to the collector at the end.
+        let mut chan_ready: BTreeMap<Channel, u64> = BTreeMap::new();
         // The committed events no `chan` concealed.
         let mut visible: Vec<Event> = Vec::new();
 
@@ -370,17 +364,21 @@ impl<'a> Executor<'a> {
                 let mut moves = net.shape.moves(&|i| co.effective_offer(i));
                 moves.sort();
 
-                // Channel occupancy: rounds in which each channel had an
-                // enabled event waiting, tallied only under observation.
+                // Channel occupancy: the sorted moves hold each channel's
+                // events together, so a channel counts once a round.
                 if co.collector.is_enabled() {
-                    let mut seen = std::collections::BTreeSet::new();
+                    let mut last: Option<&Channel> = None;
                     for m in &moves {
-                        seen.insert(m.event.channel());
-                    }
-                    for c in seen {
-                        let name = c.to_string();
-                        *chan_ready.entry(name.clone()).or_insert(0) += 1;
-                        co.collector.add(format!("run.chan.{name}.ready_rounds"), 1);
+                        let c = m.event.channel();
+                        if last != Some(c) {
+                            last = Some(c);
+                            match chan_ready.get_mut(c) {
+                                Some(n) => *n += 1,
+                                None => {
+                                    chan_ready.insert(c.clone(), 1);
+                                }
+                            }
+                        }
                     }
                 }
 
@@ -537,7 +535,9 @@ impl<'a> Executor<'a> {
             metrics.set_counter(format!("run.chan.{chan}.events"), count);
         }
         for (chan, count) in chan_ready {
-            metrics.set_counter(format!("run.chan.{chan}.ready_rounds"), count);
+            let name = format!("run.chan.{chan}.ready_rounds");
+            collector.add(name.clone(), count);
+            metrics.set_counter(name, count);
         }
         if let Some(m) = &monitor_report {
             metrics.set_counter("run.monitor.events", m.events_checked as u64);
@@ -758,7 +758,7 @@ impl<'run, 'scope, 'env> Coordinator<'run, 'scope, 'env> {
     /// history. On success the slot owes us a fresh offer; on failure it
     /// stays dead and the failure stays unrecovered.
     fn respawn(&mut self, i: usize) {
-        if self.slots[i].restarts_used >= self.supervision.max_restarts {
+        if self.slots[i].restarts_used >= MAX_RESTARTS {
             return;
         }
         self.slots[i].restarts_used += 1;
@@ -931,7 +931,6 @@ mod tests {
     use super::*;
     use crate::supervisor::RunOutcome;
     use csp_lang::examples;
-    use csp_trace::Channel;
     use std::time::Duration;
 
     #[test]
@@ -1068,29 +1067,6 @@ mod tests {
         assert!(res.deadlocked);
         assert_eq!(res.outcome, RunOutcome::Deadlocked);
         assert_eq!(res.steps, 0);
-    }
-
-    #[test]
-    fn round_robin_scheduler_also_works() {
-        let defs = examples::buffer2();
-        let uni = Universe::new(1);
-        let exec = Executor::new(&defs, &uni);
-        let res = exec
-            .run_name(
-                "buffer2",
-                &Env::new(),
-                RunOptions {
-                    max_steps: 12,
-                    scheduler: Scheduler::round_robin(),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(!res.deadlocked);
-        let h = res.visible.history();
-        assert!(h
-            .on(&Channel::simple("out"))
-            .is_prefix_of(&h.on(&Channel::simple("in"))));
     }
 
     // ------------------------------------------------------ faults --

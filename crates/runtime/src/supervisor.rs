@@ -13,6 +13,12 @@
 
 use std::time::Duration;
 
+/// Restart-intensity cap: how many times any single component may be
+/// respawned before the supervisor gives up and leaves it dead. This
+/// bounds crash/restart loops (a component whose evaluation fails
+/// deterministically would otherwise respawn forever).
+pub(crate) const MAX_RESTARTS: usize = 4;
+
 /// Watchdog limits for one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Supervision {
@@ -27,11 +33,6 @@ pub struct Supervision {
     /// occur with no visible event between them, the run stops with
     /// [`RunOutcome::Livelock`]. `0` disables the detector.
     pub livelock_window: usize,
-    /// Restart-intensity cap: how many times any single component may be
-    /// respawned before the supervisor gives up and leaves it dead. This
-    /// bounds crash/restart loops (a component whose evaluation fails
-    /// deterministically would otherwise respawn forever).
-    pub max_restarts: usize,
 }
 
 impl Default for Supervision {
@@ -40,7 +41,6 @@ impl Default for Supervision {
             round_timeout: Duration::from_secs(10),
             deadline: None,
             livelock_window: 0,
-            max_restarts: 4,
         }
     }
 }
@@ -64,13 +64,6 @@ impl Supervision {
     #[must_use]
     pub fn with_livelock_window(mut self, window: usize) -> Self {
         self.livelock_window = window;
-        self
-    }
-
-    /// Sets the per-component restart-intensity cap.
-    #[must_use]
-    pub fn with_max_restarts(mut self, max: usize) -> Self {
-        self.max_restarts = max;
         self
     }
 }

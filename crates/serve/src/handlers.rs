@@ -2,8 +2,8 @@
 //!
 //! Every verification endpoint is a pure function of its request body —
 //! module source, universe/binding parameters, and the query — so the
-//! handler layer sits behind a content-addressed response cache keyed by
-//! the same FNV-1a hashing the incremental [`AnalysisDb`] uses. Cache
+//! handler layer sits behind a response cache keyed by the endpoint and
+//! the decoded [`Params`], hashed with the server's keyed hasher. Cache
 //! status and server-side timing travel in the `X-Csp-Cache` /
 //! `X-Csp-Ms` *headers*, never the body: a warm response is
 //! byte-identical to a cold one, which the `tests/serve.rs` property
@@ -18,9 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use csp_core::obs::{json_string, parse_json, JsonValue};
-use csp_core::{
-    hash_field, AnalysisDb, FaultPlan, RunOptions, Scheduler, Session, Value, HASH_SEED,
-};
+use csp_core::{AnalysisDb, FaultPlan, RunOptions, Scheduler, Session, Value};
 
 use crate::http::{Request, Response};
 use crate::v1::{
@@ -131,7 +129,7 @@ fn health(state: &ServeState) -> Response {
     let data = format!(
         "{{\"status\":\"ok\",\"uptime_ms\":{},\"cache_entries\":{},\"workers\":{}}}",
         state.uptime().as_millis(),
-        state.cache().len(),
+        state.cached_responses(),
         state.workers(),
     );
     Response::json(200, envelope("serve.health", &data))
@@ -184,8 +182,8 @@ fn handle_verify(
         let body = run(state, &p)?;
         return Ok((Arc::from(body), CacheStatus::Bypass));
     }
-    let key = p.cache_key(endpoint);
-    if let Some(hit) = state.cache().get(key) {
+    let key = state.key((endpoint, &p));
+    if let Some(hit) = state.cached_response(key) {
         return Ok((hit, CacheStatus::Hit));
     }
     let body = match endpoint {
@@ -196,16 +194,16 @@ fn handle_verify(
         other => Err(HandlerError::bypass(format!("no such endpoint `{other}`"))),
     }?;
     let rendered: Arc<str> = Arc::from(body);
-    state.cache().insert(key, Arc::clone(&rendered));
+    state.cache_response(key, Arc::clone(&rendered));
     Ok((rendered, CacheStatus::Miss))
 }
 
 /// `/v1/lint`: incremental analysis. The per-module [`AnalysisDb`] is
-/// pooled across requests, so an edited re-submission relints only the
+/// kept across requests, so an edited re-submission relints only the
 /// definitions whose content hash moved (the `serve.lint.relinted` /
 /// `serve.lint.cached_defs` counters expose the split).
 fn lint(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
-    let db_key = p.lint_db_key();
+    let db_key = lint_db_key(state, p);
     let mut db = state
         .take_lint_db(db_key)
         .unwrap_or_else(|| AnalysisDb::new().with_env(&p.options.env()));
@@ -227,23 +225,26 @@ fn lint(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
     Ok(envelope("serve.lint", &data))
 }
 
-/// Runs `f` on a session over the request's pooled workbench, then
-/// checks the workbench back in. Fails when a cold workbench does not
-/// build or when `f` fails.
+/// The lint-database key: lint depends on the module identity and host
+/// bindings, not on the universe or query fields (and the *source* is
+/// deliberately absent — reusing the db across edits of one module is
+/// the whole point).
+fn lint_db_key(state: &ServeState, p: &Params) -> u64 {
+    state.key((&p.module, &p.options.binds))
+}
+
+/// Runs `f` on a session over the request's shared workbench. Fails
+/// when a new workbench does not build or when `f` fails.
 fn with_session<T, E: ToString>(
     state: &ServeState,
     p: &Params,
     f: impl FnOnce(&Session<'_>) -> Result<T, E>,
 ) -> Result<T, String> {
-    let pooled = state
-        .pool()
-        .checkout(p.wb_key(), || p.options.workbench(&p.source))?;
-    let out = f(&pooled.wb.session_with(state.collector().clone()));
-    state.pool().checkin(pooled);
-    out.map_err(|e| e.to_string())
+    let wb = state.workbench(&p.source, &p.options)?;
+    f(&wb.session_with(state.collector().clone())).map_err(|e| e.to_string())
 }
 
-/// `/v1/check`: bounded model checking through a pooled workbench.
+/// `/v1/check`: bounded model checking through the shared workbench.
 fn check(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
     let process = p.need_process()?;
     let assertion = p
@@ -347,7 +348,8 @@ fn profile(state: &ServeState, p: &Params) -> Result<String, HandlerError> {
 
 /// One request's decoded parameters — the same knobs the CLI exposes as
 /// flags, carried in a JSON object. Every field participates in the
-/// cache key.
+/// response-cache key; a member the decoder does not read does not.
+#[derive(Hash)]
 struct Params {
     source: String,
     module: String,
@@ -506,72 +508,178 @@ impl Params {
             .as_deref()
             .ok_or_else(|| HandlerError::miss("missing required string field `process`"))
     }
-
-    /// The full response-cache key: endpoint plus *every* parameter.
-    fn cache_key(&self, endpoint: &str) -> u64 {
-        let mut h = hash_field(HASH_SEED, endpoint.as_bytes());
-        h = self.hash_workbench_fields(h);
-        h = hash_field(h, self.module.as_bytes());
-        h = hash_opt(h, self.process.as_deref());
-        h = hash_opt(h, self.assertion.as_deref());
-        h = hash_opt(h, self.fault_plan.as_deref());
-        h = hash_opt(h, self.monitor.as_deref());
-        for (n, a) in &self.specs {
-            h = hash_field(h, n.as_bytes());
-            h = hash_field(h, a.as_bytes());
-        }
-        h = hash_field(h, &(self.depth as u64).to_le_bytes());
-        h = hash_field(h, &(self.steps as u64).to_le_bytes());
-        hash_field(h, &self.seed.to_le_bytes())
-    }
-
-    /// The workbench-pool key: only the fields that shape construction.
-    fn wb_key(&self) -> u64 {
-        self.hash_workbench_fields(hash_field(HASH_SEED, b"workbench"))
-    }
-
-    /// The lint-database pool key: lint depends on the module identity
-    /// and host bindings, not on the universe or query fields (and the
-    /// *source* is deliberately absent — reusing the db across edits of
-    /// one module is the whole point).
-    fn lint_db_key(&self) -> u64 {
-        let mut h = hash_field(HASH_SEED, b"lint-db");
-        h = hash_field(h, self.module.as_bytes());
-        for (name, vals) in &self.options.binds {
-            h = hash_field(h, name.as_bytes());
-            for v in vals {
-                h = hash_field(h, &v.to_le_bytes());
-            }
-        }
-        h
-    }
-
-    fn hash_workbench_fields(&self, mut h: u64) -> u64 {
-        let o = &self.options;
-        h = hash_field(h, self.source.as_bytes());
-        h = hash_field(h, &u64::from(o.nat_bound).to_le_bytes());
-        for (name, vals) in &o.sets {
-            h = hash_field(h, name.as_bytes());
-            for v in vals {
-                h = hash_field(h, v.to_string().as_bytes());
-            }
-        }
-        for (name, vals) in &o.binds {
-            h = hash_field(h, name.as_bytes());
-            for v in vals {
-                h = hash_field(h, &v.to_le_bytes());
-            }
-        }
-        for c in &o.channels {
-            h = hash_field(h, c.as_bytes());
-        }
-        h
-    }
 }
 
-fn hash_opt(h: u64, v: Option<&str>) -> u64 {
-    match v {
-        Some(s) => hash_field(hash_field(h, b"+"), s.as_bytes()),
-        None => hash_field(h, b"-"),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::WB_CAP;
+
+    const PIPELINE: &str = "copier = input?x:NAT -> wire!x -> copier\n\
+                            recopier = wire?y:NAT -> output!y -> recopier\n\
+                            pipeline = chan wire; (copier || recopier)\n";
+
+    /// A request body from `(member, JSON value)` pairs.
+    fn body(members: &[(&str, String)]) -> String {
+        let members: Vec<String> = members
+            .iter()
+            .map(|(name, value)| format!("{}:{value}", json_string(name)))
+            .collect();
+        format!("{{{}}}", members.join(","))
+    }
+
+    fn cache_status(resp: &Response) -> Option<&str> {
+        resp.extra
+            .iter()
+            .find(|(n, _)| n == "X-Csp-Cache")
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn params(body: &str) -> Params {
+        Params::parse(body.as_bytes()).expect("a well-formed body")
+    }
+
+    /// Each member the decoder reads, with two values it accepts.
+    fn keyed_members() -> Vec<(&'static str, String, String)> {
+        let s = |v: &str| json_string(v);
+        vec![
+            ("source", s("p = c!0 -> p"), s("p = c!1 -> p")),
+            ("module", s("m"), s("n")),
+            ("process", s("p"), s("q")),
+            ("assertion", s("c <= c"), s("#c >= 0")),
+            (
+                "specs",
+                r#"[{"process":"p","assertion":"c <= c"}]"#.into(),
+                "[]".into(),
+            ),
+            ("depth", "2".into(), "3".into()),
+            ("steps", "4".into(), "5".into()),
+            ("seed", "1".into(), "2".into()),
+            ("nat_bound", "1".into(), "2".into()),
+            ("sets", r#"{"S":[1]}"#.into(), r#"{"S":[2]}"#.into()),
+            ("bind", r#"{"v":[1]}"#.into(), r#"{"v":[2]}"#.into()),
+            ("channels", r#"["d"]"#.into(), r#"["e"]"#.into()),
+            ("fault_plan", s("crash:p@1"), s("crash:p@2")),
+            ("monitor", "true".into(), s("c <= c")),
+        ]
+    }
+
+    /// Changing any one keyed member gives a request its own
+    /// response-cache entry; a member the decoder does not read keeps
+    /// the hit, and moving a byte from one member to the next does not
+    /// alias two requests.
+    #[test]
+    fn every_keyed_member_moves_the_response_key() {
+        let state = ServeState::new(64, 2);
+        let members = keyed_members();
+        let base: Vec<(&str, String)> = members.iter().map(|(n, v, _)| (*n, v.clone())).collect();
+        let first = state.post("/v1/lint", &body(&base));
+        assert_eq!(
+            first.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&first.body)
+        );
+        assert_eq!(cache_status(&first), Some("miss"));
+        for (i, (name, _, other)) in members.iter().enumerate() {
+            let mut changed = base.clone();
+            changed[i].1 = other.clone();
+            let resp = state.post("/v1/lint", &body(&changed));
+            assert_eq!(resp.status, 200, "{name}");
+            assert_eq!(cache_status(&resp), Some("miss"), "{name}");
+            let entries = state.metrics().counter("serve.cache.entries");
+            assert_eq!(entries, i as u64 + 2, "{name}");
+        }
+        let mut unknown = base.clone();
+        unknown.push(("comment", json_string("not read")));
+        assert_eq!(
+            cache_status(&state.post("/v1/lint", &body(&unknown))),
+            Some("hit")
+        );
+
+        let split = |process: &str, assertion: &str| {
+            let mut members = base.clone();
+            members[2].1 = json_string(process);
+            members[3].1 = json_string(assertion);
+            state.key(("lint", &params(&body(&members))))
+        };
+        assert_ne!(split("ab", "c"), split("a", "bc"));
+    }
+
+    /// A check and then a prove of one source under one set of options
+    /// build its workbench once and share it.
+    #[test]
+    fn a_check_and_a_prove_of_one_source_share_its_workbench() {
+        let state = ServeState::new(64, 2);
+        let check = body(&[
+            ("source", json_string(PIPELINE)),
+            ("process", json_string("pipeline")),
+            ("assertion", json_string("output <= input")),
+            ("depth", "3".into()),
+            ("nat_bound", "1".into()),
+        ]);
+        let prove = body(&[
+            ("source", json_string(PIPELINE)),
+            (
+                "specs",
+                r#"[{"process":"copier","assertion":"wire <= input"}]"#.into(),
+            ),
+            ("nat_bound", "1".into()),
+        ]);
+        assert_eq!(state.post("/v1/check", &check).status, 200);
+        assert_eq!(state.post("/v1/prove", &prove).status, 200);
+        let m = state.metrics();
+        assert_eq!(m.counter("serve.pool.builds"), 1);
+        assert_eq!(m.counter("serve.pool.reuses"), 1);
+        let (a, b) = (params(&check), params(&prove));
+        let wa = state.workbench(&a.source, &a.options).unwrap();
+        let wb = state.workbench(&b.source, &b.options).unwrap();
+        assert!(Arc::ptr_eq(&wa, &wb));
+    }
+
+    /// The lint database of a module is found again after its source is
+    /// edited: its key reads the module and bindings, not the source.
+    #[test]
+    fn the_lint_database_key_ignores_the_source() {
+        let state = ServeState::new(64, 2);
+        let lint = |source: &str, module: &str| {
+            body(&[
+                ("source", json_string(source)),
+                ("module", json_string(module)),
+            ])
+        };
+        let edited = format!("{PIPELINE}probe = probe!0 -> probe\n");
+        let key = |b: &str| lint_db_key(&state, &params(b));
+        assert_eq!(key(&lint(PIPELINE, "m")), key(&lint(&edited, "m")));
+        assert_ne!(key(&lint(PIPELINE, "m")), key(&lint(PIPELINE, "n")));
+
+        assert_eq!(state.post("/v1/lint", &lint(PIPELINE, "m")).status, 200);
+        assert_eq!(state.post("/v1/lint", &lint(&edited, "m")).status, 200);
+        let m = state.metrics();
+        assert_eq!(m.counter("serve.lint.cached_defs"), 3);
+        assert_eq!(m.counter("serve.lint.relinted"), 4);
+    }
+
+    /// At capacity, a new workbench evicts the least recently used one.
+    #[test]
+    fn the_least_recently_used_workbench_is_evicted() {
+        let state = ServeState::new(64, 2);
+        let options = ModuleOptions::default();
+        let get = |i: usize| {
+            state
+                .workbench(&format!("p = c!{i} -> p"), &options)
+                .unwrap()
+        };
+        let builds = || state.metrics().counter("serve.pool.builds");
+        for i in 0..WB_CAP {
+            get(i);
+        }
+        get(0); // 1 is now the least recently used
+        get(WB_CAP);
+        assert_eq!(builds(), WB_CAP as u64 + 1);
+        get(0);
+        assert_eq!(builds(), WB_CAP as u64 + 1, "0 was kept");
+        get(1);
+        assert_eq!(builds(), WB_CAP as u64 + 2, "1 was evicted");
     }
 }

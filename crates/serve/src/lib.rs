@@ -1,9 +1,9 @@
 //! # csp-serve
 //!
 //! `csp serve` — a persistent verification service over the
-//! [`Workbench`](csp_core::Workbench): the CLI's `lint` / `check` /
-//! `prove` / `run` / `profile` verbs exposed as HTTP endpoints with the
-//! same `{"schema":"csp/v1",…}` envelope, plus `/healthz`, `/metrics`
+//! [`Workbench`]: the CLI's `lint` / `check` / `prove` / `run` /
+//! `profile` verbs exposed as HTTP endpoints with the same
+//! `{"schema":"csp/v1",…}` envelope, plus `/healthz`, `/metrics`
 //! (Prometheus text exposition) and `/v1/trace` (Chrome trace-event
 //! JSON of the server's own span stream).
 //!
@@ -15,27 +15,30 @@
 //!
 //! The point of staying resident is the **cross-request cache**: every
 //! verification verdict is a pure function of its request body, so
-//! results are keyed by FNV-1a content hashes (the same hashing the
-//! incremental [`AnalysisDb`] uses) and replayed
-//! for identical requests. Three reuse layers, cheapest first:
+//! results are keyed by a hash of the decoded request and replayed for
+//! identical requests. The hash is a `#[derive(Hash)]` over the decoded
+//! fields, fed to one randomly keyed `RandomState` per server, so a
+//! colliding request cannot be searched for offline. Three reuse
+//! layers, cheapest first:
 //!
-//! 1. rendered-response cache ([`VerifyCache`]) —
-//!    a repeated request costs one hash + one map lookup;
-//! 2. pooled [`AnalysisDb`]s per module — an
-//!    *edited* re-lint pays only for the definitions whose content hash
-//!    moved;
-//! 3. pooled parsed [`Workbench`](csp_core::Workbench)es — a new query
-//!    over known source skips the parse.
+//! 1. rendered responses — a repeated request costs one hash and one
+//!    map lookup;
+//! 2. one [`AnalysisDb`] per module and bindings — an *edited* re-lint
+//!    pays only for the definitions whose content hash moved;
+//! 3. one parsed [`Workbench`] per source and [`ModuleOptions`], shared
+//!    as an `Arc` by every request over it (handlers only read it) — a
+//!    new query over known source skips the parse.
 //!
-//! Nothing is ever *invalidated*: keys are content hashes, so a stale
-//! entry is unreachable by construction and eviction is plain LRU.
+//! Nothing is ever *invalidated*: a key covers everything its entry
+//! depends on, so a stale entry is unreachable by construction and
+//! eviction is plain LRU.
 //!
 //! The server itself is a bounded worker-thread model: one accept loop
 //! feeding a channel, `workers` threads each running keep-alive
-//! connections to completion. Worker width defaults to
-//! [`rayon::current_num_threads`], so `RAYON_NUM_THREADS` sizes every
-//! pool in the workspace. No hyper, no tokio — see `DESIGN.md` §10 for
-//! why a ~200-line HTTP/1.1 subset is the right tool here.
+//! connections to completion. Worker width defaults to the host's
+//! available parallelism, clamped to 2..=16. No hyper, no tokio — see
+//! `DESIGN.md` §10 for why a ~200-line HTTP/1.1 subset is the right tool
+//! here.
 //!
 //! ```no_run
 //! let server = csp_serve::CspServer::bind(&csp_serve::ServeConfig {
@@ -56,6 +59,7 @@
 pub mod client;
 mod handlers;
 pub mod http;
+mod lru;
 mod v1;
 
 pub use client::{Client, ClientResponse};
@@ -65,6 +69,8 @@ pub use v1::{
     ProveOutcome,
 };
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -73,7 +79,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use csp_core::obs::MetricsSnapshot;
-use csp_core::{AnalysisDb, Collector, Lru, VerifyCache, WorkbenchPool};
+use csp_core::{AnalysisDb, Collector, Workbench};
+
+use crate::lru::Lru;
 
 /// How long a worker blocks in one socket read before re-checking the
 /// stop flag; bounds shutdown latency for idle keep-alive connections.
@@ -83,8 +91,9 @@ const READ_TIMEOUT: Duration = Duration::from_millis(200);
 /// `(module, bindings)` identity).
 const LINT_DB_CAP: usize = 32;
 
-/// Distinct workbench keys the pool retains.
-const WB_KEY_CAP: usize = 64;
+/// Parsed workbenches retained across requests (per distinct
+/// `(source, ModuleOptions)`).
+const WB_CAP: usize = 64;
 
 /// Server configuration, mirrored by `csp serve`'s flags.
 #[derive(Debug, Clone)]
@@ -107,10 +116,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// The default worker width: the same knob (`RAYON_NUM_THREADS`) that
-/// sizes every other thread pool in the workspace, clamped to [2, 16].
+/// The default worker width: the host's available parallelism, clamped
+/// to [2, 16].
 pub fn default_workers() -> usize {
-    rayon::current_num_threads().clamp(2, 16)
+    std::thread::available_parallelism()
+        .map_or(2, usize::from)
+        .clamp(2, 16)
 }
 
 /// Everything the handlers share across requests: the collector feeding
@@ -118,8 +129,10 @@ pub fn default_workers() -> usize {
 #[derive(Debug)]
 pub struct ServeState {
     collector: Collector,
-    cache: VerifyCache,
-    pool: WorkbenchPool,
+    /// The keyed hasher every cache key is derived with.
+    keys: RandomState,
+    responses: Mutex<Lru<Arc<str>>>,
+    workbenches: Mutex<Lru<Arc<Workbench>>>,
     lint_dbs: Mutex<Lru<AnalysisDb>>,
     started: Instant,
     workers: usize,
@@ -130,8 +143,9 @@ impl ServeState {
     pub fn new(cache_cap: usize, workers: usize) -> Self {
         ServeState {
             collector: Collector::new(),
-            cache: VerifyCache::new(cache_cap),
-            pool: WorkbenchPool::new(WB_KEY_CAP),
+            keys: RandomState::new(),
+            responses: Mutex::new(Lru::new(cache_cap)),
+            workbenches: Mutex::new(Lru::new(WB_CAP)),
             lint_dbs: Mutex::new(Lru::new(LINT_DB_CAP)),
             started: Instant::now(),
             workers,
@@ -141,16 +155,6 @@ impl ServeState {
     /// The server's collector (spans, counters, histograms).
     pub fn collector(&self) -> &Collector {
         &self.collector
-    }
-
-    /// The cross-request response cache.
-    pub fn cache(&self) -> &VerifyCache {
-        &self.cache
-    }
-
-    /// The parsed-workbench pool.
-    pub fn pool(&self) -> &WorkbenchPool {
-        &self.pool
     }
 
     /// Time since the state was created.
@@ -181,15 +185,57 @@ impl ServeState {
     }
 
     /// The `/metrics` snapshot: the collector's aggregates plus the
-    /// cache/pool gauges.
+    /// cache gauge.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.collector.snapshot();
-        snap.set_counter("serve.cache.entries", self.cache.len() as u64);
-        snap.set_counter("serve.pool.builds", self.pool.builds());
-        snap.set_counter("serve.pool.reuses", self.pool.reuses());
+        snap.set_counter("serve.cache.entries", self.cached_responses() as u64);
         snap.set_counter("serve.workers", self.workers as u64);
         snap.set_counter("obs.events_dropped", self.collector.dropped());
         snap
+    }
+
+    /// The key of `value` under this server's hasher.
+    fn key(&self, value: impl Hash) -> u64 {
+        self.keys.hash_one(value)
+    }
+
+    fn cached_responses(&self) -> usize {
+        self.responses.lock().expect("response cache lock").len()
+    }
+
+    fn cached_response(&self, key: u64) -> Option<Arc<str>> {
+        let mut responses = self.responses.lock().expect("response cache lock");
+        responses.get(key).cloned()
+    }
+
+    /// Stores a rendered response. Concurrent misses of one key may
+    /// both compute and insert; the last write wins, and both carry the
+    /// same answer, since the key covers every input.
+    fn cache_response(&self, key: u64, body: Arc<str>) {
+        let mut responses = self.responses.lock().expect("response cache lock");
+        responses.insert(key, body);
+    }
+
+    /// The workbench of `source` under `options`: the shared one when
+    /// it is retained (`serve.pool.reuses`), else built outside the lock
+    /// and retained (`serve.pool.builds`).
+    fn workbench(&self, source: &str, options: &ModuleOptions) -> Result<Arc<Workbench>, String> {
+        let key = self.key((source, options));
+        let shared = self
+            .workbenches
+            .lock()
+            .expect("workbench lock")
+            .get(key)
+            .cloned();
+        if let Some(wb) = shared {
+            self.collector.add("serve.pool.reuses", 1);
+            return Ok(wb);
+        }
+        self.collector.add("serve.pool.builds", 1);
+        let wb = Arc::new(options.workbench(source)?);
+        let mut workbenches = self.workbenches.lock().expect("workbench lock");
+        workbenches.insert(key, Arc::clone(&wb));
+        Ok(wb)
     }
 
     fn take_lint_db(&self, key: u64) -> Option<AnalysisDb> {
@@ -482,12 +528,9 @@ mod tests {
                 + m.counter("serve.cache.bypass"),
             m.counter("serve.requests"),
         );
-        // The pool reused the parsed workbench across check/prove/run/profile.
-        assert!(
-            state.pool().reuses() >= 2,
-            "reuses = {}",
-            state.pool().reuses()
-        );
+        // The parsed workbench was shared across check/prove/run/profile.
+        let reuses = m.counter("serve.pool.reuses");
+        assert!(reuses >= 2, "reuses = {reuses}");
     }
 
     #[test]

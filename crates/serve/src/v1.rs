@@ -6,7 +6,7 @@
 //! [`check_data`], [`ProveOutcome::data`], [`run_data`], and profile's
 //! [`verify_phase`]. What stays with a front-end is its own: the CLI's
 //! flags, human output and exit codes; serve's request decoding, cache
-//! keys and pools.
+//! keys and shared workbenches.
 
 use csp_core::obs::json_string;
 use csp_core::{
@@ -16,8 +16,9 @@ use csp_core::{
 
 /// The options that shape a module's workbench: the CLI's
 /// `--nat-bound`, `--set`, `--bind` and `--channels`, and serve's
-/// `nat_bound`, `sets`, `bind` and `channels` body fields.
-#[derive(Debug, Clone, PartialEq)]
+/// `nat_bound`, `sets`, `bind` and `channels` body fields. With the
+/// source, they key serve's shared workbenches.
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ModuleOptions {
     /// The finite carrier of `NAT` (see [`Universe::new`]); 2 by default.
     pub nat_bound: u32,

@@ -23,20 +23,15 @@
 //!   so unevenly sized tasks — proof scripts, rule validators — balance
 //!   across workers;
 //! * `RAYON_NUM_THREADS` is honoured (`1` disables threading entirely,
-//!   useful when bisecting nondeterminism).
+//!   useful when bisecting nondeterminism). It sizes only these
+//!   fan-outs: `csp serve` takes its worker width from `--workers`, or
+//!   else from the host's available parallelism, so upstream's
+//!   `current_num_threads()` has no stand-in here.
 
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Number of worker threads a parallel operation may use — upstream
-/// rayon's `current_num_threads()`. Long-lived consumers (the `csp
-/// serve` worker pool) use this as their default width so one knob,
-/// `RAYON_NUM_THREADS`, sizes every thread pool in the workspace.
-pub fn current_num_threads() -> usize {
-    max_threads()
-}
 
 /// Number of worker threads a parallel operation may use.
 fn max_threads() -> usize {
@@ -274,11 +269,6 @@ mod tests {
             seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
         assert_eq!(seen.into_inner(), 64);
-    }
-
-    #[test]
-    fn current_num_threads_is_positive() {
-        assert!(current_num_threads() >= 1);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The workspace's canonical FNV-1a content hashing.
 //!
-//! One 64-bit FNV-1a implementation, shared by every layer that
-//! content-addresses data: the incremental analysis database keys
-//! per-definition results on [`content_hash`], and the verification
-//! service's cross-request cache builds compound keys with the
-//! length-prefixed [`hash_field`] chain. Keeping a single definition here
-//! (the bottom of the crate graph) guarantees that a hash computed by one
-//! layer can be recomputed bit-for-bit by any other — the property the
-//! cross-request cache's correctness rests on.
+//! One 64-bit FNV-1a implementation, [`content_hash`], which the
+//! incremental analysis database keys per-definition results on. It is
+//! unkeyed and deterministic, which is what change detection needs: the
+//! hash of an unchanged definition is the same in every run. Keys built
+//! from user input that a hit is served on alone need a keyed hasher
+//! instead; `csp serve` hashes its requests with a per-server
+//! `RandomState`.
 
-/// The FNV-1a offset basis — the seed for [`hash_field`] chains and the
-/// initial state of [`content_hash`].
-pub const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis.
+const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -19,19 +17,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// 64-bit FNV-1a of one byte string — tiny, dependency-free, and plenty
 /// for change detection on definition-sized inputs.
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    fold(HASH_SEED, bytes)
-}
-
-/// Extends a running FNV-1a hash with one more field, separator
-/// included — the canonical way compound cache keys are built from
-/// `(endpoint, source, parameters)` tuples so that no concatenation of
-/// fields can collide with a different split of the same bytes.
-pub fn hash_field(h: u64, bytes: &[u8]) -> u64 {
-    // Length prefix acts as an unambiguous separator.
-    fold(fold(h, &(bytes.len() as u64).to_le_bytes()), bytes)
-}
-
-fn fold(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut h = OFFSET_BASIS;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -49,15 +35,5 @@ mod tests {
         assert_eq!(content_hash(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(content_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(content_hash(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn hash_fields_do_not_collide_across_splits() {
-        // ("ab","c") and ("a","bc") must key differently.
-        let k1 = hash_field(hash_field(HASH_SEED, b"ab"), b"c");
-        let k2 = hash_field(hash_field(HASH_SEED, b"a"), b"bc");
-        assert_ne!(k1, k2);
-        // And a single field agrees with nothing else by construction.
-        assert_ne!(hash_field(HASH_SEED, b""), HASH_SEED);
     }
 }

@@ -71,8 +71,9 @@
 //! errors.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 use csp::obs::{json_string, parse_json, JsonValue, MetricsSnapshot};
@@ -88,15 +89,26 @@ use csp_bench::report::HistoryRow;
 /// can attribute allocation volume to pipeline phases without any
 /// external profiler. Only the library crates forbid unsafe; this binary
 /// is the designated home for the one unavoidable `GlobalAlloc` impl.
+/// Each thread counts its own bytes in a thread-local cell, so no
+/// allocation on any thread (`csp serve`'s workers, a run's components)
+/// touches a shared counter; `phase` reads the count of its own thread.
 struct CountingAlloc;
 
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// update has no effect on allocation behaviour.
+fn count(bytes: usize) {
+    // `try_with`: a thread being torn down has no counter left to bump.
+    let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get().wrapping_add(bytes as u64)));
+}
+
+// SAFETY: delegates every operation to `System` unchanged; counting has
+// no effect on allocation behaviour, and the counter itself never
+// allocates (a `const` thread-local without a destructor).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -105,7 +117,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -286,8 +298,8 @@ options:
 serve options:
   --addr HOST:PORT     bind address (default 127.0.0.1:7017; port 0
                        picks a free port, printed on stdout)
-  --workers N          worker threads (default: RAYON_NUM_THREADS or
-                       the CPU count, clamped to 2..=16)
+  --workers N          worker threads (default: the available
+                       parallelism, clamped to 2..=16)
   --cache-cap N        rendered responses kept in the cross-request
                        cache (default 1024; 0 disables caching)
 serve endpoints: POST /v1/{lint,check,prove,run,profile} take the CLI's
@@ -1011,17 +1023,18 @@ struct Phase {
 }
 
 /// Runs a closure as a named profile phase, measuring wall time and
-/// allocation volume (via the counting global allocator).
+/// allocation volume (via the counting global allocator, on this
+/// thread: the phases do not fan out).
 fn phase<T>(
     name: &'static str,
     phases: &mut Vec<Phase>,
     f: impl FnOnce() -> Result<T, String>,
 ) -> Option<T> {
-    let alloc0 = ALLOCATED_BYTES.load(Relaxed);
+    let alloc0 = ALLOCATED_BYTES.with(Cell::get);
     let t0 = Instant::now();
     let result = f();
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let alloc_bytes = ALLOCATED_BYTES.load(Relaxed).saturating_sub(alloc0);
+    let alloc_bytes = ALLOCATED_BYTES.with(Cell::get).wrapping_sub(alloc0);
     match result {
         Ok(v) => {
             phases.push(Phase {

@@ -29,21 +29,6 @@ fn pipeline_conforms_across_many_seeds_and_schedulers() {
             .unwrap();
         assert!(conf.conforms(), "seed {seed}: {conf:?}");
     }
-    // Round-robin too.
-    let run = wb
-        .run(
-            "pipeline",
-            RunOptions {
-                max_steps: 18,
-                scheduler: Scheduler::round_robin(),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-    assert!(wb
-        .conformance("pipeline", &run, ["output <= input"])
-        .unwrap()
-        .conforms());
 }
 
 #[test]
