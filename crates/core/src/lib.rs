@@ -49,7 +49,7 @@ pub mod options;
 mod session;
 mod workbench;
 
-pub use options::{ConformanceOptions, SatOptions};
+pub use options::SatOptions;
 pub use session::Session;
 pub use workbench::{Workbench, WorkbenchError};
 
@@ -94,15 +94,15 @@ pub use csp_proof::{
     Judgement, Obligation, Proof, ProofError, SynthError,
 };
 pub use csp_runtime::{
-    causal_jsonl, check_conformance, chrome_causal_trace, flatten, msc, CausalError, CausalEvent,
-    CausalEventKind, CausalLog, Component, ComponentFailure, ComponentSel, ConformanceReport,
-    Executor, FailureReason, Fault, FaultError, FaultPlan, Monitor, MonitorReport, MonitorSpec,
-    MonitorVerdict, MonitorViolation, Network, RestartPolicy, RunError, RunOptions, RunOutcome,
-    RunResult, Scheduler, Supervision, VectorClock, ViolationKind,
+    causal_jsonl, check_conformance, chrome_causal_trace, flatten, msc, replay_budget, CausalError,
+    CausalEvent, CausalEventKind, CausalLog, Component, ComponentFailure, ComponentSel,
+    ConformanceReport, Executor, FailureReason, Fault, FaultError, FaultPlan, Monitor,
+    MonitorReport, MonitorSpec, MonitorVerdict, MonitorViolation, Network, RestartPolicy, RunError,
+    RunOptions, RunOutcome, RunResult, Scheduler, Supervision, VectorClock, ViolationKind,
 };
 pub use csp_semantics::{
     compare, fixpoint, fixpoint_with, CompiledLts, CompiledStep, Config, Discrepancy, Engine,
-    FixpointRun, Lts, Semantics, StateId, StateSet, Step, Universe,
+    FixpointRun, Lts, Semantics, StateId, StateSet, Step, Universe, CONCEALED_PER_DEPTH,
 };
 pub use csp_trace::{
     timeline, Channel, ChannelSet, Event, History, NaiveTraceSet, OpStats, Seq, Trace, TraceSet,
@@ -117,10 +117,9 @@ pub use csp_verify::{
 /// Convenient glob-import surface: `use csp_core::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        Assertion, CausalLog, Channel, Collector, ConformanceOptions, Definitions, Engine, Env,
-        Event, FaultPlan, FaultSweep, Judgement, Metered, MetricsSnapshot, MonitorReport,
-        MonitorSpec, Process, Proof, RestartPolicy, RunOptions, RunOutcome, SatOptions, SatResult,
-        Scheduler, Session, Supervision, Trace, TraceSet, Universe, Value, VectorClock, Workbench,
-        WorkbenchError,
+        Assertion, CausalLog, Channel, Collector, Definitions, Engine, Env, Event, FaultPlan,
+        FaultSweep, Judgement, Metered, MetricsSnapshot, MonitorReport, MonitorSpec, Process,
+        Proof, RestartPolicy, RunOptions, RunOutcome, SatOptions, SatResult, Scheduler, Session,
+        Supervision, Trace, TraceSet, Universe, Value, VectorClock, Workbench, WorkbenchError,
     };
 }

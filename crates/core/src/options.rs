@@ -1,17 +1,18 @@
-//! Builder-style option bundles for the [`Workbench`](crate::Workbench)
-//! verification entry points, replacing positional-argument sprawl.
-//!
-//! Both types are `#[non_exhaustive]` so new knobs can be added without
-//! breaking callers, and both come with `From` conversions that keep the
-//! common literal call forms working: a bare depth converts into
-//! [`SatOptions`], an invariant-source slice into
-//! [`ConformanceOptions`].
+//! The builder-style option bundle of the [`Workbench`](crate::Workbench)'s
+//! bounded checks, replacing positional-argument sprawl. It is
+//! `#[non_exhaustive]` so new knobs can be added without breaking
+//! callers, and a bare depth converts into it.
 //!
 //! No option selects a backend: the process decides the backend of the
 //! `sat` check ([`Engine`](crate::Engine) names it in the verdict), the
 //! compiled LTS for networks and the enumerative trace walk for
 //! sequential terms. Deadlock search, refinement and conformance have
-//! one backend each, the compiled LTS.
+//! one backend each, the compiled LTS. No option sets a budget of
+//! concealed steps either: a bounded search takes `depth ×`
+//! [`CONCEALED_PER_DEPTH`], a replay of a run
+//! [`csp_runtime::replay_budget`] between two visible events.
+
+use csp_semantics::CONCEALED_PER_DEPTH;
 
 /// Options for bounded satisfaction checking
 /// ([`Workbench::check_sat`](crate::Workbench::check_sat)) and trace
@@ -20,7 +21,7 @@
 /// ```
 /// use csp_core::SatOptions;
 ///
-/// let opts = SatOptions::new().with_depth(5).with_internal_budget_factor(6);
+/// let opts = SatOptions::new().with_depth(5);
 /// assert_eq!(opts.depth, 5);
 /// // A bare depth still converts:
 /// assert_eq!(SatOptions::from(3).depth, 3);
@@ -31,7 +32,9 @@ pub struct SatOptions {
     /// Exploration depth: every trace up to this many visible events is
     /// checked.
     pub depth: usize,
-    /// Hidden-communication budget as a multiple of the depth.
+    /// Concealed steps a check admits per unit of depth along any path:
+    /// always [`CONCEALED_PER_DEPTH`], which the checks read. It is here
+    /// to be reported, not set.
     pub internal_budget_factor: usize,
 }
 
@@ -39,13 +42,13 @@ impl Default for SatOptions {
     fn default() -> Self {
         SatOptions {
             depth: 4,
-            internal_budget_factor: 4,
+            internal_budget_factor: CONCEALED_PER_DEPTH,
         }
     }
 }
 
 impl SatOptions {
-    /// The default options (depth 4, budget factor 4).
+    /// The default options (depth 4).
     pub fn new() -> Self {
         Self::default()
     }
@@ -54,13 +57,6 @@ impl SatOptions {
     #[must_use]
     pub fn with_depth(mut self, depth: usize) -> Self {
         self.depth = depth;
-        self
-    }
-
-    /// Sets the hidden-communication budget factor.
-    #[must_use]
-    pub fn with_internal_budget_factor(mut self, factor: usize) -> Self {
-        self.internal_budget_factor = factor.max(1);
         self
     }
 }
@@ -72,82 +68,6 @@ impl From<usize> for SatOptions {
     }
 }
 
-/// Options for conformance checking
-/// ([`Workbench::conformance`](crate::Workbench::conformance) and
-/// [`Workbench::fault_conformance`](crate::Workbench::fault_conformance)):
-/// which invariants a recorded run must satisfy. The replay may take as
-/// many concealed steps between two visible events as the recorded run
-/// took events in all (at least 8).
-///
-/// ```
-/// use csp_core::ConformanceOptions;
-///
-/// let opts = ConformanceOptions::new().with_invariant("output <= input");
-/// assert_eq!(opts.invariants.len(), 1);
-/// // A slice of invariant sources still converts:
-/// let from_slice = ConformanceOptions::from(&["output <= input"]);
-/// assert_eq!(from_slice.invariants, opts.invariants);
-/// ```
-#[non_exhaustive]
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ConformanceOptions {
-    /// Invariants in assertion syntax; each must hold on every prefix of
-    /// the visible trace.
-    pub invariants: Vec<String>,
-}
-
-impl ConformanceOptions {
-    /// No invariants.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one invariant (assertion syntax).
-    #[must_use]
-    pub fn with_invariant(mut self, src: impl Into<String>) -> Self {
-        self.invariants.push(src.into());
-        self
-    }
-
-    /// Adds several invariants.
-    #[must_use]
-    pub fn with_invariants<I, S>(mut self, srcs: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.invariants.extend(srcs.into_iter().map(Into::into));
-        self
-    }
-}
-
-impl From<&[&str]> for ConformanceOptions {
-    fn from(srcs: &[&str]) -> Self {
-        ConformanceOptions::new().with_invariants(srcs.iter().copied())
-    }
-}
-
-impl<const N: usize> From<&[&str; N]> for ConformanceOptions {
-    fn from(srcs: &[&str; N]) -> Self {
-        ConformanceOptions::new().with_invariants(srcs.iter().copied())
-    }
-}
-
-impl<const N: usize> From<[&str; N]> for ConformanceOptions {
-    fn from(srcs: [&str; N]) -> Self {
-        ConformanceOptions::new().with_invariants(srcs)
-    }
-}
-
-impl From<Vec<String>> for ConformanceOptions {
-    fn from(invariants: Vec<String>) -> Self {
-        ConformanceOptions {
-            invariants,
-            ..ConformanceOptions::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,27 +76,6 @@ mod tests {
     fn depth_literal_converts() {
         let o: SatOptions = 7.into();
         assert_eq!(o.depth, 7);
-        assert_eq!(
-            o.internal_budget_factor,
-            SatOptions::default().internal_budget_factor
-        );
-    }
-
-    #[test]
-    fn budget_factor_floors_at_one() {
-        assert_eq!(
-            SatOptions::new()
-                .with_internal_budget_factor(0)
-                .internal_budget_factor,
-            1
-        );
-    }
-
-    #[test]
-    fn invariant_slices_convert() {
-        let a: ConformanceOptions = (&["x <= y", "y <= z"]).into();
-        assert_eq!(a.invariants, vec!["x <= y", "y <= z"]);
-        let b: ConformanceOptions = vec!["x <= y".to_string()].into();
-        assert_eq!(b.invariants.len(), 1);
+        assert_eq!(o.internal_budget_factor, CONCEALED_PER_DEPTH);
     }
 }

@@ -22,7 +22,7 @@ use csp_semantics::FixpointRun;
 use csp_trace::OpStats;
 use csp_verify::{FaultConformance, FaultSweep, SatResult};
 
-use crate::options::{ConformanceOptions, SatOptions};
+use crate::options::SatOptions;
 use crate::workbench::{Workbench, WorkbenchError};
 
 /// One observed verification session. Created by
@@ -132,9 +132,9 @@ impl<'wb> Session<'wb> {
         &self,
         name: &str,
         result: &RunResult,
-        opts: impl Into<ConformanceOptions>,
+        invariants: impl IntoIterator<Item: AsRef<str>>,
     ) -> Result<ConformanceReport, WorkbenchError> {
-        self.wb.conformance(name, result, opts)
+        self.wb.conformance(name, result, invariants)
     }
 
     /// Sweeps the named network over seeds × fault plans (see
@@ -146,10 +146,10 @@ impl<'wb> Session<'wb> {
     pub fn fault_conformance(
         &self,
         name: &str,
-        opts: impl Into<ConformanceOptions>,
+        invariants: impl IntoIterator<Item: AsRef<str>>,
         sweep: &FaultSweep,
     ) -> Result<FaultConformance, WorkbenchError> {
-        self.wb.fault_conformance(name, opts, sweep)
+        self.wb.fault_conformance(name, invariants, sweep)
     }
 
     /// Bounded trace refinement (see [`Workbench::refines`]).

@@ -11,7 +11,9 @@ use csp_lang::{
 use csp_obs::Collector;
 use csp_proof::{check_with, CheckReport, Context, Judgement, Proof, ProofError};
 use csp_runtime::{check_conformance, ConformanceReport, Executor, RunOptions, RunResult};
-use csp_semantics::{fixpoint_with, CompiledLts, FixpointRun, Semantics, Universe};
+use csp_semantics::{
+    fixpoint_with, CompiledLts, FixpointRun, Semantics, Universe, CONCEALED_PER_DEPTH,
+};
 use csp_trace::{Channel, ChannelSet};
 use csp_trace::{TraceSet, Value};
 use csp_verify::{
@@ -19,7 +21,7 @@ use csp_verify::{
     SatResult,
 };
 
-use crate::options::{ConformanceOptions, SatOptions};
+use crate::options::SatOptions;
 use crate::session::Session;
 
 /// Visible-event bound for the deadlock search that vets CSP010
@@ -331,6 +333,15 @@ impl Workbench {
         Ok(csp_assert::parse_assertion(src, &self.channel_info())?)
     }
 
+    fn assertions(
+        &self,
+        srcs: impl IntoIterator<Item: AsRef<str>>,
+    ) -> Result<Vec<Assertion>, WorkbenchError> {
+        srcs.into_iter()
+            .map(|src| self.assertion(src.as_ref()))
+            .collect()
+    }
+
     /// Builds an online-monitor spec from assertion sources (empty =
     /// trace-membership checking only), for [`crate::RunOptions`]'s
     /// `monitor` field.
@@ -339,22 +350,21 @@ impl Workbench {
     ///
     /// Fails if any assertion does not parse against the session's
     /// channel vocabulary.
-    pub fn monitor_spec<'s>(
+    pub fn monitor_spec(
         &self,
-        invariants: impl IntoIterator<Item = &'s str>,
+        invariants: impl IntoIterator<Item: AsRef<str>>,
     ) -> Result<csp_runtime::MonitorSpec, WorkbenchError> {
-        let mut spec = csp_runtime::MonitorSpec::new();
-        for src in invariants {
-            spec = spec.with_assertion(self.assertion(src)?);
-        }
-        Ok(spec)
+        Ok(csp_runtime::MonitorSpec {
+            assertions: self.assertions(invariants)?,
+        })
     }
 
     /// The traces of a named process to the given depth, walked on the
     /// compiled arena (operational exploration; agrees with the
     /// denotational semantics). Hidden steps are budgeted as
-    /// [`check_sat`](Self::check_sat) budgets them by default, so the
-    /// traces listed are the traces a check judges.
+    /// [`check_sat`](Self::check_sat) budgets them, `depth ×`
+    /// [`CONCEALED_PER_DEPTH`], so the traces listed are the traces a
+    /// check judges.
     ///
     /// # Errors
     ///
@@ -362,8 +372,7 @@ impl Workbench {
     pub fn traces(&self, name: &str, depth: usize) -> Result<TraceSet, WorkbenchError> {
         let mut lts = CompiledLts::new(&self.defs, &self.universe);
         let start = lts.start(name, &self.env);
-        let budget = depth * SatOptions::default().internal_budget_factor;
-        Ok(lts.traces_budgeted(start, depth, budget)?)
+        Ok(lts.traces_budgeted(start, depth, depth * CONCEALED_PER_DEPTH)?)
     }
 
     /// The denotational trace set (reference implementation; exponential
@@ -404,7 +413,6 @@ impl Workbench {
         let checker = SatChecker::new(&self.defs, &self.universe)
             .with_env(self.env.clone())
             .with_funcs(self.funcs.clone())
-            .with_internal_budget_factor(opts.internal_budget_factor)
             .with_collector(collector.clone());
         Ok(checker.check_name(name, &assertion, opts.depth)?)
     }
@@ -441,9 +449,11 @@ impl Workbench {
         Ok(exec.run_name(name, &self.env, opts)?)
     }
 
-    /// Verifies a recorded run against the semantics and a list of
-    /// invariants. Accepts a slice of invariant sources or a full
-    /// [`ConformanceOptions`] bundle.
+    /// Verifies a recorded run against the semantics and invariants
+    /// (assertion sources), each of which must hold on every prefix of
+    /// its visible trace. The replay admits
+    /// [`replay_budget`](csp_runtime::replay_budget) concealed steps
+    /// between two visible events, as the run's monitor does.
     ///
     /// # Errors
     ///
@@ -452,22 +462,16 @@ impl Workbench {
         &self,
         name: &str,
         result: &RunResult,
-        opts: impl Into<ConformanceOptions>,
+        invariants: impl IntoIterator<Item: AsRef<str>>,
     ) -> Result<ConformanceReport, WorkbenchError> {
-        let opts = opts.into();
-        let invariants = opts
-            .invariants
-            .iter()
-            .map(|s| self.assertion(s))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(check_conformance(
             &Process::call(name),
             &self.env,
             &self.defs,
             &self.universe,
             &result.visible,
-            &invariants,
-            result.full.len().max(8),
+            result.full.len(),
+            &self.assertions(invariants)?,
         )?)
     }
 
@@ -484,21 +488,15 @@ impl Workbench {
     pub fn fault_conformance(
         &self,
         name: &str,
-        opts: impl Into<ConformanceOptions>,
+        invariants: impl IntoIterator<Item: AsRef<str>>,
         sweep: &FaultSweep,
     ) -> Result<FaultConformance, WorkbenchError> {
-        let opts = opts.into();
-        let invariants = opts
-            .invariants
-            .iter()
-            .map(|s| self.assertion(s))
-            .collect::<Result<Vec<_>, _>>()?;
         fault_conformance(
             &Process::call(name),
             &self.env,
             &self.defs,
             &self.universe,
-            &invariants,
+            &self.assertions(invariants)?,
             sweep,
         )
         .map_err(|e| match e {
@@ -578,7 +576,7 @@ impl Workbench {
         let mut lts = CompiledLts::new(&self.defs, &self.universe);
         let i = lts.start(implementation, &self.env);
         let s = lts.start(specification, &self.env);
-        Ok(lts.refines(i, s, opts.depth, opts.depth * opts.internal_budget_factor)?)
+        Ok(lts.refines(i, s, opts.depth, opts.depth * CONCEALED_PER_DEPTH)?)
     }
 
     /// Runs the paper's fixpoint construction (§3.3) over all current
@@ -689,6 +687,35 @@ mod tests {
             .unwrap();
         assert_eq!(result.runs.len(), 4);
         assert!(result.all_conformant(), "{:?}", result.violations());
+    }
+
+    #[test]
+    fn a_run_gets_one_verdict_from_its_monitor_and_its_replay() {
+        // Forty concealed events before the first visible one: more than
+        // the floor of 32, fewer than the run committed.
+        let mut src: String = (0..40)
+            .map(|i| format!("s{i} = h!0 -> s{}\n", i + 1))
+            .collect();
+        src.push_str("s40 = a!0 -> s40\np = chan h; s0\n");
+        let mut wb = Workbench::new().with_universe(Universe::new(1));
+        wb.define_source(&src).unwrap();
+        let res = wb
+            .run(
+                "p",
+                RunOptions {
+                    max_steps: 64,
+                    monitor: Some(wb.monitor_spec(std::iter::empty::<&str>()).unwrap()),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(res.full.len() - res.visible.len(), 40);
+        let monitor = res.monitor.as_ref().expect("monitored");
+        assert!(monitor.is_conforming(), "{monitor:?}");
+        let replay = wb
+            .conformance("p", &res, std::iter::empty::<&str>())
+            .unwrap();
+        assert!(replay.conforms(), "{replay:?}");
     }
 
     #[test]

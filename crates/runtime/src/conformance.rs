@@ -11,7 +11,7 @@ use csp_lang::{Definitions, Env, EvalError, Process};
 use csp_semantics::Universe;
 use csp_trace::{History, Trace};
 
-use crate::monitor::{Monitor, MonitorSpec};
+use crate::monitor::{replay_budget, Monitor, MonitorSpec};
 
 /// The verdict of a conformance check.
 #[derive(Debug, Clone)]
@@ -34,12 +34,15 @@ impl ConformanceReport {
 
 /// Replays a recorded *visible* trace against the operational semantics
 /// of `process` and checks the given invariants at every prefix.
+/// `committed` is the number of events the run committed, concealed
+/// ones included (`RunResult::full`'s length).
 ///
 /// The replay is a membership-only [`Monitor`] fed the finished trace,
 /// so a finished run and a live run are judged by the same frontier
-/// step: each visible event is matched after up to `internal_budget`
-/// concealed steps, because hidden communications may interleave
-/// anywhere.
+/// step. Hidden communications may interleave anywhere, and the trace
+/// does not say where: each visible event is matched after up to
+/// [`replay_budget`]`(committed)` concealed steps, since no gap of the
+/// run held more concealed events than the run committed.
 ///
 /// # Errors
 ///
@@ -50,14 +53,14 @@ pub fn check_conformance(
     defs: &Definitions,
     universe: &Universe,
     visible: &Trace,
+    committed: usize,
     invariants: &[Assertion],
-    internal_budget: usize,
 ) -> Result<ConformanceReport, EvalError> {
-    let spec = MonitorSpec::new().with_internal_budget(internal_budget);
-    let mut monitor = Monitor::new(process, env, defs, universe, spec);
+    let mut monitor = Monitor::new(process, env, defs, universe, MonitorSpec::new());
+    let budget = replay_budget(committed);
     let mut diverged_at = None;
     for (i, event) in visible.iter().enumerate() {
-        if !monitor.advance(event)? {
+        if !monitor.advance(event, budget)? {
             diverged_at = Some(i);
             break;
         }
@@ -137,8 +140,8 @@ mod tests {
             &defs,
             &uni,
             &res.visible,
+            res.full.len(),
             &[inv],
-            8,
         )
         .unwrap();
         assert!(report.conforms(), "{report:?}");
@@ -167,8 +170,8 @@ mod tests {
             &defs,
             &uni,
             &res.visible,
+            res.full.len(),
             &[inv],
-            12,
         )
         .unwrap();
         assert!(report.conforms(), "{report:?}");
@@ -186,8 +189,8 @@ mod tests {
             &defs,
             &uni,
             &bogus,
+            bogus.len(),
             &[],
-            8,
         )
         .unwrap();
         assert!(!report.trace_admitted);
@@ -218,8 +221,8 @@ mod tests {
             &defs,
             &uni,
             &res.visible,
+            res.full.len(),
             &[false_inv],
-            8,
         )
         .unwrap();
         assert!(report.trace_admitted);

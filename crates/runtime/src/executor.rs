@@ -40,6 +40,10 @@ use crate::net::{flatten, Component, Move, NetError, Network};
 use crate::supervisor::{ComponentFailure, FailureReason, RunOutcome, Supervision, MAX_RESTARTS};
 use crate::Scheduler;
 
+/// Capacity of a run's causal event log; beyond it new events are
+/// counted as dropped, keeping the retained prefix self-consistent.
+const CAUSAL_CAP: usize = 4096;
+
 /// Options controlling a run.
 #[derive(Debug)]
 pub struct RunOptions {
@@ -58,10 +62,6 @@ pub struct RunOptions {
     /// Online monitor checking trace-membership and assertions while the
     /// run executes (default: off).
     pub monitor: Option<MonitorSpec>,
-    /// Capacity of the causal event log; beyond it new events are
-    /// counted as dropped, keeping the retained prefix self-consistent
-    /// (default: 4096).
-    pub causal_cap: usize,
 }
 
 impl Default for RunOptions {
@@ -73,7 +73,6 @@ impl Default for RunOptions {
             supervision: Supervision::default(),
             collector: Collector::disabled(),
             monitor: None,
-            causal_cap: 4096,
         }
     }
 }
@@ -98,7 +97,7 @@ pub struct RunResult {
     /// (always populated from cheap local tallies).
     pub metrics: MetricsSnapshot,
     /// The causal event log: every communication and supervision event,
-    /// vector-clock stamped (bounded by [`RunOptions::causal_cap`]).
+    /// vector-clock stamped (its first 4096 events).
     pub causal: CausalLog,
     /// Final per-component vector clocks at the end of the run.
     pub clocks: Vec<VectorClock>,
@@ -299,7 +298,7 @@ impl<'a> Executor<'a> {
                 full: Vec::new(),
                 failures: Vec::new(),
                 clocks: vec![VectorClock::new(net.components.len()); net.components.len()],
-                log: CausalLog::new(labels, opts.causal_cap),
+                log: CausalLog::new(labels, CAUSAL_CAP),
             };
 
             let mut terminal: Option<RunOutcome> = None;
@@ -438,7 +437,7 @@ impl<'a> Executor<'a> {
                     visible.push(event);
                     if let Some(m) = monitor.as_mut() {
                         co.collector.add("run.monitor.events", 1);
-                        m.observe(event, co.full.len() - 1);
+                        m.observe(event, co.full.len() - 1, hidden_streak);
                     }
                     hidden_streak = 0;
                 }

@@ -52,7 +52,8 @@ pub use conformance::{check_conformance, ConformanceReport};
 pub use executor::{Executor, RunError, RunOptions, RunResult};
 pub use fault::{ComponentSel, Fault, FaultError, FaultPlan, RestartPolicy};
 pub use monitor::{
-    Monitor, MonitorReport, MonitorSpec, MonitorVerdict, MonitorViolation, ViolationKind,
+    replay_budget, Monitor, MonitorReport, MonitorSpec, MonitorVerdict, MonitorViolation,
+    ViolationKind,
 };
 pub use net::{flatten, Component, NetError, Network};
 pub use scheduler::Scheduler;

@@ -4,11 +4,11 @@
 //! The monitor is fed each visible event as the coordinator commits it.
 //! It tracks a frontier — a [`StateSet`] of the states in a
 //! [`CompiledLts`] the run can be in — advanced per observation by the
-//! arena's one frontier step: the states up to a budget of concealed
-//! steps away ([`CompiledLts::tau_closure`]), then their successors on
-//! the event ([`CompiledLts::after`]). The closure steps each state once
-//! however many τ-paths reach it, so hidden loops cost no more than the
-//! states they pass. Trace-membership is decided incrementally;
+//! arena's one frontier step: the states up to [`replay_budget`]
+//! concealed steps away ([`CompiledLts::tau_closure`]), then their
+//! successors on the event ([`CompiledLts::after`]). The closure steps
+//! each state once however many τ-paths reach it, so hidden loops cost
+//! no more than the states they pass. Trace-membership is decided incrementally;
 //! [`crate::check_conformance`] replays a *finished* trace through the
 //! same frontier step. Every observed prefix is checked against the
 //! monitored assertions the way `P sat R` quantifies over prefixes
@@ -22,6 +22,25 @@ use csp_lang::{Definitions, Env, EvalError, Process};
 use csp_semantics::{CompiledLts, Config, StateSet, Universe};
 use csp_trace::{Event, History};
 
+/// The fewest concealed steps a replay admits between two visible
+/// events.
+const MIN_REPLAY_BUDGET: usize = 32;
+
+/// The concealed steps a replay of a run admits between two visible
+/// events: `concealed`, the concealed events the run can have committed
+/// in that gap, but at least 32. `chan L; P` conceals `L` without
+/// lengthening the trace (§1.2(8), §3.2), so the gap is the run's to
+/// tell: the live [`Monitor`] passes the run's current streak of
+/// concealed events, and a replay of a recorded run
+/// ([`crate::check_conformance`]) the events the run committed in all,
+/// which bound every gap. A run of the semantics matches its own path
+/// within the gap; the floor keeps admitting a run whose recovery left
+/// the semantics (a `restart:reset` component forgets its history) and
+/// that the spec matches only along a longer concealed path.
+pub fn replay_budget(concealed: usize) -> usize {
+    concealed.max(MIN_REPLAY_BUDGET)
+}
+
 /// What an online monitor should check, carried in
 /// [`crate::RunOptions::monitor`].
 #[derive(Debug, Clone, Default)]
@@ -29,31 +48,18 @@ pub struct MonitorSpec {
     /// Assertions checked on every visible prefix (empty = membership
     /// checking only).
     pub assertions: Vec<Assertion>,
-    /// Concealed steps the spec process may take between two visible
-    /// events (same role as the conformance `internal_budget`).
-    pub internal_budget: usize,
 }
 
 impl MonitorSpec {
-    /// Membership-only monitoring with the default internal budget.
+    /// Membership-only monitoring.
     pub fn new() -> Self {
-        MonitorSpec {
-            assertions: Vec::new(),
-            internal_budget: 32,
-        }
+        Self::default()
     }
 
     /// Adds an assertion to check at every visible prefix.
     #[must_use]
     pub fn with_assertion(mut self, a: Assertion) -> Self {
         self.assertions.push(a);
-        self
-    }
-
-    /// Overrides the concealed-step budget per visible event.
-    #[must_use]
-    pub fn with_internal_budget(mut self, budget: usize) -> Self {
-        self.internal_budget = budget;
         self
     }
 }
@@ -167,7 +173,6 @@ pub struct Monitor<'a> {
     frontier: StateSet,
     /// Each monitored assertion, compiled once for the run.
     assertions: Vec<(Assertion, CompiledAssertion<'a>)>,
-    budget: usize,
     /// How many visible events have been accepted, and their `ch(s)`.
     visible: usize,
     history: History,
@@ -201,7 +206,6 @@ impl<'a> Monitor<'a> {
             lts,
             frontier: StateSet::from_iter([start]),
             assertions,
-            budget: spec.internal_budget,
             visible: 0,
             history: History::empty(),
             violation: None,
@@ -217,16 +221,17 @@ impl<'a> Monitor<'a> {
     }
 
     /// Feeds one committed visible event (`step` = its index in the full
-    /// trace). Returns `true` while the run still conforms. Never
-    /// panics and never propagates errors into the run: an evaluation
-    /// error latches an aborted verdict instead.
-    pub fn observe(&mut self, event: Event, step: usize) -> bool {
+    /// trace), which the run committed after `concealed` concealed events
+    /// since the previous visible one. Returns `true` while the run still
+    /// conforms. Never panics and never propagates errors into the run:
+    /// an evaluation error latches an aborted verdict instead.
+    pub fn observe(&mut self, event: Event, step: usize, concealed: usize) -> bool {
         if self.is_latched() {
             return false;
         }
         let visible_index = self.visible;
         self.events_checked += 1;
-        match self.advance(&event) {
+        match self.advance(&event, replay_budget(concealed)) {
             Ok(true) => {}
             Ok(false) => {
                 self.violation = Some(MonitorViolation {
@@ -275,11 +280,11 @@ impl<'a> Monitor<'a> {
         true
     }
 
-    /// One frontier step: up to the budget of concealed moves, then
-    /// `event`. Returns `false`, leaving the frontier as it was, when the
-    /// spec admits no such continuation.
-    pub(crate) fn advance(&mut self, event: &Event) -> Result<bool, EvalError> {
-        let reach = self.lts.tau_closure(self.frontier.clone(), self.budget)?;
+    /// One frontier step: up to `budget` concealed moves, then `event`.
+    /// Returns `false`, leaving the frontier as it was, when the spec
+    /// admits no such continuation.
+    pub(crate) fn advance(&mut self, event: &Event, budget: usize) -> Result<bool, EvalError> {
+        let reach = self.lts.tau_closure(self.frontier.clone(), budget)?;
         let next = self.lts.after(&reach, *event)?;
         if next.is_empty() {
             return Ok(false);
@@ -341,8 +346,8 @@ mod tests {
             MonitorSpec::new().with_assertion(parse_assertion("output <= input", &info()).unwrap());
         let mut m = Monitor::new(&Process::call("pipeline"), &Env::new(), &defs, &uni, spec);
         // input.0 then (hidden wire.0 happens internally) output.0.
-        assert!(m.observe(Event::new(Channel::simple("input"), Value::nat(0)), 0));
-        assert!(m.observe(Event::new(Channel::simple("output"), Value::nat(0)), 2));
+        assert!(m.observe(Event::new(Channel::simple("input"), Value::nat(0)), 0, 0));
+        assert!(m.observe(Event::new(Channel::simple("output"), Value::nat(0)), 2, 1));
         let r = m.report();
         assert!(r.is_conforming(), "{r:?}");
         assert_eq!(r.events_checked, 2);
@@ -361,7 +366,7 @@ mod tests {
         );
         // The pipeline cannot emit output before any input.
         let bad = Event::new(Channel::simple("output"), Value::nat(1));
-        assert!(!m.observe(bad, 0));
+        assert!(!m.observe(bad, 0, 0));
         let r = m.report();
         assert_eq!(r.verdict, MonitorVerdict::Violated);
         let v = r.violation.unwrap();
@@ -370,7 +375,7 @@ mod tests {
         assert_eq!(v.event, bad);
         assert_eq!(v.kind, ViolationKind::NotInTraces);
         // Latches: later (even legal) events do not move the verdict.
-        assert!(!m.observe(Event::new(Channel::simple("input"), Value::nat(0)), 1));
+        assert!(!m.observe(Event::new(Channel::simple("input"), Value::nat(0)), 1, 0));
         assert_eq!(m.report().events_checked, 1);
     }
 
@@ -381,7 +386,7 @@ mod tests {
         let spec =
             MonitorSpec::new().with_assertion(parse_assertion("#input <= 0", &info()).unwrap());
         let mut m = Monitor::new(&Process::call("pipeline"), &Env::new(), &defs, &uni, spec);
-        assert!(!m.observe(Event::new(Channel::simple("input"), Value::nat(0)), 0));
+        assert!(!m.observe(Event::new(Channel::simple("input"), Value::nat(0)), 0, 0));
         let r = m.report();
         assert_eq!(r.verdict, MonitorVerdict::Violated);
         match r.violation.unwrap().kind {
@@ -392,9 +397,9 @@ mod tests {
 
     #[test]
     fn hidden_loops_cost_a_step_per_state_not_per_path() {
-        // Two independent hidden loops: within the default budget of 32
-        // concealed steps, 2^32 τ-paths reach the one state the network
-        // has. A 64-step monitored run and the replay of its trace must
+        // Two independent hidden loops: within the floor of 32 concealed
+        // steps, 2^32 τ-paths reach the one state the network has. A
+        // 64-step monitored run and the replay of its trace must
         // conform, and finish.
         let defs = csp_lang::parse_definitions(
             "spin1 = h1!0 -> spin1
@@ -423,8 +428,8 @@ mod tests {
             &defs,
             &uni,
             &res.visible,
+            res.full.len(),
             &[],
-            res.full.len().max(8),
         )
         .unwrap();
         assert!(replay.conforms(), "{replay:?}");
@@ -446,8 +451,8 @@ mod tests {
                 &defs,
                 &uni,
                 &trace,
+                trace.len(),
                 &[],
-                0,
             )
             .unwrap();
             assert!(report.trace_admitted, "<a.0, {last}.0>: {report:?}");
@@ -459,9 +464,9 @@ mod tests {
                 &uni,
                 MonitorSpec::new(),
             );
-            assert!(m.observe(event("a"), 0));
+            assert!(m.observe(event("a"), 0, 0));
             assert!(
-                m.observe(event(last), 1),
+                m.observe(event(last), 1, 0),
                 "<a.0, {last}.0>: {:?}",
                 m.report()
             );

@@ -1995,16 +1995,6 @@ impl<'a> CompiledLts<'a> {
         Ok(walk.tree)
     }
 
-    /// [`traces_budgeted`](Self::traces_budgeted) with the default
-    /// internal budget (`depth × 3`, matching [`Lts::traces`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation failures from the transition relation.
-    pub fn traces(&mut self, start: StateId, depth: usize) -> Result<TraceSet, EvalError> {
-        self.traces_budgeted(start, depth, depth * 3)
-    }
-
     fn walk(
         &mut self,
         id: StateId,
@@ -2649,7 +2639,7 @@ mod tests {
             for depth in 0..=4 {
                 let mut c = CompiledLts::new(&defs, &uni);
                 let start = c.start(name, &env);
-                let compiled = c.traces(start, depth).unwrap();
+                let compiled = c.traces_budgeted(start, depth, depth * 3).unwrap();
                 let enumerated = lts.traces(&lts.initial(name, &env), depth).unwrap();
                 assert_eq!(compiled, enumerated, "{name} at depth {depth}");
             }
@@ -2665,7 +2655,7 @@ mod tests {
         for depth in 0..=3 {
             let mut c = CompiledLts::new(&defs, &uni);
             let start = c.start("protocol", &env);
-            let compiled = c.traces(start, depth).unwrap();
+            let compiled = c.traces_budgeted(start, depth, depth * 3).unwrap();
             let enumerated = lts.traces(&lts.initial("protocol", &env), depth).unwrap();
             assert_eq!(compiled, enumerated, "protocol at depth {depth}");
         }
@@ -2739,11 +2729,11 @@ mod tests {
         let uni = Universe::new(1);
         let mut c = CompiledLts::new(&defs, &uni);
         let start = c.start("pipeline", &env_new());
-        c.traces(start, 3).unwrap();
+        c.traces_budgeted(start, 3, 9).unwrap();
         let states = c.num_states();
         let transitions = c.num_transitions();
         // A second walk re-uses every row: no new states, no new rows.
-        c.traces(start, 3).unwrap();
+        c.traces_budgeted(start, 3, 9).unwrap();
         assert_eq!(c.num_states(), states);
         assert_eq!(c.num_transitions(), transitions);
     }
@@ -3477,7 +3467,7 @@ mod tests {
             let p = csp_lang::parse_process(src).unwrap();
             let mut c = CompiledLts::new(&defs, &uni);
             let start = c.intern(Config::new(p, Env::new()));
-            assert_eq!(c.traces(start, 3).unwrap(), want, "{src}");
+            assert_eq!(c.traces_budgeted(start, 3, 9).unwrap(), want, "{src}");
             assert_rows_are_whole_term_rows(&mut c, &lts);
         }
     }

@@ -21,10 +21,14 @@
 //! `depth` of the full denotation, under two finiteness provisos
 //! documented in `DESIGN.md`: unbounded message sets are restricted by
 //! the [`Universe`], and each `chan L; …` body is explored to
-//! `depth × hide_multiplier` events (hidden communications do not count
-//! toward trace length, so a concealed body must be unfolded further than
-//! the requested depth; raise the multiplier for networks with long
-//! internal chatter per visible event).
+//! `depth × hide_multiplier` events, visible and concealed (hidden
+//! communications do not count toward trace length, so a concealed body
+//! must be unfolded further than the requested depth; raise the
+//! multiplier for networks with long internal chatter per visible
+//! event). This is the model's own measure, matched by
+//! [`Lts::traces`](crate::Lts::traces) so the two can be compared; a
+//! bounded search budgets concealed steps by
+//! [`CONCEALED_PER_DEPTH`](crate::CONCEALED_PER_DEPTH).
 
 use csp_lang::{operand_alphabet, resolve_chanrefs, Definitions, Env, EvalError, Expr, Process};
 use csp_trace::{Event, TraceSet, Value};

@@ -53,3 +53,12 @@ pub use equiv::{compare, Discrepancy};
 pub use fixpoint::{fixpoint, fixpoint_with, Approximation, FixpointRun, ProcKey};
 pub use lts::{Config, Lts, Step};
 pub use universe::Universe;
+
+/// Concealed steps a bounded search admits per unit of its depth: a
+/// search to `d` visible events takes at most `d × CONCEALED_PER_DEPTH`
+/// concealed steps along any path. `chan L; P` conceals `L` without
+/// lengthening the trace (§1.2(8), §3.2), so a walk bounded by trace
+/// length alone need not end. Every bounded search reads this one
+/// budget: the `sat` check on either walk, the trace listing, deadlock
+/// search and refinement.
+pub const CONCEALED_PER_DEPTH: usize = 4;

@@ -324,9 +324,7 @@ impl<'a> Lts<'a> {
     }
 
     /// The set of visible traces of length at most `depth`, exploring at
-    /// most `internal_budget` concealed communications along any path
-    /// (defaults used by [`traces`](Self::traces): `depth × 3`, matching
-    /// the denotational hide multiplier).
+    /// most `internal_budget` concealed communications along any path.
     ///
     /// # Errors
     ///
@@ -350,8 +348,12 @@ impl<'a> Lts<'a> {
         Ok(out)
     }
 
-    /// The set of visible traces of length at most `depth`, with the
-    /// default internal budget.
+    /// The set of visible traces of length at most `depth`, with
+    /// `depth × 3` concealed communications along any path: the model's
+    /// own measure, the events [`Semantics`](crate::Semantics) reads a
+    /// `chan` body to (visible and concealed), so the two are compared
+    /// as an oracle pair. A bounded search budgets by
+    /// [`CONCEALED_PER_DEPTH`](crate::CONCEALED_PER_DEPTH) instead.
     ///
     /// # Errors
     ///

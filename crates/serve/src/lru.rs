@@ -5,11 +5,14 @@
 //! of its maps (rendered responses, parsed workbenches, lint databases)
 //! in a mutex.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug)]
 pub(crate) struct Lru<V> {
+    /// Each key's value and the tick of its last use.
     map: HashMap<u64, (u64, V)>,
+    /// Each entry's key by the tick of its last use, least recent first.
+    order: BTreeMap<u64, u64>,
     cap: usize,
     tick: u64,
 }
@@ -20,6 +23,7 @@ impl<V> Lru<V> {
     pub(crate) fn new(cap: usize) -> Self {
         Lru {
             map: HashMap::new(),
+            order: BTreeMap::new(),
             cap,
             tick: 0,
         }
@@ -35,6 +39,8 @@ impl<V> Lru<V> {
         self.tick += 1;
         let tick = self.tick;
         let (last, v) = self.map.get_mut(&key)?;
+        self.order.remove(last);
+        self.order.insert(tick, key);
         *last = tick;
         Some(v)
     }
@@ -42,7 +48,9 @@ impl<V> Lru<V> {
     /// Removes and returns a key's value, for an entry that is checked
     /// out for exclusive use and inserted back afterwards.
     pub(crate) fn take(&mut self, key: u64) -> Option<V> {
-        self.map.remove(&key).map(|(_, v)| v)
+        let (last, v) = self.map.remove(&key)?;
+        self.order.remove(&last);
+        Some(v)
     }
 
     /// Inserts a value, evicting the least recently used entry when the
@@ -52,9 +60,12 @@ impl<V> Lru<V> {
             return;
         }
         self.tick += 1;
-        self.map.insert(key, (self.tick, value));
+        if let Some((last, _)) = self.map.insert(key, (self.tick, value)) {
+            self.order.remove(&last);
+        }
+        self.order.insert(self.tick, key);
         while self.map.len() > self.cap {
-            let Some((&oldest, _)) = self.map.iter().min_by_key(|(_, (last, _))| *last) else {
+            let Some((_, oldest)) = self.order.pop_first() else {
                 break;
             };
             self.map.remove(&oldest);
@@ -65,6 +76,7 @@ impl<V> Lru<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -77,6 +89,79 @@ mod tests {
         assert_eq!(lru.get(1), Some(&"a"));
         assert_eq!(lru.get(3), Some(&"c"));
         assert_eq!(lru.len(), 2);
+    }
+
+    /// The reference map: every entry with its tick, the oldest found by
+    /// a scan at each eviction.
+    struct ScanLru {
+        map: HashMap<u64, (u64, u32)>,
+        cap: usize,
+        tick: u64,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, key: u64) -> Option<u32> {
+            self.tick += 1;
+            let (last, v) = self.map.get_mut(&key)?;
+            *last = self.tick;
+            Some(*v)
+        }
+
+        fn insert(&mut self, key: u64, value: u32) {
+            if self.cap == 0 {
+                return;
+            }
+            self.tick += 1;
+            self.map.insert(key, (self.tick, value));
+            while self.map.len() > self.cap {
+                let oldest = *self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, (last, _))| *last)
+                    .unwrap()
+                    .0;
+                self.map.remove(&oldest);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Get(u64),
+        Insert(u64, u32),
+        Take(u64),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..12).prop_map(Op::Get),
+            (0u64..12, 0u32..1000).prop_map(|(k, v)| Op::Insert(k, v)),
+            (0u64..12).prop_map(Op::Take),
+        ]
+    }
+
+    proptest! {
+        /// Every operation answers as the scanning map does, so entries
+        /// are evicted in the same order.
+        #[test]
+        fn evicts_as_the_scan_does(cap in 0usize..6, ops in prop::collection::vec(arb_op(), 0..200)) {
+            let mut lru = Lru::new(cap);
+            let mut reference = ScanLru { map: HashMap::new(), cap, tick: 0 };
+            for op in ops {
+                match op {
+                    Op::Get(k) => prop_assert_eq!(lru.get(k).copied(), reference.get(k)),
+                    Op::Insert(k, v) => {
+                        lru.insert(k, v);
+                        reference.insert(k, v);
+                    }
+                    Op::Take(k) => {
+                        prop_assert_eq!(lru.take(k), reference.map.remove(&k).map(|(_, v)| v));
+                    }
+                }
+                prop_assert_eq!(lru.len(), reference.map.len());
+                prop_assert_eq!(lru.order.len(), lru.map.len());
+            }
+        }
     }
 
     #[test]

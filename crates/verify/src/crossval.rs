@@ -55,8 +55,7 @@ pub fn cross_validate_scripts(depth: usize) -> Result<Vec<CrossValidation>, Asse
                 return None; // all shipped scripts have sat goals
             };
             let checker = SatChecker::new(&script.context.defs, &script.context.universe)
-                .with_env(script.context.env.clone())
-                .with_internal_budget_factor(4);
+                .with_env(script.context.env.clone());
             let model_result = match checker.check(process, assertion, depth) {
                 Ok(r) => r,
                 Err(e) => return Some(Err(e)),

@@ -18,7 +18,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use csp_lang::{Definitions, Env, EvalError, Process};
-use csp_semantics::{CompiledLts, CompiledStep, Config, StateSet, Universe};
+use csp_semantics::{CompiledLts, CompiledStep, Config, StateSet, Universe, CONCEALED_PER_DEPTH};
 use csp_trace::Trace;
 
 /// A reachable dead configuration.
@@ -54,8 +54,9 @@ impl DeadlockReport {
 }
 
 /// Searches for reachable dead configurations of `process` up to `depth`
-/// visible events (with an internal-step budget of `3 × depth` along any
-/// path, matching the semantics' hide handling).
+/// visible events, with at most `depth ×` [`CONCEALED_PER_DEPTH`]
+/// concealed steps along any path: the budget every bounded search
+/// reads.
 ///
 /// The search is breadth-first over a [`CompiledLts`] arena, so
 /// witnesses come shortest first; the seen set is a [`StateSet`] bitset
@@ -101,7 +102,7 @@ pub fn find_deadlocks(
                     }
                 }
                 CompiledStep::Internal(next) => {
-                    if internal_used < depth * 3 && seen.insert(next) {
+                    if internal_used < depth * CONCEALED_PER_DEPTH && seen.insert(next) {
                         frontier.push_back((next, trace.clone(), internal_used + 1));
                     }
                 }
@@ -190,6 +191,26 @@ mod tests {
         let hidden = parse_process("chan a; lp").unwrap();
         let report = find_deadlocks(&defs, &uni, &hidden, &Env::new(), 2).unwrap();
         assert!(report.deadlocks.is_empty());
+    }
+
+    #[test]
+    fn a_jam_behind_four_concealed_steps_is_found_at_depth_one() {
+        // Four hidden exchanges, then the two sides offer different
+        // channels: the jam's witness is <>, four concealed steps from
+        // the start, within the budget of depth 1.
+        let defs = parse_definitions(
+            "left = h!0 -> h!0 -> h!0 -> h!0 -> c!0 -> STOP
+             right = h?x:{0} -> h?x:{0} -> h?x:{0} -> h?x:{0} -> d?y:{0} -> STOP
+             net = chan h; (left ||{h, c, d | h, c, d} right)",
+        )
+        .unwrap();
+        let uni = Universe::new(1);
+        let report = find_deadlocks(&defs, &uni, &Process::call("net"), &Env::new(), 1).unwrap();
+        assert_eq!(report.deadlocks.len(), 1, "{report:?}");
+        let d = &report.deadlocks[0];
+        assert!(d.trace.is_empty(), "witness should be <>: {}", d.trace);
+        assert!(!d.terminated);
+        assert!(!report.deadlock_free());
     }
 
     #[test]

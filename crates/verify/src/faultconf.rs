@@ -35,14 +35,10 @@ pub struct FaultSweep {
     pub max_steps: usize,
     /// Watchdog limits applied to every run.
     pub supervision: Supervision,
-    /// Concealed-step budget used when replaying a visible trace
-    /// against the semantics.
-    pub internal_budget: usize,
 }
 
 impl FaultSweep {
-    /// A sweep over the given seeds and plans with default budgets
-    /// (48 steps per run, internal budget 8).
+    /// A sweep over the given seeds and plans, 48 steps per run.
     pub fn new(
         seeds: impl IntoIterator<Item = u64>,
         plans: impl IntoIterator<Item = FaultPlan>,
@@ -52,7 +48,6 @@ impl FaultSweep {
             plans: plans.into_iter().collect(),
             max_steps: 48,
             supervision: Supervision::default(),
-            internal_budget: 8,
         }
     }
 
@@ -149,7 +144,8 @@ impl std::error::Error for FaultConfError {}
 
 /// Runs `process` under every (seed, plan) pair of the sweep and checks
 /// each degraded run's visible trace against the semantics and the
-/// given invariants at every prefix.
+/// given invariants at every prefix, as [`check_conformance`] replays a
+/// recorded run.
 ///
 /// # Errors
 ///
@@ -190,17 +186,14 @@ pub fn fault_conformance(
                     },
                 )
                 .map_err(FaultConfError::Run)?;
-            let budget = sweep
-                .internal_budget
-                .max(res.full.len() - res.visible.len());
             let report = check_conformance(
                 process,
                 env,
                 defs,
                 universe,
                 &res.visible,
+                res.full.len(),
                 invariants,
-                budget,
             )
             .map_err(FaultConfError::Eval)?;
             Ok(DegradedRun {

@@ -18,7 +18,7 @@
 use csp_assert::{AssertError, Assertion, CompiledAssertion, FuncTable};
 use csp_lang::{Definitions, Env, Process};
 use csp_obs::{Collector, Span};
-use csp_semantics::{CompiledLts, Config, Engine, Lts, Universe};
+use csp_semantics::{CompiledLts, Config, Engine, Lts, Universe, CONCEALED_PER_DEPTH};
 use csp_trace::{History, Trace, TraceTree};
 
 /// The verdict of a bounded satisfaction check.
@@ -63,7 +63,6 @@ pub struct SatChecker<'a> {
     universe: &'a Universe,
     funcs: FuncTable,
     env: Env,
-    internal_budget_factor: usize,
     collector: Collector,
 }
 
@@ -76,7 +75,6 @@ impl<'a> SatChecker<'a> {
             universe,
             funcs: FuncTable::with_builtins(),
             env: Env::new(),
-            internal_budget_factor: 3,
             collector: Collector::disabled(),
         }
     }
@@ -95,13 +93,6 @@ impl<'a> SatChecker<'a> {
         self
     }
 
-    /// Sets the hidden-communication budget as a multiple of the depth.
-    #[must_use]
-    pub fn with_internal_budget_factor(mut self, factor: usize) -> Self {
-        self.internal_budget_factor = factor.max(1);
-        self
-    }
-
     /// Attaches an observation stream: each check records a `satcheck`
     /// span (with exploration and moment counts; for the compiled engine
     /// also the arena's states, transitions, component rows, whole-term
@@ -113,7 +104,9 @@ impl<'a> SatChecker<'a> {
         self
     }
 
-    /// Checks `process sat assertion` over all traces up to `depth`.
+    /// Checks `process sat assertion` over all traces up to `depth`,
+    /// reached with at most `depth ×`
+    /// [`CONCEALED_PER_DEPTH`] concealed steps along any path.
     ///
     /// Every distinct trace is judged once, on the calling thread, and the
     /// answer is the one a scan of the traces in sorted order would give:
@@ -138,7 +131,7 @@ impl<'a> SatChecker<'a> {
         root.record("engine", engine.as_str());
         let start = Config::new(process.clone(), self.env.clone());
         let explore_span = root.child("satcheck.explore");
-        let budget = depth * self.internal_budget_factor;
+        let budget = depth * CONCEALED_PER_DEPTH;
         // The compiled walk numbers each trace after its parent, so the
         // history mostly moves by one event; the enumerative set is read
         // in hash order, and the verdict does not depend on the order.
@@ -334,7 +327,7 @@ mod tests {
     fn protocol_satisfies_output_le_input() {
         let defs = examples::protocol();
         let uni = Universe::new(0).with_named("M", [Value::nat(0), Value::nat(1)]);
-        let checker = SatChecker::new(&defs, &uni).with_internal_budget_factor(4);
+        let checker = SatChecker::new(&defs, &uni);
         let r = parse_assertion("output <= input", &info()).unwrap();
         assert!(checker.check_name("protocol", &r, 3).unwrap().holds());
     }
@@ -372,9 +365,7 @@ mod tests {
         .unwrap();
         let env = examples::multiplier_env(&[2, 3, 5]);
         let uni = Universe::new(10);
-        let checker = SatChecker::new(&defs, &uni)
-            .with_env(env)
-            .with_internal_budget_factor(4);
+        let checker = SatChecker::new(&defs, &uni).with_env(env);
         let r = parse_assertion(
             "forall i:NAT. 1 <= i and i <= #output => \
              output[i] == v[1]*row[1][i] + v[2]*row[2][i] + v[3]*row[3][i]",

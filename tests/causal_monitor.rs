@@ -119,7 +119,7 @@ fn out_of_spec_event_is_flagged_at_its_step() {
     );
     // The pipeline must input before it can ever output.
     let bogus = Event::new(Channel::simple("output"), Value::nat(0));
-    assert!(!monitor.observe(bogus, 0));
+    assert!(!monitor.observe(bogus, 0, 0));
     let report = monitor.report();
     assert!(!report.is_conforming());
     let v = report.violation.expect("violation recorded");

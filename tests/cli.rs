@@ -145,6 +145,52 @@ fn deadlock_finds_jams() {
     assert!(stdout.contains("DEADLOCK"));
 }
 
+/// Four concealed exchanges precede the jam, so its witness is `<>`:
+/// the search to depth 1 must take them all.
+#[test]
+fn a_jam_behind_concealed_steps_is_found_at_depth_one() {
+    let f = write_fixture(
+        "jam-behind-chan.csp",
+        "left = h!0 -> h!0 -> h!0 -> h!0 -> c!0 -> STOP
+right = h?x:{0} -> h?x:{0} -> h?x:{0} -> h?x:{0} -> d?y:{0} -> STOP
+net = chan h; (left ||{h, c, d | h, c, d} right)
+",
+    );
+    let (stdout, _, code) = csp(&[
+        "deadlock",
+        f.to_str().unwrap(),
+        "--process",
+        "net",
+        "--depth",
+        "1",
+    ]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("DEADLOCK after <>"), "{stdout}");
+}
+
+/// Forty concealed events precede the first visible one. The monitor
+/// admits as many concealed steps as the run committed in the gap, so
+/// the run's own semantics conforms.
+#[test]
+fn a_long_concealed_prefix_conforms_under_the_monitor() {
+    let mut src: String = (0..40)
+        .map(|i| format!("s{i} = h!0 -> s{}\n", i + 1))
+        .collect();
+    src.push_str("s40 = a!0 -> s40\np = chan h; s0\n");
+    let f = write_fixture("longchain.csp", &src);
+    let (stdout, stderr, code) = csp(&[
+        "run",
+        f.to_str().unwrap(),
+        "--process",
+        "p",
+        "--steps",
+        "64",
+        "--monitor",
+    ]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("conforming"), "{stdout}");
+}
+
 #[test]
 fn traces_lists_maximal_behaviours() {
     let f = write_fixture("pipeline6.csp", PIPELINE);

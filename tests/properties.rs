@@ -549,15 +549,15 @@ proptest! {
     }
 
     /// Every deadlock witness is a trace of the process: the search's
-    /// budget (3 visible events, 3 × 3 concealed steps along a path) is
-    /// the trace walk's.
+    /// budget (3 visible events, 3 × `CONCEALED_PER_DEPTH` concealed
+    /// steps along a path) is the trace walk's.
     #[test]
     fn deadlock_witnesses_are_traces(p in arb_network()) {
         let defs = Definitions::new();
         let uni = Universe::small();
         let start = Config::new(p.clone(), Env::new());
         let traces = Lts::new(&defs, &uni)
-            .traces_budgeted(&start, 3, 9)
+            .traces_budgeted(&start, 3, 3 * csp::CONCEALED_PER_DEPTH)
             .expect("trace walk");
         let report = csp::find_deadlocks(&defs, &uni, &p, &Env::new(), 3).expect("deadlocks");
         for d in &report.deadlocks {
@@ -568,8 +568,9 @@ proptest! {
     /// The conformance replay admits every walked trace, admits a
     /// one-event extension only when it is a trace, and rejects one at
     /// the extending event. A trace walked with 3 concealed steps needs
-    /// at most 3 before each event; an extension admitted with 3 before
-    /// each of at most 3 events needs at most 9 in all.
+    /// at most 3 before each event, within the replay's floor; an
+    /// extension admitted with `replay_budget(0)` before each of at most
+    /// 3 events needs at most 3 times that in all.
     #[test]
     fn conformance_admits_exactly_the_walked_traces(p in arb_network()) {
         let defs = Definitions::new();
@@ -577,9 +578,12 @@ proptest! {
         let lts = Lts::new(&defs, &uni);
         let start = Config::new(p.clone(), Env::new());
         let walked = lts.traces_budgeted(&start, 3, 3).expect("trace walk");
-        let wide = lts.traces_budgeted(&start, 3, 9).expect("wide trace walk");
+        let wide = lts
+            .traces_budgeted(&start, 3, 3 * csp::replay_budget(0))
+            .expect("wide trace walk");
         let replay = |t: &Trace| {
-            csp::check_conformance(&p, &Env::new(), &defs, &uni, t, &[], 3).expect("replay")
+            csp::check_conformance(&p, &Env::new(), &defs, &uni, t, t.len(), &[])
+                .expect("replay")
         };
         let events: Vec<Event> = ["a", "b", "c"]
             .iter()
@@ -612,7 +616,8 @@ proptest! {
     /// The runtime runs exactly the semantics, or refuses at set-up a
     /// network it cannot run on threads. Every random network is static,
     /// so `flatten` accepts it, and every run of it (seeds 0–3, 8 steps)
-    /// conforms to its trace set under the membership monitor. A run
+    /// conforms to its trace set under the membership monitor, and again
+    /// when its recorded trace is replayed: one run, one verdict. A run
     /// that crashes component 0 at step 2 and replays it commits the
     /// fault-free run's trace, concealed events included: the replay
     /// feeds the new thread exactly the events its predecessor took
@@ -634,10 +639,18 @@ proptest! {
                 .unwrap_or_else(|e| panic!("{p} refused: {e}"))
             };
             let res = run(Some(csp::MonitorSpec::new()), csp::FaultPlan::none());
-            let report = res.monitor.expect("monitored");
+            let report = res.monitor.as_ref().expect("monitored");
             prop_assert!(
                 report.is_conforming(),
                 "{} at seed {} ran {}: {:?}", p, seed, res.visible, report
+            );
+            let replay = csp::check_conformance(
+                &p, &Env::new(), &defs, &uni, &res.visible, res.full.len(), &[],
+            )
+            .expect("replay");
+            prop_assert!(
+                replay.conforms(),
+                "{} at seed {} ran {}, replayed: {:?}", p, seed, res.visible, replay
             );
             let replayed = run(
                 None,
